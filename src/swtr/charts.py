@@ -33,10 +33,6 @@ from .hyperelliptic import omega_value
 from .laurent import LaurentSeries, SeriesDifferential
 
 
-def chart_label(i, sheet):
-    return (i, sheet)
-
-
 @dataclass
 class StandardChart:
     label: tuple                  # (ram index, sheet)
@@ -132,7 +128,7 @@ def _build_one_chart(curve, i, sheet, order):
     d_min = g0 * min(cands) ** 0.5
     w_val = (p0 + sheet * y0) / (2.0 * curve.lam_pow)
     return StandardChart(
-        label=chart_label(i, sheet), z_root=zi, p0=p0, y0=sheet * y0, w_value=w_val,
+        label=(i, sheet), z_root=zi, p0=p0, y0=sheet * y0, w_value=w_val,
         p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus, etabar_plus=etabar_plus,
         inv_plus=inv_plus, f_series=f_series, eta_of_etabar=eta_of_etabar,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
@@ -383,7 +379,8 @@ def sw_embed_global(curve, ref, charts, nfft=256, window=24):
         theta = 2.0 * np.pi * np.arange(nfft) / nfft
         etab = r * np.exp(1j * theta)
         eta = np.array([ch.eta_of_etabar.evaluate(e) for e in etab])
-        deta = np.array([ch.eta_of_etabar.derivative().evaluate(e) for e in etab])
+        deta_detabar = ch.eta_of_etabar.derivative()
+        deta = np.array([deta_detabar.evaluate(e) for e in etab])
         w_vals = eta ** 2 + ch.p0
         z0 = np.array([ch.z_of_eta.evaluate(e) for e in eta])
         y_pt = ch.sheet * np.array([ch.y_plus.evaluate(e) for e in eta])

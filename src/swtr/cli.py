@@ -514,7 +514,6 @@ def _parser():
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--precision", choices=["double", "extended"], default="double")
     return ap
 
 
@@ -541,10 +540,14 @@ def cli_main(argv=None):
                         s[(m1, m2)] = 0.2 * (rng.standard_normal()
                                              + 1j * rng.standard_normal())
             curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
+            t0 = time.perf_counter()
             omega = eo_run(curve, args.chi_max)
+            wall = time.perf_counter() - t0
             write_sgn_csv(args.out, omega.table)
-            print(f"wrote {args.out} with "
-                  f"{sum(len(c) for c in omega.table.entries.values())} entries")
+            stored = sum(len(c) for c in omega.table.entries.values())
+            print(f"wrote {args.out} with {stored} entries")
+            print(f"recursion: {omega._engine.evaluated} tuples evaluated, "
+                  f"{stored} stored, {wall:.3f} s")
             return 0
 
         if args.command == "sw-periods":
@@ -562,9 +565,6 @@ def cli_main(argv=None):
             return 0
 
         if args.command == "verify-theorem":
-            if args.precision == "extended":
-                print("error: extended precision is not implemented", file=sys.stderr)
-                return 2
             try:
                 with open(args.config) as fh:
                     raw = json.load(fh)

@@ -15,6 +15,17 @@ The recursion kernel at a point with odd combination D(z) dz is
 which reduces to dz1 / (4 z (z^2 - z1^2) dz) for the bare quadratic disc.
 Residue extraction happens on truncated Laurent windows; repeating it with a
 larger window is the "formal extraction order" refinement check.
+
+Each cell omega_{g,n} is evaluated only on its degree-bounded support: with
+d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every other
+entry vanishes exactly, because the pole orders of the lower cells leave the
+residue nothing to pick up.  The series the residue is taken of does not
+depend on the pivot index, so it is shared by all entries that differ only
+in the pivot.  ``airy.atr_run`` keeps the full enumeration up to the index
+bound 6g + 2n - 4: it is the independent oracle the two recursions are
+checked against, so it must not rest on the same prune.
+``support_bound_check`` evaluates the tuples beyond the degree bound and
+reports the largest of them, which must be 0.
 """
 
 from __future__ import annotations
@@ -115,9 +126,14 @@ class _EoEngine:
         self.hi = kmax + 5 + extra_order
         self.nlen = self.hi - self.lo + 1
         self.table = SgnTable(self.modes, basis_tag="bergman")
+        self.degree = [(k - 1) // 2 for k, _ in self.modes]
+        self.evaluated = 0          # tuples passed to compute_value by run()
         self._vec_cache = {}
         self._factor_cache = {}
         self._pair_cache = {}
+        # pivot-free series and pair matrices of the cell being filled
+        self._xi_cache = {}
+        self._m2_cache = {}
         self._setup()
 
     def _setup(self):
@@ -183,22 +199,25 @@ class _EoEngine:
         return vec
 
     def _factor(self, g, n, legs, lab, minus):
-        """Series of omega_{g,n}(q(+-z), legs) over the window, as an array."""
+        """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
         key = (g, n, legs, lab, minus)
-        arr = self._factor_cache.get(key)
-        if arr is None:
+        if key not in self._factor_cache:
             vec = self._svec(g, n, tuple(sorted(legs)))
             mat = self.loc_m[lab] if minus else self.loc_p[lab]
             arr = vec @ mat
-            self._factor_cache[key] = arr
-        return arr
+            self._factor_cache[key] = arr if np.any(arr) else None
+        return self._factor_cache[key]
 
     def _f_leg(self, mode, lab, minus):
-        """Series of the two-form with one local argument against leg ``mode``."""
+        """Series of the two-form with one local argument against leg ``mode``.
+
+        None when the leg sits at another point or beyond the window.
+        """
         k, blab = mode
+        if blab != lab or k - 1 > self.hi:
+            return None
         arr = np.zeros(self.nlen, dtype=complex)
-        if blab == lab and k - 1 <= self.hi:
-            arr[k - 1 - self.lo] = k * ((-1.0) ** k if minus else 1.0)
+        arr[k - 1 - self.lo] = k * ((-1.0) ** k if minus else 1.0)
         return arr
 
     def _pair_tensor(self, lab):
@@ -215,9 +234,29 @@ class _EoEngine:
             self._pair_cache[key] = c2
         return c2
 
-    def compute_value(self, g, n, idx, pivot_pos=0):
-        k1, lab = self.modes[idx[pivot_pos]]
-        rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
+    def _pair_matrix(self, g, n, rest):
+        """omega_{g,n}(j1, j2, rest) over all mode pairs, or None if it is 0."""
+        key = (g, n, rest)
+        if key not in self._m2_cache:
+            table = self.table.entries.get((g, n), {})
+            m2 = np.zeros((self.dim, self.dim), dtype=complex)
+            for j1 in range(self.dim):
+                for j2 in range(j1, self.dim):
+                    val = table.get(tuple(sorted((j1, j2) + rest)))
+                    if val is not None:
+                        m2[j1, j2] = m2[j2, j1] = val
+            self._m2_cache[key] = m2 if np.any(m2) else None
+        return self._m2_cache[key]
+
+    def _xi(self, g, n, lab, rest):
+        """Series whose residue against z^{k1} / D(z) gives the entry (k1, rest).
+
+        It does not depend on the pivot index k1, so it is cached per cell.
+        """
+        key = (g, n, lab, rest)
+        xi = self._xi_cache.get(key)
+        if xi is not None:
+            return xi
         conv_len = 2 * self.nlen - 1
         xi = np.zeros(conv_len, dtype=complex)
         # splitting terms (two-form legs allowed, one-form excluded)
@@ -230,16 +269,18 @@ class _EoEngine:
                     if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
                         continue
                     legs1 = tuple(rest[p] for p in combo)
-                    legs2 = tuple(rest[p] for p in positions if p not in combo)
                     if (g1, n1) == (0, 2):
                         f1 = self._f_leg(self.modes[legs1[0]], lab, minus=False)
                     else:
                         f1 = self._factor(g1, n1, legs1, lab, minus=False)
+                    if f1 is None:
+                        continue
+                    legs2 = tuple(rest[p] for p in positions if p not in combo)
                     if (g2, n2) == (0, 2):
                         f2 = self._f_leg(self.modes[legs2[0]], lab, minus=True)
                     else:
                         f2 = self._factor(g2, n2, legs2, lab, minus=True)
-                    if np.any(f1) and np.any(f2):
+                    if f2 is not None:
                         xi += np.convolve(f1, f2)
         # genus-reduction term
         if g >= 1:
@@ -248,17 +289,16 @@ class _EoEngine:
                 pad[-self.lo: -self.lo + self.nlen] = self.b_pm[lab]
                 xi += pad
             else:
-                table = self.table.entries.get((g - 1, n + 1), {})
-                c2 = self._pair_tensor(lab)
-                m2 = np.zeros((self.dim, self.dim), dtype=complex)
-                for j1 in range(self.dim):
-                    for j2 in range(self.dim):
-                        val = table.get(tuple(sorted((j1, j2) + rest)))
-                        if val is not None:
-                            m2[j1, j2] = val
-                if np.any(m2):
-                    xi += np.einsum("jk,jkl->l", m2, c2, optimize=True)
-        return -(xi @ self.res_vec[lab][k1])
+                m2 = self._pair_matrix(g - 1, n + 1, rest)
+                if m2 is not None:
+                    xi += np.einsum("jk,jkl->l", m2, self._pair_tensor(lab), optimize=True)
+        self._xi_cache[key] = xi
+        return xi
+
+    def compute_value(self, g, n, idx, pivot_pos=0):
+        k1, lab = self.modes[idx[pivot_pos]]
+        rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
+        return -(self._xi(g, n, lab, rest) @ self.res_vec[lab][k1])
 
     def allowed(self, g, n):
         bound = default_index_bound(g, n)
@@ -268,6 +308,27 @@ class _EoEngine:
         return sorted(self.index[(k, lab)] for lab in self.curve.ram
                       for k in range(1, bound + 1, 2))
 
+    def support(self, g, n):
+        """Index tuples of omega_{g,n} with degrees summing to at most 3g - 3 + n.
+
+        The degree of index k is d = (k - 1) / 2.  Tuples come in the order of
+        ``combinations_with_replacement(allowed(g, n), n)``; every tuple
+        beyond the degree bound has a zero entry.
+        """
+        allowed = self.allowed(g, n)
+        degree = self.degree
+
+        def extend(prefix, start, budget):
+            if len(prefix) == n:
+                yield prefix
+                return
+            for pos in range(start, len(allowed)):
+                j = allowed[pos]
+                if degree[j] <= budget:
+                    yield from extend(prefix + (j,), pos, budget - degree[j])
+
+        return extend((), 0, 3 * g - 3 + n)
+
     def run(self):
         for chi in range(1, self.chi_max + 1):
             for g in range(0, (chi + 1) // 2 + 1):
@@ -275,12 +336,15 @@ class _EoEngine:
                 if n < 1:
                     continue
                 cell = {}
-                for idx in itertools.combinations_with_replacement(self.allowed(g, n), n):
+                for idx in self.support(g, n):
+                    self.evaluated += 1
                     val = self.compute_value(g, n, idx)
                     if val != 0:
                         cell[idx] = val
                 self.table.entries[(g, n)] = cell
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
+                self._xi_cache.clear()
+                self._m2_cache.clear()
         return self.table
 
 
@@ -358,7 +422,12 @@ def omega_eval(omega, g, n, points):
 
 
 def support_bound_check(omega, tol=1e-10):
-    """Report max observed index against 6g + 2n - 4, plus even-index probes."""
+    """Report max observed index against 6g + 2n - 4, plus even-index probes.
+
+    ``outside_support_residual`` is the largest |entry| the recursion gives
+    for an index tuple within the per-index bound but outside the degree
+    bound that ``eo_run`` enumerates; it must be exactly 0.
+    """
     report = {}
     engine = omega._engine
     for (g, n), cell in omega.table.entries.items():
@@ -367,6 +436,11 @@ def support_bound_check(omega, tol=1e-10):
         for key, val in cell.items():
             if abs(val) > tol:
                 max_idx = max(max_idx, max(omega.table.modes[i][0] for i in key))
+        inside = set(engine.support(g, n))
+        outside = 0.0
+        for idx in itertools.combinations_with_replacement(engine.allowed(g, n), n):
+            if idx not in inside:
+                outside = max(outside, abs(engine.compute_value(g, n, idx)))
         even_dev = 0.0
         # probe targets carrying one even-index leg (odd pivot): must vanish
         if n >= 2:
@@ -378,6 +452,7 @@ def support_bound_check(omega, tol=1e-10):
             "bound": bound,
             "within_bound": max_idx <= bound,
             "even_leg_residual": even_dev,
+            "outside_support_residual": outside,
         }
     return report
 
@@ -404,7 +479,8 @@ def _even_leg_probe(engine, g, n, k_even, lab):
             other = engine._f_leg(engine.modes[legs2[0]], lab, minus=not even_on_minus)
         else:
             other = engine._factor(g, n - 1, legs2, lab, minus=not even_on_minus)
-        xi += np.convolve(f_even, other)
+        if other is not None:
+            xi += np.convolve(f_even, other)
     return -(xi @ engine.res_vec[lab][k1])
 
 

@@ -160,13 +160,16 @@ def test_criterion_5_output_structure():
     report = support_bound_check(omega, tol=1e-10)
     ok = sym < 1e-10
     worst_even = 0.0
+    worst_outside = 0.0
     for cell, info in report.items():
         ok = ok and info["within_bound"]
         worst_even = max(worst_even, info["even_leg_residual"])
-    ok = ok and worst_even < 1e-10
+        worst_outside = max(worst_outside, info["outside_support_residual"])
+    ok = ok and worst_even < 1e-10 and worst_outside == 0.0
     elapsed = time.time() - t0
     _report("5 output structure", ok and elapsed < 10.0, elapsed,
             f"symmetry {sym:.2e}, even-index residual {worst_even:.2e}, "
+            f"outside-support residual {worst_outside:.2e}, "
             f"bounds {[info['max_index'] for info in report.values()]}")
 
 

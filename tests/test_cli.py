@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ def test_selftest_command_exits_zero(capsys):
     assert "S_0,3;111" in out and "0.5" in out
 
 
-def test_eo_run_golden_csv(tmp_path):
+def test_eo_run_golden_csv(tmp_path, capsys):
     out = tmp_path / "sgn_table.csv"
     assert cli_main(["eo-run", "--points", "1", "--s", "zero",
                      "--chi-max", "2", "--out", str(out)]) == 0
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["g", "n", "indices", "re", "im"]
+    stats = re.search(r"recursion: (\d+) tuples evaluated, (\d+) stored, [\d.]+ s",
+                      capsys.readouterr().out)
+    assert stats and int(stats[2]) == len(rows) - 1 <= int(stats[1])
     hits = [r for r in rows[1:] if r[0] == "1" and r[1] == "1" and r[2] == "(3)"]
     assert len(hits) == 1
     assert abs(float(hits[0][3]) - 0.0625) < 1e-13

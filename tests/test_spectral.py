@@ -123,6 +123,21 @@ def test_nontrivial_denominator_still_symmetric():
         assert abs(val - o2.table.entries[(1, 2)].get(key, 0j)) < 1e-11 * max(1.0, abs(val))
 
 
+def test_chi4_four_points_with_quartic_denominator():
+    # breadth at chi = 4: every cell is filled and stays pivot-symmetric
+    rng = np.random.default_rng(23)
+    ram = ("0", "1", "2", "3")
+    denom = {lab: LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40) for lab in ram}
+    curve = LocalSpectralCurve(ram=ram, denom=denom, bergman_reg=random_s(ram, 13, rng))
+    omega = eo_run(curve, chi_max=4)
+    for chi in range(1, 5):
+        for g in range(0, (chi + 1) // 2 + 1):
+            n = chi + 2 - 2 * g
+            if n >= 1:
+                assert omega.table.entries.get((g, n)), (g, n)
+    assert eo_symmetry_deviation(omega, rng) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # support bounds and odd support
 # ---------------------------------------------------------------------------
@@ -137,6 +152,7 @@ def test_support_bounds():
     for cell, info in report.items():
         assert info["within_bound"], (cell, info)
         assert info["even_leg_residual"] < 1e-10, (cell, info)
+        assert info["outside_support_residual"] == 0.0, (cell, info)
 
 
 def test_airy_support_is_minimal():
