@@ -31,9 +31,6 @@ import numpy as np
 from .errors import DegenerateDisc, InvalidGauge, TruncationInsufficient
 from .laurent import LaurentSeries, SeriesDifferential, sqrt_shift_flow
 
-Mode = tuple  # (k, label)
-
-
 def make_modes(kmax, ram):
     """Canonical mode enumeration: labels in given order, k = 1..kmax."""
     return [(k, a) for a in ram for k in range(1, kmax + 1)]
@@ -118,7 +115,9 @@ def tr_variant_entry(kind, i, j, k):
     return _residue_entry(kind, i, j, k, tr_variant=True)
 
 
-def _build_family(kmax, ram, tr_variant):
+def _build_family(kmax, ram, tr_variant, validate):
+    if kmax < 5:
+        raise ValueError("kmax must be at least 5")
     ram = tuple(ram)
     modes = make_modes(kmax, ram)
     dim = len(modes)
@@ -147,13 +146,17 @@ def _build_family(kmax, ram, tr_variant):
                     if tr_variant and jj % 2 == 0:
                         val = -val
                     c[index[(i, lab)], index[(jj, lab)], index[(kk, lab)]] = val
-    return AiryTensors(kmax=kmax, ram=ram, a=a, b=b, c=c, eps=eps, modes=modes)
+    t = AiryTensors(kmax=kmax, ram=ram, a=a, b=b, c=c, eps=eps, modes=modes)
+    if validate:
+        _validate_family(t, tr_variant)
+    return t
 
 
-def _validate_family(t, tr_variant, up_to=9):
+def _validate_family(t, tr_variant):
+    """Every entry with indices up to 9 against its residue formula."""
     entry = tr_variant_entry if tr_variant else residue_constraint_entry
     lab = t.ram[0]
-    bound = min(up_to, t.kmax)
+    bound = min(9, t.kmax)
     for i in range(1, bound + 1):
         for j in range(1, bound + 1):
             for k in range(1, bound + 1):
@@ -168,22 +171,12 @@ def _validate_family(t, tr_variant, up_to=9):
 
 def build_residue_constraint_tensors(kmax, ram=("0",), validate=True):
     """Closed-form residue-constraint tensors, block-diagonal across labels."""
-    if kmax < 5:
-        raise ValueError("kmax must be at least 5")
-    t = _build_family(kmax, ram, tr_variant=False)
-    if validate:
-        _validate_family(t, tr_variant=False)
-    return t
+    return _build_family(kmax, ram, False, validate)
 
 
 def build_tr_variant_tensors(kmax, ram=("0",), validate=True):
     """Local-recursion variant tensors (third integrand factor at -z)."""
-    if kmax < 5:
-        raise ValueError("kmax must be at least 5")
-    t = _build_family(kmax, ram, tr_variant=True)
-    if validate:
-        _validate_family(t, tr_variant=True)
-    return t
+    return _build_family(kmax, ram, True, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +289,11 @@ def gauge_transform(t, g, tol=1e-12):
 class WElement:
     """Labeled family of residue-free Laurent differentials, one per label."""
 
-    def __init__(self, series_by_label, check_residue=True):
+    def __init__(self, series_by_label):
         self.series = dict(series_by_label)
-        if check_residue:
-            for lab, xi in self.series.items():
-                if not xi.is_residue_free():
-                    raise ValueError(f"series at label {lab!r} carries a residue")
-
-    def labels(self):
-        return list(self.series)
+        for lab, xi in self.series.items():
+            if not xi.is_residue_free():
+                raise ValueError(f"series at label {lab!r} carries a residue")
 
     def j_coord(self, m, label):
         """Coefficient of z^m dz/z at the given label (m any nonzero integer)."""
@@ -424,22 +413,20 @@ class SgnTable:
         table = self.entries.get((g, n), {})
         return max((abs(v) for v in table.values()), default=0.0)
 
-    def rows(self, threshold=0.0):
+    def rows(self):
         """Flat rows (g, n, mode tuple, value) for serialization."""
         out = []
         for (g, n) in self.cells():
             for key, val in sorted(self.entries[(g, n)].items()):
-                if abs(val) >= threshold:
-                    out.append((g, n, tuple(self.modes[i] for i in key), val))
+                out.append((g, n, tuple(self.modes[i] for i in key), val))
         return out
 
 
 def _tensors_preserve_odd(t):
     """True when the recursion stays inside the odd-mode substructure."""
     tol = 0.0
-    kpar = np.array([m[0] % 2 for m in t.modes], dtype=bool)
-    odd = kpar
-    even = ~kpar
+    odd = np.array([m[0] % 2 for m in t.modes], dtype=bool)
+    even = ~odd
     if np.max(np.abs(t.a[even][:, :, :])) > tol or np.max(np.abs(t.a[:, even, :])) > tol \
             or np.max(np.abs(t.a[:, :, even])) > tol:
         return False
@@ -455,20 +442,19 @@ def _tensors_preserve_odd(t):
 
 
 class _AtrEngine:
-    def __init__(self, t, chi_max, index_bound, odd_only):
+    def __init__(self, t, chi_max):
         self.t = t
         self.chi_max = chi_max
-        self.bound = index_bound or default_index_bound
-        self.odd_only = _tensors_preserve_odd(t) if odd_only is None else odd_only
+        self.odd_only = _tensors_preserve_odd(t)
         self.table = SgnTable(t.modes)
         self._vec_cache = {}
         self._mat_cache = {}
 
     def allowed(self, g, n):
-        bound = min(self.bound(g, n), self.t.kmax)
-        if self.bound(g, n) > self.t.kmax:
+        bound = default_index_bound(g, n)
+        if bound > self.t.kmax:
             raise TruncationInsufficient(
-                f"S_{{{g},{n}}} support bound {self.bound(g, n)} exceeds kmax={self.t.kmax}")
+                f"S_{{{g},{n}}} support bound {bound} exceeds kmax={self.t.kmax}")
         step = 2 if self.odd_only else 1
         return [self.t.index[(k, lab)] for lab in self.t.ram
                 for k in range(1, bound + 1, step)]
@@ -538,12 +524,12 @@ class _AtrEngine:
             val = 2.0 * t.a[idx]
             if val != 0:
                 self.table.entries[(0, 3)][idx] = val
-        self.table.bounds[(0, 3)] = min(self.bound(0, 3), t.kmax)
+        self.table.bounds[(0, 3)] = min(default_index_bound(0, 3), t.kmax)
         if self.chi_max >= 1:
             allowed11 = self.allowed(1, 1)
             self.table.entries[(1, 1)] = {
                 (i,): t.eps[i] for i in allowed11 if t.eps[i] != 0}
-            self.table.bounds[(1, 1)] = min(self.bound(1, 1), t.kmax)
+            self.table.bounds[(1, 1)] = min(default_index_bound(1, 1), t.kmax)
         for chi in range(2, self.chi_max + 1):
             for g in range(0, (chi + 1) // 2 + 1):
                 n = chi + 2 - 2 * g
@@ -556,27 +542,27 @@ class _AtrEngine:
                     if val != 0:
                         cell[idx] = val
                 self.table.entries[(g, n)] = cell
-                self.table.bounds[(g, n)] = min(self.bound(g, n), t.kmax)
+                self.table.bounds[(g, n)] = min(default_index_bound(g, n), t.kmax)
         return self.table
 
 
-def atr_run(t, chi_max, index_bound=None, odd_only=None):
+def atr_run(t, chi_max):
     """All S_{g,n} with 2g - 2 + n <= chi_max from the abstract recursion.
 
-    The per-cell index bound defaults to 6g + 2n - 4, which is the support
-    bound for the built-in families and their regular-part gauge
-    transformations (identity c, d).  Gauges that mix basis directions up to
-    a cutoff beyond that bound must pass a larger ``index_bound``.
+    The per-cell index bound is 6g + 2n - 4, which is the support bound for
+    the built-in families and their regular-part gauge transformations
+    (identity c, d).  Only odd modes are enumerated when the tensors keep the
+    recursion inside the odd-mode substructure.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be at least 1")
-    return _AtrEngine(t, chi_max, index_bound, odd_only).run()
+    return _AtrEngine(t, chi_max).run()
 
 
-def symmetry_deviation(table, t, rng=None, samples=200):
-    """Max |S(pivot 0) - S(other pivot)| over sampled entries."""
-    rng = rng or np.random.default_rng(0)
-    engine = _AtrEngine(t, 1, None, None)
+def symmetry_deviation(table, t):
+    """Max |S(pivot 0) - S(other pivot)| over up to 200 seeded samples per cell."""
+    rng = np.random.default_rng(0)
+    engine = _AtrEngine(t, 1)
     engine.table = table
     dev = 0.0
     for (g, n), cell in table.entries.items():
@@ -585,7 +571,7 @@ def symmetry_deviation(table, t, rng=None, samples=200):
         keys = list(cell)
         if not keys:
             continue
-        picks = rng.choice(len(keys), size=min(samples, len(keys)), replace=False)
+        picks = rng.choice(len(keys), size=min(200, len(keys)), replace=False)
         for p in picks:
             idx = keys[int(p)]
             pivot = int(rng.integers(1, n))

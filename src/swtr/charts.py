@@ -43,8 +43,6 @@ class StandardChart:
     p_shift: np.ndarray           # Taylor coefficients of P at z_root
     z_of_eta: LaurentSeries       # curve coordinate as a series in eta
     y_plus: LaurentSeries         # even series with value +|branch| sqrt at 0
-    etabar_plus: LaurentSeries    # odd series etabar_+(eta)
-    inv_plus: LaurentSeries       # eta as a series in etabar_+
     f_series: LaurentSeries       # F(v), v = w - P0, with F(etabar^2-image) id
     eta_of_etabar: LaurentSeries
     z_of_etabar: LaurentSeries
@@ -52,18 +50,8 @@ class StandardChart:
     y_curve: LaurentSeries        # sheet-signed y along the curve, in etabar
     y_of_etabar: LaurentSeries    # chart normal-form coordinate; equals etabar
     ds_detabar: LaurentSeries
-    d_min: float
     eps_alpha: float
-    m_alpha: float
     extraction_radius: float
-
-    @property
-    def sheet(self):
-        return self.label[1]
-
-    def f_eval(self, v):
-        """Numeric F(v) by partial sums; v must be well inside convergence."""
-        return self.f_series.evaluate(v)
 
 
 def _taylor_shift(p_coeffs, z0):
@@ -129,12 +117,11 @@ def _build_one_chart(curve, i, sheet, order):
     w_val = (p0 + sheet * y0) / (2.0 * curve.lam_pow)
     return StandardChart(
         label=(i, sheet), z_root=zi, p0=p0, y0=sheet * y0, w_value=w_val,
-        p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus, etabar_plus=etabar_plus,
-        inv_plus=inv_plus, f_series=f_series, eta_of_etabar=eta_of_etabar,
+        p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus,
+        f_series=f_series, eta_of_etabar=eta_of_etabar,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
         y_of_etabar=y_of_etabar, ds_detabar=ds_detabar,
-        d_min=d_min, eps_alpha=0.2 * d_min, m_alpha=0.5 * d_min,
-        extraction_radius=0.35 * d_min)
+        eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
 
 
 def _match_ram_roots(curve, ref):
@@ -153,12 +140,11 @@ def _match_ram_roots(curve, ref):
     return matching
 
 
-def flow_parameter(chart, curve, ref, matching=None):
+def flow_parameter(chart, curve, ref, matching):
     """F(P(z_i(u); u)) for a nearby curve; the neighbourhood guard applies."""
-    matching = matching or _match_ram_roots(curve, ref)
     zj = complex(curve.ram_roots[matching[chart.label[0]]])
     delta = npoly.polyval(zj, curve.p_coeffs) - chart.p0
-    val = chart.f_eval(delta)
+    val = chart.f_series.evaluate(delta)
     if abs(val) > 0.5 * chart.eps_alpha ** 2:
         raise OutOfNeighbourhood(
             f"|F(dP)| = {abs(val):.3e} beyond guard {0.5 * chart.eps_alpha ** 2:.3e}"
@@ -166,7 +152,7 @@ def flow_parameter(chart, curve, ref, matching=None):
     return val
 
 
-def standard_charts(curve, ref, order=44, check_tol=1e-10):
+def standard_charts(curve, ref, order=44):
     """Charts of the reference curve, validated, plus the neighbourhood guard.
 
     For ``curve is ref`` the construction is purely local; otherwise the flow
@@ -176,7 +162,7 @@ def standard_charts(curve, ref, order=44, check_tol=1e-10):
     for i in range(ref.g):
         for sheet in (+1, -1):
             ch = _build_one_chart(ref, i, sheet, order)
-            _validate_chart(ch, order, check_tol)
+            _validate_chart(ch, order)
             charts[ch.label] = ch
     if curve is not ref:
         matching = _match_ram_roots(curve, ref)
@@ -185,13 +171,14 @@ def standard_charts(curve, ref, order=44, check_tol=1e-10):
     return charts
 
 
-def _validate_chart(ch, order, tol):
+def _validate_chart(ch, order):
     """Chart invariants, sampled on the coefficient-extraction circle.
 
     The chart series have a finite convergence radius (the distance to the
     nearest critical value), so the residuals are measured where the data is
     consumed: on |etabar| = extraction_radius, relative to the target value.
     """
+    tol = 1e-10
     r = ch.extraction_radius
     pts = r * np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8)
     # normal form: the chart coordinate along the curve is etabar itself
@@ -245,14 +232,16 @@ def _fft_coeffs(values, radius, kmax):
     return out
 
 
-def local_expansions(bk, charts, k_bound=8, nfft=256, check=True):
+def local_expansions(bk, charts, k_bound=8):
     """Kernel regular-part coefficients and normalized-form Taylor data.
 
     Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` from double
     FFT extraction of the kernel composed with the charts (diagonal singular
     part subtracted on equal charts), and ``c_coeffs[(k,a)]`` a genus-vector
-    with the expansion coefficients of every normalized form.
+    with the expansion coefficients of every normalized form.  Every
+    coefficient is checked against a second extraction on a smaller circle.
     """
+    nfft = 256
     pd = bk.pd
     g = bk.curve.g
     labels = sorted(charts)
@@ -287,9 +276,8 @@ def local_expansions(bk, charts, k_bound=8, nfft=256, check=True):
         grid = grid * dz1[:, None] * dz2[None, :]
         if lab1 == lab2:
             grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
-        n = nfft
         scale = float(np.max(np.abs(grid)))
-        raw = np.fft.fft2(grid) / (n * n)
+        raw = np.fft.fft2(grid) / (nfft * nfft)
         out = {}
         floor = {}
         for k in range(1, k_bound + 1):
@@ -306,24 +294,22 @@ def local_expansions(bk, charts, k_bound=8, nfft=256, check=True):
     s_coeffs = {}
     for lab in labels:
         c1 = c_for_radius(lab, 1.0)
-        if check:
-            c2 = c_for_radius(lab, 0.8)
-            for key, vec in c1.items():
-                scale = max(1.0, float(np.max(np.abs(vec))), float(np.max(np.abs(c2[key]))))
-                if np.max(np.abs(vec - c2[key])) > 1e-7 * scale:
-                    raise ExtractionNotConverged(f"c-coefficients unstable at {key}")
+        c2 = c_for_radius(lab, 0.8)
+        for key, vec in c1.items():
+            scale = max(1.0, float(np.max(np.abs(vec))), float(np.max(np.abs(c2[key]))))
+            if np.max(np.abs(vec - c2[key])) > 1e-7 * scale:
+                raise ExtractionNotConverged(f"c-coefficients unstable at {key}")
         c_coeffs.update(c1)
     noise = {}
     for lab1 in labels:
         for lab2 in labels:
             s1, floor = s_for_radius(lab1, lab2, 1.0)
-            if check:
-                s2, floor2 = s_for_radius(lab1, lab2, 0.85)
-                for key, val in s1.items():
-                    gate = max(1e-9 * max(1.0, abs(val)),
-                               100.0 * (floor[key] + floor2[key]))
-                    if abs(val - s2[key]) > gate:
-                        raise ExtractionNotConverged(f"s-coefficients unstable at {key}")
+            s2, floor2 = s_for_radius(lab1, lab2, 0.85)
+            for key, val in s1.items():
+                gate = max(1e-9 * max(1.0, abs(val)),
+                           100.0 * (floor[key] + floor2[key]))
+                if abs(val - s2[key]) > gate:
+                    raise ExtractionNotConverged(f"s-coefficients unstable at {key}")
             s_coeffs.update(s1)
             noise.update(floor)
     # symmetry of the regular part within the extraction noise floor, then
@@ -338,11 +324,9 @@ def local_expansions(bk, charts, k_bound=8, nfft=256, check=True):
         avg = 0.5 * (val + back)
         s_coeffs[(m1, m2)] = avg
         s_coeffs[(m2, m1)] = avg
-    if check and asym > 1.0:
+    if asym > 1.0:
         raise ExtractionNotConverged(
             f"regular part asymmetry {asym:.2e} times the noise gate")
-    bk.local_s = s_coeffs
-    bk.local_c = c_coeffs
     return s_coeffs, c_coeffs
 
 
@@ -364,13 +348,14 @@ def _transport_roots(curve, w_targets, z_starts):
     raise OutOfNeighbourhood("leaf transport Newton did not converge")
 
 
-def sw_embed_global(curve, ref, charts, nfft=256, window=24):
+def sw_embed_global(curve, ref, charts):
     """Laurent data of [dS(ref) - transported dS(curve)] at every chart.
 
-    Residue-free by construction; coefficients are extracted by FFT on the
-    chart extraction circles.  Raises OutOfNeighbourhood when the deformed
-    curve leaves the chart guard.
+    Residue-free by construction; the coefficients of z^-24 .. z^24 are
+    extracted by a 256-point FFT on the chart extraction circles.  Raises
+    OutOfNeighbourhood when the deformed curve leaves the chart guard.
     """
+    nfft, window = 256, 24
     matching = _match_ram_roots(curve, ref)
     series = {}
     for lab, ch in sorted(charts.items()):
@@ -383,7 +368,7 @@ def sw_embed_global(curve, ref, charts, nfft=256, window=24):
         deta = np.array([deta_detabar.evaluate(e) for e in etab])
         w_vals = eta ** 2 + ch.p0
         z0 = np.array([ch.z_of_eta.evaluate(e) for e in eta])
-        y_pt = ch.sheet * np.array([ch.y_plus.evaluate(e) for e in eta])
+        y_pt = ch.label[1] * np.array([ch.y_plus.evaluate(e) for e in eta])
         z_u = _transport_roots(curve, w_vals, z0)
         phi = (z0 - z_u) * 2.0 * eta * deta / y_pt
         raw = np.fft.fft(phi) / nfft
@@ -435,8 +420,9 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound=8):
 # global evaluation helpers
 # ---------------------------------------------------------------------------
 
-def ebar_at_points(bk, chart, z_pts, y_pts, k_bound, nfft=128):
+def ebar_at_points(bk, chart, z_pts, y_pts, k_bound):
     """ebar^{k,chart}(p) against dz_p at global points, for k = 1..k_bound."""
+    nfft = 128
     r = chart.extraction_radius
     etab, z2, y2, dz2 = _chart_nodes(chart, r, nfft)
     grid = bk.value(np.asarray(z_pts)[:, None], np.asarray(y_pts)[:, None],
@@ -448,19 +434,19 @@ def ebar_at_points(bk, chart, z_pts, y_pts, k_bound, nfft=128):
     return out
 
 
-def bperiods_of_ebars(bk, cycles, chart, k_bound, tol=1e-9, nfft=128,
-                      start_panels=8, max_panels=512):
+def bperiods_of_ebars(bk, cycles, chart, k_bound):
     """B-periods of ebar^{k,chart} for k = 1..k_bound by global quadrature."""
+    tol = 1e-9
     ws = cycles.workspace
     out = np.zeros((len(cycles.b_cycles), k_bound), dtype=complex)
     for jb, cycle in enumerate(cycles.b_cycles):
         total = np.zeros(k_bound, dtype=complex)
         for coef, cont in cycle:
             prev = None
-            n = start_panels
-            while n <= max_panels:
+            n = 8
+            while n <= 512:
                 data = ws.nodes(cont, n)
-                vals = ebar_at_points(bk, chart, data.z, data.y, k_bound, nfft)
+                vals = ebar_at_points(bk, chart, data.z, data.y, k_bound)
                 cur = vals @ (data.w * data.dzdt)
                 if prev is not None and float(np.max(np.abs(cur - prev))) <= \
                         tol * max(1.0, float(np.max(np.abs(cur)))):
@@ -474,12 +460,13 @@ def bperiods_of_ebars(bk, cycles, chart, k_bound, tol=1e-9, nfft=128,
     return out
 
 
-def a_periods_of_ebars(bk, cycles, chart, k_bound, tol=1e-9, nfft=128):
+def a_periods_of_ebars(bk, cycles, chart, k_bound):
+    """A-periods of ebar^{k,chart} for k = 1..k_bound on 32 panels."""
     ws = cycles.workspace
     out = np.zeros((len(cycles.a_cycles), k_bound), dtype=complex)
     for ja, cycle in enumerate(cycles.a_cycles):
         for coef, cont in cycle:
             data = ws.nodes(cont, 32)
-            vals = ebar_at_points(bk, chart, data.z, data.y, k_bound, nfft)
+            vals = ebar_at_points(bk, chart, data.z, data.y, k_bound)
             out[ja] += coef * (vals @ (data.w * data.dzdt))
     return out

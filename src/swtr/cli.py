@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
+import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +44,10 @@ from .airy import (
 from .charts import local_expansions, standard_charts
 from .errors import BasisMismatch, SwtrError
 from .hyperelliptic import (
-    QuadratureWorkspace,
+    BergmanData,
+    CycleBasis,
+    PeriodData,
+    SWCurve,
     bergman_kernel,
     build_cycles,
     invert_a_map,
@@ -48,9 +55,10 @@ from .hyperelliptic import (
     periods,
 )
 from .laurent import LaurentSeries
-from .spectral import LocalSpectralCurve, eo_run
+from .spectral import LocalSpectralCurve, OmegaGN, eo_run
 
 TWO_PI_I = 2j * np.pi
+DEFAULT_TOLERANCES = {"theorem_rel": 1e-3, "quadrature": 1e-11, "route_rel": 1e-5}
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +87,7 @@ class VerifyConfig:
     chi_max: int = 1
     series_order: int = 44
     k_bound: int = 7
-    tolerances: dict = field(default_factory=lambda: {
-        "theorem_rel": 1e-3, "quadrature": 1e-11, "route_rel": 1e-5})
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 11
     check_n4: bool = False
     out_dir: str = "."
@@ -95,23 +102,17 @@ class VerifyConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        known = {
-            "genus": int(raw["genus"]),
-            "u0": tuple(_to_complex(v) for v in raw["u0"]),
-            "Lambda": _to_complex(raw.get("Lambda", 1.0)),
-            "delta_a": tuple(float(h) for h in raw.get("delta_a", (1e-3, 5e-4))),
-            "chi_max": int(raw.get("chi_max", 1)),
-            "series_order": int(raw.get("series_order", 44)),
-            "k_bound": int(raw.get("k_bound", 7)),
-            "seed": int(raw.get("seed", 11)),
-            "check_n4": bool(raw.get("check_n4", False)),
-            "out_dir": str(raw.get("out_dir", ".")),
+        """Config from parsed JSON; absent keys keep the field defaults."""
+        parse = {
+            "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
+            "Lambda": _to_complex, "delta_a": lambda v: tuple(float(h) for h in v),
+            "chi_max": int, "series_order": int, "k_bound": int, "seed": int,
+            "check_n4": bool, "out_dir": str,
         }
-        tols = dict(raw.get("tolerances", {}))
-        base = {"theorem_rel": 1e-3, "quadrature": 1e-11, "route_rel": 1e-5}
-        base.update({k: float(v) for k, v in tols.items()})
-        known["tolerances"] = base
-        return cls(**known)
+        known = {k: conv(raw[k]) for k, conv in parse.items() if k in raw}
+        tolerances = dict(DEFAULT_TOLERANCES)
+        tolerances.update({k: float(v) for k, v in dict(raw.get("tolerances", {})).items()})
+        return cls(tolerances=tolerances, **known)
 
 
 @dataclass
@@ -141,10 +142,27 @@ class CheckResult:
 
 
 @dataclass
+class PipelineArtifacts:
+    """What the reference stages produce, in pipeline order."""
+
+    curve: SWCurve
+    cycles: CycleBasis
+    pd: PeriodData
+    bk: BergmanData
+    charts: dict                  # label -> StandardChart
+    s_coeffs: dict                # kernel regular part s^{(k,a)(k',b)}
+    c_coeffs: dict                # normalized-form Taylor data c^{k,a}_j
+    seconds: dict                 # wall seconds of the period and local stages
+
+
+@dataclass
 class VerifyReport:
     checks: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
+    # not serialized: the reference data and the recursion output of the run
+    artifacts: PipelineArtifacts = field(default=None, repr=False)
+    omega: OmegaGN = field(default=None, repr=False)
 
     @property
     def passed(self):
@@ -194,20 +212,21 @@ def format_index_tuple(modes, single_label):
     return f"({inner})"
 
 
-def write_sgn_csv(path, table, threshold=0.0):
+def write_sgn_csv(path, table):
     labels = {m[1] for m in table.modes}
     single = len(labels) == 1
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["g", "n", "indices", "re", "im"])
-        for g, n, modes, val in table.rows(threshold):
+        for g, n, modes, val in table.rows():
             wr.writerow([g, n, format_index_tuple(modes, single),
                          repr(float(val.real) + 0.0 if val.real else 0.0),
                          repr(float(val.imag) + 0.0 if val.imag else 0.0)])
 
 
-def periods_json_payload(curve, pd, bk=None, s_coeffs=None, c_coeffs=None):
-    payload = {
+def periods_json_payload(art):
+    curve, pd = art.curve, art.pd
+    return {
         "genus": curve.g,
         "moduli": [_c_json(v) for v in curve.u],
         "Lambda": _c_json(curve.Lambda),
@@ -215,21 +234,16 @@ def periods_json_payload(curve, pd, bk=None, s_coeffs=None, c_coeffs=None):
         "a": [_c_json(v) for v in pd.a],
         "b": [_c_json(v) for v in pd.b],
         "tau": [[_c_json(v) for v in row] for row in pd.tau],
-    }
-    if bk is not None:
-        payload["kernel_correction"] = [[_c_json(v) for v in row]
-                                        for row in bk.correction]
-    if s_coeffs is not None:
-        payload["s_coeffs"] = [
+        "kernel_correction": [[_c_json(v) for v in row] for row in art.bk.correction],
+        "s_coeffs": [
             {"k1": m1[0], "label1": format_label(m1[1]),
              "k2": m2[0], "label2": format_label(m2[1]), "value": _c_json(v)}
-            for (m1, m2), v in sorted(s_coeffs.items(), key=lambda kv: str(kv[0]))]
-    if c_coeffs is not None:
-        payload["c_coeffs"] = [
+            for (m1, m2), v in sorted(art.s_coeffs.items(), key=lambda kv: str(kv[0]))],
+        "c_coeffs": [
             {"k": m[0], "label": format_label(m[1]),
              "values": [_c_json(v) for v in vec]}
-            for m, vec in sorted(c_coeffs.items(), key=lambda kv: str(kv[0]))]
-    return payload
+            for m, vec in sorted(art.c_coeffs.items(), key=lambda kv: str(kv[0]))],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +258,10 @@ def bperiod_contract(table, c_coeffs, genus):
         M_{j1..jn} = (2 pi i)^n sum_T S_{g,n;(k,a)...} prod c^{k_t,a_t}_{j_t},
 
     fully symmetric in the j's.  The table must carry bergman-basis data.
+
+    Each stored entry stands for all its distinct index permutations, so it
+    is contracted once in its sorted order, weighted by their number, and the
+    genus^n sum is symmetrized at the end; no dim^n tensor is formed.
     """
     if table.basis_tag != "bergman":
         raise BasisMismatch(f"need a bergman-basis table, got {table.basis_tag!r}")
@@ -254,17 +272,16 @@ def bperiod_contract(table, c_coeffs, genus):
         if vec is not None:
             cmat[mi] = vec
     out = {}
-    import itertools as it
     for (g, n), cell in table.entries.items():
-        dense = np.zeros((len(modes),) * n, dtype=complex)
-        for key, val in cell.items():
-            for perm in set(it.permutations(key)):
-                dense[perm] = val
-        legs = [cmat] * n
-        letters = "abcdefgh"[:n]
-        spec_in = ",".join(f"{letters[t]}{chr(ord('i') + t)}" for t in range(n))
-        expr = f"{letters}," + spec_in + "->" + "".join(chr(ord('i') + t) for t in range(n))
-        out[(g, n)] = (TWO_PI_I ** n) * np.einsum(expr, dense, *legs, optimize=True)
+        keys = np.array(list(cell), dtype=int).reshape(len(cell), n)
+        weights = [math.factorial(n) / math.prod(map(math.factorial, Counter(key).values()))
+                   for key in cell]
+        coef = np.array(list(cell.values()), dtype=complex) * weights
+        js = "ijklmnopq"[:n]
+        expr = "a," + ",".join("a" + j for j in js) + "->" + js
+        acc = np.einsum(expr, coef, *(cmat[keys[:, t]] for t in range(n)), optimize=True)
+        sym = sum(np.transpose(acc, p) for p in itertools.permutations(range(n)))
+        out[(g, n)] = (TWO_PI_I ** n) * sym / math.factorial(n)
     return out
 
 
@@ -272,18 +289,20 @@ def bperiod_contract(table, c_coeffs, genus):
 # the theorem verifier
 # ---------------------------------------------------------------------------
 
-def _periods_for(curve, cycles_ref, order=16):
-    """Periods of a nearby curve over the reference contours."""
-    from dataclasses import replace
-    ws = QuadratureWorkspace(curve, order=order)
-    shadow = replace(cycles_ref, workspace=ws)
-    return periods(curve, shadow)
-
-
-def _tau_at(curve0, cycles, a_target, quad_tol):
-    moved = invert_a_map(curve0, cycles, a_target, tol=quad_tol)
-    pd = _periods_for(moved, cycles)
-    return pd
+def reference_stages(cfg):
+    """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``."""
+    t0 = time.time()
+    curve = new_curve(cfg.genus, cfg.u0, cfg.Lambda)
+    cycles = build_cycles(curve)
+    pd = periods(curve, cycles)
+    t1 = time.time()
+    bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
+    charts = standard_charts(curve, curve, order=cfg.series_order)
+    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=cfg.k_bound)
+    seconds = {"periods_s": round(t1 - t0, 3),
+               "kernel_and_charts_s": round(time.time() - t1, 3)}
+    return PipelineArtifacts(curve=curve, cycles=cycles, pd=pd, bk=bk, charts=charts,
+                             s_coeffs=s_coeffs, c_coeffs=c_coeffs, seconds=seconds)
 
 
 def verify_theorem(cfg):
@@ -303,20 +322,15 @@ def verify_theorem(cfg):
     quad_tol = cfg.tolerances["quadrature"]
     g = cfg.genus
 
-    curve = new_curve(g, cfg.u0, cfg.Lambda)
-    cycles = build_cycles(curve)
+    art = reference_stages(cfg)
+    curve, cycles, pd = art.curve, art.cycles, art.pd
     report.metadata["intersection_matrix"] = cycles.intersection_matrix.tolist()
-    pd = periods(curve, cycles)
-    t1 = time.time()
-    bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
-    charts = standard_charts(curve, curve, order=cfg.series_order)
-    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=cfg.k_bound)
     t2 = time.time()
 
-    ram = sorted(charts)
-    local_curve = LocalSpectralCurve(ram=tuple(ram), bergman_reg=dict(s_coeffs))
+    local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)),
+                                     bergman_reg=dict(art.s_coeffs))
     omega = eo_run(local_curve, max(cfg.chi_max, 2 if cfg.check_n4 else 1))
-    contractions = bperiod_contract(omega.table, c_coeffs, g)
+    contractions = bperiod_contract(omega.table, art.c_coeffs, g)
     bp3 = contractions[(0, 3)]
     t3 = time.time()
 
@@ -346,8 +360,8 @@ def verify_theorem(cfg):
         for k in range(g):
             e_k = np.zeros(g)
             e_k[k] = 1.0
-            pd_p = _tau_at(curve, cycles, pd.a + h * e_k, quad_tol)
-            pd_m = _tau_at(curve, cycles, pd.a - h * e_k, quad_tol)
+            pd_p = periods(*invert_a_map(curve, cycles, pd.a + h * e_k, tol=quad_tol))
+            pd_m = periods(*invert_a_map(curve, cycles, pd.a - h * e_k, tol=quad_tol))
             fd3[:, :, k] = (pd_p.tau - pd_m.tau) / (2.0 * h)
             if k == 0:
                 # independent route: second differences of the B-periods
@@ -421,8 +435,8 @@ def verify_theorem(cfg):
         h = cfg.delta_a[0] * scale
         taus = {}
         for m in (-1, 0, 1):
-            taus[m] = (pd.tau if m == 0
-                       else _tau_at(curve, cycles, pd.a + m * h, quad_tol).tau)
+            taus[m] = (pd.tau if m == 0 else
+                       periods(*invert_a_map(curve, cycles, pd.a + m * h, tol=quad_tol)).tau)
         fd4 = (taus[1][0, 0] - 2.0 * taus[0][0, 0] + taus[-1][0, 0]) / h ** 2
         pref4 = (1.0 / TWO_PI_I) ** 3
         cand = {"plus": pref4 * bp4[0, 0, 0, 0], "minus": -pref4 * bp4[0, 0, 0, 0]}
@@ -432,13 +446,12 @@ def verify_theorem(cfg):
         report.metadata["matched_convention_n4"] = pick
 
     report.timing = {
-        "periods_s": round(t1 - t0, 3),
-        "kernel_and_charts_s": round(t2 - t1, 3),
+        **art.seconds,
         "recursion_s": round(t3 - t2, 3),
         "finite_differences_s": round(time.time() - t3, 3),
         "total_s": round(time.time() - t0, 3),
     }
-    report._artifacts = (curve, pd, bk, s_coeffs, c_coeffs, omega)
+    report.artifacts, report.omega = art, omega
     return report
 
 
@@ -446,7 +459,7 @@ def verify_theorem(cfg):
 # self-test
 # ---------------------------------------------------------------------------
 
-def airy_selftest(kmax=15, verbose=True):
+def airy_selftest(kmax=15):
     """Golden values and structural properties of the tensor families."""
     report = VerifyReport()
     t = build_residue_constraint_tensors(kmax, ("0",))
@@ -476,10 +489,9 @@ def airy_selftest(kmax=15, verbose=True):
     hmax = max(abs(v) for v in h.values())
     report.add("disc_embedding_residual", hmax, 0.0, 1.0)
     report.checks[-1].passed = bool(hmax < 1e-10)
-    if verbose:
-        for c in report.checks:
-            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
-                  f"lhs={c.lhs:.6g} rhs={c.rhs:.6g} (rel {c.rel_err:.2e})")
+    for c in report.checks:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
+              f"lhs={c.lhs:.6g} rhs={c.rhs:.6g} (rel {c.rel_err:.2e})")
     return report
 
 
@@ -546,21 +558,16 @@ def cli_main(argv=None):
             write_sgn_csv(args.out, omega.table)
             stored = sum(len(c) for c in omega.table.entries.values())
             print(f"wrote {args.out} with {stored} entries")
-            print(f"recursion: {omega._engine.evaluated} tuples evaluated, "
+            print(f"recursion: {omega.engine.evaluated} tuples evaluated, "
                   f"{stored} stored, {wall:.3f} s")
             return 0
 
         if args.command == "sw-periods":
-            u0 = tuple(_to_complex(v) for v in args.u0)
-            curve = new_curve(args.genus, u0, _to_complex(args.Lambda))
-            cycles = build_cycles(curve)
-            pd = periods(curve, cycles)
-            bk = bergman_kernel(curve, cycles, pd)
-            charts = standard_charts(curve, curve)
-            s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=args.k_bound)
-            payload = periods_json_payload(curve, pd, bk, s_coeffs, c_coeffs)
+            cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
+                               Lambda=_to_complex(args.Lambda), k_bound=args.k_bound)
             with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump(periods_json_payload(reference_stages(cfg)), fh,
+                          indent=2, sort_keys=True)
             print(f"wrote {args.out}")
             return 0
 
@@ -585,14 +592,11 @@ def cli_main(argv=None):
                 print(f"error: bad config: {exc}", file=sys.stderr)
                 return 2
             report = verify_theorem(cfg)
-            import os
             os.makedirs(cfg.out_dir, exist_ok=True)
             report.to_json(os.path.join(cfg.out_dir, "report.json"))
-            curve, pd, bk, s_coeffs, c_coeffs, omega = report._artifacts
-            write_sgn_csv(os.path.join(cfg.out_dir, "sgn_table.csv"), omega.table)
+            write_sgn_csv(os.path.join(cfg.out_dir, "sgn_table.csv"), report.omega.table)
             with open(os.path.join(cfg.out_dir, "periods.json"), "w") as fh:
-                json.dump(periods_json_payload(curve, pd, bk, s_coeffs, c_coeffs),
-                          fh, indent=2, sort_keys=True)
+                json.dump(periods_json_payload(report.artifacts), fh, indent=2, sort_keys=True)
             for c in report.checks:
                 print(f"{'PASS' if c.passed else 'FAIL'}  {c.name} (rel {c.rel_err:.2e})")
             print("matched convention:", report.metadata.get("matched_convention"))

@@ -24,8 +24,10 @@ A-periods.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -33,18 +35,15 @@ from numpy.polynomial import polynomial as npoly
 from .errors import (
     CycleConstructionFailed,
     NormalizationSolveFailed,
+    OutOfNeighbourhood,
     QuadratureNotConverged,
     SingularCurve,
 )
 
-_GL_CACHE = {}
-
-
-def _gl_nodes(order=16):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)   # nodes/weights on [0, 1]
-    return _GL_CACHE[order]
+@functools.cache
+def _gl_nodes():
+    x, w = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (x + 1.0), 0.5 * w   # 16-point nodes/weights on [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +59,12 @@ class SWCurve:
     q_coeffs: np.ndarray          # ascending, P^2 - 4 L^{2g+2}
     branch_points: np.ndarray     # 2g+2 roots of Q
     ram_roots: np.ndarray         # g roots of P'
-    sheet_convention: str = "y ~ +z^(g+1) at infinity on the principal sheet"
 
     def p_at(self, z):
         return npoly.polyval(z, self.p_coeffs)
 
     def dp_at(self, z):
         return npoly.polyval(z, npoly.polyder(self.p_coeffs))
-
-    def ddp_at(self, z):
-        return npoly.polyval(z, npoly.polyder(self.p_coeffs, 2))
 
     def q_at(self, z):
         return npoly.polyval(z, self.q_coeffs)
@@ -162,13 +157,11 @@ class SheetTracker:
                 raise QuadratureNotConverged("sheet walk did not terminate")
         return y
 
-    def anchor(self, z_target, direction=None):
+    def anchor(self, z_target):
         """y at z_target continued radially from the principal sheet far away."""
-        d = direction
-        if d is None:
-            d = z_target - self.centroid
-            if abs(d) < 1e-9:
-                d = 1.0
+        d = z_target - self.centroid
+        if abs(d) < 1e-9:
+            d = 1.0
         d = d / abs(d)
         for rot in (0.0, 0.15, -0.15, 0.35, -0.35):
             dd = d * np.exp(1j * rot)
@@ -190,11 +183,10 @@ class SheetTracker:
         for i, z in enumerate(zs):
             if i and abs(z - prev) > 0.15 * float(np.min(np.abs(prev - self.curve.branch_points))):
                 y = self.walk_segment(prev, y, z)
-                ys[i] = y
             else:
                 cand = np.sqrt(self.curve.q_at(z))
                 y = cand if abs(cand - y) <= abs(cand + y) else -cand
-                ys[i] = y
+            ys[i] = y
             prev = z
         return ys
 
@@ -210,7 +202,7 @@ def _segment_distance(a, b, p):
 # ---------------------------------------------------------------------------
 
 class EllipseContour:
-    """Ellipse with the two given points as foci, traversed counterclockwise."""
+    """Ellipse with the two given points as foci, counterclockwise unless reversed."""
 
     def __init__(self, f1, f2, sigma, start_outward_from=None):
         self.f1 = complex(f1)
@@ -218,21 +210,33 @@ class EllipseContour:
         self.center = 0.5 * (f1 + f2)
         self.u = 0.5 * (f2 - f1)
         self.sigma = float(sigma)
+        self.orientation = 1
         if start_outward_from is not None:
             d0 = abs(self.center + self.u * np.cosh(sigma) - start_outward_from)
             d1 = abs(self.center - self.u * np.cosh(sigma) - start_outward_from)
             if d0 < d1:
                 self.u = -self.u
 
+    def reversed(self):
+        """Copy traversed the other way: evaluated at 1 - t, velocity negated."""
+        out = copy.copy(self)
+        out.orientation = -self.orientation
+        return out
+
+    def _theta(self, t):
+        t = np.asarray(t)
+        return 2.0 * np.pi * (t if self.orientation > 0 else 1.0 - t)
+
     def point(self, t):
-        th = 2.0 * np.pi * np.asarray(t)
+        th = self._theta(t)
         return (self.center + self.u * (np.cos(th) * np.cosh(self.sigma)
                                         + 1j * np.sin(th) * np.sinh(self.sigma)))
 
     def velocity(self, t):
-        th = 2.0 * np.pi * np.asarray(t)
-        return 2.0 * np.pi * self.u * (-np.sin(th) * np.cosh(self.sigma)
-                                       + 1j * np.cos(th) * np.sinh(self.sigma))
+        th = self._theta(t)
+        v = 2.0 * np.pi * self.u * (-np.sin(th) * np.cosh(self.sigma)
+                                    + 1j * np.cos(th) * np.sinh(self.sigma))
+        return v if self.orientation > 0 else -v
 
     def elliptic_sigma(self, p):
         """Elliptic radial coordinate of p in this focal frame."""
@@ -259,35 +263,38 @@ class _ContourNodes:
 
 
 class QuadratureWorkspace:
-    """Caches sheet-tracked Gauss-Legendre nodes per (contour, panel count)."""
+    """Caches Gauss-Legendre nodes per (contour, panel count), on the sheets of ``curve``."""
 
-    def __init__(self, curve, order=16):
+    def __init__(self, curve):
         self.curve = curve
         self.tracker = SheetTracker(curve)
-        self.order = order
         self._cache = {}
         self._anchor_cache = {}
 
     def _anchor_for(self, contour):
-        key = id(contour)
-        if key not in self._anchor_cache:
+        if contour not in self._anchor_cache:
             z0 = complex(contour.point(0.0))
-            self._anchor_cache[key] = self.tracker.anchor(z0)
-        return self._anchor_cache[key]
+            self._anchor_cache[contour] = self.tracker.anchor(z0)
+        return self._anchor_cache[contour]
+
+    def track(self, contour, t):
+        """Points of ``contour`` at parameters ``t`` and y continued along them."""
+        z = contour.point(t)
+        z_start = complex(contour.point(0.0))
+        y_first = self.tracker.walk_segment(z_start, self._anchor_for(contour), complex(z[0]))
+        return z, self.tracker.track_along(z, y_first)
 
     def nodes(self, contour, n_panels):
-        key = (id(contour), n_panels)
+        key = (contour, n_panels)
         data = self._cache.get(key)
         if data is None:
-            xs, ws = _gl_nodes(self.order)
+            xs, ws = _gl_nodes()
             t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
             w = np.tile(ws, n_panels) / n_panels
-            z = contour.point(t)
+            z, ys = self.track(contour, t)
             dzdt = contour.velocity(t)
             y0 = self._anchor_for(contour)
             z_start = complex(contour.point(0.0))
-            y_first = self.tracker.walk_segment(z_start, y0, complex(z[0]))
-            ys = self.tracker.track_along(z, y_first)
             y_close = self.tracker.walk_segment(complex(z[-1]), ys[-1], z_start)
             closure = abs(y_close - y0) / max(abs(y0), 1e-30)
             data = _ContourNodes(z, dzdt, w, ys, closure)
@@ -381,7 +388,7 @@ def _make_ellipse(curve, f1, f2, others, centroid, guards=(), sigma_cap=1.2):
         f"cut ({f1:.3g}, {f2:.3g}) cannot clear the ramification discs")
 
 
-def build_cycles(curve, order=16):
+def build_cycles(curve):
     """Symplectic homology basis from the branch-cut chain.
 
     Pairing is nearest-neighbour on the argument-sorted branch points with a
@@ -428,14 +435,14 @@ def build_cycles(curve, order=16):
         c_conts.append(_make_ellipse(curve, f1, f2, foreign(f1, f2),
                                      centroid, guards))
 
-    ws = QuadratureWorkspace(curve, order=order)
+    ws = QuadratureWorkspace(curve)
     x_mat = np.zeros((g, g))
     for i in range(g):
         for j in range(g):
             x_mat[i, j] = _intersection_number(ws, a_conts[i], c_conts[j])
     for j in range(g):
         if x_mat[j, j] == -1:
-            c_conts[j] = _reversed_contour(c_conts[j])
+            c_conts[j] = c_conts[j].reversed()
             x_mat[:, j] *= -1
         elif x_mat[j, j] != 1:
             raise CycleConstructionFailed(
@@ -453,40 +460,11 @@ def build_cycles(curve, order=16):
                       cuts=cuts, intersection_matrix=m_int, workspace=ws)
 
 
-class _ReversedContour:
-    def __init__(self, base):
-        self.base = base
-
-    def point(self, t):
-        return self.base.point(1.0 - np.asarray(t))
-
-    def velocity(self, t):
-        return -self.base.velocity(1.0 - np.asarray(t))
-
-    def elliptic_sigma(self, p):
-        return self.base.elliptic_sigma(p)
-
-    def contains(self, p):
-        return self.base.contains(p)
-
-
-def _reversed_contour(c):
-    return _ReversedContour(c)
-
-
-def _polyline(ws, contour, n=600):
+def _intersection_number(ws, cont_a, cont_b):
+    n = 600
     t = np.linspace(0.0, 1.0, n, endpoint=False)
-    z = contour.point(t)
-    y0 = ws._anchor_for(contour)
-    z0 = complex(contour.point(0.0))
-    y_first = ws.tracker.walk_segment(z0, y0, complex(z[0]))
-    y = ws.tracker.track_along(z, y_first)
-    return z, y
-
-
-def _intersection_number(ws, cont_a, cont_b, n=600):
-    za, ya = _polyline(ws, cont_a, n)
-    zb, yb = _polyline(ws, cont_b, n)
+    za, ya = ws.track(cont_a, t)
+    zb, yb = ws.track(cont_b, t)
     za2 = np.roll(za, -1)
     zb2 = np.roll(zb, -1)
     total = 0
@@ -531,32 +509,43 @@ class PeriodData:
     a_jacobian: np.ndarray        # d a^i / d u^j = A-periods of z^{j-1} dz / y
 
 
-def _phi(m):
-    return lambda z, y: z ** (m - 1) / y
+def _holomorphic_forms(g):
+    """z^{m-1} / y for m = 1..g: the holomorphic one-forms against dz."""
+    return [lambda z, y, m=m: z ** (m - 1) / y for m in range(1, g + 1)]
 
 
 def ds_sw(curve):
     return lambda z, y: z * curve.dp_at(z) / y
 
 
-def periods(curve, cycles, tol=1e-10):
+def _workspace_for(curve, cycles):
+    """The quadrature workspace of ``cycles``, which must sit on ``curve``."""
+    if cycles.workspace.curve is not curve:
+        raise ValueError(
+            "the cycles' quadrature workspace belongs to another curve; "
+            "pass the cycles that invert_a_map returns with the moved curve")
+    return cycles.workspace
+
+
+def _cycle_periods(ws, cycle_list, forms, tol):
+    """[i, f] = period of forms[f] over cycle_list[i]."""
+    return np.array([[ws.integrate_cycle(c, f, tol) for f in forms] for c in cycle_list])
+
+
+def periods(curve, cycles):
     """A/B-periods of dS, the normalization matrix and the period matrix."""
     g = curve.g
-    ws = cycles.workspace
-    m_mat = np.zeros((g, g), dtype=complex)
-    for i in range(g):
-        for m in range(1, g + 1):
-            m_mat[i, m - 1] = ws.integrate_cycle(cycles.a_cycles[i], _phi(m), tol)
+    tol = 1e-10
+    ws = _workspace_for(curve, cycles)
+    forms = _holomorphic_forms(g)
+    m_mat = _cycle_periods(ws, cycles.a_cycles, forms, tol)
     try:
         x_mat = np.linalg.inv(m_mat)
     except np.linalg.LinAlgError as exc:
         raise NormalizationSolveFailed(f"A-period matrix singular: {exc}") from exc
-    a_vec = np.array([ws.integrate_cycle(c, ds_sw(curve), tol) for c in cycles.a_cycles])
-    b_vec = np.array([ws.integrate_cycle(c, ds_sw(curve), tol) for c in cycles.b_cycles])
-    phib = np.zeros((g, g), dtype=complex)
-    for j in range(g):
-        for m in range(1, g + 1):
-            phib[j, m - 1] = ws.integrate_cycle(cycles.b_cycles[j], _phi(m), tol)
+    a_vec = _cycle_periods(ws, cycles.a_cycles, [ds_sw(curve)], tol)[:, 0]
+    b_vec = _cycle_periods(ws, cycles.b_cycles, [ds_sw(curve)], tol)[:, 0]
+    phib = _cycle_periods(ws, cycles.b_cycles, forms, tol)
     tau = np.zeros((g, g), dtype=complex)
     for i in range(g):
         for j in range(g):
@@ -577,13 +566,13 @@ def omega_value(pd, j, z, y):
     return np.tensordot(pd.norm_matrix[:, j], mono, axes=(0, 0)) / y
 
 
-def residue_at_infinity(curve, ws=None, radius_factor=40.0, n=4096):
+def residue_at_infinity(curve):
     """|loop integral| of dS on a huge circle; vanishes for residueless poles."""
-    r = radius_factor * curve.scale()
+    n = 4096
+    r = 40.0 * curve.scale()
     th = 2.0 * np.pi * np.arange(n) / n
     z = r * np.exp(1j * th)
-    tracker = SheetTracker(curve) if ws is None else ws.tracker
-    y = tracker.principal_far(z)
+    y = SheetTracker(curve).principal_far(z)
     f = z * curve.dp_at(z) / y
     dz = 1j * z * 2.0 * np.pi / n
     return abs(np.sum(f * dz)) / (2.0 * np.pi)
@@ -600,8 +589,6 @@ class BergmanData:
     pd: PeriodData
     f_coeffs: np.ndarray          # f(z1, z2) = sum f[i, j] z1^i z2^j
     correction: np.ndarray        # sum c[j, k] omega_j (x) omega_k
-    local_s: dict = None          # regular-part coefficients, once extracted
-    local_c: dict = None          # normalized-form Taylor data, once extracted
 
     def f_at(self, z1, z2):
         z1b, z2b = np.broadcast_arrays(np.asarray(z1), np.asarray(z2))
@@ -633,15 +620,16 @@ def _f_polynomial(q_coeffs, g):
     return f
 
 
-def bergman_kernel(curve, cycles, pd, tol=1e-10, sample_radius=None, seed=11):
+def bergman_kernel(curve, cycles, pd, seed=11):
     """Normalized kernel: algebraic base plus the A-period-cancelling correction."""
     g = curve.g
-    ws = cycles.workspace
+    tol = 1e-10
+    ws = _workspace_for(curve, cycles)
     f_coeffs = _f_polynomial(curve.q_coeffs, g)
     base = BergmanData(curve=curve, cycles=cycles, pd=pd, f_coeffs=f_coeffs,
                        correction=np.zeros((g, g), dtype=complex))
     rng = np.random.default_rng(seed)
-    r_q = sample_radius or 1.9 * curve.scale()
+    r_q = 1.9 * curve.scale()
     n_samp = 2 * g + 2
     qs = []
     for t in range(n_samp):
@@ -649,16 +637,9 @@ def bergman_kernel(curve, cycles, pd, tol=1e-10, sample_radius=None, seed=11):
         zq = complex(np.mean(curve.branch_points)) + r_q * np.exp(1j * ang)
         yq = ws.tracker.anchor(zq)
         qs.append((zq, yq))
-    rho = np.zeros((g, n_samp), dtype=complex)
-    for i in range(g):
-        for t, (zq, yq) in enumerate(qs):
-            rho[i, t] = ws.integrate_cycle(
-                cycles.a_cycles[i],
-                lambda z, y: base.base_value(z, y, zq, yq), tol)
-    phi_mat = np.zeros((n_samp, g), dtype=complex)
-    for t, (zq, yq) in enumerate(qs):
-        for m in range(1, g + 1):
-            phi_mat[t, m - 1] = zq ** (m - 1) / yq
+    rho = _cycle_periods(ws, cycles.a_cycles,
+                         [lambda z, y, q=q: base.base_value(z, y, *q) for q in qs], tol)
+    phi_mat = np.array([[f(zq, yq) for f in _holomorphic_forms(g)] for zq, yq in qs])
     r_mat, res, rank, _ = np.linalg.lstsq(phi_mat, rho.T, rcond=None)
     r_mat = r_mat.T            # rho_i = sum_m r_mat[i, m] phi_m
     if rank < g:
@@ -681,48 +662,53 @@ def bergman_kernel(curve, cycles, pd, tol=1e-10, sample_radius=None, seed=11):
 # moduli <-> A-period inversion
 # ---------------------------------------------------------------------------
 
-def a_periods_of(curve, cycles, tol=1e-10):
-    ws = cycles.workspace
-    return np.array([ws.integrate_cycle(c, ds_sw(curve), tol) for c in cycles.a_cycles])
+def _check_neighbourhood(curve, cycles):
+    """Each branch point of ``curve`` inside the reference contours around its cut only."""
+    pts = curve.branch_points
+    for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
+        own = {int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)}
+        for i, e in enumerate(pts):
+            sig = cont.elliptic_sigma(e)
+            if (sig < cont.sigma) != (i in own):
+                raise OutOfNeighbourhood(
+                    f"branch point {e:.6g} at elliptic sigma {sig:.3g} is "
+                    f"{'outside' if i in own else 'inside'} the reference contour of "
+                    f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
 
 
-def invert_a_map(curve0, cycles0, a_target, tol=1e-10, max_iter=50):
+def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
     """Damped Newton solve for moduli u with a(u) = a_target, from curve0.
 
     The Jacobian is d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus
     sign follows from dS = +z P' dz / y and the fixed variational identity
     d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference cycle contours
-    are reused, valid for targets in a small neighbourhood.
+    are reused, valid for targets in a small neighbourhood; OutOfNeighbourhood
+    is raised when a moved branch point leaves it.
+
+    Returns ``(curve, cycles)``: the moved curve and the reference contours
+    paired with a quadrature workspace on that curve, ready for ``periods``.
     """
     u = np.array(curve0.u, dtype=complex)
     a_target = np.asarray(a_target, dtype=complex)
-    ws = cycles0.workspace
-    curve = curve0
-
-    def a_of(cur, wsp):
-        return np.array([wsp.integrate_cycle(c, ds_sw(cur), tol)
-                         for c in cycles0.a_cycles])
-
-    a_now = a_of(curve, ws)
-    err = a_target - a_now
+    a_cycles = cycles0.a_cycles
+    curve, cycles = curve0, cycles0
+    err = a_target - _cycle_periods(cycles.workspace, a_cycles, [ds_sw(curve)], tol)[:, 0]
     scale = max(1.0, float(np.max(np.abs(a_target))))
-    for _ in range(max_iter):
+    for _ in range(50):
         if float(np.max(np.abs(err))) < tol * scale:
-            return curve
-        m_mat = np.zeros((curve.g, curve.g), dtype=complex)
-        for i in range(curve.g):
-            for m in range(1, curve.g + 1):
-                m_mat[i, m - 1] = ws.integrate_cycle(cycles0.a_cycles[i], _phi(m), tol)
+            _check_neighbourhood(curve, cycles0)
+            return curve, cycles
+        m_mat = _cycle_periods(cycles.workspace, a_cycles, _holomorphic_forms(curve.g), tol)
         du = np.linalg.solve(-m_mat, err)
         step = 1.0
         for _ in range(5):
             u_try = u + step * du
             curve_try = new_curve(curve0.g, u_try, curve0.Lambda)
-            ws_try = QuadratureWorkspace(curve_try, order=ws.order)
-            a_try = a_of(curve_try, ws_try)
-            err_try = a_target - a_try
+            cycles_try = replace(cycles0, workspace=QuadratureWorkspace(curve_try))
+            a_try = _cycle_periods(cycles_try.workspace, a_cycles, [ds_sw(curve_try)], tol)
+            err_try = a_target - a_try[:, 0]
             if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
-                u, curve, ws, err = u_try, curve_try, ws_try, err_try
+                u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
                 break
             step *= 0.5
         else:

@@ -17,7 +17,6 @@ It carries the residue, the formal primitive, the symplectic pairing
 from __future__ import annotations
 
 import cmath
-import math
 
 from .errors import (
     BranchUndefined,
@@ -320,11 +319,6 @@ class LaurentSeries:
         """Substitute z -> -z."""
         return self._wrap({e: c * (-1) ** (e % 2) for e, c in self.coeffs.items()},
                           self.min_exp, self.trunc_order)
-
-    def chop(self, tol=0.0):
-        ref = self.max_abs()
-        keep = {e: c for e, c in self.coeffs.items() if abs(c) > tol * ref}
-        return self._wrap(keep, self.min_exp, self.trunc_order)
 
     def evaluate(self, z):
         """Numeric evaluation of the truncated sum at a complex point."""

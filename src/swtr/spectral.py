@@ -74,17 +74,16 @@ class LocalSpectralCurve:
             sym[(m2, m1)] = v
         self.bergman_reg = sym
 
-    def s(self, m1, m2):
-        return self.bergman_reg.get((m1, m2), 0j)
-
 
 class OmegaGN:
-    """Recursion output: coefficient tensors in the bergman basis plus caches."""
+    """Recursion output: bergman-basis tensors and the engine that filled them."""
 
-    def __init__(self, table, curve, annulus=(5e-4, 0.8)):
+    annulus = (5e-4, 0.8)         # |z| range where local evaluation is trusted
+
+    def __init__(self, table, curve, engine):
         self.table = table
         self.curve = curve
-        self.annulus = annulus
+        self.engine = engine
 
     def value(self, g, n, idx_modes):
         return self.table.value(g, n, idx_modes)
@@ -152,7 +151,7 @@ class _EoEngine:
                     # differential at -z: (-z)^{-k-1} d(-z) = (-1)^k z^{-k-1} dz
                     lm[mi, -k - 1 - self.lo] += (-1.0) ** k
                 for m2k in range(1, self.hi + 2):
-                    s = cur.s(mode, (m2k, lab))
+                    s = cur.bergman_reg.get((mode, (m2k, lab)), 0j)
                     if s and m2k - 1 <= self.hi:
                         lp[mi, m2k - 1 - self.lo] += s * m2k
                         lm[mi, m2k - 1 - self.lo] += s * m2k * (-1.0) ** m2k
@@ -185,13 +184,18 @@ class _EoEngine:
 
     # building blocks ---------------------------------------------------------
 
+    def _fit(self, g, n, rest):
+        """Modes within the degree budget 3g - 3 + n that ``rest`` leaves in omega_{g,n}."""
+        budget = 3 * g - 3 + n - sum(self.degree[j] for j in rest)
+        return [j for j in range(self.dim) if self.degree[j] <= budget]
+
     def _svec(self, g, n, rest):
         key = (g, n, rest)
         vec = self._vec_cache.get(key)
         if vec is None:
             table = self.table.entries.get((g, n), {})
             vec = np.zeros(self.dim, dtype=complex)
-            for j in range(self.dim):
+            for j in self._fit(g, n, rest):
                 val = table.get(tuple(sorted((j,) + rest)))
                 if val is not None:
                     vec[j] = val
@@ -222,8 +226,7 @@ class _EoEngine:
 
     def _pair_tensor(self, lab):
         """conv(loc_p[j1], loc_m[j2]) for all mode pairs, cached per point."""
-        key = lab
-        c2 = self._pair_cache.get(key)
+        c2 = self._pair_cache.get(lab)
         if c2 is None:
             lp, lm = self.loc_p[lab], self.loc_m[lab]
             conv_len = 2 * self.nlen - 1
@@ -231,7 +234,7 @@ class _EoEngine:
             for j1 in range(self.dim):
                 for j2 in range(self.dim):
                     c2[j1, j2] = np.convolve(lp[j1], lm[j2])
-            self._pair_cache[key] = c2
+            self._pair_cache[lab] = c2
         return c2
 
     def _pair_matrix(self, g, n, rest):
@@ -240,8 +243,10 @@ class _EoEngine:
         if key not in self._m2_cache:
             table = self.table.entries.get((g, n), {})
             m2 = np.zeros((self.dim, self.dim), dtype=complex)
-            for j1 in range(self.dim):
-                for j2 in range(j1, self.dim):
+            for j1 in self._fit(g, n, rest):
+                for j2 in self._fit(g, n, rest + (j1,)):
+                    if j2 < j1:
+                        continue
                     val = table.get(tuple(sorted((j1, j2) + rest)))
                     if val is not None:
                         m2[j1, j2] = m2[j2, j1] = val
@@ -358,16 +363,13 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
                    for g in range(0, (chi + 1) // 2 + 1)
                    if chi + 2 - 2 * g >= 1)
     engine = _EoEngine(curve, chi_max, kmax, extra_order)
-    table = engine.run()
-    out = OmegaGN(table, curve)
-    out._engine = engine
-    return out
+    return OmegaGN(engine.run(), curve, engine)
 
 
-def eo_symmetry_deviation(omega, rng=None, samples=120):
-    """Max pivot-change deviation over sampled tensor entries."""
+def eo_symmetry_deviation(omega, rng=None):
+    """Max pivot-change deviation over up to 120 sampled entries per cell."""
     rng = rng or np.random.default_rng(0)
-    engine = omega._engine
+    engine = omega.engine
     dev = 0.0
     for (g, n), cell in omega.table.entries.items():
         if n < 2:
@@ -375,7 +377,7 @@ def eo_symmetry_deviation(omega, rng=None, samples=120):
         keys = list(cell)
         if not keys:
             continue
-        picks = rng.choice(len(keys), size=min(samples, len(keys)), replace=False)
+        picks = rng.choice(len(keys), size=min(120, len(keys)), replace=False)
         for p in picks:
             idx = keys[int(p)]
             pivot = int(rng.integers(1, n))
@@ -429,7 +431,7 @@ def support_bound_check(omega, tol=1e-10):
     bound that ``eo_run`` enumerates; it must be exactly 0.
     """
     report = {}
-    engine = omega._engine
+    engine = omega.engine
     for (g, n), cell in omega.table.entries.items():
         bound = default_index_bound(g, n)
         max_idx = 0

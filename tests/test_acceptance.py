@@ -27,7 +27,6 @@ from swtr.charts import (
 )
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.hyperelliptic import (
-    QuadratureWorkspace,
     bergman_kernel,
     build_cycles,
     ds_sw,
@@ -182,10 +181,10 @@ def test_criterion_6_hyperelliptic_numerics_g1():
     h = 1e-3 * scale
     b_vals = {}
     for m in (1, -1, 2, -2):
-        moved = invert_a_map(curve, cycles, pd.a + m * (h / 2), tol=1e-11)
-        ws_m = QuadratureWorkspace(moved)
+        moved, moved_cycles = invert_a_map(curve, cycles, pd.a + m * (h / 2), tol=1e-11)
+        ws_m = moved_cycles.workspace
         b_vals[m] = sum(c * ws_m.integrate(k, ds_sw(moved), tol=1e-11)
-                        for c, k in cycles.b_cycles[0])
+                        for c, k in moved_cycles.b_cycles[0])
     fd_h = (b_vals[2] - b_vals[-2]) / (2 * h)
     fd_h2 = (b_vals[1] - b_vals[-1]) / h
     fd = (4 * fd_h2 - fd_h) / 3.0

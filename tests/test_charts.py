@@ -322,7 +322,7 @@ def test_embed_reconstruction_on_annulus():
         # reconstruction: sum xi ebar + sum a omega, in the same frame
         recon = 0j
         for (k, lab2), v in xi.items():
-            eb = ebar_at_points(bk, charts[lab2], [z], [y], k_bound=k, nfft=128)
+            eb = ebar_at_points(bk, charts[lab2], [z], [y], k_bound=k)
             recon += v * eb[k - 1, 0] * dz
         recon += avec[0] * omega_value(pd, 0, z, y) * dz
         assert abs(direct - recon) < 1e-6 * max(1.0, abs(direct))

@@ -1,9 +1,11 @@
 """Tests for the command-line interface and report plumbing."""
 
 import csv
+import itertools
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from swtr.cli import (
     verify_theorem,
 )
 from swtr.errors import BasisMismatch
+from swtr.spectral import LocalSpectralCurve, eo_run
 
 
 def test_selftest_command_exits_zero(capsys):
@@ -151,6 +154,58 @@ def test_bperiod_contract_zero_and_mismatch():
     table.basis_tag = "canonical"
     with pytest.raises(BasisMismatch):
         bperiod_contract(table, {}, 1)
+
+
+def _dense_contract(table, c_coeffs, genus):
+    """Reference route: expand every entry into the full dim^n tensor."""
+    cmat = np.array([c_coeffs.get(m, np.zeros(genus)) for m in table.modes], dtype=complex)
+    out = {}
+    for (g, n), cell in table.entries.items():
+        dense = np.zeros((len(table.modes),) * n, dtype=complex)
+        for key, val in cell.items():
+            for perm in set(itertools.permutations(key)):
+                dense[perm] = val
+        for _ in range(n):
+            dense = np.tensordot(dense, cmat, axes=(0, 0))
+        out[(g, n)] = (2j * np.pi) ** n * dense
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bperiod_contract_matches_dense_expansion(n):
+    rng = np.random.default_rng(n)
+    modes = [(k, lab) for lab in ("0", "1") for k in (1, 3, 5)]
+    table = SgnTable(modes, basis_tag="bergman")
+    keys = list(itertools.combinations_with_replacement(range(len(modes)), n))
+    picks = rng.choice(len(keys), size=min(40, len(keys)), replace=False)
+    table.entries[(0, n)] = {keys[int(p)]: complex(*rng.standard_normal(2)) for p in picks}
+    table.entries[(1, 1)] = {(2,): 0.3 - 0.1j}
+    c_coeffs = {m: rng.standard_normal(3) + 1j * rng.standard_normal(3) for m in modes[:-1]}
+    got = bperiod_contract(table, c_coeffs, 3)
+    ref = _dense_contract(table, c_coeffs, 3)
+    for cell in ref:
+        scale = float(np.max(np.abs(ref[cell])))
+        assert np.max(np.abs(got[cell] - ref[cell])) <= 1e-13 * scale
+
+
+def test_bperiod_contract_memory_genus_two_chi_three():
+    # four ramification points, modes up to 13, as in a genus-2 verify run;
+    # the dense route peaks at ~62 MB here (a 20^5 tensor for omega_{0,5})
+    ram = ((0, 1), (0, -1), (1, 1), (1, -1))
+    rng = np.random.default_rng(0)
+    modes = [(k, lab) for lab in ram for k in range(1, 14)]
+    s = {(m1, m2): 0.25 * complex(*rng.standard_normal(2))
+         for i, m1 in enumerate(modes) for m2 in modes[i:]}
+    table = eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), 3).table
+    c_coeffs = {m: rng.standard_normal(2) + 1j * rng.standard_normal(2) for m in table.modes}
+    tracemalloc.start()
+    try:
+        out = bperiod_contract(table, c_coeffs, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[(0, 5)].shape == (2,) * 5
+    assert peak < 2e6
 
 
 def test_format_index_tuple():

@@ -1,10 +1,12 @@
 """Tests for curve construction, cycles, periods and the normalized kernel."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 
-from swtr.errors import SingularCurve
+from swtr.errors import OutOfNeighbourhood, SingularCurve
 from swtr.hyperelliptic import (
     QuadratureWorkspace,
     bergman_kernel,
@@ -145,10 +147,47 @@ def test_quadrature_refinement_stability():
 def test_invert_a_map_roundtrip():
     curve, cycles, pd = setup_g1()
     target = pd.a * (1.0 + 1e-3)
-    moved = invert_a_map(curve, cycles, target)
-    ws = QuadratureWorkspace(moved)
-    a_new = ws.integrate_cycle(cycles.a_cycles[0], ds_sw(moved))
+    moved, moved_cycles = invert_a_map(curve, cycles, target)
+    ws = moved_cycles.workspace
+    a_new = ws.integrate_cycle(moved_cycles.a_cycles[0], ds_sw(moved))
     assert abs(a_new - target[0]) < 1e-9 * max(1.0, abs(target[0]))
+
+
+def _period_fields(pd):
+    return [getattr(pd, f).tobytes() for f in ("a", "b", "tau", "norm_matrix", "a_jacobian")]
+
+
+@pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2)])
+def test_moved_periods_match_fresh_workspace(genus, u0):
+    # the cycles invert_a_map returns carry a workspace on the moved curve
+    # that gives exactly the periods of a freshly built one
+    curve = new_curve(genus, u0)
+    cycles = build_cycles(curve)
+    pd = periods(curve, cycles)
+    step = np.zeros(genus)
+    step[-1] = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
+    moved, moved_cycles = invert_a_map(curve, cycles, pd.a + step, tol=1e-11)
+    assert moved_cycles.workspace.curve is moved
+    fresh = replace(cycles, workspace=QuadratureWorkspace(moved))
+    assert _period_fields(periods(moved, moved_cycles)) == _period_fields(periods(moved, fresh))
+
+
+def test_workspace_of_another_curve_rejected():
+    curve, cycles, pd = setup_g1()
+    moved, moved_cycles = invert_a_map(curve, cycles, pd.a * (1.0 + 1e-3))
+    with pytest.raises(ValueError, match="another curve"):
+        periods(moved, cycles)
+    with pytest.raises(ValueError, match="another curve"):
+        bergman_kernel(moved, cycles, periods(moved, moved_cycles))
+
+
+def test_invert_a_map_refuses_target_outside_contours():
+    # a 5% move of the A-period carries a branch point out of the thin
+    # reference ellipse around its cut; the reused contours no longer
+    # compute A-periods there
+    curve, cycles, pd = setup_g1()
+    with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
+        invert_a_map(curve, cycles, pd.a + 0.05 * np.abs(pd.a))
 
 
 # ---------------------------------------------------------------------------
