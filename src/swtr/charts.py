@@ -29,7 +29,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .airy import WElement
 from .errors import ExtractionNotConverged, OutOfNeighbourhood
-from .hyperelliptic import omega_value
+from .hyperelliptic import _cycle_periods, critical_value_gap, omega_value
 from .laurent import LaurentSeries, SeriesDifferential
 
 
@@ -106,14 +106,7 @@ def _build_one_chart(curve, i, sheet, order):
     y_of_etabar = ratio.compose(eta_of_etabar) * LaurentSeries.monomial(1.0, 1)
 
     # distance to the nearest other critical value in the etabar metric
-    g0 = abs(etabar_plus.get(1))
-    cands = []
-    for j, zj in enumerate(curve.ram_roots):
-        if j != i:
-            cands.append(abs(npoly.polyval(zj, curve.p_coeffs) - p0))
-    cands.append(abs(2.0 * curve.lam_pow - p0))
-    cands.append(abs(-2.0 * curve.lam_pow - p0))
-    d_min = g0 * min(cands) ** 0.5
+    d_min = abs(etabar_plus.get(1)) * critical_value_gap(curve, i) ** 0.5
     w_val = (p0 + sheet * y0) / (2.0 * curve.lam_pow)
     return StandardChart(
         label=(i, sheet), z_root=zi, p0=p0, y0=sheet * y0, w_value=w_val,
@@ -152,22 +145,14 @@ def flow_parameter(chart, curve, ref, matching):
     return val
 
 
-def standard_charts(curve, ref, order=44):
-    """Charts of the reference curve, validated, plus the neighbourhood guard.
-
-    For ``curve is ref`` the construction is purely local; otherwise the flow
-    parameter of every chart is evaluated to enforce the chart neighbourhood.
-    """
+def standard_charts(ref, order=44):
+    """Validated charts of the reference curve at every ramification point."""
     charts = {}
     for i in range(ref.g):
         for sheet in (+1, -1):
             ch = _build_one_chart(ref, i, sheet, order)
             _validate_chart(ch, order)
             charts[ch.label] = ch
-    if curve is not ref:
-        matching = _match_ram_roots(curve, ref)
-        for ch in charts.values():
-            flow_parameter(ch, curve, ref, matching)
     return charts
 
 
@@ -434,39 +419,7 @@ def ebar_at_points(bk, chart, z_pts, y_pts, k_bound):
     return out
 
 
-def bperiods_of_ebars(bk, cycles, chart, k_bound):
-    """B-periods of ebar^{k,chart} for k = 1..k_bound by global quadrature."""
-    tol = 1e-9
-    ws = cycles.workspace
-    out = np.zeros((len(cycles.b_cycles), k_bound), dtype=complex)
-    for jb, cycle in enumerate(cycles.b_cycles):
-        total = np.zeros(k_bound, dtype=complex)
-        for coef, cont in cycle:
-            prev = None
-            n = 8
-            while n <= 512:
-                data = ws.nodes(cont, n)
-                vals = ebar_at_points(bk, chart, data.z, data.y, k_bound)
-                cur = vals @ (data.w * data.dzdt)
-                if prev is not None and float(np.max(np.abs(cur - prev))) <= \
-                        tol * max(1.0, float(np.max(np.abs(cur)))):
-                    break
-                prev = cur
-                n *= 2
-            else:
-                raise ExtractionNotConverged("B-period of ebar did not converge")
-            total += coef * cur
-        out[jb] = total
-    return out
-
-
-def a_periods_of_ebars(bk, cycles, chart, k_bound):
-    """A-periods of ebar^{k,chart} for k = 1..k_bound on 32 panels."""
-    ws = cycles.workspace
-    out = np.zeros((len(cycles.a_cycles), k_bound), dtype=complex)
-    for ja, cycle in enumerate(cycles.a_cycles):
-        for coef, cont in cycle:
-            data = ws.nodes(cont, 32)
-            vals = ebar_at_points(bk, chart, data.z, data.y, k_bound)
-            out[ja] += coef * (vals @ (data.w * data.dzdt))
-    return out
+def ebar_periods(bk, cycle_list, chart, k_bound):
+    """[i, k-1] = period of ebar^{k,chart} over cycle_list[i], for k = 1..k_bound."""
+    return _cycle_periods(bk.cycles.workspace, cycle_list,
+                          lambda z, y: ebar_at_points(bk, chart, z, y, k_bound), 1e-9)

@@ -303,15 +303,24 @@ class QuadratureWorkspace:
 
     def integrate(self, contour, integrand, tol=1e-10, start_panels=8,
                   max_panels=4096):
-        """Adaptive integral of integrand(z, y) dz over a closed contour."""
+        """Adaptive integral of integrand(z, y) dz over a closed contour.
+
+        The integrand may return an array whose last axis runs over the
+        nodes.  Each component is accepted at the first doubling where the
+        sheets close and its own change passes the gate, and keeps the value
+        of that level, so it equals the integral of that component alone.
+        """
         prev = None
+        done = False
         n = start_panels
         while n <= max_panels:
             data = self.nodes(contour, n)
-            val = np.sum(data.w * integrand(data.z, data.y) * data.dzdt)
-            if data.closure < 1e-8 and prev is not None \
-                    and abs(val - prev) <= tol * max(1.0, abs(val)):
-                return val
+            val = np.sum(data.w * integrand(data.z, data.y) * data.dzdt, axis=-1)
+            out = val if prev is None else np.where(done, out, val)
+            if data.closure < 1e-8 and prev is not None:
+                done = done | (np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
+                if np.all(done):
+                    return out[()]
             prev = val
             n *= 2
         raise QuadratureNotConverged(
@@ -343,6 +352,13 @@ def _segments_cross(a1, a2, b1, b2):
             and orient(b1, b2, a1) * orient(b1, b2, a2) < 0)
 
 
+def critical_value_gap(curve, i):
+    """Distance from P(z_i) to the other critical values of P and to +-2 L^{g+1}."""
+    p0 = curve.p_at(curve.ram_roots[i])
+    cands = [abs(curve.p_at(zj) - p0) for j, zj in enumerate(curve.ram_roots) if j != i]
+    return min(cands + [abs(2.0 * curve.lam_pow - p0), abs(-2.0 * curve.lam_pow - p0)])
+
+
 def ram_guards(curve, factor=0.55):
     """Exclusion discs (center, radius) around the ramification z-roots.
 
@@ -352,16 +368,13 @@ def ram_guards(curve, factor=0.55):
     never collides with them.
     """
     guards = []
-    for zi in curve.ram_roots:
+    for i, zi in enumerate(curve.ram_roots):
         p0 = npoly.polyval(zi, curve.p_coeffs)
         y0 = abs(np.sqrt(p0 ** 2 - 4.0 * curve.lam_pow ** 2))
         ddp = npoly.polyval(zi, npoly.polyder(curve.p_coeffs, 2))
         root_scale = abs(np.sqrt(2.0 / ddp))
         lead = (root_scale / y0) ** (1.0 / 3.0)
-        cands = [abs(npoly.polyval(zj, curve.p_coeffs) - p0)
-                 for zj in curve.ram_roots if abs(zj - zi) > 1e-12]
-        cands += [abs(2.0 * curve.lam_pow - p0), abs(-2.0 * curve.lam_pow - p0)]
-        d_min = lead * min(cands) ** 0.5
+        d_min = lead * critical_value_gap(curve, i) ** 0.5
         dz_detabar = root_scale / lead
         guards.append((complex(zi), factor * d_min * dz_detabar))
     return guards
@@ -510,8 +523,8 @@ class PeriodData:
 
 
 def _holomorphic_forms(g):
-    """z^{m-1} / y for m = 1..g: the holomorphic one-forms against dz."""
-    return [lambda z, y, m=m: z ** (m - 1) / y for m in range(1, g + 1)]
+    """z^{m-1} / y for m = 1..g, stacked: the holomorphic one-forms against dz."""
+    return lambda z, y: np.stack([z ** (m - 1) / y for m in range(1, g + 1)])
 
 
 def ds_sw(curve):
@@ -527,9 +540,9 @@ def _workspace_for(curve, cycles):
     return cycles.workspace
 
 
-def _cycle_periods(ws, cycle_list, forms, tol):
-    """[i, f] = period of forms[f] over cycle_list[i]."""
-    return np.array([[ws.integrate_cycle(c, f, tol) for f in forms] for c in cycle_list])
+def _cycle_periods(ws, cycle_list, form, tol):
+    """[i, ...] = period of the (array-valued) form over cycle_list[i]."""
+    return np.array([ws.integrate_cycle(c, form, tol) for c in cycle_list])
 
 
 def periods(curve, cycles):
@@ -537,15 +550,19 @@ def periods(curve, cycles):
     g = curve.g
     tol = 1e-10
     ws = _workspace_for(curve, cycles)
-    forms = _holomorphic_forms(g)
-    m_mat = _cycle_periods(ws, cycles.a_cycles, forms, tol)
+    forms, ds = _holomorphic_forms(g), ds_sw(curve)
+
+    def form(z, y):
+        return np.concatenate([forms(z, y), ds(z, y)[None]])
+
+    a_per = _cycle_periods(ws, cycles.a_cycles, form, tol)
+    b_per = _cycle_periods(ws, cycles.b_cycles, form, tol)
+    m_mat, a_vec = a_per[:, :g], a_per[:, g]
+    phib, b_vec = b_per[:, :g], b_per[:, g]
     try:
         x_mat = np.linalg.inv(m_mat)
     except np.linalg.LinAlgError as exc:
         raise NormalizationSolveFailed(f"A-period matrix singular: {exc}") from exc
-    a_vec = _cycle_periods(ws, cycles.a_cycles, [ds_sw(curve)], tol)[:, 0]
-    b_vec = _cycle_periods(ws, cycles.b_cycles, [ds_sw(curve)], tol)[:, 0]
-    phib = _cycle_periods(ws, cycles.b_cycles, forms, tol)
     tau = np.zeros((g, g), dtype=complex)
     for i in range(g):
         for j in range(g):
@@ -638,8 +655,8 @@ def bergman_kernel(curve, cycles, pd, seed=11):
         yq = ws.tracker.anchor(zq)
         qs.append((zq, yq))
     rho = _cycle_periods(ws, cycles.a_cycles,
-                         [lambda z, y, q=q: base.base_value(z, y, *q) for q in qs], tol)
-    phi_mat = np.array([[f(zq, yq) for f in _holomorphic_forms(g)] for zq, yq in qs])
+                         lambda z, y: np.stack([base.base_value(z, y, *q) for q in qs]), tol)
+    phi_mat = np.array([_holomorphic_forms(g)(zq, yq) for zq, yq in qs])
     r_mat, res, rank, _ = np.linalg.lstsq(phi_mat, rho.T, rcond=None)
     r_mat = r_mat.T            # rho_i = sum_m r_mat[i, m] phi_m
     if rank < g:
@@ -662,18 +679,18 @@ def bergman_kernel(curve, cycles, pd, seed=11):
 # moduli <-> A-period inversion
 # ---------------------------------------------------------------------------
 
-def _check_neighbourhood(curve, cycles):
-    """Each branch point of ``curve`` inside the reference contours around its cut only."""
+def _neighbourhood_violation(curve, cycles):
+    """Why a branch point of ``curve`` is not inside the contours around its cut only, or None."""
     pts = curve.branch_points
     for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
         own = {int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)}
         for i, e in enumerate(pts):
             sig = cont.elliptic_sigma(e)
             if (sig < cont.sigma) != (i in own):
-                raise OutOfNeighbourhood(
-                    f"branch point {e:.6g} at elliptic sigma {sig:.3g} is "
-                    f"{'outside' if i in own else 'inside'} the reference contour of "
-                    f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+                return (f"branch point {e:.6g} at elliptic sigma {sig:.3g} is "
+                        f"{'outside' if i in own else 'inside'} the reference contour of "
+                        f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+    return None
 
 
 def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
@@ -682,8 +699,9 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
     The Jacobian is d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus
     sign follows from dS = +z P' dz / y and the fixed variational identity
     d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference cycle contours
-    are reused, valid for targets in a small neighbourhood; OutOfNeighbourhood
-    is raised when a moved branch point leaves it.
+    are reused, valid for targets in a small neighbourhood: a Newton trial
+    whose branch points leave it counts as a failed damping step, and
+    OutOfNeighbourhood is raised when the damping ends on such a trial.
 
     Returns ``(curve, cycles)``: the moved curve and the reference contours
     paired with a quadrature workspace on that curve, ready for ``periods``.
@@ -692,11 +710,10 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
     a_target = np.asarray(a_target, dtype=complex)
     a_cycles = cycles0.a_cycles
     curve, cycles = curve0, cycles0
-    err = a_target - _cycle_periods(cycles.workspace, a_cycles, [ds_sw(curve)], tol)[:, 0]
+    err = a_target - _cycle_periods(cycles.workspace, a_cycles, ds_sw(curve), tol)
     scale = max(1.0, float(np.max(np.abs(a_target))))
     for _ in range(50):
         if float(np.max(np.abs(err))) < tol * scale:
-            _check_neighbourhood(curve, cycles0)
             return curve, cycles
         m_mat = _cycle_periods(cycles.workspace, a_cycles, _holomorphic_forms(curve.g), tol)
         du = np.linalg.solve(-m_mat, err)
@@ -704,13 +721,17 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
         for _ in range(5):
             u_try = u + step * du
             curve_try = new_curve(curve0.g, u_try, curve0.Lambda)
-            cycles_try = replace(cycles0, workspace=QuadratureWorkspace(curve_try))
-            a_try = _cycle_periods(cycles_try.workspace, a_cycles, [ds_sw(curve_try)], tol)
-            err_try = a_target - a_try[:, 0]
-            if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
-                u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
-                break
+            outside = _neighbourhood_violation(curve_try, cycles0)
+            if outside is None:
+                cycles_try = replace(cycles0, workspace=QuadratureWorkspace(curve_try))
+                err_try = a_target - _cycle_periods(cycles_try.workspace, a_cycles,
+                                                    ds_sw(curve_try), tol)
+                if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
+                    u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
+                    break
             step *= 0.5
         else:
+            if outside is not None:
+                raise OutOfNeighbourhood(outside)
             raise QuadratureNotConverged("Newton damping failed for a -> u")
     raise QuadratureNotConverged("Newton iteration for a -> u did not converge")

@@ -19,12 +19,7 @@ from swtr.airy import (
     eval_hamiltonians,
     residue_constraint_entry,
 )
-from swtr.charts import (
-    a_periods_of_ebars,
-    bperiods_of_ebars,
-    local_expansions,
-    standard_charts,
-)
+from swtr.charts import ebar_periods, local_expansions, standard_charts
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.hyperelliptic import (
     bergman_kernel,
@@ -65,7 +60,7 @@ class _G1:
             cycles = build_cycles(curve)
             pd = periods(curve, cycles)
             bk = bergman_kernel(curve, cycles, pd)
-            charts = standard_charts(curve, curve)
+            charts = standard_charts(curve)
             s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
             cls.data = (curve, cycles, pd, bk, charts, s_coeffs, c_coeffs)
         return cls.data
@@ -283,8 +278,8 @@ def test_criterion_7_local_global_consistency():
     bper_dev = 0.0
     bilinear_dev = 0.0
     for lab, ch in charts.items():
-        bp = bperiods_of_ebars(bk, cycles, ch, k_bound=5)
-        ap = a_periods_of_ebars(bk, cycles, ch, k_bound=5)
+        bp = ebar_periods(bk, cycles.b_cycles, ch, k_bound=5)
+        ap = ebar_periods(bk, cycles.a_cycles, ch, k_bound=5)
         for k in range(1, 6):
             expect = 2j * np.pi * c_coeffs[(k, lab)]
             got = bp[:, k - 1]

@@ -5,10 +5,9 @@ import pytest
 
 from swtr.airy import eval_hamiltonians
 from swtr.charts import (
-    a_periods_of_ebars,
-    bperiods_of_ebars,
     decompose_in_g,
     ebar_at_points,
+    ebar_periods,
     local_expansions,
     standard_charts,
     sw_embed_global,
@@ -39,7 +38,7 @@ class _Setup:
             cycles = build_cycles(curve)
             pd = periods(curve, cycles)
             bk = bergman_kernel(curve, cycles, pd)
-            charts = standard_charts(curve, curve)
+            charts = standard_charts(curve)
             s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
             cls._cache[key] = (curve, cycles, pd, bk, charts, s_coeffs, c_coeffs)
         return cls._cache[key]
@@ -84,13 +83,12 @@ def test_chart_sheets_are_opposite():
 
 
 def test_chart_neighbourhood_guard():
-    curve, *_ = _Setup.get()
-    ref = curve
+    ref, _, _, _, charts, _, _ = _Setup.get()
     near = new_curve(1, (U0[0] + 0.002,))
-    standard_charts(near, ref)   # fine
+    sw_embed_global(near, ref, charts)   # fine
     far = new_curve(1, (U0[0] + 0.8,))
     with pytest.raises(OutOfNeighbourhood):
-        standard_charts(far, ref)
+        sw_embed_global(far, ref, charts)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def test_local_one_form_matches_c_data():
 def test_bperiods_of_ebars_match_c_data():
     curve, cycles, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get()
     for lab, ch in charts.items():
-        bp = bperiods_of_ebars(bk, cycles, ch, k_bound=5)
+        bp = ebar_periods(bk, cycles.b_cycles, ch, k_bound=5)
         for k in range(1, 6):
             expect = 2j * np.pi * c_coeffs[(k, lab)]
             got = bp[:, k - 1]
@@ -153,7 +151,7 @@ def test_bperiods_of_ebars_match_c_data():
 def test_a_periods_of_ebars_vanish():
     curve, cycles, pd, bk, charts, *_ = _Setup.get()
     ch = charts[(0, 1)]
-    ap = a_periods_of_ebars(bk, cycles, ch, k_bound=5)
+    ap = ebar_periods(bk, cycles.a_cycles, ch, k_bound=5)
     assert float(np.max(np.abs(ap))) < 1e-7
 
 
@@ -162,8 +160,8 @@ def test_riemann_bilinear_crosscheck():
     curve, cycles, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get()
     g = curve.g
     for lab, ch in charts.items():
-        bp = bperiods_of_ebars(bk, cycles, ch, k_bound=4)
-        ap = a_periods_of_ebars(bk, cycles, ch, k_bound=4)
+        bp = ebar_periods(bk, cycles.b_cycles, ch, k_bound=4)
+        ap = ebar_periods(bk, cycles.a_cycles, ch, k_bound=4)
         for k in range(1, 5):
             for j in range(g):
                 # local side: sum over labels of Res(i(ebar) int i(omega))
@@ -277,7 +275,7 @@ def test_embed_genus_two():
     cycles = build_cycles(curve)
     pd = periods(curve, cycles)
     bk = bergman_kernel(curve, cycles, pd)
-    charts = standard_charts(curve, curve)
+    charts = standard_charts(curve)
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
     near = new_curve(2, (0.3005 + 0.1j, 0.2 - 0.1495j))
     w = sw_embed_global(near, curve, charts)

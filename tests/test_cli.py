@@ -224,7 +224,7 @@ def test_bperiod_contract_against_nested_quadrature():
     cycles = build_cycles(curve)
     pd = periods(curve, cycles)
     bk = bergman_kernel(curve, cycles, pd)
-    charts = standard_charts(curve, curve)
+    charts = standard_charts(curve)
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
     omega = eo_run(LocalSpectralCurve(ram=tuple(sorted(charts)),
                                       bergman_reg=dict(s_coeffs)), chi_max=1)

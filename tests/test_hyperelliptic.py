@@ -8,6 +8,7 @@ import pytest
 
 from swtr.errors import OutOfNeighbourhood, SingularCurve
 from swtr.hyperelliptic import (
+    EllipseContour,
     QuadratureWorkspace,
     bergman_kernel,
     build_cycles,
@@ -144,6 +145,37 @@ def test_quadrature_refinement_stability():
     assert abs(v1 - v2) < 1e-8 * max(1.0, abs(v1))
 
 
+def _scalar_integral(curve, cycle, f):
+    """integrate_cycle of one scalar form on a fresh workspace, and its deepest panel count."""
+    ws = QuadratureWorkspace(curve)
+    seen = []
+    nodes = ws.nodes
+    ws.nodes = lambda cont, n: seen.append(n) or nodes(cont, n)
+    return ws.integrate_cycle(cycle, f), max(seen)
+
+
+@pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2)])
+def test_array_integrand_matches_scalar_calls(genus, u0):
+    # each component of a stacked integrand is accepted at its own doubling
+    # and equals, bitwise, the integral of that component alone; a pole just
+    # outside the first A-contour makes its component converge later
+    curve = new_curve(genus, u0)
+    cycles = build_cycles(curve)
+    a0 = cycles.a_cycles[0][0][1]
+    pole = EllipseContour(a0.f1, a0.f2, 1.3 * a0.sigma).point(0.3)
+    comps = [ds_sw(curve), lambda z, y: 1.0 / ((z - pole) * y)]
+    comps += [lambda z, y, m=m: z ** m / y for m in range(genus)]
+    levels = set()
+    for cycle in cycles.a_cycles + cycles.b_cycles:
+        got = cycles.workspace.integrate_cycle(cycle, lambda z, y: np.stack([f(z, y) for f in comps]))
+        assert got.shape == (len(comps),)
+        for f, val in zip(comps, got):
+            alone, level = _scalar_integral(curve, cycle, f)
+            assert val.tobytes() == np.complex128(alone).tobytes()
+            levels.add(level)
+    assert len(levels) > 1
+
+
 def test_invert_a_map_roundtrip():
     curve, cycles, pd = setup_g1()
     target = pd.a * (1.0 + 1e-3)
@@ -184,10 +216,13 @@ def test_workspace_of_another_curve_rejected():
 def test_invert_a_map_refuses_target_outside_contours():
     # a 5% move of the A-period carries a branch point out of the thin
     # reference ellipse around its cut; the reused contours no longer
-    # compute A-periods there
+    # compute A-periods there.  For the complex 10% move a Newton trial
+    # crosses a contour before any converged curve exists: the trial is a
+    # failed damping step, not a quadrature run into the panel cap
     curve, cycles, pd = setup_g1()
-    with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
-        invert_a_map(curve, cycles, pd.a + 0.05 * np.abs(pd.a))
+    for target in (pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)):
+        with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
+            invert_a_map(curve, cycles, target)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swtr.errors import (
     BranchUndefined,
@@ -12,6 +14,7 @@ from swtr.errors import (
     NotInvertible,
 )
 from swtr.laurent import (
+    EXACT,
     LaurentSeries,
     SeriesDifferential,
     sqrt_shift_flow,
@@ -343,3 +346,95 @@ def test_parity_split_definition_random():
     for e in range(-5, 10):
         assert abs(f.get(e) - flipped.get(e) - 2 * odd.get(e)) < 1e-14
         assert abs(odd.get(e) + even.get(e) - f.get(e)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# window soundness against exact arithmetic
+# ---------------------------------------------------------------------------
+
+# A window [min_exp, trunc] of an integer Laurent polynomial whose terms above
+# trunc are hidden: every coefficient an operation reports up to its output
+# trunc_order must be the one of the untruncated inputs.  Leading coefficients
+# are +-1 so inverses stay integral and the float results are exact.
+
+SOUNDNESS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def windows(draw, min_exps, finite=True):
+    m = draw(min_exps)
+    known = [draw(st.sampled_from((1, -1)))] + draw(st.lists(st.integers(-2, 2), max_size=5))
+    # the first hidden term is nonzero, so a window one too long shows
+    hidden = [draw(st.sampled_from((2, -2, 1, -1)))] + draw(st.lists(st.integers(-2, 2), max_size=2))
+    if not finite and draw(st.booleans()):
+        hidden, trunc = [], EXACT
+    else:
+        trunc = m + len(known) - 1
+    full = {m + i: c for i, c in enumerate(known + hidden) if c}
+    return L({e: c for e, c in full.items() if e <= trunc}, m, trunc), full
+
+
+def _exact_mul(a, b, cap):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if e1 + e2 <= cap:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _exact_inverse(a, cap):
+    """1/a up to z^cap for a Laurent polynomial a with leading coefficient +-1."""
+    m = min(a)
+    b = []
+    for n in range(cap + m + 1):
+        acc = (1 if n == 0 else 0) - sum(a.get(m + k, 0) * b[n - k] for k in range(1, n + 1))
+        b.append(acc * a[m])
+    return {n - m: c for n, c in enumerate(b) if c}
+
+
+def _exact_compose(f, g, cap):
+    # a factor 1/g starts at z^-min(g): partial products of g^e, e < 0, are
+    # needed that much further per factor still to come
+    work = cap + max(0, -min(f, default=0)) * min(g)
+    ginv = _exact_inverse(g, work)
+    out = {}
+    for e, c in f.items():
+        power = {0: 1}
+        for _ in range(abs(e)):
+            power = _exact_mul(power, g if e > 0 else ginv, work)
+        for k, v in power.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _assert_sound(result, exact):
+    cap = result.trunc_order
+    if cap >= EXACT:
+        cap = max(list(exact) + list(result.coeffs), default=0)
+    for e in range(min(list(exact) + [result.min_exp]), cap + 1):
+        assert result.get(e) == exact.get(e, 0), (e, result, exact)
+
+
+@SOUNDNESS
+@given(windows(st.integers(-3, 3), finite=False), windows(st.integers(-3, 3), finite=False))
+def test_mul_window_sound(fa, gb):
+    (f, f_full), (g, g_full) = fa, gb
+    prod = f * g
+    _assert_sound(prod, _exact_mul(f_full, g_full, prod.trunc_order))
+
+
+@SOUNDNESS
+@given(windows(st.integers(-3, 3)))
+def test_inverse_window_sound(fa):
+    f, f_full = fa
+    inv = f.inverse()
+    _assert_sound(inv, _exact_inverse(f_full, inv.trunc_order))
+
+
+@SOUNDNESS
+@given(windows(st.integers(-2, 3), finite=False), windows(st.integers(1, 2)))
+def test_compose_window_sound(fa, gb):
+    (f, f_full), (g, g_full) = fa, gb
+    comp = f.compose(g)
+    _assert_sound(comp, _exact_compose(f_full, g_full, comp.trunc_order))
