@@ -22,7 +22,7 @@ the basis of principal-part differentials plus holomorphic forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -66,7 +66,13 @@ def _taylor_shift(p_coeffs, z0):
     return np.array(out, dtype=complex)
 
 
-def _build_one_chart(curve, i, sheet, order):
+def _sheet_point(curve, p0, y_branch, sheet):
+    """(sheet-signed y, w) at the ramification point on the given sheet."""
+    return sheet * y_branch, (p0 + sheet * y_branch) / (2.0 * curve.lam_pow)
+
+
+def _build_one_chart(curve, i, order):
+    """The chart at the upper-sheet ramification point (i, +1)."""
     zi = complex(curve.ram_roots[i])
     shifted = _taylor_shift(curve.p_coeffs, zi)
     p0 = shifted[0]
@@ -82,22 +88,20 @@ def _build_one_chart(curve, i, sheet, order):
     wser = LaurentSeries({0: p0, 2: 1.0}, 0, order + 2)
     y_sq = wser * wser - lam2
     y_plus = y_sq.pow_frac(1, 2, 0)
-    y0 = complex(y_plus.get(0))
     # etabar_+^3 = 3 * primitive of eta z_odd / y_plus
     integrand = LaurentSeries.monomial(1.0, 1) * z_odd / y_plus
     fcube = SeriesDifferential(integrand).primitive().scale(3.0)
     etabar_plus = fcube.pow_frac(1, 3, 0)
-    inv_plus = etabar_plus.functional_inverse()
+    eta_of_etabar = etabar_plus.functional_inverse()
     # F(v): even part of etabar_+^2 re-indexed in v = eta^2
     etabar_sq = etabar_plus * etabar_plus
     f_series = LaurentSeries({e // 2: c for e, c in etabar_sq.coeffs.items() if e % 2 == 0},
                              min_exp=1, trunc_order=etabar_sq.trunc_order // 2)
 
-    eta_of_etabar = inv_plus.scale(float(sheet))
     z_of_etabar = z_of_eta.compose(eta_of_etabar)
     dz_detabar = z_of_etabar.derivative()
-    y_curve = y_plus.compose(eta_of_etabar).scale(float(sheet))
-    # dS / detabar = 2 z eta (d eta / d etabar) / y  on the chosen sheet
+    y_curve = y_plus.compose(eta_of_etabar)
+    # dS / detabar = 2 z eta (d eta / d etabar) / y  on the upper sheet
     ds_detabar = (z_of_etabar * eta_of_etabar * eta_of_etabar.derivative()
                   ).scale(2.0) / y_curve
     # chart normal-form coordinate along the curve
@@ -107,14 +111,34 @@ def _build_one_chart(curve, i, sheet, order):
 
     # distance to the nearest other critical value in the etabar metric
     d_min = abs(etabar_plus.get(1)) * critical_value_gap(curve, i) ** 0.5
-    w_val = (p0 + sheet * y0) / (2.0 * curve.lam_pow)
+    y0, w_val = _sheet_point(curve, p0, complex(y_plus.get(0)), +1)
     return StandardChart(
-        label=(i, sheet), z_root=zi, p0=p0, y0=sheet * y0, w_value=w_val,
+        label=(i, +1), z_root=zi, p0=p0, y0=y0, w_value=w_val,
         p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus,
         f_series=f_series, eta_of_etabar=eta_of_etabar,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
         y_of_etabar=y_of_etabar, ds_detabar=ds_detabar,
         eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
+
+
+def _lower_sheet(curve, upper):
+    """The chart at (i, -1), the image of the (i, +1) chart under sigma(z, y) = (z, -y).
+
+    etabar_- = -etabar_+ as functions of eta, so each etabar series of the
+    lower chart is its upper partner at -etabar (``parity_flip``); y_curve and
+    dz/detabar also change sign, from the sheet of y and from the chain rule.
+    The series of the upper chart in etabar have exact parity, so these flips
+    give the same coefficients, bitwise, as composing z_of_eta and y_plus with
+    -eta_of_etabar.  Series in eta and the normal form are shared.
+    """
+    y0, w_val = _sheet_point(curve, upper.p0, complex(upper.y_plus.get(0)), -1)
+    return replace(
+        upper, label=(upper.label[0], -1), y0=y0, w_value=w_val,
+        eta_of_etabar=upper.eta_of_etabar.parity_flip(),
+        z_of_etabar=upper.z_of_etabar.parity_flip(),
+        dz_detabar=-upper.dz_detabar.parity_flip(),
+        y_curve=-upper.y_curve.parity_flip(),
+        ds_detabar=upper.ds_detabar.parity_flip())
 
 
 def _match_ram_roots(curve, ref):
@@ -146,11 +170,15 @@ def flow_parameter(chart, curve, ref, matching):
 
 
 def standard_charts(ref, order=44):
-    """Validated charts of the reference curve at every ramification point."""
+    """Validated charts of the reference curve at every ramification point.
+
+    Only the (i, +1) charts are built; each (i, -1) chart is derived from its
+    partner by the sheet involution, and every chart is validated.
+    """
     charts = {}
     for i in range(ref.g):
-        for sheet in (+1, -1):
-            ch = _build_one_chart(ref, i, sheet, order)
+        upper = _build_one_chart(ref, i, order)
+        for ch in (upper, _lower_sheet(ref, upper)):
             _validate_chart(ch, order)
             charts[ch.label] = ch
     return charts
@@ -217,6 +245,107 @@ def _fft_coeffs(values, radius, kmax):
     return out
 
 
+#: FFT size of the local-expansion circles
+_LOCAL_NFFT = 256
+
+
+def _node_cache(charts, nfft):
+    """nodes(lab, radius): the chart nodes of one circle, computed once."""
+    cache = {}
+
+    def nodes(lab, radius):
+        key = (lab, radius)
+        if key not in cache:
+            cache[key] = _chart_nodes(charts[lab], radius, nfft)
+        return cache[key]
+    return nodes
+
+
+def _c_gate(vec1, vec2):
+    return 1e-7 * max(1.0, float(np.max(np.abs(vec1))), float(np.max(np.abs(vec2))))
+
+
+def _s_gate(val, floor1, floor2):
+    return max(1e-9 * max(1.0, abs(val)), 100.0 * (floor1 + floor2))
+
+
+def _c_at_radius(pd, charts, nodes, lab, rfac, k_bound):
+    r = charts[lab].extraction_radius * rfac
+    etab, z, y, dz = nodes(lab, r)
+    g = pd.norm_matrix.shape[0]
+    out = {}
+    for j in range(g):
+        vals = omega_value(pd, j, z, y) * dz
+        coeffs = _fft_coeffs(vals, r, k_bound)
+        for k in range(1, k_bound + 1):
+            out.setdefault((k, lab), np.zeros(g, dtype=complex))[j] = coeffs[k - 1] / k
+    return out, r
+
+
+def _extract_c(pd, charts, nodes, lab, k_bound):
+    """c^{k,lab} for k = 1..k_bound, gated against a second, smaller circle."""
+    c1, r1 = _c_at_radius(pd, charts, nodes, lab, 1.0, k_bound)
+    c2, r2 = _c_at_radius(pd, charts, nodes, lab, 0.8, k_bound)
+    for key, vec in c1.items():
+        delta = float(np.max(np.abs(vec - c2[key])))
+        gate = _c_gate(vec, c2[key])
+        if delta > gate:
+            raise ExtractionNotConverged(
+                f"c-coefficients unstable at {key}: |delta| = {delta:.3e} between"
+                f" radii {r1:.6g} and {r2:.6g}, gate {gate:.3e}")
+    return c1
+
+
+def _s_at_radius(bk, charts, nodes, lab1, lab2, rfac, k_bound):
+    r1 = charts[lab1].extraction_radius * rfac
+    r2 = 0.7 * charts[lab2].extraction_radius * rfac
+    e1, z1, y1, dz1 = nodes(lab1, r1)
+    e2, z2, y2, dz2 = nodes(lab2, r2)
+    grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
+    grid = grid * dz1[:, None] * dz2[None, :]
+    if lab1 == lab2:
+        grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
+    scale = float(np.max(np.abs(grid)))
+    nfft = len(e1)
+    raw = np.fft.fft2(grid) / (nfft * nfft)
+    out = {}
+    floor = {}
+    for k in range(1, k_bound + 1):
+        for kp in range(1, k_bound + 1):
+            p_val = raw[k - 1, kp - 1] / (r1 ** (k - 1) * r2 ** (kp - 1))
+            key = ((k, lab1), (kp, lab2))
+            out[key] = p_val / (k * kp)
+            # double-precision extraction noise for this coefficient
+            floor[key] = (2e-16 * scale
+                          / (r1 ** (k - 1) * r2 ** (kp - 1) * k * kp))
+    return out, floor, (r1, r2)
+
+
+def _extract_s(bk, charts, nodes, lab1, lab2, k_bound):
+    """(s, noise floor) of one chart pair, gated against smaller circles.
+
+    The kernel is sampled on a grid of the two charts' circles, with the
+    diagonal singular part subtracted on equal charts.
+    """
+    s1, floor, radii1 = _s_at_radius(bk, charts, nodes, lab1, lab2, 1.0, k_bound)
+    s2, floor2, radii2 = _s_at_radius(bk, charts, nodes, lab1, lab2, 0.85, k_bound)
+    for key, val in s1.items():
+        delta = abs(val - s2[key])
+        gate = _s_gate(val, floor[key], floor2[key])
+        if delta > gate:
+            raise ExtractionNotConverged(
+                f"s-coefficients unstable at {key}: |delta| = {delta:.3e} between"
+                f" radii ({radii1[0]:.6g}, {radii1[1]:.6g}) and"
+                f" ({radii2[0]:.6g}, {radii2[1]:.6g}), gate {gate:.3e}")
+    return s1, floor
+
+
+def _sigma(mode):
+    """The mode (k, (i, -sheet)) that sigma(z, y) = (z, -y) maps (k, (i, sheet)) to."""
+    k, (i, sheet) = mode
+    return k, (i, -sheet)
+
+
 def local_expansions(bk, charts, k_bound=8):
     """Kernel regular-part coefficients and normalized-form Taylor data.
 
@@ -224,87 +353,58 @@ def local_expansions(bk, charts, k_bound=8):
     FFT extraction of the kernel composed with the charts (diagonal singular
     part subtracted on equal charts), and ``c_coeffs[(k,a)]`` a genus-vector
     with the expansion coefficients of every normalized form.  Every
-    coefficient is checked against a second extraction on a smaller circle.
+    extracted coefficient is checked against a second extraction on a smaller
+    circle.
+
+    Only the data whose first chart is on the upper sheet is extracted.  With
+    etabar_- = -etabar_+ and B(sigma p, sigma q) = B(p, q), the rest follows as
+    c^{k,(i,-)} = (-1)^(k+1) c^{k,(i,+)} and
+    s^{(k,(i,-))(k',(j,-b))} = (-1)^(k+k') s^{(k,(i,+))(k',(j,b))}.  Pairs
+    with one chart on each sheet stay extracted in both orders, so the
+    symmetry gate still compares independent extractions for them.
     """
-    nfft = 256
     pd = bk.pd
-    g = bk.curve.g
     labels = sorted(charts)
-    node_cache = {}
+    upper = [lab for lab in labels if lab[1] == 1]
+    nodes = _node_cache(charts, _LOCAL_NFFT)
 
-    def nodes(lab, radius):
-        key = (lab, radius)
-        if key not in node_cache:
-            node_cache[key] = _chart_nodes(charts[lab], radius, nfft)
-        return node_cache[key]
-
-    def c_for_radius(lab, rfac):
-        ch = charts[lab]
-        r = ch.extraction_radius * rfac
-        etab, z, y, dz = nodes(lab, r)
-        out = {}
-        for j in range(g):
-            vals = omega_value(pd, j, z, y) * dz
-            coeffs = _fft_coeffs(vals, r, k_bound)
-            for k in range(1, k_bound + 1):
-                out.setdefault((k, lab), np.zeros(g, dtype=complex))[j] = \
-                    coeffs[k - 1] / k
-        return out
-
-    def s_for_radius(lab1, lab2, rfac):
-        ch1, ch2 = charts[lab1], charts[lab2]
-        r1 = ch1.extraction_radius * rfac
-        r2 = 0.7 * ch2.extraction_radius * rfac
-        e1, z1, y1, dz1 = nodes(lab1, r1)
-        e2, z2, y2, dz2 = nodes(lab2, r2)
-        grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
-        grid = grid * dz1[:, None] * dz2[None, :]
-        if lab1 == lab2:
-            grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
-        scale = float(np.max(np.abs(grid)))
-        raw = np.fft.fft2(grid) / (nfft * nfft)
-        out = {}
-        floor = {}
-        for k in range(1, k_bound + 1):
-            for kp in range(1, k_bound + 1):
-                p_val = raw[k - 1, kp - 1] / (r1 ** (k - 1) * r2 ** (kp - 1))
-                key = ((k, lab1), (kp, lab2))
-                out[key] = p_val / (k * kp)
-                # double-precision extraction noise for this coefficient
-                floor[key] = (2e-16 * scale
-                              / (r1 ** (k - 1) * r2 ** (kp - 1) * k * kp))
-        return out, floor
+    c_upper = {}
+    for lab in upper:
+        c_upper.update(_extract_c(pd, charts, nodes, lab, k_bound))
+    s_upper = {}
+    noise = {}
+    for lab1 in upper:
+        for lab2 in labels:
+            s1, floor = _extract_s(bk, charts, nodes, lab1, lab2, k_bound)
+            s_upper.update(s1)
+            noise.update(floor)
 
     c_coeffs = {}
     s_coeffs = {}
-    for lab in labels:
-        c1 = c_for_radius(lab, 1.0)
-        c2 = c_for_radius(lab, 0.8)
-        for key, vec in c1.items():
-            scale = max(1.0, float(np.max(np.abs(vec))), float(np.max(np.abs(c2[key]))))
-            if np.max(np.abs(vec - c2[key])) > 1e-7 * scale:
-                raise ExtractionNotConverged(f"c-coefficients unstable at {key}")
-        c_coeffs.update(c1)
-    noise = {}
     for lab1 in labels:
+        for k in range(1, k_bound + 1):
+            key = (k, lab1)
+            if lab1[1] == 1:
+                c_coeffs[key] = c_upper[key]
+            else:
+                c_coeffs[key] = (-1.0) ** (k + 1) * c_upper[_sigma(key)]
         for lab2 in labels:
-            s1, floor = s_for_radius(lab1, lab2, 1.0)
-            s2, floor2 = s_for_radius(lab1, lab2, 0.85)
-            for key, val in s1.items():
-                gate = max(1e-9 * max(1.0, abs(val)),
-                           100.0 * (floor[key] + floor2[key]))
-                if abs(val - s2[key]) > gate:
-                    raise ExtractionNotConverged(f"s-coefficients unstable at {key}")
-            s_coeffs.update(s1)
-            noise.update(floor)
+            for k in range(1, k_bound + 1):
+                for kp in range(1, k_bound + 1):
+                    key = ((k, lab1), (kp, lab2))
+                    if lab1[1] == 1:
+                        s_coeffs[key] = s_upper[key]
+                    else:
+                        image = (_sigma(key[0]), _sigma(key[1]))
+                        s_coeffs[key] = (-1.0) ** (k + kp) * s_upper[image]
+                        noise[key] = noise[image]
     # symmetry of the regular part within the extraction noise floor, then
     # exact symmetrization over unordered mode pairs
     asym = 0.0
     for (m1, m2) in [k for k in s_coeffs if str(k[0]) <= str(k[1])]:
         val = s_coeffs[(m1, m2)]
         back = s_coeffs[(m2, m1)]
-        gate = max(1e-9 * max(1.0, abs(val)),
-                   100.0 * (noise[(m1, m2)] + noise[(m2, m1)]))
+        gate = _s_gate(val, noise[(m1, m2)], noise[(m2, m1)])
         asym = max(asym, abs(val - back) / gate)
         avg = 0.5 * (val + back)
         s_coeffs[(m1, m2)] = avg
@@ -405,21 +505,29 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound=8):
 # global evaluation helpers
 # ---------------------------------------------------------------------------
 
-def ebar_at_points(bk, chart, z_pts, y_pts, k_bound):
-    """ebar^{k,chart}(p) against dz_p at global points, for k = 1..k_bound."""
+def _ebar_form(bk, chart, k_bound):
+    """The form (z, y) -> ebar^{k,chart} against dz, k = 1..k_bound, on chart nodes built once."""
     nfft = 128
     r = chart.extraction_radius
     etab, z2, y2, dz2 = _chart_nodes(chart, r, nfft)
-    grid = bk.value(np.asarray(z_pts)[:, None], np.asarray(y_pts)[:, None],
-                    z2[None, :], y2[None, :]) * dz2[None, :]
-    raw = np.fft.fft(grid, axis=1) / nfft
-    out = np.zeros((k_bound, len(z_pts)), dtype=complex)
-    for k in range(1, k_bound + 1):
-        out[k - 1] = raw[:, k - 1] / r ** (k - 1) / k
-    return out
+
+    def form(z_pts, y_pts):
+        grid = bk.value(np.asarray(z_pts)[:, None], np.asarray(y_pts)[:, None],
+                        z2[None, :], y2[None, :]) * dz2[None, :]
+        raw = np.fft.fft(grid, axis=1) / nfft
+        out = np.zeros((k_bound, len(z_pts)), dtype=complex)
+        for k in range(1, k_bound + 1):
+            out[k - 1] = raw[:, k - 1] / r ** (k - 1) / k
+        return out
+    return form
+
+
+def ebar_at_points(bk, chart, z_pts, y_pts, k_bound):
+    """ebar^{k,chart}(p) against dz_p at global points, for k = 1..k_bound."""
+    return _ebar_form(bk, chart, k_bound)(z_pts, y_pts)
 
 
 def ebar_periods(bk, cycle_list, chart, k_bound):
     """[i, k-1] = period of ebar^{k,chart} over cycle_list[i], for k = 1..k_bound."""
     return _cycle_periods(bk.cycles.workspace, cycle_list,
-                          lambda z, y: ebar_at_points(bk, chart, z, y, k_bound), 1e-9)
+                          _ebar_form(bk, chart, k_bound), 1e-9)

@@ -1,10 +1,20 @@
 """Tests for standard charts, local expansions and the global embedding."""
 
+import ast
+import re
+
 import numpy as np
 import pytest
 
+import swtr.charts as charts_module
 from swtr.airy import eval_hamiltonians
 from swtr.charts import (
+    _LOCAL_NFFT,
+    _c_gate,
+    _extract_c,
+    _extract_s,
+    _node_cache,
+    _s_gate,
     decompose_in_g,
     ebar_at_points,
     ebar_periods,
@@ -12,8 +22,9 @@ from swtr.charts import (
     standard_charts,
     sw_embed_global,
 )
-from swtr.errors import OutOfNeighbourhood
+from swtr.errors import ExtractionNotConverged, OutOfNeighbourhood
 from swtr.hyperelliptic import (
+    BergmanData,
     QuadratureWorkspace,
     bergman_kernel,
     build_cycles,
@@ -25,6 +36,7 @@ from swtr.hyperelliptic import (
 from swtr.laurent import LaurentSeries, SeriesDifferential, symplectic_pairing
 
 U0 = (0.3 + 0.1j,)
+U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
 
 
 class _Setup:
@@ -80,6 +92,107 @@ def test_chart_sheets_are_opposite():
     # etabar_- = -etabar_+ as functions of eta
     for e in range(1, 20):
         assert abs(plus.eta_of_etabar.get(e) + minus.eta_of_etabar.get(e)) < 1e-12
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2], ids=["g1", "g2"])
+def test_lower_sheet_charts_match_direct_route(u):
+    # the (i, -1) chart built directly, z_of_eta and y_plus composed with
+    # -etabar_+^{-1}: the sigma-derived series are bitwise equal to it
+    curve, _, _, _, charts, _, _ = _Setup.get(u, len(u))
+    for i in range(curve.g):
+        plus, minus = charts[(i, 1)], charts[(i, -1)]
+        eta = plus.eta_of_etabar.scale(-1.0)
+        z = plus.z_of_eta.compose(eta)
+        y = plus.y_plus.compose(eta).scale(-1.0)
+        z_odd, _ = plus.z_of_eta.parity_split()
+        ratio = (plus.z_of_eta - (plus.z_of_eta - z_odd)) / z_odd
+        direct = {
+            "eta_of_etabar": eta,
+            "z_of_etabar": z,
+            "dz_detabar": z.derivative(),
+            "y_curve": y,
+            "ds_detabar": (z * eta * eta.derivative()).scale(2.0) / y,
+            "y_of_etabar": ratio.compose(eta) * LaurentSeries.monomial(1.0, 1),
+        }
+        for name, ser in direct.items():
+            got = getattr(minus, name)
+            assert (got.coeffs, got.min_exp, got.trunc_order) == \
+                (ser.coeffs, ser.min_exp, ser.trunc_order), name
+        y0 = plus.y_plus.get(0)
+        assert minus.y0 == -1 * y0
+        assert minus.w_value == (plus.p0 + -1 * y0) / (2.0 * curve.lam_pow)
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2], ids=["g1", "g2"])
+def test_lower_sheet_data_match_direct_extraction(u):
+    # every (2g)^2 chart pair extracted on its own nodes, the (-) charts
+    # included: the sigma-derived s and c stay within the extraction gates
+    curve, _, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get(u, len(u))
+    k_bound = 7
+    labels = sorted(charts)
+    nodes = _node_cache(charts, _LOCAL_NFFT)
+    raw, noise = {}, {}
+    for lab1 in labels:
+        for lab2 in labels:
+            vals, floor = _extract_s(bk, charts, nodes, lab1, lab2, k_bound)
+            raw.update(vals)
+            noise.update(floor)
+    worst = 0.0
+    for key, val in raw.items():
+        (k, (i, a)), (kp, (j, b)) = key
+        if a == -1:
+            image = ((k, (i, 1)), (kp, (j, -b)))
+            derived = (-1.0) ** (k + kp) * raw[image]
+            worst = max(worst, abs(derived - val) / _s_gate(val, noise[key], noise[image]))
+    assert worst <= 1.0
+    # the symmetrized result equals the full extraction's within its gate
+    for (m1, m2), val in s_coeffs.items():
+        full = 0.5 * (raw[(m1, m2)] + raw[(m2, m1)])
+        assert abs(val - full) <= _s_gate(full, noise[(m1, m2)], noise[(m2, m1)])
+    for lab in labels:
+        if lab[1] == -1:
+            direct = _extract_c(pd, charts, nodes, lab, k_bound)
+            for key, vec in direct.items():
+                assert np.max(np.abs(c_coeffs[key] - vec)) <= _c_gate(c_coeffs[key], vec)
+
+
+def test_one_sheet_work_count(monkeypatch):
+    # charts and kernel grids are built for the upper sheet only: g charts,
+    # and 2 radii x g upper charts x 2g charts kernel grids
+    curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
+    calls = {"value": 0, "chart": 0}
+    value, build = BergmanData.value, charts_module._build_one_chart
+
+    def counted_value(*args, **kwargs):
+        calls["value"] += 1
+        return value(*args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        calls["chart"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(BergmanData, "value", counted_value)
+    monkeypatch.setattr(charts_module, "_build_one_chart", counted_build)
+    local_expansions(bk, charts, k_bound=7)
+    standard_charts(curve)
+    assert calls == {"value": 2 * 2 * 4, "chart": 2}
+
+
+def test_extraction_error_names_its_numbers():
+    # at the g2 acceptance point the circles do not resolve mode 8; the error
+    # names the key, |delta| between the two extractions, their radii and the gate
+    *_, bk, charts, _, _ = _Setup.get(U0_G2, 2)
+    with pytest.raises(ExtractionNotConverged) as err:
+        local_expansions(bk, charts, k_bound=8)
+    m = re.fullmatch(r"s-coefficients unstable at (.*): \|delta\| = (\S+) between radii"
+                     r" \((\S+), (\S+)\) and \((\S+), (\S+)\), gate (\S+)", str(err.value))
+    assert m, str(err.value)
+    (_, lab1), (_, lab2) = ast.literal_eval(m.group(1))
+    delta, gate = float(m.group(2)), float(m.group(7))
+    assert delta > gate > 0
+    r1, r2 = charts[lab1].extraction_radius, 0.7 * charts[lab2].extraction_radius
+    radii = [float(m.group(i)) for i in range(3, 7)]
+    assert np.allclose(radii, [r1, r2, 0.85 * r1, 0.85 * r2], rtol=1e-5)
 
 
 def test_chart_neighbourhood_guard():
@@ -271,12 +384,7 @@ def test_decompose_basis_elements():
 
 
 def test_embed_genus_two():
-    curve = new_curve(2, (0.3 + 0.1j, 0.2 - 0.15j))
-    cycles = build_cycles(curve)
-    pd = periods(curve, cycles)
-    bk = bergman_kernel(curve, cycles, pd)
-    charts = standard_charts(curve)
-    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
+    curve, cycles, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get(U0_G2, 2)
     near = new_curve(2, (0.3005 + 0.1j, 0.2 - 0.1495j))
     w = sw_embed_global(near, curve, charts)
     h = eval_hamiltonians(w, i_max=10)
