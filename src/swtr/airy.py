@@ -18,11 +18,15 @@ Two tensor families are built here:
 Both families are block-diagonal across labels.  The abstract recursion
 ``atr_run`` consumes a tensor family and produces the symmetric coefficient
 tensors S_{g,n}; gauge transformations mix the regular/principal splitting
-through a triple ``(c, d, s)``.
+through a triple ``(c, d, s)``.  Its cell bookkeeping (cell order, leg
+splits, lower-cell lookups, pivot sampler) is ``_CellRecursion``, which the
+local recursion ``spectral._EoEngine`` shares; only that engine prunes to
+the degree-bounded support, while ``atr_run`` evaluates every tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -422,70 +426,165 @@ class SgnTable:
         return out
 
 
-def _tensors_preserve_odd(t):
-    """True when the recursion stays inside the odd-mode substructure."""
-    tol = 0.0
-    odd = np.array([m[0] % 2 for m in t.modes], dtype=bool)
-    even = ~odd
-    if np.max(np.abs(t.a[even][:, :, :])) > tol or np.max(np.abs(t.a[:, even, :])) > tol \
-            or np.max(np.abs(t.a[:, :, even])) > tol:
-        return False
-    if np.max(np.abs(t.eps[even])) > tol:
-        return False
-    # upper k odd must force lower (i, j) odd
-    if np.max(np.abs(t.b[even][:, :, odd])) > tol or np.max(np.abs(t.b[:, even, :][:, :, odd])) > tol:
-        return False
-    # upper (j, k) odd must force lower i odd
-    if np.max(np.abs(t.c[even][:, odd][:, :, odd])) > tol:
-        return False
-    return True
+def recursion_cells(chi_max):
+    """Cells (g, n) with 1 <= 2g - 2 + n <= chi_max, by increasing chi, then g."""
+    return [(g, chi + 2 - 2 * g) for chi in range(1, chi_max + 1)
+            for g in range((chi + 1) // 2 + 1)]
 
 
-class _AtrEngine:
-    def __init__(self, t, chi_max):
-        self.t = t
+@functools.cache
+def _splits(g, n):
+    """Ways to share the genus and the n - 1 non-pivot legs of a (g, n) entry.
+
+    Entries ``(g1, n1, pos1, g2, n2, pos2)``: the first factor is a (g1, n1)
+    cell carrying the legs at positions ``pos1`` of the non-pivot legs, the
+    second a (g2, n2) cell carrying those at ``pos2``.  Splits with a (0, 1)
+    factor are left out; the order is that of the recursion's sum.
+    """
+    positions = range(n - 1)
+    return tuple(
+        (g1, 1 + r, pos1, g - g1, n - r, tuple(p for p in positions if p not in pos1))
+        for g1 in range(g + 1) for r in range(n)
+        for pos1 in itertools.combinations(positions, r)
+        if (g1, 1 + r) != (0, 1) and (g - g1, n - r) != (0, 1))
+
+
+class _CellRecursion:
+    """Bookkeeping shared by the abstract and the local recursion.
+
+    Cells are filled in the order of ``recursion_cells``, each on the tuples
+    of ``support(g, n)``; a subclass supplies ``compute_value(g, n, idx,
+    pivot_pos)``.  Lower cells are read through ``_svec`` (one free index)
+    and ``_pair_matrix`` (two free indices), which look up only the modes
+    ``_fit`` offers: every mode here, the degree-bounded ones in the local
+    recursion.  ``_cell_cache`` holds what only the cell being filled reads.
+    """
+
+    seeded = ()         # cells given as initial data, not by the recursion
+
+    def __init__(self, modes, ram, kmax, chi_max, step, basis_tag):
+        self.table = SgnTable(modes, basis_tag)
+        self.modes, self.index = self.table.modes, self.table.index
+        self.dim = len(self.modes)
+        self.ram = tuple(ram)
+        self.kmax = kmax
         self.chi_max = chi_max
-        self.odd_only = _tensors_preserve_odd(t)
-        self.table = SgnTable(t.modes)
+        self.step = step            # 2 when only odd modes enter the recursion
+        self.evaluated = 0          # tuples passed to compute_value by run()
         self._vec_cache = {}
-        self._mat_cache = {}
+        self._cell_cache = {}
 
     def allowed(self, g, n):
+        """Sorted mode indices up to the per-index bound 6g + 2n - 4 of a cell."""
         bound = default_index_bound(g, n)
-        if bound > self.t.kmax:
+        if bound > self.kmax:
             raise TruncationInsufficient(
-                f"S_{{{g},{n}}} support bound {bound} exceeds kmax={self.t.kmax}")
-        step = 2 if self.odd_only else 1
-        return [self.t.index[(k, lab)] for lab in self.t.ram
-                for k in range(1, bound + 1, step)]
+                f"cell ({g}, {n}) needs indices up to {bound} > kmax={self.kmax}")
+        return sorted(self.index[(k, lab)] for lab in self.ram
+                      for k in range(1, bound + 1, self.step))
+
+    def support(self, g, n):
+        """Index tuples the recursion evaluates for a cell: every sorted tuple here."""
+        return itertools.combinations_with_replacement(self.allowed(g, n), n)
+
+    def _fit(self, g, n, rest):
+        """Modes j for which the (g, n) entry at (j, rest) is looked up."""
+        return range(self.dim)
 
     def _svec(self, g, n, rest):
         key = (g, n, rest)
         vec = self._vec_cache.get(key)
         if vec is None:
             table = self.table.entries.get((g, n), {})
-            vec = np.zeros(self.t.dim, dtype=complex)
-            for j in range(self.t.dim):
+            vec = np.zeros(self.dim, dtype=complex)
+            for j in self._fit(g, n, rest):
                 val = table.get(tuple(sorted((j,) + rest)))
                 if val is not None:
                     vec[j] = val
             self._vec_cache[key] = vec
         return vec
 
-    def _smat(self, g, n, rest):
-        key = (g, n, rest)
-        mat = self._mat_cache.get(key)
-        if mat is None:
+    def _pair_matrix(self, g, n, rest):
+        """Entries (j1, j2, rest) of a cell over all mode pairs, or None if all are 0."""
+        key = ("pair", g, n, rest)
+        if key not in self._cell_cache:
             table = self.table.entries.get((g, n), {})
-            mat = np.zeros((self.t.dim, self.t.dim), dtype=complex)
-            for j1 in range(self.t.dim):
-                for j2 in range(j1, self.t.dim):
+            m2 = np.zeros((self.dim, self.dim), dtype=complex)
+            for j1 in self._fit(g, n, rest):
+                for j2 in self._fit(g, n, rest + (j1,)):
+                    if j2 < j1:
+                        continue
                     val = table.get(tuple(sorted((j1, j2) + rest)))
                     if val is not None:
-                        mat[j1, j2] = val
-                        mat[j2, j1] = val
-            self._mat_cache[key] = mat
-        return mat
+                        m2[j1, j2] = m2[j2, j1] = val
+            self._cell_cache[key] = m2 if np.any(m2) else None
+        return self._cell_cache[key]
+
+    def _cell(self, g, n):
+        """Nonzero recursion values of a cell on its support."""
+        cell = {}
+        for idx in self.support(g, n):
+            self.evaluated += 1
+            val = self.compute_value(g, n, idx)
+            if val != 0:
+                cell[idx] = val
+        return cell
+
+    def run(self):
+        for g, n in recursion_cells(self.chi_max):
+            self.table.entries[(g, n)] = self._cell(g, n)
+            self.table.bounds[(g, n)] = default_index_bound(g, n)
+            self._cell_cache.clear()
+        return self.table
+
+    def pivot_deviation(self, rng, samples):
+        """Max |entry - its value with another pivot| over sampled entries.
+
+        Up to ``samples`` stored entries per recursion cell with n >= 2 are
+        drawn, each recomputed with a random non-first pivot.
+        """
+        dev = 0.0
+        for (g, n), cell in self.table.entries.items():
+            if n < 2 or (g, n) in self.seeded or not cell:
+                continue
+            keys = list(cell)
+            picks = rng.choice(len(keys), size=min(samples, len(keys)), replace=False)
+            for p in picks:
+                idx = keys[int(p)]
+                pivot = int(rng.integers(1, n))
+                dev = max(dev, abs(self.compute_value(g, n, idx, pivot) - cell[idx]))
+        return dev
+
+
+def _tensors_preserve_odd(t):
+    """True when the recursion stays inside the odd-mode substructure."""
+    odd = np.array([k % 2 == 1 for k, _ in t.modes])
+    even = ~odd
+    return not (np.any(t.a[even]) or np.any(t.a[:, even]) or np.any(t.a[:, :, even])
+                or np.any(t.eps[even])
+                # upper k odd must force lower (i, j) odd
+                or np.any(t.b[even][:, :, odd]) or np.any(t.b[:, even][:, :, odd])
+                # upper (j, k) odd must force lower i odd
+                or np.any(t.c[even][:, odd][:, :, odd]))
+
+
+class _AtrEngine(_CellRecursion):
+    """Abstract recursion: tensor contractions on every tuple up to the index bound."""
+
+    seeded = ((0, 3), (1, 1))
+
+    def __init__(self, t, chi_max):
+        step = 2 if _tensors_preserve_odd(t) else 1
+        super().__init__(t.modes, t.ram, t.kmax, chi_max, step, "canonical")
+        self.t = t
+
+    def _cell(self, g, n):
+        t = self.t
+        if (g, n) == (0, 3):        # S_{0,3} = 2a
+            return {idx: val for idx in self.support(0, 3) if (val := 2.0 * t.a[idx]) != 0}
+        if (g, n) == (1, 1):        # S_{1,1} = eps
+            return {(i,): t.eps[i] for i in self.allowed(1, 1) if t.eps[i] != 0}
+        return super()._cell(g, n)
 
     def compute_value(self, g, n, idx, pivot_pos=0):
         """Recursion value for S_{g,n} at the (sorted) flat-index tuple."""
@@ -494,56 +593,20 @@ class _AtrEngine:
         rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
         total = 0j
         for pos in range(n - 1):
-            rest_minus = rest[:pos] + rest[pos + 1:]
-            vec = self._svec(g, n - 1, rest_minus)
+            vec = self._svec(g, n - 1, rest[:pos] + rest[pos + 1:])
             total += 2.0 * (t.b[i1, rest[pos], :] @ vec)
-        positions = range(n - 1)
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for r in range(n):
-                for combo in itertools.combinations(positions, r):
-                    n1, n2 = 1 + r, n - r
-                    if (g1, n1) in ((0, 1), (0, 2)) or (g2, n2) in ((0, 1), (0, 2)):
-                        continue
-                    legs1 = tuple(rest[p] for p in combo)
-                    legs2 = tuple(rest[p] for p in positions if p not in combo)
-                    v1 = self._svec(g1, n1, tuple(sorted(legs1)))
-                    v2 = self._svec(g2, n2, tuple(sorted(legs2)))
-                    total += v1 @ t.c[i1] @ v2
-        if g >= 1 and (g - 1, n + 1) != (0, 2):
-            m2 = self._smat(g - 1, n + 1, rest)
-            total += np.einsum("jk,jk->", t.c[i1], m2)
+        for g1, n1, pos1, g2, n2, pos2 in _splits(g, n):
+            # splits with a (0, 2) factor are the b term above
+            if (g1, n1) == (0, 2) or (g2, n2) == (0, 2):
+                continue
+            v1 = self._svec(g1, n1, tuple(rest[p] for p in pos1))
+            v2 = self._svec(g2, n2, tuple(rest[p] for p in pos2))
+            total += v1 @ t.c[i1] @ v2
+        if g >= 1:
+            m2 = self._pair_matrix(g - 1, n + 1, rest)
+            if m2 is not None:
+                total += np.einsum("jk,jk->", t.c[i1], m2)
         return total
-
-    def run(self):
-        t = self.t
-        # initial data S_{0,3} = 2a, S_{1,1} = eps
-        allowed03 = self.allowed(0, 3)
-        self.table.entries[(0, 3)] = {}
-        for idx in itertools.combinations_with_replacement(sorted(allowed03), 3):
-            val = 2.0 * t.a[idx]
-            if val != 0:
-                self.table.entries[(0, 3)][idx] = val
-        self.table.bounds[(0, 3)] = min(default_index_bound(0, 3), t.kmax)
-        if self.chi_max >= 1:
-            allowed11 = self.allowed(1, 1)
-            self.table.entries[(1, 1)] = {
-                (i,): t.eps[i] for i in allowed11 if t.eps[i] != 0}
-            self.table.bounds[(1, 1)] = min(default_index_bound(1, 1), t.kmax)
-        for chi in range(2, self.chi_max + 1):
-            for g in range(0, (chi + 1) // 2 + 1):
-                n = chi + 2 - 2 * g
-                if n < 1 or (g, n) in ((0, 3), (1, 1)):
-                    continue
-                cell = {}
-                allowed = sorted(self.allowed(g, n))
-                for idx in itertools.combinations_with_replacement(allowed, n):
-                    val = self.compute_value(g, n, idx)
-                    if val != 0:
-                        cell[idx] = val
-                self.table.entries[(g, n)] = cell
-                self.table.bounds[(g, n)] = min(default_index_bound(g, n), t.kmax)
-        return self.table
 
 
 def atr_run(t, chi_max):
@@ -561,19 +624,6 @@ def atr_run(t, chi_max):
 
 def symmetry_deviation(table, t):
     """Max |S(pivot 0) - S(other pivot)| over up to 200 seeded samples per cell."""
-    rng = np.random.default_rng(0)
     engine = _AtrEngine(t, 1)
     engine.table = table
-    dev = 0.0
-    for (g, n), cell in table.entries.items():
-        if (g, n) in ((0, 3), (1, 1)) or n < 2:
-            continue
-        keys = list(cell)
-        if not keys:
-            continue
-        picks = rng.choice(len(keys), size=min(200, len(keys)), replace=False)
-        for p in picks:
-            idx = keys[int(p)]
-            pivot = int(rng.integers(1, n))
-            dev = max(dev, abs(engine.compute_value(g, n, idx, pivot) - cell[idx]))
-    return dev
+    return engine.pivot_deviation(np.random.default_rng(0), 200)

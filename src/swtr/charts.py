@@ -346,7 +346,7 @@ def _sigma(mode):
     return k, (i, -sheet)
 
 
-def local_expansions(bk, charts, k_bound=8):
+def local_expansions(bk, charts, k_bound):
     """Kernel regular-part coefficients and normalized-form Taylor data.
 
     Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` from double
@@ -467,7 +467,7 @@ def sw_embed_global(curve, ref, charts):
     return WElement(series)
 
 
-def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound=8):
+def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
     """Principal coefficients and holomorphic components of a local family.
 
     Solves (least squares over the regular modes)

@@ -21,11 +21,12 @@ d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every other
 entry vanishes exactly, because the pole orders of the lower cells leave the
 residue nothing to pick up.  The series the residue is taken of does not
 depend on the pivot index, so it is shared by all entries that differ only
-in the pivot.  ``airy.atr_run`` keeps the full enumeration up to the index
-bound 6g + 2n - 4: it is the independent oracle the two recursions are
-checked against, so it must not rest on the same prune.
-``support_bound_check`` evaluates the tuples beyond the degree bound and
-reports the largest of them, which must be 0.
+in the pivot.  The cell order, the leg splits, the lower-cell lookups and
+the pivot sampler are ``airy._CellRecursion``, shared with ``airy.atr_run``;
+the degree prune is this engine's alone.  ``atr_run`` enumerates every
+tuple up to the index bound 6g + 2n - 4, so as the oracle it does not rest
+on the prune.  ``support_bound_check`` evaluates the tuples beyond the
+degree bound and reports the largest of them, which must be 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import SgnTable, atr_run, default_index_bound, gauge_transform
+from .airy import (_CellRecursion, _splits, atr_run, default_index_bound, gauge_transform,
+                   recursion_cells)
 from .errors import OutOfAnnulus, TruncationInsufficient
 from .laurent import LaurentSeries
 
@@ -60,16 +62,24 @@ class LocalSpectralCurve:
             d = self.denom.get(lab)
             if d is None:
                 self.denom[lab] = LaurentSeries.monomial(4.0, 2)
-            else:
-                if any(e % 2 for e in d.coeffs) or d.order() != 2 or d.get(2) == 0:
-                    raise ValueError(
-                        f"denom at {lab!r}: need an even series with a double zero "
-                        "and nonzero z^2 coefficient")
+                continue
+            odd = d.parity_split()[0]
+            if not odd.is_zero():
+                raise ValueError(
+                    f"denom at {lab!r} is not even: odd part from z^{odd.order()}, "
+                    f"max |coefficient| {odd.max_abs():.3e}")
+            if d.order() != 2:
+                raise ValueError(
+                    f"denom at {lab!r} needs a double zero with nonzero z^2 coefficient: "
+                    f"lowest exponent {d.order()}, z^2 coefficient {d.get(2)}")
         sym = {}
         for (m1, m2), v in self.bergman_reg.items():
             back = self.bergman_reg.get((m2, m1))
-            if back is not None and abs(back - v) > 1e-12 * max(1.0, abs(v)):
-                raise ValueError("bergman_reg is not symmetric")
+            gate = 1e-12 * max(1.0, abs(v))
+            if back is not None and abs(back - v) > gate:
+                raise ValueError(
+                    f"bergman_reg is not symmetric at ({m1}, {m2}): {v} against {back}, "
+                    f"|delta| = {abs(back - v):.3e}, gate {gate:.3e}")
             sym[(m1, m2)] = v
             sym[(m2, m1)] = v
         self.bergman_reg = sym
@@ -112,27 +122,20 @@ class OmegaGN:
 # recursion engine
 # ---------------------------------------------------------------------------
 
-class _EoEngine:
+class _EoEngine(_CellRecursion):
+    """Local recursion: residues at each point, on the degree-bounded support."""
+
     def __init__(self, curve, chi_max, kmax, extra_order=0):
-        self.curve = curve
-        self.chi_max = chi_max
-        self.kmax = kmax
         # mode list restricted to odd indices (the output lives in the odd part)
-        self.modes = [(k, lab) for lab in curve.ram for k in range(1, kmax + 1, 2)]
-        self.index = {m: i for i, m in enumerate(self.modes)}
-        self.dim = len(self.modes)
+        modes = [(k, lab) for lab in curve.ram for k in range(1, kmax + 1, 2)]
+        super().__init__(modes, curve.ram, kmax, chi_max, 2, "bergman")
+        self.curve = curve
         self.lo = -(kmax + 3)
         self.hi = kmax + 5 + extra_order
         self.nlen = self.hi - self.lo + 1
-        self.table = SgnTable(self.modes, basis_tag="bergman")
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
-        self.evaluated = 0          # tuples passed to compute_value by run()
-        self._vec_cache = {}
         self._factor_cache = {}
         self._pair_cache = {}
-        # pivot-free series and pair matrices of the cell being filled
-        self._xi_cache = {}
-        self._m2_cache = {}
         self._setup()
 
     def _setup(self):
@@ -189,21 +192,13 @@ class _EoEngine:
         budget = 3 * g - 3 + n - sum(self.degree[j] for j in rest)
         return [j for j in range(self.dim) if self.degree[j] <= budget]
 
-    def _svec(self, g, n, rest):
-        key = (g, n, rest)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            table = self.table.entries.get((g, n), {})
-            vec = np.zeros(self.dim, dtype=complex)
-            for j in self._fit(g, n, rest):
-                val = table.get(tuple(sorted((j,) + rest)))
-                if val is not None:
-                    vec[j] = val
-            self._vec_cache[key] = vec
-        return vec
-
     def _factor(self, g, n, legs, lab, minus):
-        """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
+        """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0.
+
+        For (0, 2) this is the two-form against the one leg (``_f_leg``).
+        """
+        if (g, n) == (0, 2):
+            return self._f_leg(self.modes[legs[0]], lab, minus)
         key = (g, n, legs, lab, minus)
         if key not in self._factor_cache:
             vec = self._svec(g, n, tuple(sorted(legs)))
@@ -237,56 +232,25 @@ class _EoEngine:
             self._pair_cache[lab] = c2
         return c2
 
-    def _pair_matrix(self, g, n, rest):
-        """omega_{g,n}(j1, j2, rest) over all mode pairs, or None if it is 0."""
-        key = (g, n, rest)
-        if key not in self._m2_cache:
-            table = self.table.entries.get((g, n), {})
-            m2 = np.zeros((self.dim, self.dim), dtype=complex)
-            for j1 in self._fit(g, n, rest):
-                for j2 in self._fit(g, n, rest + (j1,)):
-                    if j2 < j1:
-                        continue
-                    val = table.get(tuple(sorted((j1, j2) + rest)))
-                    if val is not None:
-                        m2[j1, j2] = m2[j2, j1] = val
-            self._m2_cache[key] = m2 if np.any(m2) else None
-        return self._m2_cache[key]
-
     def _xi(self, g, n, lab, rest):
         """Series whose residue against z^{k1} / D(z) gives the entry (k1, rest).
 
         It does not depend on the pivot index k1, so it is cached per cell.
         """
-        key = (g, n, lab, rest)
-        xi = self._xi_cache.get(key)
+        key = ("xi", g, n, lab, rest)
+        xi = self._cell_cache.get(key)
         if xi is not None:
             return xi
         conv_len = 2 * self.nlen - 1
         xi = np.zeros(conv_len, dtype=complex)
         # splitting terms (two-form legs allowed, one-form excluded)
-        positions = range(n - 1)
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for r in range(n):
-                for combo in itertools.combinations(positions, r):
-                    n1, n2 = 1 + r, n - r
-                    if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-                        continue
-                    legs1 = tuple(rest[p] for p in combo)
-                    if (g1, n1) == (0, 2):
-                        f1 = self._f_leg(self.modes[legs1[0]], lab, minus=False)
-                    else:
-                        f1 = self._factor(g1, n1, legs1, lab, minus=False)
-                    if f1 is None:
-                        continue
-                    legs2 = tuple(rest[p] for p in positions if p not in combo)
-                    if (g2, n2) == (0, 2):
-                        f2 = self._f_leg(self.modes[legs2[0]], lab, minus=True)
-                    else:
-                        f2 = self._factor(g2, n2, legs2, lab, minus=True)
-                    if f2 is not None:
-                        xi += np.convolve(f1, f2)
+        for g1, n1, pos1, g2, n2, pos2 in _splits(g, n):
+            f1 = self._factor(g1, n1, tuple(rest[p] for p in pos1), lab, minus=False)
+            if f1 is None:
+                continue
+            f2 = self._factor(g2, n2, tuple(rest[p] for p in pos2), lab, minus=True)
+            if f2 is not None:
+                xi += np.convolve(f1, f2)
         # genus-reduction term
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
@@ -297,21 +261,13 @@ class _EoEngine:
                 m2 = self._pair_matrix(g - 1, n + 1, rest)
                 if m2 is not None:
                     xi += np.einsum("jk,jkl->l", m2, self._pair_tensor(lab), optimize=True)
-        self._xi_cache[key] = xi
+        self._cell_cache[key] = xi
         return xi
 
     def compute_value(self, g, n, idx, pivot_pos=0):
         k1, lab = self.modes[idx[pivot_pos]]
         rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
         return -(self._xi(g, n, lab, rest) @ self.res_vec[lab][k1])
-
-    def allowed(self, g, n):
-        bound = default_index_bound(g, n)
-        if bound > self.kmax:
-            raise TruncationInsufficient(
-                f"omega_{{{g},{n}}} needs indices up to {bound} > kmax={self.kmax}")
-        return sorted(self.index[(k, lab)] for lab in self.curve.ram
-                      for k in range(1, bound + 1, 2))
 
     def support(self, g, n):
         """Index tuples of omega_{g,n} with degrees summing to at most 3g - 3 + n.
@@ -320,37 +276,11 @@ class _EoEngine:
         ``combinations_with_replacement(allowed(g, n), n)``; every tuple
         beyond the degree bound has a zero entry.
         """
-        allowed = self.allowed(g, n)
-        degree = self.degree
-
-        def extend(prefix, start, budget):
-            if len(prefix) == n:
-                yield prefix
-                return
-            for pos in range(start, len(allowed)):
-                j = allowed[pos]
-                if degree[j] <= budget:
-                    yield from extend(prefix + (j,), pos, budget - degree[j])
-
-        return extend((), 0, 3 * g - 3 + n)
-
-    def run(self):
-        for chi in range(1, self.chi_max + 1):
-            for g in range(0, (chi + 1) // 2 + 1):
-                n = chi + 2 - 2 * g
-                if n < 1:
-                    continue
-                cell = {}
-                for idx in self.support(g, n):
-                    self.evaluated += 1
-                    val = self.compute_value(g, n, idx)
-                    if val != 0:
-                        cell[idx] = val
-                self.table.entries[(g, n)] = cell
-                self.table.bounds[(g, n)] = default_index_bound(g, n)
-                self._xi_cache.clear()
-                self._m2_cache.clear()
-        return self.table
+        self.allowed(g, n)      # every mode within the degree bound is allowed
+        tuples = [()]
+        for _ in range(n):
+            tuples = [t + (j,) for t in tuples for j in self._fit(g, n, t) if not t or j >= t[-1]]
+        return tuples
 
 
 def eo_run(curve, chi_max, kmax=None, extra_order=0):
@@ -358,31 +288,14 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
     if chi_max < 1:
         raise ValueError("chi_max must be at least 1")
     if kmax is None:
-        kmax = max(default_index_bound(g, chi + 2 - 2 * g)
-                   for chi in range(1, chi_max + 1)
-                   for g in range(0, (chi + 1) // 2 + 1)
-                   if chi + 2 - 2 * g >= 1)
+        kmax = max(default_index_bound(g, n) for g, n in recursion_cells(chi_max))
     engine = _EoEngine(curve, chi_max, kmax, extra_order)
     return OmegaGN(engine.run(), curve, engine)
 
 
 def eo_symmetry_deviation(omega, rng=None):
     """Max pivot-change deviation over up to 120 sampled entries per cell."""
-    rng = rng or np.random.default_rng(0)
-    engine = omega.engine
-    dev = 0.0
-    for (g, n), cell in omega.table.entries.items():
-        if n < 2:
-            continue
-        keys = list(cell)
-        if not keys:
-            continue
-        picks = rng.choice(len(keys), size=min(120, len(keys)), replace=False)
-        for p in picks:
-            idx = keys[int(p)]
-            pivot = int(rng.integers(1, n))
-            dev = max(dev, abs(engine.compute_value(g, n, idx, pivot) - cell[idx]))
-    return dev
+    return omega.engine.pivot_deviation(rng or np.random.default_rng(0), 120)
 
 
 def omega_eval(omega, g, n, points):
@@ -466,24 +379,16 @@ def _even_leg_probe(engine, g, n, k_even, lab):
     even leg on a two-form factor; tensor factors carrying it vanish by the
     odd support of every lower cell.  The probe must come out ~0.
     """
-    k1 = 1
-    conv_len = 2 * engine.nlen - 1
-    xi = np.zeros(conv_len, dtype=complex)
-    legs_rest = [(1, lab)] * (n - 2)
+    if (g, n - 1) == (0, 1):
+        return 0j
+    legs = (engine.index[(1, lab)],) * (n - 2)
+    xi = np.zeros(2 * engine.nlen - 1, dtype=complex)
     for even_on_minus in (False, True):
-        f_even = np.zeros(engine.nlen, dtype=complex)
-        if k_even - 1 <= engine.hi:
-            f_even[k_even - 1 - engine.lo] = k_even * ((-1.0) ** k_even if even_on_minus else 1.0)
-        legs2 = tuple(sorted(engine.index[m] for m in legs_rest))
-        if (g, n - 1) == (0, 1):
-            continue
-        if (g, n - 1) == (0, 2):
-            other = engine._f_leg(engine.modes[legs2[0]], lab, minus=not even_on_minus)
-        else:
-            other = engine._factor(g, n - 1, legs2, lab, minus=not even_on_minus)
-        if other is not None:
+        f_even = engine._f_leg((k_even, lab), lab, even_on_minus)
+        other = engine._factor(g, n - 1, legs, lab, not even_on_minus)
+        if f_even is not None and other is not None:
             xi += np.convolve(f_even, other)
-    return -(xi @ engine.res_vec[lab][k1])
+    return -(xi @ engine.res_vec[lab][1])
 
 
 def atr_eo_crosscheck(tensors, gauge, chi_max, denom=None):

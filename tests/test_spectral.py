@@ -1,13 +1,25 @@
 """Tests for the local recursion and its equivalence with the abstract one."""
 
+import ast
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from swtr.airy import GaugeData, atr_run, build_tr_variant_tensors
+from swtr.airy import (
+    GaugeData,
+    _AtrEngine,
+    atr_run,
+    build_tr_variant_tensors,
+    gauge_transform,
+    recursion_cells,
+)
 from swtr.errors import OutOfAnnulus
 from swtr.laurent import LaurentSeries
 from swtr.spectral import (
     LocalSpectralCurve,
+    _EoEngine,
     atr_eo_crosscheck,
     eo_run,
     eo_symmetry_deviation,
@@ -166,6 +178,71 @@ def test_eo_truncation_guard():
     from swtr.errors import TruncationInsufficient
     with pytest.raises(TruncationInsufficient):
         eo_run(airy_point(), chi_max=3, kmax=5)   # omega_{1,3} needs index 8
+
+
+def _recorded(engine):
+    """Run the engine; per cell, the tuples its run passed to compute_value."""
+    seen = {}
+    value = engine.compute_value
+
+    def record(g, n, idx, pivot_pos=0):
+        seen.setdefault((g, n), []).append(idx)
+        return value(g, n, idx, pivot_pos)
+
+    engine.compute_value = record
+    engine.run()
+    return seen
+
+
+def test_oracle_keeps_full_enumeration():
+    # the abstract recursion is the oracle for the degree prune, so it must
+    # evaluate every tuple up to the index bound; the local one only its support
+    rng = np.random.default_rng(29)
+    s = {key: v for key, v in random_s(("0",), 13, rng).items()
+         if key[0][0] % 2 and key[1][0] % 2}
+    atr = _AtrEngine(gauge_transform(build_tr_variant_tensors(13, ("0",)), GaugeData(s=s)), 4)
+    eo = _EoEngine(LocalSpectralCurve(ram=("0",), bergman_reg=s), 4, 12)
+    atr_seen, eo_seen = _recorded(atr), _recorded(eo)
+    assert atr.step == eo.step == 2
+    assert set(atr_seen) == set(recursion_cells(4)) - set(atr.seeded)
+    for g, n in recursion_cells(4):
+        full = list(itertools.combinations_with_replacement(atr.allowed(g, n), n))
+        assert [atr.modes[i] for i in atr.allowed(g, n)] == [eo.modes[i] for i in eo.allowed(g, n)]
+        if (g, n) not in atr.seeded:
+            assert atr_seen[(g, n)] == full, (g, n)
+        assert eo_seen[(g, n)] == list(eo.support(g, n)), (g, n)
+        if n == 1:      # every allowed mode is within the degree bound
+            assert len(eo_seen[(g, n)]) == len(full), (g, n)
+        elif 2 * g - 2 + n >= 2:
+            assert len(eo_seen[(g, n)]) < len(full), (g, n)
+    assert eo.evaluated == sum(len(v) for v in eo_seen.values())
+
+
+def test_curve_errors_name_their_numbers():
+    m1, m2 = (1, "0"), (3, "0")
+    with pytest.raises(ValueError) as err:
+        LocalSpectralCurve(ram=("0",), bergman_reg={(m1, m2): 0.5, (m2, m1): 0.5 + 1e-9})
+    m = re.fullmatch(r"bergman_reg is not symmetric at (.*): (\S+) against (\S+), "
+                     r"\|delta\| = (\S+), gate (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert ast.literal_eval(m.group(1)) == (m1, m2)
+    assert (float(m.group(2)), float(m.group(3))) == (0.5, 0.5 + 1e-9)
+    assert float(m.group(4)) == pytest.approx(1e-9, rel=1e-3)
+    assert float(m.group(5)) == 1e-12
+
+    with pytest.raises(ValueError) as err:
+        LocalSpectralCurve(ram=("0",), denom={"0": LaurentSeries({2: 4.0, 5: -0.3j}, 2, 40)})
+    m = re.fullmatch(r"denom at '0' is not even: odd part from z\^(\S+), "
+                     r"max \|coefficient\| (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert (int(m.group(1)), float(m.group(2))) == (5, 0.3)
+
+    with pytest.raises(ValueError) as err:
+        LocalSpectralCurve(ram=("0",), denom={"0": LaurentSeries({0: 1.0, 2: 4.0}, 0, 40)})
+    m = re.fullmatch(r"denom at '0' needs a double zero with nonzero z\^2 coefficient: "
+                     r"lowest exponent (\S+), z\^2 coefficient (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert (int(m.group(1)), complex(m.group(2))) == (0, 4.0)
 
 
 # ---------------------------------------------------------------------------
