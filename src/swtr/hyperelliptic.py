@@ -154,7 +154,10 @@ class SheetTracker:
             y = cand if abs(cand - y) <= abs(cand + y) else -cand
             guard += 1
             if guard > 200000:
-                raise QuadratureNotConverged("sheet walk did not terminate")
+                raise QuadratureNotConverged(
+                    f"sheet walk from {z0:.6g} to {z1:.6g} did not terminate: "
+                    f"{guard} steps covered {pos / total:.3g} of the segment, "
+                    f"nearest branch point at distance {dist:.3e}")
         return y
 
     def anchor(self, z_target):
@@ -163,31 +166,48 @@ class SheetTracker:
         if abs(d) < 1e-9:
             d = 1.0
         d = d / abs(d)
+        gap = 1e-6 * self.curve.scale()
         for rot in (0.0, 0.15, -0.15, 0.35, -0.35):
             dd = d * np.exp(1j * rot)
             z_far = self.centroid + self.r_far * dd
-            seg_ok = True
-            for e in self.curve.branch_points:
-                if _segment_distance(z_far, z_target, e) < 1e-6 * self.curve.scale():
-                    seg_ok = False
-                    break
-            if seg_ok:
+            if all(_segment_distance(z_far, z_target, e) >= gap
+                   for e in self.curve.branch_points):
                 return self.walk_segment(z_far, self.principal_far(z_far), z_target)
-        raise QuadratureNotConverged("could not anchor sheet at target point")
+        dists = np.abs(self.curve.branch_points - z_target)
+        near = int(np.argmin(dists))
+        raise QuadratureNotConverged(
+            f"could not anchor sheet at {z_target:.6g}: every radial approach passes "
+            f"within {gap:.3e} of a branch point; nearest branch point "
+            f"{self.curve.branch_points[near]:.6g} at distance {dists[near]:.3e}")
 
     def track_along(self, zs, y_start):
-        """Sheet values along an ordered list of points (closed or open)."""
-        ys = np.empty(len(zs), dtype=complex)
+        """Sheet values along an ordered list of points (closed or open).
+
+        Each node takes the sign of sqrt(Q) nearer to its predecessor's value,
+        so between far steps the sheet is a running product of neighbour
+        flips.  A far step, longer than 0.15 times the distance from its
+        start to the branch points, is continued by ``walk_segment`` and the
+        chain restarts from the walked value.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        cand = np.sqrt(self.curve.q_at(zs))
+        dist = np.full(len(zs) - 1, np.inf)
+        for e in self.curve.branch_points:
+            np.minimum(dist, np.abs(zs[:-1] - e), out=dist)
+        far = np.flatnonzero(np.abs(np.diff(zs)) > 0.15 * dist) + 1
+        # odd[i] != odd[j]: nodes i and j carry opposite signs of sqrt(Q),
+        # as long as no far step lies between them
+        flips = np.abs(cand[1:] - cand[:-1]) > np.abs(cand[1:] + cand[:-1])
+        odd = np.logical_xor.accumulate(np.concatenate([[False], flips]))
+        ys = np.empty_like(cand)
         y = y_start
-        prev = zs[0]
-        for i, z in enumerate(zs):
-            if i and abs(z - prev) > 0.15 * float(np.min(np.abs(prev - self.curve.branch_points))):
-                y = self.walk_segment(prev, y, z)
-            else:
-                cand = np.sqrt(self.curve.q_at(z))
-                y = cand if abs(cand - y) <= abs(cand + y) else -cand
-            ys[i] = y
-            prev = z
+        for start, stop in zip([0, *far], [*far, len(zs)]):
+            if start:
+                y = self.walk_segment(zs[start - 1], ys[start - 1], zs[start])
+            neg = odd[start:stop] ^ (odd[start] ^ (abs(cand[start] - y) > abs(cand[start] + y)))
+            ys[start:stop] = np.where(neg, -cand[start:stop], cand[start:stop])
+            if start:
+                ys[start] = y
         return ys
 
 
@@ -312,19 +332,26 @@ class QuadratureWorkspace:
         """
         prev = None
         done = False
+        delta, gate, closure, last = np.array(np.nan), np.array(tol), np.nan, 0
         n = start_panels
         while n <= max_panels:
             data = self.nodes(contour, n)
             val = np.sum(data.w * integrand(data.z, data.y) * data.dzdt, axis=-1)
             out = val if prev is None else np.where(done, out, val)
-            if data.closure < 1e-8 and prev is not None:
-                done = done | (np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
-                if np.all(done):
-                    return out[()]
+            closure, last = data.closure, n
+            if prev is not None:
+                delta, gate = np.abs(val - prev), tol * np.maximum(1.0, np.abs(val))
+                if closure < 1e-8:
+                    done = done | (delta <= gate)
+                    if np.all(done):
+                        return out[()]
             prev = val
             n *= 2
+        worst = np.argmax(np.where(done, -np.inf, delta / gate))   # flat component index
         raise QuadratureNotConverged(
-            f"contour integral did not converge below {tol}")
+            f"contour integral did not converge by {last} panels: worst |delta| = "
+            f"{delta.flat[worst]:.3e} against gate {gate.flat[worst]:.3e} (component {worst}), "
+            f"sheet closure {closure:.3e} against 1e-08")
 
     def integrate_cycle(self, cycle, integrand, tol=1e-10):
         """Integral over a composite cycle [(coef, contour), ...]."""
@@ -608,8 +635,10 @@ class BergmanData:
     correction: np.ndarray        # sum c[j, k] omega_j (x) omega_k
 
     def f_at(self, z1, z2):
-        z1b, z2b = np.broadcast_arrays(np.asarray(z1), np.asarray(z2))
-        return npoly.polyval2d(z1b, z2b, self.f_coeffs)
+        # Horner in z1 first keeps z1's own shape for each power of z2; the z2
+        # pass then broadcasts, so no (g+3)-fold stack of the full grid is made
+        inner = npoly.polyval(np.asarray(z1), self.f_coeffs)
+        return npoly.polyval(np.asarray(z2), inner, tensor=False)
 
     def base_value(self, z1, y1, z2, y2):
         return (y1 * y2 + self.f_at(z1, z2)) / (2.0 * y1 * y2 * (z1 - z2) ** 2)
@@ -733,5 +762,11 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
         else:
             if outside is not None:
                 raise OutOfNeighbourhood(outside)
-            raise QuadratureNotConverged("Newton damping failed for a -> u")
-    raise QuadratureNotConverged("Newton iteration for a -> u did not converge")
+            raise QuadratureNotConverged(
+                f"Newton damping failed for a -> u: max |err| {np.max(np.abs(err)):.3e} "
+                f"against tol*scale {tol * scale:.3e}, no decrease down to step "
+                f"{2 * step:g} x |du| {np.max(np.abs(du)):.3e}")
+    raise QuadratureNotConverged(
+        f"Newton iteration for a -> u did not converge in 50 steps: max |err| "
+        f"{np.max(np.abs(err)):.3e} against tol*scale {tol * scale:.3e}, last step "
+        f"{step:g} x |du| {np.max(np.abs(du)):.3e}")

@@ -58,6 +58,7 @@ class LocalSpectralCurve:
 
     def __post_init__(self):
         self.ram = tuple(self.ram)
+        self.denom = dict(self.denom)
         for lab in self.ram:
             d = self.denom.get(lab)
             if d is None:

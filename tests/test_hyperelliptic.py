@@ -1,12 +1,16 @@
 """Tests for curve construction, cycles, periods and the normalized kernel."""
 
+import functools
+import re
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from swtr.errors import OutOfNeighbourhood, SingularCurve
+from swtr.errors import OutOfNeighbourhood, QuadratureNotConverged, SingularCurve
 from swtr.hyperelliptic import (
     EllipseContour,
     QuadratureWorkspace,
@@ -23,6 +27,7 @@ from swtr.hyperelliptic import (
 
 U0_G1 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
+U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
 
 
 def setup_g1(u=U0_G1):
@@ -30,6 +35,12 @@ def setup_g1(u=U0_G1):
     cycles = build_cycles(curve)
     pd = periods(curve, cycles)
     return curve, cycles, pd
+
+
+@functools.cache
+def _curve_and_cycles(u0):
+    curve = new_curve(len(u0), u0)
+    return curve, build_cycles(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +107,60 @@ def test_sheet_closure_on_cycles():
         for _, cont in comp:
             data = ws.nodes(cont, 16)
             assert data.closure < 1e-8
+
+
+def _scalar_track(tracker, zs, y_start):
+    """Node-by-node continuation: the reference for ``track_along``."""
+    ys = np.empty(len(zs), dtype=complex)
+    y = y_start
+    prev = zs[0]
+    far = 0
+    for i, z in enumerate(zs):
+        if i and abs(z - prev) > 0.15 * float(np.min(np.abs(prev - tracker.curve.branch_points))):
+            y = tracker.walk_segment(prev, y, z)
+            far += 1
+        else:
+            cand = np.sqrt(tracker.curve.q_at(z))
+            y = cand if abs(cand - y) <= abs(cand + y) else -cand
+        ys[i] = y
+        prev = z
+    return ys, far
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
+def test_track_along_matches_scalar_continuation(u0):
+    # the array version keeps every node on the sheet of the node-by-node
+    # loop, on the Gauss-Legendre nodes of every A- and chain contour, where
+    # coarse panels mix far and near steps, and on a coarse 8-node polygon
+    # round each pair of foci: every step there is a far step, and at the
+    # tips of the thin ellipse the nearer-neighbour sign alone goes wrong
+    curve, cycles = _curve_and_cycles(u0)
+    tracker = cycles.workspace.tracker
+    walks = []
+    walk = tracker.walk_segment
+    tracker.walk_segment = lambda *args: walks.append(args) or walk(*args)
+    contours = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    xs = 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0)
+    node_sets = {"polygon": [EllipseContour(c.f1, c.f2, 0.08).point(np.arange(8) / 8)
+                             for c in contours], "panels": []}
+    for n_panels in (8, 16, 32, 64, 128, 256):
+        t = (np.arange(n_panels)[:, None] + xs).ravel() / n_panels
+        node_sets["panels"] += [c.point(t) for c in contours]
+    far_steps = dict.fromkeys(node_sets, 0)
+    try:
+        for kind, sets in node_sets.items():
+            for zs in sets:
+                y_start = tracker.anchor(complex(zs[0]))
+                expect, far = _scalar_track(tracker, zs, y_start)
+                far_steps[kind] += far
+                walks.clear()
+                got = tracker.track_along(zs, y_start)
+                assert len(walks) == far
+                assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+    finally:
+        del tracker.walk_segment
+    assert far_steps["polygon"] == 7 * len(contours)
+    assert 0 < far_steps["panels"] < sum(len(zs) for zs in node_sets["panels"]) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +239,47 @@ def test_array_integrand_matches_scalar_calls(genus, u0):
             assert val.tobytes() == np.complex128(alone).tobytes()
             levels.add(level)
     assert len(levels) > 1
+
+
+def test_integrate_error_names_its_numbers():
+    # a pole just outside the first A-contour is not resolved by 16 panels;
+    # the error names the panel count, that component's |delta| between 8 and
+    # 16 panels against its gate, and the sheet closure
+    curve, cycles = _curve_and_cycles(U0_G2)
+    ws = cycles.workspace
+    a0 = cycles.a_cycles[0][0][1]
+    pole = EllipseContour(a0.f1, a0.f2, 1.3 * a0.sigma).point(0.3)
+
+    def form(z, y):
+        return np.stack([ds_sw(curve)(z, y), 1.0 / ((z - pole) * y)])
+
+    with pytest.raises(QuadratureNotConverged) as err:
+        ws.integrate(a0, form, max_panels=16)
+    m = re.fullmatch(r"contour integral did not converge by (\d+) panels: worst \|delta\| = "
+                     r"(\S+) against gate (\S+) \(component (\d+)\), "
+                     r"sheet closure (\S+) against 1e-08", str(err.value))
+    assert m, str(err.value)
+    assert (int(m.group(1)), int(m.group(4))) == (16, 1)
+    v8, v16 = (np.sum(d.w * form(d.z, d.y)[1] * d.dzdt) for d in (ws.nodes(a0, n) for n in (8, 16)))
+    delta, gate = float(m.group(2)), float(m.group(3))
+    assert delta == pytest.approx(abs(v16 - v8), rel=1e-3)
+    assert gate == pytest.approx(1e-10 * max(1.0, abs(v16)), rel=1e-3)
+    assert delta > gate
+    assert float(m.group(5)) < 1e-8
+
+
+def test_anchor_error_names_its_numbers():
+    curve, cycles = _curve_and_cycles(U0_G2)
+    e = complex(curve.branch_points[1])
+    with pytest.raises(QuadratureNotConverged) as err:
+        cycles.workspace.tracker.anchor(e)
+    m = re.fullmatch(r"could not anchor sheet at (\S+): every radial approach passes within "
+                     r"(\S+) of a branch point; nearest branch point (\S+) at distance (\S+)",
+                     str(err.value))
+    assert m, str(err.value)
+    assert complex(m.group(1)) == complex(m.group(3)) == pytest.approx(e, rel=1e-5)
+    assert float(m.group(2)) == pytest.approx(1e-6 * curve.scale(), rel=1e-3)
+    assert float(m.group(4)) == 0.0
 
 
 def test_invert_a_map_roundtrip():
@@ -273,6 +379,41 @@ def test_kernel_b_period_gives_omega():
                                  lambda z, y: bk.value(z, y, zq, yq))
         expect = 2j * np.pi * omega_value(pd, 0, zq, yq)
         assert abs(val - expect) < 1e-6 * max(1.0, abs(expect))
+
+
+def test_f_at_matches_polyval2d():
+    # Horner in z1 then z2 is the same arithmetic as polyval2d on the
+    # broadcast points: bitwise equal for grids, scalars and mixed shapes
+    curve, cycles = _curve_and_cycles(U0_G2)
+    bk = bergman_kernel(curve, cycles, periods(curve, cycles))
+    rng = np.random.default_rng(17)
+    z1, z2 = (rng.standard_normal(64) + 1j * rng.standard_normal(64) for _ in range(2))
+    cases = [(z1[:, None], z2[None, :]), (complex(z1[0]), complex(z2[0])),
+             (z1, complex(z2[0])), (complex(z1[0]), z2), (z1, z2)]
+    for a, b in cases:
+        ref = npoly.polyval2d(*np.broadcast_arrays(np.asarray(a), np.asarray(b)), bk.f_coeffs)
+        got = bk.f_at(a, b)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_kernel_grid_memory_genus_two():
+    # one 256 x 256 kernel grid, as in a chart-pair extraction; stacking the
+    # broadcast points for polyval2d peaked at ~17 MB here
+    curve, cycles = _curve_and_cycles(U0_G2)
+    bk = bergman_kernel(curve, cycles, periods(curve, cycles))
+    th = 2 * np.pi * np.arange(256) / 256
+    z1 = complex(curve.branch_points[0]) + 0.2 * np.exp(1j * th)
+    z2 = complex(curve.branch_points[2]) + 0.3 * np.exp(1j * th)
+    y1, y2 = np.sqrt(curve.q_at(z1)), np.sqrt(curve.q_at(z2))
+    tracemalloc.start()
+    try:
+        grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (256, 256)
+    assert peak < 10e6
 
 
 def test_kernel_matches_elliptic_oracle():

@@ -245,6 +245,15 @@ def test_curve_errors_name_their_numbers():
     assert (int(m.group(1)), complex(m.group(2))) == (0, 4.0)
 
 
+
+def test_default_denominator_leaves_callers_dict_alone():
+    # the default 4 z^2 series goes into the curve's own copy of denom
+    d = {}
+    curve = LocalSpectralCurve(ram=("0", "1"), denom=d)
+    assert d == {}
+    assert sorted(curve.denom) == ["0", "1"]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
