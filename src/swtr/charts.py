@@ -194,21 +194,22 @@ def _validate_chart(ch, order):
     tol = 1e-10
     r = ch.extraction_radius
     pts = r * np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8)
-    # normal form: the chart coordinate along the curve is etabar itself
-    dev = max(abs(ch.y_of_etabar.evaluate(e) - e) / abs(e) for e in pts)
-    if dev > tol:
-        raise ExtractionNotConverged(f"chart {ch.label}: normal form residual {dev:.2e}")
-    # one-form identity: even part of dS/detabar equals 2 etabar^2
     _, even = ch.ds_detabar.parity_split()
-    dev = max(abs(even.evaluate(e) - 2.0 * e * e) / abs(2.0 * e * e) for e in pts)
-    if dev > tol:
-        raise ExtractionNotConverged(f"chart {ch.label}: one-form residual {dev:.2e}")
-    # F composed with the curve data returns etabar^2
-    vser = _pcompose_v(ch, order)
-    dev = max(abs(ch.f_series.evaluate(vser.evaluate(e)) - e * e) / abs(e * e)
-              for e in pts)
-    if dev > tol:
-        raise ExtractionNotConverged(f"chart {ch.label}: F round-trip residual {dev:.2e}")
+    checks = (
+        # normal form: the chart coordinate along the curve is etabar itself
+        ("normal form", ch.y_of_etabar.evaluate(pts), pts),
+        # one-form identity: even part of dS/detabar equals 2 etabar^2
+        ("one-form", even.evaluate(pts), 2.0 * pts * pts),
+        # F composed with the curve data returns etabar^2
+        ("F round-trip", ch.f_series.evaluate(_pcompose_v(ch, order).evaluate(pts)),
+         pts * pts),
+    )
+    for name, got, want in checks:
+        dev = float(np.max(np.abs(got - want) / np.abs(want)))
+        if dev > tol:
+            raise ExtractionNotConverged(
+                f"chart {ch.label}: {name} residual {dev:.2e} above gate {tol:.0e}"
+                f" on |etabar| = {r:.6g}")
 
 
 def _pcompose_v(ch, order):
@@ -230,10 +231,8 @@ def _pcompose_v(ch, order):
 def _chart_nodes(ch, radius, nfft):
     theta = 2.0 * np.pi * np.arange(nfft) / nfft
     etab = radius * np.exp(1j * theta)
-    z = np.array([ch.z_of_etabar.evaluate(e) for e in etab])
-    y = np.array([ch.y_curve.evaluate(e) for e in etab])
-    dz = np.array([ch.dz_detabar.evaluate(e) for e in etab])
-    return etab, z, y, dz
+    return (etab, ch.z_of_etabar.evaluate(etab), ch.y_curve.evaluate(etab),
+            ch.dz_detabar.evaluate(etab))
 
 
 def _fft_coeffs(values, radius, kmax):
@@ -424,13 +423,18 @@ def _transport_roots(curve, w_targets, z_starts):
     out = np.array(z_starts, dtype=complex)
     pc = curve.p_coeffs
     dpc = npoly.polyder(pc)
-    for _ in range(60):
+    iterations = 60
+    for _ in range(iterations):
         val = npoly.polyval(out, pc) - w_targets
         step = val / npoly.polyval(out, dpc)
         out = out - step
-        if float(np.max(np.abs(step))) < 1e-14 * max(1.0, float(np.max(np.abs(out)))):
+        largest = float(np.max(np.abs(step)))
+        tol = 1e-14 * max(1.0, float(np.max(np.abs(out))))
+        if largest < tol:
             return out
-    raise OutOfNeighbourhood("leaf transport Newton did not converge")
+    raise OutOfNeighbourhood(
+        f"leaf transport Newton did not converge in {iterations} iterations:"
+        f" max |step| = {largest:.3e}, tolerance {tol:.3e}")
 
 
 def sw_embed_global(curve, ref, charts):
@@ -448,12 +452,11 @@ def sw_embed_global(curve, ref, charts):
         r = ch.extraction_radius
         theta = 2.0 * np.pi * np.arange(nfft) / nfft
         etab = r * np.exp(1j * theta)
-        eta = np.array([ch.eta_of_etabar.evaluate(e) for e in etab])
-        deta_detabar = ch.eta_of_etabar.derivative()
-        deta = np.array([deta_detabar.evaluate(e) for e in etab])
+        eta = ch.eta_of_etabar.evaluate(etab)
+        deta = ch.eta_of_etabar.derivative().evaluate(etab)
         w_vals = eta ** 2 + ch.p0
-        z0 = np.array([ch.z_of_eta.evaluate(e) for e in eta])
-        y_pt = ch.label[1] * np.array([ch.y_plus.evaluate(e) for e in eta])
+        z0 = ch.z_of_eta.evaluate(eta)
+        y_pt = ch.label[1] * ch.y_plus.evaluate(eta)
         z_u = _transport_roots(curve, w_vals, z0)
         phi = (z0 - z_u) * 2.0 * eta * deta / y_pt
         raw = np.fft.fft(phi) / nfft

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 from .errors import (
     BranchUndefined,
     DivisionByZeroSeries,
@@ -35,6 +37,19 @@ RESIDUE_FREE_RTOL = 1e-11
 
 def _clamp(order):
     return EXACT if order >= EXACT else order
+
+
+def _reciprocal(wr, wi):
+    """CPython's Smith quotient (1 + 0i) / (wr + i wi), elementwise in float64."""
+    if not np.all(np.maximum(np.abs(wr), np.abs(wi))):
+        raise ZeroDivisionError("0.0 to a negative or complex power")
+    by_real = np.abs(wr) >= np.abs(wi)
+    num, den = np.where(by_real, wi, wr), np.where(by_real, wr, wi)
+    ratio = num / den
+    denom = den + num * ratio
+    real = np.where(by_real, 1.0 + 0.0 * ratio, ratio + 0.0) / denom
+    imag = np.where(by_real, 0.0 - ratio, 0.0 * ratio - 1.0) / denom
+    return real, imag
 
 
 class LaurentSeries:
@@ -215,13 +230,23 @@ class LaurentSeries:
     # -- composition and inversion ------------------------------------------
 
     def compose(self, g):
-        """Substitute ``g`` (a series with min order >= 1) for the variable."""
+        """Substitute ``g`` (a series with min order >= 1) for the variable.
+
+        The result is known to min(t, g.trunc_order), where t is
+        self.trunc_order, lowered to (t + 1) * ord(g) - 1 for t < 0: the first
+        unknown term z**(t+1) of self starts at that order once substituted.
+        A term c z**e with e >= 0 and e * ord(g) beyond the window only
+        reaches coefficients above it, so Horner's rule starts below such
+        terms.
+        """
         og = g.order()
         if og is None or og < 1:
             raise ValueError("composition requires g with order >= 1")
+        t = self.trunc_order
+        trunc = min(t, (t + 1) * og - 1, g.trunc_order)
         neg = {e: c for e, c in self.coeffs.items() if e < 0}
-        pos = {e: c for e, c in self.coeffs.items() if e >= 0}
-        result = LaurentSeries.zero(trunc_order=min(self.trunc_order, g.trunc_order), var=g.var)
+        pos = {e: c for e, c in self.coeffs.items() if 0 <= e and e * og <= trunc}
+        result = LaurentSeries.zero(trunc_order=trunc, var=g.var)
         if pos:
             top = max(pos)
             acc = LaurentSeries({0: pos.get(top, 0j)}, 0, EXACT, var=g.var)
@@ -321,9 +346,49 @@ class LaurentSeries:
                           self.min_exp, self.trunc_order)
 
     def evaluate(self, z):
-        """Numeric evaluation of the truncated sum at a complex point."""
-        z = complex(z)
-        return sum(c * z ** e for e, c in self.coeffs.items())
+        """The truncated sum at ``z``: a complex for a scalar, an array for an array.
+
+        Every point gets, bit for bit, CPython's ``sum(c * z**e)`` over the
+        coefficients in key order (for |e| <= 100, where CPython takes integer
+        powers by repeated squaring).  NumPy's complex ``*`` and ``**`` can
+        round differently, so the arithmetic is CPython's, written in float64:
+        products are (ar br - ai bi, ar bi + ai br); z**e multiplies the powers
+        z**(2**k) over the set bits of e in ascending order (``c_powu``), so
+        z**e = z**(e - 2**k) * z**(2**k) for the top bit k of e; z**-e is
+        Smith's quotient 1 / z**e (``_Py_c_quot``); the terms are summed one
+        at a time from +0.
+        """
+        zs = np.asarray(z, dtype=complex)
+        exps = np.fromiter(self.coeffs, dtype=int, count=len(self.coeffs))
+        mags = np.abs(exps)
+        top = int(mags.max(initial=0))
+        # re[n] + i im[n] = z**n, filled one block [n, 2n) per power n = 2**k
+        # from sq_re + i sq_im = z**n
+        re = np.empty((top + 1,) + zs.shape)
+        im = np.empty_like(re)
+        re[0], im[0] = 1.0, 0.0
+        sq_re, sq_im = zs.real, zs.imag
+        n = 1
+        while n <= top:
+            m = min(n, top + 1 - n)
+            re[n:n + m] = re[:m] * sq_re - im[:m] * sq_im
+            im[n:n + m] = re[:m] * sq_im + im[:m] * sq_re
+            sq_re, sq_im = sq_re * sq_re - sq_im * sq_im, sq_re * sq_im + sq_im * sq_re
+            n *= 2
+        wr, wi = re[mags], im[mags]
+        neg = exps < 0
+        if neg.any():
+            wr[neg], wi[neg] = _reciprocal(wr[neg], wi[neg])
+        shape = (-1,) + (1,) * zs.ndim
+        coeffs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(exps))
+        cr, ci = coeffs.real.reshape(shape), coeffs.imag.reshape(shape)
+        terms = np.empty((len(exps),) + zs.shape, dtype=complex)
+        terms.real = cr * wr - ci * wi
+        terms.imag = cr * wi + ci * wr
+        total = np.zeros(zs.shape, dtype=complex)
+        for term in terms:
+            total += term
+        return complex(total) if zs.ndim == 0 else total
 
 
 class SeriesDifferential:

@@ -2,9 +2,12 @@
 
 import ast
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from test_laurent import float_hex, scalar_evaluate, series_hex, uncut_compose
 
 import swtr.charts as charts_module
 from swtr.airy import eval_hamiltonians
@@ -15,6 +18,8 @@ from swtr.charts import (
     _extract_s,
     _node_cache,
     _s_gate,
+    _transport_roots,
+    _validate_chart,
     decompose_in_g,
     ebar_at_points,
     ebar_periods,
@@ -37,6 +42,7 @@ from swtr.laurent import LaurentSeries, SeriesDifferential, symplectic_pairing
 
 U0 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
+U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
 
 
 class _Setup:
@@ -202,6 +208,102 @@ def test_chart_neighbourhood_guard():
     far = new_curve(1, (U0[0] + 0.8,))
     with pytest.raises(OutOfNeighbourhood):
         sw_embed_global(far, ref, charts)
+
+
+def _chart_series(ch):
+    return {f.name: getattr(ch, f.name) for f in fields(ch)
+            if isinstance(getattr(ch, f.name), LaurentSeries)}
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_chart_series_evaluate_bitwise(u):
+    # every chart series on the nodes of every extraction circle (c at 1 and
+    # 0.8, s at 1 and 0.85 and, as second chart, 0.7 and 0.7 * 0.85 of the
+    # extraction radius): the array path is CPython's scalar sum, bit for bit,
+    # and so is the scalar path on every 8th node
+    charts = standard_charts(new_curve(len(u), u))
+    theta = 2.0 * np.pi * np.arange(_LOCAL_NFFT) / _LOCAL_NFFT
+    for ch in charts.values():
+        for rfac in (1.0, 0.8, 0.85, 0.7, 0.7 * 0.85):
+            etab = ch.extraction_radius * rfac * np.exp(1j * theta)
+            for name, ser in _chart_series(ch).items():
+                oracle = float_hex([scalar_evaluate(ser, complex(e)) for e in etab])
+                assert float_hex(ser.evaluate(etab)) == oracle, (ch.label, rfac, name)
+                assert float_hex([ser.evaluate(e) for e in etab[::8]]) == oracle[::8]
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_chart_series_match_uncut_compose(u, monkeypatch):
+    # compose skips the terms beyond its output window; the charts built with
+    # Horner's rule over every term are the same in every bit and key order
+    curve = new_curve(len(u), u)
+    cut = standard_charts(curve)
+    monkeypatch.setattr(LaurentSeries, "compose", uncut_compose)
+    full = standard_charts(curve)
+    for lab, ch in cut.items():
+        for name, ser in _chart_series(ch).items():
+            assert series_hex(ser) == series_hex(getattr(full[lab], name)), (lab, name)
+
+
+def test_laurent_work_count(monkeypatch):
+    # g2: the chart nodes of local_expansions are evaluated one circle at a
+    # time (14 circles x z, y and dz/detabar; 10,752 scalar calls before), and
+    # standard_charts composes only the terms its windows keep (3,120 products
+    # with every term composed)
+    curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
+    calls = {"evaluate": 0, "mul": 0}
+    evaluate, mul = LaurentSeries.evaluate, LaurentSeries.__mul__
+
+    def counted_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    def counted_mul(*args, **kwargs):
+        calls["mul"] += 1
+        return mul(*args, **kwargs)
+
+    monkeypatch.setattr(LaurentSeries, "evaluate", counted_evaluate)
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    local_expansions(bk, charts, k_bound=7)
+    assert calls["evaluate"] == 42
+    calls["mul"] = 0
+    standard_charts(curve)
+    assert calls["mul"] <= 1830
+
+
+@pytest.mark.parametrize("name, field", [("normal form", "y_of_etabar"),
+                                         ("one-form", "ds_detabar"),
+                                         ("F round-trip", "f_series")])
+def test_chart_validation_error_names_its_numbers(name, field):
+    # a chart series off by 1e-6 z^2 fails its invariant; the error names the
+    # residual, the gate and the radius of the circle it was measured on
+    ch = standard_charts(new_curve(1, U0))[(0, 1)]
+    broken = replace(ch, **{field: getattr(ch, field) + LaurentSeries.monomial(1e-6, 2)})
+    with pytest.raises(ExtractionNotConverged) as err:
+        _validate_chart(broken, 44)
+    m = re.fullmatch(r"chart \(0, 1\): (.*) residual (\S+) above gate (\S+)"
+                     r" on \|etabar\| = (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert m.group(1) == name
+    assert float(m.group(2)) > float(m.group(3)) == 1e-10
+    assert np.isclose(float(m.group(4)), ch.extraction_radius, rtol=1e-5)
+
+
+def test_transport_error_names_its_numbers():
+    # Newton started at the critical points of P, where P' is rounding noise:
+    # the first step leaves for |z| ~ 1e14 and 60 iterations do not come back;
+    # the error names the count, the largest |step| and its tolerance
+    curve = new_curve(2, U0_G2)
+    starts = np.array(curve.ram_roots, dtype=complex)
+    targets = npoly.polyval(starts, curve.p_coeffs) + 0.01
+    with pytest.raises(OutOfNeighbourhood) as err:
+        _transport_roots(curve, targets, starts)
+    m = re.fullmatch(r"leaf transport Newton did not converge in (\d+) iterations:"
+                     r" max \|step\| = (\S+), tolerance (\S+)", str(err.value))
+    assert m, str(err.value)
+    step, tol = float(m.group(2)), float(m.group(3))
+    assert int(m.group(1)) == 60
+    assert np.isfinite(step) and step > tol > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swtr.errors import (
@@ -436,5 +436,160 @@ def test_inverse_window_sound(fa):
 @given(windows(st.integers(-2, 3), finite=False), windows(st.integers(1, 2)))
 def test_compose_window_sound(fa, gb):
     (f, f_full), (g, g_full) = fa, gb
+    comp = f.compose(g)
+    _assert_sound(comp, _exact_compose(f_full, g_full, comp.trunc_order))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact evaluation and the compose cut, against the scalar and uncut oracles
+# ---------------------------------------------------------------------------
+
+def scalar_evaluate(series, z):
+    """CPython's scalar sum of the terms in key order: the oracle of ``evaluate``."""
+    acc = 0j
+    for e, c in series.coeffs.items():
+        acc = acc + c * z ** e
+    return acc
+
+
+def float_hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
+
+
+def series_hex(series):
+    """Coefficients in key order as float hex, with the window."""
+    return (float_hex(list(series.coeffs.values())), list(series.coeffs),
+            series.min_exp, series.trunc_order)
+
+
+def uncut_compose(f, g):
+    """Horner's rule over every term of f, whatever its output order: the oracle of ``compose``.
+
+    The output window is the one ``compose`` declares.
+    """
+    og = g.order()
+    if og is None or og < 1:
+        raise ValueError("composition requires g with order >= 1")
+    neg = {e: c for e, c in f.coeffs.items() if e < 0}
+    pos = {e: c for e, c in f.coeffs.items() if e >= 0}
+    t = f.trunc_order
+    result = L.zero(trunc_order=min(t, (t + 1) * og - 1, g.trunc_order), var=g.var)
+    if pos:
+        top = max(pos)
+        acc = L({0: pos.get(top, 0j)}, 0, EXACT, var=g.var)
+        for e in range(top - 1, -1, -1):
+            acc = acc * g
+            ce = pos.get(e, 0j)
+            if ce:
+                acc = acc + ce
+        result = result + acc
+    if neg:
+        ginv = g.inverse()
+        bot = min(neg)
+        acc = L({0: neg.get(bot, 0j)}, 0, EXACT, var=g.var)
+        for e in range(bot + 1, 0):
+            acc = acc * ginv
+            ce = neg.get(e, 0j)
+            if ce:
+                acc = acc + ce
+        result = result + acc * ginv
+    return result
+
+
+BITWISE = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+coefficients = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def term_dicts(draw):
+    """Coefficients on up to 20 exponents in [-30, 30], in drawn (unsorted) key order."""
+    exps = draw(st.lists(st.integers(-30, 30), unique=True, max_size=20))
+    return {e: complex(draw(finite), draw(finite)) for e in exps}
+
+
+@BITWISE
+@given(term_dicts(), st.lists(st.complex_numbers(min_magnitude=0.05, max_magnitude=3,
+                                                 allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=8))
+def test_evaluate_matches_scalar_sum_bitwise(coeffs, zs):
+    f = L(coeffs, min_exp=min(coeffs, default=0))
+    oracle = float_hex([scalar_evaluate(f, complex(z)) for z in zs])
+    assert float_hex(f.evaluate(np.array(zs))) == oracle
+    assert float_hex([f.evaluate(z) for z in zs]) == oracle
+
+
+def test_evaluate_signed_zeros_bitwise():
+    # points and coefficients on the axes, where only the exact CPython
+    # operation order gives the oracle's signs of zero, and points on the
+    # diagonals, where the two branches of Smith's quotient meet
+    f = L({-3: -0.0 + 2j, 0: 1.0 - 0.0j, 2: -1.0 + 0j, 5: 0.5j, -1: -2.0}, -3)
+    zs = np.array([0.5j, -0.5j, complex(-0.0, 0.7), complex(0.7, -0.0), -0.3, 1.0,
+                   0.5 + 0.5j, -0.5 + 0.5j, 0.25 - 0.25j])
+    oracle = float_hex([scalar_evaluate(f, complex(z)) for z in zs])
+    assert float_hex(f.evaluate(zs)) == oracle
+    assert float_hex([f.evaluate(complex(z)) for z in zs]) == oracle
+
+
+def test_evaluate_return_types():
+    # a scalar in gives a Python complex out; an array gives an array of its shape
+    f = L({-2: 1.5 - 1j, 0: 2.0, 3: 0.25j}, -2)
+    grid = np.full((3, 4), 0.3 + 0.1j)
+    assert type(f.evaluate(0.3 + 0.1j)) is complex
+    assert type(f.evaluate(np.complex128(0.3 + 0.1j))) is complex
+    assert type(f.evaluate(2)) is complex
+    out = f.evaluate(grid)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 4) and out.dtype == complex
+    assert float_hex(out) == float_hex([scalar_evaluate(f, 0.3 + 0.1j)] * 12)
+    zero = L.zero()
+    assert type(zero.evaluate(0.5)) is complex and zero.evaluate(0.5) == 0
+    assert zero.evaluate(grid).shape == (3, 4) and not zero.evaluate(grid).any()
+    # CPython refuses 0 ** -k; so does the array path, at any point of the array
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate(np.array([0.5, 0.0]))
+
+
+@st.composite
+def compose_inputs(draw):
+    """(f, g) with exponents of f in [-3, 14] and g of order 1..6, g's floor in [0, ord g]."""
+    f = draw(st.dictionaries(st.integers(-3, 14), coefficients, max_size=12))
+    f = L(f, min_exp=min(f, default=0),
+          trunc_order=draw(st.one_of(st.just(EXACT), st.integers(max(f, default=0), 20))))
+    g = draw(st.dictionaries(st.integers(1, 6), coefficients, min_size=1, max_size=6))
+    g = L(g)
+    assume(not g.is_zero())
+    g = L(g.coeffs, min_exp=draw(st.integers(0, g.order())),
+          trunc_order=draw(st.integers(max(g.coeffs), 12)))
+    return f, g
+
+
+@BITWISE
+@given(compose_inputs())
+def test_compose_matches_uncut_horner(fg):
+    # the terms compose skips reach no coefficient of the result's window, and
+    # skipping them moves neither a bit, nor the key order, nor the window
+    f, g = fg
+    assert series_hex(f.compose(g)) == series_hex(uncut_compose(f, g))
+
+
+def test_compose_window_of_negative_truncation():
+    # f = z^-2 known to z^-2 and g = z^2 + O(z^5): the first unknown term of
+    # f, c z^-1, starts at c z^-2 once substituted, so the result is known to
+    # z^-3 only
+    f = L({-2: 1.0}, -2, -2)
+    g = L({2: 1.0}, 2, 4)
+    assert f.compose(g).trunc_order == -3
+
+
+@SOUNDNESS
+@given(windows(st.integers(-2, 3), finite=False), windows(st.integers(1, 2)),
+       st.integers(1, 3))
+def test_compose_window_sound_for_floor_below_zero(fa, gb, drop):
+    # a floor of g below 0 makes the windows of the Horner products looser
+    # with each product, so the uncut Horner sum reports a narrower window
+    # than compose; the one compose reports is sound
+    (f, f_full), (g, g_full) = fa, gb
+    g = L(g.coeffs, -drop, g.trunc_order)
     comp = f.compose(g)
     _assert_sound(comp, _exact_compose(f_full, g_full, comp.trunc_order))
