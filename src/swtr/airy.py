@@ -384,14 +384,9 @@ def default_index_bound(g, n):
     return 6 * g + 2 * n - 4
 
 
-def default_kmax(chi_max):
-    """Mode cutoff covering every pole order the recursion reaches.
-
-    6 g_max + 2 n_max + 3 with g_max = (chi_max + 1) // 2 and
-    n_max = chi_max + 2; exceeding the per-cell support bounds by a margin so
-    internal contractions never hit the cutoff.
-    """
-    return 6 * ((chi_max + 1) // 2) + 2 * (chi_max + 2) + 3
+def max_index_bound(chi_max):
+    """Largest 6g + 2n - 4 of the cells up to chi_max; even, so one above the top odd mode."""
+    return max(default_index_bound(g, n) for g, n in recursion_cells(chi_max))
 
 
 class SgnTable:

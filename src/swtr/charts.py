@@ -48,7 +48,6 @@ class StandardChart:
     z_of_etabar: LaurentSeries
     dz_detabar: LaurentSeries
     y_curve: LaurentSeries        # sheet-signed y along the curve, in etabar
-    y_of_etabar: LaurentSeries    # chart normal-form coordinate; equals etabar
     ds_detabar: LaurentSeries
     eps_alpha: float
     extraction_radius: float
@@ -104,10 +103,6 @@ def _build_one_chart(curve, i, order):
     # dS / detabar = 2 z eta (d eta / d etabar) / y  on the upper sheet
     ds_detabar = (z_of_etabar * eta_of_etabar * eta_of_etabar.derivative()
                   ).scale(2.0) / y_curve
-    # chart normal-form coordinate along the curve
-    z_even = z_of_eta - z_odd
-    ratio = (z_of_eta - z_even) / z_odd
-    y_of_etabar = ratio.compose(eta_of_etabar) * LaurentSeries.monomial(1.0, 1)
 
     # distance to the nearest other critical value in the etabar metric
     d_min = abs(etabar_plus.get(1)) * critical_value_gap(curve, i) ** 0.5
@@ -117,7 +112,7 @@ def _build_one_chart(curve, i, order):
         p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus,
         f_series=f_series, eta_of_etabar=eta_of_etabar,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
-        y_of_etabar=y_of_etabar, ds_detabar=ds_detabar,
+        ds_detabar=ds_detabar,
         eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
 
 
@@ -129,7 +124,7 @@ def _lower_sheet(curve, upper):
     dz/detabar also change sign, from the sheet of y and from the chain rule.
     The series of the upper chart in etabar have exact parity, so these flips
     give the same coefficients, bitwise, as composing z_of_eta and y_plus with
-    -eta_of_etabar.  Series in eta and the normal form are shared.
+    -eta_of_etabar.  Series in eta are shared.
     """
     y0, w_val = _sheet_point(curve, upper.p0, complex(upper.y_plus.get(0)), -1)
     return replace(
@@ -196,9 +191,8 @@ def _validate_chart(ch, order):
     pts = r * np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8)
     _, even = ch.ds_detabar.parity_split()
     checks = (
-        # normal form: the chart coordinate along the curve is etabar itself
-        ("normal form", ch.y_of_etabar.evaluate(pts), pts),
-        # one-form identity: even part of dS/detabar equals 2 etabar^2
+        # one-form identity: even part of dS/detabar equals 2 etabar^2, that
+        # is, the chart puts the curve in the normal form y = etabar
         ("one-form", even.evaluate(pts), 2.0 * pts * pts),
         # F composed with the curve data returns etabar^2
         ("F round-trip", ch.f_series.evaluate(_pcompose_v(ch, order).evaluate(pts)),

@@ -38,11 +38,12 @@ from .airy import (
     build_residue_constraint_tensors,
     embed_disc,
     eval_hamiltonians,
+    max_index_bound,
     residue_constraint_entry,
     symmetry_deviation,
 )
 from .charts import local_expansions, standard_charts
-from .errors import BasisMismatch, SwtrError
+from .errors import BasisMismatch, SwtrError, TruncationInsufficient
 from .hyperelliptic import (
     BergmanData,
     CycleBasis,
@@ -86,7 +87,6 @@ class VerifyConfig:
     delta_a: tuple = (1e-3, 5e-4)
     chi_max: int = 1
     series_order: int = 44
-    k_bound: int = 7
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 11
     check_n4: bool = False
@@ -100,18 +100,29 @@ class VerifyConfig:
         if any(t <= 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
 
+    @property
+    def chi(self):
+        """Euler characteristic the run recurses to: chi_max, at least 2 for the n = 4 check."""
+        return max(self.chi_max, 2 if self.check_n4 else 1)
+
     @classmethod
     def from_dict(cls, raw):
-        """Config from parsed JSON; absent keys keep the field defaults."""
+        """Config from parsed JSON; absent keys keep defaults, unknown ones raise ValueError."""
         parse = {
             "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
             "Lambda": _to_complex, "delta_a": lambda v: tuple(float(h) for h in v),
-            "chi_max": int, "series_order": int, "k_bound": int, "seed": int,
+            "chi_max": int, "series_order": int, "seed": int,
             "check_n4": bool, "out_dir": str,
         }
+        raw_tols = dict(raw.get("tolerances", {}))
+        for what, names, allowed in (("config keys", raw, {*parse, "tolerances"}),
+                                     ("tolerance names", raw_tols, DEFAULT_TOLERANCES)):
+            unknown = sorted(set(names) - set(allowed))
+            if unknown:
+                raise ValueError(f"unknown {what} {unknown}; known: {sorted(allowed)}")
         known = {k: conv(raw[k]) for k, conv in parse.items() if k in raw}
         tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update({k: float(v) for k, v in dict(raw.get("tolerances", {})).items()})
+        tolerances.update({k: float(v) for k, v in raw_tols.items()})
         return cls(tolerances=tolerances, **known)
 
 
@@ -257,7 +268,8 @@ def bperiod_contract(table, c_coeffs, genus):
 
         M_{j1..jn} = (2 pi i)^n sum_T S_{g,n;(k,a)...} prod c^{k_t,a_t}_{j_t},
 
-    fully symmetric in the j's.  The table must carry bergman-basis data.
+    fully symmetric in the j's.  The table must carry bergman-basis data, and
+    ``c_coeffs`` every mode of the table.
 
     Each stored entry stands for all its distinct index permutations, so it
     is contracted once in its sorted order, weighted by their number, and the
@@ -266,11 +278,11 @@ def bperiod_contract(table, c_coeffs, genus):
     if table.basis_tag != "bergman":
         raise BasisMismatch(f"need a bergman-basis table, got {table.basis_tag!r}")
     modes = table.modes
-    cmat = np.zeros((len(modes), genus), dtype=complex)
-    for mi, m in enumerate(modes):
-        vec = c_coeffs.get(m)
-        if vec is not None:
-            cmat[mi] = vec
+    missing = [m for m in modes if m not in c_coeffs]
+    if missing:
+        raise TruncationInsufficient(f"no c data for table mode {missing[0]};"
+                                     f" {len(missing)} of {len(modes)} table modes lack it")
+    cmat = np.array([c_coeffs[m] for m in modes], dtype=complex)
     out = {}
     for (g, n), cell in table.entries.items():
         keys = np.array(list(cell), dtype=int).reshape(len(cell), n)
@@ -290,7 +302,10 @@ def bperiod_contract(table, c_coeffs, genus):
 # ---------------------------------------------------------------------------
 
 def reference_stages(cfg):
-    """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``."""
+    """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
+
+    s and c reach the largest table mode to cfg.chi: max_index_bound(cfg.chi) - 1.
+    """
     t0 = time.time()
     curve = new_curve(cfg.genus, cfg.u0, cfg.Lambda)
     cycles = build_cycles(curve)
@@ -298,7 +313,7 @@ def reference_stages(cfg):
     t1 = time.time()
     bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
     charts = standard_charts(curve, order=cfg.series_order)
-    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=cfg.k_bound)
+    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=max_index_bound(cfg.chi) - 1)
     seconds = {"periods_s": round(t1 - t0, 3),
                "kernel_and_charts_s": round(time.time() - t1, 3)}
     return PipelineArtifacts(curve=curve, cycles=cycles, pd=pd, bk=bk, charts=charts,
@@ -329,7 +344,7 @@ def verify_theorem(cfg):
 
     local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)),
                                      bergman_reg=dict(art.s_coeffs))
-    omega = eo_run(local_curve, max(cfg.chi_max, 2 if cfg.check_n4 else 1))
+    omega = eo_run(local_curve, cfg.chi)
     contractions = bperiod_contract(omega.table, art.c_coeffs, g)
     bp3 = contractions[(0, 3)]
     t3 = time.time()
@@ -505,7 +520,6 @@ def _parser():
     sp.add_argument("--genus", type=int, default=1)
     sp.add_argument("--u0", nargs="+", default=["0.3+0.1j"])
     sp.add_argument("--Lambda", default="1")
-    sp.add_argument("--k-bound", type=int, default=7)
     sp.add_argument("--out", default="periods.json")
 
     sp = sub.add_parser("verify-theorem", help="full pipeline from a JSON config")
@@ -552,7 +566,7 @@ def cli_main(argv=None):
 
         if args.command == "sw-periods":
             cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
-                               Lambda=_to_complex(args.Lambda), k_bound=args.k_bound)
+                               Lambda=_to_complex(args.Lambda))
             with open(args.out, "w") as fh:
                 json.dump(periods_json_payload(reference_stages(cfg)), fh,
                           indent=2, sort_keys=True)

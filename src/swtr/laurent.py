@@ -187,22 +187,35 @@ class LaurentSeries:
         if self.is_zero():
             raise DivisionByZeroSeries("inverse of the zero series")
         m = self.order()
+        return self._unit_power(-1).scale(1.0 / self.coeffs[m]).shift(-m)
+
+    def _unit_power(self, alpha):
+        """(1 + N)**alpha for self = lead z^m (1 + N), N of positive order, by the binomial series.
+
+        It ends only for a nonnegative integer alpha: for others an exact N raises.
+        """
+        m = self.order()
         lead = self.coeffs[m]
-        # N with strictly positive exponents: self = lead z^m (1 + N)
         n_trunc = _clamp(self.trunc_order - m)
         tail = {e - m: c / lead for e, c in self.coeffs.items() if e != m}
-        geom = self._wrap({0: 1.0}, 0, n_trunc)
-        if tail:
-            n_ser = self._wrap(tail, min(tail), n_trunc)
-            power = self._wrap({0: 1.0}, 0, n_trunc)
-            sign = 1.0
-            for _ in range(n_trunc // min(tail) + 1):
-                power = power * n_ser
-                sign = -sign
-                if power.is_zero():
-                    break
-                geom = geom + power.scale(sign)
-        return geom.scale(1.0 / lead).shift(-m)
+        out = self._wrap({0: 1.0}, 0, n_trunc)
+        if not tail:
+            return out
+        order_n = min(tail)
+        if self.trunc_order >= EXACT and not (alpha >= 0 and float(alpha).is_integer()):
+            raise TruncationInsufficient(
+                f"(1 + N)^{alpha} of an exactly known series with {len(self.coeffs)} terms"
+                f" has no finite window: N starts at {self.var}^{order_n}")
+        n_ser = self._wrap(tail, order_n, n_trunc)
+        power = self._wrap({0: 1.0}, 0, n_trunc)
+        binom = 1.0
+        for k in range(1, n_trunc // order_n + 2):
+            binom *= (alpha - (k - 1)) / k
+            power = power * n_ser
+            if power.is_zero() or binom == 0.0:
+                break
+            out = out + power.scale(binom)
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, LaurentSeries):
@@ -309,23 +322,7 @@ class LaurentSeries:
             raise BranchUndefined(f"leading exponent {m} incompatible with power {p}/{q}")
         lead = self.coeffs[m]
         root = cmath.exp((p / q) * cmath.log(lead)) * cmath.exp(2j * cmath.pi * branch / q)
-        n_trunc = _clamp(self.trunc_order - m)
-        tail = {e - m: c / lead for e, c in self.coeffs.items() if e != m}
-        out = self._wrap({0: 1.0}, 0, n_trunc)
-        if tail:
-            n_ser = self._wrap(tail, min(tail), n_trunc)
-            power = self._wrap({0: 1.0}, 0, n_trunc)
-            alpha = p / q
-            order_n = min(tail)
-            kmax = n_trunc // order_n + 1
-            binom = 1.0
-            for k in range(1, kmax + 1):
-                binom *= (alpha - (k - 1)) / k
-                power = power * n_ser
-                if power.is_zero() or binom == 0.0:
-                    break
-                out = out + power.scale(binom)
-        return out.scale(root).shift(m * p // q)
+        return self._unit_power(p / q).scale(root).shift(m * p // q)
 
     # -- calculus -----------------------------------------------------------
 

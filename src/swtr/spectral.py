@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import (_CellRecursion, _splits, atr_run, default_index_bound, gauge_transform,
-                   recursion_cells)
+                   max_index_bound)
 from .errors import OutOfAnnulus, TruncationInsufficient
 from .laurent import LaurentSeries
 
@@ -289,7 +289,7 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
     if chi_max < 1:
         raise ValueError("chi_max must be at least 1")
     if kmax is None:
-        kmax = max(default_index_bound(g, n) for g, n in recursion_cells(chi_max))
+        kmax = max_index_bound(chi_max)
     engine = _EoEngine(curve, chi_max, kmax, extra_order)
     return OmegaGN(engine.run(), curve, engine)
 

@@ -235,16 +235,21 @@ def test_atr_truncation_guard():
         atr_run(t, chi_max=3)   # S_{1,3} needs indices up to 8 > kmax
 
 
-def test_default_kmax_covers_bounds():
-    from swtr.airy import default_index_bound, default_kmax
+def test_max_index_bound_covers_bounds():
+    from swtr.airy import default_index_bound, max_index_bound
     for chi in range(1, 6):
-        kk = default_kmax(chi)
-        for g in range(0, (chi + 1) // 2 + 1):
-            n = chi + 2 - 2 * g
-            if n >= 1:
-                assert default_index_bound(g, n) <= kk
-        t = build_residue_constraint_tensors(default_kmax(2), RAM)
-        atr_run(t, chi_max=2)   # no truncation error
+        bounds = [default_index_bound(g, c + 2 - 2 * g)
+                  for c in range(1, chi + 1) for g in range(0, (c + 1) // 2 + 1)]
+        assert max_index_bound(chi) == max(bounds)
+    atr_run(build_residue_constraint_tensors(max_index_bound(2), RAM), chi_max=2)
+    with pytest.raises(TruncationInsufficient):   # the bound is the least that works
+        atr_run(build_residue_constraint_tensors(max_index_bound(2) - 1, RAM), chi_max=2)
+
+
+def test_max_index_bound_values():
+    # one less is the largest odd table mode, which the local data must reach
+    from swtr.airy import max_index_bound
+    assert [max_index_bound(chi) - 1 for chi in (1, 2, 3, 4)] == [3, 5, 9, 11]
 
 
 def test_structure_constants():

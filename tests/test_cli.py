@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 from swtr.airy import SgnTable
+from swtr.charts import local_expansions
 from swtr.cli import (
     VerifyConfig,
     bperiod_contract,
     cli_main,
     format_index_tuple,
+    reference_stages,
     verify_theorem,
 )
-from swtr.errors import BasisMismatch
+from swtr.errors import BasisMismatch, TruncationInsufficient
 from swtr.spectral import LocalSpectralCurve, eo_run
 
 
@@ -52,6 +54,26 @@ def test_bad_config_exits_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]], "chi_max": 0}))
     assert cli_main(["verify-theorem", "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("raw, named", [
+    ({"k_bound": 7}, "['k_bound']"),
+    ({"chi_max": 2, "kbound": 7, "nfft": 128}, "['kbound', 'nfft']"),
+    ({"tolerances": {"theorem_rel": 1e-4, "extraction": 1e-9}}, "['extraction']"),
+])
+def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
+    # a key the config does not know (k_bound among them) is refused by name,
+    # not ignored
+    with pytest.raises(ValueError, match=re.escape(named)):
+        VerifyConfig.from_dict({"genus": 1, "u0": [[0.3, 0.1]], **raw})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]], **raw}))
+    assert cli_main(["verify-theorem", "--config", str(p)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_sw_periods_has_no_k_bound_flag(tmp_path):
+    assert cli_main(["sw-periods", "--k-bound", "7", "--out", str(tmp_path / "p.json")]) == 2
 
 
 def test_extended_precision_unsupported(tmp_path):
@@ -145,15 +167,25 @@ def test_determinism_of_reports():
 def test_bperiod_contract_zero_and_mismatch():
     table = SgnTable([(1, "0"), (3, "0")], basis_tag="bergman")
     table.entries[(0, 3)] = {}
-    out = bperiod_contract(table, {(1, "0"): np.zeros(1, dtype=complex)}, 1)
+    zero_c = {m: np.zeros(1, dtype=complex) for m in table.modes}
+    out = bperiod_contract(table, zero_c, 1)
     assert np.max(np.abs(out[(0, 3)])) == 0
     # all-zero c
     table.entries[(0, 3)] = {(0, 0, 0): 0.5}
-    out = bperiod_contract(table, {(1, "0"): np.zeros(1, dtype=complex)}, 1)
+    out = bperiod_contract(table, zero_c, 1)
     assert np.max(np.abs(out[(0, 3)])) == 0
     table.basis_tag = "canonical"
     with pytest.raises(BasisMismatch):
         bperiod_contract(table, {}, 1)
+
+
+def test_bperiod_contract_refuses_missing_c_mode():
+    # a table mode without c data is an error naming the mode, not a zero row
+    table = SgnTable([(1, "0"), (3, "0"), (5, "0")], basis_tag="bergman")
+    table.entries[(0, 3)] = {(0, 0, 2): 0.5}
+    c = {(1, "0"): np.ones(1, dtype=complex), (3, "0"): np.ones(1, dtype=complex)}
+    with pytest.raises(TruncationInsufficient, match=re.escape("table mode (5, '0')")):
+        bperiod_contract(table, c, 1)
 
 
 def _dense_contract(table, c_coeffs, genus):
@@ -181,6 +213,7 @@ def test_bperiod_contract_matches_dense_expansion(n):
     table.entries[(0, n)] = {keys[int(p)]: complex(*rng.standard_normal(2)) for p in picks}
     table.entries[(1, 1)] = {(2,): 0.3 - 0.1j}
     c_coeffs = {m: rng.standard_normal(3) + 1j * rng.standard_normal(3) for m in modes[:-1]}
+    c_coeffs[modes[-1]] = np.zeros(3, dtype=complex)
     got = bperiod_contract(table, c_coeffs, 3)
     ref = _dense_contract(table, c_coeffs, 3)
     for cell in ref:
@@ -206,6 +239,28 @@ def test_bperiod_contract_memory_genus_two_chi_three():
         tracemalloc.stop()
     assert out[(0, 5)].shape == (2,) * 5
     assert peak < 2e6
+
+
+def test_chi_three_contraction_needs_no_wider_data():
+    # g1 at chi_max = 3: the table reaches mode 9, and s and c extracted to
+    # the derived bound 9 give every cell's contraction in every bit as data
+    # extracted to 11 do; c data to 7 lacks mode 9 and is refused (contracting
+    # a zero row for it put the omega_{2,1} contraction 10.8% off)
+    art = reference_stages(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), chi_max=3))
+    assert max(k for k, _ in art.c_coeffs) == max(k for (k, _), _ in art.s_coeffs) == 9
+    wide_s, wide_c = local_expansions(art.bk, art.charts, k_bound=11)
+
+    def contract(s_coeffs, c_coeffs):
+        curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=dict(s_coeffs))
+        return bperiod_contract(eo_run(curve, 3).table, c_coeffs, 1)
+
+    got, wide = contract(art.s_coeffs, art.c_coeffs), contract(wide_s, wide_c)
+    assert sorted(got) == sorted(wide) and len(got) == 7
+    for cell in got:
+        assert got[cell].tobytes() == wide[cell].tobytes(), cell
+    short_c = {m: v for m, v in art.c_coeffs.items() if m[0] <= 7}
+    with pytest.raises(TruncationInsufficient, match=re.escape("table mode (9, (0, -1))")):
+        contract(art.s_coeffs, short_c)
 
 
 def test_format_index_tuple():

@@ -12,6 +12,7 @@ from swtr.errors import (
     DivisionByZeroSeries,
     NonzeroResidue,
     NotInvertible,
+    TruncationInsufficient,
 )
 from swtr.laurent import (
     EXACT,
@@ -593,3 +594,57 @@ def test_compose_window_sound_for_floor_below_zero(fa, gb, drop):
     g = L(g.coeffs, -drop, g.trunc_order)
     comp = f.compose(g)
     _assert_sound(comp, _exact_compose(f_full, g_full, comp.trunc_order))
+
+
+# ---------------------------------------------------------------------------
+# one binomial loop for inverse and pow_frac
+# ---------------------------------------------------------------------------
+
+def geometric_inverse(f):
+    """1/f = z^-m / lead * sum (-N)^k for f = lead z^m (1 + N): the oracle of ``inverse``."""
+    m = f.order()
+    lead = f.coeffs[m]
+    n_trunc = min(f.trunc_order - m, EXACT)
+    tail = {e - m: c / lead for e, c in f.coeffs.items() if e != m}
+    geom = L({0: 1.0}, 0, n_trunc)
+    if tail:
+        n_ser = L(tail, min(tail), n_trunc)
+        power = L({0: 1.0}, 0, n_trunc)
+        sign = 1.0
+        for _ in range(n_trunc // min(tail) + 1):
+            power = power * n_ser
+            sign = -sign
+            if power.is_zero():
+                break
+            geom = geom + power.scale(sign)
+    return geom.scale(1.0 / lead).shift(-m)
+
+
+@st.composite
+def invertible(draw):
+    """A series with exponents in [-3, 8], a lead of modulus >= 0.1 and a finite window."""
+    m = draw(st.integers(-3, 3))
+    tail = draw(st.dictionaries(st.integers(m + 1, 8), coefficients, max_size=8))
+    lead = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                                   allow_nan=False, allow_infinity=False))
+    return L({m: lead, **tail}, m, draw(st.integers(max(tail, default=m), 14)))
+
+
+@BITWISE
+@given(invertible())
+def test_inverse_matches_geometric_series_bitwise(f):
+    # the binomial factors of alpha = -1 are exactly -1.0 and 1.0, so the
+    # shared loop gives the geometric series in every bit, key and window
+    assert series_hex(f.inverse()) == series_hex(geometric_inverse(f))
+
+
+def test_exact_series_without_finite_window_raises():
+    # (1 + N)^alpha of an exactly known N ends only for a nonnegative integer
+    # alpha; otherwise the error names the term count and where N starts
+    with pytest.raises(TruncationInsufficient, match=r"with 2 terms .* N starts at z\^1"):
+        L.monomial(1.0, -1).compose(L({1: 1.0, 2: 1.0}))
+    with pytest.raises(TruncationInsufficient, match=r"with 3 terms .* N starts at z\^2"):
+        L({0: 4.0, 2: 1.0, 5: 1.0}).pow_frac(1, 2)
+    square = L({1: 1.0, 2: 1.0}).pow_frac(2, 1)
+    assert (square.coeffs, square.trunc_order) == ({2: 1.0, 3: 2.0, 4: 1.0}, EXACT)
+    assert L.monomial(2.0, 3).inverse().coeffs == {-3: 0.5}
