@@ -94,8 +94,9 @@ def _build_one_chart(curve, i, order):
     eta_of_etabar = etabar_plus.functional_inverse()
     # F(v): even part of etabar_+^2 re-indexed in v = eta^2
     etabar_sq = etabar_plus * etabar_plus
-    f_series = LaurentSeries({e // 2: c for e, c in etabar_sq.coeffs.items() if e % 2 == 0},
-                             min_exp=1, trunc_order=etabar_sq.trunc_order // 2)
+    f_series = LaurentSeries.from_list(
+        [etabar_sq.get(e) for e in range(2, etabar_sq.trunc_order + 1, 2)],
+        start=1, trunc_order=etabar_sq.trunc_order // 2)
 
     z_of_etabar = z_of_eta.compose(eta_of_etabar)
     dz_detabar = z_of_etabar.derivative()
@@ -339,12 +340,13 @@ def _sigma(mode):
     return k, (i, -sheet)
 
 
-def local_expansions(bk, charts, k_bound):
+def local_expansions(bk, charts, k_bound, s_bound=None):
     """Kernel regular-part coefficients and normalized-form Taylor data.
 
-    Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` from double
-    FFT extraction of the kernel composed with the charts (diagonal singular
-    part subtracted on equal charts), and ``c_coeffs[(k,a)]`` a genus-vector
+    Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` for modes
+    k, k' <= s_bound (default k_bound) from double FFT extraction of the
+    kernel composed with the charts (diagonal singular part subtracted on
+    equal charts), and ``c_coeffs[(k,a)]`` for k <= k_bound, a genus-vector
     with the expansion coefficients of every normalized form.  Every
     extracted coefficient is checked against a second extraction on a smaller
     circle.
@@ -357,6 +359,7 @@ def local_expansions(bk, charts, k_bound):
     symmetry gate still compares independent extractions for them.
     """
     pd = bk.pd
+    s_bound = k_bound if s_bound is None else s_bound
     labels = sorted(charts)
     upper = [lab for lab in labels if lab[1] == 1]
     nodes = _node_cache(charts, _LOCAL_NFFT)
@@ -368,7 +371,7 @@ def local_expansions(bk, charts, k_bound):
     noise = {}
     for lab1 in upper:
         for lab2 in labels:
-            s1, floor = _extract_s(bk, charts, nodes, lab1, lab2, k_bound)
+            s1, floor = _extract_s(bk, charts, nodes, lab1, lab2, s_bound)
             s_upper.update(s1)
             noise.update(floor)
 
@@ -382,8 +385,8 @@ def local_expansions(bk, charts, k_bound):
             else:
                 c_coeffs[key] = (-1.0) ** (k + 1) * c_upper[_sigma(key)]
         for lab2 in labels:
-            for k in range(1, k_bound + 1):
-                for kp in range(1, k_bound + 1):
+            for k in range(1, s_bound + 1):
+                for kp in range(1, s_bound + 1):
                     key = ((k, lab1), (kp, lab2))
                     if lab1[1] == 1:
                         s_coeffs[key] = s_upper[key]

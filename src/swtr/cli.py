@@ -304,7 +304,10 @@ def bperiod_contract(table, c_coeffs, genus):
 def reference_stages(cfg):
     """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
 
-    s and c reach the largest table mode to cfg.chi: max_index_bound(cfg.chi) - 1.
+    c reaches the largest table mode to cfg.chi, max_index_bound(cfg.chi) - 1,
+    which the B-period contraction reads.  s reaches two modes less, the
+    largest mode of the cells one step below; the table does not depend on
+    s beyond it.
     """
     t0 = time.time()
     curve = new_curve(cfg.genus, cfg.u0, cfg.Lambda)
@@ -313,7 +316,8 @@ def reference_stages(cfg):
     t1 = time.time()
     bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
     charts = standard_charts(curve, order=cfg.series_order)
-    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=max_index_bound(cfg.chi) - 1)
+    bound = max_index_bound(cfg.chi)
+    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=bound - 1, s_bound=bound - 3)
     seconds = {"periods_s": round(t1 - t0, 3),
                "kernel_and_charts_s": round(time.time() - t1, 3)}
     return PipelineArtifacts(curve=curve, cycles=cycles, pd=pd, bk=bk, charts=charts,

@@ -6,7 +6,9 @@ coefficients above ``trunc_order`` are *unknown*, not zero.  Every operation
 computes the tightest sound output window, so downstream consumers can trust
 any coefficient they can read.  Convergence annuli are replaced by this
 explicit truncation bookkeeping; all numerical tolerances downstream absorb
-the resulting truncation error.
+the resulting truncation error.  The terms are one complex array from the
+first to the last nonzero coefficient, never out to ``trunc_order``; an exact
+zero inside it is an absent term.  Products are ``np.convolve`` cut to the window.
 
 :class:`SeriesDifferential` wraps a series ``f`` interpreted as ``f(z) dz``.
 It carries the residue, the formal primitive, the symplectic pairing
@@ -17,6 +19,7 @@ It carries the residue, the formal primitive, the symplectic pairing
 from __future__ import annotations
 
 import cmath
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,39 +42,63 @@ def _clamp(order):
     return EXACT if order >= EXACT else order
 
 
-def _reciprocal(wr, wi):
-    """CPython's Smith quotient (1 + 0i) / (wr + i wi), elementwise in float64."""
-    if not np.all(np.maximum(np.abs(wr), np.abs(wi))):
-        raise ZeroDivisionError("0.0 to a negative or complex power")
-    by_real = np.abs(wr) >= np.abs(wi)
-    num, den = np.where(by_real, wi, wr), np.where(by_real, wr, wi)
+def _quotient(ar, ai, br, bi):
+    """CPython's Smith quotient (ar + i ai) / (br + i bi), elementwise in float64."""
+    if not np.all(np.maximum(np.abs(br), np.abs(bi))):
+        raise ZeroDivisionError("complex division by zero")
+    by_real = np.abs(br) >= np.abs(bi)
+    num, den = np.where(by_real, bi, br), np.where(by_real, br, bi)
     ratio = num / den
     denom = den + num * ratio
-    real = np.where(by_real, 1.0 + 0.0 * ratio, ratio + 0.0) / denom
-    imag = np.where(by_real, 0.0 - ratio, 0.0 * ratio - 1.0) / denom
+    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
     return real, imag
 
 
-class LaurentSeries:
-    """Laurent series sum_k c_k z**k known on the window [min_exp, trunc_order]."""
+def _horner(poly, x):
+    """sum poly[i] x**i for i >= 0 by Horner's rule from the top term; absent keys are zero."""
+    top = max(poly)
+    acc = LaurentSeries({0: poly[top]}, 0, EXACT, var=x.var)
+    for i in range(top - 1, -1, -1):
+        acc = acc * x
+        if poly.get(i):
+            acc = acc + poly[i]
+    return acc
 
-    __slots__ = ("coeffs", "min_exp", "trunc_order", "var")
+
+class LaurentSeries:
+    """Laurent series sum_k c_k z**k known on [min_exp, trunc_order]; ``_c[i]`` is c_{_lo+i}."""
+
+    __slots__ = ("_c", "_lo", "min_exp", "trunc_order", "var")
 
     def __init__(self, coeffs, min_exp=None, trunc_order=EXACT, var="z"):
         trunc_order = _clamp(trunc_order)
-        data = {}
-        for e, c in dict(coeffs).items():
-            if c != 0 and e <= trunc_order:
-                data[int(e)] = complex(c)
+        terms = {int(e): complex(c) for e, c in dict(coeffs).items() if c and e <= trunc_order}
+        lo = min(terms, default=0)
+        arr = np.zeros(max(terms, default=lo - 1) - lo + 1, dtype=complex)
+        arr[[e - lo for e in terms]] = list(terms.values())
         if min_exp is None:
-            min_exp = min(data) if data else 0
-        for e in data:
-            if e < min_exp:
-                raise ValueError("coefficient below the declared window floor")
-        self.coeffs = data
-        self.min_exp = int(min_exp)
-        self.trunc_order = trunc_order
-        self.var = var
+            min_exp = lo
+        elif terms and lo < min_exp:
+            raise ValueError("coefficient below the declared window floor")
+        self._set(arr, lo, min_exp, trunc_order, var)
+
+    def _set(self, arr, lo, min_exp, trunc_order, var):
+        """Store ``arr`` (from z**lo) cut to the window and trimmed to its nonzero span."""
+        trunc_order = _clamp(trunc_order)
+        nz = arr[:max(trunc_order - lo + 1, 0)].nonzero()[0]
+        self._c, self._lo = (arr[nz[0]:nz[-1] + 1], lo + int(nz[0])) if len(nz) else (arr[:0], 0)
+        self.min_exp, self.trunc_order, self.var = int(min_exp), trunc_order, var
+
+    def _wrap(self, arr, lo, min_exp, trunc_order):
+        out = object.__new__(LaurentSeries)
+        out._set(arr, lo, min_exp, trunc_order, self.var)
+        return out
+
+    def _window(self, min_exp, trunc_order):
+        """The terms from z**min_exp on, declared known on [min_exp, trunc_order]."""
+        start = max(min_exp - self._lo, 0)
+        return self._wrap(self._c[start:], self._lo + start, min_exp, trunc_order)
 
     # -- constructors ------------------------------------------------------
 
@@ -88,63 +115,70 @@ class LaurentSeries:
         """Series sum coeffs[i] z**(start+i); trunc defaults to the last listed exponent."""
         if trunc_order is None:
             trunc_order = start + len(coeffs) - 1
-        return cls({start + i: c for i, c in enumerate(coeffs)},
-                   min_exp=start, trunc_order=trunc_order, var=var)
+        return cls(dict(enumerate(coeffs, start)), min_exp=start, trunc_order=trunc_order, var=var)
 
     # -- access ------------------------------------------------------------
 
     def get(self, exp):
-        """Coefficient at ``exp``; zero outside the stored support (lenient)."""
-        return self.coeffs.get(exp, 0j)
+        """Coefficient at ``exp``, a Python complex; zero outside the stored support (lenient)."""
+        i = exp - self._lo
+        if 0 <= i < len(self._c):
+            c = self._c.item(i)
+            if c:
+                return c
+        return 0j
 
     def coeff(self, exp):
         """Coefficient at ``exp``; raises if the exponent is beyond the window."""
         if exp > self.trunc_order:
             raise TruncationInsufficient(
                 f"coefficient at {self.var}^{exp} beyond truncation order {self.trunc_order}")
-        return self.coeffs.get(exp, 0j)
+        return self.get(exp)
 
-    def __getitem__(self, exp):
-        return self.coeff(exp)
+    __getitem__ = coeff
 
-    def order(self):
-        """Lowest exponent with a nonzero coefficient (None for zero series)."""
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.coeffs
+    @property
+    def coeffs(self):
+        """Read-only {exponent: coefficient} of the nonzero terms, in ascending exponent order."""
+        nz = np.flatnonzero(self._c)
+        return MappingProxyType(dict(zip((nz + self._lo).tolist(), self._c[nz].tolist())))
 
     def items(self):
         return self.coeffs.items()
 
+    def order(self):
+        """Lowest exponent with a nonzero coefficient (None for zero series)."""
+        return self._lo if len(self._c) else None
+
+    def max_abs(self):
+        return float(np.abs(self._c).max(initial=0.0))
+
+    def is_zero(self):
+        return not len(self._c)
+
     def __repr__(self):
-        terms = sorted(self.coeffs)[:6]
-        body = " + ".join(f"({self.coeffs[e]:.3g}){self.var}^{e}" for e in terms)
-        more = " + ..." if len(self.coeffs) > 6 else ""
+        terms = list(self.items())
+        body = " + ".join(f"({c:.3g}){self.var}^{e}" for e, c in terms[:6])
+        more = " + ..." if len(terms) > 6 else ""
         return f"<LaurentSeries {body or '0'}{more} | window [{self.min_exp},{self.trunc_order}]>"
 
     # -- ring operations ----------------------------------------------------
 
-    def _wrap(self, coeffs, min_exp, trunc_order):
-        return LaurentSeries(coeffs, min_exp=min_exp, trunc_order=trunc_order, var=self.var)
-
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
-            other = LaurentSeries({0: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0j) + c
-        return self._wrap(out, min(self.min_exp, other.min_exp),
+            other = self._wrap(np.array([complex(other)]), 0, 0, EXACT)
+        parts = [(s._c, s._lo) for s in (self, other) if len(s._c)]
+        lo = min((first for _, first in parts), default=0)
+        out = np.zeros(max((first + len(c) for c, first in parts), default=lo) - lo, dtype=complex)
+        for c, first in parts:
+            out[first - lo:first - lo + len(c)] += c
+        return self._wrap(out, lo, min(self.min_exp, other.min_exp),
                           min(self.trunc_order, other.trunc_order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self.coeffs.items()},
-                          self.min_exp, self.trunc_order)
+        return self._wrap(-self._c, self._lo, self.min_exp, self.trunc_order)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentSeries) else -complex(other))
@@ -153,16 +187,11 @@ class LaurentSeries:
         return (-self) + other
 
     def scale(self, factor):
-        factor = complex(factor)
-        if factor == 0:
-            return self._wrap({}, self.min_exp, self.trunc_order)
-        return self._wrap({e: factor * c for e, c in self.coeffs.items()},
-                          self.min_exp, self.trunc_order)
+        return self._wrap(complex(factor) * self._c, self._lo, self.min_exp, self.trunc_order)
 
     def shift(self, k):
         """Multiply by z**k."""
-        return self._wrap({e + k: c for e, c in self.coeffs.items()},
-                          self.min_exp + k, _clamp(self.trunc_order + k))
+        return self._wrap(self._c, self._lo + k, self.min_exp + k, _clamp(self.trunc_order + k))
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -172,13 +201,11 @@ class LaurentSeries:
         else:
             trunc = min(_clamp(self.trunc_order + other.min_exp),
                         _clamp(other.trunc_order + self.min_exp))
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= trunc:
-                    out[e] = out.get(e, 0j) + c1 * c2
-        return self._wrap(out, self.min_exp + other.min_exp, trunc)
+        a, b, lo = self._c, other._c, self._lo + other._lo
+        # the outputs up to trunc need no operand term beyond the first n
+        n = min(len(a) + len(b) - 1, trunc - lo + 1) if len(a) and len(b) else 0
+        out = np.convolve(a[:n], b[:n])[:n] if n > 0 else a[:0]
+        return self._wrap(out, lo, self.min_exp + other.min_exp, trunc)
 
     __rmul__ = __mul__
 
@@ -186,30 +213,31 @@ class LaurentSeries:
         """Multiplicative inverse; requires a nonzero leading coefficient."""
         if self.is_zero():
             raise DivisionByZeroSeries("inverse of the zero series")
-        m = self.order()
-        return self._unit_power(-1).scale(1.0 / self.coeffs[m]).shift(-m)
+        return self._unit_power(-1).scale(1.0 / self._c.item(0)).shift(-self._lo)
 
     def _unit_power(self, alpha):
         """(1 + N)**alpha for self = lead z^m (1 + N), N of positive order, by the binomial series.
 
         It ends only for a nonnegative integer alpha: for others an exact N raises.
         """
-        m = self.order()
-        lead = self.coeffs[m]
-        n_trunc = _clamp(self.trunc_order - m)
-        tail = {e - m: c / lead for e, c in self.coeffs.items() if e != m}
-        out = self._wrap({0: 1.0}, 0, n_trunc)
-        if not tail:
+        c, lead = self._c, self._c.item(0)
+        n_trunc = _clamp(self.trunc_order - self._lo)
+        out = self._wrap(np.ones(1, dtype=complex), 0, 0, n_trunc)
+        tail = np.empty(len(c) - 1, dtype=complex)
+        if len(tail):
+            tail.real, tail.imag = _quotient(c.real[1:], c.imag[1:], lead.real, lead.imag)
+        n_ser = self._wrap(tail, 1, 1, n_trunc)
+        if n_ser.is_zero():
             return out
-        order_n = min(tail)
+        n_ser = n_ser._window(n_ser.order(), n_trunc)
         if self.trunc_order >= EXACT and not (alpha >= 0 and float(alpha).is_integer()):
             raise TruncationInsufficient(
-                f"(1 + N)^{alpha} of an exactly known series with {len(self.coeffs)} terms"
-                f" has no finite window: N starts at {self.var}^{order_n}")
-        n_ser = self._wrap(tail, order_n, n_trunc)
-        power = self._wrap({0: 1.0}, 0, n_trunc)
+                f"(1 + N)^{alpha} of an exactly known series with"
+                f" {np.count_nonzero(c)} terms"
+                f" has no finite window: N starts at {self.var}^{n_ser.min_exp}")
+        power = out
         binom = 1.0
-        for k in range(1, n_trunc // order_n + 2):
+        for k in range(1, n_trunc // n_ser.min_exp + 2):
             binom *= (alpha - (k - 1)) / k
             power = power * n_ser
             if power.is_zero() or binom == 0.0:
@@ -230,7 +258,7 @@ class LaurentSeries:
             raise TypeError("use pow_frac for fractional powers")
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentSeries({0: 1.0}, 0, self.trunc_order if n else EXACT, var=self.var)
+        result = self._wrap(np.ones(1, dtype=complex), 0, 0, self.trunc_order if n else EXACT)
         base = self
         while n:
             if n & 1:
@@ -257,52 +285,38 @@ class LaurentSeries:
             raise ValueError("composition requires g with order >= 1")
         t = self.trunc_order
         trunc = min(t, (t + 1) * og - 1, g.trunc_order)
-        neg = {e: c for e, c in self.coeffs.items() if e < 0}
-        pos = {e: c for e, c in self.coeffs.items() if 0 <= e and e * og <= trunc}
+        neg = {e: c for e, c in self.items() if e < 0}
+        pos = {e: c for e, c in self.items() if 0 <= e and e * og <= trunc}
         result = LaurentSeries.zero(trunc_order=trunc, var=g.var)
         if pos:
-            top = max(pos)
-            acc = LaurentSeries({0: pos.get(top, 0j)}, 0, EXACT, var=g.var)
-            for e in range(top - 1, -1, -1):
-                acc = acc * g
-                ce = pos.get(e, 0j)
-                if ce:
-                    acc = acc + ce
-            result = result + acc
+            result = result + _horner(pos, g)
         if neg:
             # Horner in 1/g, ascending from the most negative exponent
             ginv = g.inverse()
-            bot = min(neg)
-            acc = LaurentSeries({0: neg.get(bot, 0j)}, 0, EXACT, var=g.var)
-            for e in range(bot + 1, 0):
-                acc = acc * ginv
-                ce = neg.get(e, 0j)
-                if ce:
-                    acc = acc + ce
-            result = result + acc * ginv
+            result = result + _horner({-1 - e: c for e, c in neg.items()}, ginv) * ginv
         return result
 
     def functional_inverse(self):
         """Series h with self(h(z)) = z up to truncation; needs c1 != 0."""
         if self.get(0) != 0 or self.get(1) == 0:
             raise NotInvertible("functional inverse needs f = c1 z + O(z^2), c1 != 0")
-        target = min(self.trunc_order, EXACT - 1)
-        c1 = self.get(1)
-        h = LaurentSeries({1: 1.0 / c1}, 1, 1, var=self.var)
+        terms, exact = np.count_nonzero(self._c), self.trunc_order >= EXACT
+        if exact and terms > 1:
+            raise TruncationInsufficient(f"functional inverse of an exactly known series"
+                                         f" with {terms} terms has no finite window")
+        h = LaurentSeries({1: 1.0 / self.get(1)}, 1, EXACT if exact else 1, var=self.var)
         deriv = self.derivative()
-        known = 1
-        while known < target:
+        known = h.trunc_order
+        while known < self.trunc_order:
             prev = known
-            known = min(2 * known, target)
-            h = LaurentSeries(h.coeffs, 1, known, var=self.var)
+            known = min(2 * known, self.trunc_order)
+            h = h._window(1, known)
             err = self.compose(h) - LaurentSeries.monomial(1.0, 1)
             # the error vanishes to order prev by Newton's quadratic convergence;
             # declaring that keeps the correction window sound up to `known`
-            err = LaurentSeries({e: c for e, c in err.coeffs.items() if e > prev},
-                                prev + 1, err.trunc_order, var=self.var)
+            err = err._window(prev + 1, err.trunc_order)
             corr = err * deriv.compose(h).inverse()
-            h = LaurentSeries({e: h.get(e) - corr.get(e)
-                               for e in range(1, known + 1)}, 1, known, var=self.var)
+            h = (h - corr)._window(1, known)
         return h
 
     def pow_frac(self, p, q, branch=0):
@@ -313,40 +327,43 @@ class LaurentSeries:
         """
         if self.is_zero():
             raise DivisionByZeroSeries("fractional power of the zero series")
-        q = int(q)
-        p = int(p)
+        p, q = int(p), int(q)
         if q <= 0:
             raise ValueError("q must be a positive integer")
         m = self.order()
         if (m * p) % q != 0:
             raise BranchUndefined(f"leading exponent {m} incompatible with power {p}/{q}")
-        lead = self.coeffs[m]
+        lead = self._c.item(0)
         root = cmath.exp((p / q) * cmath.log(lead)) * cmath.exp(2j * cmath.pi * branch / q)
         return self._unit_power(p / q).scale(root).shift(m * p // q)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self):
-        return self._wrap({e - 1: e * c for e, c in self.coeffs.items() if e != 0},
-                          self.min_exp - 1, _clamp(self.trunc_order - 1))
+        exps = np.arange(self._lo, self._lo + len(self._c))
+        return self._wrap(self._c * exps, self._lo - 1, self.min_exp - 1,
+                          _clamp(self.trunc_order - 1))
 
     def parity_split(self):
         """Return (odd, even) parts with matching windows."""
-        odd = {e: c for e, c in self.coeffs.items() if e % 2}
-        even = {e: c for e, c in self.coeffs.items() if not e % 2}
-        return (self._wrap(odd, self.min_exp, self.trunc_order),
-                self._wrap(even, self.min_exp, self.trunc_order))
+        odd, even = self._c.copy(), self._c.copy()
+        odd[self._lo % 2::2] = 0
+        even[(self._lo + 1) % 2::2] = 0
+        return (self._wrap(odd, self._lo, self.min_exp, self.trunc_order),
+                self._wrap(even, self._lo, self.min_exp, self.trunc_order))
 
     def parity_flip(self):
         """Substitute z -> -z."""
-        return self._wrap({e: c * (-1) ** (e % 2) for e, c in self.coeffs.items()},
-                          self.min_exp, self.trunc_order)
+        out = self._c.copy()
+        out[(self._lo + 1) % 2::2] = -out[(self._lo + 1) % 2::2]
+        return self._wrap(out, self._lo, self.min_exp, self.trunc_order)
 
     def evaluate(self, z):
         """The truncated sum at ``z``: a complex for a scalar, an array for an array.
 
         Every point gets, bit for bit, CPython's ``sum(c * z**e)`` over the
-        coefficients in key order (for |e| <= 100, where CPython takes integer
+        terms from the highest exponent down, smallest first inside the
+        convergence radius (for |e| <= 100, where CPython takes integer
         powers by repeated squaring).  NumPy's complex ``*`` and ``**`` can
         round differently, so the arithmetic is CPython's, written in float64:
         products are (ar br - ai bi, ar bi + ai br); z**e multiplies the powers
@@ -356,7 +373,8 @@ class LaurentSeries:
         at a time from +0.
         """
         zs = np.asarray(z, dtype=complex)
-        exps = np.fromiter(self.coeffs, dtype=int, count=len(self.coeffs))
+        nz = np.flatnonzero(self._c)[::-1]
+        exps = nz + self._lo
         mags = np.abs(exps)
         top = int(mags.max(initial=0))
         # re[n] + i im[n] = z**n, filled one block [n, 2n) per power n = 2**k
@@ -375,10 +393,9 @@ class LaurentSeries:
         wr, wi = re[mags], im[mags]
         neg = exps < 0
         if neg.any():
-            wr[neg], wi[neg] = _reciprocal(wr[neg], wi[neg])
-        shape = (-1,) + (1,) * zs.ndim
-        coeffs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(exps))
-        cr, ci = coeffs.real.reshape(shape), coeffs.imag.reshape(shape)
+            wr[neg], wi[neg] = _quotient(1.0, 0.0, wr[neg], wi[neg])
+        coeffs = self._c[nz].reshape((-1,) + (1,) * zs.ndim)
+        cr, ci = coeffs.real, coeffs.imag
         terms = np.empty((len(exps),) + zs.shape, dtype=complex)
         terms.real = cr * wr - ci * wi
         terms.imag = cr * wi + ci * wr
@@ -416,9 +433,12 @@ class SeriesDifferential:
         """Term-by-term antiderivative with zero constant; residue must vanish."""
         if not self.is_residue_free(rtol):
             raise NonzeroResidue(f"residue {self.residue():.3e} is not negligible")
-        coeffs = {e + 1: c / (e + 1) for e, c in self.base.coeffs.items() if e != -1}
-        return LaurentSeries(coeffs, self.base.min_exp + 1,
-                             _clamp(self.base.trunc_order + 1), var=self.base.var)
+        f = self.base
+        div = np.arange(f._lo + 1, f._lo + 1 + len(f._c), dtype=float)
+        div[div == 0] = np.inf          # drops the (negligible) residue term
+        out = np.empty_like(f._c)
+        out.real, out.imag = f._c.real / div, f._c.imag / div
+        return f._wrap(out, f._lo + 1, f.min_exp + 1, _clamp(f.trunc_order + 1))
 
     def __add__(self, other):
         return SeriesDifferential(self.base + other.base)
@@ -445,12 +465,7 @@ def symplectic_pairing(xi1, xi2, rtol=RESIDUE_FREE_RTOL):
     if not xi1.is_residue_free(rtol):
         raise NonzeroResidue("first argument carries a residue")
     prim = xi2.primitive(rtol)
-    total = 0j
-    for e, c in xi1.base.coeffs.items():
-        other = prim.coeffs.get(-1 - e)
-        if other is not None:
-            total += c * other
-    return total
+    return sum((c * prim.get(-1 - e) for e, c in xi1.base.items()), 0j)
 
 
 def sqrt_shift_flow(xi, a, min_exp=None):
@@ -458,7 +473,7 @@ def sqrt_shift_flow(xi, a, min_exp=None):
 
     For xi = f(z) dz the result is f(h) dh with h = sqrt(z**2 + a), expanded
     as a Laurent series on an annulus |z| > sqrt(|a|).  The output window
-    floor defaults to -(trunc_order + 4); contributions discarded below it
+    floor defaults to 40 below -|top exponent|; contributions discarded below it
     scale like a**((e - floor)/2) and are absorbed by downstream tolerances.
     Residue-free inputs map to residue-free outputs.
     """
@@ -466,29 +481,14 @@ def sqrt_shift_flow(xi, a, min_exp=None):
     f = xi.base
     if a == 0:
         return SeriesDifferential(f)
-    trunc = f.trunc_order
-    top = max((e for e in f.coeffs), default=0)
+    top = f._lo + len(f._c) - 1 if len(f._c) else 0
     if min_exp is None:
         min_exp = -(abs(top) + 40)
-    out = {}
+    out = np.zeros(max(top - min_exp + 1, 0), dtype=complex)
     # coefficient of z^e collects f[e + 2j] * binom((e + 2j - 1)/2, j) * a^j
-    for k, c in f.coeffs.items():
-        half = (k - 1) / 2.0
-        binom = 1.0
-        aj = 1.0 + 0j
-        e = k
-        j = 0
-        while e >= min_exp:
-            if j > 0:
-                binom *= (half - (j - 1)) / j
-                aj *= a
-                if binom == 0.0:
-                    break
-            val = c * binom * aj
-            if val != 0:
-                out[e] = out.get(e, 0j) + val
-            j += 1
-            e = k - 2 * j
-    base = LaurentSeries(out, min_exp=min(min_exp, min(out) if out else 0),
-                         trunc_order=trunc, var=f.var)
-    return SeriesDifferential(base)
+    for k, c in f._window(min_exp, f.trunc_order).items():
+        j = np.arange((k - min_exp) // 2 + 1)
+        binom = np.cumprod(np.concatenate(([1.0], ((k - 1) / 2.0 - j[:-1]) / j[1:])))
+        out[k - min_exp::-2] += c * binom * a ** j
+    return SeriesDifferential(f._wrap(out, min_exp, min_exp if out.any() else min(min_exp, 0),
+                                      f.trunc_order))

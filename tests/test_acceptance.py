@@ -334,7 +334,7 @@ def test_criterion_8_main_identity():
 
 
 def test_main_identity_genus_three_at_default_config():
-    # the local data reach the table's largest mode, 3 at chi_max = 1, and
+    # c reaches the table's largest mode, 3 at chi_max = 1, and s mode 1, and
     # no further: higher modes, which nothing reads, fail the s gate here
     t0 = time.time()
     rep = verify_theorem(VerifyConfig(genus=3, u0=U0_G3))
@@ -342,6 +342,22 @@ def test_main_identity_genus_three_at_default_config():
     elapsed = time.time() - t0
     _report("8 prepotential identity at genus 3", rep.passed and rel < 1e-3 and elapsed < 60.0,
             elapsed, f"worst rel err {rel:.2e}, convention {rep.metadata['matched_convention']!r}")
+
+
+def test_main_identity_genus_two_at_chi_three():
+    # c reaches the table's largest mode, 9 at chi_max = 3, and s mode 7, as
+    # far as the recursion reads it; s to 9 failed the gate at mode 8 here
+    t0 = time.time()
+    rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2, chi_max=3))
+    art = rep.artifacts
+    assert max(k for k, _ in art.c_coeffs) == 9
+    assert max(k for (k, _), _ in art.s_coeffs) == 7
+    assert {(0, 5), (1, 3), (2, 1)} <= set(rep.omega.cells())
+    rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
+    elapsed = time.time() - t0
+    _report("8 prepotential identity at genus 2, chi_max 3", rep.passed and rel < 1e-3
+            and elapsed < 60.0, elapsed,
+            f"worst rel err {rel:.2e}, convention {rep.metadata['matched_convention']!r}")
 
 
 def test_criterion_9_triviality():

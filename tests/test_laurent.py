@@ -228,6 +228,16 @@ def test_not_invertible():
         L.monomial(1.0, 2, trunc_order=8).functional_inverse()
 
 
+def test_functional_inverse_of_exact_input():
+    # exact linear input has the exact inverse z / c1; exact input with more
+    # terms has no finite window (Newton's doubling would run to EXACT) and
+    # raises, naming its term count
+    h = L({1: 2.0}).functional_inverse()
+    assert (dict(h.coeffs), h.min_exp, h.trunc_order) == ({1: 0.5}, 1, EXACT)
+    with pytest.raises(TruncationInsufficient, match="exactly known series with 2 terms"):
+        L({1: 2.0, 3: 1.0}).functional_inverse()
+
+
 # ---------------------------------------------------------------------------
 # residues, primitives, pairing
 # ---------------------------------------------------------------------------
@@ -267,11 +277,8 @@ def test_pairing_canonical_basis():
 def test_pairing_antisymmetry_bilinearity_random():
     rng = np.random.default_rng(5)
     for _ in range(6):
-        f = random_series(rng, -6, 14)
-        g = random_series(rng, -6, 14)
-        h = random_series(rng, -6, 14)
-        for s in (f, g, h):
-            s.coeffs.pop(-1, None)
+        f, g, h = (L({e: c for e, c in random_series(rng, -6, 14).items() if e != -1}, -6, 14)
+                   for _ in range(3))
         xf, xg, xh = (SeriesDifferential(s) for s in (f, g, h))
         o_fg = symplectic_pairing(xf, xg)
         o_gf = symplectic_pairing(xg, xf)
@@ -360,6 +367,9 @@ def test_parity_split_definition_random():
 
 SOUNDNESS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+coefficients = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
 
 @st.composite
 def windows(draw, min_exps, finite=True):
@@ -425,6 +435,58 @@ def test_mul_window_sound(fa, gb):
     _assert_sound(prod, _exact_mul(f_full, g_full, prod.trunc_order))
 
 
+def dict_product(f, g):
+    """The double loop over term pairs into a dict, on the product window: the oracle of ``*``."""
+    if f.trunc_order >= EXACT and g.trunc_order >= EXACT:
+        trunc = EXACT
+    else:
+        trunc = min(f.trunc_order + g.min_exp, g.trunc_order + f.min_exp, EXACT)
+    out, size = {}, {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            if e1 + e2 <= trunc:
+                out[e1 + e2] = out.get(e1 + e2, 0j) + c1 * c2
+                size[e1 + e2] = size.get(e1 + e2, 0.0) + abs(c1) * abs(c2)
+    return L(out, f.min_exp + g.min_exp, trunc), size
+
+
+@SOUNDNESS
+@given(windows(st.integers(-3, 3), finite=False), windows(st.integers(-3, 3), finite=False),
+       coefficients, coefficients)
+def test_mul_matches_dict_double_loop(fa, gb, u, v):
+    # on integer coefficients the convolve product has the oracle's window,
+    # nonzero support and values; scaled by u and v, every coefficient is
+    # within 4 eps sum |a_i||b_j| of the oracle's
+    (f, _), (g, _) = fa, gb
+    for a, b in ((f, g), (f.scale(u), g.scale(v))):
+        got, (want, size) = a * b, dict_product(a, b)
+        assert (got.min_exp, got.trunc_order) == (want.min_exp, want.trunc_order)
+        for e in set(got.coeffs) | set(want.coeffs):
+            assert abs(got.get(e) - want.get(e)) <= 4 * np.finfo(float).eps * size[e], e
+    assert dict((f * g).coeffs) == dict(dict_product(f, g)[0].coeffs)
+
+
+def test_exact_and_spread_series_stay_small():
+    # the coefficient array spans only the stored terms, never out to the
+    # window: exactly known (EXACT = 1e9) and widely spread series allocate
+    # their terms only
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        lo, hi = L.monomial(2.0, -400), L.monomial(3.0, 400)
+        spread = lo + hi
+        results = [lo * hi, spread, spread * spread, spread - hi, lo.inverse(),
+                   L.monomial(4.0, -400, trunc_order=400).inverse(), hi.shift(-800),
+                   spread.scale(0.5), spread.derivative(), L({1: 2.0}).functional_inverse()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert (dict(results[0].coeffs), results[0].trunc_order) == ({0: 6.0}, EXACT)
+    assert dict(results[2].coeffs) == {-800: 4.0, 0: 12.0, 800: 9.0}
+    assert dict(results[3].coeffs) == {-400: 2.0} and results[4].coeffs == {400: 0.5}
+
+
 @SOUNDNESS
 @given(windows(st.integers(-3, 3)))
 def test_inverse_window_sound(fa):
@@ -446,9 +508,9 @@ def test_compose_window_sound(fa, gb):
 # ---------------------------------------------------------------------------
 
 def scalar_evaluate(series, z):
-    """CPython's scalar sum of the terms in key order: the oracle of ``evaluate``."""
+    """CPython's scalar sum of the terms, highest exponent first: the oracle of ``evaluate``."""
     acc = 0j
-    for e, c in series.coeffs.items():
+    for e, c in reversed(series.coeffs.items()):
         acc = acc + c * z ** e
     return acc
 
@@ -498,9 +560,6 @@ def uncut_compose(f, g):
 
 
 BITWISE = settings(max_examples=200, derandomize=True, deadline=None, database=None)
-
-finite = st.floats(-1e3, 1e3, allow_nan=False)
-coefficients = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
