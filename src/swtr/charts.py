@@ -12,12 +12,13 @@ cube root chosen with positive leading coefficient, so etabar_- = -etabar_+.
 The induced one-form satisfies dS(etabar) - dS(-etabar) = 4 etabar^2 detabar
 exactly, which is verified coefficientwise at construction time.
 
-Local expansions extract the kernel's regular part s^{(k,a)(k',b)} and the
-Taylor data c^{k,a}_j of the normalized holomorphic forms by FFT on circles
-inside the chart annuli.  The global embedding of a nearby curve is the
-difference of its transported one-form from the reference one, expanded at
-every ramification point; its principal parts and A-periods decompose it in
-the basis of principal-part differentials plus holomorphic forms.
+Local expansions compute the kernel's regular part s^{(k,a)(k',b)} and the
+Taylor data c^{k,a}_j of the normalized holomorphic forms by truncated series
+algebra on the chart series, in one and two variables.  The global embedding
+of a nearby curve is the difference of its transported one-form from the
+reference one, expanded at every ramification point; its principal parts and
+A-periods decompose it in the basis of principal-part differentials plus
+holomorphic forms.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .airy import WElement
-from .errors import ExtractionNotConverged, OutOfNeighbourhood
-from .hyperelliptic import _cycle_periods, critical_value_gap, omega_value
-from .laurent import LaurentSeries, SeriesDifferential
+from .errors import ExtractionNotConverged, OutOfNeighbourhood, TruncationInsufficient
+from .hyperelliptic import _cycle_periods, critical_value_gap
+from .laurent import LaurentSeries, SeriesDifferential, divide_diagonal2, inverse2, mul2
 
 
 @dataclass
@@ -230,184 +231,80 @@ def _chart_nodes(ch, radius, nfft):
             ch.dz_detabar.evaluate(etab))
 
 
-def _fft_coeffs(values, radius, kmax):
-    n = len(values)
-    raw = np.fft.fft(values) / n
-    out = np.zeros(kmax + 1, dtype=complex)
-    for t in range(kmax + 1):
-        out[t] = raw[t] / radius ** t
+def _chart_rows(ch, n, f_size):
+    """Coefficients of etabar^0..etabar^(n-1) of dz/detabar, z and z^i dz/detabar / y, i < f_size.
+
+    They are read with ``coeff``, so a chart series too short for them raises.
+    """
+    series = [ch.dz_detabar, ch.z_of_etabar, ch.dz_detabar / ch.y_curve]
+    while len(series) < f_size + 2:
+        series.append(series[-1] * ch.z_of_etabar)
+    rows = np.array([[ser.coeff(e) for e in range(n)] for ser in series], dtype=complex)
+    return rows[0], rows[1], rows[2:]
+
+
+def _outer_sum(weights, rows_a, rows_b):
+    """sum weights[i, j] rows_a[i] (x) rows_b[j] over the nonzero weights, in a fixed order."""
+    out = np.zeros((rows_a.shape[1], rows_b.shape[1]), dtype=complex)
+    for i, j in zip(*np.nonzero(weights)):
+        out += weights[i, j] * np.outer(rows_a[i], rows_b[j])
     return out
 
 
-#: FFT size of the local-expansion circles
-_LOCAL_NFFT = 256
+def _regular_part(bk, rows_a, rows_b, eps):
+    """Regular part of the algebraic kernel B_0 dz1 dz2 in (etabar_a, etabar_b), as a 2-D array.
 
-
-def _node_cache(charts, nfft):
-    """nodes(lab, radius): the chart nodes of one circle, computed once."""
-    cache = {}
-
-    def nodes(lab, radius):
-        key = (lab, radius)
-        if key not in cache:
-            cache[key] = _chart_nodes(charts[lab], radius, nfft)
-        return cache[key]
-    return nodes
-
-
-def _c_gate(vec1, vec2):
-    return 1e-7 * max(1.0, float(np.max(np.abs(vec1))), float(np.max(np.abs(vec2))))
-
-
-def _s_gate(val, floor1, floor2):
-    return max(1e-9 * max(1.0, abs(val)), 100.0 * (floor1 + floor2))
-
-
-def _c_at_radius(pd, charts, nodes, lab, rfac, k_bound):
-    r = charts[lab].extraction_radius * rfac
-    etab, z, y, dz = nodes(lab, r)
-    g = pd.norm_matrix.shape[0]
-    out = {}
-    for j in range(g):
-        vals = omega_value(pd, j, z, y) * dz
-        coeffs = _fft_coeffs(vals, r, k_bound)
-        for k in range(1, k_bound + 1):
-            out.setdefault((k, lab), np.zeros(g, dtype=complex))[j] = coeffs[k - 1] / k
-    return out, r
-
-
-def _extract_c(pd, charts, nodes, lab, k_bound):
-    """c^{k,lab} for k = 1..k_bound, gated against a second, smaller circle."""
-    c1, r1 = _c_at_radius(pd, charts, nodes, lab, 1.0, k_bound)
-    c2, r2 = _c_at_radius(pd, charts, nodes, lab, 0.8, k_bound)
-    for key, vec in c1.items():
-        delta = float(np.max(np.abs(vec - c2[key])))
-        gate = _c_gate(vec, c2[key])
-        if delta > gate:
-            raise ExtractionNotConverged(
-                f"c-coefficients unstable at {key}: |delta| = {delta:.3e} between"
-                f" radii {r1:.6g} and {r2:.6g}, gate {gate:.3e}")
-    return c1
-
-
-def _s_at_radius(bk, charts, nodes, lab1, lab2, rfac, k_bound):
-    r1 = charts[lab1].extraction_radius * rfac
-    r2 = 0.7 * charts[lab2].extraction_radius * rfac
-    e1, z1, y1, dz1 = nodes(lab1, r1)
-    e2, z2, y2, dz2 = nodes(lab2, r2)
-    grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
-    grid = grid * dz1[:, None] * dz2[None, :]
-    if lab1 == lab2:
-        grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
-    scale = float(np.max(np.abs(grid)))
-    nfft = len(e1)
-    raw = np.fft.fft2(grid) / (nfft * nfft)
-    out = {}
-    floor = {}
-    for k in range(1, k_bound + 1):
-        for kp in range(1, k_bound + 1):
-            p_val = raw[k - 1, kp - 1] / (r1 ** (k - 1) * r2 ** (kp - 1))
-            key = ((k, lab1), (kp, lab2))
-            out[key] = p_val / (k * kp)
-            # double-precision extraction noise for this coefficient
-            floor[key] = (2e-16 * scale
-                          / (r1 ** (k - 1) * r2 ** (kp - 1) * k * kp))
-    return out, floor, (r1, r2)
-
-
-def _extract_s(bk, charts, nodes, lab1, lab2, k_bound):
-    """(s, noise floor) of one chart pair, gated against smaller circles.
-
-    The kernel is sampled on a grid of the two charts' circles, with the
-    diagonal singular part subtracted on equal charts.
+    B_0 dz1 dz2 = M / (z_a - z_b)^2 with M = (y1 y2 + f) z1' z2' / (2 y1 y2).  At
+    different critical points (eps None) z_a - z_b is invertible.  At the
+    same one, with eps the product of the sheets, z_a - z_b = (t1 - eps t2) D
+    and H = M / D^2 - [eps = 1] vanishes to second order on t1 = eps t2, so
+    the regular part is H / (t1 - eps t2)^2, known to three total degrees less.
     """
-    s1, floor, radii1 = _s_at_radius(bk, charts, nodes, lab1, lab2, 1.0, k_bound)
-    s2, floor2, radii2 = _s_at_radius(bk, charts, nodes, lab1, lab2, 0.85, k_bound)
-    for key, val in s1.items():
-        delta = abs(val - s2[key])
-        gate = _s_gate(val, floor[key], floor2[key])
-        if delta > gate:
-            raise ExtractionNotConverged(
-                f"s-coefficients unstable at {key}: |delta| = {delta:.3e} between"
-                f" radii ({radii1[0]:.6g}, {radii1[1]:.6g}) and"
-                f" ({radii2[0]:.6g}, {radii2[1]:.6g}), gate {gate:.3e}")
-    return s1, floor
+    (dz_a, z_a, forms_a), (dz_b, z_b, forms_b) = rows_a, rows_b
+    numer = 0.5 * (np.outer(dz_a, dz_b) + _outer_sum(bk.f_coeffs, forms_a, forms_b))
+    diff = np.zeros_like(numer)
+    diff[:, 0] = z_a
+    diff[0, :] -= z_b
+    if eps is None:
+        return mul2(numer, inverse2(mul2(diff, diff)))
+    quot = divide_diagonal2(diff, eps)
+    h = mul2(numer[:-1, :-1], inverse2(mul2(quot, quot)))
+    h[0, 0] -= eps == 1
+    return divide_diagonal2(divide_diagonal2(h, eps), eps)
 
 
-def _sigma(mode):
-    """The mode (k, (i, -sheet)) that sigma(z, y) = (z, -y) maps (k, (i, sheet)) to."""
-    k, (i, sheet) = mode
-    return k, (i, -sheet)
+def local_expansions(bk, charts, k_bound):
+    """Kernel regular-part coefficients and normalized-form Taylor data to mode k_bound.
 
-
-def local_expansions(bk, charts, k_bound, s_bound=None):
-    """Kernel regular-part coefficients and normalized-form Taylor data.
-
-    Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` for modes
-    k, k' <= s_bound (default k_bound) from double FFT extraction of the
-    kernel composed with the charts (diagonal singular part subtracted on
-    equal charts), and ``c_coeffs[(k,a)]`` for k <= k_bound, a genus-vector
-    with the expansion coefficients of every normalized form.  Every
-    extracted coefficient is checked against a second extraction on a smaller
-    circle.
-
-    Only the data whose first chart is on the upper sheet is extracted.  With
-    etabar_- = -etabar_+ and B(sigma p, sigma q) = B(p, q), the rest follows as
-    c^{k,(i,-)} = (-1)^(k+1) c^{k,(i,+)} and
-    s^{(k,(i,-))(k',(j,-b))} = (-1)^(k+k') s^{(k,(i,+))(k',(j,b))}.  Pairs
-    with one chart on each sheet stay extracted in both orders, so the
-    symmetry gate still compares independent extractions for them.
+    Returns ``(s_coeffs, c_coeffs)``: ``s_coeffs[(k,a),(k',b)]`` is
+    [t1^(k-1) t2^(k'-1)] of the kernel against detabar_a detabar_b, less
+    1/(t1 - t2)^2 on equal charts, over k k', and ``c_coeffs[(k,a)]`` is
+    [t^(k-1)] of every normalized form against detabar_a, over k, for modes
+    k, k' <= k_bound.  Both are truncated series algebra on the chart series
+    z_of_etabar, y_curve and dz_detabar; the three exact divisions of
+    ``_regular_part`` need the charts to total degree 2 k_bound + 1.  The
+    kernel's correction term adds sum corr_jl c^{k,a}_j c^{k',b}_l.  One
+    block is computed per unordered chart pair and mirrored, so s is exactly
+    symmetric.  No coefficient of a mode depends on k_bound.
     """
-    pd = bk.pd
-    s_bound = k_bound if s_bound is None else s_bound
+    norm = bk.pd.norm_matrix
     labels = sorted(charts)
-    upper = [lab for lab in labels if lab[1] == 1]
-    nodes = _node_cache(charts, _LOCAL_NFFT)
-
-    c_upper = {}
-    for lab in upper:
-        c_upper.update(_extract_c(pd, charts, nodes, lab, k_bound))
-    s_upper = {}
-    noise = {}
-    for lab1 in upper:
-        for lab2 in labels:
-            s1, floor = _extract_s(bk, charts, nodes, lab1, lab2, s_bound)
-            s_upper.update(s1)
-            noise.update(floor)
-
-    c_coeffs = {}
+    rows = {lab: _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels}
+    ks = np.arange(1, k_bound + 1)
+    # cmat[lab][j, k - 1] = c^{k,lab}_j, with omega_j = sum_m norm[m, j] z^m dz / y
+    cmat = {lab: _outer_sum(np.eye(len(norm)), norm, rows[lab][2][:len(norm), :k_bound] / ks)
+            for lab in labels}
+    c_coeffs = {(k, lab): cmat[lab][:, k - 1] for lab in labels for k in range(1, k_bound + 1)}
     s_coeffs = {}
-    for lab1 in labels:
-        for k in range(1, k_bound + 1):
-            key = (k, lab1)
-            if lab1[1] == 1:
-                c_coeffs[key] = c_upper[key]
-            else:
-                c_coeffs[key] = (-1.0) ** (k + 1) * c_upper[_sigma(key)]
-        for lab2 in labels:
-            for k in range(1, s_bound + 1):
-                for kp in range(1, s_bound + 1):
-                    key = ((k, lab1), (kp, lab2))
-                    if lab1[1] == 1:
-                        s_coeffs[key] = s_upper[key]
-                    else:
-                        image = (_sigma(key[0]), _sigma(key[1]))
-                        s_coeffs[key] = (-1.0) ** (k + kp) * s_upper[image]
-                        noise[key] = noise[image]
-    # symmetry of the regular part within the extraction noise floor, then
-    # exact symmetrization over unordered mode pairs
-    asym = 0.0
-    for (m1, m2) in [k for k in s_coeffs if str(k[0]) <= str(k[1])]:
-        val = s_coeffs[(m1, m2)]
-        back = s_coeffs[(m2, m1)]
-        gate = _s_gate(val, noise[(m1, m2)], noise[(m2, m1)])
-        asym = max(asym, abs(val - back) / gate)
-        avg = 0.5 * (val + back)
-        s_coeffs[(m1, m2)] = avg
-        s_coeffs[(m2, m1)] = avg
-    if asym > 1.0:
-        raise ExtractionNotConverged(
-            f"regular part asymmetry {asym:.2e} times the noise gate")
+    for ia, a in enumerate(labels):
+        for b in labels[ia:]:
+            eps = a[1] * b[1] if a[0] == b[0] else None
+            reg = _regular_part(bk, rows[a], rows[b], eps)[:k_bound, :k_bound]
+            block = reg / np.outer(ks, ks) + _outer_sum(bk.correction, cmat[a], cmat[b])
+            if a == b:
+                block = 0.5 * (block + block.T)
+            for (k, kp), val in np.ndenumerate(block):
+                s_coeffs[((k + 1, a), (kp + 1, b))] = s_coeffs[((kp + 1, b), (k + 1, a))] = val
     return s_coeffs, c_coeffs
 
 
@@ -474,10 +371,16 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
 
         x^{(m,a)} = sum_{a',k'} xi_{a',k'} s^{(k',a')(m,a)} + sum_j A^j c^{m,a}_j
 
-    with xi read off the principal parts.  Returns (xi, A, residual).
+    with xi read off the principal parts.  Returns (xi, A, residual).  A mode
+    the local data lack raises TruncationInsufficient, naming the first one.
     """
     labels = sorted(w_elem.series)
-    g = len(next(iter(c_coeffs.values())))
+
+    def read(data, key, what):
+        if key not in data:
+            raise TruncationInsufficient(f"no {what} {key} for k_bound {k_bound}")
+        return data[key]
+
     xi = {}
     for lab in labels:
         for k in range(1, k_bound + 1):
@@ -488,14 +391,12 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
     rhs = []
     for lab in labels:
         for m in range(1, k_bound + 1):
-            x_val = w_elem.x(m, lab)
-            acc = x_val
-            for (kk, lab2), v in xi.items():
-                acc -= v * s_coeffs.get(((kk, lab2), (m, lab)), 0j)
-            rows.append(c_coeffs[(m, lab)])
+            rows.append(read(c_coeffs, (m, lab), "c data for mode"))
+            acc = w_elem.x(m, lab)
+            for mode, v in xi.items():
+                acc -= v * read(s_coeffs, (mode, (m, lab)), "s data for mode pair")
             rhs.append(acc)
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    rows, rhs = np.array(rows), np.array(rhs)
     avec, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = float(np.max(np.abs(rows @ avec - rhs)))
     return xi, avec, residual

@@ -86,7 +86,6 @@ class VerifyConfig:
     Lambda: complex = 1.0
     delta_a: tuple = (1e-3, 5e-4)
     chi_max: int = 1
-    series_order: int = 44
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 11
     check_n4: bool = False
@@ -111,7 +110,7 @@ class VerifyConfig:
         parse = {
             "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
             "Lambda": _to_complex, "delta_a": lambda v: tuple(float(h) for h in v),
-            "chi_max": int, "series_order": int, "seed": int,
+            "chi_max": int, "seed": int,
             "check_n4": bool, "out_dir": str,
         }
         raw_tols = dict(raw.get("tolerances", {}))
@@ -304,10 +303,9 @@ def bperiod_contract(table, c_coeffs, genus):
 def reference_stages(cfg):
     """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
 
-    c reaches the largest table mode to cfg.chi, max_index_bound(cfg.chi) - 1,
-    which the B-period contraction reads.  s reaches two modes less, the
-    largest mode of the cells one step below; the table does not depend on
-    s beyond it.
+    s and c reach the largest table mode to cfg.chi, max_index_bound(cfg.chi) - 1,
+    which the B-period contraction reads; the charts are built to the order
+    their three exact divisions need, and to 44 at least.
     """
     t0 = time.time()
     curve = new_curve(cfg.genus, cfg.u0, cfg.Lambda)
@@ -315,9 +313,9 @@ def reference_stages(cfg):
     pd = periods(curve, cycles)
     t1 = time.time()
     bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
-    charts = standard_charts(curve, order=cfg.series_order)
     bound = max_index_bound(cfg.chi)
-    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=bound - 1, s_bound=bound - 3)
+    charts = standard_charts(curve, order=max(44, 2 * bound + 1))
+    s_coeffs, c_coeffs = local_expansions(bk, charts, bound - 1)
     seconds = {"periods_s": round(t1 - t0, 3),
                "kernel_and_charts_s": round(time.time() - t1, 3)}
     return PipelineArtifacts(curve=curve, cycles=cycles, pd=pd, bk=bk, charts=charts,

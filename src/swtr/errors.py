@@ -58,7 +58,7 @@ class OutOfNeighbourhood(SwtrError):
 
 
 class ExtractionNotConverged(SwtrError):
-    """Taylor-coefficient extraction did not stabilize under contour refinement."""
+    """A chart invariant or a Taylor-coefficient extraction missed its gate on its circle."""
 
 
 class BasisMismatch(SwtrError):

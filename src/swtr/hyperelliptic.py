@@ -645,13 +645,11 @@ class BergmanData:
 
     def value(self, z1, y1, z2, y2):
         """Kernel against dz1 dz2 at two points given with their sheets."""
-        val = self.base_value(z1, y1, z2, y2)
-        g = self.curve.g
-        w1 = np.stack([np.broadcast_to(omega_value(self.pd, j, z1, y1), np.shape(val))
-                       for j in range(g)])
-        w2 = np.stack([np.broadcast_to(omega_value(self.pd, j, z2, y2), np.shape(val))
-                       for j in range(g)])
-        return val + np.einsum("jk,j...,k...->...", self.correction, w1, w2)
+        # einsum broadcasts the two points' shapes; no copy of the grid is made
+        w1, w2 = (np.stack([omega_value(self.pd, j, z, y) for j in range(self.curve.g)])
+                  for z, y in ((z1, y1), (z2, y2)))
+        return (self.base_value(z1, y1, z2, y2)
+                + np.einsum("jk,j...,k...->...", self.correction, w1, w2))
 
 
 def _f_polynomial(q_coeffs, g):

@@ -492,3 +492,55 @@ def sqrt_shift_flow(xi, a, min_exp=None):
         out[k - min_exp::-2] += c * binom * a ** j
     return SeriesDifferential(f._wrap(out, min_exp, min_exp if out.any() else min(min_exp, 0),
                                       f.trunc_order))
+
+
+# ---------------------------------------------------------------------------
+# two-variable power series
+# ---------------------------------------------------------------------------
+
+# A square complex array x of size n holds x[p, q] = [t1^p t2^q] of a power
+# series known to total degree n - 1; its entries of higher degree are zero.
+# Every coefficient of degree d is summed in an order that does not depend on
+# n, so it is the same, bit for bit, in every working size that knows it.
+
+def _below_degree(x):
+    """x with its entries of total degree >= len(x) set to zero."""
+    n = len(x)
+    return np.where(np.add.outer(np.arange(n), np.arange(n)) < n, x, 0)
+
+
+def mul2(x, y):
+    """Product of two two-variable series of the same size."""
+    n = len(x)
+    out = np.zeros((n, n), dtype=complex)
+    for i, j in zip(*np.nonzero(_below_degree(x))):
+        out[i:, j:] += x[i, j] * y[:n - i, :n - j]
+    return _below_degree(out)
+
+
+def inverse2(x):
+    """1/x for a two-variable series with x[0, 0] != 0.
+
+    With x = x[0, 0] (1 + u), 1/(1 + u) by Horner's rule r <- 1 - u r: each
+    step fixes one more total degree and leaves the lower ones as they are, so
+    step m works at size m.
+    """
+    scale = 1.0 / x[0, 0]
+    u = x * scale
+    u[0, 0] = 0.0
+    r = np.ones((1, 1), dtype=complex)
+    for m in range(2, len(x) + 1):
+        r = -mul2(u[:m, :m], np.pad(r, (0, 1)))
+        r[0, 0] += 1.0
+    return r * scale
+
+
+def divide_diagonal2(x, eps):
+    """q with x = (t1 - eps t2) q, one total degree shorter; x must vanish on t1 = eps t2.
+
+    q[p, m] = x[p + 1, m] + eps q[p + 1, m - 1]; the remainder x[0, :] is not read.
+    """
+    q = np.array(x[1:, :-1], dtype=complex)
+    for m in range(1, len(q)):
+        q[:-1, m] += eps * q[1:, m - 1]
+    return _below_degree(q)

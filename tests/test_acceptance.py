@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from swtr.airy import (
     GaugeData,
@@ -334,8 +335,7 @@ def test_criterion_8_main_identity():
 
 
 def test_main_identity_genus_three_at_default_config():
-    # c reaches the table's largest mode, 3 at chi_max = 1, and s mode 1, and
-    # no further: higher modes, which nothing reads, fail the s gate here
+    # s and c reach the table's largest mode, 3 at chi_max = 1
     t0 = time.time()
     rep = verify_theorem(VerifyConfig(genus=3, u0=U0_G3))
     rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
@@ -345,18 +345,33 @@ def test_main_identity_genus_three_at_default_config():
 
 
 def test_main_identity_genus_two_at_chi_three():
-    # c reaches the table's largest mode, 9 at chi_max = 3, and s mode 7, as
-    # far as the recursion reads it; s to 9 failed the gate at mode 8 here
+    # s and c reach the table's largest mode, 9 at chi_max = 3; FFT-extracted
+    # s failed its gate at mode 8 here
     t0 = time.time()
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2, chi_max=3))
     art = rep.artifacts
     assert max(k for k, _ in art.c_coeffs) == 9
-    assert max(k for (k, _), _ in art.s_coeffs) == 7
+    assert max(k for (k, _), _ in art.s_coeffs) == 9
     assert {(0, 5), (1, 3), (2, 1)} <= set(rep.omega.cells())
     rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
     elapsed = time.time() - t0
     _report("8 prepotential identity at genus 2, chi_max 3", rep.passed and rel < 1e-3
             and elapsed < 60.0, elapsed,
+            f"worst rel err {rel:.2e}, convention {rep.metadata['matched_convention']!r}")
+
+
+@pytest.mark.parametrize("genus, u0, chi_max, top", [(2, U0_G2, 4, 11), (3, U0_G3, 3, 9)],
+                         ids=["g2-chi4", "g3-chi3"])
+def test_main_identity_beyond_the_fft_reach(genus, u0, chi_max, top):
+    # the FFT extraction raised ExtractionNotConverged at both points
+    t0 = time.time()
+    rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, chi_max=chi_max))
+    art = rep.artifacts
+    assert max(k for k, _ in art.c_coeffs) == max(k for (k, _), _ in art.s_coeffs) == top
+    rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
+    elapsed = time.time() - t0
+    _report(f"8 prepotential identity at genus {genus}, chi_max {chi_max}",
+            rep.passed and rel < 1e-3 and elapsed < 60.0, elapsed,
             f"worst rel err {rel:.2e}, convention {rep.metadata['matched_convention']!r}")
 
 

@@ -12,12 +12,7 @@ from test_laurent import float_hex, scalar_evaluate, series_hex, uncut_compose
 import swtr.charts as charts_module
 from swtr.airy import eval_hamiltonians
 from swtr.charts import (
-    _LOCAL_NFFT,
-    _c_gate,
-    _extract_c,
-    _extract_s,
-    _node_cache,
-    _s_gate,
+    _chart_nodes,
     _transport_roots,
     _validate_chart,
     decompose_in_g,
@@ -27,7 +22,7 @@ from swtr.charts import (
     standard_charts,
     sw_embed_global,
 )
-from swtr.errors import ExtractionNotConverged, OutOfNeighbourhood
+from swtr.errors import ExtractionNotConverged, OutOfNeighbourhood, TruncationInsufficient
 from swtr.hyperelliptic import (
     BergmanData,
     QuadratureWorkspace,
@@ -60,6 +55,115 @@ class _Setup:
             s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
             cls._cache[key] = (curve, cycles, pd, bk, charts, s_coeffs, c_coeffs)
         return cls._cache[key]
+
+
+# ---------------------------------------------------------------------------
+# the FFT oracle: s and c extracted from the kernel sampled on chart circles
+# ---------------------------------------------------------------------------
+
+# Each coefficient is extracted on two circles and accepted only where the two
+# agree within its gate; the series data are checked against the first circle
+# within the same gate.
+
+#: FFT size of the oracle circles
+_LOCAL_NFFT = 256
+
+
+def _fft_coeffs(values, radius, kmax):
+    n = len(values)
+    raw = np.fft.fft(values) / n
+    out = np.zeros(kmax + 1, dtype=complex)
+    for t in range(kmax + 1):
+        out[t] = raw[t] / radius ** t
+    return out
+
+
+def _node_cache(charts, nfft):
+    """nodes(lab, radius): the chart nodes of one circle, computed once."""
+    cache = {}
+
+    def nodes(lab, radius):
+        if (lab, radius) not in cache:
+            cache[(lab, radius)] = _chart_nodes(charts[lab], radius, nfft)
+        return cache[(lab, radius)]
+    return nodes
+
+
+def _c_gate(vec1, vec2):
+    return 1e-7 * max(1.0, float(np.max(np.abs(vec1))), float(np.max(np.abs(vec2))))
+
+
+def _s_gate(val, floor1, floor2):
+    return max(1e-9 * max(1.0, abs(val)), 100.0 * (floor1 + floor2))
+
+
+def _c_at_radius(pd, charts, nodes, lab, rfac, k_bound):
+    r = charts[lab].extraction_radius * rfac
+    etab, z, y, dz = nodes(lab, r)
+    g = pd.norm_matrix.shape[0]
+    out = {}
+    for j in range(g):
+        coeffs = _fft_coeffs(omega_value(pd, j, z, y) * dz, r, k_bound)
+        for k in range(1, k_bound + 1):
+            out.setdefault((k, lab), np.zeros(g, dtype=complex))[j] = coeffs[k - 1] / k
+    return out, r
+
+
+def _extract_c(pd, charts, nodes, lab, k_bound):
+    """({key: c}, {key: gate}) of c^{k,lab}, k <= k_bound, gated against a second, smaller circle."""
+    c1, r1 = _c_at_radius(pd, charts, nodes, lab, 1.0, k_bound)
+    c2, r2 = _c_at_radius(pd, charts, nodes, lab, 0.8, k_bound)
+    gates = {}
+    for key, vec in c1.items():
+        delta = float(np.max(np.abs(vec - c2[key])))
+        gates[key] = _c_gate(vec, c2[key])
+        if delta > gates[key]:
+            raise ExtractionNotConverged(
+                f"c-coefficients unstable at {key}: |delta| = {delta:.3e} between"
+                f" radii {r1:.6g} and {r2:.6g}, gate {gates[key]:.3e}")
+    return c1, gates
+
+
+def _s_at_radius(bk, charts, nodes, lab1, lab2, rfac, k_bound):
+    r1 = charts[lab1].extraction_radius * rfac
+    r2 = 0.7 * charts[lab2].extraction_radius * rfac
+    e1, z1, y1, dz1 = nodes(lab1, r1)
+    e2, z2, y2, dz2 = nodes(lab2, r2)
+    grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
+    grid = grid * dz1[:, None] * dz2[None, :]
+    if lab1 == lab2:
+        grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
+    scale = float(np.max(np.abs(grid)))
+    nfft = len(e1)
+    raw = np.fft.fft2(grid) / (nfft * nfft)
+    out, floor = {}, {}
+    for k in range(1, k_bound + 1):
+        for kp in range(1, k_bound + 1):
+            key = ((k, lab1), (kp, lab2))
+            out[key] = raw[k - 1, kp - 1] / (r1 ** (k - 1) * r2 ** (kp - 1)) / (k * kp)
+            # double-precision extraction noise for this coefficient
+            floor[key] = 2e-16 * scale / (r1 ** (k - 1) * r2 ** (kp - 1) * k * kp)
+    return out, floor, (r1, r2)
+
+
+def _extract_s(bk, charts, nodes, lab1, lab2, k_bound):
+    """({key: s}, {key: gate}) of one chart pair, gated against smaller circles.
+
+    The kernel is sampled on a grid of the two charts' circles, with the
+    diagonal singular part subtracted on equal charts.
+    """
+    s1, floor1, radii1 = _s_at_radius(bk, charts, nodes, lab1, lab2, 1.0, k_bound)
+    s2, floor2, radii2 = _s_at_radius(bk, charts, nodes, lab1, lab2, 0.85, k_bound)
+    gates = {}
+    for key, val in s1.items():
+        delta = abs(val - s2[key])
+        gates[key] = _s_gate(val, floor1[key], floor2[key])
+        if delta > gates[key]:
+            raise ExtractionNotConverged(
+                f"s-coefficients unstable at {key}: |delta| = {delta:.3e} between"
+                f" radii ({radii1[0]:.6g}, {radii1[1]:.6g}) and"
+                f" ({radii2[0]:.6g}, {radii2[1]:.6g}), gate {gates[key]:.3e}")
+    return s1, gates
 
 
 # ---------------------------------------------------------------------------
@@ -125,42 +229,68 @@ def test_lower_sheet_charts_match_direct_route(u):
         assert minus.w_value == (plus.p0 + -1 * y0) / (2.0 * curve.lam_pow)
 
 
-@pytest.mark.parametrize("u", [U0, U0_G2], ids=["g1", "g2"])
-def test_lower_sheet_data_match_direct_extraction(u):
-    # every (2g)^2 chart pair extracted on its own nodes, the (-) charts
-    # included: the sigma-derived s and c stay within the extraction gates
-    curve, _, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get(u, len(u))
-    k_bound = 7
-    labels = sorted(charts)
+@pytest.mark.parametrize("u, k_bound", [(U0, 7), (U0_G2, 7), (U0_G3, 5)],
+                         ids=["g1", "g2", "g3"])
+def test_lower_sheet_data_match_direct_extraction(u, k_bound):
+    # every (2g)^2 chart pair, the (-) charts included, extracted by the FFT
+    # oracle on its own nodes: the series s and c are within each key's gate
+    curve, _, pd, bk, charts, _, _ = _Setup.get(u, len(u))
+    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound)
     nodes = _node_cache(charts, _LOCAL_NFFT)
-    raw, noise = {}, {}
-    for lab1 in labels:
-        for lab2 in labels:
-            vals, floor = _extract_s(bk, charts, nodes, lab1, lab2, k_bound)
-            raw.update(vals)
-            noise.update(floor)
-    worst = 0.0
-    for key, val in raw.items():
-        (k, (i, a)), (kp, (j, b)) = key
-        if a == -1:
-            image = ((k, (i, 1)), (kp, (j, -b)))
-            derived = (-1.0) ** (k + kp) * raw[image]
-            worst = max(worst, abs(derived - val) / _s_gate(val, noise[key], noise[image]))
-    assert worst <= 1.0
-    # the symmetrized result equals the full extraction's within its gate
+    worst_s = worst_c = 0.0
+    for lab1 in sorted(charts):
+        for lab2 in sorted(charts):
+            vals, gates = _extract_s(bk, charts, nodes, lab1, lab2, k_bound)
+            worst_s = max(worst_s, max(abs(s_coeffs[key] - val) / gates[key]
+                                       for key, val in vals.items()))
+        vals, gates = _extract_c(pd, charts, nodes, lab1, k_bound)
+        worst_c = max(worst_c, max(float(np.max(np.abs(c_coeffs[key] - vec))) / gates[key]
+                                   for key, vec in vals.items()))
+    assert worst_s <= 1.0 and worst_c <= 1.0, (worst_s, worst_c)
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_sigma_rules(u):
+    # sigma(z, y) = (z, -y) maps (k, (i, a)) to (k, (i, -a)) and etabar to
+    # -etabar: c^{k,(i,-)} = (-1)^(k+1) c^{k,(i,+)} and
+    # s^{(k,(i,-))(k',(j,-b))} = (-1)^(k+k') s^{(k,(i,+))(k',(j,b))}
+    *_, bk, charts, _, _ = _Setup.get(u, len(u))
+    s_coeffs, c_coeffs = local_expansions(bk, charts, 9)
+    flip = {(k, (i, a)): (k, (i, -a)) for k, (i, a) in c_coeffs}
     for (m1, m2), val in s_coeffs.items():
-        full = 0.5 * (raw[(m1, m2)] + raw[(m2, m1)])
-        assert abs(val - full) <= _s_gate(full, noise[(m1, m2)], noise[(m2, m1)])
-    for lab in labels:
-        if lab[1] == -1:
-            direct = _extract_c(pd, charts, nodes, lab, k_bound)
-            for key, vec in direct.items():
-                assert np.max(np.abs(c_coeffs[key] - vec)) <= _c_gate(c_coeffs[key], vec)
+        image = (-1.0) ** (m1[0] + m2[0]) * s_coeffs[(flip[m1], flip[m2])]
+        assert abs(val - image) <= 1e-10 * max(1.0, abs(val)), (m1, m2)
+    for m, vec in c_coeffs.items():
+        image = (-1.0) ** (m[0] + 1) * c_coeffs[flip[m]]
+        assert np.max(np.abs(vec - image)) <= 1e-10 * max(1.0, float(np.max(np.abs(vec)))), m
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_local_data_do_not_depend_on_the_working_order(u):
+    # s to mode k_bound needs the charts to total degree 2 k_bound + 1; the
+    # modes of a lower bound, read from a larger working size, are the same
+    # in every bit, and s is symmetric in every bit
+    *_, bk, charts, _, _ = _Setup.get(u, len(u))
+    low_s, low_c = local_expansions(bk, charts, 4)
+    high_s, high_c = local_expansions(bk, charts, 11)
+    assert all(high_s[key] == val for key, val in low_s.items())
+    assert all(high_c[key].tobytes() == vec.tobytes() for key, vec in low_c.items())
+    assert all(val == high_s[(m2, m1)] for (m1, m2), val in high_s.items())
+
+
+def test_local_data_beyond_the_chart_order_raise():
+    # charts built to order 30 hold dz/detabar to etabar^30 (z to etabar^31);
+    # s to mode 15 needs total degree 31 and is refused by name
+    curve, _, _, bk, _, _, _ = _Setup.get(U0_G2, 2)
+    charts = standard_charts(curve, order=30)
+    local_expansions(bk, charts, 14)
+    with pytest.raises(TruncationInsufficient, match=re.escape("beyond truncation order 30")):
+        local_expansions(bk, charts, 15)
 
 
 def test_one_sheet_work_count(monkeypatch):
-    # charts and kernel grids are built for the upper sheet only: g charts,
-    # and 2 radii x g upper charts x 2g charts kernel grids
+    # charts are built for the upper sheet only, g of them, and the local data
+    # sample no kernel grid (2 radii x g upper charts x 2g charts of them by FFT)
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
     calls = {"value": 0, "chart": 0}
     value, build = BergmanData.value, charts_module._build_one_chart
@@ -177,15 +307,19 @@ def test_one_sheet_work_count(monkeypatch):
     monkeypatch.setattr(charts_module, "_build_one_chart", counted_build)
     local_expansions(bk, charts, k_bound=7)
     standard_charts(curve)
-    assert calls == {"value": 2 * 2 * 4, "chart": 2}
+    assert calls == {"value": 0, "chart": 2}
 
 
 def test_extraction_error_names_its_numbers():
-    # at the g2 acceptance point the circles do not resolve mode 8; the error
-    # names the key, |delta| between the two extractions, their radii and the gate
+    # at the g2 acceptance point the oracle's circles do not resolve mode 8;
+    # the error names the key, |delta| between the two extractions, their
+    # radii and the gate
     *_, bk, charts, _, _ = _Setup.get(U0_G2, 2)
+    nodes = _node_cache(charts, _LOCAL_NFFT)
     with pytest.raises(ExtractionNotConverged) as err:
-        local_expansions(bk, charts, k_bound=8)
+        for lab1 in sorted(charts):
+            for lab2 in sorted(charts):
+                _extract_s(bk, charts, nodes, lab1, lab2, 8)
     m = re.fullmatch(r"s-coefficients unstable at (.*): \|delta\| = (\S+) between radii"
                      r" \((\S+), (\S+)\) and \((\S+), (\S+)\), gate (\S+)", str(err.value))
     assert m, str(err.value)
@@ -213,7 +347,7 @@ def _chart_series(ch):
 
 @pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
 def test_chart_series_evaluate_bitwise(u):
-    # every chart series on the nodes of every extraction circle (c at 1 and
+    # every chart series on the nodes of every FFT-oracle circle (c at 1 and
     # 0.8, s at 1 and 0.85 and, as second chart, 0.7 and 0.7 * 0.85 of the
     # extraction radius): the array path is CPython's scalar sum, bit for bit,
     # and so is the scalar path on every 8th node
@@ -242,8 +376,8 @@ def test_chart_series_match_uncut_compose(u, monkeypatch):
 
 
 def test_laurent_work_count(monkeypatch):
-    # g2: the chart nodes of local_expansions are evaluated one circle at a
-    # time (14 circles x z, y and dz/detabar; 10,752 scalar calls before), and
+    # g2: local_expansions evaluates no chart series (it read 14 circles x z, y
+    # and dz/detabar, 42 array calls, when it sampled the kernel), and
     # standard_charts composes only the terms its windows keep (3,120 products
     # with every term composed) and builds no normal-form series (1,822 with it)
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
@@ -261,7 +395,7 @@ def test_laurent_work_count(monkeypatch):
     monkeypatch.setattr(LaurentSeries, "evaluate", counted_evaluate)
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
     local_expansions(bk, charts, k_bound=7)
-    assert calls["evaluate"] == 42
+    assert calls["evaluate"] == 0
     calls["mul"] = 0
     standard_charts(curve)
     assert calls["mul"] <= 1700
@@ -308,7 +442,7 @@ def test_transport_error_names_its_numbers():
 def test_s_coeffs_symmetric():
     *_, s_coeffs, _ = _Setup.get()
     for (m1, m2), v in s_coeffs.items():
-        assert abs(v - s_coeffs[(m2, m1)]) < 1e-9
+        assert v == s_coeffs[(m2, m1)]
 
 
 def test_c_coeffs_sheet_relation():
@@ -478,6 +612,22 @@ def test_decompose_basis_elements():
     assert set(xi2) == {(2, lab)}
     assert abs(xi2[(2, lab)] - 1.0) < 1e-12
     assert np.max(np.abs(avec2)) < 1e-7
+
+
+def test_decompose_refuses_missing_modes():
+    # data to mode 7 decomposed to k_bound 8: the first missing c mode is
+    # refused by name, and so is the first missing s pair when c reaches 8
+    # (it was read as 0 before)
+    curve, cycles, pd, bk, charts, s_coeffs, c_coeffs = _Setup.get()
+    w = sw_embed_global(new_curve(1, (U0[0] + 0.008 - 0.006j,)), curve, charts)
+    with pytest.raises(TruncationInsufficient,
+                       match=re.escape("no c data for mode (8, (0, -1)) for k_bound 8")):
+        decompose_in_g(w, pd, s_coeffs, c_coeffs, k_bound=8)
+    wide_s, wide_c = local_expansions(bk, charts, 8)
+    with pytest.raises(TruncationInsufficient, match=re.escape(
+            "no s data for mode pair ((1, (0, -1)), (8, (0, -1))) for k_bound 8")):
+        decompose_in_g(w, pd, s_coeffs, wide_c, k_bound=8)
+    assert decompose_in_g(w, pd, wide_s, wide_c, k_bound=8)[2] < 1e-7
 
 
 def test_embed_genus_two():

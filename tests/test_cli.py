@@ -60,10 +60,11 @@ def test_bad_config_exits_two(tmp_path):
     ({"k_bound": 7}, "['k_bound']"),
     ({"chi_max": 2, "kbound": 7, "nfft": 128}, "['kbound', 'nfft']"),
     ({"tolerances": {"theorem_rel": 1e-4, "extraction": 1e-9}}, "['extraction']"),
+    ({"series_order": 44}, "['series_order']"),
 ])
 def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
-    # a key the config does not know (k_bound among them) is refused by name,
-    # not ignored
+    # a key the config does not know (k_bound and series_order among them) is
+    # refused by name, not ignored
     with pytest.raises(ValueError, match=re.escape(named)):
         VerifyConfig.from_dict({"genus": 1, "u0": [[0.3, 0.1]], **raw})
     p = tmp_path / "cfg.json"
@@ -242,13 +243,13 @@ def test_bperiod_contract_memory_genus_two_chi_three():
 
 
 def test_chi_three_contraction_needs_no_wider_data():
-    # g1 at chi_max = 3: the table reaches mode 9, and c extracted to the
-    # derived bound 9 with s to 7 gives every cell's contraction in every bit
-    # as data extracted to 11 do; c data to 7 lacks mode 9 and is refused
-    # (contracting a zero row for it put the omega_{2,1} contraction 10.8% off)
+    # g1 at chi_max = 3: the table reaches mode 9, and s and c to the derived
+    # bound 9 give every cell's contraction in every bit as data to 11 do;
+    # c data to 7 lacks mode 9 and is refused (contracting a zero row for it
+    # put the omega_{2,1} contraction 10.8% off)
     art = reference_stages(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), chi_max=3))
     assert max(k for k, _ in art.c_coeffs) == 9
-    assert max(k for (k, _), _ in art.s_coeffs) == 7
+    assert max(k for (k, _), _ in art.s_coeffs) == 9
     wide_s, wide_c = local_expansions(art.bk, art.charts, k_bound=11)
 
     def contract(s_coeffs, c_coeffs):

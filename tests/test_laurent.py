@@ -18,6 +18,9 @@ from swtr.laurent import (
     EXACT,
     LaurentSeries,
     SeriesDifferential,
+    divide_diagonal2,
+    inverse2,
+    mul2,
     sqrt_shift_flow,
     symplectic_pairing,
 )
@@ -707,3 +710,112 @@ def test_exact_series_without_finite_window_raises():
     square = L({1: 1.0, 2: 1.0}).pow_frac(2, 1)
     assert (square.coeffs, square.trunc_order) == ({2: 1.0, 3: 2.0, 4: 1.0}, EXACT)
     assert L.monomial(2.0, 3).inverse().coeffs == {-3: 0.5}
+
+
+# ---------------------------------------------------------------------------
+# two-variable series: window soundness against exact arithmetic
+# ---------------------------------------------------------------------------
+
+# An n x n array claims the coefficients of total degree < n.  The untruncated
+# inputs are integer polynomials whose terms of degree n are lead * (1 or 2),
+# so a result that claims one more degree shows; a product, a reciprocal or a
+# division that does must fail these tests.
+
+@st.composite
+def bivariate(draw, sizes=st.integers(1, 5)):
+    """(n x n array, untruncated {(p, q): integer}) with a lead of +-1 at (0, 0)."""
+    n = draw(sizes)
+    lead = draw(st.sampled_from((1, -1)))
+    full = {(0, 0): lead}
+    for d in range(1, n + 2):
+        for p in range(d + 1):
+            if d < n:
+                full[(p, d - p)] = draw(st.integers(-2, 2))
+            elif d == n:
+                full[(p, d - p)] = lead * draw(st.sampled_from((1, 2)))
+            else:
+                full[(p, d - p)] = draw(st.integers(-2, 2))
+    arr = np.zeros((n, n), dtype=complex)
+    for (p, q), c in full.items():
+        if p + q < n:
+            arr[p, q] = c
+    return arr, full
+
+
+def _exact_mul2(a, b):
+    out = {}
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            out[(p1 + p2, q1 + q2)] = out.get((p1 + p2, q1 + q2), 0) + c1 * c2
+    return out
+
+
+def _exact_inverse2(a, cap):
+    """1/a to total degree cap, for a with a[(0, 0)] = +-1."""
+    lead, out = a[(0, 0)], {(0, 0): a[(0, 0)]}
+    for d in range(1, cap + 1):
+        for p in range(d + 1):
+            acc = sum(c * out.get((p - i, d - p - j), 0) for (i, j), c in a.items()
+                      if (i, j) != (0, 0) and i <= p and j <= d - p)
+            out[(p, d - p)] = -lead * acc
+    return out
+
+
+def _assert_sound2(result, exact):
+    n = len(result)
+    assert result.shape == (n, n)
+    for p in range(n):
+        for q in range(n):
+            want = exact.get((p, q), 0) if p + q < n else 0
+            assert result[p, q] == want, (p, q, result, exact)
+
+
+@SOUNDNESS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(bivariate(st.just(n)),
+                                                    bivariate(st.just(n)))))
+def test_mul2_window_sound(pair):
+    (f, f_full), (g, g_full) = pair
+    _assert_sound2(mul2(f, g), _exact_mul2(f_full, g_full))
+
+
+@SOUNDNESS
+@given(bivariate())
+def test_inverse2_window_sound(fa):
+    f, f_full = fa
+    _assert_sound2(inverse2(f), _exact_inverse2(f_full, len(f)))
+
+
+@SOUNDNESS
+@given(bivariate(), st.sampled_from((1, -1)))
+def test_divide_diagonal2_window_sound(qa, eps):
+    # x = (t1 - eps t2) q, claimed to degree n: the quotient is q to degree
+    # n - 1, and (t1 - eps t2) times it leaves a zero remainder
+    q, q_full = qa
+    n = len(q) + 1
+    x_full = _exact_mul2({(1, 0): 1, (0, 1): -eps}, q_full)
+    x = np.array([[x_full.get((p, m), 0) if p + m < n else 0 for m in range(n)]
+                  for p in range(n)], dtype=complex)
+    got = divide_diagonal2(x, eps)
+    _assert_sound2(got, q_full)
+    back = _exact_mul2({(1, 0): 1, (0, 1): -eps},
+                       {(p, m): got[p, m] for p in range(n - 1) for m in range(n - 1)})
+    _assert_sound2(x, back)
+
+
+@SOUNDNESS
+@given(bivariate(st.integers(2, 5)), bivariate(st.integers(2, 5)), coefficients, coefficients)
+def test_bivariate_low_degrees_do_not_depend_on_size(fa, gb, u, v):
+    # on complex coefficients, every coefficient of degree d is the same, bit
+    # for bit, at every size that knows it
+    (f, _), (g, _) = fa, gb
+    n = min(len(f), len(g))
+    f, g = f[:n, :n] * u, g[:n, :n] * v
+    g[0, 0] = 1.5 + 0.25j
+    for m in range(1, n):
+        pairs = ((mul2(f[:m, :m], g[:m, :m]), mul2(f, g)),
+                 (inverse2(g[:m, :m]), inverse2(g)),
+                 (divide_diagonal2(f[:m + 1, :m + 1], 1), divide_diagonal2(f, 1)),
+                 (divide_diagonal2(f[:m + 1, :m + 1], -1), divide_diagonal2(f, -1)))
+        for small, large in pairs:
+            known = np.add.outer(np.arange(len(small)), np.arange(len(small))) < len(small)
+            assert float_hex(small[known]) == float_hex(large[:len(small), :len(small)][known])
