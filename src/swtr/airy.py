@@ -447,12 +447,17 @@ def _splits(g, n):
 class _CellRecursion:
     """Bookkeeping shared by the abstract and the local recursion.
 
-    Cells are filled in the order of ``recursion_cells``, each on the tuples
-    of ``support(g, n)``; a subclass supplies ``compute_value(g, n, idx,
-    pivot_pos)``.  Lower cells are read through ``_svec`` (one free index)
-    and ``_pair_matrix`` (two free indices), which look up only the modes
+    Cells are filled in the order of ``recursion_cells``, each by
+    ``_cell(g, n)`` on the tuples of ``support(g, n)``.  A subclass supplies
+    ``compute_value(g, n, idx, pivot_pos)``, one entry with any leg as the
+    pivot, which ``pivot_deviation`` samples.  The ``_cell`` here calls it on
+    every tuple; the local recursion overrides ``_cell`` to fill a whole cell
+    at once and keeps ``compute_value`` as its per-entry reference.  Per
+    entry, lower cells are read through ``_svec`` (one free index) and
+    ``_pair_matrix`` (two free indices), which look up only the modes
     ``_fit`` offers: every mode here, the degree-bounded ones in the local
-    recursion.  ``_cell_cache`` holds what only the cell being filled reads.
+    recursion.
+    ``_cell_cache`` holds what only the cell being filled reads.
     """
 
     seeded = ()         # cells given as initial data, not by the recursion
@@ -465,7 +470,7 @@ class _CellRecursion:
         self.kmax = kmax
         self.chi_max = chi_max
         self.step = step            # 2 when only odd modes enter the recursion
-        self.evaluated = 0          # tuples passed to compute_value by run()
+        self.evaluated = 0          # support tuples evaluated by run()
         self._vec_cache = {}
         self._cell_cache = {}
 

@@ -19,19 +19,30 @@ larger window is the "formal extraction order" refinement check.
 Each cell omega_{g,n} is evaluated only on its degree-bounded support: with
 d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every other
 entry vanishes exactly, because the pole orders of the lower cells leave the
-residue nothing to pick up.  The series the residue is taken of does not
-depend on the pivot index, so it is shared by all entries that differ only
-in the pivot.  The cell order, the leg splits, the lower-cell lookups and
-the pivot sampler are ``airy._CellRecursion``, shared with ``airy.atr_run``;
-the degree prune is this engine's alone.  ``atr_run`` enumerates every
-tuple up to the index bound 6g + 2n - 4, so as the oracle it does not rest
-on the prune.  ``support_bound_check`` evaluates the tuples beyond the
-degree bound and reports the largest of them, which must be 0.
+residue nothing to pick up.  A cell is filled whole, one point at a time.
+The entries whose pivot (first index) sits at the point are grouped by
+their other legs, the rest: the series xi the residue is taken of depends
+on the rest only, so one product of all the rests' xi with the residue
+vectors gives every pivot.  The splitting terms of xi come from pairs of
+nonzero lower-cell factors (a lower cell with one argument at +-z and the
+others on legs) whose merged legs are a rest of the cell.  The genus term
+is contracted against the point's residue tensor C^p_{ab}, the residue of
+ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).  ``compute_value`` evaluates
+one entry with any pivot from the same factors and tensor; it is the
+reference for the fill, the pivot-symmetry check and the support check.
+The cell order, the leg splits, the lower-cell lookups of ``compute_value``
+and the pivot sampler are ``airy._CellRecursion``, shared with
+``airy.atr_run``; the degree prune is this engine's alone.  ``atr_run``
+enumerates every tuple up to the index bound 6g + 2n - 4, so as the oracle
+it does not rest on the prune.  ``support_bound_check`` evaluates the tuples
+beyond the degree bound and reports the largest of them, which must be 0.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +135,7 @@ class OmegaGN:
 # ---------------------------------------------------------------------------
 
 class _EoEngine(_CellRecursion):
-    """Local recursion: residues at each point, on the degree-bounded support."""
+    """Local recursion: residues at each point, filled a whole cell at a time."""
 
     def __init__(self, curve, chi_max, kmax, extra_order=0):
         # mode list restricted to odd indices (the output lives in the odd part)
@@ -136,55 +147,69 @@ class _EoEngine(_CellRecursion):
         self.nlen = self.hi - self.lo + 1
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
         self._factor_cache = {}
-        self._pair_cache = {}
         self._setup()
 
     def _setup(self):
+        """Window series of the kernel data at each point, and its residue tensor.
+
+        Over the exponent window [lo, hi]: row j of ``loc_p[lab]`` is
+        ebar^{j}(z) / dz at the point ``lab``, row j of ``loc_m[lab]`` the
+        same form at -z, ``b_pm[lab]`` is B(z, -z) / dz^2.  Row p of
+        ``res_vec[lab]`` dotted with a product series (exponents from 2 lo)
+        is its residue against z^{2p+1} / D(z), and ``res_tensor[lab][p, a, b]``
+        is that residue of loc_p[lab][a] * loc_m[lab][b].
+        """
         cur = self.curve
-        self.loc_p = {}
-        self.loc_m = {}
-        self.b_pm = {}
-        self.res_vec = {}
-        for lab in cur.ram:
-            lp = np.zeros((self.dim, self.nlen), dtype=complex)
-            lm = np.zeros((self.dim, self.nlen), dtype=complex)
-            for mi, mode in enumerate(self.modes):
-                k, blab = mode
-                if blab == lab and -k - 1 >= self.lo:
-                    lp[mi, -k - 1 - self.lo] += 1.0
-                    # differential at -z: (-z)^{-k-1} d(-z) = (-1)^k z^{-k-1} dz
-                    lm[mi, -k - 1 - self.lo] += (-1.0) ** k
-                for m2k in range(1, self.hi + 2):
-                    s = cur.bergman_reg.get((mode, (m2k, lab)), 0j)
-                    if s and m2k - 1 <= self.hi:
-                        lp[mi, m2k - 1 - self.lo] += s * m2k
-                        lm[mi, m2k - 1 - self.lo] += s * m2k * (-1.0) ** m2k
+        lo, hi, nlen = self.lo, self.hi, self.nlen
+        npiv = (self.kmax + 1) // 2
+        big_k = hi + 1                  # largest k with z^{k-1} in the window
+        ks = np.arange(1, big_k + 1)
+        e = np.arange(lo, hi + 1)
+        # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
+        self._flip = np.where(e % 2, 1.0, -1.0)
+        # the regular part s^{m, m'} over every mode m, m' of the window
+        full = {(k, lab): i for i, (lab, k) in enumerate(itertools.product(self.ram, ks.tolist()))}
+        count = len(cur.bergman_reg)
+        ij = np.array([np.fromiter(map(full.get, ms, itertools.repeat(-1)), int, count)
+                       for ms in zip(*cur.bergman_reg)] or np.zeros((2, 0), int))
+        vals = np.fromiter(cur.bergman_reg.values(), complex, count)
+        keep = (ij >= 0).all(axis=0)
+        s_full = np.zeros((len(full), len(full)), dtype=complex)
+        s_full[ij[0, keep], ij[1, keep]] = vals[keep]
+        odd_rows = [full[m] for m in self.modes]
+        ii = np.arange(nlen)
+        self.loc_p, self.loc_m, self.b_pm, self.res_vec, self.res_tensor = {}, {}, {}, {}, {}
+        for q, lab in enumerate(self.ram):
+            s_lab = s_full[:, q * big_k:(q + 1) * big_k]        # one s matrix per point
+            lp = np.zeros((self.dim, nlen), dtype=complex)
+            lp[:, -lo:] = s_lab[odd_rows] * ks
+            at_lab = [mi for mi, (_, b) in enumerate(self.modes) if b == lab]
+            lp[at_lab, [-self.modes[mi][0] - 1 - lo for mi in at_lab]] = 1.0
             self.loc_p[lab] = lp
-            self.loc_m[lab] = lm
-            # two-form with both arguments local: B(z, -z) / dz^2
-            bpm = np.zeros(self.nlen, dtype=complex)
-            bpm[-2 - self.lo] = -0.25
-            for (m1, m2), s in cur.bergman_reg.items():
-                if m1[1] == lab and m2[1] == lab:
-                    e = m1[0] + m2[0] - 2
-                    if e <= self.hi:
-                        bpm[e - self.lo] += s * m1[0] * m2[0] * (-1.0) ** m2[0]
+            self.loc_m[lab] = lp * self._flip
+            # two-form with both arguments local: B(z, -z) / dz^2, summed along
+            # the anti-diagonals k + k' - 2 = exponent
+            terms = s_lab[q * big_k:(q + 1) * big_k] * ks[:, None] * ks * (-1.0) ** ks
+            diag = np.zeros(2 * big_k - 1, dtype=complex)
+            np.add.at(diag, (ks[:, None] + ks - 2).ravel(), terms.ravel())
+            bpm = np.zeros(nlen, dtype=complex)
+            bpm[-2 - lo] = -0.25
+            bpm[-lo:] += diag[:big_k]
             self.b_pm[lab] = bpm
-            # residue contraction against z^{k1} / D(z)
+            # residue of z^{2 lo + l} against z^{k1} / D(z): the coefficient of
+            # z^{-1 - k1 - 2 lo - l} of 1 / D
             inv_d = cur.denom[lab].inverse()
-            needed = -1 - 1 - 2 * self.lo
+            needed = -1 - 1 - 2 * lo
             if inv_d.trunc_order < needed:
                 raise TruncationInsufficient(
                     f"denom at {lab!r} truncated below order {needed + 4}")
-            conv_len = 2 * self.nlen - 1
-            vecs = {}
-            for k1 in range(1, self.kmax + 1, 2):
-                v = np.zeros(conv_len, dtype=complex)
-                for j in range(conv_len):
-                    e = 2 * self.lo + j
-                    v[j] = inv_d.get(-1 - k1 - e)
-                vecs[k1] = v
-            self.res_vec[lab] = vecs
+            exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
+            low = int(exps.min())
+            coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
+            res = coef[exps - low]
+            self.res_vec[lab] = res
+            # C[p, a, b] = loc_p[a] . H_p . loc_m[b] with H_p[i, j] = res[p, i + j]
+            self.res_tensor[lab] = lp @ res[:, ii[:, None] + ii] @ self.loc_m[lab].T
 
     # building blocks ---------------------------------------------------------
 
@@ -192,21 +217,6 @@ class _EoEngine(_CellRecursion):
         """Modes within the degree budget 3g - 3 + n that ``rest`` leaves in omega_{g,n}."""
         budget = 3 * g - 3 + n - sum(self.degree[j] for j in rest)
         return [j for j in range(self.dim) if self.degree[j] <= budget]
-
-    def _factor(self, g, n, legs, lab, minus):
-        """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0.
-
-        For (0, 2) this is the two-form against the one leg (``_f_leg``).
-        """
-        if (g, n) == (0, 2):
-            return self._f_leg(self.modes[legs[0]], lab, minus)
-        key = (g, n, legs, lab, minus)
-        if key not in self._factor_cache:
-            vec = self._svec(g, n, tuple(sorted(legs)))
-            mat = self.loc_m[lab] if minus else self.loc_p[lab]
-            arr = vec @ mat
-            self._factor_cache[key] = arr if np.any(arr) else None
-        return self._factor_cache[key]
 
     def _f_leg(self, mode, lab, minus):
         """Series of the two-form with one local argument against leg ``mode``.
@@ -220,55 +230,162 @@ class _EoEngine(_CellRecursion):
         arr[k - 1 - self.lo] = k * ((-1.0) ** k if minus else 1.0)
         return arr
 
-    def _pair_tensor(self, lab):
-        """conv(loc_p[j1], loc_m[j2]) for all mode pairs, cached per point."""
-        c2 = self._pair_cache.get(lab)
-        if c2 is None:
-            lp, lm = self.loc_p[lab], self.loc_m[lab]
-            conv_len = 2 * self.nlen - 1
-            c2 = np.zeros((self.dim, self.dim, conv_len), dtype=complex)
-            for j1 in range(self.dim):
-                for j2 in range(self.dim):
-                    c2[j1, j2] = np.convolve(lp[j1], lm[j2])
-            self._pair_cache[lab] = c2
-        return c2
+    def _factors(self, g, n, lab, minus):
+        """Nonzero series of omega_{g,n}(q(+-z), legs) over the window, by legs.
 
-    def _xi(self, g, n, lab, rest):
-        """Series whose residue against z^{k1} / D(z) gives the entry (k1, rest).
-
-        It does not depend on the pivot index k1, so it is cached per cell.
+        The dict runs in increasing degree sum of the legs; the list holds
+        those sums.  For (0, 2) the series are the two-form against one leg
+        (``_f_leg``).  A cell's tables are built for every point and sign at
+        once, the first time one is asked for.
         """
-        key = ("xi", g, n, lab, rest)
-        xi = self._cell_cache.get(key)
-        if xi is not None:
-            return xi
-        conv_len = 2 * self.nlen - 1
-        xi = np.zeros(conv_len, dtype=complex)
-        # splitting terms (two-form legs allowed, one-form excluded)
-        for g1, n1, pos1, g2, n2, pos2 in _splits(g, n):
-            f1 = self._factor(g1, n1, tuple(rest[p] for p in pos1), lab, minus=False)
-            if f1 is None:
-                continue
-            f2 = self._factor(g2, n2, tuple(rest[p] for p in pos2), lab, minus=True)
-            if f2 is not None:
-                xi += np.convolve(f1, f2)
-        # genus-reduction term
-        if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                pad = np.zeros(conv_len, dtype=complex)
-                pad[-self.lo: -self.lo + self.nlen] = self.b_pm[lab]
-                xi += pad
-            else:
-                m2 = self._pair_matrix(g - 1, n + 1, rest)
-                if m2 is not None:
-                    xi += np.einsum("jk,jkl->l", m2, self._pair_tensor(lab), optimize=True)
-        self._cell_cache[key] = xi
+        tables = self._factor_cache.get((g, n))
+        if tables is None:
+            tables = self._factor_cache[(g, n)] = self._factor_tables(g, n)
+        return tables[lab, minus]
+
+    def _factor_tables(self, g, n):
+        """The ``_factors`` tables of one cell, keyed by (point, minus)."""
+        out = {}
+        if (g, n) == (0, 2):
+            for lab in self.ram:
+                legs = [(j,) for j, (_, b) in enumerate(self.modes) if b == lab]
+                for minus in (False, True):
+                    out[lab, minus] = ({leg: self._f_leg(self.modes[leg[0]], lab, minus)
+                                        for leg in legs}, [self.degree[j] for j, in legs])
+            return out
+        # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
+        rows, at, vals = {}, [], []
+        for idx, val in self.table.entries[(g, n)].items():
+            for p in range(n):
+                if p == 0 or idx[p] != idx[p - 1]:
+                    at.append((rows.setdefault(idx[:p] + idx[p + 1:], len(rows)), idx[p]))
+                    vals.append(val)
+        vec = np.zeros((len(rows), self.dim), dtype=complex)
+        if at:
+            vec[tuple(np.array(at).T)] = vals
+        legs = list(rows)
+        deg = [sum(self.degree[j] for j in leg) for leg in legs]
+        order = sorted(range(len(legs)), key=deg.__getitem__)
+        for lab in self.ram:
+            plus = vec @ self.loc_p[lab]
+            nonzero = plus.any(axis=1)
+            keep = [r for r in order if nonzero[r]]
+            for minus, arr in ((False, plus), (True, plus * self._flip)):
+                out[lab, minus] = ({legs[r]: arr[r] for r in keep}, [deg[r] for r in keep])
+        return out
+
+    def _factor(self, g, n, legs, lab, minus):
+        """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
+        return self._factors(g, n, lab, minus)[0].get(tuple(sorted(legs)))
+
+    # the whole-cell fill -----------------------------------------------------
+
+    def _cell(self, g, n):
+        """Recursion values of a cell on its support.
+
+        At each point, the entries whose pivot (first index) sits there are
+        grouped by their other legs, the rest: one xi series per rest, whose
+        residues against every pivot come out of one product.
+        """
+        support = self.support(g, n)
+        self.evaluated += len(support)
+        rows = {lab: {} for lab in self.ram}
+        for idx in support:
+            at = rows[self.modes[idx[0]][1]]
+            at.setdefault(idx[1:], len(at))
+        vals = {lab: self._rest_values(g, n, lab, at) for lab, at in rows.items() if at}
+        cell = {}
+        for idx in support:
+            lab = self.modes[idx[0]][1]
+            val = vals[lab][rows[lab][idx[1:]], self.degree[idx[0]]]
+            if val != 0:
+                cell[idx] = val
+        return cell
+
+    def _rest_values(self, g, n, lab, rows):
+        """Entries (pivot, rest) at the point ``lab``: a row per rest, a column per pivot."""
+        xi = self._split_terms(g, n, lab, rows)
+        if (g, n) == (1, 1):
+            xi[rows[()], -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
+        vals = -(xi @ self.res_vec[lab].T)
+        if g >= 1 and (g, n) != (1, 1):
+            vals -= self._genus_terms(g, n, lab, rows)
+        return vals
+
+    def _split_terms(self, g, n, lab, rows):
+        """xi series of every rest in ``rows`` from the splitting terms.
+
+        Each pair of nonzero lower-cell factors whose merged legs are a rest
+        adds its product once per leg-position subset that gives the pair.
+        """
+        xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+        first = self.index[(1, lab)]        # every rest here starts at lab or later
+        room = 3 * g - 3 + n                # no rest has a larger degree sum
+        for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
+            ones, deg1 = self._factors(g1, n1, lab, False)
+            twos, deg2 = self._factors(g2, n2, lab, True)
+            twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
+                    if not legs or legs[0] >= first]
+            deg2 = [d for _, _, d in twos]
+            for (legs1, f1), d1 in zip(ones.items(), deg1):
+                if legs1 and legs1[0] < first:
+                    continue
+                for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
+                    row = rows.get(tuple(sorted(legs1 + legs2)))
+                    if row is not None:
+                        # one add per subset, as in compute_value: a single add
+                        # of the multiple rounds differently from the reference
+                        term = np.convolve(f1, f2)
+                        for _ in range(_ways(legs1, legs2)):
+                            xi[row] += term
         return xi
 
+    def _genus_terms(self, g, n, lab, rows):
+        """Genus-reduction residues for every rest in ``rows`` and every pivot at ``lab``.
+
+        An entry of omega_{g-1,n+1} at (a, b, rest) adds its value times
+        C[p, a, b] + C[p, b, a] (once for a = b) to (rest, pivot p).
+        """
+        at, pairs, vals = [], [], []
+        for key, val in self.table.entries[(g - 1, n + 1)].items():
+            for a, b in dict.fromkeys(itertools.combinations(key, 2)):
+                rest = list(key)
+                rest.remove(a)
+                rest.remove(b)
+                row = rows.get(tuple(rest))
+                if row is not None:
+                    at.append(row)
+                    pairs.append((a, b))
+                    vals.append(val)
+        out = np.zeros((len(rows), self.res_vec[lab].shape[0]), dtype=complex)
+        if at:
+            a, b = np.array(pairs).T
+            c = self.res_tensor[lab]
+            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * np.array(vals)
+            np.add.at(out, at, terms.T)
+        return out
+
     def compute_value(self, g, n, idx, pivot_pos=0):
+        """One entry with the leg at ``pivot_pos`` as pivot: the per-entry reference."""
         k1, lab = self.modes[idx[pivot_pos]]
+        p = (k1 - 1) // 2
         rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
-        return -(self._xi(g, n, lab, rest) @ self.res_vec[lab][k1])
+        xi = np.zeros(2 * self.nlen - 1, dtype=complex)
+        for g1, n1, pos1, g2, n2, pos2 in _splits(g, n):
+            f1 = self._factor(g1, n1, tuple(rest[q] for q in pos1), lab, minus=False)
+            if f1 is None:
+                continue
+            f2 = self._factor(g2, n2, tuple(rest[q] for q in pos2), lab, minus=True)
+            if f2 is not None:
+                xi += np.convolve(f1, f2)
+        if (g, n) == (1, 1):
+            xi[-self.lo:-self.lo + self.nlen] += self.b_pm[lab]
+        val = -(xi @ self.res_vec[lab][p])
+        if g >= 1 and (g, n) != (1, 1):
+            m2 = self._pair_matrix(g - 1, n + 1, rest)
+            if m2 is not None:
+                val -= np.sum(m2 * self.res_tensor[lab][p])
+        return val
 
     def support(self, g, n):
         """Index tuples of omega_{g,n} with degrees summing to at most 3g - 3 + n.
@@ -278,10 +395,21 @@ class _EoEngine(_CellRecursion):
         beyond the degree bound has a zero entry.
         """
         self.allowed(g, n)      # every mode within the degree bound is allowed
-        tuples = [()]
+        room = 3 * g - 3 + n
+        fits = [[j for j in range(self.dim) if self.degree[j] <= b] for b in range(room + 1)]
+        grown = [((), 0)]           # (sorted tuple, its degree sum)
         for _ in range(n):
-            tuples = [t + (j,) for t in tuples for j in self._fit(g, n, t) if not t or j >= t[-1]]
-        return tuples
+            grown = [(t + (j,), d + self.degree[j]) for t, d in grown
+                     for j in fits[room - d] if not t or j >= t[-1]]
+        return [t for t, _ in grown]
+
+
+def _ways(legs1, legs2):
+    """Leg-position subsets of the merged legs that hand ``legs1`` to the first factor."""
+    ways = 1
+    for j in set(legs1).intersection(legs2):
+        ways *= math.comb(legs1.count(j) + legs2.count(j), legs1.count(j))
+    return ways
 
 
 def eo_run(curve, chi_max, kmax=None, extra_order=0):
@@ -389,7 +517,7 @@ def _even_leg_probe(engine, g, n, k_even, lab):
         other = engine._factor(g, n - 1, legs, lab, not even_on_minus)
         if f_even is not None and other is not None:
             xi += np.convolve(f_even, other)
-    return -(xi @ engine.res_vec[lab][1])
+    return -(xi @ engine.res_vec[lab][0])
 
 
 def atr_eo_crosscheck(tensors, gauge, chi_max, denom=None):

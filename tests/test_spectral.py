@@ -202,7 +202,8 @@ def test_oracle_keeps_full_enumeration():
          if key[0][0] % 2 and key[1][0] % 2}
     atr = _AtrEngine(gauge_transform(build_tr_variant_tensors(13, ("0",)), GaugeData(s=s)), 4)
     eo = _EoEngine(LocalSpectralCurve(ram=("0",), bergman_reg=s), 4, 12)
-    atr_seen, eo_seen = _recorded(atr), _recorded(eo)
+    atr_seen = _recorded(atr)
+    eo.run()        # fills whole cells: no per-tuple compute_value calls to record
     assert atr.step == eo.step == 2
     assert set(atr_seen) == set(recursion_cells(4)) - set(atr.seeded)
     for g, n in recursion_cells(4):
@@ -210,12 +211,82 @@ def test_oracle_keeps_full_enumeration():
         assert [atr.modes[i] for i in atr.allowed(g, n)] == [eo.modes[i] for i in eo.allowed(g, n)]
         if (g, n) not in atr.seeded:
             assert atr_seen[(g, n)] == full, (g, n)
-        assert eo_seen[(g, n)] == list(eo.support(g, n)), (g, n)
         if n == 1:      # every allowed mode is within the degree bound
-            assert len(eo_seen[(g, n)]) == len(full), (g, n)
+            assert len(eo.support(g, n)) == len(full), (g, n)
         elif 2 * g - 2 + n >= 2:
-            assert len(eo_seen[(g, n)]) < len(full), (g, n)
-    assert eo.evaluated == sum(len(v) for v in eo_seen.values())
+            assert len(eo.support(g, n)) < len(full), (g, n)
+    assert eo.evaluated == sum(len(eo.support(g, n)) for g, n in recursion_cells(4))
+
+
+QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
+
+
+@pytest.mark.parametrize("ram, chi, denom", [
+    (("0", "1", "2", "3"), 4, QUARTIC),
+    (("p", "q"), 5, None),
+    (("0",), 6, None),
+], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6"])
+def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
+    # the whole-cell fill against compute_value, entry by entry on the support
+    rng = np.random.default_rng(31)
+    curve = LocalSpectralCurve(ram=ram, denom={lab: denom for lab in ram} if denom else {},
+                               bergman_reg=random_s(ram, 13, rng))
+    omega = eo_run(curve, chi)
+    engine = omega.engine
+    for g, n in recursion_cells(chi):
+        cell = omega.table.entries[(g, n)]
+        ref = {idx: engine.compute_value(g, n, idx) for idx in engine.support(g, n)}
+        assert set(cell) == {idx for idx, val in ref.items() if val != 0}, (g, n)
+        for idx, val in cell.items():
+            assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
+
+
+def _loop_setup(engine):
+    """loc_p, loc_m, b_pm and res_vec entry by entry from the curve's dicts."""
+    cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
+    loc_p, loc_m, b_pm, res_vec = {}, {}, {}, {}
+    for lab in cur.ram:
+        lp = np.zeros((engine.dim, nlen), dtype=complex)
+        lm = np.zeros((engine.dim, nlen), dtype=complex)
+        for mi, (k, blab) in enumerate(engine.modes):
+            if blab == lab:
+                lp[mi, -k - 1 - lo] += 1.0
+                lm[mi, -k - 1 - lo] += (-1.0) ** k
+            for m2k in range(1, hi + 2):
+                s = cur.bergman_reg.get(((k, blab), (m2k, lab)), 0j)
+                lp[mi, m2k - 1 - lo] += s * m2k
+                lm[mi, m2k - 1 - lo] += s * m2k * (-1.0) ** m2k
+        loc_p[lab], loc_m[lab] = lp, lm
+        bpm = np.zeros(nlen, dtype=complex)
+        bpm[-2 - lo] = -0.25
+        for (m1, m2), s in cur.bergman_reg.items():
+            if m1[1] == lab and m2[1] == lab and m1[0] + m2[0] - 2 <= hi:
+                bpm[m1[0] + m2[0] - 2 - lo] += s * m1[0] * m2[0] * (-1.0) ** m2[0]
+        b_pm[lab] = bpm
+        inv_d = cur.denom[lab].inverse()
+        res_vec[lab] = np.array([[inv_d.get(-1 - k1 - 2 * lo - j) for j in range(2 * nlen - 1)]
+                                 for k1 in range(1, engine.kmax + 1, 2)])
+    return loc_p, loc_m, b_pm, res_vec
+
+
+def test_setup_tables_match_loop_reference():
+    # the array-built window series and residue tables against the entry loop
+    rng = np.random.default_rng(37)
+    ram = ("p", "q", "r")
+    s = random_s(ram + ("x",), 11, rng)     # label x is not a ramification point here
+    s.update(random_s(("p",), 30, rng))     # modes beyond the window are left out
+    curve = LocalSpectralCurve(ram=ram, denom={"q": QUARTIC}, bergman_reg=s)
+    engine = _EoEngine(curve, 3, 10, extra_order=3)
+    for name, ref in zip(("loc_p", "loc_m", "b_pm", "res_vec"), _loop_setup(engine)):
+        for lab in ram:
+            got = getattr(engine, name)[lab]
+            assert got.shape == ref[lab].shape, (name, lab)
+            assert np.max(np.abs(got - ref[lab])) <= 1e-15 * np.max(np.abs(ref[lab])), (name, lab)
+    for lab in ram:
+        lp, lm, res = engine.loc_p[lab], engine.loc_m[lab], engine.res_vec[lab]
+        conv = np.array([[np.convolve(a, b) for b in lm] for a in lp])
+        ref = np.einsum("abl,pl->pab", conv, res)
+        assert np.max(np.abs(engine.res_tensor[lab] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
 
 
 def test_curve_errors_name_their_numbers():
