@@ -9,8 +9,10 @@ Cycles are realized as ellipses in the z-plane with branch points as foci:
 A_i encircles the i-th branch cut, the chain loops C_i bridge consecutive
 cuts, and B_i = C_i + C_{i+1} + ... + C_g.  Sheets are tracked by analytic
 continuation of y along each contour, anchored on the principal sheet
-(y ~ +z^{g+1} at large |z|).  All period integrals use composite
-Gauss-Legendre panels with adaptive doubling.
+(y ~ +z^{g+1} at large |z|).  A nearby curve reuses the reference nodes
+and takes at each the sign of sqrt(Q) nearer the reference sheet, under a
+checked margin.  All period integrals use composite Gauss-Legendre panels
+with adaptive doubling.
 
 The normalized symmetric two-form is built from the classical algebraic
 bidifferential
@@ -149,7 +151,7 @@ class SheetTracker:
             dist = float(np.min(np.abs(z - self.curve.branch_points)))
             step = max(min(0.2 * dist, total - pos), 1e-12)
             pos = min(pos + step, total)
-            z = z0 + (z1 - z0) * (pos / total)
+            z = z1 if pos == total else z0 + (z1 - z0) * (pos / total)
             cand = np.sqrt(self.curve.q_at(z))
             y = cand if abs(cand - y) <= abs(cand + y) else -cand
             guard += 1
@@ -187,7 +189,8 @@ class SheetTracker:
         so between far steps the sheet is a running product of neighbour
         flips.  A far step, longer than 0.15 times the distance from its
         start to the branch points, is continued by ``walk_segment`` and the
-        chain restarts from the walked value.
+        chain restarts from the walked sign.  Every node keeps its own value
+        of sqrt(Q), so a node's y is exactly +-``np.sqrt(q_at(zs))[i]``.
         """
         zs = np.asarray(zs, dtype=complex)
         cand = np.sqrt(self.curve.q_at(zs))
@@ -206,8 +209,6 @@ class SheetTracker:
                 y = self.walk_segment(zs[start - 1], ys[start - 1], zs[start])
             neg = odd[start:stop] ^ (odd[start] ^ (abs(cand[start] - y) > abs(cand[start] + y)))
             ys[start:stop] = np.where(neg, -cand[start:stop], cand[start:stop])
-            if start:
-                ys[start] = y
         return ys
 
 
@@ -282,19 +283,58 @@ class _ContourNodes:
         self.closure = closure
 
 
+# a derived sheet value y = +-sqrt(Q) must sit clearly nearer the reference
+# value than -y does: |y - y_ref| <= _SHEET_GATE * |y + y_ref|
+_SHEET_GATE = 0.25
+
+
+def _nearer_sheet(cand, y_ref, contour, z):
+    """+-cand, each entry on the sign nearer y_ref; OutOfNeighbourhood if that is not clear."""
+    same, flip = np.abs(cand - y_ref), np.abs(cand + y_ref)
+    ratio = np.atleast_1d(np.minimum(same, flip) / np.maximum(same, flip))
+    worst = int(np.argmax(ratio))
+    if not ratio[worst] <= _SHEET_GATE:
+        raise OutOfNeighbourhood(
+            f"sheet of the moved curve is ambiguous at node {np.atleast_1d(z)[worst]:.6g} of the "
+            f"contour with foci {contour.f1:.6g}, {contour.f2:.6g}: nearer/farther distance "
+            f"to the reference sheet {ratio[worst]:.3g} against gate {_SHEET_GATE:g}")
+    return np.where(same <= flip, cand, -cand)[()]
+
+
 class QuadratureWorkspace:
-    """Caches Gauss-Legendre nodes per (contour, panel count), on the sheets of ``curve``."""
+    """Caches Gauss-Legendre nodes per (contour, panel count), on the sheets of ``curve``.
+
+    A workspace made by ``moved_to`` derives its sheets from the one it was
+    moved from: it shares that workspace's nodes z, dz/dt and weights, and at
+    each node, and at each contour's anchor, y is the sign of sqrt(Q) on the
+    moved curve nearer the reference value.  The nearer sign must be at most
+    ``_SHEET_GATE`` times the distance to the other, or OutOfNeighbourhood is
+    raised.  A panel level is tracked once on the reference and kept there.
+    The sheet closure walk and its gate run on the moved curve either way.
+    """
 
     def __init__(self, curve):
         self.curve = curve
         self.tracker = SheetTracker(curve)
+        self._reference = None
         self._cache = {}
         self._anchor_cache = {}
+
+    def moved_to(self, curve):
+        """Workspace on the nearby ``curve`` whose sheets are derived from this one's."""
+        moved = QuadratureWorkspace(curve)
+        moved._reference = self
+        return moved
 
     def _anchor_for(self, contour):
         if contour not in self._anchor_cache:
             z0 = complex(contour.point(0.0))
-            self._anchor_cache[contour] = self.tracker.anchor(z0)
+            if self._reference is None:
+                y0 = self.tracker.anchor(z0)
+            else:
+                y0 = _nearer_sheet(np.sqrt(self.curve.q_at(z0)),
+                                   self._reference._anchor_for(contour), contour, z0)
+            self._anchor_cache[contour] = y0
         return self._anchor_cache[contour]
 
     def track(self, contour, t):
@@ -305,14 +345,25 @@ class QuadratureWorkspace:
         return z, self.tracker.track_along(z, y_first)
 
     def nodes(self, contour, n_panels):
+        """Nodes, weights, sheet values and sheet closure of ``contour`` at ``n_panels`` panels."""
+        return self._nodes(contour, n_panels)
+
+    def _nodes(self, contour, n_panels):
+        # a derived workspace reads its reference here, not through ``nodes``,
+        # so each integration level is one ``nodes`` call, as for a tracked one
         key = (contour, n_panels)
         data = self._cache.get(key)
         if data is None:
-            xs, ws = _gl_nodes()
-            t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
-            w = np.tile(ws, n_panels) / n_panels
-            z, ys = self.track(contour, t)
-            dzdt = contour.velocity(t)
+            if self._reference is None:
+                xs, ws = _gl_nodes()
+                t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
+                w = np.tile(ws, n_panels) / n_panels
+                z, ys = self.track(contour, t)
+                dzdt = contour.velocity(t)
+            else:
+                ref = self._reference._nodes(contour, n_panels)
+                z, dzdt, w = ref.z, ref.dzdt, ref.w
+                ys = _nearer_sheet(np.sqrt(self.curve.q_at(z)), ref.y, contour, z)
             y0 = self._anchor_for(contour)
             z_start = complex(contour.point(0.0))
             y_close = self.tracker.walk_segment(complex(z[-1]), ys[-1], z_start)
@@ -726,12 +777,15 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
     The Jacobian is d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus
     sign follows from dS = +z P' dz / y and the fixed variational identity
     d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference cycle contours
-    are reused, valid for targets in a small neighbourhood: a Newton trial
-    whose branch points leave it counts as a failed damping step, and
-    OutOfNeighbourhood is raised when the damping ends on such a trial.
+    are reused, valid for targets in a small neighbourhood.  Each trial's
+    workspace is ``cycles0.workspace.moved_to(curve_try)``: its sheets are
+    derived from the reference nodes, never tracked again on the moved curve.
+    A Newton trial whose branch points leave the neighbourhood, or whose
+    derived sheet misses the margin gate, counts as a failed damping step,
+    and OutOfNeighbourhood is raised when the damping ends on such a trial.
 
     Returns ``(curve, cycles)``: the moved curve and the reference contours
-    paired with a quadrature workspace on that curve, ready for ``periods``.
+    paired with the derived workspace on that curve, ready for ``periods``.
     """
     u = np.array(curve0.u, dtype=complex)
     a_target = np.asarray(a_target, dtype=complex)
@@ -750,12 +804,16 @@ def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
             curve_try = new_curve(curve0.g, u_try, curve0.Lambda)
             outside = _neighbourhood_violation(curve_try, cycles0)
             if outside is None:
-                cycles_try = replace(cycles0, workspace=QuadratureWorkspace(curve_try))
-                err_try = a_target - _cycle_periods(cycles_try.workspace, a_cycles,
-                                                    ds_sw(curve_try), tol)
-                if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
-                    u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
-                    break
+                cycles_try = replace(cycles0, workspace=cycles0.workspace.moved_to(curve_try))
+                try:
+                    err_try = a_target - _cycle_periods(cycles_try.workspace, a_cycles,
+                                                        ds_sw(curve_try), tol)
+                except OutOfNeighbourhood as exc:
+                    outside = str(exc)
+                else:
+                    if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
+                        u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
+                        break
             step *= 0.5
         else:
             if outside is not None:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import OutOfNeighbourhood, QuadratureNotConverged, SingularCurve
 from swtr.hyperelliptic import (
     EllipseContour,
     QuadratureWorkspace,
+    SheetTracker,
     bergman_kernel,
     build_cycles,
     ds_sw,
@@ -24,6 +26,7 @@ from swtr.hyperelliptic import (
     ramification_w_values,
     residue_at_infinity,
 )
+from swtr.hyperelliptic import _neighbourhood_violation
 
 U0_G1 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
@@ -163,6 +166,25 @@ def test_track_along_matches_scalar_continuation(u0):
     assert 0 < far_steps["panels"] < sum(len(zs) for zs in node_sets["panels"]) // 2
 
 
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
+def test_tracked_sheets_take_each_nodes_own_sqrt(u0):
+    # a walk lands on its end point exactly, and every tracked node keeps its
+    # own array value of sqrt(Q), so a sheet derived from these nodes on
+    # another curve can be bitwise the one tracked there
+    curve, cycles = _curve_and_cycles(u0)
+    tracker = cycles.workspace.tracker
+    xs = 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0)
+    for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
+        z0 = complex(cont.point(0.0))
+        z1 = complex(cont.point(0.37))
+        y1 = tracker.walk_segment(z0, tracker.anchor(z0), z1)
+        assert y1 in (np.sqrt(curve.q_at(z1)), -np.sqrt(curve.q_at(z1)))
+        for n_panels in (8, 64):
+            zs = cont.point((np.arange(n_panels)[:, None] + xs).ravel() / n_panels)
+            ys = tracker.track_along(zs, tracker.anchor(complex(zs[0])))
+            assert np.abs(ys).tobytes() == np.abs(np.sqrt(curve.q_at(zs))).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------
@@ -295,7 +317,7 @@ def _period_fields(pd):
     return [getattr(pd, f).tobytes() for f in ("a", "b", "tau", "norm_matrix", "a_jacobian")]
 
 
-@pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2)])
+@pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2), (3, U0_G3)])
 def test_moved_periods_match_fresh_workspace(genus, u0):
     # the cycles invert_a_map returns carry a workspace on the moved curve
     # that gives exactly the periods of a freshly built one
@@ -308,6 +330,104 @@ def test_moved_periods_match_fresh_workspace(genus, u0):
     assert moved_cycles.workspace.curve is moved
     fresh = replace(cycles, workspace=QuadratureWorkspace(moved))
     assert _period_fields(periods(moved, moved_cycles)) == _period_fields(periods(moved, fresh))
+
+
+def test_derived_sheets_match_fresh_tracking():
+    # invert_a_map derives each trial's sheets from the reference nodes; every
+    # level it and the periods on its curve used carries bitwise the sheet
+    # values and closure that tracking on the moved curve gives, at the
+    # reference's own nodes
+    curve, cycles = _curve_and_cycles(U0_G2)
+    pd = periods(curve, cycles)
+    moved, moved_cycles = invert_a_map(curve, cycles, pd.a + 1e-3, tol=1e-11)
+    periods(moved, moved_cycles)
+    derived, fresh = moved_cycles.workspace, QuadratureWorkspace(moved)
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    assert {cont for cont, _ in derived._cache} == set(conts)
+    for (cont, n_panels), data in derived._cache.items():
+        ref, new = cycles.workspace.nodes(cont, n_panels), fresh.nodes(cont, n_panels)
+        assert data.z is ref.z and data.dzdt is ref.dzdt and data.w is ref.w
+        assert data.z.tobytes() == new.z.tobytes()
+        assert data.y.tobytes() == new.y.tobytes()
+        assert data.closure == new.closure
+    assert derived._anchor_cache == {c: fresh._anchor_for(c) for c in derived._anchor_cache}
+
+
+def _derivation_refusal(curve, cycles, err):
+    m = re.fullmatch(r"sheet of the moved curve is ambiguous at node (\S+) of the contour with "
+                     r"foci (\S+), (\S+): nearer/farther distance to the reference sheet "
+                     r"(\S+) against gate (\S+)", str(err))
+    assert m, str(err)
+    node, f1, f2 = (complex(m.group(i)) for i in (1, 2, 3))
+    ratio, gate = float(m.group(4)), float(m.group(5))
+    assert gate == 0.25 < ratio < 1.0
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    cont = next(c for c in conts if np.allclose([c.f1, c.f2], [f1, f2], rtol=1e-5))
+    zs = cycles.workspace.nodes(cont, 8).z
+    assert float(np.min(np.abs(zs - node))) < 1e-5
+    return cont
+
+
+def test_derived_sheet_refuses_ambiguous_sign():
+    # moving u by 0.05 keeps every branch point inside its reference contours,
+    # but one comes so near the chain loop that sqrt(Q) at a node is no
+    # longer clearly nearer one sign of the reference sheet than the other
+    curve, cycles, _ = setup_g1()
+    moved = new_curve(1, (U0_G1[0] + 0.05,))
+    assert _neighbourhood_violation(moved, cycles) is None
+    derived = replace(cycles, workspace=cycles.workspace.moved_to(moved))
+    with pytest.raises(OutOfNeighbourhood) as err:
+        periods(moved, derived)
+    assert _derivation_refusal(moved, cycles, err.value) in cycles.chain_loops
+
+
+def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
+    # along this direction the Newton trials near the target keep their branch
+    # points inside the contours but miss the sheet gate; each such trial is a
+    # failed damping step, and the refusal comes when a whole damping sequence
+    # of 5 trials ends on one, instead of a quadrature on a tracked sheet
+    # running into the 4096-panel cap
+    curve, cycles, pd = setup_g1()
+    trials = []
+    moved_to = QuadratureWorkspace.moved_to
+    monkeypatch.setattr(QuadratureWorkspace, "moved_to",
+                        lambda self, c: trials.append(c) or moved_to(self, c))
+    with pytest.raises(OutOfNeighbourhood) as err:
+        invert_a_map(curve, cycles, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi)))
+    _derivation_refusal(curve, cycles, err.value)
+    assert len(trials) >= 5
+
+
+def test_moved_curves_are_never_tracked(monkeypatch):
+    # one g2 verify anchors and tracks sheets on the reference curve only; its
+    # quadrature work is that of the per-layer benchmark counts
+    seen = {"curves": set(), "integrate": 0, "panels": 0}
+    anchor, track = SheetTracker.anchor, SheetTracker.track_along
+    integrate, nodes = QuadratureWorkspace.integrate, QuadratureWorkspace.nodes
+
+    def counted_anchor(self, *args):
+        seen["curves"].add(id(self.curve))
+        return anchor(self, *args)
+
+    def counted_track(self, *args):
+        seen["curves"].add(id(self.curve))
+        return track(self, *args)
+
+    def counted_integrate(self, *args, **kwargs):
+        seen["integrate"] += 1
+        return integrate(self, *args, **kwargs)
+
+    def counted_nodes(self, contour, n_panels):
+        seen["panels"] += n_panels
+        return nodes(self, contour, n_panels)
+
+    monkeypatch.setattr(SheetTracker, "anchor", counted_anchor)
+    monkeypatch.setattr(SheetTracker, "track_along", counted_track)
+    monkeypatch.setattr(QuadratureWorkspace, "integrate", counted_integrate)
+    monkeypatch.setattr(QuadratureWorkspace, "nodes", counted_nodes)
+    rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
+    assert rep.passed
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 127, "panels": 3048}
 
 
 def test_workspace_of_another_curve_rejected():
