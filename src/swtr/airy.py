@@ -156,21 +156,29 @@ def _build_family(kmax, ram, tr_variant, validate):
     return t
 
 
-def _validate_family(t, tr_variant):
-    """Every entry with indices up to 9 against its residue formula."""
+def residue_formula_deviation(t, bound, tr_variant=False):
+    """(|stored - residue formula|, (kind, i, j, k, stored)) of the worst a, b, c entry.
+
+    Entries at the first label with indices up to ``bound`` are compared.
+    """
     entry = tr_variant_entry if tr_variant else residue_constraint_entry
     lab = t.ram[0]
-    bound = min(9, t.kmax)
-    for i in range(1, bound + 1):
-        for j in range(1, bound + 1):
-            for k in range(1, bound + 1):
-                ii, jj, kk = t.mode(i, lab), t.mode(j, lab), t.mode(k, lab)
-                for kind, stored in (("a", t.a[ii, jj, kk]),
-                                     ("b", t.b[ii, jj, kk]),
-                                     ("c", t.c[ii, jj, kk])):
-                    if abs(stored - entry(kind, i, j, k)) > 1e-13:
-                        raise AssertionError(
-                            f"{kind}[{i},{j},{k}] = {stored} disagrees with residue formula")
+    worst = (-1.0, None)
+    for i, j, k in itertools.product(range(1, bound + 1), repeat=3):
+        ii, jj, kk = t.mode(i, lab), t.mode(j, lab), t.mode(k, lab)
+        for kind, family in (("a", t.a), ("b", t.b), ("c", t.c)):
+            dev = abs(family[ii, jj, kk] - entry(kind, i, j, k))
+            if dev > worst[0]:
+                worst = (dev, (kind, i, j, k, family[ii, jj, kk]))
+    return worst
+
+
+def _validate_family(t, tr_variant):
+    """Every entry with indices up to 9 against its residue formula."""
+    dev, (kind, i, j, k, stored) = residue_formula_deviation(t, min(9, t.kmax), tr_variant)
+    if dev > 1e-13:
+        raise AssertionError(f"{kind}[{i},{j},{k}] = {stored} disagrees with residue formula"
+                             f" by {dev:.2e}")
 
 
 def build_residue_constraint_tensors(kmax, ram=("0",), validate=True):

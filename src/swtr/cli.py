@@ -39,7 +39,7 @@ from .airy import (
     embed_disc,
     eval_hamiltonians,
     max_index_bound,
-    residue_constraint_entry,
+    residue_formula_deviation,
     symmetry_deviation,
 )
 from .charts import local_expansions, standard_charts
@@ -303,9 +303,9 @@ def bperiod_contract(table, c_coeffs, genus):
 def reference_stages(cfg):
     """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
 
-    s and c reach the largest table mode to cfg.chi, max_index_bound(cfg.chi) - 1,
-    which the B-period contraction reads; the charts are built to the order
-    their three exact divisions need, and to 44 at least.
+    s and c reach k_bound = max_index_bound(cfg.chi) - 1, the largest table mode,
+    which the B-period contraction reads; the charts are built to 2 k_bound + 1,
+    the order the three exact divisions of the kernel's regular part need.
     """
     t0 = time.time()
     curve = new_curve(cfg.genus, cfg.u0, cfg.Lambda)
@@ -313,9 +313,9 @@ def reference_stages(cfg):
     pd = periods(curve, cycles)
     t1 = time.time()
     bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
-    bound = max_index_bound(cfg.chi)
-    charts = standard_charts(curve, order=max(44, 2 * bound + 1))
-    s_coeffs, c_coeffs = local_expansions(bk, charts, bound - 1)
+    k_bound = max_index_bound(cfg.chi) - 1
+    charts = standard_charts(curve, 2 * k_bound + 1)
+    s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound)
     seconds = {"periods_s": round(t1 - t0, 3),
                "kernel_and_charts_s": round(time.time() - t1, 3)}
     return PipelineArtifacts(curve=curve, cycles=cycles, pd=pd, bk=bk, charts=charts,
@@ -472,16 +472,9 @@ def airy_selftest(kmax=15):
     report.add("a_111", t.a[t.mode(1, lab), t.mode(1, lab), t.mode(1, lab)], 0.25, 1e-13)
     report.add("eps_3", t.eps[t.mode(3, lab)], 1.0 / 16.0, 1e-13)
     report.add("b_13^1", t.b[t.mode(1, lab), t.mode(3, lab), t.mode(1, lab)], 0.75, 1e-13)
-    dev = 0.0
-    for i in range(1, kmax + 1):
-        for j in range(1, kmax + 1):
-            for k in range(1, kmax + 1):
-                ii, jj, kk = t.mode(i, lab), t.mode(j, lab), t.mode(k, lab)
-                dev = max(dev,
-                          abs(t.a[ii, jj, kk] - residue_constraint_entry("a", i, j, k)),
-                          abs(t.b[ii, jj, kk] - residue_constraint_entry("b", i, j, k)),
-                          abs(t.c[ii, jj, kk] - residue_constraint_entry("c", i, j, k)))
-    report.add("residue_formula_agreement", dev, 0.0, 1.0)
+    dev, (kind, i, j, k, _) = residue_formula_deviation(t, kmax)
+    report.add("residue_formula_agreement", dev, 0.0, 1.0,
+               info=f"worst entry {kind}[{i},{j},{k}] over indices up to {kmax}")
     report.checks[-1].passed = bool(dev < 1e-12)
     table = atr_run(t, chi_max=2)
     report.add("S_0,3;111", table.value(0, 3, ((1, lab),) * 3), 0.5, 1e-13)

@@ -62,7 +62,7 @@ class _G1:
             cycles = build_cycles(curve)
             pd = periods(curve, cycles)
             bk = bergman_kernel(curve, cycles, pd)
-            charts = standard_charts(curve)
+            charts = standard_charts(curve, 44)
             s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
             cls.data = (curve, cycles, pd, bk, charts, s_coeffs, c_coeffs)
         return cls.data

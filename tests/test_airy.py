@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+import swtr.airy as airy_module
 from swtr.airy import (
     GaugeData,
     WElement,
@@ -17,6 +19,7 @@ from swtr.airy import (
     gauge_transform,
     hamiltonians_from_tensors,
     residue_constraint_entry,
+    residue_formula_deviation,
     symmetry_deviation,
     tr_variant_entry,
     validate_gauge,
@@ -79,6 +82,24 @@ def test_tr_variant_against_residue_formulas():
         ii, jj, kk = t.mode(i, lab), t.mode(j, lab), t.mode(k, lab)
         assert abs(t.b[ii, jj, kk] - tr_variant_entry("b", i, j, k)) < 1e-14
         assert abs(t.c[ii, jj, kk] - tr_variant_entry("c", i, j, k)) < 1e-14
+
+
+@pytest.mark.parametrize("tr_variant", [False, True], ids=["airy", "tr-variant"])
+def test_residue_formula_deviation_names_the_worst_entry(tr_variant):
+    # one b entry off by 1e-9 and one c entry by 1e-12: the worst is the b one,
+    # and family validation refuses it by kind, indices and value
+    build = build_tr_variant_tensors if tr_variant else build_residue_constraint_tensors
+    t = build(9, RAM)
+    assert residue_formula_deviation(t, 9, tr_variant)[0] < 1e-14
+    ib = (t.mode(3, "0"), t.mode(2, "0"), t.mode(2, "0"))
+    ic = (t.mode(9, "0"), t.mode(1, "0"), t.mode(5, "0"))
+    t.b[ib] += 1e-9
+    t.c[ic] += 1e-12
+    dev, (kind, i, j, k, stored) = residue_formula_deviation(t, 9, tr_variant)
+    assert (kind, i, j, k, stored) == ("b", 3, 2, 2, t.b[ib])
+    assert dev == pytest.approx(1e-9, rel=1e-6)
+    with pytest.raises(AssertionError, match=re.escape(f"b[3,2,2] = {t.b[ib]} disagrees")):
+        airy_module._validate_family(t, tr_variant)
 
 
 def test_tr_variant_odd_restriction_matches():

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from test_laurent import float_hex, scalar_evaluate, series_hex, uncut_compose
 
 import swtr.charts as charts_module
-from swtr.airy import eval_hamiltonians
+from swtr.airy import eval_hamiltonians, max_index_bound
 from swtr.charts import (
     _chart_nodes,
     _transport_roots,
@@ -39,6 +39,11 @@ U0 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
 U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
 
+# the global helpers (sw_embed_global, ebar_at_points, ebar_periods) evaluate
+# charts on their extraction circles, where charts to this order are
+# truncated below their tolerances
+CHART_ORDER = 44
+
 
 class _Setup:
     _cache = {}
@@ -51,7 +56,7 @@ class _Setup:
             cycles = build_cycles(curve)
             pd = periods(curve, cycles)
             bk = bergman_kernel(curve, cycles, pd)
-            charts = standard_charts(curve)
+            charts = standard_charts(curve, CHART_ORDER)
             s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
             cls._cache[key] = (curve, cycles, pd, bk, charts, s_coeffs, c_coeffs)
         return cls._cache[key]
@@ -306,7 +311,7 @@ def test_one_sheet_work_count(monkeypatch):
     monkeypatch.setattr(BergmanData, "value", counted_value)
     monkeypatch.setattr(charts_module, "_build_one_chart", counted_build)
     local_expansions(bk, charts, k_bound=7)
-    standard_charts(curve)
+    standard_charts(curve, CHART_ORDER)
     assert calls == {"value": 0, "chart": 2}
 
 
@@ -351,7 +356,7 @@ def test_chart_series_evaluate_bitwise(u):
     # 0.8, s at 1 and 0.85 and, as second chart, 0.7 and 0.7 * 0.85 of the
     # extraction radius): the array path is CPython's scalar sum, bit for bit,
     # and so is the scalar path on every 8th node
-    charts = standard_charts(new_curve(len(u), u))
+    charts = standard_charts(new_curve(len(u), u), CHART_ORDER)
     theta = 2.0 * np.pi * np.arange(_LOCAL_NFFT) / _LOCAL_NFFT
     for ch in charts.values():
         for rfac in (1.0, 0.8, 0.85, 0.7, 0.7 * 0.85):
@@ -367,9 +372,9 @@ def test_chart_series_match_uncut_compose(u, monkeypatch):
     # compose skips the terms beyond its output window; the charts built with
     # Horner's rule over every term are the same in every bit and key order
     curve = new_curve(len(u), u)
-    cut = standard_charts(curve)
+    cut = standard_charts(curve, CHART_ORDER)
     monkeypatch.setattr(LaurentSeries, "compose", uncut_compose)
-    full = standard_charts(curve)
+    full = standard_charts(curve, CHART_ORDER)
     for lab, ch in cut.items():
         for name, ser in _chart_series(ch).items():
             assert series_hex(ser) == series_hex(getattr(full[lab], name)), (lab, name)
@@ -378,8 +383,8 @@ def test_chart_series_match_uncut_compose(u, monkeypatch):
 def test_laurent_work_count(monkeypatch):
     # g2: local_expansions evaluates no chart series (it read 14 circles x z, y
     # and dz/detabar, 42 array calls, when it sampled the kernel), and
-    # standard_charts composes only the terms its windows keep (3,120 products
-    # with every term composed) and builds no normal-form series (1,822 with it)
+    # standard_charts at the order the verifier builds at chi = 1 (7) composes
+    # only the terms its windows keep: 290 products, 358 with every term composed
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
     calls = {"evaluate": 0, "mul": 0}
     evaluate, mul = LaurentSeries.evaluate, LaurentSeries.__mul__
@@ -397,24 +402,43 @@ def test_laurent_work_count(monkeypatch):
     local_expansions(bk, charts, k_bound=7)
     assert calls["evaluate"] == 0
     calls["mul"] = 0
-    standard_charts(curve)
-    assert calls["mul"] <= 1700
+    standard_charts(curve, 2 * (max_index_bound(1) - 1) + 1)
+    assert calls["mul"] <= 300
 
 
-@pytest.mark.parametrize("name, field", [("one-form", "ds_detabar"),
-                                         ("F round-trip", "f_series")])
-def test_chart_validation_error_names_its_numbers(name, field):
-    # a chart series off by 1e-6 z^2 fails its invariant; the error names the
-    # residual, the gate and the radius of the circle it was measured on
-    ch = standard_charts(new_curve(1, U0))[(0, 1)]
-    broken = replace(ch, **{field: getattr(ch, field) + LaurentSeries.monomial(1e-6, 2)})
+def _top_perturbation(ch, field):
+    """A term moving the top known coefficient r_e of the field's residual by 1e-6 rho^(2 - e)."""
+    rho = ch.extraction_radius
+    if field == "ds_detabar":
+        e = ch.ds_detabar.trunc_order // 2 * 2
+        return LaurentSeries.monomial(1e-6 * rho ** (2 - e), e)
+    v = charts_module._pcompose_v(ch)
+    j = ch.f_series.compose(v).trunc_order // 2
+    return LaurentSeries.monomial(1e-6 * rho ** (2 - 2 * j) / v.get(2) ** j, j)
+
+
+@pytest.mark.parametrize("order, where, name, field", [
+    pytest.param(order, where, name, field, id=f"{name}-{field}" + (
+        "" if (order, where) == (44, "z2") else f"-order{order}-{where}"))
+    for order in (7, 44) for where in ("z2", "top")
+    for name, field in (("one-form", "ds_detabar"), ("F round-trip", "f_series"))])
+def test_chart_validation_error_names_its_numbers(order, where, name, field):
+    # a chart series off by 1e-6 z^2, or by a term that moves the top known
+    # coefficient of its residual by 1e-6 once weighed, fails its invariant,
+    # at the order the verifier builds for g1 at chi = 1 (7) and at 44; the
+    # error names the residual, the gate and the radius it is weighed at
+    ch = standard_charts(new_curve(1, U0), order)[(0, 1)]
+    term = LaurentSeries.monomial(1e-6, 2) if where == "z2" else _top_perturbation(ch, field)
+    broken = replace(ch, **{field: getattr(ch, field) + term})
     with pytest.raises(ExtractionNotConverged) as err:
-        _validate_chart(broken, 44)
+        _validate_chart(broken)
     m = re.fullmatch(r"chart \(0, 1\): (.*) residual (\S+) above gate (\S+)"
                      r" on \|etabar\| = (\S+)", str(err.value))
     assert m, str(err.value)
     assert m.group(1) == name
     assert float(m.group(2)) > float(m.group(3)) == 1e-10
+    if where == "top":
+        assert float(m.group(2)) == pytest.approx(1e-6, rel=1e-2)
     assert np.isclose(float(m.group(4)), ch.extraction_radius, rtol=1e-5)
 
 

@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swtr.airy import SgnTable
-from swtr.charts import local_expansions
+import swtr.cli as cli
+from swtr.airy import SgnTable, max_index_bound
+from swtr.charts import local_expansions, standard_charts
 from swtr.cli import (
     VerifyConfig,
     bperiod_contract,
@@ -244,25 +245,60 @@ def test_bperiod_contract_memory_genus_two_chi_three():
 
 def test_chi_three_contraction_needs_no_wider_data():
     # g1 at chi_max = 3: the table reaches mode 9, and s and c to the derived
-    # bound 9 give every cell's contraction in every bit as data to 11 do;
-    # c data to 7 lacks mode 9 and is refused (contracting a zero row for it
-    # put the omega_{2,1} contraction 10.8% off)
+    # bound 9 give every cell's contraction in every bit as data to 11 do,
+    # both read from one chart set built to the order 11 needs; c data to 7
+    # lacks mode 9 and is refused (contracting a zero row for it put the
+    # omega_{2,1} contraction 10.8% off)
     art = reference_stages(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), chi_max=3))
     assert max(k for k, _ in art.c_coeffs) == 9
     assert max(k for (k, _), _ in art.s_coeffs) == 9
-    wide_s, wide_c = local_expansions(art.bk, art.charts, k_bound=11)
+    charts = standard_charts(art.curve, 2 * 11 + 1)
+    narrow_s, narrow_c = local_expansions(art.bk, charts, k_bound=9)
+    wide_s, wide_c = local_expansions(art.bk, charts, k_bound=11)
 
     def contract(s_coeffs, c_coeffs):
-        curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=dict(s_coeffs))
+        curve = LocalSpectralCurve(ram=tuple(sorted(charts)), bergman_reg=dict(s_coeffs))
         return bperiod_contract(eo_run(curve, 3).table, c_coeffs, 1)
 
-    got, wide = contract(art.s_coeffs, art.c_coeffs), contract(wide_s, wide_c)
+    got, wide = contract(narrow_s, narrow_c), contract(wide_s, wide_c)
     assert sorted(got) == sorted(wide) and len(got) == 7
     for cell in got:
         assert got[cell].tobytes() == wide[cell].tobytes(), cell
-    short_c = {m: v for m, v in art.c_coeffs.items() if m[0] <= 7}
+    short_c = {m: v for m, v in narrow_c.items() if m[0] <= 7}
     with pytest.raises(TruncationInsufficient, match=re.escape("table mode (9, (0, -1))")):
-        contract(art.s_coeffs, short_c)
+        contract(narrow_s, short_c)
+
+
+@pytest.mark.parametrize("genus, u0, chi_max", [(2, (0.3 + 0.1j, 0.2 - 0.15j), 1),
+                                                (3, (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j), 3)],
+                         ids=["g2-chi1", "g3-chi3"])
+def test_verifier_charts_reach_exactly_the_derived_mode(genus, u0, chi_max):
+    # the charts are built to 2 k_bound + 1: local data to k_bound are
+    # computed from them, and one mode more is refused, naming the order
+    art = reference_stages(VerifyConfig(genus=genus, u0=u0, chi_max=chi_max))
+    k_bound = max_index_bound(chi_max) - 1
+    local_expansions(art.bk, art.charts, k_bound)
+    with pytest.raises(TruncationInsufficient,
+                       match=re.escape(f"beyond truncation order {2 * k_bound + 1}")):
+        local_expansions(art.bk, art.charts, k_bound + 1)
+
+
+@pytest.mark.parametrize("genus, u0, chi_max", [(1, (0.3 + 0.1j,), 3),
+                                                (2, (0.3 + 0.1j, 0.2 - 0.15j), 1),
+                                                (3, (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j), 1)],
+                         ids=["g1-chi3", "g2-chi1", "g3-chi1"])
+def test_identity_errors_do_not_depend_on_the_chart_order(genus, u0, chi_max, monkeypatch):
+    # charts to the derived order give the identity errors of charts to 44,
+    # in every bit
+    cfg = VerifyConfig(genus=genus, u0=u0, chi_max=chi_max)
+    derived = verify_theorem(cfg)
+    monkeypatch.setattr(cli, "standard_charts", lambda curve, order: standard_charts(curve, 44))
+    wide = verify_theorem(cfg)
+
+    def identity_errors(rep):
+        return [(c.name, c.rel_err.hex()) for c in rep.checks if c.name.startswith("prepotential")]
+    assert identity_errors(derived) == identity_errors(wide)
+    assert len(identity_errors(derived)) == genus * (genus + 1) * (genus + 2) // 6
 
 
 def test_format_index_tuple():
@@ -273,7 +309,7 @@ def test_format_index_tuple():
 
 def test_bperiod_contract_against_nested_quadrature():
     """Triple B-period of the first cell by direct nested contour quadrature."""
-    from swtr.charts import ebar_at_points, local_expansions, standard_charts
+    from swtr.charts import ebar_at_points
     from swtr.hyperelliptic import bergman_kernel, build_cycles, new_curve, periods
     from swtr.spectral import LocalSpectralCurve, eo_run
 
@@ -281,7 +317,7 @@ def test_bperiod_contract_against_nested_quadrature():
     cycles = build_cycles(curve)
     pd = periods(curve, cycles)
     bk = bergman_kernel(curve, cycles, pd)
-    charts = standard_charts(curve)
+    charts = standard_charts(curve, 44)
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
     omega = eo_run(LocalSpectralCurve(ram=tuple(sorted(charts)),
                                       bergman_reg=dict(s_coeffs)), chi_max=1)
