@@ -211,8 +211,8 @@ def _validate_chart(ch):
 
 
 def _pcompose_v(ch):
-    """P(z_of_etabar) - P0 as a series in etabar, through P itself."""
-    return LaurentSeries(dict(enumerate(ch.p_shift[1:], 1))).compose(ch.z_of_etabar - ch.z_root)
+    """P(z_of_etabar) - P0 in etabar through P itself, from etabar^2: P'(z_root) = 0."""
+    return LaurentSeries(dict(enumerate(ch.p_shift[2:], 2))).compose(ch.z_of_etabar - ch.z_root)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def _transport_roots(curve, w_targets, z_starts):
     """Roots of P(z; u) = W near given starts, by Newton continuation."""
     out = np.array(z_starts, dtype=complex)
     pc = curve.p_coeffs
-    dpc = npoly.polyder(pc)
+    dpc = curve.dp_coeffs
     iterations = 60
     for _ in range(iterations):
         val = npoly.polyval(out, pc) - w_targets

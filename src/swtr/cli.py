@@ -3,8 +3,8 @@
 The verifier runs: reference curve -> cycles -> periods -> normalized kernel
 -> standard charts -> local expansions -> local recursion -> B-period
 contraction, and compares the finite-difference third (optionally fourth)
-derivatives of the prepotential against the contracted tensors.  Both sign
-conventions relating the two are evaluated and the matching one is recorded.
+derivatives of the prepotential against the contracted tensors, under one
+sign rule: d^n F = -(-2 pi i)^(1 - n) M_{0,n}.
 
 Subcommands:
 
@@ -344,8 +344,7 @@ def verify_theorem(cfg):
     report.metadata["intersection_matrix"] = cycles.intersection_matrix.tolist()
     t2 = time.time()
 
-    local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)),
-                                     bergman_reg=dict(art.s_coeffs))
+    local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=art.s_coeffs)
     omega = eo_run(local_curve, cfg.chi)
     contractions = bperiod_contract(omega.table, art.c_coeffs, g)
     bp3 = contractions[(0, 3)]
@@ -354,7 +353,7 @@ def verify_theorem(cfg):
     # finite differences of tau(a)
     scale = max(1.0, float(np.max(np.abs(pd.a))))
     fd3_by_step = []
-    informative = []
+    informative = []        # (h, periods at a + h e_1 and at a - h e_1, fd3[0, 0, 0]) per step
     for step in cfg.delta_a:
         if step == 0:
             report.add("fd3_step_zero", 0.0, 0.0, 1.0, mandatory=False,
@@ -369,9 +368,7 @@ def verify_theorem(cfg):
             pd_m = periods(*invert_a_map(curve, cycles, pd.a - h * e_k, tol=quad_tol))
             fd3[:, :, k] = (pd_p.tau - pd_m.tau) / (2.0 * h)
             if k == 0:
-                # independent route: second differences of the B-periods
-                route2 = (pd_p.b - 2.0 * pd.b + pd_m.b) / h ** 2
-                informative.append((h, route2, fd3[0, 0, 0] if g == 1 else None))
+                informative.append((h, pd_p, pd_m, fd3[0, 0, 0]))
         fd3_by_step.append((h, fd3))
     if not fd3_by_step:
         raise ValueError("delta_a grid contained no usable steps")
@@ -398,7 +395,9 @@ def verify_theorem(cfg):
 
     # route agreement (g = 1): d^2 b / d a^2 vs d tau / d a
     if g == 1 and informative:
-        h, route2, route1 = informative[0]
+        # independent route: second differences of the B-periods
+        h, pd_p, pd_m, route1 = informative[0]
+        route2 = (pd_p.b - 2.0 * pd.b + pd_m.b) / h ** 2
         report.add("derivative_routes_agree", route1, complex(route2[0]),
                    cfg.tolerances["route_rel"] * 30,
                    mandatory=False,
@@ -407,48 +406,31 @@ def verify_theorem(cfg):
                                          <= cfg.tolerances["route_rel"]
                                          * max(abs(route1), 1e-30) + 1e-7)
 
-    # the identity, both sign conventions
-    conv = {"plus": (1.0 / TWO_PI_I) ** 2, "minus": -((1.0 / TWO_PI_I) ** 2)}
+    # the identity under the sign rule d^n F = -(-2 pi i)^(1 - n) M_{0,n}:
+    # the "minus" convention at n = 3 and the "plus" one at n = 4
+    pref3 = -((1.0 / TWO_PI_I) ** 2)
     tol = cfg.tolerances["theorem_rel"]
-    matched = None
-    rel_by_conv = {}
-    for name, pref in conv.items():
-        worst = 0.0
-        for i in range(g):
-            for j in range(g):
-                for k in range(g):
-                    lhs = fd3[i, j, k]
-                    rhs = pref * bp3[i, j, k]
-                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        rel_by_conv[name] = worst
-        if worst <= tol and matched is None:
-            matched = name
-    report.metadata["sign_convention_rel_errors"] = {k: float(v) for k, v in rel_by_conv.items()}
-    report.metadata["matched_convention"] = matched
-    best = matched or min(rel_by_conv, key=rel_by_conv.get)
+    worst = 0.0
+    for idx in np.ndindex(fd3.shape):
+        lhs, rhs = fd3[idx], pref3 * bp3[idx]
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    report.metadata["sign_convention_rel_errors"] = {"minus": float(worst)}
+    report.metadata["matched_convention"] = "minus" if worst <= tol else None
     for i in range(g):
         for j in range(i, g):
             for k in range(j, g):
                 report.add(
                     f"prepotential_d3_[{i + 1}{j + 1}{k + 1}]",
-                    fd3[i, j, k], conv[best] * bp3[i, j, k], tol,
-                    info=f"FD third derivative vs contracted B-periods ({best} convention)")
+                    fd3[i, j, k], pref3 * bp3[i, j, k], tol,
+                    info="FD third derivative vs contracted B-periods (minus convention)")
 
-    # optional fourth-derivative term (genus 1)
+    # optional fourth-derivative term (genus 1), from the first nonzero step
     if cfg.check_n4 and g == 1:
-        bp4 = contractions[(0, 4)]
-        h = cfg.delta_a[0] * scale
-        taus = {}
-        for m in (-1, 0, 1):
-            taus[m] = (pd.tau if m == 0 else
-                       periods(*invert_a_map(curve, cycles, pd.a + m * h, tol=quad_tol)).tau)
-        fd4 = (taus[1][0, 0] - 2.0 * taus[0][0, 0] + taus[-1][0, 0]) / h ** 2
-        pref4 = (1.0 / TWO_PI_I) ** 3
-        cand = {"plus": pref4 * bp4[0, 0, 0, 0], "minus": -pref4 * bp4[0, 0, 0, 0]}
-        pick = min(cand, key=lambda nm: abs(fd4 - cand[nm]))
-        report.add("prepotential_d4_[1111]", fd4, cand[pick], 20 * tol,
-                   mandatory=False, info=f"n = 4 term ({pick} convention)")
-        report.metadata["matched_convention_n4"] = pick
+        h, pd_p, pd_m, _ = informative[0]
+        fd4 = (pd_p.tau[0, 0] - 2.0 * pd.tau[0, 0] + pd_m.tau[0, 0]) / h ** 2
+        rhs4 = (1.0 / TWO_PI_I) ** 3 * contractions[(0, 4)][0, 0, 0, 0]
+        report.add("prepotential_d4_[1111]", fd4, rhs4, 20 * tol, mandatory=False,
+                   info="n = 4 term (plus convention)")
 
     report.timing = {
         **art.seconds,

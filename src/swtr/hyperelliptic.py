@@ -59,6 +59,7 @@ class SWCurve:
     Lambda: complex
     p_coeffs: np.ndarray          # ascending, degree g+1
     q_coeffs: np.ndarray          # ascending, P^2 - 4 L^{2g+2}
+    dp_coeffs: np.ndarray         # ascending, P'
     branch_points: np.ndarray     # 2g+2 roots of Q
     ram_roots: np.ndarray         # g roots of P'
 
@@ -66,7 +67,7 @@ class SWCurve:
         return npoly.polyval(z, self.p_coeffs)
 
     def dp_at(self, z):
-        return npoly.polyval(z, npoly.polyder(self.p_coeffs))
+        return npoly.polyval(z, self.dp_coeffs)
 
     def q_at(self, z):
         return npoly.polyval(z, self.q_coeffs)
@@ -101,9 +102,9 @@ def new_curve(g, u, Lambda=1.0, tol=1e-8):
         if abs(branch[a] - branch[b]) < tol * scale:
             raise SingularCurve(
                 f"branch points {branch[a]:.6g} and {branch[b]:.6g} collide")
-    ram = np.roots(npoly.polyder(p)[::-1])
-    return SWCurve(g=g, u=u, Lambda=complex(Lambda), p_coeffs=p, q_coeffs=q,
-                   branch_points=branch, ram_roots=ram)
+    dp = npoly.polyder(p)
+    return SWCurve(g=g, u=u, Lambda=complex(Lambda), p_coeffs=p, q_coeffs=q, dp_coeffs=dp,
+                   branch_points=branch, ram_roots=np.roots(dp[::-1]))
 
 
 def _shift_const(g, c):

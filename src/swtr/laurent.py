@@ -273,18 +273,17 @@ class LaurentSeries:
     def compose(self, g):
         """Substitute ``g`` (a series with min order >= 1) for the variable.
 
-        The result is known to min(t, g.trunc_order), where t is
-        self.trunc_order, lowered to (t + 1) * ord(g) - 1 for t < 0: the first
-        unknown term z**(t+1) of self starts at that order once substituted.
-        A term c z**e with e >= 0 and e * ord(g) beyond the window only
-        reaches coefficients above it, so Horner's rule starts below such
-        terms.
+        The result is known to min((t + 1) * ord(g) - 1, g.trunc_order), where
+        t is self.trunc_order: the first unknown term z**(t+1) of self starts
+        at that order once substituted.  A term c z**e with e >= 0 and
+        e * ord(g) beyond the window only reaches coefficients above it, so
+        Horner's rule starts below such terms.
         """
         og = g.order()
         if og is None or og < 1:
             raise ValueError("composition requires g with order >= 1")
         t = self.trunc_order
-        trunc = min(t, (t + 1) * og - 1, g.trunc_order)
+        trunc = min((t + 1) * og - 1, g.trunc_order)
         neg = {e: c for e, c in self.items() if e < 0}
         pos = {e: c for e, c in self.items() if 0 <= e and e * og <= trunc}
         result = LaurentSeries.zero(trunc_order=trunc, var=g.var)

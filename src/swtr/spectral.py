@@ -60,12 +60,17 @@ class LocalSpectralCurve:
     ``denom[label]`` is the series D with D(z) dz the odd combination of the
     one-form; it must have only even exponents, a double zero at the origin
     and a nonzero z^2 coefficient.  ``bergman_reg`` maps mode pairs to the
-    regular-part coefficients s^{(k,a)(k',b)} of the two-form and is symmetric.
+    regular-part coefficients s^{(k,a)(k',b)} of the two-form, each pair in
+    one or both orders, which must agree.  It enters the recursion once, as
+    the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the largest k at a
+    label of ``ram``: row (a, k) is ``ram.index(a) * K + k - 1``.  Pairs at
+    other labels are dropped; of a pair in both orders the later one counts.
     """
 
     ram: tuple
     denom: dict = field(default_factory=dict)
     bergman_reg: dict = field(default_factory=dict)
+    s: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ram = tuple(self.ram)
@@ -84,17 +89,38 @@ class LocalSpectralCurve:
                 raise ValueError(
                     f"denom at {lab!r} needs a double zero with nonzero z^2 coefficient: "
                     f"lowest exponent {d.order()}, z^2 coefficient {d.get(2)}")
-        sym = {}
-        for (m1, m2), v in self.bergman_reg.items():
-            back = self.bergman_reg.get((m2, m1))
-            gate = 1e-12 * max(1.0, abs(v))
-            if back is not None and abs(back - v) > gate:
-                raise ValueError(
-                    f"bergman_reg is not symmetric at ({m1}, {m2}): {v} against {back}, "
-                    f"|delta| = {abs(back - v):.3e}, gate {gate:.3e}")
-            sym[(m1, m2)] = v
-            sym[(m2, m1)] = v
-        self.bergman_reg = sym
+        self.s = self._kernel_matrix()
+
+    def _kernel_matrix(self):
+        """``s`` from ``bergman_reg``, after the symmetry gate on every pair."""
+        reg = self.bergman_reg
+        m1s, m2s = zip(*reg) if reg else ((), ())
+        pos = {lab: q for q, lab in enumerate(self.ram)}
+        modes = dict.fromkeys(m1s + m2s)
+        top = max((k for k, lab in modes if lab in pos), default=0)
+        dim = len(self.ram) * top
+        other = itertools.count(dim)        # rows past s: the modes at other labels
+        row = {m: pos[m[1]] * top + m[0] - 1 if m[1] in pos else next(other) for m in modes}
+        a, b = (np.fromiter(map(row.get, ms), int, len(reg)) for ms in (m1s, m2s))
+        given = np.zeros((next(other),) * 2, dtype=complex)
+        rank = np.full(given.shape, -1)     # dict position of each given pair
+        given[a, b], rank[a, b] = np.fromiter(reg.values(), complex, len(reg)), np.arange(len(reg))
+        both = (rank >= 0) & (rank.T >= 0)
+        bad = both & (abs(given.T - given) > 1e-12 * np.maximum(1.0, abs(given)))
+        if bad.any():
+            m1, m2 = list(reg)[rank[bad].min()]
+            v, back = reg[(m1, m2)], reg[(m2, m1)]
+            raise ValueError(
+                f"bergman_reg is not symmetric at ({m1}, {m2}): {v} against {back}, "
+                f"|delta| = {abs(back - v):.3e}, gate {1e-12 * max(1.0, abs(v)):.3e}")
+        # of a pair in both orders the later one counts
+        return np.where(rank >= rank.T, given, given.T)[:dim, :dim]
+
+    def block(self, a, b):
+        """The K x K block of ``s`` with rows at the point ``a`` and columns at ``b``."""
+        k = len(self.s) // len(self.ram)
+        qa, qb = self.ram.index(a), self.ram.index(b)
+        return self.s[qa * k:(qa + 1) * k, qb * k:(qb + 1) * k]
 
 
 class OmegaGN:
@@ -116,12 +142,11 @@ class OmegaGN:
     def ebar_value(self, mode, label, z):
         """Numeric value of ebar^{mode} / dz at a point of the chart ``label``."""
         k, blab = mode
-        val = 0j
-        if blab == label:
-            val += z ** (-k - 1)
-        for (m1, m2), s in self.curve.bergman_reg.items():
-            if m1 == mode and m2[1] == label:
-                val += s * m2[0] * z ** (m2[0] - 1)
+        val = z ** (-k - 1) if blab == label else 0j
+        block = self.curve.block(blab, label)
+        if k <= len(block):
+            ks = np.arange(1, len(block) + 1)
+            val += block[k - 1] @ (ks * z ** (ks - 1))
         return val
 
     def _check_annulus(self, z):
@@ -167,29 +192,23 @@ class _EoEngine(_CellRecursion):
         e = np.arange(lo, hi + 1)
         # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
         self._flip = np.where(e % 2, 1.0, -1.0)
-        # the regular part s^{m, m'} over every mode m, m' of the window
-        full = {(k, lab): i for i, (lab, k) in enumerate(itertools.product(self.ram, ks.tolist()))}
-        count = len(cur.bergman_reg)
-        ij = np.array([np.fromiter(map(full.get, ms, itertools.repeat(-1)), int, count)
-                       for ms in zip(*cur.bergman_reg)] or np.zeros((2, 0), int))
-        vals = np.fromiter(cur.bergman_reg.values(), complex, count)
-        keep = (ij >= 0).all(axis=0)
-        s_full = np.zeros((len(full), len(full)), dtype=complex)
-        s_full[ij[0, keep], ij[1, keep]] = vals[keep]
-        odd_rows = [full[m] for m in self.modes]
+        # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
+        nr, top = len(self.ram), len(cur.s) // len(self.ram)
+        cut = min(top, big_k)
+        s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
+        s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
         ii = np.arange(nlen)
         self.loc_p, self.loc_m, self.b_pm, self.res_vec, self.res_tensor = {}, {}, {}, {}, {}
         for q, lab in enumerate(self.ram):
-            s_lab = s_full[:, q * big_k:(q + 1) * big_k]        # one s matrix per point
             lp = np.zeros((self.dim, nlen), dtype=complex)
-            lp[:, -lo:] = s_lab[odd_rows] * ks
-            at_lab = [mi for mi, (_, b) in enumerate(self.modes) if b == lab]
-            lp[at_lab, [-self.modes[mi][0] - 1 - lo for mi in at_lab]] = 1.0
+            lp[:, -lo:] = s[:, 0:self.kmax:2, q].reshape(self.dim, big_k) * ks
+            # principal parts: ebar^{k} at its own point has z^{-k-1}, k = 2p + 1
+            lp[q * npiv + np.arange(npiv), -2 * np.arange(npiv) - 2 - lo] = 1.0
             self.loc_p[lab] = lp
             self.loc_m[lab] = lp * self._flip
             # two-form with both arguments local: B(z, -z) / dz^2, summed along
             # the anti-diagonals k + k' - 2 = exponent
-            terms = s_lab[q * big_k:(q + 1) * big_k] * ks[:, None] * ks * (-1.0) ** ks
+            terms = s[q, :, q] * ks[:, None] * ks * (-1.0) ** ks
             diag = np.zeros(2 * big_k - 1, dtype=complex)
             np.add.at(diag, (ks[:, None] + ks - 2).ravel(), terms.ravel())
             bpm = np.zeros(nlen, dtype=complex)
@@ -439,13 +458,10 @@ def omega_eval(omega, g, n, points):
         raise ValueError("need exactly n evaluation points")
     if (g, n) == (0, 2):
         (la, za), (lb, zb) = points
-        val = 0j
-        if la == lb:
-            val += 1.0 / (za - zb) ** 2
-        for (m1, m2), s in omega.curve.bergman_reg.items():
-            if m1[1] == la and m2[1] == lb:
-                val += s * m1[0] * m2[0] * za ** (m1[0] - 1) * zb ** (m2[0] - 1)
-        return val
+        val = 1.0 / (za - zb) ** 2 if la == lb else 0j
+        block = omega.curve.block(la, lb)
+        ks = np.arange(1, len(block) + 1)
+        return val + (ks * za ** (ks - 1)) @ block @ (ks * zb ** (ks - 1))
     cell = omega.table.entries.get((g, n))
     if cell is None:
         raise KeyError(f"omega_{{{g},{n}}} not computed")
@@ -529,8 +545,7 @@ def atr_eo_crosscheck(tensors, gauge, chi_max, denom=None):
     """
     bar = gauge_transform(tensors, gauge)
     s_atr = atr_run(bar, chi_max)
-    curve = LocalSpectralCurve(ram=tensors.ram, denom=denom or {},
-                               bergman_reg=dict(gauge.s))
+    curve = LocalSpectralCurve(ram=tensors.ram, denom=denom or {}, bergman_reg=gauge.s)
     omega = eo_run(curve, chi_max)
     dev = 0.0
     for (g, n) in s_atr.cells():

@@ -328,10 +328,9 @@ def test_criterion_8_main_identity():
         worst = max(worst, rel)
         assert rep.passed, f"verifier failed at genus {genus}, u0 = {u0}"
     elapsed = time.time() - t0
-    ok = (worst < 1e-3 and len(set(conventions)) == 1
-          and conventions[0] is not None and elapsed < 600.0)
+    ok = worst < 1e-3 and conventions == ["minus"] * 3 and elapsed < 600.0
     _report("8 prepotential identity at desk scale", ok, elapsed,
-            f"worst rel err {worst:.2e}, convention {conventions[0]!r} at all points")
+            f"worst rel err {worst:.2e}, conventions {conventions}")
 
 
 def test_main_identity_genus_three_at_default_config():

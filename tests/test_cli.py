@@ -107,7 +107,7 @@ def test_verify_theorem_cli_and_outputs(tmp_path):
     outdir = tmp_path / "out"
     report = json.loads((outdir / "report.json").read_text())
     assert report["passed"] is True
-    assert report["metadata"]["matched_convention"] in ("plus", "minus")
+    assert report["metadata"]["matched_convention"] == "minus"
     assert (outdir / "sgn_table.csv").exists()
     assert (outdir / "periods.json").exists()
 
@@ -129,15 +129,35 @@ def test_zero_displacement_flagged_non_informative():
 
 
 def test_fourth_derivative_term():
-    # the n = 4 term matches with the opposite prefactor sign of n = 3,
-    # following the alternating (-1)^n (1/2 pi i)^(n-1) pattern
+    # the n = 4 term holds under the sign rule d^n F = -(-2 pi i)^(1-n) M_{0,n},
+    # whose prefactor has the opposite sign of n = 3's
     cfg = VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
                        delta_a=(4e-3, 2e-3))
     rep = verify_theorem(cfg)
     assert rep.metadata["matched_convention"] == "minus"
-    assert rep.metadata["matched_convention_n4"] == "plus"
+    assert "matched_convention_n4" not in rep.metadata
     d4 = [c for c in rep.checks if c.name.startswith("prepotential_d4")]
     assert d4 and d4[0].passed and d4[0].rel_err < 1e-4
+    assert d4[0].info == "n = 4 term (plus convention)"
+
+
+def test_fourth_derivative_term_skips_a_zero_step(monkeypatch):
+    # a zero first step is flagged and skipped; the n = 4 term takes the
+    # first nonzero one, the step whose tau values the n = 3 pass computed
+    targets = []
+    invert = cli.invert_a_map
+    monkeypatch.setattr(cli, "invert_a_map",
+                        lambda *args, **kw: targets.append(args[2]) or invert(*args, **kw))
+    rep = verify_theorem(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
+                                      delta_a=(0.0, 1e-3)))
+    assert len(targets) == 2        # a + h and a - h, shared by n = 3 and n = 4
+    d4 = [c for c in rep.checks if c.name == "prepotential_d4_[1111]"]
+    assert d4 and d4[0].passed and d4[0].rel_err < 1e-4
+    assert np.isfinite(d4[0].lhs.real) and np.isfinite(d4[0].lhs.imag)
+    ref = verify_theorem(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
+                                      delta_a=(1e-3,)))
+    assert d4[0].lhs == [c for c in ref.checks if c.name == d4[0].name][0].lhs
+    assert rep.passed and rep.metadata["matched_convention"] == "minus"
 
 
 def test_verify_with_nonunit_scale():

@@ -539,7 +539,7 @@ def uncut_compose(f, g):
     neg = {e: c for e, c in f.coeffs.items() if e < 0}
     pos = {e: c for e, c in f.coeffs.items() if e >= 0}
     t = f.trunc_order
-    result = L.zero(trunc_order=min(t, (t + 1) * og - 1, g.trunc_order), var=g.var)
+    result = L.zero(trunc_order=min((t + 1) * og - 1, g.trunc_order), var=g.var)
     if pos:
         top = max(pos)
         acc = L({0: pos.get(top, 0j)}, 0, EXACT, var=g.var)
@@ -643,6 +643,15 @@ def test_compose_window_of_negative_truncation():
     f = L({-2: 1.0}, -2, -2)
     g = L({2: 1.0}, 2, 4)
     assert f.compose(g).trunc_order == -3
+
+
+def test_compose_window_of_order_two_substitution():
+    # f known to z^2 and g = z^2 + z^3 + O(z^10): the first unknown term of f,
+    # c z^3, starts at z^6 once substituted, so the result is known to z^5
+    f = L({0: 1.0, 1: 1.0, 2: 1.0}, 0, 2)
+    comp = f.compose(L({2: 1.0, 3: 1.0}, 2, 9))
+    assert comp.trunc_order == 5
+    assert comp.coeffs == {0: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 2.0}
 
 
 @SOUNDNESS

@@ -241,8 +241,13 @@ def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
             assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
 
 
-def _loop_setup(engine):
-    """loc_p, loc_m, b_pm and res_vec entry by entry from the curve's dicts."""
+def _symmetrized(s):
+    """Every pair of ``s`` in both orders."""
+    return {**s, **{(m2, m1): v for (m1, m2), v in s.items()}}
+
+
+def _loop_setup(engine, sym):
+    """loc_p, loc_m, b_pm and res_vec entry by entry from the pair dict ``sym``."""
     cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
     loc_p, loc_m, b_pm, res_vec = {}, {}, {}, {}
     for lab in cur.ram:
@@ -253,13 +258,13 @@ def _loop_setup(engine):
                 lp[mi, -k - 1 - lo] += 1.0
                 lm[mi, -k - 1 - lo] += (-1.0) ** k
             for m2k in range(1, hi + 2):
-                s = cur.bergman_reg.get(((k, blab), (m2k, lab)), 0j)
+                s = sym.get(((k, blab), (m2k, lab)), 0j)
                 lp[mi, m2k - 1 - lo] += s * m2k
                 lm[mi, m2k - 1 - lo] += s * m2k * (-1.0) ** m2k
         loc_p[lab], loc_m[lab] = lp, lm
         bpm = np.zeros(nlen, dtype=complex)
         bpm[-2 - lo] = -0.25
-        for (m1, m2), s in cur.bergman_reg.items():
+        for (m1, m2), s in sym.items():
             if m1[1] == lab and m2[1] == lab and m1[0] + m2[0] - 2 <= hi:
                 bpm[m1[0] + m2[0] - 2 - lo] += s * m1[0] * m2[0] * (-1.0) ** m2[0]
         b_pm[lab] = bpm
@@ -277,7 +282,8 @@ def test_setup_tables_match_loop_reference():
     s.update(random_s(("p",), 30, rng))     # modes beyond the window are left out
     curve = LocalSpectralCurve(ram=ram, denom={"q": QUARTIC}, bergman_reg=s)
     engine = _EoEngine(curve, 3, 10, extra_order=3)
-    for name, ref in zip(("loc_p", "loc_m", "b_pm", "res_vec"), _loop_setup(engine)):
+    refs = _loop_setup(engine, _symmetrized(s))
+    for name, ref in zip(("loc_p", "loc_m", "b_pm", "res_vec"), refs):
         for lab in ram:
             got = getattr(engine, name)[lab]
             assert got.shape == ref[lab].shape, (name, lab)
@@ -287,6 +293,85 @@ def test_setup_tables_match_loop_reference():
         conv = np.array([[np.convolve(a, b) for b in lm] for a in lp])
         ref = np.einsum("abl,pl->pab", conv, res)
         assert np.max(np.abs(engine.res_tensor[lab] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
+
+
+def test_kernel_matrix_does_not_depend_on_pair_order():
+    # the upper triangle and both orders of the same data give one s and one table
+    rng = np.random.default_rng(41)
+    ram = ("0", "1", "2", "3")
+    upper = random_s(ram, 13, rng)
+    full = _symmetrized(upper)
+    reverse = dict(reversed(list(full.items())))
+    c_up, c_full, c_rev = (LocalSpectralCurve(ram=ram, bergman_reg=s)
+                           for s in (upper, full, reverse))
+    assert c_up.s.shape == (4 * 13, 4 * 13)
+    assert np.array_equal(c_up.s, c_up.s.T)
+    assert np.array_equal(c_up.s, c_full.s) and np.array_equal(c_up.s, c_rev.s)
+    for (m1, m2), v in upper.items():
+        assert c_up.block(m1[1], m2[1])[m1[0] - 1, m2[0] - 1] == v
+    t_up, t_full = (eo_run(c, 3).table.entries for c in (c_up, c_full))
+    assert t_up.keys() == t_full.keys()
+    for cell, entries in t_up.items():
+        assert entries.keys() == t_full[cell].keys(), cell
+        for idx, val in entries.items():
+            other = t_full[cell][idx]
+            assert (val.real.hex(), val.imag.hex()) == (other.real.hex(), other.imag.hex())
+    # two orders that agree within the gate: the later pair gives both entries
+    m1, m2 = (1, "0"), (3, "0")
+    for pairs, want in (({(m1, m2): 0.5, (m2, m1): 0.5 + 1e-13}, 0.5 + 1e-13),
+                        ({(m2, m1): 0.5 + 1e-13, (m1, m2): 0.5}, 0.5)):
+        block = LocalSpectralCurve(ram=("0",), bergman_reg=pairs).block("0", "0")
+        assert block[0, 2] == block[2, 0] == want
+
+
+def test_kernel_matrix_keeps_ram_labels_and_window_modes():
+    # pairs at a label outside ram are dropped; modes beyond the recursion's
+    # window stay in s but not in the window series
+    rng = np.random.default_rng(43)
+    ram = ("p", "q")
+    s = random_s(ram + ("x",), 7, rng)
+    s.update(random_s(("p",), 40, rng))
+    curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
+    assert curve.s.shape == (2 * 40, 2 * 40)
+    inside = {key: v for key, v in s.items() if key[0][1] != "x" and key[1][1] != "x"}
+    assert np.array_equal(curve.s, LocalSpectralCurve(ram=ram, bergman_reg=inside).s)
+    # a dropped pair still passes the symmetry gate
+    with pytest.raises(ValueError, match=r"not symmetric at \(\(1, 'x'\), \(3, 'x'\)\)"):
+        LocalSpectralCurve(ram=ram, bergman_reg={**s, ((3, "x"), (1, "x")): 9.0})
+    engine = _EoEngine(curve, 3, 9)
+    window = engine.hi + 1
+    assert window < 40
+    short = {key: v for key, v in inside.items() if max(key[0][0], key[1][0]) <= window}
+    ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 3, 9)
+    for name in ("loc_p", "loc_m", "b_pm", "res_tensor"):
+        for lab in ram:
+            assert np.array_equal(getattr(engine, name)[lab], getattr(ref, name)[lab]), (name, lab)
+
+
+def test_evaluation_reads_the_input_pairs():
+    # ebar_value and the (0,2) evaluation against direct sums over the pair dict
+    rng = np.random.default_rng(47)
+    ram = ("p", "q")
+    s = random_s(ram, 9, rng)
+    sym = _symmetrized(s)
+    omega = eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), chi_max=1)
+    zs = {"p": 0.31 + 0.12j, "q": -0.21 + 0.27j}
+    for mode in omega.table.modes + [(2, "q"), (9, "p"), (11, "p")]:
+        for lab, z in zs.items():
+            ref = z ** (-mode[0] - 1) if mode[1] == lab else 0j
+            for (m1, m2), v in sym.items():
+                if m1 == mode and m2[1] == lab:
+                    ref += v * m2[0] * z ** (m2[0] - 1)
+            got = omega.ebar_value(mode, lab, z)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (mode, lab)
+    for (la, za), (lb, zb) in itertools.product([("p", zs["p"]), ("q", zs["q"])],
+                                                [("p", 0.18 - 0.33j), ("q", 0.4 + 0.05j)]):
+        ref = 1.0 / (za - zb) ** 2 if la == lb else 0j
+        for (m1, m2), v in sym.items():
+            if m1[1] == la and m2[1] == lb:
+                ref += v * m1[0] * m2[0] * za ** (m1[0] - 1) * zb ** (m2[0] - 1)
+        got = omega_eval(omega, 0, 2, [(la, za), (lb, zb)])
+        assert abs(got - ref) <= 1e-14 * abs(ref), (la, lb)
 
 
 def test_curve_errors_name_their_numbers():
