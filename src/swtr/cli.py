@@ -2,9 +2,10 @@
 
 The verifier runs: reference curve -> cycles -> periods -> normalized kernel
 -> standard charts -> local expansions -> local recursion -> B-period
-contraction, and compares the finite-difference third (optionally fourth)
-derivatives of the prepotential against the contracted tensors, under one
-sign rule: d^n F = -(-2 pi i)^(1 - n) M_{0,n}.
+contraction, and compares the third (optionally fourth) derivatives of the
+prepotential against the contracted tensors, under one sign rule:
+d^n F = -(-2 pi i)^(1 - n) M_{0,n}.  The derivatives come from tau(a) and
+b(a) on a four-node circle in a-space around each modulus (trapezoidal rule).
 
 Subcommands:
 
@@ -59,6 +60,8 @@ from .laurent import LaurentSeries
 from .spectral import LocalSpectralCurve, OmegaGN, eo_run
 
 TWO_PI_I = 2j * np.pi
+DERIVATIVE_RADIUS = 1e-3        # circle radius in a-space, relative to max(1, max |a|)
+CIRCLE_NODES = (1, 1j, -1, -1j)
 DEFAULT_TOLERANCES = {"theorem_rel": 1e-3, "quadrature": 1e-11, "route_rel": 1e-5}
 
 
@@ -74,6 +77,10 @@ def _to_complex(v):
     return complex(v)
 
 
+def _rel_err(lhs, rhs):
+    return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+
+
 def _c_json(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -84,7 +91,6 @@ class VerifyConfig:
     genus: int
     u0: tuple
     Lambda: complex = 1.0
-    delta_a: tuple = (1e-3, 5e-4)
     chi_max: int = 1
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 11
@@ -92,10 +98,12 @@ class VerifyConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        if self.genus < 1:
+            raise ValueError(f"genus must be >= 1, got {self.genus}")
+        if len(self.u0) != self.genus:
+            raise ValueError(f"genus {self.genus} needs {self.genus} moduli u0, got {len(self.u0)}")
         if self.chi_max < 1:
             raise ValueError("chi_max must be >= 1")
-        if not self.delta_a:
-            raise ValueError("delta_a grid must be nonempty")
         if any(t <= 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
 
@@ -109,8 +117,7 @@ class VerifyConfig:
         """Config from parsed JSON; absent keys keep defaults, unknown ones raise ValueError."""
         parse = {
             "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
-            "Lambda": _to_complex, "delta_a": lambda v: tuple(float(h) for h in v),
-            "chi_max": int, "seed": int,
+            "Lambda": _to_complex, "chi_max": int, "seed": int,
             "check_n4": bool, "out_dir": str,
         }
         raw_tols = dict(raw.get("tolerances", {}))
@@ -180,10 +187,9 @@ class VerifyReport:
 
     def add(self, name, lhs, rhs, tol, mandatory=True, info=""):
         lhs, rhs = complex(lhs), complex(rhs)
-        abs_err = float(abs(lhs - rhs))
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
+        rel_err = _rel_err(lhs, rhs)
         self.checks.append(CheckResult(
-            name=name, lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=float(rel_err),
+            name=name, lhs=lhs, rhs=rhs, abs_err=float(abs(lhs - rhs)), rel_err=rel_err,
             tol=float(tol), passed=bool(rel_err <= tol), mandatory=mandatory,
             info=info))
         return self.checks[-1]
@@ -300,6 +306,19 @@ def bperiod_contract(table, c_coeffs, genus):
 # the theorem verifier
 # ---------------------------------------------------------------------------
 
+def circle_derivatives(values, r):
+    """First and second derivatives at the centre of a circle of radius ``r``.
+
+    ``values`` holds X at the nodes c + r i^j, j = 0..3 (``CIRCLE_NODES``), as
+    arrays of one shape.  The trapezoidal rule on the circle gives
+    dX = 1/4 sum_j X_j / (r i^j), exact for polynomials of degree <= 4, and
+    d^2X = 1/2 sum_j X_j / (r i^j)^2, exact for degree <= 5.
+    """
+    inv = 1.0 / (r * np.array(CIRCLE_NODES))
+    return (np.tensordot(inv, values, axes=1) / 4,
+            np.tensordot(inv ** 2, values, axes=1) / 2)
+
+
 def reference_stages(cfg):
     """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
 
@@ -332,7 +351,6 @@ def verify_theorem(cfg):
         "u0": [_c_json(v) for v in cfg.u0],
         "Lambda": _c_json(cfg.Lambda),
         "chi_max": cfg.chi_max,
-        "delta_a": list(cfg.delta_a),
         "seed": cfg.seed,
         "numpy_version": np.__version__,
     }
@@ -350,87 +368,48 @@ def verify_theorem(cfg):
     bp3 = contractions[(0, 3)]
     t3 = time.time()
 
-    # finite differences of tau(a)
-    scale = max(1.0, float(np.max(np.abs(pd.a))))
-    fd3_by_step = []
-    informative = []        # (h, periods at a + h e_1 and at a - h e_1, fd3[0, 0, 0]) per step
-    for step in cfg.delta_a:
-        if step == 0:
-            report.add("fd3_step_zero", 0.0, 0.0, 1.0, mandatory=False,
-                       info="zero displacement: comparison 0 = 0 is non-informative")
-            continue
-        h = step * scale
-        fd3 = np.zeros((g, g, g), dtype=complex)
-        for k in range(g):
-            e_k = np.zeros(g)
-            e_k[k] = 1.0
-            pd_p = periods(*invert_a_map(curve, cycles, pd.a + h * e_k, tol=quad_tol))
-            pd_m = periods(*invert_a_map(curve, cycles, pd.a - h * e_k, tol=quad_tol))
-            fd3[:, :, k] = (pd_p.tau - pd_m.tau) / (2.0 * h)
-            if k == 0:
-                informative.append((h, pd_p, pd_m, fd3[0, 0, 0]))
-        fd3_by_step.append((h, fd3))
-    if not fd3_by_step:
-        raise ValueError("delta_a grid contained no usable steps")
+    # tau and b on the circle a + r i^j e_k around each modulus
+    r = DERIVATIVE_RADIUS * max(1.0, float(np.max(np.abs(pd.a))))
+    report.metadata["derivative_radius"] = r
+    d_tau = np.zeros((g, g, g), dtype=complex)      # [i, j, k]: d_k tau_ij
+    d2_tau = np.zeros((g, g, g), dtype=complex)     # [i, j, k]: d_k^2 tau_ij
+    d2_b = np.zeros((g, g), dtype=complex)          # [i, k]: d_k^2 b_i
+    for k in range(g):
+        nodes = [periods(*invert_a_map(curve, cycles, pd.a + r * w * np.eye(g)[k], tol=quad_tol))
+                 for w in CIRCLE_NODES]
+        d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
+        d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
 
-    # Richardson extrapolation over the two smallest steps when available
-    fd3_by_step.sort(key=lambda p: p[0])
-    if len(fd3_by_step) >= 2 and abs(fd3_by_step[1][0] / fd3_by_step[0][0] - 2.0) < 0.2:
-        h_small, d_small = fd3_by_step[0]
-        _, d_big = fd3_by_step[1]
-        fd3 = (4.0 * d_small - d_big) / 3.0
-    else:
-        fd3 = fd3_by_step[0][1]
-
-    # FD convergence order on the largest entry
-    if len(fd3_by_step) >= 3:
-        ref = fd3
-        errs = [float(np.max(np.abs(d - ref))) for _, d in fd3_by_step[-2:]]
-        hs = [h for h, _ in fd3_by_step[-2:]]
-        if errs[0] > 0 and errs[1] > 0:
-            slope = np.log(errs[1] / errs[0]) / np.log(hs[1] / hs[0])
-            report.add("fd_order", slope, 2.0, 0.6, mandatory=False,
-                       info="observed finite-difference convergence order")
-            report.checks[-1].passed = bool(slope >= 1.8)
-
-    # route agreement (g = 1): d^2 b / d a^2 vs d tau / d a
-    if g == 1 and informative:
-        # independent route: second differences of the B-periods
-        h, pd_p, pd_m, route1 = informative[0]
-        route2 = (pd_p.b - 2.0 * pd.b + pd_m.b) / h ** 2
-        report.add("derivative_routes_agree", route1, complex(route2[0]),
-                   cfg.tolerances["route_rel"] * 30,
-                   mandatory=False,
-                   info="FD of tau vs second differences of b at the largest step")
-        report.checks[-1].passed = bool(abs(route1 - route2[0])
-                                         <= cfg.tolerances["route_rel"]
-                                         * max(abs(route1), 1e-30) + 1e-7)
+    # two routes to F_ikk: d_k tau_ik and d_k^2 b_i
+    routes = np.einsum("ikk->ik", d_tau)
+    i, k = max(np.ndindex(g, g), key=lambda ik: _rel_err(routes[ik], d2_b[ik]))
+    report.add("derivative_routes_agree", routes[i, k], d2_b[i, k],
+               cfg.tolerances["route_rel"], mandatory=False,
+               info=f"d_k tau_ik vs d_k^2 b_i, worst entry i = {i + 1}, k = {k + 1}")
 
     # the identity under the sign rule d^n F = -(-2 pi i)^(1 - n) M_{0,n}:
     # the "minus" convention at n = 3 and the "plus" one at n = 4
     pref3 = -((1.0 / TWO_PI_I) ** 2)
     tol = cfg.tolerances["theorem_rel"]
-    worst = 0.0
-    for idx in np.ndindex(fd3.shape):
-        lhs, rhs = fd3[idx], pref3 * bp3[idx]
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    report.metadata["sign_convention_rel_errors"] = {"minus": float(worst)}
+    worst = max(_rel_err(d_tau[idx], pref3 * bp3[idx]) for idx in np.ndindex(d_tau.shape))
+    report.metadata["sign_convention_rel_errors"] = {"minus": worst}
     report.metadata["matched_convention"] = "minus" if worst <= tol else None
     for i in range(g):
         for j in range(i, g):
             for k in range(j, g):
                 report.add(
                     f"prepotential_d3_[{i + 1}{j + 1}{k + 1}]",
-                    fd3[i, j, k], pref3 * bp3[i, j, k], tol,
-                    info="FD third derivative vs contracted B-periods (minus convention)")
+                    d_tau[i, j, k], pref3 * bp3[i, j, k], tol,
+                    info="circle derivative of tau vs contracted B-periods (minus convention)")
 
-    # optional fourth-derivative term (genus 1), from the first nonzero step
-    if cfg.check_n4 and g == 1:
-        h, pd_p, pd_m, _ = informative[0]
-        fd4 = (pd_p.tau[0, 0] - 2.0 * pd.tau[0, 0] + pd_m.tau[0, 0]) / h ** 2
-        rhs4 = (1.0 / TWO_PI_I) ** 3 * contractions[(0, 4)][0, 0, 0, 0]
-        report.add("prepotential_d4_[1111]", fd4, rhs4, 20 * tol, mandatory=False,
-                   info="n = 4 term (plus convention)")
+    if cfg.check_n4:
+        rhs4 = (1.0 / TWO_PI_I) ** 3 * contractions[(0, 4)]
+        for i in range(g):
+            for j in range(i, g):
+                for k in range(g):
+                    report.add(f"prepotential_d4_[{i + 1}{j + 1}{k + 1}{k + 1}]",
+                               d2_tau[i, j, k], rhs4[i, j, k, k], 20 * tol, mandatory=False,
+                               info="n = 4 term (plus convention)")
 
     report.timing = {
         **art.seconds,
@@ -542,11 +521,15 @@ def cli_main(argv=None):
             return 0
 
         if args.command == "sw-periods":
-            cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
-                               Lambda=_to_complex(args.Lambda))
+            try:
+                cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
+                                   Lambda=_to_complex(args.Lambda))
+            except ValueError as exc:
+                print(f"error: bad config: {exc}", file=sys.stderr)
+                return 2
+            payload = periods_json_payload(reference_stages(cfg))
             with open(args.out, "w") as fh:
-                json.dump(periods_json_payload(reference_stages(cfg)), fh,
-                          indent=2, sort_keys=True)
+                json.dump(payload, fh, indent=2, sort_keys=True)
             print(f"wrote {args.out}")
             return 0
 

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ import swtr.cli as cli
 from swtr.airy import SgnTable, max_index_bound
 from swtr.charts import local_expansions, standard_charts
 from swtr.cli import (
+    DEFAULT_TOLERANCES,
     VerifyConfig,
     bperiod_contract,
     cli_main,
@@ -62,6 +64,7 @@ def test_bad_config_exits_two(tmp_path):
     ({"chi_max": 2, "kbound": 7, "nfft": 128}, "['kbound', 'nfft']"),
     ({"tolerances": {"theorem_rel": 1e-4, "extraction": 1e-9}}, "['extraction']"),
     ({"series_order": 44}, "['series_order']"),
+    ({"delta_a": [1e-3, 5e-4]}, "['delta_a']"),
 ])
 def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
     # a key the config does not know (k_bound and series_order among them) is
@@ -85,6 +88,27 @@ def test_extended_precision_unsupported(tmp_path):
                      "--precision", "extended"]) == 2
 
 
+@pytest.mark.parametrize("genus, u0, named", [(2, ["0.3+0.1j"], "genus 2 needs 2 moduli u0, got 1"),
+                                              (1, ["0.3+0.1j", "0.2"], "genus 1 needs 1 moduli u0, got 2"),
+                                              (0, [], "genus must be >= 1, got 0")])
+def test_genus_and_moduli_mismatch_is_a_config_error(tmp_path, capsys, genus, u0, named):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"genus": genus, "u0": u0, "out_dir": str(tmp_path / "o")}))
+    assert cli_main(["verify-theorem", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sw_periods_refuses_a_genus_and_moduli_mismatch(tmp_path, capsys):
+    # the curve is checked before --out is opened, so no empty file is left
+    out = tmp_path / "periods.json"
+    assert cli_main(["sw-periods", "--genus", "2", "--u0", "0.3+0.1j", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "genus 2 needs 2 moduli u0, got 1" in err
+    assert not out.exists()
+
+
 def test_sw_periods_command(tmp_path):
     out = tmp_path / "periods.json"
     assert cli_main(["sw-periods", "--genus", "1", "--u0", "0.3+0.1j",
@@ -100,7 +124,6 @@ def test_verify_theorem_cli_and_outputs(tmp_path):
     cfgp.write_text(json.dumps({
         "genus": 1,
         "u0": [[0.3, 0.1]],
-        "delta_a": [1e-3, 5e-4],
         "out_dir": str(tmp_path / "out"),
     }))
     assert cli_main(["verify-theorem", "--config", str(cfgp)]) == 0
@@ -108,56 +131,78 @@ def test_verify_theorem_cli_and_outputs(tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     assert report["passed"] is True
     assert report["metadata"]["matched_convention"] == "minus"
+    assert report["metadata"]["derivative_radius"] >= cli.DERIVATIVE_RADIUS
+    assert "delta_a" not in report["metadata"]
     assert (outdir / "sgn_table.csv").exists()
     assert (outdir / "periods.json").exists()
-
-
-def test_fd_grid_refinement_order():
-    cfg = VerifyConfig(genus=1, u0=(0.3 + 0.1j,), delta_a=(2e-3, 1e-3, 5e-4))
-    rep = verify_theorem(cfg)
-    orders = [c for c in rep.checks if c.name == "fd_order"]
-    assert orders and orders[0].passed
-    assert orders[0].lhs.real >= 1.8
-
-
-def test_zero_displacement_flagged_non_informative():
-    cfg = VerifyConfig(genus=1, u0=(0.3 + 0.1j,), delta_a=(0.0, 1e-3, 5e-4))
-    rep = verify_theorem(cfg)
-    flags = [c for c in rep.checks if c.name == "fd3_step_zero"]
-    assert flags and not flags[0].mandatory and "non-informative" in flags[0].info
-    assert rep.passed
 
 
 def test_fourth_derivative_term():
     # the n = 4 term holds under the sign rule d^n F = -(-2 pi i)^(1-n) M_{0,n},
     # whose prefactor has the opposite sign of n = 3's
-    cfg = VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
-                       delta_a=(4e-3, 2e-3))
-    rep = verify_theorem(cfg)
+    rep = verify_theorem(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True))
     assert rep.metadata["matched_convention"] == "minus"
     assert "matched_convention_n4" not in rep.metadata
     d4 = [c for c in rep.checks if c.name.startswith("prepotential_d4")]
-    assert d4 and d4[0].passed and d4[0].rel_err < 1e-4
+    assert [c.name for c in d4] == ["prepotential_d4_[1111]"]
+    assert d4[0].passed and d4[0].rel_err < 1e-8
     assert d4[0].info == "n = 4 term (plus convention)"
 
 
-def test_fourth_derivative_term_skips_a_zero_step(monkeypatch):
-    # a zero first step is flagged and skipped; the n = 4 term takes the
-    # first nonzero one, the step whose tau values the n = 3 pass computed
+@pytest.mark.parametrize("genus, u0", [(2, (0.3 + 0.1j, 0.2 - 0.15j)),
+                                       (3, (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j))],
+                         ids=["g2", "g3"])
+def test_fourth_derivative_and_route_checks_at_higher_genus(genus, u0):
+    # d_k^2 tau_ij for i <= j and every k, and the worst of d_k tau_ik against
+    # d_k^2 b_i, all from the one circle per modulus
+    rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, check_n4=True))
+    assert rep.passed and rep.metadata["matched_convention"] == "minus"
+    d4 = [c for c in rep.checks if c.name.startswith("prepotential_d4")]
+    names = [f"prepotential_d4_[{i}{j}{k}{k}]" for i in range(1, genus + 1)
+             for j in range(i, genus + 1) for k in range(1, genus + 1)]
+    assert [c.name for c in d4] == names
+    assert all(c.passed and c.rel_err < 1e-8 for c in d4)
+    routes = [c for c in rep.checks if c.name == "derivative_routes_agree"]
+    assert len(routes) == 1 and routes[0].passed
+    assert routes[0].tol == DEFAULT_TOLERANCES["route_rel"]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_circle_derivatives_are_exact_to_their_degree(degree):
+    # the first-derivative rule is exact to degree 4 and the second to degree 5;
+    # one degree higher the r^4 term of the rule shows
+    rng = np.random.default_rng(degree)
+    coef = rng.standard_normal((degree + 1, 2, 3, 2)) @ np.array([1, 1j])
+    centre, r = 0.4 - 0.2j, 0.5
+
+    def poly(x, deriv=0):
+        return sum(math.perm(n, deriv) * coef[n] * x ** (n - deriv)
+                   for n in range(deriv, degree + 1))
+
+    values = [poly(centre + r * w) for w in cli.CIRCLE_NODES]
+    d1, d2 = cli.circle_derivatives(values, r)
+    for got, deriv, exact_to in ((d1, 1, 4), (d2, 2, 5)):
+        err = np.max(np.abs(got - poly(centre, deriv))) / np.max(np.abs(coef))
+        assert (err < 1e-13) == (degree <= exact_to), (deriv, err)
+
+
+@pytest.mark.parametrize("genus, u0, check_n4", [(1, (0.3 + 0.1j,), True),
+                                                 (2, (0.3 + 0.1j, 0.2 - 0.15j), False),
+                                                 (2, (0.3 + 0.1j, 0.2 - 0.15j), True)],
+                         ids=["g1-n4", "g2", "g2-n4"])
+def test_derivatives_take_four_nodes_per_modulus(monkeypatch, genus, u0, check_n4):
+    # the nodes a + r i^j e_k serve the n = 3, n = 4 and route checks alike
     targets = []
     invert = cli.invert_a_map
     monkeypatch.setattr(cli, "invert_a_map",
                         lambda *args, **kw: targets.append(args[2]) or invert(*args, **kw))
-    rep = verify_theorem(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
-                                      delta_a=(0.0, 1e-3)))
-    assert len(targets) == 2        # a + h and a - h, shared by n = 3 and n = 4
-    d4 = [c for c in rep.checks if c.name == "prepotential_d4_[1111]"]
-    assert d4 and d4[0].passed and d4[0].rel_err < 1e-4
-    assert np.isfinite(d4[0].lhs.real) and np.isfinite(d4[0].lhs.imag)
-    ref = verify_theorem(VerifyConfig(genus=1, u0=(0.3 + 0.1j,), check_n4=True,
-                                      delta_a=(1e-3,)))
-    assert d4[0].lhs == [c for c in ref.checks if c.name == d4[0].name][0].lhs
-    assert rep.passed and rep.metadata["matched_convention"] == "minus"
+    rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, check_n4=check_n4))
+    a = rep.artifacts.pd.a
+    r = rep.metadata["derivative_radius"]
+    assert r == cli.DERIVATIVE_RADIUS * max(1.0, np.max(np.abs(a)))
+    expected = [a + r * w * np.eye(genus)[k] for k in range(genus) for w in (1, 1j, -1, -1j)]
+    assert len(targets) == 4 * genus
+    assert all(np.array_equal(t, e) for t, e in zip(targets, expected))
 
 
 def test_verify_with_nonunit_scale():
