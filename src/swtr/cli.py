@@ -374,8 +374,8 @@ def verify_theorem(cfg):
     d_tau = np.zeros((g, g, g), dtype=complex)      # [i, j, k]: d_k tau_ij
     d2_tau = np.zeros((g, g, g), dtype=complex)     # [i, j, k]: d_k^2 tau_ij
     d2_b = np.zeros((g, g), dtype=complex)          # [i, k]: d_k^2 b_i
-    for k in range(g):
-        nodes = [periods(*invert_a_map(curve, cycles, pd.a + r * w * np.eye(g)[k], tol=quad_tol))
+    for k, e_k in enumerate(np.eye(g)):
+        nodes = [periods(*invert_a_map(curve, cycles, pd.a + r * w * e_k, tol=quad_tol))
                  for w in CIRCLE_NODES]
         d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
         d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
