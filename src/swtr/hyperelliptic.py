@@ -261,9 +261,9 @@ class EllipseContour:
         return v if self.orientation > 0 else -v
 
     def elliptic_sigma(self, p):
-        """Elliptic radial coordinate of p in this focal frame."""
+        """Elliptic radial coordinate of p, a point or an array of points, in this focal frame."""
         w = (p - self.center) / self.u
-        return abs(np.arccosh(complex(w)).real)
+        return np.abs(np.arccosh(np.asarray(w, dtype=complex)).real)
 
     def contains(self, p):
         return self.elliptic_sigma(p) < self.sigma
@@ -425,10 +425,11 @@ class CycleBasis:
 
 
 def _segments_cross(a1, a2, b1, b2):
+    """Whether segment a1-a2 properly crosses b1-b2; elementwise on arrays."""
     def orient(p, q, r):
         return np.sign(((q - p) * np.conj(r - p)).imag)
-    return (orient(a1, a2, b1) * orient(a1, a2, b2) < 0
-            and orient(b1, b2, a1) * orient(b1, b2, a2) < 0)
+    return ((orient(a1, a2, b1) * orient(a1, a2, b2) < 0)
+            & (orient(b1, b2, a1) * orient(b1, b2, a2) < 0))
 
 
 def critical_value_gap(curve, i):
@@ -486,7 +487,9 @@ def build_cycles(curve):
     Pairing is nearest-neighbour on the argument-sorted branch points with a
     crossing check.  A_i rings cut i; the chain loop C_i rings the bridge
     between cuts i and i+1; B_i = C_i + ... + C_g.  The intersection matrix
-    is verified combinatorially with sheet-aware crossing counts.
+    is verified combinatorially with sheet-aware crossing counts: each A
+    contour and each chain loop is tracked once, as a polygon of
+    ``_CROSSING_NODES`` points, and every A_i is crossed with every C_j.
     """
     pts = np.array(curve.branch_points)
     centroid = complex(np.mean(pts))
@@ -528,10 +531,7 @@ def build_cycles(curve):
                                      centroid, guards))
 
     ws = QuadratureWorkspace(curve)
-    x_mat = np.zeros((g, g))
-    for i in range(g):
-        for j in range(g):
-            x_mat[i, j] = _intersection_number(ws, a_conts[i], c_conts[j])
+    x_mat = _intersection_matrix(ws, a_conts, c_conts)
     for j in range(g):
         if x_mat[j, j] == -1:
             c_conts[j] = c_conts[j].reversed()
@@ -552,40 +552,50 @@ def build_cycles(curve):
                       cuts=cuts, intersection_matrix=m_int, workspace=ws)
 
 
-def _intersection_number(ws, cont_a, cont_b):
-    n = 600
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
-    za, ya = ws.track(cont_a, t)
-    zb, yb = ws.track(cont_b, t)
-    za2 = np.roll(za, -1)
-    zb2 = np.roll(zb, -1)
-    total = 0
-    # vectorized bounding prefilter
-    amin = np.minimum(za.real, za2.real)[:, None]
-    amax = np.maximum(za.real, za2.real)[:, None]
-    bmin = np.minimum(zb.real, zb2.real)[None, :]
-    bmax = np.maximum(zb.real, zb2.real)[None, :]
-    cand = (amin <= bmax) & (bmin <= amax)
-    aimin = np.minimum(za.imag, za2.imag)[:, None]
-    aimax = np.maximum(za.imag, za2.imag)[:, None]
-    bimin = np.minimum(zb.imag, zb2.imag)[None, :]
-    bimax = np.maximum(zb.imag, zb2.imag)[None, :]
-    cand &= (aimin <= bimax) & (bimin <= aimax)
-    for i, j in zip(*np.nonzero(cand)):
-        a1, a2 = za[i], za2[i]
-        b1, b2 = zb[j], zb2[j]
-        if not _segments_cross(a1, a2, b1, b2):
-            continue
-        da, db = a2 - a1, b2 - b1
-        denom = (np.conj(da) * db).imag
-        # crossing parameters
-        s = ((b1 - a1) * np.conj(db)).imag / (da * np.conj(db)).imag
-        ya_c = ya[i] * (1 - s) + ya[(i + 1) % n] * s
-        tpar = ((a1 - b1) * np.conj(da)).imag / (db * np.conj(da)).imag
-        yb_c = yb[j] * (1 - tpar) + yb[(j + 1) % n] * tpar
-        if abs(ya_c - yb_c) < abs(ya_c + yb_c):
-            total += int(np.sign(denom))
-    return total
+_CROSSING_NODES = 600
+
+
+def _intersection_matrix(ws, a_conts, c_conts):
+    """[i, j] = sheet-aware signed crossing count of A contour i with chain loop j."""
+    t = np.linspace(0.0, 1.0, _CROSSING_NODES, endpoint=False)
+    a_polys = [ws.track(c, t) for c in a_conts]
+    c_polys = [ws.track(c, t) for c in c_conts]
+    return np.array([[_intersection_number(*pa, *pc) for pc in c_polys] for pa in a_polys],
+                    dtype=float)
+
+
+def _segment_boxes(z):
+    """[4, n]: min and max real part, then min and max imaginary part, of each z[i] -> z[i+1]."""
+    z2 = np.roll(z, -1)
+    return np.array([np.minimum(z.real, z2.real), np.maximum(z.real, z2.real),
+                     np.minimum(z.imag, z2.imag), np.maximum(z.imag, z2.imag)])
+
+
+def _boxes_meet(p, q):
+    return (p[0] <= q[1]) & (q[0] <= p[1]) & (p[2] <= q[3]) & (q[2] <= p[3])
+
+
+def _intersection_number(za, ya, zb, yb):
+    """Signed crossings of two closed polygons where their interpolated sheets agree."""
+    n = len(za)
+    box_a, box_b = _segment_boxes(za), _segment_boxes(zb)
+    # the segments that meet the other polygon's bounding box, then the pairs
+    # of them whose own boxes meet
+    hull_a, hull_b = ((b[0].min(), b[1].max(), b[2].min(), b[3].max()) for b in (box_a, box_b))
+    ia, ib = np.flatnonzero(_boxes_meet(box_a, hull_b)), np.flatnonzero(_boxes_meet(box_b, hull_a))
+    pi, pj = np.nonzero(_boxes_meet(box_a[:, ia, None], box_b[:, None, ib]))
+    i, j = ia[pi], ib[pj]
+    cross = _segments_cross(za[i], za[(i + 1) % n], zb[j], zb[(j + 1) % n])
+    i, j = i[cross], j[cross]
+    a1, a2, b1, b2 = za[i], za[(i + 1) % n], zb[j], zb[(j + 1) % n]
+    da, db = a2 - a1, b2 - b1
+    denom = (np.conj(da) * db).imag
+    # crossing parameters
+    s = ((b1 - a1) * np.conj(db)).imag / (da * np.conj(db)).imag
+    ya_c = ya[i] * (1 - s) + ya[(i + 1) % n] * s
+    tpar = ((a1 - b1) * np.conj(da)).imag / (db * np.conj(da)).imag
+    yb_c = yb[j] * (1 - tpar) + yb[(j + 1) % n] * tpar
+    return int(np.sum(np.sign(denom[np.abs(ya_c - yb_c) < np.abs(ya_c + yb_c)])))
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +630,37 @@ def _workspace_for(curve, cycles):
 
 
 def _cycle_periods(ws, cycle_list, form, tol):
-    """[i, ...] = period of the (array-valued) form over cycle_list[i]."""
-    return np.array([ws.integrate_cycle(c, form, tol) for c in cycle_list])
+    """[i, ...] = period of the (array-valued) form over cycle_list[i].
+
+    Each contour is integrated once, however many cycles contain it; a
+    cycle's period sums its terms in order, as ``integrate_cycle`` does.
+    """
+    vals = {}
+    for cycle in cycle_list:
+        for _, k in cycle:
+            if k not in vals:
+                vals[k] = ws.integrate(k, form, tol)
+    return np.array([sum(c * vals[k] for c, k in cycle) for cycle in cycle_list])
 
 
-def periods(curve, cycles):
-    """A/B-periods of dS, the normalization matrix and the period matrix."""
+_PERIOD_TOL = 1e-10
+
+
+def _period_form(curve):
+    """The g holomorphic forms and dS stacked: one integrand for every period."""
+    forms, ds = _holomorphic_forms(curve.g), ds_sw(curve)
+    return lambda z, y: np.concatenate([forms(z, y), ds(z, y)[None]])
+
+
+def _a_pass(curve, cycles, tol):
+    """[i, :g] = A_i-periods of z^{m-1} dz / y, [i, g] = A_i-period of dS."""
+    return _cycle_periods(cycles.workspace, cycles.a_cycles, _period_form(curve), tol)
+
+
+def _period_data(curve, cycles, a_per):
+    """PeriodData from the A pass ``a_per`` and one B pass on ``cycles``."""
     g = curve.g
-    tol = 1e-10
-    ws = _workspace_for(curve, cycles)
-    forms, ds = _holomorphic_forms(g), ds_sw(curve)
-
-    def form(z, y):
-        return np.concatenate([forms(z, y), ds(z, y)[None]])
-
-    a_per = _cycle_periods(ws, cycles.a_cycles, form, tol)
-    b_per = _cycle_periods(ws, cycles.b_cycles, form, tol)
+    b_per = _cycle_periods(cycles.workspace, cycles.b_cycles, _period_form(curve), _PERIOD_TOL)
     m_mat, a_vec = a_per[:, :g], a_per[:, g]
     phib, b_vec = b_per[:, :g], b_per[:, g]
     try:
@@ -653,6 +678,17 @@ def periods(curve, cycles):
     if np.min(eig) <= 0:
         raise CycleConstructionFailed("period matrix has non-positive imaginary part")
     return PeriodData(a=a_vec, b=b_vec, tau=tau, norm_matrix=x_mat, a_jacobian=m_mat)
+
+
+def periods(curve, cycles):
+    """A/B-periods of dS, the normalization matrix and the period matrix.
+
+    One A pass integrates the g holomorphic forms and dS over each A contour
+    as one stacked integrand; the B pass integrates each chain loop C_k once
+    and sums B_i = C_i + ... + C_g from those integrals.
+    """
+    _workspace_for(curve, cycles)
+    return _period_data(curve, cycles, _a_pass(curve, cycles, _PERIOD_TOL))
 
 
 def omega_value(pd, j, z, y):
@@ -762,58 +798,67 @@ def _neighbourhood_violation(curve, cycles):
     """Why a branch point of ``curve`` is not inside the contours around its cut only, or None."""
     pts = curve.branch_points
     for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
-        own = {int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)}
-        for i, e in enumerate(pts):
-            sig = cont.elliptic_sigma(e)
-            if (sig < cont.sigma) != (i in own):
-                return (f"branch point {e:.6g} at elliptic sigma {sig:.3g} is "
-                        f"{'outside' if i in own else 'inside'} the reference contour of "
-                        f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+        own = np.zeros(len(pts), dtype=bool)
+        own[[int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)]] = True
+        sig = cont.elliptic_sigma(pts)
+        wrong = np.flatnonzero((sig < cont.sigma) != own)
+        if wrong.size:
+            i = wrong[0]
+            return (f"branch point {pts[i]:.6g} at elliptic sigma {sig[i]:.3g} is "
+                    f"{'outside' if own[i] else 'inside'} the reference contour of "
+                    f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
     return None
 
 
-def invert_a_map(curve0, cycles0, a_target, tol=1e-10):
+def invert_a_map(curve0, cycles0, pd0, a_target, tol=1e-10):
     """Damped Newton solve for moduli u with a(u) = a_target, from curve0.
 
-    The Jacobian is d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus
-    sign follows from dS = +z P' dz / y and the fixed variational identity
+    ``pd0`` holds the periods of curve0 on cycles0; the solve starts from
+    its A-periods and Jacobian, with no integral on curve0.  The Jacobian is
+    d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus sign follows from
+    dS = +z P' dz / y and the fixed variational identity
     d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference cycle contours
     are reused, valid for targets in a small neighbourhood.  Each trial's
     workspace is ``cycles0.workspace.moved_to(curve_try)``: its sheets are
     derived from the reference nodes, never tracked again on the moved curve.
+    A trial integrates the g holomorphic forms and dS over the A-cycles in
+    one pass, which gives its residual and, once accepted, the next Jacobian.
     A Newton trial whose branch points leave the neighbourhood, or whose
     derived sheet misses the margin gate, counts as a failed damping step,
     and OutOfNeighbourhood is raised when the damping ends on such a trial.
 
-    Returns ``(curve, cycles)``: the moved curve and the reference contours
-    paired with the derived workspace on that curve, ready for ``periods``.
+    Returns ``(curve, cycles, pd)``: the moved curve, the reference contours
+    paired with the derived workspace on that curve, and the periods there.
+    ``pd`` reuses the accepted trial's A pass, integrated at ``tol``, and adds
+    the B pass that ``periods`` makes.
     """
+    _workspace_for(curve0, cycles0)
+    g = curve0.g
     u = np.array(curve0.u, dtype=complex)
     a_target = np.asarray(a_target, dtype=complex)
-    a_cycles = cycles0.a_cycles
-    curve, cycles = curve0, cycles0
-    err = a_target - _cycle_periods(cycles.workspace, a_cycles, ds_sw(curve), tol)
+    curve, cycles, a_per = curve0, cycles0, None
+    err, m_mat = a_target - pd0.a, pd0.a_jacobian
     scale = max(1.0, float(np.max(np.abs(a_target))))
     for _ in range(50):
         if float(np.max(np.abs(err))) < tol * scale:
-            return curve, cycles
-        m_mat = _cycle_periods(cycles.workspace, a_cycles, _holomorphic_forms(curve.g), tol)
+            return curve, cycles, pd0 if a_per is None else _period_data(curve, cycles, a_per)
         du = np.linalg.solve(-m_mat, err)
         step = 1.0
         for _ in range(5):
             u_try = u + step * du
-            curve_try = new_curve(curve0.g, u_try, curve0.Lambda)
+            curve_try = new_curve(g, u_try, curve0.Lambda)
             outside = _neighbourhood_violation(curve_try, cycles0)
             if outside is None:
                 cycles_try = replace(cycles0, workspace=cycles0.workspace.moved_to(curve_try))
                 try:
-                    err_try = a_target - _cycle_periods(cycles_try.workspace, a_cycles,
-                                                        ds_sw(curve_try), tol)
+                    a_try = _a_pass(curve_try, cycles_try, tol)
                 except OutOfNeighbourhood as exc:
                     outside = str(exc)
                 else:
+                    err_try = a_target - a_try[:, g]
                     if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
                         u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
+                        a_per, m_mat = a_try, a_try[:, :g]
                         break
             step *= 0.5
         else:

@@ -195,7 +195,7 @@ def test_derivatives_take_four_nodes_per_modulus(monkeypatch, genus, u0, check_n
     targets = []
     invert = cli.invert_a_map
     monkeypatch.setattr(cli, "invert_a_map",
-                        lambda *args, **kw: targets.append(args[2]) or invert(*args, **kw))
+                        lambda *args, **kw: targets.append(args[3]) or invert(*args, **kw))
     rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, check_n4=check_n4))
     a = rep.artifacts.pd.a
     r = rep.metadata["derivative_radius"]

@@ -26,7 +26,13 @@ from swtr.hyperelliptic import (
     ramification_w_values,
     residue_at_infinity,
 )
-from swtr.hyperelliptic import _neighbourhood_violation
+from swtr.hyperelliptic import (
+    _cycle_periods,
+    _intersection_matrix,
+    _neighbourhood_violation,
+    _period_form,
+    _segments_cross,
+)
 
 U0_G1 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
@@ -101,6 +107,90 @@ def test_cycles_stable_under_perturbation():
     # same pairing retained: cut midpoints move only slightly
     for (a1, b1), (a2, b2) in zip(cycles.cuts, cycles2.cuts):
         assert abs((a1 + b1) / 2 - (a2 + b2) / 2) < 0.2
+
+
+def _pairwise_intersection_number(ws, cont_a, cont_b):
+    """Both contours tracked, then every pair of 600 x 600 segments in a loop: the reference."""
+    n = 600
+    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    za, ya = ws.track(cont_a, t)
+    zb, yb = ws.track(cont_b, t)
+    za2, zb2 = np.roll(za, -1), np.roll(zb, -1)
+    cand = ((np.minimum(za.real, za2.real)[:, None] <= np.maximum(zb.real, zb2.real)[None, :])
+            & (np.minimum(zb.real, zb2.real)[None, :] <= np.maximum(za.real, za2.real)[:, None])
+            & (np.minimum(za.imag, za2.imag)[:, None] <= np.maximum(zb.imag, zb2.imag)[None, :])
+            & (np.minimum(zb.imag, zb2.imag)[None, :] <= np.maximum(za.imag, za2.imag)[:, None]))
+    total = 0
+    for i, j in zip(*np.nonzero(cand)):
+        a1, a2, b1, b2 = za[i], za2[i], zb[j], zb2[j]
+        if not _segments_cross(a1, a2, b1, b2):
+            continue
+        da, db = a2 - a1, b2 - b1
+        s = ((b1 - a1) * np.conj(db)).imag / (da * np.conj(db)).imag
+        ya_c = ya[i] * (1 - s) + ya[(i + 1) % n] * s
+        tpar = ((a1 - b1) * np.conj(da)).imag / (db * np.conj(da)).imag
+        yb_c = yb[j] * (1 - tpar) + yb[(j + 1) % n] * tpar
+        if abs(ya_c - yb_c) < abs(ya_c + yb_c):
+            total += int(np.sign((np.conj(da) * db).imag))
+    return total
+
+
+def _draws_g2(n, seed):
+    """Moduli uniform within 0.03 of the genus-2 acceptance point."""
+    rng = np.random.default_rng(seed)
+    return [tuple(c + 0.03 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+                  for c in U0_G2) for _ in range(n)]
+
+
+def test_intersection_numbers_match_pairwise_loop():
+    # the array crossing count keeps the candidate pairs and the crossing
+    # arithmetic of the pairwise loop: the same raw intersection numbers, and
+    # so the same chain-loop orientations and intersection matrix
+    for u0 in _draws_g2(100, 18) + [U0_G1, U0_G3]:
+        curve = new_curve(len(u0), u0)
+        cycles = build_cycles(curve)
+        g, ws = curve.g, cycles.workspace
+        a_conts = [c for cycle in cycles.a_cycles for _, c in cycle]
+        # the chain loops as built, before build_cycles orients them
+        c_conts = [c if c.orientation > 0 else c.reversed() for c in cycles.chain_loops]
+        expect = np.array([[_pairwise_intersection_number(ws, a, c) for c in c_conts]
+                           for a in a_conts], dtype=float)
+        assert np.array_equal(_intersection_matrix(ws, a_conts, c_conts), expect), u0
+        flip = np.where(np.diag(expect) == -1, -1, 1)
+        assert [c.orientation for c in cycles.chain_loops] == flip.tolist(), u0
+        expect = expect * flip
+        m_int = np.array([[expect[i, j:].sum() for j in range(g)] for i in range(g)])
+        assert np.array_equal(cycles.intersection_matrix, m_int), u0
+
+
+def _scalar_neighbourhood_violation(curve, cycles):
+    """One elliptic sigma per branch point and contour: the reference."""
+    pts = curve.branch_points
+    for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
+        own = {int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)}
+        for i, e in enumerate(pts):
+            sig = abs(np.arccosh(complex((e - cont.center) / cont.u)).real)
+            if (sig < cont.sigma) != (i in own):
+                return (f"branch point {e:.6g} at elliptic sigma {sig:.3g} is "
+                        f"{'outside' if i in own else 'inside'} the reference contour of "
+                        f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+    return None
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
+def test_neighbourhood_violation_matches_scalar_loop(u0):
+    # moves from 0 to far outside the contours; the message is word for word
+    curve, cycles = _curve_and_cycles(u0)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for size in (0.0, 0.003, 0.01, 0.03, 0.1, 0.3):
+        for _ in range(8):
+            du = size * (rng.standard_normal(len(u0)) + 1j * rng.standard_normal(len(u0)))
+            moved = new_curve(len(u0), np.array(u0) + du)
+            got = _neighbourhood_violation(moved, cycles)
+            assert got == _scalar_neighbourhood_violation(moved, cycles)
+            seen.add(got is None)
+    assert seen == {True, False}
 
 
 def test_sheet_closure_on_cycles():
@@ -307,7 +397,7 @@ def test_anchor_error_names_its_numbers():
 def test_invert_a_map_roundtrip():
     curve, cycles, pd = setup_g1()
     target = pd.a * (1.0 + 1e-3)
-    moved, moved_cycles = invert_a_map(curve, cycles, target)
+    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, target)
     ws = moved_cycles.workspace
     a_new = ws.integrate_cycle(moved_cycles.a_cycles[0], ds_sw(moved))
     assert abs(a_new - target[0]) < 1e-9 * max(1.0, abs(target[0]))
@@ -326,10 +416,47 @@ def test_moved_periods_match_fresh_workspace(genus, u0):
     pd = periods(curve, cycles)
     step = np.zeros(genus)
     step[-1] = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
-    moved, moved_cycles = invert_a_map(curve, cycles, pd.a + step, tol=1e-11)
+    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, pd.a + step, tol=1e-11)
     assert moved_cycles.workspace.curve is moved
     fresh = replace(cycles, workspace=QuadratureWorkspace(moved))
     assert _period_fields(periods(moved, moved_cycles)) == _period_fields(periods(moved, fresh))
+
+
+@pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2), (3, U0_G3)])
+def test_invert_a_map_returns_the_periods_of_its_curve(genus, u0):
+    # the PeriodData that comes back with the moved curve reuses the accepted
+    # Newton trial's A pass; it is bitwise what periods() gives there, at each
+    # circle node a + r i^j e_k the verifier uses
+    curve, cycles = _curve_and_cycles(u0)
+    pd = periods(curve, cycles)
+    assert invert_a_map(curve, cycles, pd, pd.a) == (curve, cycles, pd)
+    r = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
+    for k in range(genus):
+        for w in (1, 1j, -1, -1j):
+            moved, moved_cycles, moved_pd = invert_a_map(
+                curve, cycles, pd, pd.a + r * w * np.eye(genus)[k], tol=1e-11)
+            assert moved is not curve
+            assert _period_fields(moved_pd) == _period_fields(periods(moved, moved_cycles))
+
+
+def test_b_periods_sum_each_chain_loop_once():
+    # B_i = C_i + ... + C_g: the chain loops are integrated once each and
+    # summed in cycle order, bitwise the per-cycle sum of integrate_cycle
+    curve, cycles = _curve_and_cycles(U0_G3)
+    ws = cycles.workspace
+    calls = []
+    integrate = ws.integrate
+    ws.integrate = lambda cont, *args: calls.append(cont) or integrate(cont, *args)
+    try:
+        pd = periods(curve, cycles)
+    finally:
+        del ws.integrate
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    assert calls == conts
+    form = _period_form(curve)
+    expect = np.array([ws.integrate_cycle(b, form) for b in cycles.b_cycles])
+    assert _cycle_periods(ws, cycles.b_cycles, form, 1e-10).tobytes() == expect.tobytes()
+    assert pd.b.tobytes() == expect[:, -1].tobytes()
 
 
 def test_derived_sheets_match_fresh_tracking():
@@ -339,7 +466,7 @@ def test_derived_sheets_match_fresh_tracking():
     # reference's own nodes
     curve, cycles = _curve_and_cycles(U0_G2)
     pd = periods(curve, cycles)
-    moved, moved_cycles = invert_a_map(curve, cycles, pd.a + 1e-3, tol=1e-11)
+    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, pd.a + 1e-3, tol=1e-11)
     periods(moved, moved_cycles)
     derived, fresh = moved_cycles.workspace, QuadratureWorkspace(moved)
     conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
@@ -393,7 +520,7 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
     monkeypatch.setattr(QuadratureWorkspace, "moved_to",
                         lambda self, c: trials.append(c) or moved_to(self, c))
     with pytest.raises(OutOfNeighbourhood) as err:
-        invert_a_map(curve, cycles, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi)))
+        invert_a_map(curve, cycles, pd, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi)))
     _derivation_refusal(curve, cycles, err.value)
     assert len(trials) >= 5
 
@@ -427,16 +554,18 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(QuadratureWorkspace, "nodes", counted_nodes)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 127, "panels": 3048}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 54, "panels": 1296}
 
 
 def test_workspace_of_another_curve_rejected():
     curve, cycles, pd = setup_g1()
-    moved, moved_cycles = invert_a_map(curve, cycles, pd.a * (1.0 + 1e-3))
+    moved, moved_cycles, moved_pd = invert_a_map(curve, cycles, pd, pd.a * (1.0 + 1e-3))
     with pytest.raises(ValueError, match="another curve"):
         periods(moved, cycles)
     with pytest.raises(ValueError, match="another curve"):
-        bergman_kernel(moved, cycles, periods(moved, moved_cycles))
+        bergman_kernel(moved, cycles, moved_pd)
+    with pytest.raises(ValueError, match="another curve"):
+        invert_a_map(moved, cycles, moved_pd, pd.a)
 
 
 def test_invert_a_map_refuses_target_outside_contours():
@@ -448,7 +577,7 @@ def test_invert_a_map_refuses_target_outside_contours():
     curve, cycles, pd = setup_g1()
     for target in (pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)):
         with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
-            invert_a_map(curve, cycles, target)
+            invert_a_map(curve, cycles, pd, target)
 
 
 # ---------------------------------------------------------------------------
