@@ -374,9 +374,10 @@ def verify_theorem(cfg):
     d_tau = np.zeros((g, g, g), dtype=complex)      # [i, j, k]: d_k tau_ij
     d2_tau = np.zeros((g, g, g), dtype=complex)     # [i, j, k]: d_k^2 tau_ij
     d2_b = np.zeros((g, g), dtype=complex)          # [i, k]: d_k^2 b_i
-    for k, e_k in enumerate(np.eye(g)):
-        nodes = [invert_a_map(curve, cycles, pd, pd.a + r * w * e_k, tol=quad_tol)[2]
-                 for w in CIRCLE_NODES]
+    targets = [pd.a + r * w * e_k for e_k in np.eye(g) for w in CIRCLE_NODES]
+    solved = [p for _, _, p in invert_a_map(curve, cycles, pd, targets, tol=quad_tol)]
+    for k in range(g):
+        nodes = solved[len(CIRCLE_NODES) * k:len(CIRCLE_NODES) * (k + 1)]
         d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
         d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
 

@@ -40,6 +40,7 @@ from .errors import (
     OutOfNeighbourhood,
     QuadratureNotConverged,
     SingularCurve,
+    SwtrError,
 )
 
 @functools.cache
@@ -61,7 +62,11 @@ class SWCurve:
     q_coeffs: np.ndarray          # ascending, P^2 - 4 L^{2g+2}
     dp_coeffs: np.ndarray         # ascending, P'
     branch_points: np.ndarray     # 2g+2 roots of Q
-    ram_roots: np.ndarray         # g roots of P'
+
+    @functools.cached_property
+    def ram_roots(self):
+        """The g roots of P', computed on first read."""
+        return np.roots(self.dp_coeffs[::-1])
 
     def p_at(self, z):
         return npoly.polyval(z, self.p_coeffs)
@@ -81,30 +86,60 @@ class SWCurve:
 
 
 def new_curve(g, u, Lambda=1.0, tol=1e-8):
-    """Validated curve; raises SingularCurve on colliding branch points."""
+    """Validated curve; raises SingularCurve on colliding branch points.
+
+    The one-row case of ``_new_curves``.
+    """
     if g < 1:
         raise ValueError("genus must be >= 1")
     u = tuple(complex(v) for v in u)
     if len(u) != g:
         raise ValueError(f"need {g} moduli for genus {g}")
-    p = np.zeros(g + 2, dtype=complex)
-    p[g + 1] = 1.0
-    for i, ui in enumerate(u):
-        p[i] = ui             # u_1 + u_2 z + ... + u_g z^{g-1}; no z^g term
+    curve = _new_curves(g, [u], Lambda, tol)[0]
+    if isinstance(curve, SingularCurve):
+        raise curve
+    return curve
+
+
+def _new_curves(g, us, Lambda, tol=1e-8):
+    """The curves at the rows of ``us`` (K moduli tuples of length g).
+
+    A row whose branch points collide gets its SingularCurve in place of a
+    curve.  The branch points of all rows, the roots of P -+ 2 L^{g+1}, come
+    from one ``np.linalg.eigvals`` over the companion matrices built as
+    ``np.roots`` builds them, so each row's are bitwise ``np.roots``'s.
+    """
+    us = np.asarray(us, dtype=complex).reshape(-1, g)
     lam = complex(Lambda) ** (g + 1)
-    q = npoly.polymul(p, p)
-    q[0] -= 4.0 * lam ** 2
-    plus = np.roots(np.array(p[::-1], dtype=complex) - _shift_const(g, 2 * lam))
-    minus = np.roots(np.array(p[::-1], dtype=complex) - _shift_const(g, -2 * lam))
-    branch = np.concatenate([plus, minus])
-    scale = max(1.0, float(np.max(np.abs(branch))))
-    for a, b in itertools.combinations(range(len(branch)), 2):
-        if abs(branch[a] - branch[b]) < tol * scale:
-            raise SingularCurve(
-                f"branch points {branch[a]:.6g} and {branch[b]:.6g} collide")
-    dp = npoly.polyder(p)
-    return SWCurve(g=g, u=u, Lambda=complex(Lambda), p_coeffs=p, q_coeffs=q, dp_coeffs=dp,
-                   branch_points=branch, ram_roots=np.roots(dp[::-1]))
+    p = np.zeros((len(us), g + 2), dtype=complex)
+    p[:, g + 1] = 1.0
+    p[:, :g] = us                 # u_1 + u_2 z + ... + u_g z^{g-1}; no z^g term
+    # [row, sign]: P -+ 2 L^{g+1}, highest degree first
+    polys = np.stack([p[:, ::-1] - _shift_const(g, c) for c in (2 * lam, -2 * lam)], axis=1)
+    comp = np.zeros(polys.shape[:2] + (g + 1, g + 1), dtype=complex)
+    comp[..., np.arange(1, g + 1), np.arange(g)] = 1.0
+    comp[..., 0, :] = -polys[..., 1:] / polys[..., :1]
+    branch = np.linalg.eigvals(comp).reshape(len(us), 2 * g + 2)
+    for r in np.flatnonzero((polys[..., -1] == 0).any(axis=1)):
+        # np.roots splits off a zero root before it builds a smaller companion
+        branch[r] = np.concatenate([np.roots(poly) for poly in polys[r]])
+    scale = np.maximum(1.0, np.max(np.abs(branch), axis=1))
+    ia, ib = np.triu_indices(2 * g + 2, 1)
+    collide = np.abs(branch[:, ia] - branch[:, ib]) < tol * scale[:, None]
+    dp = p[:, 1:] * np.arange(1, g + 2)        # npoly.polyder, row by row
+    curves = []
+    for r, row in enumerate(p):
+        hit = np.flatnonzero(collide[r])
+        if hit.size:
+            a, b = branch[r, ia[hit[0]]], branch[r, ib[hit[0]]]
+            curves.append(SingularCurve(f"branch points {a:.6g} and {b:.6g} collide"))
+            continue
+        q = np.convolve(row, row)                 # npoly.polymul(row, row)
+        q[0] -= 4.0 * lam ** 2
+        curves.append(SWCurve(g=g, u=tuple(complex(v) for v in us[r]), Lambda=complex(Lambda),
+                              p_coeffs=row, q_coeffs=q, dp_coeffs=dp[r],
+                              branch_points=branch[r]))
+    return curves
 
 
 def _shift_const(g, c):
@@ -131,8 +166,14 @@ class SheetTracker:
 
     def __init__(self, curve):
         self.curve = curve
-        self.centroid = complex(np.mean(curve.branch_points))
-        self.r_far = 6.0 * max(1.0, float(np.max(np.abs(curve.branch_points - self.centroid))))
+
+    @functools.cached_property
+    def centroid(self):
+        return complex(np.mean(self.curve.branch_points))
+
+    @functools.cached_property
+    def r_far(self):
+        return 6.0 * max(1.0, float(np.max(np.abs(self.curve.branch_points - self.centroid))))
 
     def principal_far(self, z):
         gg = self.curve.g
@@ -274,14 +315,44 @@ class EllipseContour:
 # ---------------------------------------------------------------------------
 
 class _ContourNodes:
-    __slots__ = ("z", "dzdt", "w", "y", "closure")
+    __slots__ = ("z", "dzdt", "w", "y", "closure", "errors")
 
-    def __init__(self, z, dzdt, w, y, closure):
+    def __init__(self, z, dzdt, w, y, closure, errors=None):
         self.z = z
         self.dzdt = dzdt
         self.w = w
         self.y = y
         self.closure = closure
+        self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
+
+
+class CurveRows:
+    """Nearby curves of one genus, evaluated together at the reference nodes.
+
+    ``q_at(z)`` and ``dp_at(z)`` take nodes of shape (N,) and give one row per
+    curve, shape (K, N): the Horner arithmetic of each row's own curve, per
+    element, so each row is bitwise that curve's ``q_at`` or ``dp_at``.
+    """
+
+    def __init__(self, curves):
+        self.rows = list(curves)
+        self.g = self.rows[0].g
+        self._q, self._dp = (np.stack([getattr(c, f) for c in self.rows], axis=-1)[..., None]
+                             for f in ("q_coeffs", "dp_coeffs"))
+
+    def q_at(self, z):
+        return npoly.polyval(z, self._q, tensor=False)
+
+    def dp_at(self, z):
+        return npoly.polyval(z, self._dp, tensor=False)
+
+
+class _RowsFailed(Exception):
+    """Rows of a CurveRows workspace that failed, ``errors`` = {row: exception}."""
+
+    def __init__(self, errors):
+        super().__init__(errors)
+        self.errors = errors
 
 
 # a derived sheet value y = +-sqrt(Q) must sit clearly nearer the reference
@@ -290,16 +361,21 @@ _SHEET_GATE = 0.25
 
 
 def _nearer_sheet(cand, y_ref, contour, z):
-    """+-cand, each entry on the sign nearer y_ref; OutOfNeighbourhood if that is not clear."""
+    """+-cand, each entry on the sign nearer y_ref, and the rows where that is not clear.
+
+    ``cand`` holds one row per curve, shape (K, N), against y_ref and the
+    nodes z of shape (N,).  Returns the values and {row: OutOfNeighbourhood}.
+    """
     same, flip = np.abs(cand - y_ref), np.abs(cand + y_ref)
-    ratio = np.atleast_1d(np.minimum(same, flip) / np.maximum(same, flip))
-    worst = int(np.argmax(ratio))
-    if not ratio[worst] <= _SHEET_GATE:
-        raise OutOfNeighbourhood(
-            f"sheet of the moved curve is ambiguous at node {np.atleast_1d(z)[worst]:.6g} of the "
+    ratio = np.minimum(same, flip) / np.maximum(same, flip)
+    worst = np.argmax(ratio, axis=-1)
+    errors = {}
+    for r in np.flatnonzero(~(ratio[np.arange(len(ratio)), worst] <= _SHEET_GATE)):
+        errors[int(r)] = OutOfNeighbourhood(
+            f"sheet of the moved curve is ambiguous at node {z[worst[r]]:.6g} of the "
             f"contour with foci {contour.f1:.6g}, {contour.f2:.6g}: nearer/farther distance "
-            f"to the reference sheet {ratio[worst]:.3g} against gate {_SHEET_GATE:g}")
-    return np.where(same <= flip, cand, -cand)[()]
+            f"to the reference sheet {ratio[r, worst[r]]:.3g} against gate {_SHEET_GATE:g}")
+    return np.where(same <= flip, cand, -cand), errors
 
 
 class QuadratureWorkspace:
@@ -312,31 +388,56 @@ class QuadratureWorkspace:
     ``_SHEET_GATE`` times the distance to the other, or OutOfNeighbourhood is
     raised.  A panel level is tracked once on the reference and kept there.
     The sheet closure walk and its gate run on the moved curve either way.
+
+    Moved to a ``CurveRows``, the workspace derives the sheets of K curves
+    at once: y has shape (K, N), and the closure and the anchor one entry per
+    row.  A single moved curve is the one-row case of the same derivation.
+    Each row keeps its own anchor, closure walk and gate; a row that fails
+    is recorded in the level's ``errors`` instead of failing its neighbours.
     """
 
     def __init__(self, curve):
         self.curve = curve
-        self.tracker = SheetTracker(curve)
+        self._stacked = isinstance(curve, CurveRows)
+        self._rows = curve if self._stacked else CurveRows([curve])
+        self._trackers = [SheetTracker(c) for c in self._rows.rows]
+        self.tracker = self._trackers[0]
         self._reference = None
         self._cache = {}
         self._anchor_cache = {}
 
     def moved_to(self, curve):
-        """Workspace on the nearby ``curve`` whose sheets are derived from this one's."""
+        """Workspace on the nearby ``curve`` (or ``CurveRows``), its sheets derived from this one's."""
         moved = QuadratureWorkspace(curve)
         moved._reference = self
         return moved
 
     def _anchor_for(self, contour):
-        if contour not in self._anchor_cache:
-            z0 = complex(contour.point(0.0))
-            if self._reference is None:
-                y0 = self.tracker.anchor(z0)
-            else:
-                y0 = _nearer_sheet(np.sqrt(self.curve.q_at(z0)),
-                                   self._reference._anchor_for(contour), contour, z0)
+        y0, errors = self._anchors(contour)
+        if errors:
+            raise _RowsFailed(errors) if self._stacked else errors[0]
+        return y0
+
+    def _anchors(self, contour):
+        """(y at the contour's start, {row: exception}), kept once no row fails.
+
+        The reference tracks its anchor.  A moved workspace takes, per row,
+        the sign of sqrt(Q) nearer the reference's anchor: one value per row
+        on a CurveRows workspace, a scalar otherwise.
+        """
+        if contour in self._anchor_cache:
+            return self._anchor_cache[contour], {}
+        z0 = complex(contour.point(0.0))
+        if self._reference is None:
+            y0, errors = self.tracker.anchor(z0), {}
+        else:
+            cand = np.array([[np.sqrt(c.q_at(z0))] for c in self._rows.rows])
+            y0, errors = _nearer_sheet(cand, self._reference._anchor_for(contour), contour,
+                                       np.array([z0]))
+            y0 = y0[:, 0] if self._stacked else y0[0, 0]
+        if not errors:
             self._anchor_cache[contour] = y0
-        return self._anchor_cache[contour]
+        return y0, errors
 
     def track(self, contour, t):
         """Points of ``contour`` at parameters ``t`` and y continued along them."""
@@ -355,23 +456,38 @@ class QuadratureWorkspace:
         key = (contour, n_panels)
         data = self._cache.get(key)
         if data is None:
-            if self._reference is None:
-                xs, ws = _gl_nodes()
-                t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
-                w = np.tile(ws, n_panels) / n_panels
-                z, ys = self.track(contour, t)
-                dzdt = contour.velocity(t)
-            else:
-                ref = self._reference._nodes(contour, n_panels)
-                z, dzdt, w = ref.z, ref.dzdt, ref.w
-                ys = _nearer_sheet(np.sqrt(self.curve.q_at(z)), ref.y, contour, z)
-            y0 = self._anchor_for(contour)
-            z_start = complex(contour.point(0.0))
-            y_close = self.tracker.walk_segment(complex(z[-1]), ys[-1], z_start)
-            closure = abs(y_close - y0) / max(abs(y0), 1e-30)
-            data = _ContourNodes(z, dzdt, w, ys, closure)
+            data = (self._tracked_nodes if self._reference is None else self._derived_nodes)(
+                contour, n_panels)
             self._cache[key] = data
         return data
+
+    def _tracked_nodes(self, contour, n_panels):
+        xs, ws = _gl_nodes()
+        t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
+        w = np.tile(ws, n_panels) / n_panels
+        z, ys = self.track(contour, t)
+        closure = _closure(self.tracker, complex(contour.point(0.0)), z, ys,
+                           self._anchor_for(contour))
+        return _ContourNodes(z, contour.velocity(t), w, ys, closure)
+
+    def _derived_nodes(self, contour, n_panels):
+        ref = self._reference._nodes(contour, n_panels)
+        ys, errors = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, contour, ref.z)
+        y0, anchor_errors = self._anchors(contour)
+        errors = {**anchor_errors, **errors}      # a row's node error comes first
+        y0, z_start = np.atleast_1d(y0), complex(contour.point(0.0))
+        closure = np.full(len(ys), np.nan)
+        for r, tracker in enumerate(self._trackers):
+            if r not in errors:
+                try:
+                    closure[r] = _closure(tracker, z_start, ref.z, ys[r], y0[r])
+                except QuadratureNotConverged as exc:
+                    errors[r] = exc
+        if self._stacked:
+            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, closure, errors)
+        if errors:
+            raise errors[0]
+        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], closure[0])
 
     def integrate(self, contour, integrand, tol=1e-10, start_panels=8,
                   max_panels=4096):
@@ -381,6 +497,9 @@ class QuadratureWorkspace:
         nodes.  Each component is accepted at the first doubling where the
         sheets close and its own change passes the gate, and keeps the value
         of that level, so it equals the integral of that component alone.
+        On a CurveRows workspace the last axis of the value runs over the
+        rows, each gated on its own closure; rows that fail at a level they
+        still need raise ``_RowsFailed`` naming each row's own error.
         """
         prev = None
         done = False
@@ -389,25 +508,49 @@ class QuadratureWorkspace:
         while n <= max_panels:
             data = self.nodes(contour, n)
             val = np.sum(data.w * integrand(data.z, data.y) * data.dzdt, axis=-1)
+            if data.errors:
+                open_rows = ~_rows_done(done, val.shape)
+                failed = {r: e for r, e in data.errors.items() if open_rows[r]}
+                if failed:
+                    raise _RowsFailed(failed)
             out = val if prev is None else np.where(done, out, val)
             closure, last = data.closure, n
             if prev is not None:
                 delta, gate = np.abs(val - prev), tol * np.maximum(1.0, np.abs(val))
-                if closure < 1e-8:
-                    done = done | (delta <= gate)
-                    if np.all(done):
-                        return out[()]
+                done = done | ((delta <= gate) & (closure < 1e-8))
+                if np.all(done):
+                    return out[()]
             prev = val
             n *= 2
-        worst = np.argmax(np.where(done, -np.inf, delta / gate))   # flat component index
-        raise QuadratureNotConverged(
-            f"contour integral did not converge by {last} panels: worst |delta| = "
-            f"{delta.flat[worst]:.3e} against gate {gate.flat[worst]:.3e} (component {worst}), "
-            f"sheet closure {closure:.3e} against 1e-08")
+        if not self._stacked:
+            raise _not_converged(last, delta, gate, done, closure)
+        delta, gate, done = np.broadcast_arrays(delta, gate, done, val)[:3]
+        raise _RowsFailed({r: _not_converged(last, delta[..., r], gate[..., r], done[..., r],
+                                             closure[r])
+                           for r in np.flatnonzero(~_rows_done(done, val.shape))})
 
     def integrate_cycle(self, cycle, integrand, tol=1e-10):
         """Integral over a composite cycle [(coef, contour), ...]."""
         return sum(c * self.integrate(k, integrand, tol) for c, k in cycle)
+
+
+def _closure(tracker, z_start, z, ys, y0):
+    """Relative mismatch of y walked from the last node back to the contour's start."""
+    y_close = tracker.walk_segment(complex(z[-1]), ys[-1], z_start)
+    return abs(y_close - y0) / max(abs(y0), 1e-30)
+
+
+def _rows_done(done, shape):
+    """[row]: every component of the row is accepted; rows on the last axis of ``shape``."""
+    return np.broadcast_to(done, shape).reshape(-1, shape[-1]).all(axis=0)
+
+
+def _not_converged(last, delta, gate, done, closure):
+    worst = np.argmax(np.where(done, -np.inf, delta / gate))   # flat component index
+    return QuadratureNotConverged(
+        f"contour integral did not converge by {last} panels: worst |delta| = "
+        f"{delta.flat[worst]:.3e} against gate {gate.flat[worst]:.3e} (component {worst}), "
+        f"sheet closure {closure:.3e} against 1e-08")
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +795,8 @@ def _period_form(curve):
     return lambda z, y: np.concatenate([forms(z, y), ds(z, y)[None]])
 
 
-def _a_pass(curve, cycles, tol):
-    """[i, :g] = A_i-periods of z^{m-1} dz / y, [i, g] = A_i-period of dS."""
-    return _cycle_periods(cycles.workspace, cycles.a_cycles, _period_form(curve), tol)
-
-
-def _period_data(curve, cycles, a_per):
-    """PeriodData from the A pass ``a_per`` and one B pass on ``cycles``."""
-    g = curve.g
-    b_per = _cycle_periods(cycles.workspace, cycles.b_cycles, _period_form(curve), _PERIOD_TOL)
+def _period_data(g, a_per, b_per):
+    """PeriodData from the A pass ``a_per`` and the B pass ``b_per`` of ``_period_form``."""
     m_mat, a_vec = a_per[:, :g], a_per[:, g]
     phib, b_vec = b_per[:, :g], b_per[:, g]
     try:
@@ -687,8 +823,9 @@ def periods(curve, cycles):
     as one stacked integrand; the B pass integrates each chain loop C_k once
     and sums B_i = C_i + ... + C_g from those integrals.
     """
-    _workspace_for(curve, cycles)
-    return _period_data(curve, cycles, _a_pass(curve, cycles, _PERIOD_TOL))
+    ws, form = _workspace_for(curve, cycles), _period_form(curve)
+    return _period_data(curve.g, _cycle_periods(ws, cycles.a_cycles, form, _PERIOD_TOL),
+                        _cycle_periods(ws, cycles.b_cycles, form, _PERIOD_TOL))
 
 
 def omega_value(pd, j, z, y):
@@ -794,81 +931,190 @@ def bergman_kernel(curve, cycles, pd, seed=11):
 # moduli <-> A-period inversion
 # ---------------------------------------------------------------------------
 
-def _neighbourhood_violation(curve, cycles):
-    """Why a branch point of ``curve`` is not inside the contours around its cut only, or None."""
-    pts = curve.branch_points
+def _neighbourhood_violations(curves, cycles):
+    """For each curve, why a branch point is not inside the contours around its cut only, or None.
+
+    One array pass per contour over every curve's branch points; a curve's
+    message names its first offending point on its first offending contour.
+    """
+    if not curves:
+        return []
+    pts = np.array([c.branch_points for c in curves])
+    rows = np.arange(len(pts))
+    out = [None] * len(pts)
     for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
-        own = np.zeros(len(pts), dtype=bool)
-        own[[int(np.argmin(np.abs(pts - f))) for f in (cont.f1, cont.f2)]] = True
+        own = np.zeros(pts.shape, dtype=bool)
+        for f in (cont.f1, cont.f2):
+            own[rows, np.argmin(np.abs(pts - f), axis=1)] = True
         sig = cont.elliptic_sigma(pts)
-        wrong = np.flatnonzero((sig < cont.sigma) != own)
-        if wrong.size:
-            i = wrong[0]
-            return (f"branch point {pts[i]:.6g} at elliptic sigma {sig[i]:.3g} is "
-                    f"{'outside' if own[i] else 'inside'} the reference contour of "
-                    f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
-    return None
+        wrong = (sig < cont.sigma) != own
+        for r in np.flatnonzero(wrong.any(axis=1)):
+            if out[r] is None:
+                i = np.flatnonzero(wrong[r])[0]
+                out[r] = (f"branch point {pts[r, i]:.6g} at elliptic sigma {sig[r, i]:.3g} is "
+                          f"{'outside' if own[r, i] else 'inside'} the reference contour of "
+                          f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+    return out
 
 
-def invert_a_map(curve0, cycles0, pd0, a_target, tol=1e-10):
-    """Damped Newton solve for moduli u with a(u) = a_target, from curve0.
+def _row_periods(cycles0, curves, cycle_list, tol):
+    """Periods of ``_period_form`` over ``cycle_list`` on each of ``curves``, {key: curve}.
 
-    ``pd0`` holds the periods of curve0 on cycles0; the solve starts from
+    One stacked pass on ``cycles0.workspace.moved_to(CurveRows(...))``.
+    Returns ({key: [cycle, form]}, {key: exception}).  A row that fails
+    leaves, and the pass runs again on the rest: no row's values depend on
+    which other rows share the pass.
+    """
+    keys, errors = list(curves), {}
+    while keys:
+        ws = cycles0.workspace.moved_to(CurveRows([curves[k] for k in keys]))
+        try:
+            per = _cycle_periods(ws, cycle_list, _period_form(ws.curve), tol)
+        except _RowsFailed as exc:
+            errors.update((keys[r], e) for r, e in exc.errors.items())
+            keys = [k for r, k in enumerate(keys) if r not in exc.errors]
+        else:
+            return {k: np.ascontiguousarray(per[..., r]) for r, k in enumerate(keys)}, errors
+    return {}, errors
+
+
+class _NewtonRow:
+    """One target's damped Newton state in ``invert_a_map``."""
+
+    def __init__(self, curve0, pd0, target):
+        self.target = target
+        self.scale = max(1.0, float(np.max(np.abs(target))))
+        self.u = np.array(curve0.u, dtype=complex)
+        self.curve, self.a_per = curve0, None
+        self.err, self.m_mat = target - pd0.a, pd0.a_jacobian
+        self.steps, self.step, self.du = 0, 1.0, None
+        self.tries = 0
+
+    def next_step(self, tol):
+        """Start the next Newton step; False once converged."""
+        if self.steps == 50:
+            raise QuadratureNotConverged(
+                f"Newton iteration for a -> u did not converge in 50 steps: max |err| "
+                f"{np.max(np.abs(self.err)):.3e} against tol*scale {tol * self.scale:.3e}, "
+                f"last step {self.step:g} x |du| {np.max(np.abs(self.du)):.3e}")
+        if float(np.max(np.abs(self.err))) < tol * self.scale:
+            return False
+        self.du = np.linalg.solve(-self.m_mat, self.err)
+        self.step, self.tries = 1.0, 0
+        return True
+
+    def trial(self):
+        return self.u + self.step * self.du
+
+    def accept(self, curve, a_try):
+        """Take the trial if it lowers the residual."""
+        err_try = self.target - a_try[:, curve.g]
+        if not float(np.max(np.abs(err_try))) < float(np.max(np.abs(self.err))):
+            return False
+        self.u, self.curve, self.err = self.trial(), curve, err_try
+        self.a_per, self.m_mat = a_try, a_try[:, :curve.g]
+        self.steps += 1
+        return True
+
+    def damp(self, outside, tol):
+        """A failed trial halves the step; the fifth ends the solve."""
+        self.step *= 0.5
+        self.tries += 1
+        if self.tries < 5:
+            return True
+        if outside is not None:
+            raise OutOfNeighbourhood(outside)
+        raise QuadratureNotConverged(
+            f"Newton damping failed for a -> u: max |err| {np.max(np.abs(self.err)):.3e} "
+            f"against tol*scale {tol * self.scale:.3e}, no decrease down to step "
+            f"{2 * self.step:g} x |du| {np.max(np.abs(self.du)):.3e}")
+
+
+def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
+    """Damped Newton solves for moduli u with a(u) = t from curve0, one per row t of ``a_targets``.
+
+    ``pd0`` holds the periods of curve0 on cycles0; each solve starts from
     its A-periods and Jacobian, with no integral on curve0.  The Jacobian is
     d a^i / d u^j = - A-period of z^{j-1} dz / y; the minus sign follows from
     dS = +z P' dz / y and the fixed variational identity
-    d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference cycle contours
-    are reused, valid for targets in a small neighbourhood.  Each trial's
-    workspace is ``cycles0.workspace.moved_to(curve_try)``: its sheets are
-    derived from the reference nodes, never tracked again on the moved curve.
-    A trial integrates the g holomorphic forms and dS over the A-cycles in
-    one pass, which gives its residual and, once accepted, the next Jacobian.
-    A Newton trial whose branch points leave the neighbourhood, or whose
-    derived sheet misses the margin gate, counts as a failed damping step,
-    and OutOfNeighbourhood is raised when the damping ends on such a trial.
+    d(dS)/du^j|_z = -z^{j-1} dz/y + d(z^j / y).  The reference contours are
+    reused, valid for targets in a small neighbourhood, and every trial
+    curve's sheets are derived from the reference nodes.
 
-    Returns ``(curve, cycles, pd)``: the moved curve, the reference contours
-    paired with the derived workspace on that curve, and the periods there.
-    ``pd`` reuses the accepted trial's A pass, integrated at ``tol``, and adds
-    the B pass that ``periods`` makes.
+    The rows run in lockstep rounds, each with its own residual, Jacobian,
+    step, 5 damping halvings and 50-step cap.  A round builds all unfinished
+    rows' trial curves at once, checks them against the contours and
+    integrates the g holomorphic forms and dS over the A-cycles on the rest
+    in one stacked pass.  A trial outside the contours, or whose derived
+    sheet misses the margin gate, is a failed damping step of its own row,
+    and OutOfNeighbourhood is raised when the row's damping ends on one.
+    One stacked B pass over the accepted curves follows the last round.
+    Each row is bitwise the row solved alone; if rows fail, the lowest
+    failing row's error is raised once all rows have finished.
+
+    Returns one ``(curve, cycles, pd)`` per row: the moved curve, the
+    reference contours with ``cycles0.workspace.moved_to(curve)``, and the
+    periods there, what ``periods(curve, cycles)`` gives; ``pd`` reuses the
+    accepted trial's A pass, integrated at ``tol``.
     """
     _workspace_for(curve0, cycles0)
     g = curve0.g
-    u = np.array(curve0.u, dtype=complex)
-    a_target = np.asarray(a_target, dtype=complex)
-    curve, cycles, a_per = curve0, cycles0, None
-    err, m_mat = a_target - pd0.a, pd0.a_jacobian
-    scale = max(1.0, float(np.max(np.abs(a_target))))
-    for _ in range(50):
-        if float(np.max(np.abs(err))) < tol * scale:
-            return curve, cycles, pd0 if a_per is None else _period_data(curve, cycles, a_per)
-        du = np.linalg.solve(-m_mat, err)
-        step = 1.0
-        for _ in range(5):
-            u_try = u + step * du
-            curve_try = new_curve(g, u_try, curve0.Lambda)
-            outside = _neighbourhood_violation(curve_try, cycles0)
-            if outside is None:
-                cycles_try = replace(cycles0, workspace=cycles0.workspace.moved_to(curve_try))
-                try:
-                    a_try = _a_pass(curve_try, cycles_try, tol)
-                except OutOfNeighbourhood as exc:
-                    outside = str(exc)
-                else:
-                    err_try = a_target - a_try[:, g]
-                    if float(np.max(np.abs(err_try))) < float(np.max(np.abs(err))):
-                        u, curve, cycles, err = u_try, curve_try, cycles_try, err_try
-                        a_per, m_mat = a_try, a_try[:, :g]
-                        break
-            step *= 0.5
-        else:
-            if outside is not None:
-                raise OutOfNeighbourhood(outside)
-            raise QuadratureNotConverged(
-                f"Newton damping failed for a -> u: max |err| {np.max(np.abs(err)):.3e} "
-                f"against tol*scale {tol * scale:.3e}, no decrease down to step "
-                f"{2 * step:g} x |du| {np.max(np.abs(du)):.3e}")
-    raise QuadratureNotConverged(
-        f"Newton iteration for a -> u did not converge in 50 steps: max |err| "
-        f"{np.max(np.abs(err)):.3e} against tol*scale {tol * scale:.3e}, last step "
-        f"{step:g} x |du| {np.max(np.abs(du)):.3e}")
+    a_targets = np.asarray(a_targets, dtype=complex)
+    if a_targets.ndim != 2 or a_targets.shape[1] != g:
+        raise ValueError(f"a_targets must be a (K, {g}) array, got shape {a_targets.shape}")
+    rows = [_NewtonRow(curve0, pd0, t) for t in a_targets]
+    errors, active = {}, []
+
+    def run(i, step, *args):
+        """Advance row i by one state-machine step; it stays active while the step says so."""
+        try:
+            if step(*args):
+                active.append(i)
+        except (SwtrError, np.linalg.LinAlgError) as exc:   # the lowest row's is raised
+            errors[i] = exc
+
+    for i, row in enumerate(rows):
+        run(i, row.next_step, tol)
+    while active:
+        live = [i for i in active if i < min(errors, default=len(rows))]
+        if not live:
+            break
+        active = []
+        built = dict(zip(live, _new_curves(g, [rows[i].trial() for i in live], curve0.Lambda)))
+        trials = {i: c for i, c in built.items() if isinstance(c, SWCurve)}
+        errors.update((i, c) for i, c in built.items() if i not in trials)
+        outside = dict(zip(trials, _neighbourhood_violations(trials.values(), cycles0)))
+        a_try, failed = _row_periods(
+            cycles0, {i: c for i, c in trials.items() if outside[i] is None}, cycles0.a_cycles, tol)
+        for i, exc in failed.items():
+            if isinstance(exc, OutOfNeighbourhood):
+                outside[i] = str(exc)
+            else:
+                errors[i] = exc
+        for i in trials:
+            row = rows[i]
+            if i in a_try and row.accept(trials[i], a_try[i]):
+                run(i, row.next_step, tol)
+            elif i not in errors:
+                run(i, row.damp, outside[i], tol)
+    first = min(errors, default=len(rows))
+    moved = {i: row.curve for i, row in enumerate(rows[:first]) if row.a_per is not None}
+    b_per, failed = _row_periods(cycles0, moved, cycles0.b_cycles, _PERIOD_TOL)
+    errors.update(failed)
+    out = []
+    for i, row in enumerate(rows):
+        if i in errors:
+            break
+        if row.a_per is None:
+            out.append((curve0, cycles0, pd0))
+            continue
+        try:
+            pd = _period_data(g, row.a_per, b_per[i])
+        except SwtrError as exc:
+            errors[i] = exc
+            break
+        out.append((row.curve, replace(cycles0, workspace=cycles0.workspace.moved_to(row.curve)),
+                    pd))
+    if errors:
+        raise errors[min(errors)]
+    return out

@@ -22,6 +22,7 @@ import cmath
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BranchUndefined,
@@ -508,12 +509,39 @@ def _below_degree(x):
     return np.where(np.add.outer(np.arange(n), np.arange(n)) < n, x, 0)
 
 
+# complex entries in one stacked batch of mul2 terms (256 KB)
+_MUL2_BATCH = 1 << 14
+
+
 def mul2(x, y):
-    """Product of two two-variable series of the same size."""
+    """Product of two two-variable series of the same size.
+
+    Each nonzero x[i, j] adds x[i, j] y[p - i, q - j] to out[p, q], in
+    row-major (i, j) order, as the term-by-term loop does.  The terms go in
+    batches: one stacked multiply of the batch's x[i, j] against windows of
+    y shifted by (i, j) (zero where p < i or q < j), then one sequential
+    reduction over the stack seeded with out.  A term outside its window
+    adds zero, which leaves every entry as it was: out starts at +0 and a sum
+    is -0 only when both addends are.  A batch holds about ``_MUL2_BATCH``
+    entries: at the working sizes of a default verify all terms fit in one,
+    while at size 32 a batch is about one row, so no stack grows with n^4.
+    """
     n = len(x)
+    x = _below_degree(x)
     out = np.zeros((n, n), dtype=complex)
-    for i, j in zip(*np.nonzero(_below_degree(x))):
-        out[i:, j:] += x[i, j] * y[:n - i, :n - j]
+    padded = np.zeros((2 * n, 2 * n), dtype=complex)
+    padded[n:, n:] = y
+    # shifted[a, b, p, q] = padded[a + p, b + q]: y moved by (n - a, n - b)
+    shifted = as_strided(padded, (n + 1, n + 1, n, n), padded.strides * 2, writeable=False)
+    rows, cols = np.nonzero(x)
+    step = max(1, _MUL2_BATCH // (n * n))
+    for start in range(0, len(rows), step):
+        i, j = rows[start:start + step], cols[start:start + step]
+        lo = i[0]
+        stack = np.empty((len(i) + 1, n - lo, n), dtype=complex)
+        stack[0] = out[lo:]
+        np.multiply(x[i, j, None, None], shifted[n + lo - i, n - j, :n - lo], out=stack[1:])
+        np.add.reduce(stack, axis=0, out=out[lo:])
     return _below_degree(out)
 
 

@@ -178,7 +178,7 @@ def test_criterion_6_hyperelliptic_numerics_g1():
     h = 1e-3 * scale
     b_vals = {}
     for m in (1, -1, 2, -2):
-        moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, pd.a + m * (h / 2), tol=1e-11)
+        (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [pd.a + m * (h / 2)], tol=1e-11)
         ws_m = moved_cycles.workspace
         b_vals[m] = sum(c * ws_m.integrate(k, ds_sw(moved), tol=1e-11)
                         for c, k in moved_cycles.b_cycles[0])

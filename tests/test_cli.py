@@ -191,16 +191,19 @@ def test_circle_derivatives_are_exact_to_their_degree(degree):
                                                  (2, (0.3 + 0.1j, 0.2 - 0.15j), True)],
                          ids=["g1-n4", "g2", "g2-n4"])
 def test_derivatives_take_four_nodes_per_modulus(monkeypatch, genus, u0, check_n4):
-    # the nodes a + r i^j e_k serve the n = 3, n = 4 and route checks alike
-    targets = []
+    # the nodes a + r i^j e_k serve the n = 3, n = 4 and route checks alike;
+    # they are solved together, in one call of 4g rows
+    calls = []
     invert = cli.invert_a_map
     monkeypatch.setattr(cli, "invert_a_map",
-                        lambda *args, **kw: targets.append(args[3]) or invert(*args, **kw))
+                        lambda *args, **kw: calls.append(args[3]) or invert(*args, **kw))
     rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, check_n4=check_n4))
     a = rep.artifacts.pd.a
     r = rep.metadata["derivative_radius"]
     assert r == cli.DERIVATIVE_RADIUS * max(1.0, np.max(np.abs(a)))
     expected = [a + r * w * np.eye(genus)[k] for k in range(genus) for w in (1, 1j, -1, -1j)]
+    assert len(calls) == 1
+    targets = calls[0]
     assert len(targets) == 4 * genus
     assert all(np.array_equal(t, e) for t, e in zip(targets, expected))
 

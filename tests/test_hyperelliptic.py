@@ -13,6 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import OutOfNeighbourhood, QuadratureNotConverged, SingularCurve
 from swtr.hyperelliptic import (
+    CurveRows,
     EllipseContour,
     QuadratureWorkspace,
     SheetTracker,
@@ -27,11 +28,14 @@ from swtr.hyperelliptic import (
     residue_at_infinity,
 )
 from swtr.hyperelliptic import (
+    _RowsFailed,
     _cycle_periods,
     _intersection_matrix,
-    _neighbourhood_violation,
+    _neighbourhood_violations,
     _period_form,
+    _new_curves,
     _segments_cross,
+    _shift_const,
 )
 
 U0_G1 = (0.3 + 0.1j,)
@@ -65,6 +69,50 @@ def test_branch_points_g1_u0():
 
 def test_singular_curve_detected():
     with pytest.raises(SingularCurve):
+        new_curve(1, (2.0,))
+
+
+def _roots_curve_fields(g, u, Lambda):
+    """Branch points, q and P' of one curve from np.roots and npoly: the reference."""
+    p = np.zeros(g + 2, dtype=complex)
+    p[g + 1] = 1.0
+    p[:g] = u
+    lam = complex(Lambda) ** (g + 1)
+    q = npoly.polymul(p, p)
+    q[0] -= 4.0 * lam ** 2
+    branch = np.concatenate([np.roots(p[::-1] - _shift_const(g, c)) for c in (2 * lam, -2 * lam)])
+    return [branch.tobytes(), q.tobytes(), npoly.polyder(p).tobytes()]
+
+
+def test_curve_rows_match_np_roots():
+    # the stacked companion eigenvalues of a batch are bitwise np.roots of
+    # each row, at every genus and batch size; so is the one-row new_curve,
+    # and rows with a zero constant term take np.roots's own path
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        g, k = int(rng.integers(1, 5)), int(rng.integers(1, 17))
+        us = 0.4 * (rng.standard_normal((k, g)) + 1j * rng.standard_normal((k, g)))
+        if trial % 10 == 0:
+            us[0, 0] = 2.0          # P - 2 has a zero constant term
+        lam = 1.0 if trial % 2 else 0.9 + 0.05j
+        for u, curve in zip(us, _new_curves(g, us, lam)):
+            if isinstance(curve, SingularCurve):
+                with pytest.raises(SingularCurve, match=re.escape(str(curve))):
+                    new_curve(g, u, lam)
+                continue
+            expect = _roots_curve_fields(g, u, lam)
+            assert [curve.branch_points.tobytes(), curve.q_coeffs.tobytes(),
+                    curve.dp_coeffs.tobytes()] == expect
+            assert new_curve(g, u, lam).branch_points.tobytes() == expect[0]
+            assert curve.ram_roots.tobytes() == np.roots(curve.dp_coeffs[::-1]).tobytes()
+
+
+def test_singular_rows_fail_alone():
+    # a row whose branch points collide gets its own SingularCurve, with
+    # new_curve's message; the rows beside it are built
+    curves = _new_curves(1, [(0.3 + 0.1j,), (2.0,), (0.2,)], 1.0)
+    assert [type(c).__name__ for c in curves] == ["SWCurve", "SingularCurve", "SWCurve"]
+    with pytest.raises(SingularCurve, match=re.escape(str(curves[1]))):
         new_curve(1, (2.0,))
 
 
@@ -179,18 +227,18 @@ def _scalar_neighbourhood_violation(curve, cycles):
 
 @pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
 def test_neighbourhood_violation_matches_scalar_loop(u0):
-    # moves from 0 to far outside the contours; the message is word for word
+    # moves from 0 to far outside the contours, checked as one batch; each
+    # curve's message is word for word the scalar loop's
     curve, cycles = _curve_and_cycles(u0)
     rng = np.random.default_rng(5)
-    seen = set()
+    moved = []
     for size in (0.0, 0.003, 0.01, 0.03, 0.1, 0.3):
         for _ in range(8):
             du = size * (rng.standard_normal(len(u0)) + 1j * rng.standard_normal(len(u0)))
-            moved = new_curve(len(u0), np.array(u0) + du)
-            got = _neighbourhood_violation(moved, cycles)
-            assert got == _scalar_neighbourhood_violation(moved, cycles)
-            seen.add(got is None)
-    assert seen == {True, False}
+            moved.append(new_curve(len(u0), np.array(u0) + du))
+    got = _neighbourhood_violations(moved, cycles)
+    assert got == [_scalar_neighbourhood_violation(m, cycles) for m in moved]
+    assert {g is None for g in got} == {True, False}
 
 
 def test_sheet_closure_on_cycles():
@@ -397,7 +445,7 @@ def test_anchor_error_names_its_numbers():
 def test_invert_a_map_roundtrip():
     curve, cycles, pd = setup_g1()
     target = pd.a * (1.0 + 1e-3)
-    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, target)
+    (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [target])
     ws = moved_cycles.workspace
     a_new = ws.integrate_cycle(moved_cycles.a_cycles[0], ds_sw(moved))
     assert abs(a_new - target[0]) < 1e-9 * max(1.0, abs(target[0]))
@@ -416,7 +464,7 @@ def test_moved_periods_match_fresh_workspace(genus, u0):
     pd = periods(curve, cycles)
     step = np.zeros(genus)
     step[-1] = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
-    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, pd.a + step, tol=1e-11)
+    (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [pd.a + step], tol=1e-11)
     assert moved_cycles.workspace.curve is moved
     fresh = replace(cycles, workspace=QuadratureWorkspace(moved))
     assert _period_fields(periods(moved, moved_cycles)) == _period_fields(periods(moved, fresh))
@@ -429,12 +477,12 @@ def test_invert_a_map_returns_the_periods_of_its_curve(genus, u0):
     # circle node a + r i^j e_k the verifier uses
     curve, cycles = _curve_and_cycles(u0)
     pd = periods(curve, cycles)
-    assert invert_a_map(curve, cycles, pd, pd.a) == (curve, cycles, pd)
+    assert invert_a_map(curve, cycles, pd, [pd.a]) == [(curve, cycles, pd)]
     r = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
     for k in range(genus):
         for w in (1, 1j, -1, -1j):
-            moved, moved_cycles, moved_pd = invert_a_map(
-                curve, cycles, pd, pd.a + r * w * np.eye(genus)[k], tol=1e-11)
+            (moved, moved_cycles, moved_pd), = invert_a_map(
+                curve, cycles, pd, [pd.a + r * w * np.eye(genus)[k]], tol=1e-11)
             assert moved is not curve
             assert _period_fields(moved_pd) == _period_fields(periods(moved, moved_cycles))
 
@@ -466,7 +514,7 @@ def test_derived_sheets_match_fresh_tracking():
     # reference's own nodes
     curve, cycles = _curve_and_cycles(U0_G2)
     pd = periods(curve, cycles)
-    moved, moved_cycles, _ = invert_a_map(curve, cycles, pd, pd.a + 1e-3, tol=1e-11)
+    (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [pd.a + 1e-3], tol=1e-11)
     periods(moved, moved_cycles)
     derived, fresh = moved_cycles.workspace, QuadratureWorkspace(moved)
     conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
@@ -501,7 +549,7 @@ def test_derived_sheet_refuses_ambiguous_sign():
     # longer clearly nearer one sign of the reference sheet than the other
     curve, cycles, _ = setup_g1()
     moved = new_curve(1, (U0_G1[0] + 0.05,))
-    assert _neighbourhood_violation(moved, cycles) is None
+    assert _neighbourhood_violations([moved], cycles) == [None]
     derived = replace(cycles, workspace=cycles.workspace.moved_to(moved))
     with pytest.raises(OutOfNeighbourhood) as err:
         periods(moved, derived)
@@ -511,18 +559,22 @@ def test_derived_sheet_refuses_ambiguous_sign():
 def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
     # along this direction the Newton trials near the target keep their branch
     # points inside the contours but miss the sheet gate; each such trial is a
-    # failed damping step, and the refusal comes when a whole damping sequence
-    # of 5 trials ends on one, instead of a quadrature on a tracked sheet
-    # running into the 4096-panel cap
+    # failed damping step of its own row, and the refusal comes when a whole
+    # damping sequence of 5 trials ends on one, instead of a quadrature on a
+    # tracked sheet running into the 4096-panel cap
     curve, cycles, pd = setup_g1()
+    good = pd.a * (1.0 + 1e-3)
     trials = []
     moved_to = QuadratureWorkspace.moved_to
-    monkeypatch.setattr(QuadratureWorkspace, "moved_to",
-                        lambda self, c: trials.append(c) or moved_to(self, c))
+    monkeypatch.setattr(QuadratureWorkspace, "moved_to", lambda self, c: trials.extend(
+        c.rows if isinstance(c, CurveRows) else [c]) or moved_to(self, c))
+    invert_a_map(curve, cycles, pd, [good])
+    good_trials = len({id(c) for c in trials})
+    trials.clear()
     with pytest.raises(OutOfNeighbourhood) as err:
-        invert_a_map(curve, cycles, pd, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi)))
+        invert_a_map(curve, cycles, pd, [good, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi))])
     _derivation_refusal(curve, cycles, err.value)
-    assert len(trials) >= 5
+    assert len({id(c) for c in trials}) - good_trials >= 5
 
 
 def test_moved_curves_are_never_tracked(monkeypatch):
@@ -554,18 +606,18 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(QuadratureWorkspace, "nodes", counted_nodes)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 54, "panels": 1296}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 12, "panels": 288}
 
 
 def test_workspace_of_another_curve_rejected():
     curve, cycles, pd = setup_g1()
-    moved, moved_cycles, moved_pd = invert_a_map(curve, cycles, pd, pd.a * (1.0 + 1e-3))
+    (moved, moved_cycles, moved_pd), = invert_a_map(curve, cycles, pd, [pd.a * (1.0 + 1e-3)])
     with pytest.raises(ValueError, match="another curve"):
         periods(moved, cycles)
     with pytest.raises(ValueError, match="another curve"):
         bergman_kernel(moved, cycles, moved_pd)
     with pytest.raises(ValueError, match="another curve"):
-        invert_a_map(moved, cycles, moved_pd, pd.a)
+        invert_a_map(moved, cycles, moved_pd, [pd.a])
 
 
 def test_invert_a_map_refuses_target_outside_contours():
@@ -577,7 +629,102 @@ def test_invert_a_map_refuses_target_outside_contours():
     curve, cycles, pd = setup_g1()
     for target in (pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)):
         with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
-            invert_a_map(curve, cycles, pd, target)
+            invert_a_map(curve, cycles, pd, [target])
+
+
+def _invert_fields(out):
+    return [[np.asarray(c.u).tobytes(), c.branch_points.tobytes()] + _period_fields(p)
+            for c, _, p in out]
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3] + _draws_g2(50, 19),
+                         ids=["g1", "g2", "g3"] + [f"draw{i}" for i in range(50)])
+def test_batch_invert_equals_solo(u0):
+    # the 4g circle nodes solved in lockstep are, field for field, each node
+    # solved alone; the cycles returned per node sit on their own curve
+    curve, cycles = _curve_and_cycles(u0)
+    pd = periods(curve, cycles)
+    r = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
+    targets = [pd.a + r * w * e for e in np.eye(len(u0)) for w in (1, 1j, -1, -1j)]
+    batch = invert_a_map(curve, cycles, pd, targets)
+    solo = [invert_a_map(curve, cycles, pd, [t])[0] for t in targets]
+    assert _invert_fields(batch) == _invert_fields(solo)
+    assert all(c.workspace.curve is m for m, c, _ in batch)
+
+
+def _solo_error(curve, cycles, pd, target):
+    with pytest.raises(OutOfNeighbourhood) as err:
+        invert_a_map(curve, cycles, pd, [target])
+    return str(err.value)
+
+
+def test_batch_invert_raises_the_lowest_failing_row():
+    # failing rows do not fail their neighbours; the error raised is the
+    # lowest failing row's, word for word its solo message
+    curve, cycles, pd = setup_g1()
+    good = [pd.a * (1.0 + s) for s in (1e-3, -1e-3j, 2e-3)]
+    out_a, out_b = pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)
+    sheet = pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi))
+    solo = {id(t): _solo_error(curve, cycles, pd, t) for t in (out_a, out_b, sheet)}
+    assert len(set(solo.values())) == 3
+    for batch, first in (([good[0], out_a, good[1]], out_a),
+                         ([good[0], good[1], out_b, good[2], out_a], out_b),
+                         ([out_a, out_b], out_a),
+                         ([good[0], sheet, good[1], out_b], sheet)):
+        with pytest.raises(OutOfNeighbourhood) as err:
+            invert_a_map(curve, cycles, pd, batch)
+        assert str(err.value) == solo[id(first)]
+    assert _invert_fields(invert_a_map(curve, cycles, pd, good)) == _invert_fields(
+        [invert_a_map(curve, cycles, pd, [t])[0] for t in good])
+
+
+def test_row_workspace_fails_rows_alone():
+    # a CurveRows workspace reports each row's own failure, with the message
+    # the row's single moved workspace raises: a sheet refusal, and the
+    # panel cap with each row's own worst component and closure
+    curve, cycles, _ = setup_g1()
+    rows = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.05, -2e-3j)]
+    cont = cycles.chain_loops[0]
+    ws = cycles.workspace.moved_to(CurveRows(rows))
+
+    def solo(c, **kw):
+        with pytest.raises(Exception) as err:
+            cycles.workspace.moved_to(c).integrate(cont, _period_form(c), **kw)
+        return type(err.value), str(err.value)
+
+    with pytest.raises(_RowsFailed) as err:
+        ws.integrate(cont, _period_form(ws.curve))
+    assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {1: solo(rows[1])}
+    ws = cycles.workspace.moved_to(CurveRows(rows[::2]))
+    with pytest.raises(_RowsFailed) as err:
+        ws.integrate(cont, _period_form(ws.curve), tol=1e-30, max_panels=32)
+    assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {
+        r: solo(c, tol=1e-30, max_panels=32) for r, c in enumerate(rows[::2])}
+
+
+def test_rows_fail_only_at_levels_they_need():
+    # row 0 is accepted at 16 panels and row 1 only at 128; a failure
+    # recorded for row 0 at 32 panels is not its error (alone it never
+    # reaches 32), while the same failure of row 1, still open there, is
+    # raised as row 1's own
+    curve, cycles, _ = setup_g1()
+    rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)])
+    cont = cycles.a_cycles[0][0][1]
+
+    def form(z, y):
+        f = 1.0 / y
+        f[1] *= 1.0 + 1e-3 * (len(z) <= 512) / len(z)   # row 1 changes up to 64 panels
+        return f
+
+    expect = cycles.workspace.moved_to(rows).integrate(cont, form)
+    ws = cycles.workspace.moved_to(rows)
+    errors = ws.nodes(cont, 32).errors
+    errors[0] = OutOfNeighbourhood("row 0 at 32 panels")
+    assert ws.integrate(cont, form).tobytes() == expect.tobytes()
+    errors[1] = OutOfNeighbourhood("row 1 at 32 panels")
+    with pytest.raises(_RowsFailed) as err:
+        ws.integrate(cont, form)
+    assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 32 panels"}
 
 
 # ---------------------------------------------------------------------------
