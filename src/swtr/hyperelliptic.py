@@ -364,10 +364,12 @@ def _nearer_sheet(cand, y_ref, contour, z):
     """+-cand, each entry on the sign nearer y_ref, and the rows where that is not clear.
 
     ``cand`` holds one row per curve, shape (K, N), against y_ref and the
-    nodes z of shape (N,).  Returns the values and {row: OutOfNeighbourhood}.
+    nodes z of shape (N,); it is negated in place where -cand is nearer.
+    Returns it and {row: OutOfNeighbourhood}.
     """
     same, flip = np.abs(cand - y_ref), np.abs(cand + y_ref)
-    ratio = np.minimum(same, flip) / np.maximum(same, flip)
+    ratio = np.minimum(same, flip)
+    ratio /= np.maximum(same, flip)
     worst = np.argmax(ratio, axis=-1)
     errors = {}
     for r in np.flatnonzero(~(ratio[np.arange(len(ratio)), worst] <= _SHEET_GATE)):
@@ -375,7 +377,8 @@ def _nearer_sheet(cand, y_ref, contour, z):
             f"sheet of the moved curve is ambiguous at node {z[worst[r]]:.6g} of the "
             f"contour with foci {contour.f1:.6g}, {contour.f2:.6g}: nearer/farther distance "
             f"to the reference sheet {ratio[r, worst[r]]:.3g} against gate {_SHEET_GATE:g}")
-    return np.where(same <= flip, cand, -cand), errors
+    np.negative(cand, out=cand, where=~(same <= flip))
+    return cand, errors
 
 
 class QuadratureWorkspace:
@@ -507,7 +510,9 @@ class QuadratureWorkspace:
         n = start_panels
         while n <= max_panels:
             data = self.nodes(contour, n)
-            val = np.sum(data.w * integrand(data.z, data.y) * data.dzdt, axis=-1)
+            val = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
+            val *= data.dzdt          # in place: no second (components, rows, nodes) array
+            val = np.sum(val, axis=-1)
             if data.errors:
                 open_rows = ~_rows_done(done, val.shape)
                 failed = {r: e for r, e in data.errors.items() if open_rows[r]}
@@ -790,9 +795,21 @@ _PERIOD_TOL = 1e-10
 
 
 def _period_form(curve):
-    """The g holomorphic forms and dS stacked: one integrand for every period."""
-    forms, ds = _holomorphic_forms(curve.g), ds_sw(curve)
-    return lambda z, y: np.concatenate([forms(z, y), ds(z, y)[None]])
+    """The g holomorphic forms and dS stacked: one integrand for every period.
+
+    Written into one array, dS first, so a stack of K curves holds no second
+    copy of the (g + 1, K, N) values.
+    """
+    g, ds = curve.g, ds_sw(curve)
+
+    def form(z, y):
+        d = ds(z, y)
+        out = np.empty((g + 1,) + d.shape, dtype=complex)
+        for m in range(g):
+            np.divide(z ** m, y, out=out[m])
+        out[g] = d
+        return out
+    return form
 
 
 def _period_data(g, a_per, b_per):
