@@ -239,33 +239,49 @@ def _chart_rows(ch, n, f_size):
 
 
 def _outer_sum(weights, rows_a, rows_b):
-    """sum weights[i, j] rows_a[i] (x) rows_b[j] over the nonzero weights, in a fixed order."""
-    out = np.zeros((rows_a.shape[1], rows_b.shape[1]), dtype=complex)
+    """sum weights[i, j] rows_a[..., i, :] (x) rows_b[..., j, :] over the nonzero weights.
+
+    The terms are added in row-major (i, j) order to an array that starts at
+    +0; leading axes of the rows broadcast, a batch of rows each summed as alone.
+    """
+    batch = np.broadcast_shapes(rows_a.shape[:-2], rows_b.shape[:-2])
+    out = np.zeros(batch + (rows_a.shape[-1], rows_b.shape[-1]), dtype=complex)
     for i, j in zip(*np.nonzero(weights)):
-        out += weights[i, j] * np.outer(rows_a[i], rows_b[j])
+        out += weights[i, j] * (rows_a[..., i, :, None] * rows_b[..., j, None, :])
     return out
 
 
-def _regular_part(bk, rows_a, rows_b, eps):
-    """Regular part of the algebraic kernel B_0 dz1 dz2 in (etabar_a, etabar_b), as a 2-D array.
+def _regular_parts(bk, rows_a, rows_b, eps):
+    """Regular parts of the algebraic kernel B_0 dz1 dz2 in (etabar_a, etabar_b), one per chart pair.
 
     B_0 dz1 dz2 = M / (z_a - z_b)^2 with M = (y1 y2 + f) z1' z2' / (2 y1 y2).  At
-    different critical points (eps None) z_a - z_b is invertible.  At the
-    same one, with eps the product of the sheets, z_a - z_b = (t1 - eps t2) D
-    and H = M / D^2 - [eps = 1] vanishes to second order on t1 = eps t2, so
-    the regular part is H / (t1 - eps t2)^2, known to three total degrees less.
+    different critical points (eps 0) z_a - z_b is invertible.  At the same
+    one, with eps the product of the sheets, z_a - z_b = (t1 - eps t2) D and
+    H = M / D^2 - [eps = 1] vanishes to second order on t1 = eps t2, so the
+    regular part is H / (t1 - eps t2)^2, known to three total degrees less.
+
+    ``rows_a`` and ``rows_b`` are the ``_chart_rows`` of each pair, stacked
+    on a leading pair axis, and ``eps`` one entry per pair.  All pairs go
+    through one stack of size n: a same-point D, one degree shorter, is
+    zero-padded, and its quotient cut back afterwards, exact because no
+    coefficient depends on the working size.  Returns the blocks of size
+    n - 3 (the same-point reach), as a (pairs, n - 3, n - 3) array.
     """
     (dz_a, z_a, forms_a), (dz_b, z_b, forms_b) = rows_a, rows_b
-    numer = 0.5 * (np.outer(dz_a, dz_b) + _outer_sum(bk.f_coeffs, forms_a, forms_b))
+    numer = 0.5 * (dz_a[:, :, None] * dz_b[:, None, :] + _outer_sum(bk.f_coeffs, forms_a, forms_b))
     diff = np.zeros_like(numer)
-    diff[:, 0] = z_a
-    diff[0, :] -= z_b
-    if eps is None:
-        return mul2(numer, inverse2(mul2(diff, diff)))
-    quot = divide_diagonal2(diff, eps)
-    h = mul2(numer[:-1, :-1], inverse2(mul2(quot, quot)))
-    h[0, 0] -= eps == 1
-    return divide_diagonal2(divide_diagonal2(h, eps), eps)
+    diff[:, :, 0] = z_a
+    diff[:, 0, :] -= z_b
+    same = np.flatnonzero(eps)
+    diff[same, :-1, :-1] = divide_diagonal2(diff[same], eps[same])
+    diff[same, -1, :] = diff[same, :, -1] = 0.0
+    reg = mul2(numer, inverse2(mul2(diff, diff)))
+    h = reg[same, :-1, :-1]
+    h[:, 0, 0] -= eps[same] == 1
+    n = numer.shape[-1] - 3
+    reg = reg[:, :n, :n]
+    reg[same] = divide_diagonal2(divide_diagonal2(h, eps[same]), eps[same])
+    return reg
 
 
 def local_expansions(bk, charts, k_bound):
@@ -277,29 +293,34 @@ def local_expansions(bk, charts, k_bound):
     [t^(k-1)] of every normalized form against detabar_a, over k, for modes
     k, k' <= k_bound.  Both are truncated series algebra on the chart series
     z_of_etabar, y_curve and dz_detabar; the three exact divisions of
-    ``_regular_part`` need the charts to total degree 2 k_bound + 1.  The
+    ``_regular_parts`` need the charts to total degree 2 k_bound + 1.  The
     kernel's correction term adds sum corr_jl c^{k,a}_j c^{k',b}_l.  One
-    block is computed per unordered chart pair and mirrored, so s is exactly
-    symmetric.  No coefficient of a mode depends on k_bound.
+    block is computed per unordered chart pair, all pairs in one stack, and
+    mirrored, so s is exactly symmetric.  No coefficient of a mode depends
+    on k_bound.
     """
     norm = bk.pd.norm_matrix
     labels = sorted(charts)
-    rows = {lab: _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels}
+    dz, z, forms = (np.array(field) for field in zip(*(
+        _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels)))
     ks = np.arange(1, k_bound + 1)
-    # cmat[lab][j, k - 1] = c^{k,lab}_j, with omega_j = sum_m norm[m, j] z^m dz / y
-    cmat = {lab: _outer_sum(np.eye(len(norm)), norm, rows[lab][2][:len(norm), :k_bound] / ks)
-            for lab in labels}
-    c_coeffs = {(k, lab): cmat[lab][:, k - 1] for lab in labels for k in range(1, k_bound + 1)}
+    # cmat[l, j, k - 1] = c^{k,labels[l]}_j, with omega_j = sum_m norm[m, j] z^m dz / y
+    cmat = _outer_sum(np.eye(len(norm)), norm, forms[:, :len(norm), :k_bound] / ks)
+    c_coeffs = {(k, lab): cmat[l, :, k - 1] for l, lab in enumerate(labels)
+                for k in range(1, k_bound + 1)}
+    ia, ib = np.triu_indices(len(labels))
+    eps = np.array([labels[a][1] * labels[b][1] if labels[a][0] == labels[b][0] else 0
+                    for a, b in zip(ia, ib)])
+    reg = _regular_parts(bk, (dz[ia], z[ia], forms[ia]), (dz[ib], z[ib], forms[ib]), eps)
+    blocks = (reg[:, :k_bound, :k_bound] / np.outer(ks, ks)
+              + _outer_sum(bk.correction, cmat[ia], cmat[ib]))
+    diag = ia == ib
+    blocks[diag] = 0.5 * (blocks[diag] + blocks[diag].swapaxes(1, 2))
     s_coeffs = {}
-    for ia, a in enumerate(labels):
-        for b in labels[ia:]:
-            eps = a[1] * b[1] if a[0] == b[0] else None
-            reg = _regular_part(bk, rows[a], rows[b], eps)[:k_bound, :k_bound]
-            block = reg / np.outer(ks, ks) + _outer_sum(bk.correction, cmat[a], cmat[b])
-            if a == b:
-                block = 0.5 * (block + block.T)
-            for (k, kp), val in np.ndenumerate(block):
-                s_coeffs[((k + 1, a), (kp + 1, b))] = s_coeffs[((kp + 1, b), (k + 1, a))] = val
+    for a, b, block in zip(ia, ib, blocks):
+        a, b = labels[a], labels[b]
+        for (k, kp), val in np.ndenumerate(block):
+            s_coeffs[((k + 1, a), (kp + 1, b))] = s_coeffs[((kp + 1, b), (k + 1, a))] = val
     return s_coeffs, c_coeffs
 
 

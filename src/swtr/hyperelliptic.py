@@ -315,15 +315,33 @@ class EllipseContour:
 # ---------------------------------------------------------------------------
 
 class _ContourNodes:
-    __slots__ = ("z", "dzdt", "w", "y", "closure", "errors")
+    """One panel level of a contour; each row's sheet closure is walked when first read."""
 
-    def __init__(self, z, dzdt, w, y, closure, errors=None):
+    __slots__ = ("z", "dzdt", "w", "y", "errors", "_walks", "_closure")
+
+    def __init__(self, z, dzdt, w, y, walks, errors=None):
         self.z = z
         self.dzdt = dzdt
         self.w = w
         self.y = y
-        self.closure = closure
         self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
+        self._walks = walks           # per row, the zero-argument closure walk
+        self._closure = {}
+
+    def closures(self, rows):
+        """The closure of each row, nan for rows not read, walking ``rows`` not yet walked.
+
+        A walk that fails becomes the row's entry in ``errors``.  On a single
+        curve (y of shape (N,)) the one row's closure is returned as a float.
+        """
+        for r in rows:
+            if r not in self._closure and r not in self.errors:
+                try:
+                    self._closure[r] = self._walks[r]()
+                except QuadratureNotConverged as exc:
+                    self.errors[r] = exc
+        out = np.array([self._closure.get(r, np.nan) for r in range(len(self._walks))])
+        return out if self.y.ndim > 1 else out[0]
 
 
 class CurveRows:
@@ -469,9 +487,9 @@ class QuadratureWorkspace:
         t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
         w = np.tile(ws, n_panels) / n_panels
         z, ys = self.track(contour, t)
-        closure = _closure(self.tracker, complex(contour.point(0.0)), z, ys,
-                           self._anchor_for(contour))
-        return _ContourNodes(z, contour.velocity(t), w, ys, closure)
+        walk = functools.partial(_closure, self.tracker, complex(contour.point(0.0)), z, ys,
+                                 self._anchor_for(contour))
+        return _ContourNodes(z, contour.velocity(t), w, ys, [walk])
 
     def _derived_nodes(self, contour, n_panels):
         ref = self._reference._nodes(contour, n_panels)
@@ -479,18 +497,13 @@ class QuadratureWorkspace:
         y0, anchor_errors = self._anchors(contour)
         errors = {**anchor_errors, **errors}      # a row's node error comes first
         y0, z_start = np.atleast_1d(y0), complex(contour.point(0.0))
-        closure = np.full(len(ys), np.nan)
-        for r, tracker in enumerate(self._trackers):
-            if r not in errors:
-                try:
-                    closure[r] = _closure(tracker, z_start, ref.z, ys[r], y0[r])
-                except QuadratureNotConverged as exc:
-                    errors[r] = exc
+        walks = [functools.partial(_closure, tracker, z_start, ref.z, ys[r], y0[r])
+                 for r, tracker in enumerate(self._trackers)]
         if self._stacked:
-            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, closure, errors)
+            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, walks, errors)
         if errors:
             raise errors[0]
-        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], closure[0])
+        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], walks)
 
     def integrate(self, contour, integrand, tol=1e-10, start_panels=8,
                   max_panels=4096):
@@ -502,7 +515,10 @@ class QuadratureWorkspace:
         of that level, so it equals the integral of that component alone.
         On a CurveRows workspace the last axis of the value runs over the
         rows, each gated on its own closure; rows that fail at a level they
-        still need raise ``_RowsFailed`` naming each row's own error.
+        still need raise ``_RowsFailed`` naming each row's own error.  The
+        closure is read, so walked, only for rows still open, from the
+        second level on and at the last; a walk that fails is the row's
+        error at the level that reads it.
         """
         prev = None
         done = False
@@ -513,13 +529,14 @@ class QuadratureWorkspace:
             val = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
             val *= data.dzdt          # in place: no second (components, rows, nodes) array
             val = np.sum(val, axis=-1)
-            if data.errors:
-                open_rows = ~_rows_done(done, val.shape)
-                failed = {r: e for r, e in data.errors.items() if open_rows[r]}
-                if failed:
-                    raise _RowsFailed(failed)
+            open_rows = np.flatnonzero(~_rows_done(done, val.shape)) if self._stacked else [0]
+            if prev is not None or 2 * n > max_panels:
+                closure = data.closures(open_rows)
+            failed = {r: data.errors[r] for r in open_rows if r in data.errors}
+            if failed:
+                raise _RowsFailed(failed) if self._stacked else failed[0]
             out = val if prev is None else np.where(done, out, val)
-            closure, last = data.closure, n
+            last = n
             if prev is not None:
                 delta, gate = np.abs(val - prev), tol * np.maximum(1.0, np.abs(val))
                 done = done | ((delta <= gate) & (closure < 1e-8))

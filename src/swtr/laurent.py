@@ -502,10 +502,12 @@ def sqrt_shift_flow(xi, a, min_exp=None):
 # series known to total degree n - 1; its entries of higher degree are zero.
 # Every coefficient of degree d is summed in an order that does not depend on
 # n, so it is the same, bit for bit, in every working size that knows it.
+# Leading axes are a batch of rows: each row of a stacked call is, bit for
+# bit, the call on that row alone, and a 2-D array is the one-row case.
 
 def _below_degree(x):
-    """x with its entries of total degree >= len(x) set to zero."""
-    n = len(x)
+    """x with its entries of total degree >= its size set to zero."""
+    n = x.shape[-1]
     return np.where(np.add.outer(np.arange(n), np.arange(n)) < n, x, 0)
 
 
@@ -514,7 +516,7 @@ _MUL2_BATCH = 1 << 14
 
 
 def mul2(x, y):
-    """Product of two two-variable series of the same size.
+    """Product of two two-variable series of the same size, row by row over leading axes.
 
     Each nonzero x[i, j] adds x[i, j] y[p - i, q - j] to out[p, q], in
     row-major (i, j) order, as the term-by-term loop does.  The terms go in
@@ -522,52 +524,76 @@ def mul2(x, y):
     y shifted by (i, j) (zero where p < i or q < j), then one sequential
     reduction over the stack seeded with out.  A term outside its window
     adds zero, which leaves every entry as it was: out starts at +0 and a sum
-    is -0 only when both addends are.  A batch holds about ``_MUL2_BATCH``
-    entries: at the working sizes of a default verify all terms fit in one,
-    while at size 32 a batch is about one row, so no stack grows with n^4.
+    is -0 only when both addends are.  So does a term that is zero in one
+    row, so a chunk of rows takes the terms of the union of their nonzero
+    patterns and each row comes out, bit for bit, as it does alone.
+
+    A batch holds about ``_MUL2_BATCH`` entries over its rows and terms.  A
+    chunk holds at most ``_MUL2_BATCH / n^3`` rows, so a batch covers about
+    n terms or more: the copy of out that seeds each reduction stays small
+    next to its terms.  At the working sizes of a default verify every chart
+    pair and every term fit in one batch; at size 32 a chunk is one row and
+    a batch 16 of its terms, so no stack grows with n^4.
     """
-    n = len(x)
-    x = _below_degree(x)
-    out = np.zeros((n, n), dtype=complex)
-    padded = np.zeros((2 * n, 2 * n), dtype=complex)
-    padded[n:, n:] = y
-    # shifted[a, b, p, q] = padded[a + p, b + q]: y moved by (n - a, n - b)
-    shifted = as_strided(padded, (n + 1, n + 1, n, n), padded.strides * 2, writeable=False)
-    rows, cols = np.nonzero(x)
-    step = max(1, _MUL2_BATCH // (n * n))
+    shape, n = x.shape, x.shape[-1]
+    x = _below_degree(x).reshape(-1, n, n)
+    y = y.reshape(-1, n, n)
+    out = np.zeros(x.shape, dtype=complex)
+    chunk = max(1, _MUL2_BATCH // n ** 3)
+    for r in range(0, len(x), chunk):
+        _mul2_chunk(x[r:r + chunk], y[r:r + chunk], out[r:r + chunk])
+    return _below_degree(out).reshape(shape)
+
+
+def _mul2_chunk(x, y, out):
+    """Add the products of the rows of x and y, shape (rows, n, n), to out, in batches of terms."""
+    k, n = len(x), x.shape[-1]
+    padded = np.zeros((k, 2 * n, 2 * n), dtype=complex)
+    padded[:, n:, n:] = y
+    # shifted[a, b, r, p, q] = padded[r, a + p, b + q]: row r of y moved by (n - a, n - b)
+    s_row, s_p, s_q = padded.strides
+    shifted = as_strided(padded, (n + 1, n + 1, k, n, n), (s_p, s_q, s_row, s_p, s_q),
+                         writeable=False)
+    rows, cols = np.nonzero(np.any(x, axis=0))
+    step = max(1, _MUL2_BATCH // (k * n * n))
     for start in range(0, len(rows), step):
         i, j = rows[start:start + step], cols[start:start + step]
         lo = i[0]
-        stack = np.empty((len(i) + 1, n - lo, n), dtype=complex)
-        stack[0] = out[lo:]
-        np.multiply(x[i, j, None, None], shifted[n + lo - i, n - j, :n - lo], out=stack[1:])
-        np.add.reduce(stack, axis=0, out=out[lo:])
-    return _below_degree(out)
+        stack = np.empty((len(i) + 1, k, n - lo, n), dtype=complex)
+        stack[0] = out[:, lo:]
+        np.multiply(x[:, i, j].T[..., None, None], shifted[n + lo - i, n - j, :, :n - lo],
+                    out=stack[1:])
+        np.add.reduce(stack, axis=0, out=out[:, lo:])
 
 
 def inverse2(x):
-    """1/x for a two-variable series with x[0, 0] != 0.
+    """1/x for a two-variable series with x[0, 0] != 0, row by row over leading axes.
 
     With x = x[0, 0] (1 + u), 1/(1 + u) by Horner's rule r <- 1 - u r: each
     step fixes one more total degree and leaves the lower ones as they are, so
     step m works at size m.
     """
-    scale = 1.0 / x[0, 0]
+    scale = 1.0 / x[..., :1, :1]
     u = x * scale
-    u[0, 0] = 0.0
-    r = np.ones((1, 1), dtype=complex)
-    for m in range(2, len(x) + 1):
-        r = -mul2(u[:m, :m], np.pad(r, (0, 1)))
-        r[0, 0] += 1.0
+    u[..., 0, 0] = 0.0
+    r = np.ones(x.shape[:-2] + (1, 1), dtype=complex)
+    for m in range(2, x.shape[-1] + 1):
+        prev = r
+        r = np.zeros(x.shape[:-2] + (m, m), dtype=complex)
+        r[..., :-1, :-1] = prev
+        r = -mul2(u[..., :m, :m], r)
+        r[..., 0, 0] += 1.0
     return r * scale
 
 
 def divide_diagonal2(x, eps):
     """q with x = (t1 - eps t2) q, one total degree shorter; x must vanish on t1 = eps t2.
 
-    q[p, m] = x[p + 1, m] + eps q[p + 1, m - 1]; the remainder x[0, :] is not read.
+    q[p, m] = x[p + 1, m] + eps q[p + 1, m - 1]; the remainder x[0, :] is not
+    read.  Over leading axes ``eps`` is one sign per row, or one for all.
     """
-    q = np.array(x[1:, :-1], dtype=complex)
-    for m in range(1, len(q)):
-        q[:-1, m] += eps * q[1:, m - 1]
+    eps = np.asarray(eps)[..., None]
+    q = np.array(x[..., 1:, :-1], dtype=complex)
+    for m in range(1, q.shape[-1]):
+        q[..., :-1, m] += eps * q[..., 1:, m - 1]
     return _below_degree(q)

@@ -10,9 +10,12 @@ from numpy.polynomial import polynomial as npoly
 from test_laurent import float_hex, scalar_evaluate, series_hex, uncut_compose
 
 import swtr.charts as charts_module
+import swtr.laurent as laurent_module
 from swtr.airy import eval_hamiltonians, max_index_bound
 from swtr.charts import (
     _chart_nodes,
+    _chart_rows,
+    _outer_sum,
     _transport_roots,
     _validate_chart,
     decompose_in_g,
@@ -33,7 +36,14 @@ from swtr.hyperelliptic import (
     omega_value,
     periods,
 )
-from swtr.laurent import LaurentSeries, SeriesDifferential, symplectic_pairing
+from swtr.laurent import (
+    LaurentSeries,
+    SeriesDifferential,
+    divide_diagonal2,
+    inverse2,
+    mul2,
+    symplectic_pairing,
+)
 
 U0 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
@@ -281,6 +291,97 @@ def test_local_data_do_not_depend_on_the_working_order(u):
     assert all(high_s[key] == val for key, val in low_s.items())
     assert all(high_c[key].tobytes() == vec.tobytes() for key, vec in low_c.items())
     assert all(val == high_s[(m2, m1)] for (m1, m2), val in high_s.items())
+
+
+def _regular_part(bk, rows_a, rows_b, eps):
+    """The regular part of one chart pair, by 2-D series algebra: the reference for the stack.
+
+    At the same critical point (eps = +-1) z_a - z_b = (t1 - eps t2) D works
+    one size smaller, and H = M / D^2 - [eps = 1] is divided twice more.
+    """
+    (dz_a, z_a, forms_a), (dz_b, z_b, forms_b) = rows_a, rows_b
+    numer = 0.5 * (np.outer(dz_a, dz_b) + _outer_sum(bk.f_coeffs, forms_a, forms_b))
+    diff = np.zeros_like(numer)
+    diff[:, 0] = z_a
+    diff[0, :] -= z_b
+    if eps is None:
+        return mul2(numer, inverse2(mul2(diff, diff)))
+    quot = divide_diagonal2(diff, eps)
+    h = mul2(numer[:-1, :-1], inverse2(mul2(quot, quot)))
+    h[0, 0] -= eps == 1
+    return divide_diagonal2(divide_diagonal2(h, eps), eps)
+
+
+def _pairwise_local_expansions(bk, charts, k_bound):
+    """``local_expansions`` one chart pair at a time, each by ``_regular_part``."""
+    norm = bk.pd.norm_matrix
+    labels = sorted(charts)
+    rows = {lab: _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels}
+    ks = np.arange(1, k_bound + 1)
+    cmat = {lab: _outer_sum(np.eye(len(norm)), norm, rows[lab][2][:len(norm), :k_bound] / ks)
+            for lab in labels}
+    c_coeffs = {(k, lab): cmat[lab][:, k - 1] for lab in labels for k in range(1, k_bound + 1)}
+    s_coeffs = {}
+    for ia, a in enumerate(labels):
+        for b in labels[ia:]:
+            eps = a[1] * b[1] if a[0] == b[0] else None
+            reg = _regular_part(bk, rows[a], rows[b], eps)[:k_bound, :k_bound]
+            block = reg / np.outer(ks, ks) + _outer_sum(bk.correction, cmat[a], cmat[b])
+            if a == b:
+                block = 0.5 * (block + block.T)
+            for (k, kp), val in np.ndenumerate(block):
+                s_coeffs[((k + 1, a), (kp + 1, b))] = s_coeffs[((kp + 1, b), (k + 1, a))] = val
+    return s_coeffs, c_coeffs
+
+
+def _local_data_hex(s_coeffs, c_coeffs):
+    """s and c in key order, every value as float hex (so the sign of zero counts)."""
+    return ([(key, float_hex(val), type(val)) for key, val in s_coeffs.items()],
+            [(key, float_hex(vec)) for key, vec in c_coeffs.items()])
+
+
+@pytest.mark.parametrize("u, k_bound", [(U0, 3), (U0_G2, 3), (U0_G3, 3), (U0_G2, 11)],
+                         ids=["g1", "g2", "g3", "g2-chi4"])
+def test_stacked_pairs_match_pairwise_loop(u, k_bound):
+    # every chart pair in one stack gives the s and c of the pair-by-pair
+    # loop, bit for bit and key for key, at the acceptance points (chi 1)
+    # and at g2 chi 4
+    *_, bk, charts, _, _ = _Setup.get(u, len(u))
+    assert _local_data_hex(*local_expansions(bk, charts, k_bound)) == \
+        _local_data_hex(*_pairwise_local_expansions(bk, charts, k_bound))
+
+
+def test_stacked_pairs_match_pairwise_loop_on_draws():
+    # the same at 20 moduli drawn within 0.03 of the g2 acceptance point
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        u = tuple(c + 0.03 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+                  for c in U0_G2)
+        curve = new_curve(2, u)
+        cycles = build_cycles(curve)
+        bk = bergman_kernel(curve, cycles, periods(curve, cycles))
+        charts = standard_charts(curve, 7)
+        assert _local_data_hex(*local_expansions(bk, charts, 3)) == \
+            _local_data_hex(*_pairwise_local_expansions(bk, charts, 3)), u
+
+
+def test_local_expansions_mul2_count(monkeypatch):
+    # all chart pairs are one stack: one product D^2, n - 1 in the Horner
+    # loop of inverse2 and one by the numerator, n = 2 k_bound + 2, whatever
+    # the number of pairs (10 at g2, 21 at g3)
+    setups = {len(u): _Setup.get(u, len(u)) for u in (U0_G2, U0_G3)}
+    calls = {}
+
+    def counted(x, y):
+        calls[genus] += 1
+        return mul2(x, y)
+
+    monkeypatch.setattr(laurent_module, "mul2", counted)
+    monkeypatch.setattr(charts_module, "mul2", counted)
+    for genus, (*_, bk, charts, _, _) in setups.items():
+        calls[genus] = 0
+        local_expansions(bk, charts, 7)
+    assert calls == {2: 17, 3: 17}
 
 
 def test_local_data_beyond_the_chart_order_raise():

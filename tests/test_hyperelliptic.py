@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import swtr.hyperelliptic as hyperelliptic_module
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import OutOfNeighbourhood, QuadratureNotConverged, SingularCurve
 from swtr.hyperelliptic import (
@@ -247,7 +248,7 @@ def test_sheet_closure_on_cycles():
     for comp in cycles.a_cycles + cycles.b_cycles:
         for _, cont in comp:
             data = ws.nodes(cont, 16)
-            assert data.closure < 1e-8
+            assert data.closures([0]) < 1e-8
 
 
 def _scalar_track(tracker, zs, y_start):
@@ -524,7 +525,7 @@ def test_derived_sheets_match_fresh_tracking():
         assert data.z is ref.z and data.dzdt is ref.dzdt and data.w is ref.w
         assert data.z.tobytes() == new.z.tobytes()
         assert data.y.tobytes() == new.y.tobytes()
-        assert data.closure == new.closure
+        assert data.closures([0]) == new.closures([0])
     assert derived._anchor_cache == {c: fresh._anchor_for(c) for c in derived._anchor_cache}
 
 
@@ -579,10 +580,17 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
 
 def test_moved_curves_are_never_tracked(monkeypatch):
     # one g2 verify anchors and tracks sheets on the reference curve only; its
-    # quadrature work is that of the per-layer benchmark counts
-    seen = {"curves": set(), "integrate": 0, "panels": 0}
+    # quadrature work is that of the per-layer benchmark counts.  A level's
+    # sheet closure is walked only where integrate reads it: 52 walks, where
+    # walking every row at every level took 104
+    seen = {"curves": set(), "integrate": 0, "panels": 0, "closures": 0}
     anchor, track = SheetTracker.anchor, SheetTracker.track_along
     integrate, nodes = QuadratureWorkspace.integrate, QuadratureWorkspace.nodes
+    closure = hyperelliptic_module._closure
+
+    def counted_closure(*args):
+        seen["closures"] += 1
+        return closure(*args)
 
     def counted_anchor(self, *args):
         seen["curves"].add(id(self.curve))
@@ -604,9 +612,11 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(SheetTracker, "track_along", counted_track)
     monkeypatch.setattr(QuadratureWorkspace, "integrate", counted_integrate)
     monkeypatch.setattr(QuadratureWorkspace, "nodes", counted_nodes)
+    monkeypatch.setattr(hyperelliptic_module, "_closure", counted_closure)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 12, "panels": 288}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 12, "panels": 288,
+                    "closures": 52}
 
 
 def test_workspace_of_another_curve_rejected():
@@ -725,6 +735,36 @@ def test_rows_fail_only_at_levels_they_need():
     with pytest.raises(_RowsFailed) as err:
         ws.integrate(cont, form)
     assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 32 panels"}
+
+
+def test_closure_walked_only_where_read():
+    # integrate reads a row's sheet closure from the second level on, and
+    # only while the row is open: a walk that would fail at the first level
+    # is never made, and one that fails at a level the row needs is its
+    # error, on a CurveRows workspace and on a single moved curve alike
+    curve, cycles, _ = setup_g1()
+    moved = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)]
+    cont = cycles.a_cycles[0][0][1]
+
+    def form(z, y):
+        return 1.0 / y
+
+    def failing():
+        raise QuadratureNotConverged("closure walk failed")
+
+    for target in (CurveRows(moved), moved[1]):
+        row = 1 if isinstance(target, CurveRows) else 0
+        expect = cycles.workspace.moved_to(target).integrate(cont, form)
+        ws = cycles.workspace.moved_to(target)
+        ws.nodes(cont, 8)._walks[row] = failing
+        assert ws.integrate(cont, form).tobytes() == expect.tobytes()
+        assert ws.nodes(cont, 8)._closure == {} and row in ws.nodes(cont, 16)._closure
+        ws = cycles.workspace.moved_to(target)
+        ws.nodes(cont, 16)._walks[row] = failing
+        with pytest.raises(_RowsFailed if row else QuadratureNotConverged) as err:
+            ws.integrate(cont, form)
+        errors = err.value.errors if row else {0: err.value}
+        assert {r: str(e) for r, e in errors.items()} == {row: "closure walk failed"}
 
 
 # ---------------------------------------------------------------------------

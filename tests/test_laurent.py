@@ -24,7 +24,7 @@ from swtr.laurent import (
     sqrt_shift_flow,
     symplectic_pairing,
 )
-from swtr.laurent import _below_degree
+from swtr.laurent import _MUL2_BATCH, _below_degree
 
 L = LaurentSeries
 
@@ -810,6 +810,69 @@ def test_mul2_matches_term_loop_bitwise():
         y.imag[rng.random((n, n)) < 0.2] = -0.0
         got, want = mul2(x, y), _loop_mul2(x, y)
         assert got.tobytes() == want.tobytes(), n
+
+
+def _row_stack(rng, k, n, invertible=False):
+    """k rows of size n: dense and sparse patterns, exact (and signed) zeros, magnitudes 1e-8 .. 1e8.
+
+    Unless ``invertible``, one row is all zero; otherwise every row has x[0, 0] != 0.
+    """
+    x = (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+         ) * 10.0 ** rng.integers(-8, 9, size=(k, n, n))
+    for r, row in enumerate(x):
+        if r % 3 == 1:                  # first row and column only, as z_a - z_b
+            row[1:, 1:] = 0
+        row[rng.random((n, n)) < rng.random()] = 0
+        row.imag[rng.random((n, n)) < 0.2] = -0.0
+    if invertible:
+        x[:, 0, 0] += 1.0
+    else:
+        x[rng.integers(k)] = 0
+    return x
+
+
+# (rows, size): every size 1 - 32, and stacks the product splits into
+# chunks of rows (more than _MUL2_BATCH / n^3 rows) or batches of terms
+_STACKS = [(5, n) for n in range(1, 33)] + [(40, 8), (9, 12), (6, 16), (3, 24)]
+
+
+def test_stacked_mul2_rows_equal_solo_bitwise():
+    # each row of a stacked product is the 2-D product of that row, every
+    # bit of it, zeros and their signs included
+    assert any(k > max(1, _MUL2_BATCH // n ** 3) for k, n in _STACKS)
+    rng = np.random.default_rng(29)
+    for k, n in _STACKS:
+        x, y = _row_stack(rng, k, n), _row_stack(rng, k, n)
+        got = mul2(x, y)
+        assert got.shape == (k, n, n)
+        for r in range(k):
+            assert got[r].view(float).tobytes() == mul2(x[r], y[r]).view(float).tobytes(), (k, n, r)
+    # any leading axes: a (2, 3) stack is six rows
+    x, y = _row_stack(rng, 6, 7), _row_stack(rng, 6, 7)
+    got = mul2(x.reshape(2, 3, 7, 7), y.reshape(2, 3, 7, 7))
+    assert got.reshape(6, 7, 7).tobytes() == mul2(x, y).tobytes()
+
+
+def test_stacked_inverse2_rows_equal_solo_bitwise():
+    rng = np.random.default_rng(31)
+    for k, n in [(5, n) for n in (1, 2, 3, 5, 8, 13, 16, 21, 32)] + [(40, 8), (6, 16)]:
+        x = _row_stack(rng, k, n, invertible=True)
+        got = inverse2(x)
+        for r in range(k):
+            assert got[r].view(float).tobytes() == inverse2(x[r]).view(float).tobytes(), (k, n, r)
+
+
+def test_stacked_divide_diagonal2_rows_equal_solo_bitwise():
+    # one sign per row, or one for the whole stack
+    rng = np.random.default_rng(37)
+    for n in range(2, 33):
+        x = _row_stack(rng, 6, n)
+        eps = np.array([1, -1, -1, 1, 1, -1])
+        got = divide_diagonal2(x, eps)
+        for r in range(len(x)):
+            solo = divide_diagonal2(x[r], int(eps[r]))
+            assert got[r].view(float).tobytes() == solo.view(float).tobytes(), (n, r)
+        assert divide_diagonal2(x, -1).tobytes() == divide_diagonal2(x, -np.ones(6)).tobytes()
 
 
 @SOUNDNESS
