@@ -15,10 +15,10 @@ exactly, which is verified coefficientwise at construction time.
 Local expansions compute the kernel's regular part s^{(k,a)(k',b)} and the
 Taylor data c^{k,a}_j of the normalized holomorphic forms by truncated series
 algebra on the chart series, in one and two variables.  The global embedding
-of a nearby curve is the difference of its transported one-form from the
-reference one, expanded at every ramification point; its principal parts and
-A-periods decompose it in the basis of principal-part differentials plus
-holomorphic forms.
+of a nearby curve, its one-form transported along the leaves P = const less
+the reference one, is series algebra too, by the square-root flow; its
+principal parts and A-periods decompose it in the basis of principal-part
+differentials plus holomorphic forms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from numpy.polynomial import polynomial as npoly
 from .airy import WElement
 from .errors import ExtractionNotConverged, OutOfNeighbourhood, TruncationInsufficient
 from .hyperelliptic import _cycle_periods, critical_value_gap
-from .laurent import LaurentSeries, SeriesDifferential, divide_diagonal2, inverse2, mul2
+from .laurent import (LaurentSeries, SeriesDifferential, divide_diagonal2, inverse2, mul2,
+                      sqrt_shift_flow)
 
 
 @dataclass
@@ -39,8 +40,7 @@ class StandardChart:
     label: tuple                  # (ram index, sheet)
     z_root: complex               # z_i(u0)
     p0: complex                   # P(z_i; u0)
-    y0: complex                   # sheet-signed sqrt(P0^2 - 4 L^{2g+2})
-    w_value: complex
+    order: int                    # the order the chart was built to
     p_shift: np.ndarray           # Taylor coefficients of P at z_root
     z_of_eta: LaurentSeries       # curve coordinate as a series in eta
     y_plus: LaurentSeries         # even series with value +|branch| sqrt at 0
@@ -51,7 +51,11 @@ class StandardChart:
     y_curve: LaurentSeries        # sheet-signed y along the curve, in etabar
     ds_detabar: LaurentSeries
     eps_alpha: float
-    extraction_radius: float      # |etabar| where residuals are weighed and series sampled
+    extraction_radius: float      # |etabar| where truncations and residuals are weighed
+
+
+#: largest weighed residual or truncation error a chart may carry on its extraction circle
+_CIRCLE_TOL = 1e-10
 
 
 def _taylor_shift(p_coeffs, z0):
@@ -66,28 +70,29 @@ def _taylor_shift(p_coeffs, z0):
     return np.array(out, dtype=complex)
 
 
-def _sheet_point(curve, p0, y_branch, sheet):
-    """(sheet-signed y, w) at the ramification point on the given sheet."""
-    return sheet * y_branch, (p0 + sheet * y_branch) / (2.0 * curve.lam_pow)
+def _eta_chart(curve, z_root, order):
+    """(Taylor coefficients of P at z_root, z_of_eta, y_plus) with eta^2 = P(z) - P(z_root).
+
+    z_root is a critical point of P; y_plus(eta) = sqrt((eta^2 + P0)^2 - 4 L^{2g+2}),
+    principal at eta = 0.
+    """
+    shifted = _taylor_shift(curve.p_coeffs, z_root)
+    # eta(delta) = sqrt(P(z_root + delta) - P0), principal branch of P''/2
+    poly = LaurentSeries({m: shifted[m] for m in range(2, len(shifted)) if shifted[m] != 0},
+                         min_exp=2, trunc_order=order + 2)
+    eta_of_delta = poly.pow_frac(1, 2, 0)
+    delta_of_eta = eta_of_delta.functional_inverse()
+    z_of_eta = delta_of_eta + LaurentSeries.monomial(z_root, 0)
+    wser = LaurentSeries({0: shifted[0], 2: 1.0}, 0, order + 2)
+    y_sq = wser * wser - 4.0 * curve.lam_pow ** 2
+    return shifted, z_of_eta, y_sq.pow_frac(1, 2, 0)
 
 
 def _build_one_chart(curve, i, order):
     """The chart at the upper-sheet ramification point (i, +1)."""
     zi = complex(curve.ram_roots[i])
-    shifted = _taylor_shift(curve.p_coeffs, zi)
-    p0 = shifted[0]
-    lam2 = 4.0 * curve.lam_pow ** 2
-    # eta(delta) = sqrt(P(zi + delta) - P0), principal branch of P''/2
-    poly = LaurentSeries({m: shifted[m] for m in range(2, len(shifted)) if shifted[m] != 0},
-                         min_exp=2, trunc_order=order + 2)
-    eta_of_delta = poly.pow_frac(1, 2, 0)
-    delta_of_eta = eta_of_delta.functional_inverse()
-    z_of_eta = delta_of_eta + LaurentSeries.monomial(zi, 0)
+    shifted, z_of_eta, y_plus = _eta_chart(curve, zi, order)
     z_odd, _ = z_of_eta.parity_split()
-    # y_plus(eta) = sqrt((eta^2 + P0)^2 - 4 L^{2g+2}), principal at eta = 0
-    wser = LaurentSeries({0: p0, 2: 1.0}, 0, order + 2)
-    y_sq = wser * wser - lam2
-    y_plus = y_sq.pow_frac(1, 2, 0)
     # etabar_+^3 = 3 * primitive of eta z_odd / y_plus
     integrand = LaurentSeries.monomial(1.0, 1) * z_odd / y_plus
     fcube = SeriesDifferential(integrand).primitive().scale(3.0)
@@ -108,9 +113,8 @@ def _build_one_chart(curve, i, order):
 
     # distance to the nearest other critical value in the etabar metric
     d_min = abs(etabar_plus.get(1)) * critical_value_gap(curve, i) ** 0.5
-    y0, w_val = _sheet_point(curve, p0, complex(y_plus.get(0)), +1)
     return StandardChart(
-        label=(i, +1), z_root=zi, p0=p0, y0=y0, w_value=w_val,
+        label=(i, +1), z_root=zi, p0=shifted[0], order=order,
         p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus,
         f_series=f_series, eta_of_etabar=eta_of_etabar,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
@@ -118,7 +122,7 @@ def _build_one_chart(curve, i, order):
         eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
 
 
-def _lower_sheet(curve, upper):
+def _lower_sheet(upper):
     """The chart at (i, -1), the image of the (i, +1) chart under sigma(z, y) = (z, -y).
 
     etabar_- = -etabar_+ as functions of eta, so each etabar series of the
@@ -128,9 +132,8 @@ def _lower_sheet(curve, upper):
     give the same coefficients, bitwise, as composing z_of_eta and y_plus with
     -eta_of_etabar.  Series in eta are shared.
     """
-    y0, w_val = _sheet_point(curve, upper.p0, complex(upper.y_plus.get(0)), -1)
     return replace(
-        upper, label=(upper.label[0], -1), y0=y0, w_value=w_val,
+        upper, label=(upper.label[0], -1),
         eta_of_etabar=upper.eta_of_etabar.parity_flip(),
         z_of_etabar=upper.z_of_etabar.parity_flip(),
         dz_detabar=-upper.dz_detabar.parity_flip(),
@@ -139,18 +142,11 @@ def _lower_sheet(curve, upper):
 
 
 def _match_ram_roots(curve, ref):
-    """Index map aligning curve.ram_roots with ref.ram_roots by proximity."""
-    used = set()
-    matching = {}
+    """Index map aligning curve.ram_roots with ref.ram_roots by proximity, greedily in ref order."""
+    free, matching = list(range(len(curve.ram_roots))), {}
     for i, z0 in enumerate(ref.ram_roots):
-        best, jbest = np.inf, None
-        for j, z in enumerate(curve.ram_roots):
-            if j in used:
-                continue
-            if abs(z - z0) < best:
-                best, jbest = abs(z - z0), j
-        used.add(jbest)
-        matching[i] = jbest
+        matching[i] = min(free, key=lambda j: abs(curve.ram_roots[j] - z0))
+        free.remove(matching[i])
     return matching
 
 
@@ -170,15 +166,15 @@ def standard_charts(ref, order):
     """Validated charts of the reference curve at every ramification point, to ``order``.
 
     dz/detabar is known to etabar^order: ``local_expansions`` reaches mode
-    (order - 1) / 2.  The global helpers evaluate charts on their extraction
-    circles, so they need an order truncated there below their tolerance.
-    Only the (i, +1) charts are built; each (i, -1) chart is its partner's
-    image under the sheet involution.
+    (order - 1) / 2.  The global helpers raise TruncationInsufficient where
+    the order's truncation weighs above the chart gate on the extraction
+    circle.  Only the (i, +1) charts are built; each (i, -1) chart is its
+    partner's image under the sheet involution.
     """
     charts = {}
     for i in range(ref.g):
         upper = _build_one_chart(ref, i, order)
-        for ch in (upper, _lower_sheet(ref, upper)):
+        for ch in (upper, _lower_sheet(upper)):
             _validate_chart(ch)
             charts[ch.label] = ch
     return charts
@@ -191,7 +187,6 @@ def _validate_chart(ch):
     weighed where the data is consumed, relative to etabar^2: as
     max_e |r_e| rho^(e - 2) with rho = extraction_radius.
     """
-    tol = 1e-10
     r = ch.extraction_radius
     _, even = ch.ds_detabar.parity_split()
     square = LaurentSeries.monomial(1.0, 2)
@@ -204,9 +199,9 @@ def _validate_chart(ch):
     )
     for name, residual in checks:
         dev = max((abs(c) * r ** (e - 2) for e, c in residual.items()), default=0.0)
-        if dev > tol:
+        if dev > _CIRCLE_TOL:
             raise ExtractionNotConverged(
-                f"chart {ch.label}: {name} residual {dev:.2e} above gate {tol:.0e}"
+                f"chart {ch.label}: {name} residual {dev:.2e} above gate {_CIRCLE_TOL:.0e}"
                 f" on |etabar| = {r:.6g}")
 
 
@@ -328,56 +323,48 @@ def local_expansions(bk, charts, k_bound):
 # the global embedding and its decomposition
 # ---------------------------------------------------------------------------
 
-def _transport_roots(curve, w_targets, z_starts):
-    """Roots of P(z; u) = W near given starts, by Newton continuation."""
-    out = np.array(z_starts, dtype=complex)
-    pc = curve.p_coeffs
-    dpc = curve.dp_coeffs
-    iterations = 60
-    for _ in range(iterations):
-        val = npoly.polyval(out, pc) - w_targets
-        step = val / npoly.polyval(out, dpc)
-        out = out - step
-        largest = float(np.max(np.abs(step)))
-        tol = 1e-14 * max(1.0, float(np.max(np.abs(out))))
-        if largest < tol:
-            return out
-    raise OutOfNeighbourhood(
-        f"leaf transport Newton did not converge in {iterations} iterations:"
-        f" max |step| = {largest:.3e}, tolerance {tol:.3e}")
+def _transported_difference(curve, ch, z_u):
+    """dS(ref) - transported dS(curve) against detabar at the upper-sheet chart ch.
+
+    With Z_u(h) the curve's own eta-chart at its critical point z_u and
+    delta = P(z_u) - P0, the leaf point over eta is Z_u(sqrt(eta^2 - delta)),
+    so the transported form is 2 Z_u(h) h dh / y_plus(h) flowed by -delta.
+    Its first term below the floor -order // 2 (negative exponents are even),
+    pulled back, is weighed as ``_validate_chart`` weighs residuals; the rest
+    is smaller by powers of |delta / eta^2|, which the guard bounds.
+    """
+    floor = -ch.order // 2
+    shifted, z_of_h, y_of_h = _eta_chart(curve, z_u, ch.order)
+    form = SeriesDifferential(LaurentSeries.monomial(2.0, 1) * z_of_h / y_of_h)
+    flowed = sqrt_shift_flow(form, ch.p0 - shifted[0], min_exp=floor - 2).base
+    kept = LaurentSeries({e: c for e, c in flowed.items() if e >= floor}, floor, flowed.trunc_order)
+    deta = ch.eta_of_etabar.derivative()
+    tail = (flowed - kept).compose(ch.eta_of_etabar) * deta
+    r = ch.extraction_radius
+    dev, at = max(((abs(c) * r ** (e - 2), e) for e, c in tail.items()), default=(0.0, None))
+    if dev > _CIRCLE_TOL:
+        raise TruncationInsufficient(
+            f"chart {ch.label}: Laurent tail below floor etabar^{floor} weighs {dev:.2e}"
+            f" at etabar^{at}, above gate {_CIRCLE_TOL:.0e} on |etabar| = {r:.6g}")
+    return ch.ds_detabar - kept.compose(ch.eta_of_etabar) * deta
 
 
 def sw_embed_global(curve, ref, charts):
-    """Laurent data of [dS(ref) - transported dS(curve)] at every chart.
+    """Laurent data of [dS(ref) - transported dS(curve)] at every chart, by series algebra.
 
-    Residue-free by construction; the coefficients of z^-24 .. z^24 are
-    extracted by a 256-point FFT on the chart extraction circles.  Raises
-    OutOfNeighbourhood when the deformed curve leaves the chart guard.
+    Residue-free by construction, on the window [-order // 2, top] of the
+    charts' order ([-22, 22] at 44); each (i, -1) series is its (i, +1)
+    partner's at -etabar.  Raises OutOfNeighbourhood when the deformed curve
+    leaves the chart guard, and TruncationInsufficient when the tail the
+    window drops weighs above the chart gate.
     """
-    nfft, window = 256, 24
     matching = _match_ram_roots(curve, ref)
-    series = {}
-    for lab, ch in sorted(charts.items()):
+    for ch in charts.values():
         flow_parameter(ch, curve, matching)
-        r = ch.extraction_radius
-        theta = 2.0 * np.pi * np.arange(nfft) / nfft
-        etab = r * np.exp(1j * theta)
-        eta = ch.eta_of_etabar.evaluate(etab)
-        deta = ch.eta_of_etabar.derivative().evaluate(etab)
-        w_vals = eta ** 2 + ch.p0
-        z0 = ch.z_of_eta.evaluate(eta)
-        y_pt = ch.label[1] * ch.y_plus.evaluate(eta)
-        z_u = _transport_roots(curve, w_vals, z0)
-        phi = (z0 - z_u) * 2.0 * eta * deta / y_pt
-        raw = np.fft.fft(phi) / nfft
-        coeffs = {}
-        for t in range(-window, window + 1):
-            c = raw[t % nfft] / r ** t
-            if abs(c) > 1e-15:
-                coeffs[t] = c
-        base = LaurentSeries(coeffs, min_exp=-window, trunc_order=window)
-        series[lab] = SeriesDifferential(base)
-    return WElement(series)
+    upper = {i: _transported_difference(curve, ch, complex(curve.ram_roots[matching[i]]))
+             for (i, sheet), ch in charts.items() if sheet == 1}
+    return WElement({(i, sheet): SeriesDifferential(
+        upper[i] if sheet == 1 else upper[i].parity_flip()) for i, sheet in sorted(charts)})
 
 
 def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
@@ -388,7 +375,8 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
         x^{(m,a)} = sum_{a',k'} xi_{a',k'} s^{(k',a')(m,a)} + sum_j A^j c^{m,a}_j
 
     with xi read off the principal parts.  Returns (xi, A, residual).  A mode
-    the local data lack raises TruncationInsufficient, naming the first one.
+    the local data or the family's windows lack raises TruncationInsufficient,
+    naming the first one.
     """
     labels = sorted(w_elem.series)
 
@@ -397,10 +385,18 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
             raise TruncationInsufficient(f"no {what} {key} for k_bound {k_bound}")
         return data[key]
 
+    def coord(lab, exp, mode):
+        base = w_elem.series[lab].base
+        if exp > base.trunc_order:
+            raise TruncationInsufficient(
+                f"mode {mode} needs z^{exp}, beyond the window [{base.min_exp}, {base.trunc_order}]"
+                f" of the family at {lab} for k_bound {k_bound}")
+        return base.coeff(exp)
+
     xi = {}
     for lab in labels:
         for k in range(1, k_bound + 1):
-            val = w_elem.y(k, lab)
+            val = coord(lab, -k - 1, (k, lab))          # y_{k,lab} = J_{+k}
             if abs(val) > 1e-14:
                 xi[(k, lab)] = val
     rows = []
@@ -408,7 +404,7 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
     for lab in labels:
         for m in range(1, k_bound + 1):
             rows.append(read(c_coeffs, (m, lab), "c data for mode"))
-            acc = w_elem.x(m, lab)
+            acc = coord(lab, m - 1, (m, lab)) / m      # x^{m,lab} = J_{-m} / m
             for mode, v in xi.items():
                 acc -= v * read(s_coeffs, (mode, (m, lab)), "s data for mode pair")
             rhs.append(acc)
@@ -426,6 +422,15 @@ def _ebar_form(bk, chart, k_bound):
     """The form (z, y) -> ebar^{k,chart} against dz, k = 1..k_bound, on chart nodes built once."""
     nfft = 128
     r = chart.extraction_radius
+    # each sampled series' top known coefficient, weighed relative to its largest term
+    for name in ("z_of_etabar", "y_curve", "dz_detabar"):
+        ser = getattr(chart, name)
+        top = ser.trunc_order
+        dev = abs(ser.get(top)) * r ** top / max(abs(c) * r ** e for e, c in ser.items())
+        if dev > _CIRCLE_TOL:
+            raise TruncationInsufficient(
+                f"chart {chart.label}: {name} at etabar^{top} weighs {dev:.2e},"
+                f" above gate {_CIRCLE_TOL:.0e} on |etabar| = {r:.6g}")
     etab, z2, y2, dz2 = _chart_nodes(chart, r, nfft)
 
     def form(z_pts, y_pts):

@@ -148,15 +148,6 @@ def _shift_const(g, c):
     return arr
 
 
-def ramification_w_values(curve, i):
-    """The two w-values over the i-th critical point of P."""
-    zi = curve.ram_roots[i]
-    p0 = curve.p_at(zi)
-    y0 = np.sqrt(p0 ** 2 - 4.0 * curve.lam_pow ** 2)
-    lam = curve.lam_pow
-    return (p0 + y0) / (2.0 * lam), (p0 - y0) / (2.0 * lam)
-
-
 # ---------------------------------------------------------------------------
 # sheet tracking
 # ---------------------------------------------------------------------------

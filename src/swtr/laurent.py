@@ -474,8 +474,10 @@ def sqrt_shift_flow(xi, a, min_exp=None):
     For xi = f(z) dz the result is f(h) dh with h = sqrt(z**2 + a), expanded
     as a Laurent series on an annulus |z| > sqrt(|a|).  The output window
     floor defaults to 40 below -|top exponent|; contributions discarded below it
-    scale like a**((e - floor)/2) and are absorbed by downstream tolerances.
-    Residue-free inputs map to residue-free outputs.
+    scale like a**((e - floor)/2) and are not bounded here: a caller that
+    needs them bounded gates them (``charts.sw_embed_global`` weighs the
+    first dropped term on its chart's extraction circle).  Residue-free
+    inputs map to residue-free outputs.
     """
     a = complex(a)
     f = xi.base

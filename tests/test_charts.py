@@ -16,7 +16,6 @@ from swtr.charts import (
     _chart_nodes,
     _chart_rows,
     _outer_sum,
-    _transport_roots,
     _validate_chart,
     decompose_in_g,
     ebar_at_points,
@@ -49,9 +48,11 @@ U0 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
 U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
 
-# the global helpers (sw_embed_global, ebar_at_points, ebar_periods) evaluate
-# charts on their extraction circles, where charts to this order are
-# truncated below their tolerances
+# charts to this order pass the truncation gates of the global helpers on
+# their extraction circles: the top-coefficient gate of ebar_at_points and
+# ebar_periods (order 7 fails it), and the Laurent tail gate of
+# sw_embed_global for the moves below, on a window [-22, 22] that reaches the
+# decompositions' mode 8
 CHART_ORDER = 44
 
 
@@ -211,8 +212,6 @@ def test_chart_sheets_are_opposite():
     curve, _, _, _, charts, _, _ = _Setup.get()
     plus = charts[(0, 1)]
     minus = charts[(0, -1)]
-    assert abs(plus.y0 + minus.y0) < 1e-12
-    assert abs(plus.w_value * minus.w_value - 1.0) < 1e-12   # w and 1/w
     # etabar_- = -etabar_+ as functions of eta
     for e in range(1, 20):
         assert abs(plus.eta_of_etabar.get(e) + minus.eta_of_etabar.get(e)) < 1e-12
@@ -239,9 +238,6 @@ def test_lower_sheet_charts_match_direct_route(u):
             got = getattr(minus, name)
             assert (got.coeffs, got.min_exp, got.trunc_order) == \
                 (ser.coeffs, ser.min_exp, ser.trunc_order), name
-        y0 = plus.y_plus.get(0)
-        assert minus.y0 == -1 * y0
-        assert minus.w_value == (plus.p0 + -1 * y0) / (2.0 * curve.lam_pow)
 
 
 @pytest.mark.parametrize("u, k_bound", [(U0, 7), (U0_G2, 7), (U0_G3, 5)],
@@ -543,23 +539,6 @@ def test_chart_validation_error_names_its_numbers(order, where, name, field):
     assert np.isclose(float(m.group(4)), ch.extraction_radius, rtol=1e-5)
 
 
-def test_transport_error_names_its_numbers():
-    # Newton started at the critical points of P, where P' is rounding noise:
-    # the first step leaves for |z| ~ 1e14 and 60 iterations do not come back;
-    # the error names the count, the largest |step| and its tolerance
-    curve = new_curve(2, U0_G2)
-    starts = np.array(curve.ram_roots, dtype=complex)
-    targets = npoly.polyval(starts, curve.p_coeffs) + 0.01
-    with pytest.raises(OutOfNeighbourhood) as err:
-        _transport_roots(curve, targets, starts)
-    m = re.fullmatch(r"leaf transport Newton did not converge in (\d+) iterations:"
-                     r" max \|step\| = (\S+), tolerance (\S+)", str(err.value))
-    assert m, str(err.value)
-    step, tol = float(m.group(2)), float(m.group(3))
-    assert int(m.group(1)) == 60
-    assert np.isfinite(step) and step > tol > 0
-
-
 # ---------------------------------------------------------------------------
 # local expansions
 # ---------------------------------------------------------------------------
@@ -617,6 +596,29 @@ def test_bperiods_of_ebars_match_c_data():
             assert np.max(np.abs(got - expect)) < 1e-6 * max(1.0, float(np.max(np.abs(expect))))
 
 
+def test_ebar_truncation_gate_names_its_numbers():
+    # the ebar forms sample z_of_etabar, y_curve and dz_detabar on the
+    # extraction circle: at order 7 a top known coefficient, weighed there
+    # relative to its series' largest term, is above the chart gate, and the
+    # error names the chart, the series, the exponent, the weight, the gate
+    # and the radius; the order-44 charts pass
+    curve, _, _, bk, charts, _, _ = _Setup.get()
+    ch = standard_charts(curve, 7)[(0, 1)]
+    z = np.array([0.9 + 0.4j])
+    y = np.sqrt(curve.q_at(z))
+    with pytest.raises(TruncationInsufficient) as err:
+        ebar_at_points(bk, ch, z, y, k_bound=3)
+    m = re.fullmatch(r"chart \(0, 1\): (\w+) at etabar\^(\d+) weighs (\S+), above gate (\S+)"
+                     r" on \|etabar\| = (\S+)", str(err.value))
+    assert m, str(err.value)
+    name, top = m.group(1), int(m.group(2))
+    assert name in ("z_of_etabar", "y_curve", "dz_detabar")
+    assert top == getattr(ch, name).trunc_order
+    assert float(m.group(3)) > float(m.group(4)) == 1e-10
+    assert np.isclose(float(m.group(5)), ch.extraction_radius, rtol=1e-5)
+    assert np.all(np.isfinite(ebar_at_points(bk, charts[(0, 1)], z, y, k_bound=3)))
+
+
 def test_a_periods_of_ebars_vanish():
     curve, cycles, pd, bk, charts, *_ = _Setup.get()
     ch = charts[(0, 1)]
@@ -660,6 +662,101 @@ def test_riemann_bilinear_crosscheck():
 # the global embedding
 # ---------------------------------------------------------------------------
 
+def _newton_leaf_points(curve, w_targets, z_starts):
+    """Roots of P(z; u) = W near the starts by Newton's iteration: the leaf transport by sampling."""
+    out = np.array(z_starts, dtype=complex)
+    for _ in range(60):
+        step = (npoly.polyval(out, curve.p_coeffs) - w_targets) / npoly.polyval(out, curve.dp_coeffs)
+        out = out - step
+        if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(out)))):
+            return out
+    raise AssertionError("leaf transport Newton did not converge")
+
+
+def _fft_embedding(curve, charts, nfft=256, window=24):
+    """{label: {t: [etabar^t]}} of the embedding sampled on each extraction circle.
+
+    dS(ref) - transported dS(curve) at every node, the transport a Newton
+    solve of P(z; u) = P(z0) from the node's z0, and z^-24 .. z^24 read off
+    one FFT: the oracle of the series embedding.
+    """
+    out = {}
+    for lab, ch in charts.items():
+        r = ch.extraction_radius
+        etab = r * np.exp(2j * np.pi * np.arange(nfft) / nfft)
+        eta = ch.eta_of_etabar.evaluate(etab)
+        deta = ch.eta_of_etabar.derivative().evaluate(etab)
+        z0 = ch.z_of_eta.evaluate(eta)
+        z_u = _newton_leaf_points(curve, eta ** 2 + ch.p0, z0)
+        phi = (z0 - z_u) * 2.0 * eta * deta / (lab[1] * ch.y_plus.evaluate(eta))
+        raw = np.fft.fft(phi) / nfft
+        out[lab] = {t: raw[t % nfft] / r ** t for t in range(-window, window + 1)}
+    return out
+
+
+@pytest.mark.parametrize("u, du", [
+    (U0, (0.01 - 0.004j,)),
+    (U0_G2, (0.0005, 0.0005j)),
+    (U0_G3, (0.001, -0.0007j, 0.0005 + 0.0005j))], ids=["g1", "g2", "g3"])
+def test_embed_matches_fft_oracle(u, du):
+    # the series embedding at every label against the embedding sampled on
+    # the extraction circle, within 1e-9 of the largest coefficient on
+    # etabar^-8 .. etabar^6; its window is [-22, 22] at order 44
+    curve, _, _, _, charts, _, _ = _Setup.get(u, len(u))
+    near = new_curve(len(u), tuple(a + b for a, b in zip(u, du)))
+    w = sw_embed_global(near, curve, charts)
+    oracle = _fft_embedding(near, charts)
+    assert sorted(w.series) == sorted(charts)
+    for lab, coeffs in oracle.items():
+        base = w.series[lab].base
+        assert (base.min_exp, base.trunc_order) == (-22, 22)
+        scale = max(abs(coeffs[t]) for t in range(-8, 7))
+        dev = max(abs(base.coeff(t) - coeffs[t]) for t in range(-8, 7))
+        assert dev <= 1e-9 * scale, (lab, dev / scale)
+
+
+def test_embed_tail_gate_names_its_numbers():
+    # order-13 charts: a move of 0.002 is embedded on [-6, 7]; one of 0.03,
+    # still inside the neighbourhood guard, leaves a Laurent tail below the
+    # floor -7 that weighs above the chart gate; the error names the chart,
+    # the floor, the weighed coefficient, the gate and the radius
+    ref = new_curve(1, U0)
+    charts = standard_charts(ref, 13)
+    base = sw_embed_global(new_curve(1, (U0[0] + 0.002,)), ref, charts).series[(0, 1)].base
+    assert (base.min_exp, base.trunc_order) == (-6, 7)
+    with pytest.raises(TruncationInsufficient) as err:
+        sw_embed_global(new_curve(1, (U0[0] + 0.03,)), ref, charts)
+    m = re.fullmatch(r"chart \(0, 1\): Laurent tail below floor etabar\^(\S+) weighs (\S+)"
+                     r" at etabar\^(\S+), above gate (\S+) on \|etabar\| = (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert (int(m.group(1)), int(m.group(3))) == (-7, -8)
+    assert float(m.group(2)) > float(m.group(4)) == 1e-10
+    assert np.isclose(float(m.group(5)), charts[(0, 1)].extraction_radius, rtol=1e-5)
+
+
+def test_decompose_refuses_modes_beyond_the_embedding_window():
+    # charts at the order the verifier builds for g1 at chi = 1 (7): a move
+    # of 0.002 leaves a tail above the gate below the floor -4 (the sampled
+    # embedding was 1.6e-2 off there, and decomposed without an error); one
+    # of 0.0005 is embedded on [-4, 3], within 1e-9 of the order-44 data
+    # there, and mode 5 needs etabar^4, which decompose_in_g refuses by name
+    curve, _, pd, _, wide, s_coeffs, c_coeffs = _Setup.get()
+    charts = standard_charts(curve, 7)
+    with pytest.raises(TruncationInsufficient, match=re.escape("below floor etabar^-4")):
+        sw_embed_global(new_curve(1, (U0[0] + 0.002,)), curve, charts)
+    near = new_curve(1, (U0[0] + 0.0005,))
+    w = sw_embed_global(near, curve, charts)
+    ref = sw_embed_global(near, curve, wide)
+    for lab, xi in w.series.items():
+        assert (xi.base.min_exp, xi.base.trunc_order) == (-4, 3)
+        scale = ref.series[lab].base.max_abs()
+        assert all(abs(c - ref.series[lab].base.get(e)) < 1e-9 * scale for e, c in xi.base.items())
+    with pytest.raises(TruncationInsufficient, match=re.escape(
+            "mode (5, (0, -1)) needs z^4, beyond the window [-4, 3] of the family at (0, -1)"
+            " for k_bound 7")):
+        decompose_in_g(w, pd, s_coeffs, c_coeffs, k_bound=7)
+
+
 def test_embed_reference_is_zero():
     curve, cycles, pd, bk, charts, *_ = _Setup.get()
     w = sw_embed_global(curve, curve, charts)
@@ -686,13 +783,8 @@ def test_embed_a_periods_match_period_difference():
     ws = cycles.workspace
 
     def phi_integrand(z, y):
-        from swtr.charts import _transport_roots
-        z_u = _transport_roots(near, npoly_val(curve, z), z)
+        z_u = _newton_leaf_points(near, curve.p_at(z), z)
         return (z - z_u) * curve.dp_at(z) / y
-
-    def npoly_val(cur, z):
-        from numpy.polynomial import polynomial as npp
-        return npp.polyval(z, cur.p_coeffs)
 
     val = ws.integrate_cycle(cycles.a_cycles[0], phi_integrand, tol=1e-9)
     expect = pd.a[0] - a_near[0]
@@ -786,16 +878,13 @@ def test_embed_reconstruction_on_annulus():
     w = sw_embed_global(near, curve, charts)
     xi, avec, _ = decompose_in_g(w, pd, s_coeffs, c_coeffs, k_bound=7)
     ch = charts[(0, 1)]
-    from swtr.charts import _transport_roots
     for t in (0.15, 0.4):
         etab = ch.extraction_radius * np.exp(2j * np.pi * t) * 1.2
         z = ch.z_of_etabar.evaluate(etab)
         y = ch.y_curve.evaluate(etab)
         dz = ch.dz_detabar.evaluate(etab)
         # direct embedding value per detabar
-        from numpy.polynomial import polynomial as npp
-        z_u = _transport_roots(near, np.array([npp.polyval(z, curve.p_coeffs)]),
-                               np.array([z]))[0]
+        z_u = _newton_leaf_points(near, curve.p_at(z), z)
         direct = (z - z_u) * curve.dp_at(z) / y * dz
         # reconstruction: sum xi ebar + sum a omega, in the same frame
         recon = 0j

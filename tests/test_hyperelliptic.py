@@ -25,7 +25,6 @@ from swtr.hyperelliptic import (
     new_curve,
     omega_value,
     periods,
-    ramification_w_values,
     residue_at_infinity,
 )
 from swtr.hyperelliptic import (
@@ -115,14 +114,6 @@ def test_singular_rows_fail_alone():
     assert [type(c).__name__ for c in curves] == ["SWCurve", "SingularCurve", "SWCurve"]
     with pytest.raises(SingularCurve, match=re.escape(str(curves[1]))):
         new_curve(1, (2.0,))
-
-
-def test_ramification_w_values():
-    curve = new_curve(1, (0.0,))
-    assert abs(curve.ram_roots[0]) < 1e-12
-    wp, wm = ramification_w_values(curve, 0)
-    vals = sorted([wp, wm], key=lambda w: w.imag)
-    assert abs(vals[0] + 1j) < 1e-12 and abs(vals[1] - 1j) < 1e-12
 
 
 def test_q_identity():
