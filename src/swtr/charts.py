@@ -77,15 +77,13 @@ def _eta_chart(curve, z_root, order):
     principal at eta = 0.
     """
     shifted = _taylor_shift(curve.p_coeffs, z_root)
-    # eta(delta) = sqrt(P(z_root + delta) - P0), principal branch of P''/2
     poly = LaurentSeries({m: shifted[m] for m in range(2, len(shifted)) if shifted[m] != 0},
                          min_exp=2, trunc_order=order + 2)
-    eta_of_delta = poly.pow_frac(1, 2, 0)
-    delta_of_eta = eta_of_delta.functional_inverse()
-    z_of_eta = delta_of_eta + LaurentSeries.monomial(z_root, 0)
+    # eta(delta) = sqrt(P(z_root + delta) - P0), principal branch of P''/2, reverted
+    z_of_eta = poly.pow_frac(1, 2).functional_inverse() + z_root
     wser = LaurentSeries({0: shifted[0], 2: 1.0}, 0, order + 2)
     y_sq = wser * wser - 4.0 * curve.lam_pow ** 2
-    return shifted, z_of_eta, y_sq.pow_frac(1, 2, 0)
+    return shifted, z_of_eta, y_sq.pow_frac(1, 2)
 
 
 def _build_one_chart(curve, i, order):
@@ -96,7 +94,7 @@ def _build_one_chart(curve, i, order):
     # etabar_+^3 = 3 * primitive of eta z_odd / y_plus
     integrand = LaurentSeries.monomial(1.0, 1) * z_odd / y_plus
     fcube = SeriesDifferential(integrand).primitive().scale(3.0)
-    etabar_plus = fcube.pow_frac(1, 3, 0)
+    etabar_plus = fcube.pow_frac(1, 3)
     eta_of_etabar = etabar_plus.functional_inverse()
     # F(v): even part of etabar_+^2 re-indexed in v = eta^2
     etabar_sq = etabar_plus * etabar_plus

@@ -6,7 +6,7 @@ class SwtrError(Exception):
 
 
 class DivisionByZeroSeries(SwtrError):
-    """Division by a series that is identically zero up to truncation."""
+    """Division by a series that is zero up to truncation, or whose lead is too small to divide by."""
 
 
 class NotInvertible(SwtrError):

@@ -85,7 +85,7 @@ class SWCurve:
         return max(1.0, float(np.max(np.abs(self.branch_points))))
 
 
-def new_curve(g, u, Lambda=1.0, tol=1e-8):
+def new_curve(g, u, Lambda=1.0):
     """Validated curve; raises SingularCurve on colliding branch points.
 
     The one-row case of ``_new_curves``.
@@ -95,19 +95,19 @@ def new_curve(g, u, Lambda=1.0, tol=1e-8):
     u = tuple(complex(v) for v in u)
     if len(u) != g:
         raise ValueError(f"need {g} moduli for genus {g}")
-    curve = _new_curves(g, [u], Lambda, tol)[0]
+    curve = _new_curves(g, [u], Lambda)[0]
     if isinstance(curve, SingularCurve):
         raise curve
     return curve
 
 
-def _new_curves(g, us, Lambda, tol=1e-8):
+def _new_curves(g, us, Lambda):
     """The curves at the rows of ``us`` (K moduli tuples of length g).
 
-    A row whose branch points collide gets its SingularCurve in place of a
-    curve.  The branch points of all rows, the roots of P -+ 2 L^{g+1}, come
-    from one ``np.linalg.eigvals`` over the companion matrices built as
-    ``np.roots`` builds them, so each row's are bitwise ``np.roots``'s.
+    A row whose branch points collide, within 1e-8 max(1, max |e|), gets its
+    SingularCurve in place of a curve.  The branch points e of all rows, the
+    roots of P -+ 2 L^{g+1}, come from one ``np.linalg.eigvals`` over the
+    companion matrices built as ``np.roots`` builds them, bitwise its roots.
     """
     us = np.asarray(us, dtype=complex).reshape(-1, g)
     lam = complex(Lambda) ** (g + 1)
@@ -125,7 +125,7 @@ def _new_curves(g, us, Lambda, tol=1e-8):
         branch[r] = np.concatenate([np.roots(poly) for poly in polys[r]])
     scale = np.maximum(1.0, np.max(np.abs(branch), axis=1))
     ia, ib = np.triu_indices(2 * g + 2, 1)
-    collide = np.abs(branch[:, ia] - branch[:, ib]) < tol * scale[:, None]
+    collide = np.abs(branch[:, ia] - branch[:, ib]) < 1e-8 * scale[:, None]
     dp = p[:, 1:] * np.arange(1, g + 2)        # npoly.polyder, row by row
     curves = []
     for r, row in enumerate(p):
@@ -595,10 +595,10 @@ def critical_value_gap(curve, i):
     return min(cands + [abs(2.0 * curve.lam_pow - p0), abs(-2.0 * curve.lam_pow - p0)])
 
 
-def ram_guards(curve, factor=0.55):
+def ram_guards(curve):
     """Exclusion discs (center, radius) around the ramification z-roots.
 
-    The radius is the z-plane image of ``factor`` times the chart annulus
+    The radius is the z-plane image of 0.55 times the chart annulus
     scale, estimated from the leading chart coefficients; contours used for
     period quadrature must stay outside so that local coefficient extraction
     never collides with them.
@@ -612,15 +612,14 @@ def ram_guards(curve, factor=0.55):
         lead = (root_scale / y0) ** (1.0 / 3.0)
         d_min = lead * critical_value_gap(curve, i) ** 0.5
         dz_detabar = root_scale / lead
-        guards.append((complex(zi), factor * d_min * dz_detabar))
+        guards.append((complex(zi), 0.55 * d_min * dz_detabar))
     return guards
 
 
-def _make_ellipse(curve, f1, f2, others, centroid, guards=(), sigma_cap=1.2):
+def _make_ellipse(f1, f2, others, centroid, guards):
     probe = EllipseContour(f1, f2, 1.0)
-    sig_others = [probe.elliptic_sigma(e) for e in others]
-    sig_max = min(sig_others) if sig_others else sigma_cap / 0.55
-    sigma = min(0.55 * sig_max, sigma_cap)
+    # 0.55 of the way to the nearest foreign branch point, and at most 1.2
+    sigma = min(0.55 * min(probe.elliptic_sigma(e) for e in others), 1.2)
     ths = np.linspace(0.0, 1.0, 160, endpoint=False)
     while sigma >= 0.06:
         cont = EllipseContour(f1, f2, sigma, start_outward_from=centroid)
@@ -679,11 +678,11 @@ def build_cycles(curve):
     a_conts = []
     c_conts = []
     for i in range(g):
-        a_conts.append(_make_ellipse(curve, cuts[i][0], cuts[i][1],
+        a_conts.append(_make_ellipse(cuts[i][0], cuts[i][1],
                                      foreign(*cuts[i]), centroid, guards))
     for i in range(g):
         f1, f2 = cuts[i][1], cuts[i + 1][0]
-        c_conts.append(_make_ellipse(curve, f1, f2, foreign(f1, f2),
+        c_conts.append(_make_ellipse(f1, f2, foreign(f1, f2),
                                      centroid, guards))
 
     ws = QuadratureWorkspace(curve)

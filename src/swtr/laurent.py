@@ -8,7 +8,8 @@ any coefficient they can read.  Convergence annuli are replaced by this
 explicit truncation bookkeeping; all numerical tolerances downstream absorb
 the resulting truncation error.  The terms are one complex array from the
 first to the last nonzero coefficient, never out to ``trunc_order``; an exact
-zero inside it is an absent term.  Products are ``np.convolve`` cut to the window.
+zero inside it is an absent term.  Products are ``np.convolve`` cut to the window,
+reversion is Lagrange's formula, and every series is in the variable z.
 
 :class:`SeriesDifferential` wraps a series ``f`` interpreted as ``f(z) dz``.
 It carries the residue, the formal primitive, the symplectic pairing
@@ -59,7 +60,7 @@ def _quotient(ar, ai, br, bi):
 def _horner(poly, x):
     """sum poly[i] x**i for i >= 0 by Horner's rule from the top term; absent keys are zero."""
     top = max(poly)
-    acc = LaurentSeries({0: poly[top]}, 0, EXACT, var=x.var)
+    acc = LaurentSeries({0: poly[top]}, 0, EXACT)
     for i in range(top - 1, -1, -1):
         acc = acc * x
         if poly.get(i):
@@ -70,9 +71,9 @@ def _horner(poly, x):
 class LaurentSeries:
     """Laurent series sum_k c_k z**k known on [min_exp, trunc_order]; ``_c[i]`` is c_{_lo+i}."""
 
-    __slots__ = ("_c", "_lo", "min_exp", "trunc_order", "var")
+    __slots__ = ("_c", "_lo", "min_exp", "trunc_order")
 
-    def __init__(self, coeffs, min_exp=None, trunc_order=EXACT, var="z"):
+    def __init__(self, coeffs, min_exp=None, trunc_order=EXACT):
         trunc_order = _clamp(trunc_order)
         terms = {int(e): complex(c) for e, c in dict(coeffs).items() if c and e <= trunc_order}
         lo = min(terms, default=0)
@@ -82,18 +83,18 @@ class LaurentSeries:
             min_exp = lo
         elif terms and lo < min_exp:
             raise ValueError("coefficient below the declared window floor")
-        self._set(arr, lo, min_exp, trunc_order, var)
+        self._set(arr, lo, min_exp, trunc_order)
 
-    def _set(self, arr, lo, min_exp, trunc_order, var):
+    def _set(self, arr, lo, min_exp, trunc_order):
         """Store ``arr`` (from z**lo) cut to the window and trimmed to its nonzero span."""
         trunc_order = _clamp(trunc_order)
         nz = arr[:max(trunc_order - lo + 1, 0)].nonzero()[0]
         self._c, self._lo = (arr[nz[0]:nz[-1] + 1], lo + int(nz[0])) if len(nz) else (arr[:0], 0)
-        self.min_exp, self.trunc_order, self.var = int(min_exp), trunc_order, var
+        self.min_exp, self.trunc_order = int(min_exp), trunc_order
 
     def _wrap(self, arr, lo, min_exp, trunc_order):
         out = object.__new__(LaurentSeries)
-        out._set(arr, lo, min_exp, trunc_order, self.var)
+        out._set(arr, lo, min_exp, trunc_order)
         return out
 
     def _window(self, min_exp, trunc_order):
@@ -104,19 +105,19 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc_order=EXACT, var="z"):
-        return cls({}, min_exp=0, trunc_order=trunc_order, var=var)
+    def zero(cls, trunc_order=EXACT):
+        return cls({}, min_exp=0, trunc_order=trunc_order)
 
     @classmethod
-    def monomial(cls, coeff, exp, trunc_order=EXACT, var="z"):
-        return cls({exp: coeff}, min_exp=exp, trunc_order=trunc_order, var=var)
+    def monomial(cls, coeff, exp, trunc_order=EXACT):
+        return cls({exp: coeff}, min_exp=exp, trunc_order=trunc_order)
 
     @classmethod
-    def from_list(cls, coeffs, start=0, trunc_order=None, var="z"):
+    def from_list(cls, coeffs, start=0, trunc_order=None):
         """Series sum coeffs[i] z**(start+i); trunc defaults to the last listed exponent."""
         if trunc_order is None:
             trunc_order = start + len(coeffs) - 1
-        return cls(dict(enumerate(coeffs, start)), min_exp=start, trunc_order=trunc_order, var=var)
+        return cls(dict(enumerate(coeffs, start)), min_exp=start, trunc_order=trunc_order)
 
     # -- access ------------------------------------------------------------
 
@@ -133,7 +134,7 @@ class LaurentSeries:
         """Coefficient at ``exp``; raises if the exponent is beyond the window."""
         if exp > self.trunc_order:
             raise TruncationInsufficient(
-                f"coefficient at {self.var}^{exp} beyond truncation order {self.trunc_order}")
+                f"coefficient at z^{exp} beyond truncation order {self.trunc_order}")
         return self.get(exp)
 
     __getitem__ = coeff
@@ -159,7 +160,7 @@ class LaurentSeries:
 
     def __repr__(self):
         terms = list(self.items())
-        body = " + ".join(f"({c:.3g}){self.var}^{e}" for e, c in terms[:6])
+        body = " + ".join(f"({c:.3g})z^{e}" for e, c in terms[:6])
         more = " + ..." if len(terms) > 6 else ""
         return f"<LaurentSeries {body or '0'}{more} | window [{self.min_exp},{self.trunc_order}]>"
 
@@ -214,12 +215,15 @@ class LaurentSeries:
         """Multiplicative inverse; requires a nonzero leading coefficient."""
         if self.is_zero():
             raise DivisionByZeroSeries("inverse of the zero series")
-        return self._unit_power(-1).scale(1.0 / self._c.item(0)).shift(-self._lo)
+        return self._unit_power(-1, 1.0 / self._c.item(0), -self._lo)
 
-    def _unit_power(self, alpha):
-        """(1 + N)**alpha for self = lead z^m (1 + N), N of positive order, by the binomial series.
+    @np.errstate(over="ignore", invalid="ignore")
+    def _unit_power(self, alpha, lead_power, exp):
+        """lead_power z^exp (1 + N)**alpha for self = lead z^m (1 + N), N of positive order.
 
-        It ends only for a nonnegative integer alpha: for others an exact N raises.
+        The caller passes lead**alpha on its branch and exp = m alpha.  The binomial
+        series ends only for a nonnegative integer alpha: for others an exact N
+        raises.  A term that is not finite (the lead is too small) raises.
         """
         c, lead = self._c, self._c.item(0)
         n_trunc = _clamp(self.trunc_order - self._lo)
@@ -228,22 +232,25 @@ class LaurentSeries:
         if len(tail):
             tail.real, tail.imag = _quotient(c.real[1:], c.imag[1:], lead.real, lead.imag)
         n_ser = self._wrap(tail, 1, 1, n_trunc)
-        if n_ser.is_zero():
-            return out
-        n_ser = n_ser._window(n_ser.order(), n_trunc)
-        if self.trunc_order >= EXACT and not (alpha >= 0 and float(alpha).is_integer()):
-            raise TruncationInsufficient(
-                f"(1 + N)^{alpha} of an exactly known series with"
-                f" {np.count_nonzero(c)} terms"
-                f" has no finite window: N starts at {self.var}^{n_ser.min_exp}")
-        power = out
-        binom = 1.0
-        for k in range(1, n_trunc // n_ser.min_exp + 2):
-            binom *= (alpha - (k - 1)) / k
-            power = power * n_ser
-            if power.is_zero() or binom == 0.0:
-                break
-            out = out + power.scale(binom)
+        if not n_ser.is_zero():
+            n_ser = n_ser._window(n_ser.order(), n_trunc)
+            if self.trunc_order >= EXACT and not (alpha >= 0 and float(alpha).is_integer()):
+                raise TruncationInsufficient(
+                    f"(1 + N)^{alpha} of an exactly known series with"
+                    f" {np.count_nonzero(c)} terms"
+                    f" has no finite window: N starts at z^{n_ser.min_exp}")
+            power, binom = out, 1.0
+            for k in range(1, n_trunc // n_ser.min_exp + 2):
+                binom *= (alpha - (k - 1)) / k
+                power = power * n_ser
+                if power.is_zero() or binom == 0.0:
+                    break
+                out = out + power.scale(binom)
+        out = out.scale(lead_power).shift(exp)
+        finite = np.isfinite(out._c)
+        if not finite.all():
+            raise DivisionByZeroSeries(f"power {alpha} of a series with leading coefficient {lead:.6g}"
+                                       f" at z^{self._lo} is not finite at z^{out._lo + finite.argmin()}")
         return out
 
     def __truediv__(self, other):
@@ -287,7 +294,7 @@ class LaurentSeries:
         trunc = min((t + 1) * og - 1, g.trunc_order)
         neg = {e: c for e, c in self.items() if e < 0}
         pos = {e: c for e, c in self.items() if 0 <= e and e * og <= trunc}
-        result = LaurentSeries.zero(trunc_order=trunc, var=g.var)
+        result = LaurentSeries.zero(trunc_order=trunc)
         if pos:
             result = result + _horner(pos, g)
         if neg:
@@ -297,33 +304,31 @@ class LaurentSeries:
         return result
 
     def functional_inverse(self):
-        """Series h with self(h(z)) = z up to truncation; needs c1 != 0."""
-        if self.get(0) != 0 or self.get(1) == 0:
-            raise NotInvertible("functional inverse needs f = c1 z + O(z^2), c1 != 0")
-        terms, exact = np.count_nonzero(self._c), self.trunc_order >= EXACT
-        if exact and terms > 1:
-            raise TruncationInsufficient(f"functional inverse of an exactly known series"
-                                         f" with {terms} terms has no finite window")
-        h = LaurentSeries({1: 1.0 / self.get(1)}, 1, EXACT if exact else 1, var=self.var)
-        deriv = self.derivative()
-        known = h.trunc_order
-        while known < self.trunc_order:
-            prev = known
-            known = min(2 * known, self.trunc_order)
-            h = h._window(1, known)
-            err = self.compose(h) - LaurentSeries.monomial(1.0, 1)
-            # the error vanishes to order prev by Newton's quadratic convergence;
-            # declaring that keeps the correction window sound up to `known`
-            err = err._window(prev + 1, err.trunc_order)
-            corr = err * deriv.compose(h).inverse()
-            h = (h - corr)._window(1, known)
-        return h
+        """Series h with self(h(z)) = z up to truncation; needs self = c1 z + O(z^2), c1 != 0.
 
-    def pow_frac(self, p, q, branch=0):
-        """Branch-selected series g with g**q = self**p.
+        Lagrange's formula: with phi = z / self, known to z^(t-1) where self is
+        known to z^t, [z^n] h = [z^(n-1)] phi^n / n, one product per power.
+        """
+        m = self.order()
+        if m != 1:
+            raise NotInvertible("functional inverse needs f = c1 z + O(z^2), c1 != 0;"
+                                + (" f is zero" if m is None else f" f starts at z^{m}"))
+        exact = self.trunc_order >= EXACT
+        if exact and len(self._c) > 1:
+            raise TruncationInsufficient(f"functional inverse of an exactly known series with"
+                                         f" {np.count_nonzero(self._c)} terms has no finite window")
+        phi = self.shift(-1).inverse()
+        power, h = phi, [phi.get(0)]
+        for n in range(2, (1 if exact else self.trunc_order) + 1):
+            power = phi * power
+            h.append(power.get(n - 1) / n)
+        return self._wrap(np.array(h), 1, 1, self.trunc_order)
 
-        Requires self = c z^m (1 + O(z)) with m*p divisible by q; ``branch``
-        indexes the q-th root of c**p.
+    def pow_frac(self, p, q):
+        """Series g with g**q = self**p, on the principal branch.
+
+        Requires self = c z^m (1 + O(z)) with m*p divisible by q; g leads with
+        exp((p/q) log c), the principal value of c**(p/q).
         """
         if self.is_zero():
             raise DivisionByZeroSeries("fractional power of the zero series")
@@ -333,9 +338,8 @@ class LaurentSeries:
         m = self.order()
         if (m * p) % q != 0:
             raise BranchUndefined(f"leading exponent {m} incompatible with power {p}/{q}")
-        lead = self._c.item(0)
-        root = cmath.exp((p / q) * cmath.log(lead)) * cmath.exp(2j * cmath.pi * branch / q)
-        return self._unit_power(p / q).scale(root).shift(m * p // q)
+        root = cmath.exp((p / q) * cmath.log(self._c.item(0)))
+        return self._unit_power(p / q, root, m * p // q)
 
     # -- calculus -----------------------------------------------------------
 

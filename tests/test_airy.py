@@ -193,6 +193,9 @@ def test_validate_gauge_reports():
     t = build_residue_constraint_tensors(6, RAM)
     rep = validate_gauge(GaugeData(), t.modes)
     assert rep.passed
+    # only conditions that are computed are reported
+    assert [name for name, _, _ in rep.conditions] == [
+        "c_d_inverse", "identity_beyond_cutoff", "s_symmetric"]
     # c with a broken column: C.1 fails
     bad = GaugeData(c={((1, "0"), (1, "0")): 0.0}, i_cutoff=2)
     rep = validate_gauge(bad, t.modes)

@@ -7,7 +7,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from test_laurent import float_hex, scalar_evaluate, series_hex, uncut_compose
+from test_laurent import (
+    float_hex,
+    mp_reversion,
+    newton_reversion,
+    scalar_evaluate,
+    series_hex,
+    uncut_compose,
+)
 
 import swtr.charts as charts_module
 import swtr.laurent as laurent_module
@@ -477,11 +484,45 @@ def test_chart_series_match_uncut_compose(u, monkeypatch):
             assert series_hex(ser) == series_hex(getattr(full[lab], name)), (lab, name)
 
 
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+@pytest.mark.parametrize("order", [7, 13, 23, 44])
+def test_chart_reversions_match_newton_and_mpmath(monkeypatch, u, order):
+    # both reversions of every chart, delta(eta) and eta(etabar): Lagrange's
+    # formula agrees with Newton's doubling to rounding, and both with a
+    # 60-digit reversion of the same input on the extraction circle (in eta,
+    # its image |eta_1| rho)
+    reversions, revert = [], LaurentSeries.functional_inverse
+
+    def recorded(f):
+        h = revert(f)
+        reversions.append((f, h))
+        return h
+    monkeypatch.setattr(LaurentSeries, "functional_inverse", recorded)
+    charts = standard_charts(new_curve(len(u), u), order)
+    assert len(reversions) == 2 * len(u)
+    for i in range(len(u)):
+        ch = charts[(i, 1)]
+        assert reversions[2 * i + 1][1] is ch.eta_of_etabar
+        rho = ch.extraction_radius
+        for (f, h), radius in zip(reversions[2 * i:2 * i + 2],
+                                  (abs(ch.eta_of_etabar.get(1)) * rho, rho)):
+            oracle, t = newton_reversion(f), f.trunc_order
+            assert (h.min_exp, h.trunc_order) == (oracle.min_exp, oracle.trunc_order) == (1, t)
+            exps = np.arange(1, t + 1)
+            got, newton = (np.array([s.get(e) for e in exps]) for s in (h, oracle))
+            assert np.max(np.abs(got - newton)) <= 1e-13 * np.max(np.abs(newton)), (i, t)
+            weights = radius ** exps
+            exact = np.array(mp_reversion(f)) * weights
+            for approx in (got, newton):
+                assert np.max(np.abs(approx * weights - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
 def test_laurent_work_count(monkeypatch):
     # g2: local_expansions evaluates no chart series (it read 14 circles x z, y
     # and dz/detabar, 42 array calls, when it sampled the kernel), and
     # standard_charts at the order the verifier builds at chi = 1 (7) composes
-    # only the terms its windows keep: 290 products, 358 with every term composed
+    # only the terms its windows keep and reverts each series by Lagrange's
+    # formula: 180 products (290 with Newton's doubling)
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
     calls = {"evaluate": 0, "mul": 0}
     evaluate, mul = LaurentSeries.evaluate, LaurentSeries.__mul__
@@ -500,7 +541,7 @@ def test_laurent_work_count(monkeypatch):
     assert calls["evaluate"] == 0
     calls["mul"] = 0
     standard_charts(curve, 2 * (max_index_bound(1) - 1) + 1)
-    assert calls["mul"] <= 300
+    assert calls["mul"] <= 180
 
 
 def _top_perturbation(ch, field):

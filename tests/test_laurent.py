@@ -1,7 +1,9 @@
 """Tests for the truncated Laurent series substrate."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -136,6 +138,44 @@ def lagrange_inversion(f, n):
     return out
 
 
+def newton_reversion(f):
+    """Newton's doubling h <- h - (f(h) - z) / f'(h): the oracle of ``functional_inverse``.
+
+    Each step composes f and f' with h from scratch; the error of a step
+    known to z^prev vanishes to that order, which keeps its window sound.
+    """
+    h = L({1: 1.0 / f.get(1)}, 1, 1)
+    deriv = f.derivative()
+    known = 1
+    while known < f.trunc_order:
+        prev, known = known, min(2 * known, f.trunc_order)
+        h = h._window(1, known)
+        err = (f.compose(h) - L.monomial(1.0, 1))._window(prev + 1, known)
+        h = (h - err * deriv.compose(h).inverse())._window(1, known)
+    return h
+
+
+def mp_reversion(f, dps=60):
+    """[z^1..z^t] of the reversion of f, known to z^t, term by term in mpmath at ``dps`` digits.
+
+    h_n solves [z^n] f(h) = [n == 1], where [z^n] h^k for k >= 2 needs only
+    h_1..h_(n-1): the power table is filled one column n at a time.
+    """
+    t = f.trunc_order
+    with mpmath.workdps(dps):
+        fc = [mpmath.mpc(f.get(e)) for e in range(t + 1)]
+        h = [mpmath.mpc(0)] * (t + 1)
+        powers = {1: h}                       # powers[k][m] = [z^m] h^k
+        for n in range(1, t + 1):
+            acc = mpmath.mpc(int(n == 1))
+            for k in range(2, n + 1):
+                row = powers.setdefault(k, [mpmath.mpc(0)] * (t + 1))
+                row[n] = mpmath.fsum(h[j] * powers[k - 1][n - j] for j in range(1, n - k + 2))
+                acc -= fc[k] * row[n]
+            h[n] = acc / fc[1]
+        return [complex(c) for c in h[1:]]
+
+
 def test_functional_inverse_against_lagrange():
     n = 12
     f = L.from_list([1.0, 1.0], start=1, trunc_order=n)   # z + z^2
@@ -178,7 +218,7 @@ def test_compose_with_negative_exponents():
 def test_sqrt_binomial_series():
     n = 14
     f = L.from_list([1.0, 1.0], 0, n)    # 1 + z
-    g = f.pow_frac(1, 2, 0)
+    g = f.pow_frac(1, 2)
     for k in range(n + 1):
         # binom(1/2, k) = (-1)^(k+1) C(2k,k) / (4^k (2k-1))
         oracle = (-1) ** (k + 1) * math.comb(2 * k, k) / (4.0 ** k * (2 * k - 1))
@@ -188,14 +228,14 @@ def test_sqrt_binomial_series():
 
 def test_sqrt_of_square_branch0():
     f = L.monomial(1.0, 2)
-    g = f.pow_frac(1, 2, 0)
+    g = f.pow_frac(1, 2)
     assert g.get(1) == 1.0 and len(g.coeffs) == 1
 
 
 def test_two_thirds_power_matches_exp_log():
     n = 12
     f = (L.monomial(1.0, 3, trunc_order=n + 3) * L.from_list([1.0, 1.0], 0, n))
-    g = f.pow_frac(2, 3, 0)
+    g = f.pow_frac(2, 3)
     # oracle: z^2 * exp((2/3) log(1+z)) computed by series exp/log
     log1p = L({k: (-1) ** (k + 1) / k for k in range(1, n + 1)}, 1, n)
     expo = L({0: 1.0}, 0, n)
@@ -218,23 +258,28 @@ def test_pow_frac_qth_power_roundtrip_random():
         for e in range(1, 11):
             coeffs[e] = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
         f = L(coeffs, 0, 10).shift(2 * q)
-        g = f.pow_frac(p, q, 0)
+        g = f.pow_frac(p, q)
         assert max_coeff_diff(g ** q, f ** p) < 1e-12 * max((f ** p).max_abs(), 1.0)
 
 
 def test_pow_frac_branch_undefined():
     with pytest.raises(BranchUndefined):
-        L.monomial(1.0, 1).pow_frac(1, 2, 0)
+        L.monomial(1.0, 1).pow_frac(1, 2)
 
 
 def test_not_invertible():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match=r"starts at z\^2"):
         L.monomial(1.0, 2, trunc_order=8).functional_inverse()
+    # a term below z^1 is refused too: h = z / c1 would give f(h) = z^-1 + z + z^2 / 4
+    with pytest.raises(NotInvertible, match=r"starts at z\^-1"):
+        L({-1: 0.5, 1: 2.0, 2: 1.0}, -1, 8).functional_inverse()
+    with pytest.raises(NotInvertible, match="is zero"):
+        L.zero(8).functional_inverse()
 
 
 def test_functional_inverse_of_exact_input():
     # exact linear input has the exact inverse z / c1; exact input with more
-    # terms has no finite window (Newton's doubling would run to EXACT) and
+    # terms has no finite window (its reversion would run to EXACT) and
     # raises, naming its term count
     h = L({1: 2.0}).functional_inverse()
     assert (dict(h.coeffs), h.min_exp, h.trunc_order) == ({1: 0.5}, 1, EXACT)
@@ -540,10 +585,10 @@ def uncut_compose(f, g):
     neg = {e: c for e, c in f.coeffs.items() if e < 0}
     pos = {e: c for e, c in f.coeffs.items() if e >= 0}
     t = f.trunc_order
-    result = L.zero(trunc_order=min((t + 1) * og - 1, g.trunc_order), var=g.var)
+    result = L.zero(trunc_order=min((t + 1) * og - 1, g.trunc_order))
     if pos:
         top = max(pos)
-        acc = L({0: pos.get(top, 0j)}, 0, EXACT, var=g.var)
+        acc = L({0: pos.get(top, 0j)}, 0, EXACT)
         for e in range(top - 1, -1, -1):
             acc = acc * g
             ce = pos.get(e, 0j)
@@ -553,7 +598,7 @@ def uncut_compose(f, g):
     if neg:
         ginv = g.inverse()
         bot = min(neg)
-        acc = L({0: neg.get(bot, 0j)}, 0, EXACT, var=g.var)
+        acc = L({0: neg.get(bot, 0j)}, 0, EXACT)
         for e in range(bot + 1, 0):
             acc = acc * ginv
             ce = neg.get(e, 0j)
@@ -632,9 +677,16 @@ def compose_inputs(draw):
 @given(compose_inputs())
 def test_compose_matches_uncut_horner(fg):
     # the terms compose skips reach no coefficient of the result's window, and
-    # skipping them moves neither a bit, nor the key order, nor the window
+    # skipping them moves neither a bit, nor the key order, nor the window; a
+    # 1/g that is not finite raises the same typed error on both sides
     f, g = fg
-    assert series_hex(f.compose(g)) == series_hex(uncut_compose(f, g))
+
+    def outcome(compose):
+        try:
+            return series_hex(compose(f, g))
+        except DivisionByZeroSeries:
+            return DivisionByZeroSeries
+    assert outcome(L.compose) == outcome(uncut_compose)
 
 
 def test_compose_window_of_negative_truncation():
@@ -720,6 +772,25 @@ def test_exact_series_without_finite_window_raises():
     square = L({1: 1.0, 2: 1.0}).pow_frac(2, 1)
     assert (square.coeffs, square.trunc_order) == ({2: 1.0, 3: 2.0, 4: 1.0}, EXACT)
     assert L.monomial(2.0, 3).inverse().coeffs == {-3: 0.5}
+
+
+def test_non_finite_power_raises():
+    # a lead too small against the other terms to divide by overflows the
+    # binomial loop: the error names alpha, the lead and the first exponent
+    # whose term is not finite, and no RuntimeWarning escapes
+    tiny = L({1: 1.18e-38, 2: 1.0}, 1, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivisionByZeroSeries,
+                           match=r"power -1 .* 1\.18e-38\+0j at z\^1 is not finite at z\^7$"):
+            tiny.inverse()
+        # through the inverse of tiny / z, known to z^8
+        with pytest.raises(DivisionByZeroSeries,
+                           match=r"power -1 .* 1\.18e-38\+0j at z\^0 is not finite at z\^8$"):
+            tiny.functional_inverse()
+        with pytest.raises(DivisionByZeroSeries,
+                           match=r"power 0\.5 .* 1e-200\+0j at z\^2 is not finite at z\^3$"):
+            L({2: 1e-200, 3: 1.0}, 2, 6).pow_frac(1, 2)
 
 
 # ---------------------------------------------------------------------------
