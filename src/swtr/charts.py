@@ -10,7 +10,10 @@ adapted chart: with eta^2 = P(z) - P(z_i),
 
 cube root chosen with positive leading coefficient, so etabar_- = -etabar_+.
 The induced one-form satisfies dS(etabar) - dS(-etabar) = 4 etabar^2 detabar
-exactly, which is verified coefficientwise at construction time.
+exactly, which is verified coefficientwise at construction time.  The g upper
+charts of a curve are built as one stack of coefficient arrays, one row per
+critical point, by the one-variable helpers of ``laurent``; each chart's
+series are then single LaurentSeries wraps of its rows.
 
 Local expansions compute the kernel's regular part s^{(k,a)(k',b)} and the
 Taylor data c^{k,a}_j of the normalized holomorphic forms by truncated series
@@ -23,16 +26,18 @@ differentials plus holomorphic forms.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .airy import WElement
-from .errors import ExtractionNotConverged, OutOfNeighbourhood, TruncationInsufficient
+from .errors import (DivisionByZeroSeries, ExtractionNotConverged, OutOfNeighbourhood,
+                     TruncationInsufficient)
 from .hyperelliptic import _cycle_periods, critical_value_gap
-from .laurent import (LaurentSeries, SeriesDifferential, divide_diagonal2, inverse2, mul2,
-                      sqrt_shift_flow)
+from .laurent import (LaurentSeries, SeriesDifferential, compose1, divide_diagonal2, inverse2,
+                      mul1, mul2, power1, revert1, sqrt_shift_flow)
 
 
 @dataclass
@@ -52,72 +57,185 @@ class StandardChart:
     ds_detabar: LaurentSeries
     eps_alpha: float
     extraction_radius: float      # |etabar| where truncations and residuals are weighed
+    residuals: dict               # weighed residual of each chart identity on that circle
+
+
+@dataclass
+class _ChartStack:
+    """The upper-sheet charts at the ramification points ``points``, one row each.
+
+    Each series is an array [x^0 .. x^(n-1)] in its variable (eta, etabar, or
+    v = eta^2 for f_series), known to x^(n-1) unless noted.
+    """
+    points: list
+    order: int                    # t: dz/detabar is known to etabar^t
+    p_shift: np.ndarray           # Taylor coefficients of P at each root
+    z_of_eta: np.ndarray          # eta^0 .. eta^(t+1), from the root z_of_eta[:, 0]
+    y_plus: np.ndarray            # eta^0 .. eta^(t+2)
+    f_series: np.ndarray          # v^0 .. v^((t+2) // 2), v^0 zero
+    eta_of_etabar: np.ndarray     # etabar^0 .. etabar^(t+1)
+    z_of_etabar: np.ndarray       # etabar^0 .. etabar^(t+1)
+    dz_detabar: np.ndarray        # etabar^0 .. etabar^t
+    y_curve: np.ndarray           # etabar^0 .. etabar^(t+1)
+    ds_detabar: np.ndarray        # etabar^0 .. etabar^(t+1)
+    eps_alpha: np.ndarray
+    extraction_radius: np.ndarray
 
 
 #: largest weighed residual or truncation error a chart may carry on its extraction circle
 _CIRCLE_TOL = 1e-10
 
+#: the chart identities, in the order they are checked
+_GATES = ("one-form", "F round-trip")
+
 
 def _taylor_shift(p_coeffs, z0):
-    """Coefficients of P(z0 + d) in d, ascending."""
-    out = []
-    work = np.array(p_coeffs, dtype=complex)
-    fact = 1.0
-    for m in range(len(p_coeffs)):
-        out.append(npoly.polyval(z0, work) / fact)
-        work = npoly.polyder(work)
-        fact *= (m + 1)
-    return np.array(out, dtype=complex)
+    """Coefficients of P(z0 + d) in d, ascending, one row per point of the array z0.
 
-
-def _eta_chart(curve, z_root, order):
-    """(Taylor coefficients of P at z_root, z_of_eta, y_plus) with eta^2 = P(z) - P(z_root).
-
-    z_root is a critical point of P; y_plus(eta) = sqrt((eta^2 + P0)^2 - 4 L^{2g+2}),
-    principal at eta = 0.
+    Repeated synthetic division of P by z - z0; its first pass is Horner's rule,
+    so P(z0) is ``npoly.polyval``'s value.
     """
-    shifted = _taylor_shift(curve.p_coeffs, z_root)
-    poly = LaurentSeries({m: shifted[m] for m in range(2, len(shifted)) if shifted[m] != 0},
-                         min_exp=2, trunc_order=order + 2)
-    # eta(delta) = sqrt(P(z_root + delta) - P0), principal branch of P''/2, reverted
-    z_of_eta = poly.pow_frac(1, 2).functional_inverse() + z_root
-    wser = LaurentSeries({0: shifted[0], 2: 1.0}, 0, order + 2)
-    y_sq = wser * wser - 4.0 * curve.lam_pow ** 2
-    return shifted, z_of_eta, y_sq.pow_frac(1, 2)
+    c = np.tile(np.asarray(p_coeffs, dtype=complex)[::-1], (len(z0), 1))
+    deg = c.shape[1] - 1
+    for i in range(deg):
+        for j in range(1, deg + 1 - i):
+            c[:, j] += z0 * c[:, j - 1]
+    return c[:, ::-1]
 
 
-def _build_one_chart(curve, i, order):
-    """The chart at the upper-sheet ramification point (i, +1)."""
-    zi = complex(curve.ram_roots[i])
-    shifted, z_of_eta, y_plus = _eta_chart(curve, zi, order)
-    z_odd, _ = z_of_eta.parity_split()
-    # etabar_+^3 = 3 * primitive of eta z_odd / y_plus
-    integrand = LaurentSeries.monomial(1.0, 1) * z_odd / y_plus
-    fcube = SeriesDifferential(integrand).primitive().scale(3.0)
-    etabar_plus = fcube.pow_frac(1, 3)
-    eta_of_etabar = etabar_plus.functional_inverse()
+def _series(row, min_exp, trunc_order):
+    """The LaurentSeries of a stack row [x^0 ..], known on [min_exp, trunc_order]."""
+    return LaurentSeries._wrap(row, 0, min_exp, trunc_order)
+
+
+@contextmanager
+def _named(labels):
+    """Name the chart of the row whose stacked power is not finite."""
+    try:
+        yield
+    except DivisionByZeroSeries as err:
+        if err.row is None:
+            raise
+        raise DivisionByZeroSeries(f"chart {labels[err.row]}: {err}") from None
+
+
+def _eta_chart(curve, z_roots, order):
+    """Rows (Taylor coefficients of P, z_of_eta, y_plus) at the critical points z_roots of P.
+
+    eta^2 = P(z) - P(z_root); z_of_eta holds eta^0 .. eta^(order+1) and
+    y_plus(eta) = sqrt((eta^2 + P0)^2 - 4 L^{2g+2}), principal at eta = 0,
+    eta^0 .. eta^(order+2).
+    """
+    shifted = _taylor_shift(curve.p_coeffs, z_roots)
+    # eta / delta = sqrt((P(z_root + delta) - P0) / delta^2), principal, known to delta^order
+    quot = np.zeros((len(z_roots), order + 1), dtype=complex)
+    top = min(shifted.shape[1], order + 3)
+    quot[:, :top - 2] = shifted[:, 2:top]
+    z_of_eta = np.concatenate([z_roots[:, None], revert1(power1(quot, 0.5))], axis=1)
+    y_sq = np.zeros((len(z_roots), order + 3), dtype=complex)
+    y_sq[:, 0] = shifted[:, 0] * shifted[:, 0] - 4.0 * curve.lam_pow ** 2
+    y_sq[:, 2] = 2.0 * shifted[:, 0]
+    y_sq[:, 4:5] = 1.0
+    return shifted, z_of_eta, power1(y_sq, 0.5)
+
+
+def _build_upper_charts(curve, points, order):
+    """The charts at the upper-sheet ramification points (i, +1), i in ``points``, as one stack."""
+    t = order
+    z_roots = np.array([complex(curve.ram_roots[i]) for i in points])
+    shifted, z_of_eta, y_plus = _eta_chart(curve, z_roots, t)
+    # etabar_+^3 = 3 * primitive of eta z_odd / y_plus, known to eta^(t+3)
+    eta_z_odd = np.zeros((len(points), t + 3), dtype=complex)
+    eta_z_odd[:, 2::2] = z_of_eta[:, 1::2]
+    inv_y_plus = power1(y_plus, -1)
+    integrand = mul1(eta_z_odd, inv_y_plus)
+    # etabar_+ / eta, known to eta^t, and eta / etabar_+
+    etabar_unit = power1(3.0 * (integrand[:, 2:] / np.arange(3, t + 4)), 1.0 / 3.0)
+    eta = np.zeros((len(points), t + 2), dtype=complex)
+    eta[:, 1:] = revert1(etabar_unit)
     # F(v): even part of etabar_+^2 re-indexed in v = eta^2
-    etabar_sq = etabar_plus * etabar_plus
-    f_series = LaurentSeries.from_list(
-        [etabar_sq.get(e) for e in range(2, etabar_sq.trunc_order + 1, 2)],
-        start=1, trunc_order=etabar_sq.trunc_order // 2)
+    f_series = np.zeros((len(points), (t + 2) // 2 + 1), dtype=complex)
+    f_series[:, 1:] = mul1(etabar_unit, etabar_unit)[:, 0::2][:, :(t + 2) // 2]
 
-    z_of_etabar = z_of_eta.compose(eta_of_etabar)
-    dz_detabar = z_of_etabar.derivative()
-    y_curve = y_plus.compose(eta_of_etabar)
-    # dS / detabar = 2 z eta (d eta / d etabar) / y  on the upper sheet
-    ds_detabar = (z_of_etabar * eta_of_etabar * eta_of_etabar.derivative()
-                  ).scale(2.0) / y_curve
+    z_of_etabar, y_curve, inv_y_curve = compose1(
+        np.stack([z_of_eta, y_plus[:, :t + 2], inv_y_plus[:, :t + 2]]), eta)
+    ks = np.arange(1, t + 2)
+    dz_detabar = z_of_etabar[:, 1:] * ks
+    # dS / detabar = 2 z eta (d eta / d etabar) / y on the upper sheet; d eta / d etabar
+    # is known to etabar^t, and its unknown next term meets the zero etabar^0 of z eta
+    deta = np.zeros_like(eta)
+    deta[:, :-1] = eta[:, 1:] * ks
+    ds_detabar = mul1(2.0 * mul1(mul1(z_of_etabar, eta), deta), inv_y_curve)
 
     # distance to the nearest other critical value in the etabar metric
-    d_min = abs(etabar_plus.get(1)) * critical_value_gap(curve, i) ** 0.5
-    return StandardChart(
-        label=(i, +1), z_root=zi, p0=shifted[0], order=order,
-        p_shift=shifted, z_of_eta=z_of_eta, y_plus=y_plus,
-        f_series=f_series, eta_of_etabar=eta_of_etabar,
+    d_min = np.abs(etabar_unit[:, 0]) * np.array([critical_value_gap(curve, i) for i in points]) ** 0.5
+    return _ChartStack(
+        points=list(points), order=t, p_shift=shifted,
+        z_of_eta=z_of_eta, y_plus=y_plus, f_series=f_series, eta_of_etabar=eta,
         z_of_etabar=z_of_etabar, dz_detabar=dz_detabar, y_curve=y_curve,
-        ds_detabar=ds_detabar,
-        eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
+        ds_detabar=ds_detabar, eps_alpha=0.2 * d_min, extraction_radius=0.35 * d_min)
+
+
+def _chart_residuals(stack):
+    """Both chart identities as residual rows [etabar^0 .. etabar^(t+1)], in the order of ``_GATES``.
+
+    one-form: the even part of dS/detabar less 2 etabar^2, that is, the chart
+    puts the curve in the normal form y = etabar; F round-trip: F composed
+    with P(z_of_etabar) - P0 (through P itself, from etabar^2: P'(z_root) = 0)
+    less etabar^2.
+    """
+    one_form = stack.ds_detabar.copy()
+    one_form[:, 1::2] = 0.0
+    one_form[:, 2] -= 2.0
+    p_poly = stack.p_shift.copy()
+    p_poly[:, :2] = 0.0
+    moved = stack.z_of_etabar.copy()
+    moved[:, 0] = 0.0
+    round_trip = compose1(stack.f_series, compose1(p_poly, moved))
+    round_trip[:, 2] -= 1.0
+    return one_form, round_trip
+
+
+def _validate_charts(stack):
+    """Chart invariants as array residuals, weighed on each chart's coefficient-extraction circle.
+
+    Each residual sum r_e etabar^e, over the window its series know, is
+    weighed where the data is consumed, relative to etabar^2: as
+    max_e |r_e| rho^(e - 2) with rho = extraction_radius.  Returns the
+    weighed residuals, one row per chart and one column per gate.  Only the
+    upper charts are checked: the lower charts' residuals are their parity
+    flips, which weigh the same.
+    """
+    residuals = _chart_residuals(stack)
+    rho = stack.extraction_radius[:, None]
+    weights = rho ** (np.arange(residuals[0].shape[1]) - 2)
+    devs = np.stack([np.max(np.abs(r) * weights, axis=1) for r in residuals], axis=1)
+    for row, i in enumerate(stack.points):
+        for name, dev in zip(_GATES, devs[row]):
+            if dev > _CIRCLE_TOL:
+                raise ExtractionNotConverged(
+                    f"chart {(i, 1)}: {name} residual {dev:.2e} above gate {_CIRCLE_TOL:.0e}"
+                    f" on |etabar| = {stack.extraction_radius[row]:.6g}")
+    return devs
+
+
+def _upper_chart(stack, row, devs):
+    """The StandardChart of one stack row, each series a single wrap of its row."""
+    t = stack.order
+    return StandardChart(
+        label=(stack.points[row], +1), z_root=stack.z_of_eta[row, 0], p0=stack.p_shift[row, 0],
+        order=t, p_shift=stack.p_shift[row],
+        z_of_eta=_series(stack.z_of_eta[row], 0, t + 1),
+        y_plus=_series(stack.y_plus[row], 0, t + 2),
+        f_series=_series(stack.f_series[row], 1, (t + 2) // 2),
+        eta_of_etabar=_series(stack.eta_of_etabar[row], 1, t + 1),
+        z_of_etabar=_series(stack.z_of_etabar[row], 0, t + 1),
+        dz_detabar=_series(stack.dz_detabar[row], -1, t),
+        y_curve=_series(stack.y_curve[row], 0, t + 1),
+        ds_detabar=_series(stack.ds_detabar[row], 1, t + 1),
+        eps_alpha=float(stack.eps_alpha[row]),
+        extraction_radius=float(stack.extraction_radius[row]),
+        residuals=dict(zip(_GATES, devs.tolist())))
 
 
 def _lower_sheet(upper):
@@ -126,9 +244,9 @@ def _lower_sheet(upper):
     etabar_- = -etabar_+ as functions of eta, so each etabar series of the
     lower chart is its upper partner at -etabar (``parity_flip``); y_curve and
     dz/detabar also change sign, from the sheet of y and from the chain rule.
-    The series of the upper chart in etabar have exact parity, so these flips
-    give the same coefficients, bitwise, as composing z_of_eta and y_plus with
-    -eta_of_etabar.  Series in eta are shared.
+    eta_of_etabar is odd, so these flips give the same coefficients, bitwise,
+    as composing z_of_eta and y_plus with -eta_of_etabar.  Series in eta are
+    shared.
     """
     return replace(
         upper, label=(upper.label[0], -1),
@@ -166,46 +284,18 @@ def standard_charts(ref, order):
     dz/detabar is known to etabar^order: ``local_expansions`` reaches mode
     (order - 1) / 2.  The global helpers raise TruncationInsufficient where
     the order's truncation weighs above the chart gate on the extraction
-    circle.  Only the (i, +1) charts are built; each (i, -1) chart is its
-    partner's image under the sheet involution.
+    circle.  The (i, +1) charts are built as one stack and checked there;
+    each (i, -1) chart is its partner's image under the sheet involution.
     """
+    with _named([(i, 1) for i in range(ref.g)]):
+        stack = _build_upper_charts(ref, range(ref.g), order)
+    devs = _validate_charts(stack)
     charts = {}
-    for i in range(ref.g):
-        upper = _build_one_chart(ref, i, order)
+    for row in range(len(stack.points)):
+        upper = _upper_chart(stack, row, devs[row])
         for ch in (upper, _lower_sheet(upper)):
-            _validate_chart(ch)
             charts[ch.label] = ch
     return charts
-
-
-def _validate_chart(ch):
-    """Chart invariants as series identities, weighed on the coefficient-extraction circle.
-
-    Each residual sum r_e etabar^e, over the window its series know, is
-    weighed where the data is consumed, relative to etabar^2: as
-    max_e |r_e| rho^(e - 2) with rho = extraction_radius.
-    """
-    r = ch.extraction_radius
-    _, even = ch.ds_detabar.parity_split()
-    square = LaurentSeries.monomial(1.0, 2)
-    checks = (
-        # one-form identity: even part of dS/detabar equals 2 etabar^2, that
-        # is, the chart puts the curve in the normal form y = etabar
-        ("one-form", even - square.scale(2.0)),
-        # F composed with the curve data returns etabar^2
-        ("F round-trip", ch.f_series.compose(_pcompose_v(ch)) - square),
-    )
-    for name, residual in checks:
-        dev = max((abs(c) * r ** (e - 2) for e, c in residual.items()), default=0.0)
-        if dev > _CIRCLE_TOL:
-            raise ExtractionNotConverged(
-                f"chart {ch.label}: {name} residual {dev:.2e} above gate {_CIRCLE_TOL:.0e}"
-                f" on |etabar| = {r:.6g}")
-
-
-def _pcompose_v(ch):
-    """P(z_of_etabar) - P0 in etabar through P itself, from etabar^2: P'(z_root) = 0."""
-    return LaurentSeries(dict(enumerate(ch.p_shift[2:], 2))).compose(ch.z_of_etabar - ch.z_root)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +309,28 @@ def _chart_nodes(ch, radius, nfft):
             ch.dz_detabar.evaluate(etab))
 
 
-def _chart_rows(ch, n, f_size):
+def _chart_rows(charts, n, f_size):
     """Coefficients of etabar^0..etabar^(n-1) of dz/detabar, z and z^i dz/detabar / y, i < f_size.
 
-    They are read with ``coeff``, so a chart series too short for them raises.
+    Returns arrays (dz, z, forms) of shapes (charts, n), (charts, n) and
+    (charts, f_size, n) over the sorted labels.  The upper charts' series are
+    read with ``LaurentSeries.taylor``, so a series too short raises, and
+    their forms are stacked products; each (i, -1) row is its partner's at
+    -etabar, with dz/detabar changing sign and y too, so the forms do not.
     """
-    series = [ch.dz_detabar, ch.z_of_etabar, ch.dz_detabar / ch.y_curve]
-    while len(series) < f_size + 2:
-        series.append(series[-1] * ch.z_of_etabar)
-    rows = np.array([[ser.coeff(e) for e in range(n)] for ser in series], dtype=complex)
-    return rows[0], rows[1], rows[2:]
+    labels = sorted(charts)
+    upper = sorted({i for i, _ in labels})
+    dz, z, y = (np.array([getattr(charts[(i, 1)], name).taylor(n) for i in upper])
+                for name in ("dz_detabar", "z_of_etabar", "y_curve"))
+    with _named([(i, 1) for i in upper]):
+        forms = [mul1(dz, power1(y, -1))]
+    for _ in range(1, f_size):
+        forms.append(mul1(forms[-1], z))
+    forms = np.stack(forms, axis=1)
+    rows = [upper.index(i) for i, _ in labels]
+    sheet = np.array([s for _, s in labels], dtype=float)[:, None]
+    flip = np.where(sheet == -1, (-1.0) ** np.arange(n), 1.0)
+    return dz[rows] * flip * sheet, z[rows] * flip, forms[rows] * flip[:, None]
 
 
 def _outer_sum(weights, rows_a, rows_b):
@@ -294,8 +396,7 @@ def local_expansions(bk, charts, k_bound):
     """
     norm = bk.pd.norm_matrix
     labels = sorted(charts)
-    dz, z, forms = (np.array(field) for field in zip(*(
-        _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels)))
+    dz, z, forms = _chart_rows(charts, 2 * k_bound + 2, len(bk.f_coeffs))
     ks = np.arange(1, k_bound + 1)
     # cmat[l, j, k - 1] = c^{k,labels[l]}_j, with omega_j = sum_m norm[m, j] z^m dz / y
     cmat = _outer_sum(np.eye(len(norm)), norm, forms[:, :len(norm), :k_bound] / ks)
@@ -321,20 +422,20 @@ def local_expansions(bk, charts, k_bound):
 # the global embedding and its decomposition
 # ---------------------------------------------------------------------------
 
-def _transported_difference(curve, ch, z_u):
+def _transported_difference(ch, p_u, z_of_h, y_of_h):
     """dS(ref) - transported dS(curve) against detabar at the upper-sheet chart ch.
 
-    With Z_u(h) the curve's own eta-chart at its critical point z_u and
-    delta = P(z_u) - P0, the leaf point over eta is Z_u(sqrt(eta^2 - delta)),
-    so the transported form is 2 Z_u(h) h dh / y_plus(h) flowed by -delta.
-    Its first term below the floor -order // 2 (negative exponents are even),
-    pulled back, is weighed as ``_validate_chart`` weighs residuals; the rest
-    is smaller by powers of |delta / eta^2|, which the guard bounds.
+    With Z_u(h) = z_of_h the curve's own eta-chart at its critical point z_u,
+    y_of_h its y_plus and delta = P(z_u) - P0 = p_u - P0, the leaf point over
+    eta is Z_u(sqrt(eta^2 - delta)), so the transported form is
+    2 Z_u(h) h dh / y_plus(h) flowed by -delta.  Its first term below the
+    floor -order // 2 (negative exponents are even), pulled back, is weighed
+    as ``_validate_charts`` weighs residuals; the rest is smaller by powers of
+    |delta / eta^2|, which the guard bounds.
     """
     floor = -ch.order // 2
-    shifted, z_of_h, y_of_h = _eta_chart(curve, z_u, ch.order)
     form = SeriesDifferential(LaurentSeries.monomial(2.0, 1) * z_of_h / y_of_h)
-    flowed = sqrt_shift_flow(form, ch.p0 - shifted[0], min_exp=floor - 2).base
+    flowed = sqrt_shift_flow(form, ch.p0 - p_u, min_exp=floor - 2).base
     kept = LaurentSeries({e: c for e, c in flowed.items() if e >= floor}, floor, flowed.trunc_order)
     deta = ch.eta_of_etabar.derivative()
     tail = (flowed - kept).compose(ch.eta_of_etabar) * deta
@@ -352,15 +453,23 @@ def sw_embed_global(curve, ref, charts):
 
     Residue-free by construction, on the window [-order // 2, top] of the
     charts' order ([-22, 22] at 44); each (i, -1) series is its (i, +1)
-    partner's at -etabar.  Raises OutOfNeighbourhood when the deformed curve
-    leaves the chart guard, and TruncationInsufficient when the tail the
-    window drops weighs above the chart gate.
+    partner's at -etabar.  The curve's eta-charts at the critical points
+    matched to the upper charts are one stack.  Raises OutOfNeighbourhood
+    when the deformed curve leaves the chart guard, and TruncationInsufficient
+    when the tail the window drops weighs above the chart gate.
     """
     matching = _match_ram_roots(curve, ref)
     for ch in charts.values():
         flow_parameter(ch, curve, matching)
-    upper = {i: _transported_difference(curve, ch, complex(curve.ram_roots[matching[i]]))
-             for (i, sheet), ch in charts.items() if sheet == 1}
+    labels = sorted(lab for lab in charts if lab[1] == 1)
+    t = charts[labels[0]].order
+    with _named(labels):
+        shifted, z_of_h, y_of_h = _eta_chart(
+            curve, np.array([complex(curve.ram_roots[matching[i]]) for i, _ in labels]), t)
+    upper = {i: _transported_difference(charts[(i, 1)], shifted[row, 0],
+                                        _series(z_of_h[row], 0, t + 1),
+                                        _series(y_of_h[row], 0, t + 2))
+             for row, (i, _) in enumerate(labels)}
     return WElement({(i, sheet): SeriesDifferential(
         upper[i] if sheet == 1 else upper[i].parity_flip()) for i, sheet in sorted(charts)})
 

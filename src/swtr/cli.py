@@ -360,6 +360,10 @@ def verify_theorem(cfg):
     art = reference_stages(cfg)
     curve, cycles, pd = art.curve, art.cycles, art.pd
     report.metadata["intersection_matrix"] = cycles.intersection_matrix.tolist()
+    # the worst weighed residual of each chart identity, and the radius it is weighed on
+    report.metadata["chart_residuals"] = {
+        str(label): {**ch.residuals, "rho": ch.extraction_radius}
+        for label, ch in sorted(art.charts.items()) if label[1] == 1}
     t2 = time.perf_counter()
 
     local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=art.s_coeffs)

@@ -6,15 +6,18 @@ class SwtrError(Exception):
 
 
 class DivisionByZeroSeries(SwtrError):
-    """Division by a series that is zero up to truncation, or whose lead is too small to divide by."""
+    """Division by a series that is zero up to truncation, or whose lead is too small to divide by.
+
+    ``row`` is the row of a stacked call whose power is not finite, else None.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class NotInvertible(SwtrError):
     """Functional inversion of a series without a simple zero at the origin."""
-
-
-class BranchUndefined(SwtrError):
-    """Fractional power whose leading exponent is not compatible with the root order."""
 
 
 class NonzeroResidue(SwtrError):

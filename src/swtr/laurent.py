@@ -9,7 +9,7 @@ explicit truncation bookkeeping; all numerical tolerances downstream absorb
 the resulting truncation error.  The terms are one complex array from the
 first to the last nonzero coefficient, never out to ``trunc_order``; an exact
 zero inside it is an absent term.  Products are ``np.convolve`` cut to the window,
-reversion is Lagrange's formula, and every series is in the variable z.
+and every series is in the variable z.
 
 :class:`SeriesDifferential` wraps a series ``f`` interpreted as ``f(z) dz``.
 It carries the residue, the formal primitive, the symplectic pairing
@@ -19,14 +19,13 @@ It carries the residue, the formal primitive, the symplectic pairing
 
 from __future__ import annotations
 
-import cmath
+import functools
 from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
-    BranchUndefined,
     DivisionByZeroSeries,
     NonzeroResidue,
     NotInvertible,
@@ -92,7 +91,9 @@ class LaurentSeries:
         self._c, self._lo = (arr[nz[0]:nz[-1] + 1], lo + int(nz[0])) if len(nz) else (arr[:0], 0)
         self.min_exp, self.trunc_order = int(min_exp), trunc_order
 
-    def _wrap(self, arr, lo, min_exp, trunc_order):
+    @staticmethod
+    def _wrap(arr, lo, min_exp, trunc_order):
+        """The series with terms ``arr`` from z**lo, known on [min_exp, trunc_order]."""
         out = object.__new__(LaurentSeries)
         out._set(arr, lo, min_exp, trunc_order)
         return out
@@ -138,6 +139,19 @@ class LaurentSeries:
         return self.get(exp)
 
     __getitem__ = coeff
+
+    def taylor(self, n):
+        """[z^0 .. z^(n-1)] as a complex array, for a series without negative terms.
+
+        Raises like ``coeff`` when z^(n-1) is beyond the window.
+        """
+        self.coeff(n - 1)
+        if self._lo < 0:
+            raise ValueError(f"series has a term at z^{self._lo}")
+        out = np.zeros(n, dtype=complex)
+        c = self._c[:max(n - self._lo, 0)]
+        out[self._lo:self._lo + len(c)] = c
+        return out
 
     @property
     def coeffs(self):
@@ -191,9 +205,13 @@ class LaurentSeries:
     def scale(self, factor):
         return self._wrap(complex(factor) * self._c, self._lo, self.min_exp, self.trunc_order)
 
+    def _moved_trunc(self, k):
+        """The truncation order moved by k; an exactly known series stays exact."""
+        return EXACT if self.trunc_order >= EXACT else _clamp(self.trunc_order + k)
+
     def shift(self, k):
         """Multiply by z**k."""
-        return self._wrap(self._c, self._lo + k, self.min_exp + k, _clamp(self.trunc_order + k))
+        return self._wrap(self._c, self._lo + k, self.min_exp + k, self._moved_trunc(k))
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -263,7 +281,7 @@ class LaurentSeries:
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            raise TypeError("use pow_frac for fractional powers")
+            raise TypeError("integer powers only; power1 takes fractional ones")
         if n < 0:
             return self.inverse() ** (-n)
         result = self._wrap(np.ones(1, dtype=complex), 0, 0, self.trunc_order if n else EXACT)
@@ -306,8 +324,8 @@ class LaurentSeries:
     def functional_inverse(self):
         """Series h with self(h(z)) = z up to truncation; needs self = c1 z + O(z^2), c1 != 0.
 
-        Lagrange's formula: with phi = z / self, known to z^(t-1) where self is
-        known to z^t, [z^n] h = [z^(n-1)] phi^n / n, one product per power.
+        ``revert1`` (Lagrange's formula) on the terms z^1 .. z^t where self is
+        known to z^t; h is known to z^t too.
         """
         m = self.order()
         if m != 1:
@@ -317,36 +335,14 @@ class LaurentSeries:
         if exact and len(self._c) > 1:
             raise TruncationInsufficient(f"functional inverse of an exactly known series with"
                                          f" {np.count_nonzero(self._c)} terms has no finite window")
-        phi = self.shift(-1).inverse()
-        power, h = phi, [phi.get(0)]
-        for n in range(2, (1 if exact else self.trunc_order) + 1):
-            power = phi * power
-            h.append(power.get(n - 1) / n)
-        return self._wrap(np.array(h), 1, 1, self.trunc_order)
-
-    def pow_frac(self, p, q):
-        """Series g with g**q = self**p, on the principal branch.
-
-        Requires self = c z^m (1 + O(z)) with m*p divisible by q; g leads with
-        exp((p/q) log c), the principal value of c**(p/q).
-        """
-        if self.is_zero():
-            raise DivisionByZeroSeries("fractional power of the zero series")
-        p, q = int(p), int(q)
-        if q <= 0:
-            raise ValueError("q must be a positive integer")
-        m = self.order()
-        if (m * p) % q != 0:
-            raise BranchUndefined(f"leading exponent {m} incompatible with power {p}/{q}")
-        root = cmath.exp((p / q) * cmath.log(self._c.item(0)))
-        return self._unit_power(p / q, root, m * p // q)
+        head = self.shift(-1).taylor(1 if exact else self.trunc_order)
+        return self._wrap(revert1(head), 1, 1, self.trunc_order)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self):
         exps = np.arange(self._lo, self._lo + len(self._c))
-        return self._wrap(self._c * exps, self._lo - 1, self.min_exp - 1,
-                          _clamp(self.trunc_order - 1))
+        return self._wrap(self._c * exps, self._lo - 1, self.min_exp - 1, self._moved_trunc(-1))
 
     def parity_split(self):
         """Return (odd, even) parts with matching windows."""
@@ -498,6 +494,114 @@ def sqrt_shift_flow(xi, a, min_exp=None):
         out[k - min_exp::-2] += c * binom * a ** j
     return SeriesDifferential(f._wrap(out, min_exp, min_exp if out.any() else min(min_exp, 0),
                                       f.trunc_order))
+
+
+# ---------------------------------------------------------------------------
+# one-variable power series on fixed windows
+# ---------------------------------------------------------------------------
+
+# A complex array x of size n along its last axis holds x[k] = [z^k] of a
+# power series known to z^(n - 1).  Leading axes are a batch of rows: each
+# row of a stacked call is, bit for bit, the call on that row alone.  No
+# coefficient depends on n, so the first m of size n are those of size m.
+
+@functools.cache
+def _toeplitz_index(n):
+    """index[i, k] = n - 1 + k - i, read-only: it is shared by every call of size n."""
+    i = np.arange(n)
+    index = n - 1 + i - i[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _toeplitz(b):
+    """t[..., i, k] = b[..., k - i] for k >= i, else 0: the product with b as a matrix."""
+    n = b.shape[-1]
+    padded = np.zeros(b.shape[:-1] + (2 * n - 1,), dtype=complex)
+    padded[..., n - 1:] = b
+    return padded[..., _toeplitz_index(n)]
+
+
+def _times(a, t):
+    """Product of a with the series whose ``_toeplitz`` matrix is t, summed in ascending i."""
+    return np.add.reduce(a[..., :, None] * t, axis=-2)
+
+
+def mul1(a, b):
+    """Truncated product: out[..., k] = sum_{i <= k} a[..., i] b[..., k - i], leading axes broadcast."""
+    return _times(a, _toeplitz(b))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def power1(c, alpha):
+    """c**alpha for rows with c[..., 0] != 0: lead**alpha (1 + N)**alpha, lead principal.
+
+    With u = c / lead = 1 + N, Miller's recurrence g_m = sum_{j<m} w_mj g_j,
+    w_mj = ((alpha + 1)(m - j) / m - 1) u_(m-j), g_0 = 1, gives one
+    coefficient per step, summed in ascending j.  A result that is not
+    finite (the lead is too small to divide by) raises, naming the row over
+    the leading axes and the first such exponent.
+    """
+    n = c.shape[-1]
+    lead = c[..., :1]
+    m = np.arange(n)
+    scale = np.divide((alpha + 1) * (m - m[:, None]), m, out=np.zeros((n, n)), where=m > 0) - 1.0
+    # w[..., j, m] = w_mj for j < m
+    w = scale * _toeplitz(c / lead)
+    g = np.zeros(c.shape, dtype=complex)
+    g[..., 0] = 1.0
+    for k in range(1, n):
+        g[..., k] = np.add.reduce(w[..., :k, k] * g[..., :k], axis=-1)
+    out = lead ** alpha * g
+    bad = ~np.isfinite(out)
+    if bad.any():
+        *row, e = np.unravel_index(np.argmax(bad), bad.shape)
+        r = int(np.ravel_multi_index(row, bad.shape[:-1])) if row else 0
+        raise DivisionByZeroSeries(
+            f"power {alpha} of row {r} with leading coefficient {lead.flat[r]:.6g}"
+            f" is not finite at z^{e}", row=r)
+    return out
+
+
+def revert1(c):
+    """Reversion, row by row: h = z (out[0] + out[1] z + ...) with f(h(z)) = z, f = z (c[0] + c[1] z + ...).
+
+    Lagrange's formula: with phi = z / f = 1 / (c[0] + c[1] z + ...),
+    [z^m] h = [z^(m-1)] phi^m / m for m = 1 .. n, one stacked product
+    phi * phi^(m-1) per power on phi's product matrix, built once.
+    """
+    if not np.all(c[..., 0]):
+        r = int(np.argmin(np.reshape(c[..., 0] != 0, -1)))
+        row = np.reshape(c, (-1, c.shape[-1]))[r]
+        what = "is zero" if not row.any() else f"starts at z^{int(np.flatnonzero(row)[0]) + 1}"
+        raise NotInvertible(f"reversion needs f = c1 z + O(z^2), c1 != 0; row {r} {what}")
+    n = c.shape[-1]
+    phi = power1(c, -1)
+    t = _toeplitz(phi)
+    h = np.empty_like(phi)
+    power = phi
+    h[..., 0] = phi[..., 0]
+    for m in range(2, n + 1):
+        power = _times(power, t)
+        h[..., m - 1] = power[..., m - 1] / m
+    return h
+
+
+def compose1(f, g):
+    """f(g(z)) row by row, for g[..., 0] == 0, by Horner's rule on g's product matrix built once.
+
+    Terms of f from z^n on (n = g's size) reach no known coefficient and are
+    not read; the leading axes of f broadcast against g's.
+    """
+    n = g.shape[-1]
+    f = f[..., :n]
+    t = _toeplitz(g)
+    acc = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,), dtype=complex)
+    acc[..., 0] = f[..., -1]
+    for i in range(f.shape[-1] - 2, -1, -1):
+        acc = _times(acc, t)
+        acc[..., 0] += f[..., i]
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for standard charts, local expansions and the global embedding."""
 
 import ast
+import cmath
 import re
+import warnings
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,10 +23,13 @@ import swtr.charts as charts_module
 import swtr.laurent as laurent_module
 from swtr.airy import eval_hamiltonians, max_index_bound
 from swtr.charts import (
+    _build_upper_charts,
     _chart_nodes,
+    _chart_residuals,
     _chart_rows,
     _outer_sum,
-    _validate_chart,
+    _series,
+    _validate_charts,
     decompose_in_g,
     ebar_at_points,
     ebar_periods,
@@ -31,7 +37,12 @@ from swtr.charts import (
     standard_charts,
     sw_embed_global,
 )
-from swtr.errors import ExtractionNotConverged, OutOfNeighbourhood, TruncationInsufficient
+from swtr.errors import (
+    DivisionByZeroSeries,
+    ExtractionNotConverged,
+    OutOfNeighbourhood,
+    TruncationInsufficient,
+)
 from swtr.hyperelliptic import (
     BergmanData,
     QuadratureWorkspace,
@@ -45,9 +56,12 @@ from swtr.hyperelliptic import (
 from swtr.laurent import (
     LaurentSeries,
     SeriesDifferential,
+    compose1,
     divide_diagonal2,
     inverse2,
+    mul1,
     mul2,
+    power1,
     symplectic_pairing,
 )
 
@@ -147,12 +161,41 @@ def _extract_c(pd, charts, nodes, lab, k_bound):
     return c1, gates
 
 
+def _chart_difference(ser, e1, e2):
+    """ser(e1) - ser(e2) as sum_k c_k (e1^k - e2^k), each power difference by a recurrence.
+
+    Unlike the difference of two values, its rounding does not grow as
+    |ser| / |ser(e1) - ser(e2)|.
+    """
+    d = e1 - e2
+    out = np.zeros(np.broadcast(e1, e2).shape, dtype=complex)
+    power_diff, e2_power = d, np.ones_like(e2)       # e1^k - e2^k and e2^(k-1)
+    for k in range(1, ser.trunc_order + 1):
+        if k > 1:
+            e2_power = e2_power * e2
+            power_diff = e1 * power_diff + d * e2_power
+        out = out + ser.get(k) * power_diff
+    return out
+
+
 def _s_at_radius(bk, charts, nodes, lab1, lab2, rfac, k_bound):
     r1 = charts[lab1].extraction_radius * rfac
     r2 = 0.7 * charts[lab2].extraction_radius * rfac
     e1, z1, y1, dz1 = nodes(lab1, r1)
     e2, z2, y2, dz2 = nodes(lab2, r2)
-    grid = bk.value(z1[:, None], y1[:, None], z2[None, :], y2[None, :])
+    z1, y1, z2, y2 = z1[:, None], y1[:, None], z2[None, :], y2[None, :]
+    if lab1 == lab2:
+        # BergmanData.value with z1 - z2 summed from the chart series: the
+        # singular part subtracted below cancels about three digits of the
+        # kernel, and the rounding of z1 - z2 from two values would carry
+        # into the extraction a noise that turns on the last bits of the chart
+        dzz = _chart_difference(charts[lab1].z_of_etabar, e1[:, None], e2[None, :])
+        w1, w2 = (np.stack([omega_value(bk.pd, j, z, y) for j in range(bk.curve.g)])
+                  for z, y in ((z1, y1), (z2, y2)))
+        grid = ((y1 * y2 + bk.f_at(z1, z2)) / (2.0 * y1 * y2 * dzz ** 2)
+                + np.einsum("jk,j...,k...->...", bk.correction, w1, w2))
+    else:
+        grid = bk.value(z1, y1, z2, y2)
     grid = grid * dz1[:, None] * dz2[None, :]
     if lab1 == lab2:
         grid = grid - 1.0 / (e1[:, None] - e2[None, :]) ** 2
@@ -226,23 +269,29 @@ def test_chart_sheets_are_opposite():
 
 @pytest.mark.parametrize("u", [U0, U0_G2], ids=["g1", "g2"])
 def test_lower_sheet_charts_match_direct_route(u):
-    # the (i, -1) chart built directly, z_of_eta and y_plus composed with
-    # -etabar_+^{-1}: the sigma-derived series are bitwise equal to it
+    # the (i, -1) charts built directly, by the stacked route with
+    # -etabar_+^{-1} for etabar_+^{-1}: the sigma-derived series are bitwise
+    # equal to them
     curve, _, _, _, charts, _, _ = _Setup.get(u, len(u))
+    stack = _build_upper_charts(curve, range(curve.g), CHART_ORDER)
+    t = CHART_ORDER
+    eta = -stack.eta_of_etabar
+    z, y, inv_y = compose1(np.stack([stack.z_of_eta, stack.y_plus[:, :t + 2],
+                                     power1(stack.y_plus, -1)[:, :t + 2]]), eta)
+    y, inv_y = -y, -inv_y
+    deta = np.zeros_like(eta)
+    deta[:, :-1] = eta[:, 1:] * np.arange(1, t + 2)
+    direct = {
+        "eta_of_etabar": (eta, 1, t + 1),
+        "z_of_etabar": (z, 0, t + 1),
+        "dz_detabar": (z[:, 1:] * np.arange(1, t + 2), -1, t),
+        "y_curve": (y, 0, t + 1),
+        "ds_detabar": (mul1(2.0 * mul1(mul1(z, eta), deta), inv_y), 1, t + 1),
+    }
     for i in range(curve.g):
-        plus, minus = charts[(i, 1)], charts[(i, -1)]
-        eta = plus.eta_of_etabar.scale(-1.0)
-        z = plus.z_of_eta.compose(eta)
-        y = plus.y_plus.compose(eta).scale(-1.0)
-        direct = {
-            "eta_of_etabar": eta,
-            "z_of_etabar": z,
-            "dz_detabar": z.derivative(),
-            "y_curve": y,
-            "ds_detabar": (z * eta * eta.derivative()).scale(2.0) / y,
-        }
-        for name, ser in direct.items():
-            got = getattr(minus, name)
+        minus = charts[(i, -1)]
+        for name, (rows, min_exp, trunc) in direct.items():
+            got, ser = getattr(minus, name), _series(rows[i], min_exp, trunc)
             assert (got.coeffs, got.min_exp, got.trunc_order) == \
                 (ser.coeffs, ser.min_exp, ser.trunc_order), name
 
@@ -319,7 +368,8 @@ def _pairwise_local_expansions(bk, charts, k_bound):
     """``local_expansions`` one chart pair at a time, each by ``_regular_part``."""
     norm = bk.pd.norm_matrix
     labels = sorted(charts)
-    rows = {lab: _chart_rows(charts[lab], 2 * k_bound + 2, len(bk.f_coeffs)) for lab in labels}
+    stacked = _chart_rows(charts, 2 * k_bound + 2, len(bk.f_coeffs))
+    rows = {lab: tuple(field[row] for field in stacked) for row, lab in enumerate(labels)}
     ks = np.arange(1, k_bound + 1)
     cmat = {lab: _outer_sum(np.eye(len(norm)), norm, rows[lab][2][:len(norm), :k_bound] / ks)
             for lab in labels}
@@ -398,33 +448,34 @@ def test_local_data_beyond_the_chart_order_raise():
 
 
 def test_one_sheet_work_count(monkeypatch):
-    # charts are built for the upper sheet only, g of them, and the local data
-    # sample no kernel grid (2 radii x g upper charts x 2g charts of them by FFT)
+    # charts are built for the upper sheet only, g of them in one stack, and
+    # the local data sample no kernel grid (2 radii x g upper charts x 2g
+    # charts of them by FFT)
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
-    calls = {"value": 0, "chart": 0}
-    value, build = BergmanData.value, charts_module._build_one_chart
+    calls = {"value": 0, "stacks": []}
+    value, build = BergmanData.value, charts_module._build_upper_charts
 
     def counted_value(*args, **kwargs):
         calls["value"] += 1
         return value(*args, **kwargs)
 
-    def counted_build(*args, **kwargs):
-        calls["chart"] += 1
-        return build(*args, **kwargs)
+    def counted_build(curve, points, order):
+        calls["stacks"].append(list(points))
+        return build(curve, points, order)
 
     monkeypatch.setattr(BergmanData, "value", counted_value)
-    monkeypatch.setattr(charts_module, "_build_one_chart", counted_build)
+    monkeypatch.setattr(charts_module, "_build_upper_charts", counted_build)
     local_expansions(bk, charts, k_bound=7)
     standard_charts(curve, CHART_ORDER)
-    assert calls == {"value": 0, "chart": 2}
+    assert calls == {"value": 0, "stacks": [[0, 1]]}
 
 
 def test_extraction_error_names_its_numbers():
-    # at the g2 acceptance point the oracle's circles do not resolve mode 8;
-    # the error names the key, |delta| between the two extractions, their
-    # radii and the gate
+    # on 16-point circles the oracle cannot resolve mode 8 (its aliases reach
+    # it); the error names the key, |delta| between the two extractions,
+    # their radii and the gate
     *_, bk, charts, _, _ = _Setup.get(U0_G2, 2)
-    nodes = _node_cache(charts, _LOCAL_NFFT)
+    nodes = _node_cache(charts, 16)
     with pytest.raises(ExtractionNotConverged) as err:
         for lab1 in sorted(charts):
             for lab2 in sorted(charts):
@@ -471,17 +522,107 @@ def test_chart_series_evaluate_bitwise(u):
                 assert float_hex([ser.evaluate(e) for e in etab[::8]]) == oracle[::8]
 
 
+def uncut_compose1(f, g):
+    """Horner's rule over every term of f, at f's size when larger, cut back: the oracle of compose1."""
+    n = g.shape[-1]
+    wide = np.zeros(g.shape[:-1] + (max(n, f.shape[-1]),), dtype=complex)
+    wide[..., :n] = g
+    return compose1(f, wide)[..., :n]
+
+
 @pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
 def test_chart_series_match_uncut_compose(u, monkeypatch):
-    # compose skips the terms beyond its output window; the charts built with
-    # Horner's rule over every term are the same in every bit and key order
+    # compose1 reads no term of f beyond its output window; the charts built
+    # with Horner's rule over every term are the same in every bit and key order
     curve = new_curve(len(u), u)
     cut = standard_charts(curve, CHART_ORDER)
-    monkeypatch.setattr(LaurentSeries, "compose", uncut_compose)
+    monkeypatch.setattr(charts_module, "compose1", uncut_compose1)
     full = standard_charts(curve, CHART_ORDER)
     for lab, ch in cut.items():
         for name, ser in _chart_series(ch).items():
             assert series_hex(ser) == series_hex(getattr(full[lab], name)), (lab, name)
+
+
+# ---------------------------------------------------------------------------
+# the series route: each chart by LaurentSeries algebra, the oracle of the stack
+# ---------------------------------------------------------------------------
+
+def pow_frac(f, p, q):
+    """g with g**q = f**p, leading with the principal value of lead**(p/q)."""
+    m = f.order()
+    return f._unit_power(p / q, cmath.exp((p / q) * cmath.log(f.get(m))), m * p // q)
+
+
+def series_reversion(f):
+    """Lagrange's formula by LaurentSeries products, one per power of phi = z / f."""
+    phi = f.shift(-1).inverse()
+    power, h = phi, [phi.get(0)]
+    for n in range(2, f.trunc_order + 1):
+        power = phi * power
+        h.append(power.get(n - 1) / n)
+    return LaurentSeries.from_list(h, start=1)
+
+
+def series_route_chart(curve, i, order):
+    """The series of the upper chart at i, built alone by LaurentSeries algebra."""
+    zi = complex(curve.ram_roots[i])
+    shifted = [npoly.polyval(zi, npoly.polyder(curve.p_coeffs, m)) / np.prod(np.arange(1, m + 1))
+               for m in range(len(curve.p_coeffs))]
+    poly = LaurentSeries({m: shifted[m] for m in range(2, len(shifted)) if shifted[m] != 0},
+                         min_exp=2, trunc_order=order + 2)
+    z_of_eta = series_reversion(pow_frac(poly, 1, 2)) + zi
+    wser = LaurentSeries({0: shifted[0], 2: 1.0}, 0, order + 2)
+    y_plus = pow_frac(wser * wser - 4.0 * curve.lam_pow ** 2, 1, 2)
+    z_odd, _ = z_of_eta.parity_split()
+    integrand = LaurentSeries.monomial(1.0, 1) * z_odd / y_plus
+    etabar_plus = pow_frac(SeriesDifferential(integrand).primitive().scale(3.0), 1, 3)
+    eta_of_etabar = series_reversion(etabar_plus)
+    etabar_sq = etabar_plus * etabar_plus
+    z_of_etabar = z_of_eta.compose(eta_of_etabar)
+    y_curve = y_plus.compose(eta_of_etabar)
+    return {
+        "z_of_eta": z_of_eta, "y_plus": y_plus,
+        "f_series": LaurentSeries.from_list(
+            [etabar_sq.get(e) for e in range(2, etabar_sq.trunc_order + 1, 2)],
+            start=1, trunc_order=etabar_sq.trunc_order // 2),
+        "eta_of_etabar": eta_of_etabar, "z_of_etabar": z_of_etabar,
+        "dz_detabar": z_of_etabar.derivative(), "y_curve": y_curve,
+        "ds_detabar": (z_of_etabar * eta_of_etabar * eta_of_etabar.derivative()
+                       ).scale(2.0) / y_curve,
+    }
+
+
+def _weighed_gap(got, want, radius):
+    """max_e |got_e - want_e| radius^e over the largest |want_e| radius^e."""
+    exps = sorted(set(got.coeffs) | set(want.coeffs))
+    return (max(abs(got.get(e) - want.get(e)) * radius ** e for e in exps)
+            / max(abs(want.get(e)) * radius ** e for e in exps))
+
+
+#: largest weighed gap between a stacked chart series and the series route
+_ROUTE_GAP = 1e-15
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+@pytest.mark.parametrize("order", [7, 13, 23, 44])
+def test_stacked_charts_match_series_route(u, order):
+    # every series of every upper chart, on the same window as the series
+    # route's and within _ROUTE_GAP of it weighed on the extraction circle
+    # (series in eta on its image |eta_1| rho, F in v on |v_2| rho^2); the
+    # lower charts are parity flips of both, which weigh the same
+    curve = new_curve(len(u), u)
+    charts = standard_charts(curve, order)
+    for i in range(curve.g):
+        ch, oracle = charts[(i, 1)], series_route_chart(curve, i, order)
+        rho = ch.extraction_radius
+        radii = {"z_of_eta": abs(ch.eta_of_etabar.get(1)) * rho,
+                 "y_plus": abs(ch.eta_of_etabar.get(1)) * rho,
+                 "f_series": abs(ch.p_shift[2] * ch.z_of_etabar.get(1) ** 2) * rho ** 2}
+        for name, want in oracle.items():
+            got = getattr(ch, name)
+            assert (got.min_exp, got.trunc_order) == (want.min_exp, want.trunc_order), name
+            gap = _weighed_gap(got, want, radii.get(name, rho))
+            assert gap <= _ROUTE_GAP, (i, name, gap)
 
 
 @pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
@@ -491,25 +632,25 @@ def test_chart_reversions_match_newton_and_mpmath(monkeypatch, u, order):
     # formula agrees with Newton's doubling to rounding, and both with a
     # 60-digit reversion of the same input on the extraction circle (in eta,
     # its image |eta_1| rho)
-    reversions, revert = [], LaurentSeries.functional_inverse
+    reversions, revert = [], charts_module.revert1
 
-    def recorded(f):
-        h = revert(f)
-        reversions.append((f, h))
+    def recorded(c):
+        h = revert(c)
+        reversions.append((c, h))
         return h
-    monkeypatch.setattr(LaurentSeries, "functional_inverse", recorded)
+    monkeypatch.setattr(charts_module, "revert1", recorded)
     charts = standard_charts(new_curve(len(u), u), order)
-    assert len(reversions) == 2 * len(u)
+    assert [len(c) for c, _ in reversions] == [len(u)] * 2
     for i in range(len(u)):
         ch = charts[(i, 1)]
-        assert reversions[2 * i + 1][1] is ch.eta_of_etabar
+        assert np.array_equal(reversions[1][1][i], ch.eta_of_etabar.taylor(order + 2)[1:])
         rho = ch.extraction_radius
-        for (f, h), radius in zip(reversions[2 * i:2 * i + 2],
-                                  (abs(ch.eta_of_etabar.get(1)) * rho, rho)):
+        for (c, h), radius in zip(reversions, (abs(ch.eta_of_etabar.get(1)) * rho, rho)):
+            f = LaurentSeries.from_list(list(c[i]), start=1)
             oracle, t = newton_reversion(f), f.trunc_order
-            assert (h.min_exp, h.trunc_order) == (oracle.min_exp, oracle.trunc_order) == (1, t)
+            assert (oracle.min_exp, oracle.trunc_order) == (1, t) and len(h[i]) == t
             exps = np.arange(1, t + 1)
-            got, newton = (np.array([s.get(e) for e in exps]) for s in (h, oracle))
+            got, newton = h[i], np.array([oracle.get(e) for e in exps])
             assert np.max(np.abs(got - newton)) <= 1e-13 * np.max(np.abs(newton)), (i, t)
             weights = radius ** exps
             exact = np.array(mp_reversion(f)) * weights
@@ -517,42 +658,67 @@ def test_chart_reversions_match_newton_and_mpmath(monkeypatch, u, order):
                 assert np.max(np.abs(approx * weights - exact)) <= 1e-15 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("u", [U0_G2, U0_G3], ids=["g2", "g3"])
+def test_chart_stack_rows_do_not_depend_on_the_subset(u):
+    # the stack over any subset of the points, in any order, gives the rows
+    # of the full stack in every bit
+    curve = new_curve(len(u), u)
+    full = _build_upper_charts(curve, range(curve.g), 13)
+    for subset in ([0], [curve.g - 1], [curve.g - 1, 0], [1, 0]):
+        sub = _build_upper_charts(curve, subset, 13)
+        assert sub.points == subset
+        for field in fields(sub):
+            if field.name in ("points", "order"):
+                continue
+            got, want = getattr(sub, field.name), getattr(full, field.name)[subset]
+            assert float_hex(got) == float_hex(want), (subset, field.name)
+
+
+@pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_lower_chart_residuals_are_parity_flips(u):
+    # the identities checked on the lower charts' own series give the upper
+    # residuals at -etabar, bit for bit (zeros up to sign), so checking the
+    # upper stack checks both sheets
+    curve, t = new_curve(len(u), u), 13
+    charts = standard_charts(curve, t)
+    upper = _build_upper_charts(curve, range(curve.g), t)
+    lower = replace(upper, **{
+        name: np.array([getattr(charts[(i, -1)], name).taylor(t + 2) for i in upper.points])
+        for name in ("ds_detabar", "z_of_etabar")})
+    flip = (-1.0) ** np.arange(t + 2)
+    for got, want in zip(_chart_residuals(lower), _chart_residuals(upper)):
+        assert float_hex(got + 0.0) == float_hex(want * flip + 0.0)
+
+
 def test_laurent_work_count(monkeypatch):
     # g2: local_expansions evaluates no chart series (it read 14 circles x z, y
-    # and dz/detabar, 42 array calls, when it sampled the kernel), and
-    # standard_charts at the order the verifier builds at chi = 1 (7) composes
-    # only the terms its windows keep and reverts each series by Lagrange's
-    # formula: 180 products (290 with Newton's doubling)
+    # and dz/detabar, 42 array calls, when it sampled the kernel);
+    # standard_charts makes no LaurentSeries product (180 before the stack)
+    # and the same stacked calls at every genus: at the order the verifier
+    # builds at chi = 1 (7), 5 products, 6 powers, 2 reversions and 3
+    # compositions
     curve, _, _, bk, charts, _, _ = _Setup.get(U0_G2, 2)
-    calls = {"evaluate": 0, "mul": 0}
-    evaluate, mul = LaurentSeries.evaluate, LaurentSeries.__mul__
+    calls = Counter()
 
-    def counted_evaluate(*args, **kwargs):
-        calls["evaluate"] += 1
-        return evaluate(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    def counted_mul(*args, **kwargs):
-        calls["mul"] += 1
-        return mul(*args, **kwargs)
-
-    monkeypatch.setattr(LaurentSeries, "evaluate", counted_evaluate)
-    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(LaurentSeries, "evaluate", counted("evaluate", LaurentSeries.evaluate))
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted("mul", LaurentSeries.__mul__))
+    for module in (charts_module, laurent_module):
+        for name in ("mul1", "power1", "revert1", "compose1"):
+            monkeypatch.setattr(module, name, counted(name, getattr(laurent_module, name)))
     local_expansions(bk, charts, k_bound=7)
     assert calls["evaluate"] == 0
-    calls["mul"] = 0
-    standard_charts(curve, 2 * (max_index_bound(1) - 1) + 1)
-    assert calls["mul"] <= 180
-
-
-def _top_perturbation(ch, field):
-    """A term moving the top known coefficient r_e of the field's residual by 1e-6 rho^(2 - e)."""
-    rho = ch.extraction_radius
-    if field == "ds_detabar":
-        e = ch.ds_detabar.trunc_order // 2 * 2
-        return LaurentSeries.monomial(1e-6 * rho ** (2 - e), e)
-    v = charts_module._pcompose_v(ch)
-    j = ch.f_series.compose(v).trunc_order // 2
-    return LaurentSeries.monomial(1e-6 * rho ** (2 - 2 * j) / v.get(2) ** j, j)
+    counts = []
+    for u in (U0, U0_G2, U0_G3):
+        calls.clear()
+        standard_charts(new_curve(len(u), u), 2 * (max_index_bound(1) - 1) + 1)
+        counts.append(dict(calls))
+    assert counts == [{"mul1": 5, "power1": 6, "revert1": 2, "compose1": 3}] * 3
 
 
 @pytest.mark.parametrize("order, where, name, field", [
@@ -565,11 +731,20 @@ def test_chart_validation_error_names_its_numbers(order, where, name, field):
     # coefficient of its residual by 1e-6 once weighed, fails its invariant,
     # at the order the verifier builds for g1 at chi = 1 (7) and at 44; the
     # error names the residual, the gate and the radius it is weighed at
-    ch = standard_charts(new_curve(1, U0), order)[(0, 1)]
-    term = LaurentSeries.monomial(1e-6, 2) if where == "z2" else _top_perturbation(ch, field)
-    broken = replace(ch, **{field: getattr(ch, field) + term})
+    stack = _build_upper_charts(new_curve(1, U0), [0], order)
+    rho = stack.extraction_radius[0]
+    term = np.zeros_like(getattr(stack, field))
+    if field == "ds_detabar":
+        e = 2 if where == "z2" else (order + 1) // 2 * 2
+        term[0, e] = 1e-6 if where == "z2" else 1e-6 * rho ** (2 - e)
+    else:
+        # F's v^j reaches etabar^2j through v_2^j, v_2 = P''/2 z_1^2
+        j = 2 if where == "z2" else (order + 1) // 2
+        v2 = stack.p_shift[0, 2] * stack.z_of_etabar[0, 1] ** 2
+        term[0, j] = 1e-6 if where == "z2" else 1e-6 * rho ** (2 - 2 * j) / v2 ** j
+    broken = replace(stack, **{field: getattr(stack, field) + term})
     with pytest.raises(ExtractionNotConverged) as err:
-        _validate_chart(broken)
+        _validate_charts(broken)
     m = re.fullmatch(r"chart \(0, 1\): (.*) residual (\S+) above gate (\S+)"
                      r" on \|etabar\| = (\S+)", str(err.value))
     assert m, str(err.value)
@@ -577,7 +752,24 @@ def test_chart_validation_error_names_its_numbers(order, where, name, field):
     assert float(m.group(2)) > float(m.group(3)) == 1e-10
     if where == "top":
         assert float(m.group(2)) == pytest.approx(1e-6, rel=1e-2)
-    assert np.isclose(float(m.group(4)), ch.extraction_radius, rtol=1e-5)
+    assert np.isclose(float(m.group(4)), rho, rtol=1e-5)
+
+
+def test_non_finite_chart_power_names_the_chart(monkeypatch):
+    # a P'' too small to divide by at the second critical point: its square
+    # root overflows, and the error names the chart
+    shift = charts_module._taylor_shift
+
+    def tiny_second(p_coeffs, z0):
+        out = shift(p_coeffs, z0)
+        out[1, 2] = 1e-200
+        return out
+    monkeypatch.setattr(charts_module, "_taylor_shift", tiny_second)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivisionByZeroSeries, match=r"^chart \(1, 1\): power 0\.5 of row 1"
+                           r" with leading coefficient 1e-200\+0j is not finite at z\^2$"):
+            standard_charts(new_curve(2, U0_G2), 7)
 
 
 # ---------------------------------------------------------------------------

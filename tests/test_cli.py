@@ -133,6 +133,13 @@ def test_verify_theorem_cli_and_outputs(tmp_path):
     assert report["metadata"]["matched_convention"] == "minus"
     assert report["metadata"]["derivative_radius"] >= cli.DERIVATIVE_RADIUS
     assert "delta_a" not in report["metadata"]
+    # one entry per upper chart: each gate's worst weighed residual, within
+    # the chart gate, and the radius it is weighed on
+    residuals = report["metadata"]["chart_residuals"]
+    assert list(residuals) == ["(0, 1)"]
+    assert set(residuals["(0, 1)"]) == {"one-form", "F round-trip", "rho"}
+    assert max(residuals["(0, 1)"]["one-form"], residuals["(0, 1)"]["F round-trip"]) < 1e-10
+    assert residuals["(0, 1)"]["rho"] > 0
     assert (outdir / "sgn_table.csv").exists()
     assert (outdir / "periods.json").exists()
 

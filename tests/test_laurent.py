@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swtr.errors import (
-    BranchUndefined,
     DivisionByZeroSeries,
     NonzeroResidue,
     NotInvertible,
@@ -20,9 +19,13 @@ from swtr.laurent import (
     EXACT,
     LaurentSeries,
     SeriesDifferential,
+    compose1,
     divide_diagonal2,
     inverse2,
+    mul1,
     mul2,
+    power1,
+    revert1,
     sqrt_shift_flow,
     symplectic_pairing,
 )
@@ -189,6 +192,9 @@ def test_functional_inverse_against_lagrange():
 
 
 def test_compose_inverse_is_identity_random():
+    # each coefficient of f(h) - z is gated on its own scale: a few ulps of
+    # S_e = [z^e] |f|(|h|), the sum of the moduli of the terms composing it
+    # (|h_10| reaches 7.4e3 in the fifth draw, whose ulp is 9.1e-13)
     rng = np.random.default_rng(11)
     for _ in range(5):
         coeffs = {1: 1.0 + 0.2 * rng.standard_normal()}
@@ -197,9 +203,12 @@ def test_compose_inverse_is_identity_random():
         f = L(coeffs, 1, 10)
         h = f.functional_inverse()
         comp = f.compose(h)
-        assert abs(comp.get(1) - 1.0) < 1e-12
-        for e in range(2, comp.trunc_order + 1):
-            assert abs(comp.get(e)) < 1e-12
+        moduli = L({e: abs(c) for e, c in f.items()}, 1, 10).compose(
+            L({e: abs(c) for e, c in h.items()}, 1, 10))
+        assert comp.trunc_order == 10
+        for e in range(1, 11):
+            gate = 4 * np.finfo(float).eps * moduli.get(e).real
+            assert abs(comp.get(e) - (e == 1)) <= gate, (e, gate)
 
 
 def test_compose_with_negative_exponents():
@@ -217,25 +226,30 @@ def test_compose_with_negative_exponents():
 
 def test_sqrt_binomial_series():
     n = 14
-    f = L.from_list([1.0, 1.0], 0, n)    # 1 + z
-    g = f.pow_frac(1, 2)
+    f = np.zeros(n + 1, dtype=complex)
+    f[:2] = 1.0                          # 1 + z
+    g = power1(f, 0.5)
     for k in range(n + 1):
         # binom(1/2, k) = (-1)^(k+1) C(2k,k) / (4^k (2k-1))
         oracle = (-1) ** (k + 1) * math.comb(2 * k, k) / (4.0 ** k * (2 * k - 1))
-        assert abs(g.get(k) - oracle) < 1e-13
-    assert max_coeff_diff(g * g, f) < 1e-13
+        assert abs(g[k] - oracle) < 1e-13
+    assert np.max(np.abs(mul1(g, g) - f)) < 1e-13
 
 
 def test_sqrt_of_square_branch0():
-    f = L.monomial(1.0, 2)
-    g = f.pow_frac(1, 2)
-    assert g.get(1) == 1.0 and len(g.coeffs) == 1
+    # z^2 = z^2 * 1: the unit part's root is exactly 1; a lead on the
+    # negative real axis takes the principal root
+    g = power1(np.array([1.0, 0.0, 0.0], dtype=complex), 0.5)
+    assert g.tolist() == [1.0, 0.0, 0.0]
+    assert power1(np.array([-4.0 + 0j]), 0.5)[0] == 2j
 
 
 def test_two_thirds_power_matches_exp_log():
     n = 12
-    f = (L.monomial(1.0, 3, trunc_order=n + 3) * L.from_list([1.0, 1.0], 0, n))
-    g = f.pow_frac(2, 3)
+    # (z^3 (1 + z))^(2/3) = z^2 (1 + z)^(2/3), known to z^(n+2)
+    f = np.zeros(n + 1, dtype=complex)
+    f[:2] = 1.0
+    g = L.from_list(list(power1(f, 2.0 / 3.0)), start=2)
     # oracle: z^2 * exp((2/3) log(1+z)) computed by series exp/log
     log1p = L({k: (-1) ** (k + 1) / k for k in range(1, n + 1)}, 1, n)
     expo = L({0: 1.0}, 0, n)
@@ -251,20 +265,15 @@ def test_two_thirds_power_matches_exp_log():
     assert abs(g.get(4) + 1.0 / 9.0) < 1e-14
 
 
-def test_pow_frac_qth_power_roundtrip_random():
+def test_power1_qth_power_roundtrip_random():
     rng = np.random.default_rng(3)
     for p, q in [(1, 2), (2, 3), (3, 2), (-1, 2)]:
-        coeffs = {0: 1.5 + 0.5j}
-        for e in range(1, 11):
-            coeffs[e] = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        f = L(coeffs, 0, 10).shift(2 * q)
-        g = f.pow_frac(p, q)
+        coeffs = [1.5 + 0.5j]
+        for _ in range(1, 11):
+            coeffs.append(0.3 * (rng.standard_normal() + 1j * rng.standard_normal()))
+        f = L.from_list(coeffs)
+        g = L.from_list(list(power1(np.array(coeffs), p / q)))
         assert max_coeff_diff(g ** q, f ** p) < 1e-12 * max((f ** p).max_abs(), 1.0)
-
-
-def test_pow_frac_branch_undefined():
-    with pytest.raises(BranchUndefined):
-        L.monomial(1.0, 1).pow_frac(1, 2)
 
 
 def test_not_invertible():
@@ -721,7 +730,7 @@ def test_compose_window_sound_for_floor_below_zero(fa, gb, drop):
 
 
 # ---------------------------------------------------------------------------
-# one binomial loop for inverse and pow_frac
+# the binomial loop of inverse
 # ---------------------------------------------------------------------------
 
 def geometric_inverse(f):
@@ -768,16 +777,17 @@ def test_exact_series_without_finite_window_raises():
     with pytest.raises(TruncationInsufficient, match=r"with 2 terms .* N starts at z\^1"):
         L.monomial(1.0, -1).compose(L({1: 1.0, 2: 1.0}))
     with pytest.raises(TruncationInsufficient, match=r"with 3 terms .* N starts at z\^2"):
-        L({0: 4.0, 2: 1.0, 5: 1.0}).pow_frac(1, 2)
-    square = L({1: 1.0, 2: 1.0}).pow_frac(2, 1)
+        L({0: 4.0, 2: 1.0, 5: 1.0})._unit_power(0.5, 2.0, 0)
+    square = L({1: 1.0, 2: 1.0})._unit_power(2, 1.0, 2)
     assert (square.coeffs, square.trunc_order) == ({2: 1.0, 3: 2.0, 4: 1.0}, EXACT)
     assert L.monomial(2.0, 3).inverse().coeffs == {-3: 0.5}
 
 
 def test_non_finite_power_raises():
     # a lead too small against the other terms to divide by overflows the
-    # binomial loop: the error names alpha, the lead and the first exponent
-    # whose term is not finite, and no RuntimeWarning escapes
+    # binomial loop or Miller's recurrence: the error names alpha, the lead
+    # and the first exponent whose term is not finite (in a stack, the row
+    # too), and no RuntimeWarning escapes
     tiny = L({1: 1.18e-38, 2: 1.0}, 1, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -785,12 +795,17 @@ def test_non_finite_power_raises():
                            match=r"power -1 .* 1\.18e-38\+0j at z\^1 is not finite at z\^7$"):
             tiny.inverse()
         # through the inverse of tiny / z, known to z^8
-        with pytest.raises(DivisionByZeroSeries,
-                           match=r"power -1 .* 1\.18e-38\+0j at z\^0 is not finite at z\^8$"):
+        with pytest.raises(DivisionByZeroSeries, match=r"power -1 of row 0 with leading"
+                           r" coefficient 1\.18e-38\+0j is not finite at z\^8$"):
             tiny.functional_inverse()
-        with pytest.raises(DivisionByZeroSeries,
-                           match=r"power 0\.5 .* 1e-200\+0j at z\^2 is not finite at z\^3$"):
-            L({2: 1e-200, 3: 1.0}, 2, 6).pow_frac(1, 2)
+        # the unit part of 1e-200 z^2 + z^3 known to z^6; z^2 of it is z^4 of the root
+        unit = np.array([1e-200, 1.0, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(DivisionByZeroSeries, match=r"power 0\.5 of row 0 with leading"
+                           r" coefficient 1e-200\+0j is not finite at z\^2$"):
+            power1(unit, 0.5)
+        with pytest.raises(DivisionByZeroSeries, match=r"power 0\.5 of row 1 .* z\^2$") as err:
+            power1(np.stack([np.ones(5, dtype=complex), unit]), 0.5)
+        assert err.value.row == 1
 
 
 # ---------------------------------------------------------------------------
@@ -987,3 +1002,113 @@ def test_bivariate_low_degrees_do_not_depend_on_size(fa, gb, u, v):
         for small, large in pairs:
             known = np.add.outer(np.arange(len(small)), np.arange(len(small))) < len(small)
             assert float_hex(small[known]) == float_hex(large[:len(small), :len(small)][known])
+
+
+# ---------------------------------------------------------------------------
+# exactly known series keep their window under shift and derivative
+# ---------------------------------------------------------------------------
+
+def test_shift_and_derivative_keep_exact():
+    # an exact series stays exact, so the binomial loop of a non-integer
+    # power of it raises instead of running toward EXACT products
+    f = L({1: 2.0, 3: 1.0})
+    assert f.shift(-1).trunc_order == f.shift(-3).trunc_order == EXACT
+    assert f.derivative().trunc_order == EXACT
+    assert L({1: 2.0}, 1, 8).shift(-1).trunc_order == 7
+    with pytest.raises(TruncationInsufficient, match="exactly known series with 2 terms"):
+        f.shift(-1).inverse()
+    with pytest.raises(TruncationInsufficient, match="exactly known series with 2 terms"):
+        f.derivative().inverse()
+
+
+# ---------------------------------------------------------------------------
+# one-variable stacks: rows, working sizes and the series oracles
+# ---------------------------------------------------------------------------
+
+def _stack1(rng, k, n, lead=False):
+    """k rows of size n: dense and sparse rows, exact (and signed) zeros, magnitudes 1e-3 .. 1e3.
+
+    With ``lead`` every row has x[0] of modulus >= 0.5; otherwise one row is all zero.
+    """
+    x = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+         ) * 10.0 ** rng.integers(-3, 4, size=(k, n))
+    x[rng.random((k, n)) < 0.3] = 0
+    x.imag[rng.random((k, n)) < 0.2] = -0.0
+    if lead:
+        x[:, 0] = (0.5 + rng.random(k)) * np.exp(2j * np.pi * rng.random(k))
+    else:
+        x[rng.integers(k)] = 0
+    return x
+
+
+def _helpers1(rng, k, n):
+    """(name, stacked call, per-row call) for each one-variable helper on fresh stacks."""
+    a, b = _stack1(rng, k, n), _stack1(rng, k, n)
+    u = _stack1(rng, k, n, lead=True) * 1e-2
+    u[:, 0] *= 1e2
+    g = _stack1(rng, k, n) * 0.5
+    g[:, 0] = 0
+    f = _stack1(rng, 2 * k, n + 3).reshape(2, k, n + 3)
+    return [
+        ("mul1", lambda: mul1(a, b), lambda r: mul1(a[r], b[r])),
+        ("power1 1/2", lambda: power1(u, 0.5), lambda r: power1(u[r], 0.5)),
+        ("power1 1/3", lambda: power1(u, 1 / 3), lambda r: power1(u[r], 1 / 3)),
+        ("power1 -1", lambda: power1(u, -1), lambda r: power1(u[r], -1)),
+        ("revert1", lambda: revert1(u), lambda r: revert1(u[r])),
+        ("compose1", lambda: compose1(f, g), lambda r: compose1(f[:, r], g[r])),
+    ]
+
+
+def test_stacked_one_variable_rows_equal_solo_bitwise():
+    # each row of a stacked call is the call on that row alone, every bit of
+    # it, zeros and their signs included; compose1 broadcasts two series
+    # over each row of g
+    rng = np.random.default_rng(41)
+    for k, n in [(4, n) for n in range(1, 25)] + [(9, 47)]:
+        for name, stacked, solo in _helpers1(rng, k, n):
+            got = stacked()
+            for r in range(k):
+                assert float_hex(got[..., r, :]) == float_hex(solo(r)), (name, k, n, r)
+
+
+def test_one_variable_low_coefficients_do_not_depend_on_size():
+    # the first m coefficients at size n are those at size m
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 5, 8, 9, 17, 30):
+        a, b = _stack1(rng, 3, n), _stack1(rng, 3, n)
+        u = _stack1(rng, 3, n, lead=True)
+        g = _stack1(rng, 3, n)
+        g[:, 0] = 0
+        f = _stack1(rng, 3, n + 2)
+        for m in range(1, n + 1):
+            pairs = ((mul1(a[:, :m], b[:, :m]), mul1(a, b)),
+                     (power1(u[:, :m], 0.5), power1(u, 0.5)),
+                     (power1(u[:, :m], -1), power1(u, -1)),
+                     (revert1(u[:, :m]), revert1(u)),
+                     (compose1(f, g[:, :m]), compose1(f, g)))
+            for small, large in pairs:
+                assert np.array_equal(small, large[:, :m]), (n, m)
+
+
+def test_one_variable_helpers_match_series_oracles():
+    # against LaurentSeries products, inverses and Horner composition, and a
+    # 60-digit reversion, on random rows known to z^(n-1)
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 8, 12):
+        a, b = _stack1(rng, 2, n), _stack1(rng, 2, n)
+        u = _stack1(rng, 2, n, lead=True) * 0.2
+        u[:, 0] *= 5.0
+        g = _stack1(rng, 2, n) * 0.2
+        g[:, 0] = 0
+        for r in range(2):
+            sa, sb, su, sg = (L.from_list(list(x[r])) for x in (a, b, u, g))
+            scale = max(sa.max_abs() * sb.max_abs(), 1.0)
+            assert max_coeff_diff(L.from_list(list(mul1(a, b)[r])), sa * sb) <= 1e-15 * scale
+            inv = su.inverse()
+            assert max_coeff_diff(L.from_list(list(power1(u, -1)[r])), inv) <= 1e-14 * inv.max_abs()
+            comp = sa.compose(sg) if not sg.is_zero() else L.from_list([a[r, 0]] + [0] * (n - 1))
+            got = L.from_list(list(compose1(a, g)[r]))
+            assert max_coeff_diff(got, comp, 0, n - 1) <= 1e-14 * max(comp.max_abs(), 1.0)
+            h = revert1(u)[r]
+            exact = np.array(mp_reversion(su.shift(1)))
+            assert np.max(np.abs(h - exact)) <= 1e-14 * np.max(np.abs(exact))
