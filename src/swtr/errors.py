@@ -49,7 +49,17 @@ class CycleConstructionFailed(SwtrError):
 
 
 class QuadratureNotConverged(SwtrError):
-    """Adaptive contour quadrature exceeded its refinement cap."""
+    """A numerical stage of the period layer missed its cap or gate.
+
+    Raised by ``QuadratureWorkspace.integrate`` when adaptive contour
+    quadrature exceeds its refinement cap; by ``SheetTracker.anchor`` when
+    every radial approach to a point passes too near a branch point; by the
+    closed-form sheet continuation (``SheetTracker.walk_segment``,
+    ``SheetTracker.track_along`` and a contour's sheet closure) when a branch
+    point lies on a segment within rounding; and by ``invert_a_map`` when a
+    row's Newton iteration reaches its 50-step cap or its damping finds no
+    decrease.
+    """
 
 
 class NormalizationSolveFailed(SwtrError):

@@ -7,12 +7,13 @@ Holomorphic one-forms are spanned by z^{m-1} dz / y.
 
 Cycles are realized as ellipses in the z-plane with branch points as foci:
 A_i encircles the i-th branch cut, the chain loops C_i bridge consecutive
-cuts, and B_i = C_i + C_{i+1} + ... + C_g.  Sheets are tracked by analytic
-continuation of y along each contour, anchored on the principal sheet
-(y ~ +z^{g+1} at large |z|).  A nearby curve reuses the reference nodes
-and takes at each the sign of sqrt(Q) nearer the reference sheet, under a
-checked margin.  All period integrals use composite Gauss-Legendre panels
-with adaptive doubling.
+cuts, and B_i = C_i + C_{i+1} + ... + C_g.  Sheets are continued along each
+contour from the principal sheet (y ~ +z^{g+1} at large |z|) in closed
+form: Q is monic, so along a straight segment that misses every branch
+point e, y(z1) = y(z0) prod_e sqrt((z1 - e) / (z0 - e)) with principal
+roots.  A nearby curve reuses the reference nodes and takes at each the
+sign of sqrt(Q) nearer the reference sheet, under a checked margin.  All
+period integrals use composite Gauss-Legendre panels with adaptive doubling.
 
 The normalized symmetric two-form is built from the classical algebraic
 bidifferential
@@ -153,7 +154,7 @@ def _shift_const(g, c):
 # ---------------------------------------------------------------------------
 
 class SheetTracker:
-    """Analytic continuation of y = sqrt(Q) with a principal-sheet anchor."""
+    """Continuation of y = sqrt(Q) in closed form, anchored on the principal sheet."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -172,41 +173,32 @@ class SheetTracker:
         return z ** (gg + 1) * np.sqrt(ratio)
 
     def walk_segment(self, z0, y0, z1):
-        """Continue y from (z0, y0) to z1 along the straight segment."""
-        z = z0
-        y = y0
-        total = abs(z1 - z0)
-        if total == 0:
-            return y0
-        pos = 0.0
-        guard = 0
-        while pos < total:
-            dist = float(np.min(np.abs(z - self.curve.branch_points)))
-            step = max(min(0.2 * dist, total - pos), 1e-12)
-            pos = min(pos + step, total)
-            z = z1 if pos == total else z0 + (z1 - z0) * (pos / total)
-            cand = np.sqrt(self.curve.q_at(z))
-            y = cand if abs(cand - y) <= abs(cand + y) else -cand
-            guard += 1
-            if guard > 200000:
-                raise QuadratureNotConverged(
-                    f"sheet walk from {z0:.6g} to {z1:.6g} did not terminate: "
-                    f"{guard} steps covered {pos / total:.3g} of the segment, "
-                    f"nearest branch point at distance {dist:.3e}")
-        return y
+        """Continue y from (z0, y0) to z1 along the straight segment.
+
+        The sign of sqrt(Q(z1)) nearer y0 times the factor of ``_continuation``;
+        raises its QuadratureNotConverged where a branch point lies on the segment.
+        """
+        factor, errors = _continuation(self.curve.branch_points, z0, z1)
+        if errors:
+            raise errors[0]
+        est = y0 * factor
+        cand = np.sqrt(self.curve.q_at(z1))
+        return cand if abs(cand - est) <= abs(cand + est) else -cand
 
     def anchor(self, z_target):
-        """y at z_target continued radially from the principal sheet far away."""
+        """y at z_target continued radially from the principal sheet far away.
+
+        One segment from radius ``r_far``, on the first turned ray that
+        passes every branch point at 1e-6 * scale or more.
+        """
         d = z_target - self.centroid
         if abs(d) < 1e-9:
             d = 1.0
         d = d / abs(d)
         gap = 1e-6 * self.curve.scale()
         for rot in (0.0, 0.15, -0.15, 0.35, -0.35):
-            dd = d * np.exp(1j * rot)
-            z_far = self.centroid + self.r_far * dd
-            if all(_segment_distance(z_far, z_target, e) >= gap
-                   for e in self.curve.branch_points):
+            z_far = self.centroid + self.r_far * (d * np.exp(1j * rot))
+            if np.min(_segment_distance(z_far, z_target, self.curve.branch_points)) >= gap:
                 return self.walk_segment(z_far, self.principal_far(z_far), z_target)
         dists = np.abs(self.curve.branch_points - z_target)
         near = int(np.argmin(dists))
@@ -218,37 +210,63 @@ class SheetTracker:
     def track_along(self, zs, y_start):
         """Sheet values along an ordered list of points (closed or open).
 
-        Each node takes the sign of sqrt(Q) nearer to its predecessor's value,
-        so between far steps the sheet is a running product of neighbour
-        flips.  A far step, longer than 0.15 times the distance from its
-        start to the branch points, is continued by ``walk_segment`` and the
-        chain restarts from the walked sign.  Every node keeps its own value
-        of sqrt(Q), so a node's y is exactly +-``np.sqrt(q_at(zs))[i]``.
+        Each node takes the sign of sqrt(Q) nearer its predecessor's value
+        carried to it: times the factor of ``_continuation`` on a far step,
+        longer than 0.15 times the distance from its start to the branch
+        points, as it is on a near step.  So the sheet is one running product
+        of flips, and a node's y is exactly +-``np.sqrt(q_at(zs))[i]``.
         """
         zs = np.asarray(zs, dtype=complex)
         cand = np.sqrt(self.curve.q_at(zs))
-        dist = np.full(len(zs) - 1, np.inf)
-        for e in self.curve.branch_points:
-            np.minimum(dist, np.abs(zs[:-1] - e), out=dist)
-        far = np.flatnonzero(np.abs(np.diff(zs)) > 0.15 * dist) + 1
-        # odd[i] != odd[j]: nodes i and j carry opposite signs of sqrt(Q),
-        # as long as no far step lies between them
-        flips = np.abs(cand[1:] - cand[:-1]) > np.abs(cand[1:] + cand[:-1])
-        odd = np.logical_xor.accumulate(np.concatenate([[False], flips]))
-        ys = np.empty_like(cand)
-        y = y_start
-        for start, stop in zip([0, *far], [*far, len(zs)]):
-            if start:
-                y = self.walk_segment(zs[start - 1], ys[start - 1], zs[start])
-            neg = odd[start:stop] ^ (odd[start] ^ (abs(cand[start] - y) > abs(cand[start] + y)))
-            ys[start:stop] = np.where(neg, -cand[start:stop], cand[start:stop])
-        return ys
+        dist = np.min(np.abs(zs[:-1] - self.curve.branch_points[:, None]), axis=0)
+        far = np.flatnonzero(np.abs(np.diff(zs)) > 0.15 * dist)
+        factor, errors = _continuation(self.curve.branch_points, zs[far], zs[far + 1])
+        if errors:
+            raise errors[min(errors)]
+        prev = cand[:-1].copy()
+        prev[far] *= factor
+        flips = np.abs(cand[1:] - prev) > np.abs(cand[1:] + prev)
+        first = abs(cand[0] - y_start) > abs(cand[0] + y_start)
+        return np.where(np.logical_xor.accumulate(np.concatenate([[first], flips])), -cand, cand)
+
+
+# a segment is refused where pi - |arg r_e| is at most this for a branch point e
+_SEGMENT_GATE = 1e-12
+
+
+def _continuation(e, z0, z1):
+    """y(z1) / y(z0) along the straight segments z0 -> z1 in closed form, and those refused.
+
+    Q is monic, so y(z1) / y(z0) = prod_e sqrt(r_e), r_e = (z1 - e) / (z0 - e),
+    each factor continued along the path: on a straight segment that misses
+    e, arg(z - e) moves by less than pi, so that is the principal root.
+    ``e`` has branch points on its last axis: one curve's for every segment,
+    or a row per segment.  Returns the factors and {flat segment index:
+    QuadratureNotConverged} where pi - |arg r_e| <= ``_SEGMENT_GATE``: z - e
+    and the quotient are rounded to a few u = 2^-53, so arg r_e is off by
+    about 1e-15, a thousandth of the gate.  A branch point at distance d from
+    a segment of length L leaves pi - |arg r_e| >= about 4 d / L.
+    """
+    z0, z1 = np.asarray(z0)[..., None], np.asarray(z1)[..., None]
+    r = (z1 - e) / (z0 - e)
+    deficit = np.arctan2(np.abs(r.imag), -r.real)       # pi - |arg r|
+    errors = {}
+    if not (deficit > _SEGMENT_GATE).all():
+        z0, z1, e, deficit = (a.reshape(-1, r.shape[-1])
+                              for a in np.broadcast_arrays(z0, z1, e, deficit))
+        for s in np.flatnonzero(~(deficit > _SEGMENT_GATE).all(axis=-1)):
+            k = np.argmin(deficit[s])       # the refused branch point, or a nan
+            errors[int(s)] = QuadratureNotConverged(
+                f"sheet continuation from {z0[s, 0]:.6g} to {z1[s, 0]:.6g} meets branch point "
+                f"{e[s, k]:.6g}: pi - |arg((z1 - e)/(z0 - e))| = {deficit[s, k]:.3e} "
+                f"against gate {_SEGMENT_GATE:g}")
+    return np.multiply.reduce(np.sqrt(r), axis=-1)[()], errors
 
 
 def _segment_distance(a, b, p):
     ab = b - a
-    t = np.clip(((p - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
-    return abs(a + t * ab - p)
+    t = np.minimum(np.maximum(((p - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0), 1.0)
+    return np.abs(a + t * ab - p)
 
 
 # ---------------------------------------------------------------------------
@@ -297,41 +315,37 @@ class EllipseContour:
         w = (p - self.center) / self.u
         return np.abs(np.arccosh(np.asarray(w, dtype=complex)).real)
 
-    def contains(self, p):
-        return self.elliptic_sigma(p) < self.sigma
-
 
 # ---------------------------------------------------------------------------
 # quadrature workspace
 # ---------------------------------------------------------------------------
 
 class _ContourNodes:
-    """One panel level of a contour; each row's sheet closure is walked when first read."""
+    """One panel level of a contour; a row's sheet closure is computed when first read."""
 
-    __slots__ = ("z", "dzdt", "w", "y", "errors", "_walks", "_closure")
+    __slots__ = ("z", "dzdt", "w", "y", "errors", "_close", "_closure")
 
-    def __init__(self, z, dzdt, w, y, walks, errors=None):
+    def __init__(self, z, dzdt, w, y, close, errors=None):
         self.z = z
         self.dzdt = dzdt
         self.w = w
         self.y = y
         self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
-        self._walks = walks           # per row, the zero-argument closure walk
+        self._close = close           # rows -> ({row: closure}, {row: exception})
         self._closure = {}
 
     def closures(self, rows):
-        """The closure of each row, nan for rows not read, walking ``rows`` not yet walked.
+        """The closure of each row, nan for rows not read, computing ``rows`` not yet computed.
 
-        A walk that fails becomes the row's entry in ``errors``.  On a single
-        curve (y of shape (N,)) the one row's closure is returned as a float.
+        A row whose closure fails becomes its entry in ``errors``.  On one
+        curve (y of shape (N,)) the closure is a float.
         """
-        for r in rows:
-            if r not in self._closure and r not in self.errors:
-                try:
-                    self._closure[r] = self._walks[r]()
-                except QuadratureNotConverged as exc:
-                    self.errors[r] = exc
-        out = np.array([self._closure.get(r, np.nan) for r in range(len(self._walks))])
+        todo = [r for r in rows if r not in self._closure and r not in self.errors]
+        if todo:
+            closure, errors = self._close(todo)
+            self._closure.update(closure)
+            self.errors.update(errors)
+        out = np.array([self._closure.get(r, np.nan) for r in range(len(np.atleast_2d(self.y)))])
         return out if self.y.ndim > 1 else out[0]
 
 
@@ -346,6 +360,7 @@ class CurveRows:
     def __init__(self, curves):
         self.rows = list(curves)
         self.g = self.rows[0].g
+        self.branch_points = np.array([c.branch_points for c in self.rows])   # (K, 2g+2)
         self._q, self._dp = (np.stack([getattr(c, f) for c in self.rows], axis=-1)[..., None]
                              for f in ("q_coeffs", "dp_coeffs"))
 
@@ -399,21 +414,19 @@ class QuadratureWorkspace:
     moved curve nearer the reference value.  The nearer sign must be at most
     ``_SHEET_GATE`` times the distance to the other, or OutOfNeighbourhood is
     raised.  A panel level is tracked once on the reference and kept there.
-    The sheet closure walk and its gate run on the moved curve either way.
 
     Moved to a ``CurveRows``, the workspace derives the sheets of K curves
     at once: y has shape (K, N), and the closure and the anchor one entry per
-    row.  A single moved curve is the one-row case of the same derivation.
-    Each row keeps its own anchor, closure walk and gate; a row that fails
-    is recorded in the level's ``errors`` instead of failing its neighbours.
+    row, each row's closure on its own branch points.  A single moved curve
+    is the one-row case.  A row that fails is recorded in the level's
+    ``errors`` instead of failing its neighbours.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self._stacked = isinstance(curve, CurveRows)
         self._rows = curve if self._stacked else CurveRows([curve])
-        self._trackers = [SheetTracker(c) for c in self._rows.rows]
-        self.tracker = self._trackers[0]
+        self.tracker = SheetTracker(self._rows.rows[0])
         self._reference = None
         self._cache = {}
         self._anchor_cache = {}
@@ -443,20 +456,19 @@ class QuadratureWorkspace:
         if self._reference is None:
             y0, errors = self.tracker.anchor(z0), {}
         else:
-            cand = np.array([[np.sqrt(c.q_at(z0))] for c in self._rows.rows])
-            y0, errors = _nearer_sheet(cand, self._reference._anchor_for(contour), contour,
-                                       np.array([z0]))
+            z0 = np.array([z0])
+            y0, errors = _nearer_sheet(np.sqrt(self._rows.q_at(z0)),
+                                       self._reference._anchor_for(contour), contour, z0)
             y0 = y0[:, 0] if self._stacked else y0[0, 0]
         if not errors:
             self._anchor_cache[contour] = y0
         return y0, errors
 
     def track(self, contour, t):
-        """Points of ``contour`` at parameters ``t`` and y continued along them."""
+        """Points of ``contour`` at parameters ``t`` and y continued along them from its start."""
         z = contour.point(t)
-        z_start = complex(contour.point(0.0))
-        y_first = self.tracker.walk_segment(z_start, self._anchor_for(contour), complex(z[0]))
-        return z, self.tracker.track_along(z, y_first)
+        return z, self.tracker.track_along(np.append(contour.point(0.0), z),
+                                           self._anchor_for(contour))[1:]
 
     def nodes(self, contour, n_panels):
         """Nodes, weights, sheet values and sheet closure of ``contour`` at ``n_panels`` panels."""
@@ -478,23 +490,22 @@ class QuadratureWorkspace:
         t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
         w = np.tile(ws, n_panels) / n_panels
         z, ys = self.track(contour, t)
-        walk = functools.partial(_closure, self.tracker, complex(contour.point(0.0)), z, ys,
-                                 self._anchor_for(contour))
-        return _ContourNodes(z, contour.velocity(t), w, ys, [walk])
+        close = functools.partial(_closure, self._rows.branch_points, z[-1], contour.point(0.0),
+                                  ys[-1:], np.atleast_1d(self._anchor_for(contour)))
+        return _ContourNodes(z, contour.velocity(t), w, ys, close)
 
     def _derived_nodes(self, contour, n_panels):
         ref = self._reference._nodes(contour, n_panels)
         ys, errors = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, contour, ref.z)
         y0, anchor_errors = self._anchors(contour)
         errors = {**anchor_errors, **errors}      # a row's node error comes first
-        y0, z_start = np.atleast_1d(y0), complex(contour.point(0.0))
-        walks = [functools.partial(_closure, tracker, z_start, ref.z, ys[r], y0[r])
-                 for r, tracker in enumerate(self._trackers)]
+        close = functools.partial(_closure, self._rows.branch_points, ref.z[-1], contour.point(0.0),
+                                  ys[:, -1], np.atleast_1d(y0))
         if self._stacked:
-            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, walks, errors)
+            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, close, errors)
         if errors:
             raise errors[0]
-        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], walks)
+        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], close)
 
     def integrate(self, contour, integrand, tol=1e-10, start_panels=8,
                   max_panels=4096):
@@ -507,9 +518,9 @@ class QuadratureWorkspace:
         On a CurveRows workspace the last axis of the value runs over the
         rows, each gated on its own closure; rows that fail at a level they
         still need raise ``_RowsFailed`` naming each row's own error.  The
-        closure is read, so walked, only for rows still open, from the
-        second level on and at the last; a walk that fails is the row's
-        error at the level that reads it.
+        closure is read, so computed, only for rows still open, from the
+        second level on and at the last; one that fails is the row's error
+        at the level that reads it.
         """
         prev = None
         done = False
@@ -547,10 +558,19 @@ class QuadratureWorkspace:
         return sum(c * self.integrate(k, integrand, tol) for c, k in cycle)
 
 
-def _closure(tracker, z_start, z, ys, y0):
-    """Relative mismatch of y walked from the last node back to the contour's start."""
-    y_close = tracker.walk_segment(complex(z[-1]), ys[-1], z_start)
-    return abs(y_close - y0) / max(abs(y0), 1e-30)
+def _closure(e, z_last, z_start, y_last, y0, rows):
+    """Relative mismatch of y continued from the last node back to the contour's start.
+
+    For ``rows`` of ``e`` (K, 2g+2 branch points), ``y_last`` and ``y0`` (K,
+    values at the last node and the start): y carried by ``_continuation``
+    lands on the sign of y0 nearer it, so a closure is 0 or 2.  Returns
+    ({row: closure}, {row: QuadratureNotConverged}).
+    """
+    factor, errors = _continuation(e[rows], z_last, z_start)
+    est, y = y_last[rows] * factor, y0[rows]
+    closure = np.where(np.abs(y - est) <= np.abs(y + est), 0.0, 2.0)
+    return ({r: closure[i] for i, r in enumerate(rows) if i not in errors},
+            {rows[i]: exc for i, exc in errors.items()})
 
 
 def _rows_done(done, shape):
@@ -624,12 +644,9 @@ def _make_ellipse(f1, f2, others, centroid, guards):
     while sigma >= 0.06:
         cont = EllipseContour(f1, f2, sigma, start_outward_from=centroid)
         pts = cont.point(ths)
-        clear = all(float(np.min(np.abs(pts - c))) > r for c, r in guards)
-        if clear:
-            for e in others:
-                if cont.contains(e):
-                    raise CycleConstructionFailed(
-                        "ellipse swallowed a foreign branch point")
+        if all(float(np.min(np.abs(pts - c))) > r for c, r in guards):
+            if np.any(cont.elliptic_sigma(np.array(others)) < cont.sigma):
+                raise CycleConstructionFailed("ellipse swallowed a foreign branch point")
             return cont
         sigma *= 0.8
     raise CycleConstructionFailed(
@@ -661,29 +678,18 @@ def build_cycles(curve):
                 return None, np.inf
         return cuts, total
 
-    best = None
-    for offset in (0, 1):
-        cuts, total = pairing(offset)
-        if cuts is not None and (best is None or total < best[1]):
-            best = (cuts, total)
-    if best is None:
+    cuts, _ = min((pairing(offset) for offset in (0, 1)), key=lambda pair: pair[1])
+    if cuts is None:
         raise CycleConstructionFailed("no non-crossing adjacent pairing of branch cuts")
-    cuts = best[0]
     g = curve.g
     guards = ram_guards(curve)
 
     def foreign(f1, f2):
         return [e for e in pts if abs(e - f1) > 1e-12 and abs(e - f2) > 1e-12]
 
-    a_conts = []
-    c_conts = []
-    for i in range(g):
-        a_conts.append(_make_ellipse(cuts[i][0], cuts[i][1],
-                                     foreign(*cuts[i]), centroid, guards))
-    for i in range(g):
-        f1, f2 = cuts[i][1], cuts[i + 1][0]
-        c_conts.append(_make_ellipse(f1, f2, foreign(f1, f2),
-                                     centroid, guards))
+    a_conts = [_make_ellipse(*cut, foreign(*cut), centroid, guards) for cut in cuts[:g]]
+    bridges = [(cuts[i][1], cuts[i + 1][0]) for i in range(g)]
+    c_conts = [_make_ellipse(*bridge, foreign(*bridge), centroid, guards) for bridge in bridges]
 
     ws = QuadratureWorkspace(curve)
     x_mat = _intersection_matrix(ws, a_conts, c_conts)
@@ -764,11 +770,6 @@ class PeriodData:
     tau: np.ndarray
     norm_matrix: np.ndarray       # omega_j = sum_m norm[m, j] z^{m-1} dz / y
     a_jacobian: np.ndarray        # d a^i / d u^j = A-periods of z^{j-1} dz / y
-
-
-def _holomorphic_forms(g):
-    """z^{m-1} / y for m = 1..g, stacked: the holomorphic one-forms against dz."""
-    return lambda z, y: np.stack([z ** (m - 1) / y for m in range(1, g + 1)])
 
 
 def ds_sw(curve):
@@ -924,15 +925,13 @@ def bergman_kernel(curve, cycles, pd, seed=11):
     rng = np.random.default_rng(seed)
     r_q = 1.9 * curve.scale()
     n_samp = 2 * g + 2
-    qs = []
-    for t in range(n_samp):
-        ang = 2.0 * np.pi * (t + 0.3 * rng.random()) / n_samp
-        zq = complex(np.mean(curve.branch_points)) + r_q * np.exp(1j * ang)
-        yq = ws.tracker.anchor(zq)
-        qs.append((zq, yq))
+    ang = 2.0 * np.pi * (np.arange(n_samp) + 0.3 * rng.random(n_samp)) / n_samp
+    qs = [(zq, ws.tracker.anchor(zq))
+          for zq in complex(np.mean(curve.branch_points)) + r_q * np.exp(1j * ang)]
     rho = _cycle_periods(ws, cycles.a_cycles,
                          lambda z, y: np.stack([base.base_value(z, y, *q) for q in qs]), tol)
-    phi_mat = np.array([_holomorphic_forms(g)(zq, yq) for zq, yq in qs])
+    # the holomorphic forms z^{m-1} dz / y at the samples
+    phi_mat = np.array([[zq ** (m - 1) / yq for m in range(1, g + 1)] for zq, yq in qs])
     r_mat, res, rank, _ = np.linalg.lstsq(phi_mat, rho.T, rcond=None)
     r_mat = r_mat.T            # rho_i = sum_m r_mat[i, m] phi_m
     if rank < g:

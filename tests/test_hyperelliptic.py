@@ -242,18 +242,37 @@ def test_sheet_closure_on_cycles():
             assert data.closures([0]) < 1e-8
 
 
-def _scalar_track(tracker, zs, y_start):
-    """Node-by-node continuation: the reference for ``track_along``."""
+def _stepped_walk(curve, z0, y0, z1):
+    """Continuation of y from (z0, y0) to z1 in steps of 0.2 times the distance
+    to the branch points, one scalar sqrt(Q) per step: the oracle for the
+    closed-form ``SheetTracker.walk_segment``.  Returns y and the step count."""
+    z, y = z0, y0
+    total = abs(z1 - z0)
+    pos, steps = 0.0, 0
+    while pos < total:
+        dist = float(np.min(np.abs(z - curve.branch_points)))
+        pos = min(pos + max(min(0.2 * dist, total - pos), 1e-12), total)
+        z = z1 if pos == total else z0 + (z1 - z0) * (pos / total)
+        cand = np.sqrt(curve.q_at(z))
+        y = cand if abs(cand - y) <= abs(cand + y) else -cand
+        steps += 1
+        assert steps <= 200000
+    return y, steps
+
+
+def _scalar_track(curve, zs, y_start):
+    """Node-by-node continuation, far steps by the stepped oracle: the reference for
+    ``track_along``.  Returns the sheets and the number of far steps."""
     ys = np.empty(len(zs), dtype=complex)
     y = y_start
     prev = zs[0]
     far = 0
     for i, z in enumerate(zs):
-        if i and abs(z - prev) > 0.15 * float(np.min(np.abs(prev - tracker.curve.branch_points))):
-            y = tracker.walk_segment(prev, y, z)
+        if i and abs(z - prev) > 0.15 * float(np.min(np.abs(prev - curve.branch_points))):
+            y = _stepped_walk(curve, prev, y, z)[0]
             far += 1
         else:
-            cand = np.sqrt(tracker.curve.q_at(z))
+            cand = np.sqrt(curve.q_at(z))
             y = cand if abs(cand - y) <= abs(cand + y) else -cand
         ys[i] = y
         prev = z
@@ -263,15 +282,13 @@ def _scalar_track(tracker, zs, y_start):
 @pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
 def test_track_along_matches_scalar_continuation(u0):
     # the array version keeps every node on the sheet of the node-by-node
-    # loop, on the Gauss-Legendre nodes of every A- and chain contour, where
-    # coarse panels mix far and near steps, and on a coarse 8-node polygon
-    # round each pair of foci: every step there is a far step, and at the
-    # tips of the thin ellipse the nearer-neighbour sign alone goes wrong
+    # loop that walks each far step in small steps, on the Gauss-Legendre
+    # nodes of every A- and chain contour, where coarse panels mix far and
+    # near steps, and on a coarse 8-node polygon round each pair of foci:
+    # every step there is a far step, and at the tips of the thin ellipse
+    # the nearer-neighbour sign alone goes wrong
     curve, cycles = _curve_and_cycles(u0)
     tracker = cycles.workspace.tracker
-    walks = []
-    walk = tracker.walk_segment
-    tracker.walk_segment = lambda *args: walks.append(args) or walk(*args)
     contours = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
     xs = 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0)
     node_sets = {"polygon": [EllipseContour(c.f1, c.f2, 0.08).point(np.arange(8) / 8)
@@ -280,18 +297,13 @@ def test_track_along_matches_scalar_continuation(u0):
         t = (np.arange(n_panels)[:, None] + xs).ravel() / n_panels
         node_sets["panels"] += [c.point(t) for c in contours]
     far_steps = dict.fromkeys(node_sets, 0)
-    try:
-        for kind, sets in node_sets.items():
-            for zs in sets:
-                y_start = tracker.anchor(complex(zs[0]))
-                expect, far = _scalar_track(tracker, zs, y_start)
-                far_steps[kind] += far
-                walks.clear()
-                got = tracker.track_along(zs, y_start)
-                assert len(walks) == far
-                assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
-    finally:
-        del tracker.walk_segment
+    for kind, sets in node_sets.items():
+        for zs in sets:
+            y_start = tracker.anchor(complex(zs[0]))
+            expect, far = _scalar_track(curve, zs, y_start)
+            far_steps[kind] += far
+            got = tracker.track_along(zs, y_start)
+            assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
     assert far_steps["polygon"] == 7 * len(contours)
     assert 0 < far_steps["panels"] < sum(len(zs) for zs in node_sets["panels"]) // 2
 
@@ -313,6 +325,74 @@ def test_tracked_sheets_take_each_nodes_own_sqrt(u0):
             zs = cont.point((np.arange(n_panels)[:, None] + xs).ravel() / n_panels)
             ys = tracker.track_along(zs, tracker.anchor(complex(zs[0])))
             assert np.abs(ys).tobytes() == np.abs(np.sqrt(curve.q_at(zs))).tobytes()
+
+
+def _grazing_segments(curve, rng):
+    """Segments passing each branch point at 1e-2 ... 1e-9 of the scale, on either
+    side and at a random place along them, then random chords of the disc of
+    radius 2 * scale, many of which cross cuts."""
+    scale = curve.scale()
+    for e in curve.branch_points:
+        for k in range(2, 10):
+            tangent = np.exp(2j * np.pi * rng.random())
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** -k * scale * 1j * tangent
+            length, at = scale * (0.5 + 2.5 * rng.random()), 0.1 + 0.8 * rng.random()
+            yield e + offset - at * length * tangent, e + offset + (1 - at) * length * tangent
+    for _ in range(40):
+        yield tuple(2 * scale * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2)))
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
+def test_closed_form_walk_equals_stepped_oracle(u0):
+    # on segments grazing a branch point down to 1e-9 of the scale, and on
+    # random chords across the cuts, the closed form lands on the stepped
+    # oracle's sheet, so on its very value of sqrt(Q(z1)); the grazing ones
+    # take the oracle many steps
+    curve, cycles = _curve_and_cycles(u0)
+    tracker = SheetTracker(curve)
+    rng = np.random.default_rng(2401 + curve.g)
+    steps, crossings = [], 0
+    for z0, z1 in _grazing_segments(curve, rng):
+        y0 = np.sqrt(curve.q_at(z0)) * rng.choice([-1.0, 1.0])
+        expect, n = _stepped_walk(curve, z0, y0, z1)
+        steps.append(n)
+        crossings += any(_segments_cross(z0, z1, a, b) for a, b in cycles.cuts)
+        assert tracker.walk_segment(z0, y0, z1).tobytes() == expect.tobytes()
+    assert max(steps) > 150 and crossings >= 10
+
+
+def test_walk_refuses_a_segment_through_a_branch_point():
+    # a segment through a branch point has no continuation to choose: the
+    # closed form refuses it and names both ends, the branch point, its
+    # deficit pi - |arg r| and the gate; track_along's far step and a
+    # workspace row's closure refuse it the same way
+    curve, cycles = _curve_and_cycles(U0_G2)
+    tracker = cycles.workspace.tracker
+    e = complex(curve.branch_points[2])
+    z0, z1 = e - (0.3 + 0.1j), e + (0.3 + 0.1j)
+    pattern = (r"sheet continuation from (\S+) to (\S+) meets branch point (\S+): "
+               r"pi - \|arg\(\(z1 - e\)/\(z0 - e\)\)\| = (\S+) against gate (\S+)")
+    for call in (lambda: tracker.walk_segment(z0, 1.0, z1),
+                 lambda: tracker.track_along(np.array([z0, z1]), 1.0)):
+        with pytest.raises(QuadratureNotConverged) as err:
+            call()
+        m = re.fullmatch(pattern, str(err.value))
+        assert m, str(err.value)
+        assert complex(m.group(1)) == pytest.approx(z0, rel=1e-5)
+        assert complex(m.group(2)) == pytest.approx(z1, rel=1e-5)
+        assert complex(m.group(3)) == pytest.approx(e, rel=1e-5)
+        assert 0.0 <= float(m.group(4)) <= float(m.group(5)) == 1e-12
+    # the same segment nudged off the branch point by 1e-9 is continued
+    assert tracker.walk_segment(z0 + 1e-9j, 1.0, z1 + 1e-9j) ** 2 == pytest.approx(
+        curve.q_at(z1 + 1e-9j), rel=1e-12)
+    # rows of a workspace: the row whose branch point is on the segment fails
+    # alone, the nearby curve beside it closes
+    rows = CurveRows([new_curve(2, np.array(U0_G2) + 1e-3), curve])
+    y = np.sqrt(rows.q_at(np.array([z0, z1])))
+    closure, errors = hyperelliptic_module._closure(rows.branch_points, z0, z1, y[:, 0],
+                                                    y[:, 1], [0, 1])
+    assert list(closure) == [0] and list(errors) == [1]
+    assert re.fullmatch(pattern, str(errors[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +652,17 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
 def test_moved_curves_are_never_tracked(monkeypatch):
     # one g2 verify anchors and tracks sheets on the reference curve only; its
     # quadrature work is that of the per-layer benchmark counts.  A level's
-    # sheet closure is walked only where integrate reads it: 52 walks, where
-    # walking every row at every level took 104
-    seen = {"curves": set(), "integrate": 0, "panels": 0, "closures": 0}
+    # sheet closure is computed only where integrate reads it: 52 row
+    # closures, where every row at every level took 104, in 10 array calls,
+    # one per level read, where each row took a call of its own
+    seen = {"curves": set(), "integrate": 0, "panels": 0, "closures": 0, "closure_calls": 0}
     anchor, track = SheetTracker.anchor, SheetTracker.track_along
     integrate, nodes = QuadratureWorkspace.integrate, QuadratureWorkspace.nodes
     closure = hyperelliptic_module._closure
 
     def counted_closure(*args):
-        seen["closures"] += 1
+        seen["closures"] += len(args[-1])
+        seen["closure_calls"] += 1
         return closure(*args)
 
     def counted_anchor(self, *args):
@@ -607,7 +689,19 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
     assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 12, "panels": 288,
-                    "closures": 52}
+                    "closures": 52, "closure_calls": 10}
+
+
+def test_scalar_sqrt_evaluations_per_verify(monkeypatch):
+    # sheets are continued in closed form, so the scalar evaluations of Q
+    # left in a g2 verify are two per anchor, at its far point and at its
+    # target: 24, where the stepped walks made 326, one per step
+    calls = []
+    q_at = hyperelliptic_module.SWCurve.q_at
+    monkeypatch.setattr(hyperelliptic_module.SWCurve, "q_at",
+                        lambda self, z: calls.append(np.ndim(z) == 0) or q_at(self, z))
+    assert verify_theorem(VerifyConfig(genus=2, u0=U0_G2)).passed
+    assert sum(calls) == 24
 
 
 def test_workspace_of_another_curve_rejected():
@@ -728,11 +822,20 @@ def test_rows_fail_only_at_levels_they_need():
     assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 32 panels"}
 
 
+def _failing_row(close, row):
+    """``close`` with the closure of ``row`` failing."""
+    def failing(rows):
+        closure, errors = close(rows)
+        closure.pop(row, None)
+        return closure, {**errors, row: QuadratureNotConverged("closure failed")}
+    return failing
+
+
 def test_closure_walked_only_where_read():
     # integrate reads a row's sheet closure from the second level on, and
-    # only while the row is open: a walk that would fail at the first level
-    # is never made, and one that fails at a level the row needs is its
-    # error, on a CurveRows workspace and on a single moved curve alike
+    # only while the row is open: a closure that would fail at the first
+    # level is never computed, and one that fails at a level the row needs
+    # is its error, on a CurveRows workspace and on a single moved curve alike
     curve, cycles, _ = setup_g1()
     moved = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)]
     cont = cycles.a_cycles[0][0][1]
@@ -740,22 +843,19 @@ def test_closure_walked_only_where_read():
     def form(z, y):
         return 1.0 / y
 
-    def failing():
-        raise QuadratureNotConverged("closure walk failed")
-
     for target in (CurveRows(moved), moved[1]):
         row = 1 if isinstance(target, CurveRows) else 0
         expect = cycles.workspace.moved_to(target).integrate(cont, form)
         ws = cycles.workspace.moved_to(target)
-        ws.nodes(cont, 8)._walks[row] = failing
+        ws.nodes(cont, 8)._close = _failing_row(ws.nodes(cont, 8)._close, row)
         assert ws.integrate(cont, form).tobytes() == expect.tobytes()
         assert ws.nodes(cont, 8)._closure == {} and row in ws.nodes(cont, 16)._closure
         ws = cycles.workspace.moved_to(target)
-        ws.nodes(cont, 16)._walks[row] = failing
+        ws.nodes(cont, 16)._close = _failing_row(ws.nodes(cont, 16)._close, row)
         with pytest.raises(_RowsFailed if row else QuadratureNotConverged) as err:
             ws.integrate(cont, form)
         errors = err.value.errors if row else {0: err.value}
-        assert {r: str(e) for r, e in errors.items()} == {row: "closure walk failed"}
+        assert {r: str(e) for r, e in errors.items()} == {row: "closure failed"}
 
 
 # ---------------------------------------------------------------------------
