@@ -522,7 +522,7 @@ def cli_main(argv=None):
             stored = sum(len(c) for c in omega.table.entries.values())
             print(f"wrote {args.out} with {stored} entries")
             print(f"recursion: {omega.engine.evaluated} tuples evaluated, "
-                  f"{stored} stored, {wall:.3f} s")
+                  f"{stored} stored, {wall:.3f} s, {omega.engine.products} products")
             return 0
 
         if args.command == "sw-periods":

@@ -354,7 +354,11 @@ class CurveRows:
 
     ``q_at(z)`` and ``dp_at(z)`` take nodes of shape (N,) and give one row per
     curve, shape (K, N): the Horner arithmetic of each row's own curve, per
-    element, so each row is bitwise that curve's ``q_at`` or ``dp_at``.
+    element.  Row r is bitwise ``rows[r].q_at(z)`` or ``rows[r].dp_at(z)`` on
+    the same node array.  It need not be the scalar call on one node: numpy's
+    vector complex multiply rounds differently from its scalar one at about
+    half of all points, and a one-row workspace on one node rounds like the
+    scalar call.
     """
 
     def __init__(self, curves):

@@ -25,11 +25,15 @@ their other legs, the rest: the series xi the residue is taken of depends
 on the rest only, so one product of all the rests' xi with the residue
 vectors gives every pivot.  The splitting terms of xi come from pairs of
 nonzero lower-cell factors (a lower cell with one argument at +-z and the
-others on legs) whose merged legs are a rest of the cell.  The genus term
-is contracted against the point's residue tensor C^p_{ab}, the residue of
-ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).  ``compute_value`` evaluates
-one entry with any pivot from the same factors and tensor; it is the
-reference for the fill, the pivot-symmetry check and the support check.
+others on legs) whose merged legs are a rest of the cell.  Of each pair's
+product only the columns the residue vectors read are formed (one per pivot
+with the default D = 4 z^2), as stacked BLAS dots that are bitwise the
+columns ``np.convolve`` gives; ``products`` counts the pairs.  The genus
+term is contracted against the point's residue tensor C^p_{ab}, the residue
+of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).  ``compute_value``
+evaluates one entry with any pivot from the same factors and tensor, with
+the full convolution; it is the reference for the fill, the pivot-symmetry
+check and the support check.
 The cell order, the leg splits, the lower-cell lookups of ``compute_value``
 and the pivot sampler are ``airy._CellRecursion``, shared with
 ``airy.atr_run``; the degree prune is this engine's alone.  ``atr_run``
@@ -171,6 +175,7 @@ class _EoEngine(_CellRecursion):
         self.hi = kmax + 5 + extra_order
         self.nlen = self.hi - self.lo + 1
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
+        self.products = 0               # split-term pairs whose product was formed
         self._factor_cache = {}
         self._setup()
 
@@ -199,6 +204,7 @@ class _EoEngine(_CellRecursion):
         s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
         ii = np.arange(nlen)
         self.loc_p, self.loc_m, self.b_pm, self.res_vec, self.res_tensor = {}, {}, {}, {}, {}
+        self.res_cols = {}
         for q, lab in enumerate(self.ram):
             lp = np.zeros((self.dim, nlen), dtype=complex)
             lp[:, -lo:] = s[:, 0:self.kmax:2, q].reshape(self.dim, big_k) * ks
@@ -227,6 +233,7 @@ class _EoEngine(_CellRecursion):
             coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
             res = coef[exps - low]
             self.res_vec[lab] = res
+            self.res_cols[lab] = np.flatnonzero(res.any(axis=0))     # the columns it reads
             # C[p, a, b] = loc_p[a] . H_p . loc_m[b] with H_p[i, j] = res[p, i + j]
             self.res_tensor[lab] = lp @ res[:, ii[:, None] + ii] @ self.loc_m[lab].T
 
@@ -335,9 +342,35 @@ class _EoEngine(_CellRecursion):
         """xi series of every rest in ``rows`` from the splitting terms.
 
         Each pair of nonzero lower-cell factors whose merged legs are a rest
-        adds its product once per leg-position subset that gives the pair.
+        (``_split_pairs``) adds its product once per leg-position subset that
+        gives the pair.  Only the columns that ``res_vec[lab]`` reads are
+        formed, each bitwise ``np.convolve``'s (``_product_columns``), for
+        up to ``_STACK`` pairs at a time; the other columns stay 0 and meet
+        an exact 0 in the residue.  The adds go one per subset in pair order,
+        as in ``compute_value``, so every read column of xi is the sum the
+        per-pair loop gives: a single add of the multiple would round
+        differently.
         """
+        cols = self.res_cols[lab]
+        part = np.zeros((len(rows), len(cols)), dtype=complex)
+        pairs = self._split_pairs(g, n, lab, rows)
+        while chunk := list(itertools.islice(pairs, _STACK)):
+            self.products += len(chunk)
+            firsts, seconds, at, ways = zip(*chunk)
+            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(), cols)
+            each = np.repeat(np.arange(len(chunk)), ways)
+            np.add.at(part, np.array(at)[each], terms[each])
         xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+        xi[:, cols] = part
+        return xi
+
+    def _split_pairs(self, g, n, lab, rows):
+        """(first factor, second factor, row, subsets) of each splitting-term pair.
+
+        The first factor is a lower cell at +z, the second at -z, and row is
+        the rest of ``rows`` their merged legs make; subsets counts the
+        leg-position subsets that give the pair (``_ways``).
+        """
         first = self.index[(1, lab)]        # every rest here starts at lab or later
         room = 3 * g - 3 + n                # no rest has a larger degree sum
         for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
@@ -352,12 +385,7 @@ class _EoEngine(_CellRecursion):
                 for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
                     row = rows.get(tuple(sorted(legs1 + legs2)))
                     if row is not None:
-                        # one add per subset, as in compute_value: a single add
-                        # of the multiple rounds differently from the reference
-                        term = np.convolve(f1, f2)
-                        for _ in range(_ways(legs1, legs2)):
-                            xi[row] += term
-        return xi
+                        yield f1, f2, row, _ways(legs1, legs2)
 
     def _genus_terms(self, g, n, lab, rows):
         """Genus-reduction residues for every rest in ``rows`` and every pivot at ``lab``.
@@ -421,6 +449,31 @@ class _EoEngine(_CellRecursion):
             grown = [(t + (j,), d + self.degree[j]) for t, d in grown
                      for j in fits[room - d] if not t or j >= t[-1]]
         return [t for t, _ in grown]
+
+
+# pairs stacked per _product_columns call: a chi=7 call at 4 points has tens of
+# thousands, whose whole stack would raise the run's peak memory by a third
+_STACK = 1024
+
+
+def _product_columns(f1, r2, cols):
+    """Columns ``cols`` of ``np.convolve(f1[i], f2[i])`` for every row i, bitwise.
+
+    ``f1`` and ``r2`` are (P, L) stacks, ``r2`` holding the rows of f2
+    reversed and C-contiguous.  For two series of length L, ``np.convolve``
+    takes output k as one dtype ``dot``: of f1[:k+1] with r2[L-1-k:] for
+    k < L, else of f1[k-L+1:] with r2[:2L-1-k].  A stacked (P, 1, m) @
+    (P, m, 1) matmul takes that same BLAS dot on each row's segments, so
+    every column is convolve's to the bit.  A reversed view, with its
+    negative stride, would take numpy's own loop and round differently.
+    """
+    size = f1.shape[1]
+    out = np.empty((len(f1), len(cols)), dtype=complex)
+    for c, k in enumerate(cols):
+        lo1, hi1 = max(0, k - size + 1), min(size, k + 1)
+        lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
+        out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
+    return out
 
 
 def _ways(legs1, legs2):

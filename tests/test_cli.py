@@ -39,9 +39,13 @@ def test_eo_run_golden_csv(tmp_path, capsys):
                      "--chi-max", "2", "--out", str(out)]) == 0
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["g", "n", "indices", "re", "im"]
-    stats = re.search(r"recursion: (\d+) tuples evaluated, (\d+) stored, [\d.]+ s",
-                      capsys.readouterr().out)
+    out = capsys.readouterr().out
+    stats = re.search(r"recursion: (\d+) tuples evaluated, (\d+) stored, [\d.]+ s", out)
     assert stats and int(stats[2]) == len(rows) - 1 <= int(stats[1])
+    # the split-term product count follows the time on the same line
+    products = re.search(r"recursion: .*, [\d.]+ s, (\d+) products$", out, re.M)
+    engine = eo_run(LocalSpectralCurve(ram=("0",)), 2).engine
+    assert products and int(products[1]) == engine.products > 0
     hits = [r for r in rows[1:] if r[0] == "1" and r[1] == "1" and r[2] == "(3)"]
     assert len(hits) == 1
     assert abs(float(hits[0][3]) - 0.0625) < 1e-13

@@ -107,6 +107,24 @@ def test_curve_rows_match_np_roots():
             assert curve.ram_roots.tobytes() == np.roots(curve.dp_coeffs[::-1]).tobytes()
 
 
+def test_curve_rows_evaluate_each_row_as_its_curve_on_the_same_nodes():
+    # row r of a K-row q_at / dp_at is bitwise rows[r].q_at / dp_at on the same
+    # node array, at every node count; the scalar call on one node is not
+    # what a row gives, so the claim is pinned on arrays only
+    rng = np.random.default_rng(53)
+    curves = [new_curve(2, np.array(U0_G2) + 1e-2 * (rng.standard_normal(2)
+                                                     + 1j * rng.standard_normal(2)))
+              for _ in range(5)]
+    rows = CurveRows(curves)
+    for n in (1, 2, 3, 7, 8, 300):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        q, dp = rows.q_at(z), rows.dp_at(z)
+        assert q.shape == dp.shape == (len(curves), n)
+        for r, curve in enumerate(curves):
+            assert q[r].tobytes() == curve.q_at(z).tobytes(), (n, r)
+            assert dp[r].tobytes() == curve.dp_at(z).tobytes(), (n, r)
+
+
 def test_singular_rows_fail_alone():
     # a row whose branch points collide gets its own SingularCurve, with
     # new_curve's message; the rows beside it are built

@@ -1,6 +1,7 @@
 """Tests for the local recursion and its equivalence with the abstract one."""
 
 import ast
+import bisect
 import itertools
 import re
 
@@ -10,16 +11,21 @@ import pytest
 from swtr.airy import (
     GaugeData,
     _AtrEngine,
+    _splits,
     atr_run,
     build_tr_variant_tensors,
     gauge_transform,
+    max_index_bound,
     recursion_cells,
 )
+from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import OutOfAnnulus
 from swtr.laurent import LaurentSeries
 from swtr.spectral import (
     LocalSpectralCurve,
     _EoEngine,
+    _product_columns,
+    _ways,
     atr_eo_crosscheck,
     eo_run,
     eo_symmetry_deviation,
@@ -221,6 +227,13 @@ def test_oracle_keeps_full_enumeration():
 QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
 
 
+def _split_test_curve(ram, denom):
+    """Random kernel data to mode 13 (seed 31) at ``ram``, one-form ``denom`` or 4 z^2."""
+    rng = np.random.default_rng(31)
+    return LocalSpectralCurve(ram=ram, denom={lab: denom for lab in ram} if denom else {},
+                              bergman_reg=random_s(ram, 13, rng))
+
+
 @pytest.mark.parametrize("ram, chi, denom", [
     (("0", "1", "2", "3"), 4, QUARTIC),
     (("p", "q"), 5, None),
@@ -228,10 +241,7 @@ QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
 ], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6"])
 def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
     # the whole-cell fill against compute_value, entry by entry on the support
-    rng = np.random.default_rng(31)
-    curve = LocalSpectralCurve(ram=ram, denom={lab: denom for lab in ram} if denom else {},
-                               bergman_reg=random_s(ram, 13, rng))
-    omega = eo_run(curve, chi)
+    omega = eo_run(_split_test_curve(ram, denom), chi)
     engine = omega.engine
     for g, n in recursion_cells(chi):
         cell = omega.table.entries[(g, n)]
@@ -239,6 +249,114 @@ def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
         assert set(cell) == {idx for idx, val in ref.items() if val != 0}, (g, n)
         for idx, val in cell.items():
             assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
+
+
+def _convolve_split_terms(self, g, n, lab, rows):
+    """The splitting terms by one full ``np.convolve`` per pair: the oracle of
+    ``_EoEngine._split_terms``, which forms only the columns the residue reads."""
+    xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+    first = self.index[(1, lab)]
+    room = 3 * g - 3 + n
+    for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
+        ones, deg1 = self._factors(g1, n1, lab, False)
+        twos, deg2 = self._factors(g2, n2, lab, True)
+        twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
+                if not legs or legs[0] >= first]
+        deg2 = [d for _, _, d in twos]
+        for (legs1, f1), d1 in zip(ones.items(), deg1):
+            if legs1 and legs1[0] < first:
+                continue
+            for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
+                row = rows.get(tuple(sorted(legs1 + legs2)))
+                if row is not None:
+                    self.products += 1
+                    term = np.convolve(f1, f2)
+                    for _ in range(_ways(legs1, legs2)):
+                        xi[row] += term
+    return xi
+
+
+def _table_bits(table):
+    """Cells, keys in stored order, and the float hex of every value."""
+    return [(cell, [(idx, val.real.hex(), val.imag.hex()) for idx, val in entries.items()])
+            for cell, entries in table.entries.items()]
+
+
+@pytest.mark.parametrize("ram, chi, denom", [
+    (("0", "1", "2", "3"), 4, QUARTIC),
+    (("p", "q"), 5, None),
+    (("0",), 6, None),
+    (None, None, None),
+], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6", "verify-g2"])
+def test_split_terms_match_convolve_loop_bitwise(monkeypatch, ram, chi, denom):
+    # the read columns of the stacked products, added one per subset in pair
+    # order, leave every stored value and the key order as the full-convolve loop
+    def run():
+        if ram is None:
+            return verify_theorem(VerifyConfig(genus=2, u0=(0.3 + 0.1j, 0.2 - 0.15j))).omega
+        return eo_run(_split_test_curve(ram, denom), chi)
+
+    omega = run()
+    with monkeypatch.context() as m:
+        m.setattr(_EoEngine, "_split_terms", _convolve_split_terms)
+        ref = run()
+    assert omega.engine.products == ref.engine.products > 0
+    assert _table_bits(omega.table) == _table_bits(ref.table)
+
+
+def test_product_columns_are_convolve_columns_bitwise():
+    # every column of the stacked dots is np.convolve's to the bit, at the
+    # window length of each chi's engine (and a wider window), for factors
+    # that start with zeros as the lower cells' series do
+    rng = np.random.default_rng(59)
+    sizes = {_EoEngine(airy_point(), chi, max_index_bound(chi), extra).nlen
+             for chi in range(1, 8) for extra in (0, 8)}
+    for size in sorted(sizes):
+        for mag in (1e-8, 1.0, 1e8):
+            f1, f2 = (mag * (rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size)))
+                      * np.exp(rng.uniform(-4, 4, (9, size))) for _ in range(2))
+            f1[:, :3] = 0
+            f2[:4, :size // 2] = 0
+            cols = np.arange(2 * size - 1)
+            got = _product_columns(f1, f2[:, ::-1].copy(), cols)
+            ref = np.array([np.convolve(a, b) for a, b in zip(f1, f2)])
+            assert got.tobytes() == ref.tobytes(), (size, mag)
+    engine = _EoEngine(LocalSpectralCurve(ram=("0",), denom={"0": QUARTIC}), 3, 10)
+    default = _EoEngine(airy_point(), 3, 10)
+    assert len(default.res_cols["0"]) == len(default.res_vec["0"])    # one column per pivot
+    assert np.array_equal(engine.res_cols["0"], np.flatnonzero(engine.res_vec["0"].any(axis=0)))
+
+
+def _dilaton_residual(omega, g, n):
+    """max over J of |sum_a S_{g,n+1}[J, (3,a)] - (3/2)(2g-2+n) S_{g,n}[J]|, relative.
+
+    J runs over the support of omega_{g,n}, the scale is the largest |rhs|.
+    """
+    engine, entries = omega.engine, omega.table.entries
+    lower, upper = entries[(g, n)], entries[(g, n + 1)]
+    threes = [engine.index[(3, lab)] for lab in omega.curve.ram]
+    factor = 1.5 * (2 * g - 2 + n)
+    worst = 0.0
+    for idx in engine.support(g, n):
+        lhs = sum(upper.get(tuple(sorted(idx + (j,))), 0j) for j in threes)
+        worst = max(worst, abs(lhs - factor * lower.get(idx, 0j)))
+    return worst / (factor * max(abs(v) for v in lower.values()))
+
+
+@pytest.mark.parametrize("ram, chi", [
+    (("0", "1", "2", "3"), 4),
+    (("p", "q"), 5),
+    (("0",), 6),
+], ids=["4pt-chi4", "2pt-chi5", "1pt-chi6"])
+def test_dilaton_equation_in_every_cell(ram, chi):
+    # with D = 4 z^2 only the mode-3 leg survives the dilaton residue, so
+    # sum_a S_{g,n+1}[J, (3,a)] = (3/2)(2g - 2 + n) S_{g,n}[J] in every cell
+    # whose (g, n+1) the run holds; no compute_value or kernel is involved
+    omega = eo_run(_split_test_curve(ram, None), chi)
+    cells = [(g, n) for g, n in recursion_cells(chi) if (g, n + 1) in omega.table.entries]
+    assert len(cells) == len(recursion_cells(chi - 1))
+    for g, n in cells:
+        assert _dilaton_residual(omega, g, n) < 1e-13, (g, n)
 
 
 def _symmetrized(s):
