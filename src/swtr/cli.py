@@ -93,7 +93,6 @@ class VerifyConfig:
     Lambda: complex = 1.0
     chi_max: int = 1
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    seed: int = 11
     check_n4: bool = False
     out_dir: str = "."
 
@@ -117,8 +116,7 @@ class VerifyConfig:
         """Config from parsed JSON; absent keys keep defaults, unknown ones raise ValueError."""
         parse = {
             "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
-            "Lambda": _to_complex, "chi_max": int, "seed": int,
-            "check_n4": bool, "out_dir": str,
+            "Lambda": _to_complex, "chi_max": int, "check_n4": bool, "out_dir": str,
         }
         raw_tols = dict(raw.get("tolerances", {}))
         for what, names, allowed in (("config keys", raw, {*parse, "tolerances"}),
@@ -145,17 +143,9 @@ class CheckResult:
     info: str = ""
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "lhs": _c_json(self.lhs),
-            "rhs": _c_json(self.rhs),
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tolerance": self.tol,
-            "passed": self.passed,
-            "mandatory": self.mandatory,
-            "info": self.info,
-        }
+        out = {**vars(self), "lhs": _c_json(self.lhs), "rhs": _c_json(self.rhs)}
+        out["tolerance"] = out.pop("tol")
+        return out
 
 
 @dataclass
@@ -331,7 +321,7 @@ def reference_stages(cfg):
     cycles = build_cycles(curve)
     pd = periods(curve, cycles)
     t1 = time.perf_counter()
-    bk = bergman_kernel(curve, cycles, pd, seed=cfg.seed)
+    bk = bergman_kernel(curve, cycles, pd)
     k_bound = max_index_bound(cfg.chi) - 1
     charts = standard_charts(curve, 2 * k_bound + 1)
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound)
@@ -351,7 +341,6 @@ def verify_theorem(cfg):
         "u0": [_c_json(v) for v in cfg.u0],
         "Lambda": _c_json(cfg.Lambda),
         "chi_max": cfg.chi_max,
-        "seed": cfg.seed,
         "numpy_version": np.__version__,
     }
     quad_tol = cfg.tolerances["quadrature"]
@@ -487,9 +476,13 @@ def _parser():
     sp.add_argument("--config", required=True)
     sp.add_argument("--chi-max", type=int, default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tol", type=float, default=None)
     return ap
+
+
+def _bad_config(why):
+    print(f"error: bad config: {why}", file=sys.stderr)
+    return 2
 
 
 def cli_main(argv=None):
@@ -500,20 +493,23 @@ def cli_main(argv=None):
 
     try:
         if args.command == "airy-selftest":
+            if args.kmax < max_index_bound(2):      # the selftest recurses to chi = 2
+                return _bad_config(f"--kmax must be at least {max_index_bound(2)}, got {args.kmax}")
             report = airy_selftest(kmax=args.kmax)
             print("overall:", "PASS" if report.passed else "FAIL")
             return 0 if report.passed else 1
 
         if args.command == "eo-run":
+            for flag, value in (("--points", args.points), ("--chi-max", args.chi_max)):
+                if value < 1:
+                    return _bad_config(f"{flag} must be at least 1, got {value}")
             ram = tuple(str(i) for i in range(args.points))
             s = {}
             if args.s == "random":
                 rng = np.random.default_rng(args.seed)
                 modes = [(k, lab) for lab in ram for k in range(1, 8)]
-                for a_idx, m1 in enumerate(modes):
-                    for m2 in modes[a_idx:]:
-                        s[(m1, m2)] = 0.2 * (rng.standard_normal()
-                                             + 1j * rng.standard_normal())
+                s = {pair: 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
+                     for pair in itertools.combinations_with_replacement(modes, 2)}
             curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
             t0 = time.perf_counter()
             omega = eo_run(curve, args.chi_max)
@@ -530,8 +526,7 @@ def cli_main(argv=None):
                 cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
                                    Lambda=_to_complex(args.Lambda))
             except ValueError as exc:
-                print(f"error: bad config: {exc}", file=sys.stderr)
-                return 2
+                return _bad_config(exc)
             payload = periods_json_payload(reference_stages(cfg))
             with open(args.out, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
@@ -548,16 +543,13 @@ def cli_main(argv=None):
             try:
                 if args.chi_max is not None:
                     raw["chi_max"] = args.chi_max
-                if args.seed is not None:
-                    raw["seed"] = args.seed
                 if args.tol is not None:
                     raw.setdefault("tolerances", {})["theorem_rel"] = args.tol
                 if args.out is not None:
                     raw["out_dir"] = args.out
                 cfg = VerifyConfig.from_dict(raw)
             except (KeyError, ValueError, TypeError) as exc:
-                print(f"error: bad config: {exc}", file=sys.stderr)
-                return 2
+                return _bad_config(exc)
             report = verify_theorem(cfg)
             os.makedirs(cfg.out_dir, exist_ok=True)
             report.to_json(os.path.join(cfg.out_dir, "report.json"))

@@ -22,7 +22,7 @@ bidifferential
 
 with f the symmetric polynomial satisfying f(z,z) = Q(z) and
 d2 f(z,z) = Q'(z)/2, plus the holomorphic correction that cancels all
-A-periods.
+A-periods, exact in the A-period moments of z^j dz / y, j = 0..2g+2.
 """
 
 from __future__ import annotations
@@ -894,15 +894,12 @@ class BergmanData:
         inner = npoly.polyval(np.asarray(z1), self.f_coeffs)
         return npoly.polyval(np.asarray(z2), inner, tensor=False)
 
-    def base_value(self, z1, y1, z2, y2):
-        return (y1 * y2 + self.f_at(z1, z2)) / (2.0 * y1 * y2 * (z1 - z2) ** 2)
-
     def value(self, z1, y1, z2, y2):
         """Kernel against dz1 dz2 at two points given with their sheets."""
         # einsum broadcasts the two points' shapes; no copy of the grid is made
         w1, w2 = (np.stack([omega_value(self.pd, j, z, y) for j in range(self.curve.g)])
                   for z, y in ((z1, y1), (z2, y2)))
-        return (self.base_value(z1, y1, z2, y2)
+        return ((y1 * y2 + self.f_at(z1, z2)) / (2.0 * y1 * y2 * (z1 - z2) ** 2)
                 + np.einsum("jk,j...,k...->...", self.correction, w1, w2))
 
 
@@ -918,34 +915,37 @@ def _f_polynomial(q_coeffs, g):
     return f
 
 
-def bergman_kernel(curve, cycles, pd, seed=11):
-    """Normalized kernel: algebraic base plus the A-period-cancelling correction."""
+def bergman_kernel(curve, cycles, pd):
+    """Normalized kernel: algebraic base plus the A-period-cancelling correction.
+
+    With M_i[j] the A_i-period of z^j dz / y, the y_p y_q term exact in z_p
+    and 1 / (z - z_q)^2 expanded at z_q = infinity, y_q times the A_i-period
+    of B0(., q) is sum_e c_i[e] z_q^e, c_i[e] = 1/2 sum_{a, b >= e + 2} f[a, b]
+    (b - e - 1) M_i[a + b - e - 2].  The correction cancels c_i[0..g-1];
+    c_i[-1] and c_i[-2] vanish, the period being holomorphic in q, and are gated.
+    """
     g = curve.g
-    tol = 1e-10
-    ws = _workspace_for(curve, cycles)
     f_coeffs = _f_polynomial(curve.q_coeffs, g)
-    base = BergmanData(curve=curve, cycles=cycles, pd=pd, f_coeffs=f_coeffs,
-                       correction=np.zeros((g, g), dtype=complex))
-    rng = np.random.default_rng(seed)
-    r_q = 1.9 * curve.scale()
-    n_samp = 2 * g + 2
-    ang = 2.0 * np.pi * (np.arange(n_samp) + 0.3 * rng.random(n_samp)) / n_samp
-    qs = [(zq, ws.tracker.anchor(zq))
-          for zq in complex(np.mean(curve.branch_points)) + r_q * np.exp(1j * ang)]
-    rho = _cycle_periods(ws, cycles.a_cycles,
-                         lambda z, y: np.stack([base.base_value(z, y, *q) for q in qs]), tol)
-    # the holomorphic forms z^{m-1} dz / y at the samples
-    phi_mat = np.array([[zq ** (m - 1) / yq for m in range(1, g + 1)] for zq, yq in qs])
-    r_mat, res, rank, _ = np.linalg.lstsq(phi_mat, rho.T, rcond=None)
-    r_mat = r_mat.T            # rho_i = sum_m r_mat[i, m] phi_m
-    if rank < g:
-        raise NormalizationSolveFailed("sample system for A-period data is rank-deficient")
-    fit_err = float(np.max(np.abs(phi_mat @ r_mat.T - rho.T)))
-    if fit_err > 1e-6 * max(1.0, float(np.max(np.abs(rho)))):
+    high = _cycle_periods(_workspace_for(curve, cycles), cycles.a_cycles,
+                          lambda z, y: np.stack([z ** j for j in range(g, 2 * g + 3)]) / y,
+                          _PERIOD_TOL)
+    moments = np.concatenate([pd.a_jacobian, high], axis=1)
+    e = np.arange(-2, g)[:, None, None]
+    a, b = np.arange(g + 2)[:, None], np.arange(g + 2)      # f has no row or column g + 2
+    # terms[i, e + 2, a, b]: the summands of c_i[e]
+    terms = (0.5 * f_coeffs[:g + 2, :g + 2] * np.where(b >= e + 2, b - e - 1, 0)
+             * moments[:, np.maximum(a + b - e - 2, 0)])
+    coeffs = terms.sum(axis=(2, 3))
+    largest = np.abs(terms).max(axis=(2, 3))
+    gate = 1e-6 * np.maximum(1.0, largest)
+    bad = np.argwhere(np.abs(coeffs[:, :2]) > gate[:, :2])
+    if len(bad):
+        i, k = bad[0]
         raise NormalizationSolveFailed(
-            f"A-periods of the base kernel are not holomorphic in q (residual {fit_err:.3e})")
-    rho_omega = r_mat @ pd.a_jacobian.T   # coefficients in the omega basis
-    corr = -rho_omega
+            f"A_{i + 1}-period of the base kernel is not holomorphic in q: |coefficient of "
+            f"z_q^{k - 2}| {abs(coeffs[i, k]):.3e} against gate {gate[i, k]:.3e} "
+            f"(largest term {largest[i, k]:.3e})")
+    corr = -coeffs[:, 2:] @ pd.a_jacobian.T     # in the omega basis
     asym = float(np.max(np.abs(corr - corr.T)))
     if asym > 1e-7 * max(1.0, float(np.max(np.abs(corr)))):
         raise NormalizationSolveFailed(f"correction matrix asymmetry {asym:.3e}")

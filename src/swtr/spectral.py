@@ -78,6 +78,8 @@ class LocalSpectralCurve:
 
     def __post_init__(self):
         self.ram = tuple(self.ram)
+        if not self.ram:
+            raise ValueError("ram is empty: a local curve needs at least one ramification point")
         self.denom = dict(self.denom)
         for lab in self.ram:
             d = self.denom.get(lab)
@@ -491,7 +493,9 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
     if kmax is None:
         kmax = max_index_bound(chi_max)
     engine = _EoEngine(curve, chi_max, kmax, extra_order)
-    return OmegaGN(engine.run(), curve, engine)
+    table = engine.run()
+    engine._factor_cache.clear()    # tens of MB at chi = 7; _factors rebuilds what is read
+    return OmegaGN(table, curve, engine)
 
 
 def eo_symmetry_deviation(omega, rng=None):

@@ -69,6 +69,7 @@ def test_bad_config_exits_two(tmp_path):
     ({"tolerances": {"theorem_rel": 1e-4, "extraction": 1e-9}}, "['extraction']"),
     ({"series_order": 44}, "['series_order']"),
     ({"delta_a": [1e-3, 5e-4]}, "['delta_a']"),
+    ({"seed": 11}, "['seed']"),
 ])
 def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
     # a key the config does not know (k_bound and series_order among them) is
@@ -79,6 +80,22 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
     p.write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]], **raw}))
     assert cli_main(["verify-theorem", "--config", str(p)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eo-run", "--chi-max", "0"], "--chi-max must be at least 1, got 0"),
+    (["eo-run", "--points", "0"], "--points must be at least 1, got 0"),
+    (["airy-selftest", "--kmax", "3"], "--kmax must be at least 6, got 3"),
+    (["verify-theorem", "--config", "cfg.json", "--seed", "12"], "--seed"),
+])
+def test_bad_arguments_exit_two_before_any_work(tmp_path, capsys, argv, named):
+    out = tmp_path / "sgn_table.csv"
+    (tmp_path / "cfg.json").write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]]}))
+    argv = [str(tmp_path / a) if a == "cfg.json" else a for a in argv]
+    extra = ["--out", str(out)] if argv[0] == "eo-run" else []
+    assert cli_main(argv + extra) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sw_periods_has_no_k_bound_flag(tmp_path):

@@ -12,8 +12,14 @@ from numpy.polynomial import polynomial as npoly
 
 import swtr.hyperelliptic as hyperelliptic_module
 from swtr.cli import VerifyConfig, verify_theorem
-from swtr.errors import OutOfNeighbourhood, QuadratureNotConverged, SingularCurve
+from swtr.errors import (
+    NormalizationSolveFailed,
+    OutOfNeighbourhood,
+    QuadratureNotConverged,
+    SingularCurve,
+)
 from swtr.hyperelliptic import (
+    BergmanData,
     CurveRows,
     EllipseContour,
     QuadratureWorkspace,
@@ -30,6 +36,7 @@ from swtr.hyperelliptic import (
 from swtr.hyperelliptic import (
     _RowsFailed,
     _cycle_periods,
+    _f_polynomial,
     _intersection_matrix,
     _neighbourhood_violations,
     _period_form,
@@ -712,14 +719,15 @@ def test_moved_curves_are_never_tracked(monkeypatch):
 
 def test_scalar_sqrt_evaluations_per_verify(monkeypatch):
     # sheets are continued in closed form, so the scalar evaluations of Q
-    # left in a g2 verify are two per anchor, at its far point and at its
-    # target: 24, where the stepped walks made 326, one per step
+    # left in a g2 verify are two per contour anchor, at its far point and at
+    # its target: 12 (the stepped walks made 326, one per step); the kernel
+    # normalization anchors no point of its own
     calls = []
     q_at = hyperelliptic_module.SWCurve.q_at
     monkeypatch.setattr(hyperelliptic_module.SWCurve, "q_at",
                         lambda self, z: calls.append(np.ndim(z) == 0) or q_at(self, z))
     assert verify_theorem(VerifyConfig(genus=2, u0=U0_G2)).passed
-    assert sum(calls) == 24
+    assert sum(calls) == 12
 
 
 def test_workspace_of_another_curve_rejected():
@@ -924,6 +932,58 @@ def test_kernel_b_period_gives_omega():
                                  lambda z, y: bk.value(z, y, zq, yq))
         expect = 2j * np.pi * omega_value(pd, 0, zq, yq)
         assert abs(val - expect) < 1e-6 * max(1.0, abs(expect))
+
+
+def _sampled_correction(curve, cycles, pd, seed=11):
+    """The correction by sampling: A-periods of B0(., q) (the kernel with zero
+    correction) at 2g + 2 random q, least-squares fitted in the forms
+    z_q^m dz_q / y_q, m < g."""
+    g, ws = curve.g, cycles.workspace
+    base = BergmanData(curve=curve, cycles=cycles, pd=pd,
+                       f_coeffs=_f_polynomial(curve.q_coeffs, g), correction=np.zeros((g, g)))
+    rng = np.random.default_rng(seed)
+    ang = 2 * np.pi * (np.arange(2 * g + 2) + 0.3 * rng.random(2 * g + 2)) / (2 * g + 2)
+    qs = [(zq, ws.tracker.anchor(zq)) for zq in
+          complex(np.mean(curve.branch_points)) + 1.9 * curve.scale() * np.exp(1j * ang)]
+    rho = _cycle_periods(ws, cycles.a_cycles,
+                         lambda z, y: np.stack([base.value(z, y, *q) for q in qs]), 1e-10)
+    phi = np.array([[zq ** m / yq for m in range(g)] for zq, yq in qs])
+    r_mat, _, rank, _ = np.linalg.lstsq(phi, rho.T, rcond=None)
+    assert rank == g
+    assert np.max(np.abs(phi @ r_mat - rho.T)) < 1e-12 * max(1.0, np.max(np.abs(rho)))
+    corr = -r_mat.T @ pd.a_jacobian.T
+    return 0.5 * (corr + corr.T)
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3] + _draws_g2(20, 29),
+                         ids=["g1", "g2", "g3"] + [f"draw{i}" for i in range(20)])
+def test_closed_form_correction_matches_sampled_fit(u0):
+    # the correction from the A-period moments is the one a least-squares fit
+    # of sampled A-periods finds, to rounding
+    curve, cycles = _curve_and_cycles(u0)
+    pd = periods(curve, cycles)
+    corr = bergman_kernel(curve, cycles, pd).correction
+    ref = _sampled_correction(curve, cycles, pd)
+    assert np.max(np.abs(corr - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_corrupted_moment_fails_the_holomorphy_gate():
+    # a moment off by delta leaves 1/2 f[0, 0] delta = q_0 delta / 2 in the
+    # z_q^-2 coefficient of the A_1-period, which must vanish
+    curve, cycles, pd = setup_g1()
+    delta = 1e-3
+    bad = pd.a_jacobian.copy()
+    bad[0, 0] += delta
+    with pytest.raises(NormalizationSolveFailed) as err:
+        bergman_kernel(curve, cycles, replace(pd, a_jacobian=bad))
+    m = re.fullmatch(r"A_1-period of the base kernel is not holomorphic in q: \|coefficient "
+                     r"of z_q\^-2\| (\S+) against gate (\S+) \(largest term (\S+)\)",
+                     str(err.value))
+    assert m, str(err.value)
+    coeff, gate, largest = map(float, m.groups())
+    assert coeff == pytest.approx(abs(curve.q_coeffs[0]) * delta / 2, rel=1e-3)
+    assert gate == pytest.approx(1e-6 * max(1.0, largest), rel=1e-3)
+    assert coeff > gate and largest >= coeff
 
 
 def test_f_at_matches_polyval2d():

@@ -23,6 +23,7 @@ from swtr.errors import OutOfAnnulus
 from swtr.laurent import LaurentSeries
 from swtr.spectral import (
     LocalSpectralCurve,
+    OmegaGN,
     _EoEngine,
     _product_columns,
     _ways,
@@ -126,6 +127,21 @@ def test_output_symmetry():
     s = random_s(("0",), 9, rng)
     omega = eo_run(LocalSpectralCurve(ram=("0",), bergman_reg=s), chi_max=3)
     assert eo_symmetry_deviation(omega, rng) < 1e-10
+
+
+def test_factor_tables_are_freed_when_the_run_returns():
+    # the recursion's factor tables (51.8 MB at chi = 7 on 4 points) are not
+    # kept past eo_run; the pivot sampler rebuilds the ones it reads, to the
+    # same bits as with the tables kept
+    curve = _split_test_curve(("0", "1", "2", "3"), None)
+    omega = eo_run(curve, 4)
+    assert omega.engine._factor_cache == {}
+    kept = _EoEngine(curve, 4, max_index_bound(4))
+    table = kept.run()
+    assert kept._factor_cache
+    dev = eo_symmetry_deviation(omega)
+    assert 0 < dev < 1e-10
+    assert dev == eo_symmetry_deviation(OmegaGN(table, curve, kept))
 
 
 def test_nontrivial_denominator_still_symmetric():
@@ -517,6 +533,9 @@ def test_curve_errors_name_their_numbers():
                      r"lowest exponent (\S+), z\^2 coefficient (\S+)", str(err.value))
     assert m, str(err.value)
     assert (int(m.group(1)), complex(m.group(2))) == (0, 4.0)
+
+    with pytest.raises(ValueError, match="ram is empty"):
+        LocalSpectralCurve(ram=())
 
 
 
