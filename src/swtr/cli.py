@@ -55,6 +55,7 @@ from .hyperelliptic import (
     invert_a_map,
     new_curve,
     periods,
+    quadrature_record,
 )
 from .laurent import LaurentSeries
 from .spectral import LocalSpectralCurve, OmegaGN, eo_run
@@ -373,6 +374,8 @@ def verify_theorem(cfg):
         nodes = solved[len(CIRCLE_NODES) * k:len(CIRCLE_NODES) * (k + 1)]
         d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
         d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
+    # read after the Newton and B passes, whose levels the reference keeps
+    report.metadata["quadrature"] = quadrature_record(cycles)
 
     # two routes to F_ikk: d_k tau_ik and d_k^2 b_i
     routes = np.einsum("ikk->ik", d_tau)

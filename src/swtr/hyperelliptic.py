@@ -12,8 +12,10 @@ contour from the principal sheet (y ~ +z^{g+1} at large |z|) in closed
 form: Q is monic, so along a straight segment that misses every branch
 point e, y(z1) = y(z0) prod_e sqrt((z1 - e) / (z0 - e)) with principal
 roots.  A nearby curve reuses the reference nodes and takes at each the
-sign of sqrt(Q) nearer the reference sheet, under a checked margin.  All
-period integrals use composite Gauss-Legendre panels with adaptive doubling.
+sign of sqrt(Q) nearer the reference sheet, under a checked margin.  Period
+integrals use the periodic trapezoidal rule on the ellipse parameter, which
+converges geometrically for these analytic periodic integrands and nests:
+one evaluation at N nodes gives I_N and, from its even nodes, I_{N/2}.
 
 The normalized symmetric two-form is built from the classical algebraic
 bidifferential
@@ -43,12 +45,6 @@ from .errors import (
     SingularCurve,
     SwtrError,
 )
-
-@functools.cache
-def _gl_nodes():
-    x, w = np.polynomial.legendre.leggauss(16)
-    return 0.5 * (x + 1.0), 0.5 * w   # 16-point nodes/weights on [0, 1]
-
 
 # ---------------------------------------------------------------------------
 # curve
@@ -290,14 +286,14 @@ class EllipseContour:
                 self.u = -self.u
 
     def reversed(self):
-        """Copy traversed the other way: evaluated at 1 - t, velocity negated."""
+        """Copy traversed the other way: evaluated at 1 - t mod 1, velocity negated."""
         out = copy.copy(self)
         out.orientation = -self.orientation
         return out
 
     def _theta(self, t):
         t = np.asarray(t)
-        return 2.0 * np.pi * (t if self.orientation > 0 else 1.0 - t)
+        return 2.0 * np.pi * (t if self.orientation > 0 else (1.0 - t) % 1.0)
 
     def point(self, t):
         th = self._theta(t)
@@ -320,18 +316,30 @@ class EllipseContour:
 # quadrature workspace
 # ---------------------------------------------------------------------------
 
+# the trapezoidal rule's first level, and its cap: the reach of the 4096
+# sixteen-node Gauss-Legendre panels it replaced
+_START_NODES = 128
+_MAX_NODES = 65536
+
+
 class _ContourNodes:
-    """One panel level of a contour; a row's sheet closure is computed when first read."""
+    """One level of a contour: N nodes t = k / N, weight 1 / N, and the sheets there.
+
+    A row's sheet closure, from the last node back to the first, is
+    computed when first read.
+    """
 
     __slots__ = ("z", "dzdt", "w", "y", "errors", "_close", "_closure")
 
-    def __init__(self, z, dzdt, w, y, close, errors=None):
+    def __init__(self, z, dzdt, y, e, errors=None):
         self.z = z
         self.dzdt = dzdt
-        self.w = w
+        self.w = 1.0 / len(z)
         self.y = y
         self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
-        self._close = close           # rows -> ({row: closure}, {row: exception})
+        # rows -> ({row: closure}, {row: exception}), on the branch points e of each row
+        rows_y = np.atleast_2d(y)
+        self._close = functools.partial(_closure, e, z[-1], z[0], rows_y[:, -1], rows_y[:, 0])
         self._closure = {}
 
     def closures(self, rows):
@@ -410,20 +418,20 @@ def _nearer_sheet(cand, y_ref, contour, z):
 
 
 class QuadratureWorkspace:
-    """Caches Gauss-Legendre nodes per (contour, panel count), on the sheets of ``curve``.
+    """Caches trapezoidal levels per (contour, node count), on the sheets of ``curve``.
 
     A workspace made by ``moved_to`` derives its sheets from the one it was
-    moved from: it shares that workspace's nodes z, dz/dt and weights, and at
-    each node, and at each contour's anchor, y is the sign of sqrt(Q) on the
-    moved curve nearer the reference value.  The nearer sign must be at most
-    ``_SHEET_GATE`` times the distance to the other, or OutOfNeighbourhood is
-    raised.  A panel level is tracked once on the reference and kept there.
+    moved from: it shares that workspace's nodes z and dz/dt, and at each
+    node y is the sign of sqrt(Q) on the moved curve nearer the reference
+    value.  The nearer sign must be at most ``_SHEET_GATE`` times the
+    distance to the other, or OutOfNeighbourhood is raised.  A level is
+    tracked once on the reference and kept there.
 
     Moved to a ``CurveRows``, the workspace derives the sheets of K curves
-    at once: y has shape (K, N), and the closure and the anchor one entry per
-    row, each row's closure on its own branch points.  A single moved curve
-    is the one-row case.  A row that fails is recorded in the level's
-    ``errors`` instead of failing its neighbours.
+    at once: y has shape (K, N), and the closure one entry per row, each
+    row's closure on its own branch points.  A single moved curve is the
+    one-row case.  A row that fails is recorded in the level's ``errors``
+    instead of failing its neighbours.
     """
 
     def __init__(self, curve):
@@ -433,7 +441,7 @@ class QuadratureWorkspace:
         self.tracker = SheetTracker(self._rows.rows[0])
         self._reference = None
         self._cache = {}
-        self._anchor_cache = {}
+        self._anchors = {}            # start point -> y there, on a tracked workspace
 
     def moved_to(self, curve):
         """Workspace on the nearby ``curve`` (or ``CurveRows``), its sheets derived from this one's."""
@@ -441,41 +449,24 @@ class QuadratureWorkspace:
         moved._reference = self
         return moved
 
-    def _anchor_for(self, contour):
-        y0, errors = self._anchors(contour)
-        if errors:
-            raise _RowsFailed(errors) if self._stacked else errors[0]
-        return y0
+    def reversed(self, contour):
+        """``contour.reversed()``, with the levels kept here for ``contour`` read backwards.
 
-    def _anchors(self, contour):
-        """(y at the contour's start, {row: exception}), kept once no row fails.
-
-        The reference tracks its anchor.  A moved workspace takes, per row,
-        the sign of sqrt(Q) nearer the reference's anchor: one value per row
-        on a CurveRows workspace, a scalar otherwise.
+        For N a power of two the grid t = k / N maps onto itself under
+        t -> 1 - t mod 1, so node k of the reversed contour is node -k mod N
+        of ``contour``: bitwise the point and the sheet a fresh tracking
+        gives, and the velocity negated.
         """
-        if contour in self._anchor_cache:
-            return self._anchor_cache[contour], {}
-        z0 = complex(contour.point(0.0))
-        if self._reference is None:
-            y0, errors = self.tracker.anchor(z0), {}
-        else:
-            z0 = np.array([z0])
-            y0, errors = _nearer_sheet(np.sqrt(self._rows.q_at(z0)),
-                                       self._reference._anchor_for(contour), contour, z0)
-            y0 = y0[:, 0] if self._stacked else y0[0, 0]
-        if not errors:
-            self._anchor_cache[contour] = y0
-        return y0, errors
-
-    def track(self, contour, t):
-        """Points of ``contour`` at parameters ``t`` and y continued along them from its start."""
-        z = contour.point(t)
-        return z, self.tracker.track_along(np.append(contour.point(0.0), z),
-                                           self._anchor_for(contour))[1:]
+        rev = contour.reversed()
+        for (c, n), d in list(self._cache.items()):
+            if c is contour:
+                k = -np.arange(n) % n
+                self._cache[rev, n] = _ContourNodes(d.z[k], -d.dzdt[k], d.y[..., k],
+                                                    self._rows.branch_points)
+        return rev
 
     def nodes(self, contour, n_panels):
-        """Nodes, weights, sheet values and sheet closure of ``contour`` at ``n_panels`` panels."""
+        """Nodes, weight, sheets and sheet closure of ``contour`` at ``n_panels`` one-node panels."""
         return self._nodes(contour, n_panels)
 
     def _nodes(self, contour, n_panels):
@@ -490,70 +481,65 @@ class QuadratureWorkspace:
         return data
 
     def _tracked_nodes(self, contour, n_panels):
-        xs, ws = _gl_nodes()
-        t = (np.arange(n_panels)[:, None] + xs[None, :]).ravel() / n_panels
-        w = np.tile(ws, n_panels) / n_panels
-        z, ys = self.track(contour, t)
-        close = functools.partial(_closure, self._rows.branch_points, z[-1], contour.point(0.0),
-                                  ys[-1:], np.atleast_1d(self._anchor_for(contour)))
-        return _ContourNodes(z, contour.velocity(t), w, ys, close)
+        t = np.arange(n_panels) / n_panels
+        z = contour.point(t)
+        z0 = complex(z[0])
+        if z0 not in self._anchors:
+            self._anchors[z0] = self.tracker.anchor(z0)
+        ys = self.tracker.track_along(z, self._anchors[z0])
+        return _ContourNodes(z, contour.velocity(t), ys, self._rows.branch_points)
 
     def _derived_nodes(self, contour, n_panels):
         ref = self._reference._nodes(contour, n_panels)
         ys, errors = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, contour, ref.z)
-        y0, anchor_errors = self._anchors(contour)
-        errors = {**anchor_errors, **errors}      # a row's node error comes first
-        close = functools.partial(_closure, self._rows.branch_points, ref.z[-1], contour.point(0.0),
-                                  ys[:, -1], np.atleast_1d(y0))
         if self._stacked:
-            return _ContourNodes(ref.z, ref.dzdt, ref.w, ys, close, errors)
+            return _ContourNodes(ref.z, ref.dzdt, ys, self._rows.branch_points, errors)
         if errors:
             raise errors[0]
-        return _ContourNodes(ref.z, ref.dzdt, ref.w, ys[0], close)
+        return _ContourNodes(ref.z, ref.dzdt, ys[0], self._rows.branch_points)
 
-    def integrate(self, contour, integrand, tol=1e-10, start_panels=8,
-                  max_panels=4096):
-        """Adaptive integral of integrand(z, y) dz over a closed contour.
+    def integrate(self, contour, integrand, tol=1e-10, start_panels=_START_NODES,
+                  max_panels=_MAX_NODES):
+        """Integral of integrand(z, y) dz over a closed contour by the periodic trapezoidal rule.
 
         The integrand may return an array whose last axis runs over the
-        nodes.  Each component is accepted at the first doubling where the
-        sheets close and its own change passes the gate, and keeps the value
-        of that level, so it equals the integral of that component alone.
-        On a CurveRows workspace the last axis of the value runs over the
-        rows, each gated on its own closure; rows that fail at a level they
-        still need raise ``_RowsFailed`` naming each row's own error.  The
-        closure is read, so computed, only for rows still open, from the
-        second level on and at the last; one that fails is the row's error
-        at the level that reads it.
+        nodes.  N doubles from ``start_panels`` while it is at most
+        ``max_panels``; the first level always runs.  One evaluation at N
+        nodes gives I_N and, twice the sum over its even nodes, I_{N/2}.
+        Each component is accepted at the first N where the sheets close and
+        its own |I_N - I_{N/2}| passes the gate, and keeps I_N, so it equals
+        the integral of that component alone.  On a CurveRows workspace the
+        last axis of the value runs over the rows, each gated on its own
+        closure; rows that fail at a level they still need raise
+        ``_RowsFailed`` naming each row's own error.  The closure is read, so
+        computed, only for rows still open; one that fails is the row's
+        error at the level that reads it.
         """
-        prev = None
-        done = False
-        delta, gate, closure, last = np.array(np.nan), np.array(tol), np.nan, 0
+        out, done = 0.0, False
         n = start_panels
-        while n <= max_panels:
+        while True:
             data = self.nodes(contour, n)
-            val = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
-            val *= data.dzdt          # in place: no second (components, rows, nodes) array
-            val = np.sum(val, axis=-1)
+            terms = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
+            terms *= data.dzdt        # in place: no second (components, rows, nodes) array
+            val = np.sum(terms, axis=-1)
+            delta = np.abs(val - 2.0 * np.sum(terms[..., ::2], axis=-1))
+            gate = tol * np.maximum(1.0, np.abs(val))
             open_rows = np.flatnonzero(~_rows_done(done, val.shape)) if self._stacked else [0]
-            if prev is not None or 2 * n > max_panels:
-                closure = data.closures(open_rows)
+            closure = data.closures(open_rows)
             failed = {r: data.errors[r] for r in open_rows if r in data.errors}
             if failed:
                 raise _RowsFailed(failed) if self._stacked else failed[0]
-            out = val if prev is None else np.where(done, out, val)
-            last = n
-            if prev is not None:
-                delta, gate = np.abs(val - prev), tol * np.maximum(1.0, np.abs(val))
-                done = done | ((delta <= gate) & (closure < 1e-8))
-                if np.all(done):
-                    return out[()]
-            prev = val
+            out = np.where(done, out, val)
+            done = done | ((delta <= gate) & (closure < 1e-8))
+            if np.all(done):
+                return out[()]
+            if 2 * n > max_panels:
+                break
             n *= 2
         if not self._stacked:
-            raise _not_converged(last, delta, gate, done, closure)
+            raise _not_converged(n, delta, gate, done, closure)
         delta, gate, done = np.broadcast_arrays(delta, gate, done, val)[:3]
-        raise _RowsFailed({r: _not_converged(last, delta[..., r], gate[..., r], done[..., r],
+        raise _RowsFailed({r: _not_converged(n, delta[..., r], gate[..., r], done[..., r],
                                              closure[r])
                            for r in np.flatnonzero(~_rows_done(done, val.shape))})
 
@@ -562,12 +548,24 @@ class QuadratureWorkspace:
         return sum(c * self.integrate(k, integrand, tol) for c, k in cycle)
 
 
+def quadrature_record(cycles):
+    """The rule, its first level and cap, and per contour (A_i, then the chain
+    loops C_i) the largest node count any integral on it used, here or on a
+    moved workspace: the level its most demanding integral converged at."""
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    names = [f"{x}_{i + 1}" for x in "AC" for i in range(len(cycles.chain_loops))]
+    return {"rule": "periodic trapezoidal on the ellipse parameter, nested doubling",
+            "start_nodes": _START_NODES, "max_nodes": _MAX_NODES,
+            "nodes": {name: max(n for k, n in cycles.workspace._cache if k is c)
+                      for name, c in zip(names, conts)}}
+
+
 def _closure(e, z_last, z_start, y_last, y0, rows):
     """Relative mismatch of y continued from the last node back to the contour's start.
 
     For ``rows`` of ``e`` (K, 2g+2 branch points), ``y_last`` and ``y0`` (K,
-    values at the last node and the start): y carried by ``_continuation``
-    lands on the sign of y0 nearer it, so a closure is 0 or 2.  Returns
+    values at the last node and the first, the start): y carried by
+    ``_continuation`` lands on the sign of y0 nearer it, so a closure is 0 or 2.  Returns
     ({row: closure}, {row: QuadratureNotConverged}).
     """
     factor, errors = _continuation(e[rows], z_last, z_start)
@@ -585,7 +583,7 @@ def _rows_done(done, shape):
 def _not_converged(last, delta, gate, done, closure):
     worst = np.argmax(np.where(done, -np.inf, delta / gate))   # flat component index
     return QuadratureNotConverged(
-        f"contour integral did not converge by {last} panels: worst |delta| = "
+        f"contour integral did not converge by {last} nodes: worst |delta| = "
         f"{delta.flat[worst]:.3e} against gate {gate.flat[worst]:.3e} (component {worst}), "
         f"sheet closure {closure:.3e} against 1e-08")
 
@@ -663,9 +661,10 @@ def build_cycles(curve):
     Pairing is nearest-neighbour on the argument-sorted branch points with a
     crossing check.  A_i rings cut i; the chain loop C_i rings the bridge
     between cuts i and i+1; B_i = C_i + ... + C_g.  The intersection matrix
-    is verified combinatorially with sheet-aware crossing counts: each A
-    contour and each chain loop is tracked once, as a polygon of
-    ``_CROSSING_NODES`` points, and every A_i is crossed with every C_j.
+    is verified combinatorially with sheet-aware crossing counts: every A_i
+    is crossed with every C_j as polygons of the nodes of their first
+    quadrature level, which the integrals then read.  A chain loop reversed
+    here reads its nodes backwards.
     """
     pts = np.array(curve.branch_points)
     centroid = complex(np.mean(pts))
@@ -699,7 +698,7 @@ def build_cycles(curve):
     x_mat = _intersection_matrix(ws, a_conts, c_conts)
     for j in range(g):
         if x_mat[j, j] == -1:
-            c_conts[j] = c_conts[j].reversed()
+            c_conts[j] = ws.reversed(c_conts[j])
             x_mat[:, j] *= -1
         elif x_mat[j, j] != 1:
             raise CycleConstructionFailed(
@@ -717,14 +716,13 @@ def build_cycles(curve):
                       cuts=cuts, intersection_matrix=m_int, workspace=ws)
 
 
-_CROSSING_NODES = 600
-
-
 def _intersection_matrix(ws, a_conts, c_conts):
-    """[i, j] = sheet-aware signed crossing count of A contour i with chain loop j."""
-    t = np.linspace(0.0, 1.0, _CROSSING_NODES, endpoint=False)
-    a_polys = [ws.track(c, t) for c in a_conts]
-    c_polys = [ws.track(c, t) for c in c_conts]
+    """[i, j] = sheet-aware signed crossing count of A contour i with chain loop j.
+
+    Each contour is the polygon of its first quadrature level's nodes.
+    """
+    a_polys, c_polys = ([(d.z, d.y) for d in (ws._nodes(c, _START_NODES) for c in conts)]
+                        for conts in (a_conts, c_conts))
     return np.array([[_intersection_number(*pa, *pc) for pc in c_polys] for pa in a_polys],
                     dtype=float)
 

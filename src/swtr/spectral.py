@@ -499,8 +499,14 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
 
 
 def eo_symmetry_deviation(omega, rng=None):
-    """Max pivot-change deviation over up to 120 sampled entries per cell."""
-    return omega.engine.pivot_deviation(rng or np.random.default_rng(0), 120)
+    """Max pivot-change deviation over up to 120 sampled entries per cell.
+
+    The factor tables the samples rebuild are freed when it returns, as by ``eo_run``.
+    """
+    try:
+        return omega.engine.pivot_deviation(rng or np.random.default_rng(0), 120)
+    finally:
+        omega.engine._factor_cache.clear()
 
 
 def omega_eval(omega, g, n, points):
@@ -543,8 +549,16 @@ def support_bound_check(omega, tol=1e-10):
 
     ``outside_support_residual`` is the largest |entry| the recursion gives
     for an index tuple within the per-index bound but outside the degree
-    bound that ``eo_run`` enumerates; it must be exactly 0.
+    bound that ``eo_run`` enumerates; it must be exactly 0.  The factor
+    tables the probes rebuild are freed when it returns, as by ``eo_run``.
     """
+    try:
+        return _support_report(omega, tol)
+    finally:
+        omega.engine._factor_cache.clear()
+
+
+def _support_report(omega, tol):
     report = {}
     engine = omega.engine
     for (g, n), cell in omega.table.entries.items():

@@ -165,6 +165,37 @@ def test_verify_theorem_cli_and_outputs(tmp_path):
     assert (outdir / "periods.json").exists()
 
 
+def test_report_records_the_quadrature(monkeypatch, tmp_path):
+    # metadata.quadrature names the rule, its first level and cap, and per
+    # reference contour the deepest level any integral on it used, on the
+    # reference or on a moved curve: the largest node count asked of it
+    from swtr.hyperelliptic import QuadratureWorkspace
+
+    used = {}
+    nodes = QuadratureWorkspace.nodes
+
+    def counted(self, contour, n_panels):
+        used[contour] = max(used.get(contour, 0), n_panels)
+        return nodes(self, contour, n_panels)
+
+    monkeypatch.setattr(QuadratureWorkspace, "nodes", counted)
+    levels = {}
+    for u0 in ((0.3 + 0.1j,), (0.3 + 0.1j, 0.2 - 0.15j)):
+        used.clear()
+        rep = verify_theorem(VerifyConfig(genus=len(u0), u0=u0, out_dir=str(tmp_path)))
+        cycles = rep.artifacts.cycles
+        conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+        names = [f"{x}_{i}" for x in "AC" for i in range(1, len(u0) + 1)]
+        quad = json.loads(json.dumps(rep.metadata["quadrature"]))
+        assert quad["nodes"] == {n: used[c] for n, c in zip(names, conts)}
+        assert quad["start_nodes"] == 128 <= min(quad["nodes"].values())
+        assert max(quad["nodes"].values()) < quad["max_nodes"] == 65536
+        assert quad["rule"].startswith("periodic trapezoidal")
+        levels[len(u0)] = quad["nodes"]
+    # genus 1 doubles once on both contours; genus 2 stays at the first level
+    assert levels == {1: {"A_1": 256, "C_1": 256}, 2: dict.fromkeys(names, 128)}
+
+
 def test_fourth_derivative_term():
     # the n = 4 term holds under the sign rule d^n F = -(-2 pi i)^(1-n) M_{0,n},
     # whose prefactor has the opposite sign of n = 3's

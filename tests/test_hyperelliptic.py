@@ -174,12 +174,19 @@ def test_cycles_stable_under_perturbation():
         assert abs((a1 + b1) / 2 - (a2 + b2) / 2) < 0.2
 
 
-def _pairwise_intersection_number(ws, cont_a, cont_b):
-    """Both contours tracked, then every pair of 600 x 600 segments in a loop: the reference."""
-    n = 600
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
-    za, ya = ws.track(cont_a, t)
-    zb, yb = ws.track(cont_b, t)
+def _tracked_polygon(curve, cont, n=600):
+    """``cont`` at n equally spaced parameters from its start, y continued from the
+    principal sheet: the crossing oracle's polygon."""
+    tracker = SheetTracker(curve)
+    z = cont.point(np.linspace(0.0, 1.0, n, endpoint=False))
+    return z, tracker.track_along(z, tracker.anchor(complex(z[0])))
+
+
+def _pairwise_intersection_number(curve, cont_a, cont_b):
+    """Both contours tracked as 600-point polygons, then every pair of segments in a
+    loop: the reference."""
+    (za, ya), (zb, yb) = _tracked_polygon(curve, cont_a), _tracked_polygon(curve, cont_b)
+    n = len(za)
     za2, zb2 = np.roll(za, -1), np.roll(zb, -1)
     cand = ((np.minimum(za.real, za2.real)[:, None] <= np.maximum(zb.real, zb2.real)[None, :])
             & (np.minimum(zb.real, zb2.real)[None, :] <= np.maximum(za.real, za2.real)[:, None])
@@ -200,32 +207,59 @@ def _pairwise_intersection_number(ws, cont_a, cont_b):
     return total
 
 
-def _draws_g2(n, seed):
-    """Moduli uniform within 0.03 of the genus-2 acceptance point."""
+def _draws(u0, n, seed, radius=0.03):
+    """Moduli uniform within ``radius`` of ``u0``."""
     rng = np.random.default_rng(seed)
-    return [tuple(c + 0.03 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-                  for c in U0_G2) for _ in range(n)]
+    return [tuple(c + radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+                  for c in u0) for _ in range(n)]
+
+
+def _draws_g2(n, seed):
+    """Moduli uniform within 0.03 of the genus-2 acceptance point, as the verify-g2
+    benchmark draws them."""
+    return _draws(U0_G2, n, seed)
 
 
 def test_intersection_numbers_match_pairwise_loop():
-    # the array crossing count keeps the candidate pairs and the crossing
-    # arithmetic of the pairwise loop: the same raw intersection numbers, and
-    # so the same chain-loop orientations and intersection matrix
-    for u0 in _draws_g2(100, 18) + [U0_G1, U0_G3]:
-        curve = new_curve(len(u0), u0)
-        cycles = build_cycles(curve)
+    # the crossings counted on the first quadrature level's nodes are those
+    # of 600-point tracked polygons counted pair by pair, at the CI points,
+    # 100 verify-g2 draws and seeded curves at each genus: the raw numbers on
+    # the chain loops as built, so the same orientations, and the numbers on
+    # the loops as returned, whose reversed nodes the workspace reads
+    reversals = 0
+    for u0 in ([U0_G1, U0_G2, U0_G3] + _draws_g2(100, 18)
+               + [u for c in (U0_G1, U0_G2, U0_G3) for u in _draws(c, 8, 40 + len(c), 0.15)]):
+        curve, cycles = _curve_and_cycles(u0)
         g, ws = curve.g, cycles.workspace
         a_conts = [c for cycle in cycles.a_cycles for _, c in cycle]
-        # the chain loops as built, before build_cycles orients them
-        c_conts = [c if c.orientation > 0 else c.reversed() for c in cycles.chain_loops]
-        expect = np.array([[_pairwise_intersection_number(ws, a, c) for c in c_conts]
-                           for a in a_conts], dtype=float)
-        assert np.array_equal(_intersection_matrix(ws, a_conts, c_conts), expect), u0
-        flip = np.where(np.diag(expect) == -1, -1, 1)
-        assert [c.orientation for c in cycles.chain_loops] == flip.tolist(), u0
-        expect = expect * flip
+        built = [c if c.orientation > 0 else c.reversed() for c in cycles.chain_loops]
+        flip = np.array([c.orientation for c in cycles.chain_loops])
+        reversals += int(np.sum(flip < 0))
+        for c_conts, sign in ((built, flip), (cycles.chain_loops, 1)):
+            expect = np.array([[_pairwise_intersection_number(curve, a, c) for c in c_conts]
+                               for a in a_conts], dtype=float)
+            assert np.array_equal(_intersection_matrix(ws, a_conts, c_conts), expect), u0
+            # build_cycles reverses exactly the loops C_j that cross A_j negatively
+            assert np.array_equal(np.diag(expect) * sign, np.ones(g)), u0
         m_int = np.array([[expect[i, j:].sum() for j in range(g)] for i in range(g)])
         assert np.array_equal(cycles.intersection_matrix, m_int), u0
+    assert reversals > 0
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
+def test_reversed_chain_loop_reads_its_forward_nodes(u0):
+    # a chain loop that build_cycles reverses is not tracked again: its first
+    # level is the forward loop's read backwards, bitwise the level a fresh
+    # workspace tracks on the reversed loop
+    curve, cycles = _curve_and_cycles(u0)
+    fresh = QuadratureWorkspace(curve)
+    reversed_loops = [c for c in cycles.chain_loops if c.orientation < 0]
+    assert reversed_loops or u0 != U0_G2
+    for cont in reversed_loops:
+        kept, new = cycles.workspace._cache[cont, 128], fresh.nodes(cont, 128)
+        for f in ("z", "dzdt", "y"):
+            assert getattr(kept, f).tobytes() == getattr(new, f).tobytes(), f
+        assert kept.closures([0]) == new.closures([0]) == 0.0
 
 
 def _scalar_neighbourhood_violation(curve, cycles):
@@ -467,6 +501,67 @@ def test_quadrature_refinement_stability():
     assert abs(v1 - v2) < 1e-8 * max(1.0, abs(v1))
 
 
+def _gauss_legendre_integrate(self, contour, integrand, tol=None):
+    """Composite Gauss-Legendre, 32 panels of 16 nodes, with the sheets tracked on
+    each curve of the workspace: the quadrature oracle, with no levels and no gate."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    t = (np.arange(32)[:, None] + 0.5 * (x + 1.0)).ravel() / 32
+    z0, z = complex(contour.point(0.0)), contour.point(t)
+    ys = []
+    for c in (self.curve.rows if isinstance(self.curve, CurveRows) else [self.curve]):
+        tracker = SheetTracker(c)
+        ys.append(tracker.track_along(np.append(z0, z), tracker.anchor(z0))[1:])
+    y = np.array(ys) if isinstance(self.curve, CurveRows) else ys[0]
+    return np.sum(np.tile(w / 64, 32) * integrand(z, y) * contour.velocity(t), axis=-1)[()]
+
+
+def _quadrature_results(u0):
+    """Periods, kernel correction and the verifier's invert_a_map rows at ``u0``."""
+    curve, cycles = _curve_and_cycles(u0)
+    pd = periods(curve, cycles)
+    r = 1e-3 * max(1.0, float(np.max(np.abs(pd.a))))
+    targets = [pd.a + r * w * e for e in np.eye(curve.g) for w in (1, 1j, -1, -1j)]
+    rows = invert_a_map(curve, cycles, pd, targets, tol=1e-11)
+    return {"a": pd.a, "b": pd.b, "tau": pd.tau,
+            "correction": bergman_kernel(curve, cycles, pd).correction,
+            "rows u": np.array([c.u for c, _, _ in rows]),
+            **{f"rows {f}": np.array([getattr(p, f) for _, _, p in rows])
+               for f in ("a", "b", "tau")}}
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
+def test_quadrature_matches_gauss_legendre_oracle(u0, monkeypatch):
+    # the trapezoidal levels give the periods, tau, the kernel correction and
+    # the invert_a_map rows of composite Gauss-Legendre, to rounding
+    got = _quadrature_results(u0)
+    monkeypatch.setattr(QuadratureWorkspace, "integrate", _gauss_legendre_integrate)
+    ref = _quadrature_results(u0)
+    for k, v in ref.items():
+        assert np.max(np.abs(got[k] - v)) <= 1e-14 * np.max(np.abs(v)), k
+
+
+def test_thin_contour_converges_below_the_cap():
+    # dz / y has no singularity at the foci in the ellipse parameter, so an
+    # ellipse of sigma 0.1 round the first cut converges at the first level;
+    # one whose sigma is 0.1 short of the nearest foreign branch point has a
+    # singularity 0.1 off the real axis of the parameter and doubles past the
+    # first level, but converges far below the cap.  Both give the A-periods
+    # of the standard contour
+    curve, cycles = _curve_and_cycles(U0_G2)
+    pd = periods(curve, cycles)
+    a0 = cycles.a_cycles[0][0][1]
+    foreign = min(a0.elliptic_sigma(e) for e in curve.branch_points
+                  if min(abs(e - a0.f1), abs(e - a0.f2)) > 1e-12)
+    expect = np.append(pd.a_jacobian[0], pd.a[0])
+    levels = []
+    for sigma in (0.1, foreign - 0.1):
+        thin = EllipseContour(a0.f1, a0.f2, sigma, start_outward_from=np.mean(curve.branch_points))
+        val, level = _scalar_integral(curve, [(1.0, thin)], _period_form(curve))
+        assert np.max(np.abs(val - expect)) <= 1e-13 * np.max(np.abs(expect)), sigma
+        levels.append(level)
+    assert levels[0] == 128 < levels[1] <= hyperelliptic_module._MAX_NODES // 16
+
+
 def _scalar_integral(curve, cycle, f):
     """integrate_cycle of one scalar form on a fresh workspace, and its deepest panel count."""
     ws = QuadratureWorkspace(curve)
@@ -499,9 +594,9 @@ def test_array_integrand_matches_scalar_calls(genus, u0):
 
 
 def test_integrate_error_names_its_numbers():
-    # a pole just outside the first A-contour is not resolved by 16 panels;
-    # the error names the panel count, that component's |delta| between 8 and
-    # 16 panels against its gate, and the sheet closure
+    # a pole just outside the first A-contour is not resolved by 128 nodes;
+    # the error names the node count, that component's |delta| between 128
+    # nodes and the 64 even ones against its gate, and the sheet closure
     curve, cycles = _curve_and_cycles(U0_G2)
     ws = cycles.workspace
     a0 = cycles.a_cycles[0][0][1]
@@ -511,16 +606,21 @@ def test_integrate_error_names_its_numbers():
         return np.stack([ds_sw(curve)(z, y), 1.0 / ((z - pole) * y)])
 
     with pytest.raises(QuadratureNotConverged) as err:
-        ws.integrate(a0, form, max_panels=16)
-    m = re.fullmatch(r"contour integral did not converge by (\d+) panels: worst \|delta\| = "
+        ws.integrate(a0, form, max_panels=128)
+    m = re.fullmatch(r"contour integral did not converge by (\d+) nodes: worst \|delta\| = "
                      r"(\S+) against gate (\S+) \(component (\d+)\), "
                      r"sheet closure (\S+) against 1e-08", str(err.value))
     assert m, str(err.value)
-    assert (int(m.group(1)), int(m.group(4))) == (16, 1)
-    v8, v16 = (np.sum(d.w * form(d.z, d.y)[1] * d.dzdt) for d in (ws.nodes(a0, n) for n in (8, 16)))
+    assert (int(m.group(1)), int(m.group(4))) == (128, 1)
+    d128, d64 = ws.nodes(a0, 128), ws.nodes(a0, 64)
+    terms = d128.w * form(d128.z, d128.y)[1] * d128.dzdt
+    v128, v64 = np.sum(terms), 2 * np.sum(terms[::2])
+    # the even nodes of a level are the level below: the rules nest
+    assert d128.z[::2].tobytes() == d64.z.tobytes()
+    assert v64 == pytest.approx(np.sum(d64.w * form(d64.z, d64.y)[1] * d64.dzdt), rel=1e-14)
     delta, gate = float(m.group(2)), float(m.group(3))
-    assert delta == pytest.approx(abs(v16 - v8), rel=1e-3)
-    assert gate == pytest.approx(1e-10 * max(1.0, abs(v16)), rel=1e-3)
+    assert delta == pytest.approx(abs(v128 - v64), rel=1e-3)
+    assert gate == pytest.approx(1e-10 * max(1.0, abs(v128)), rel=1e-3)
     assert delta > gate
     assert float(m.group(5)) < 1e-8
 
@@ -608,7 +708,7 @@ def test_derived_sheets_match_fresh_tracking():
     # invert_a_map derives each trial's sheets from the reference nodes; every
     # level it and the periods on its curve used carries bitwise the sheet
     # values and closure that tracking on the moved curve gives, at the
-    # reference's own nodes
+    # reference's own nodes, the contour's start among them
     curve, cycles = _curve_and_cycles(U0_G2)
     pd = periods(curve, cycles)
     (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [pd.a + 1e-3], tol=1e-11)
@@ -618,11 +718,10 @@ def test_derived_sheets_match_fresh_tracking():
     assert {cont for cont, _ in derived._cache} == set(conts)
     for (cont, n_panels), data in derived._cache.items():
         ref, new = cycles.workspace.nodes(cont, n_panels), fresh.nodes(cont, n_panels)
-        assert data.z is ref.z and data.dzdt is ref.dzdt and data.w is ref.w
+        assert data.z is ref.z and data.dzdt is ref.dzdt and data.w == ref.w
         assert data.z.tobytes() == new.z.tobytes()
         assert data.y.tobytes() == new.y.tobytes()
         assert data.closures([0]) == new.closures([0])
-    assert derived._anchor_cache == {c: fresh._anchor_for(c) for c in derived._anchor_cache}
 
 
 def _derivation_refusal(curve, cycles, err):
@@ -635,7 +734,7 @@ def _derivation_refusal(curve, cycles, err):
     assert gate == 0.25 < ratio < 1.0
     conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
     cont = next(c for c in conts if np.allclose([c.f1, c.f2], [f1, f2], rtol=1e-5))
-    zs = cycles.workspace.nodes(cont, 8).z
+    zs = cycles.workspace.nodes(cont, 128).z
     assert float(np.min(np.abs(zs - node))) < 1e-5
     return cont
 
@@ -675,12 +774,16 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
 
 
 def test_moved_curves_are_never_tracked(monkeypatch):
-    # one g2 verify anchors and tracks sheets on the reference curve only; its
-    # quadrature work is that of the per-layer benchmark counts.  A level's
-    # sheet closure is computed only where integrate reads it: 52 row
-    # closures, where every row at every level took 104, in 10 array calls,
-    # one per level read, where each row took a call of its own
-    seen = {"curves": set(), "integrate": 0, "panels": 0, "closures": 0, "closure_calls": 0}
+    # one g2 verify anchors and tracks sheets on the reference curve only,
+    # once per contour: build_cycles tracks the first level of the two A
+    # contours and the two chain loops, and every integral reads that
+    # tracking.  Its quadrature work is that of the per-layer benchmark
+    # counts: 12 integrate calls, each accepted at its first level of 128
+    # nodes.  A level's sheet closure is computed only where integrate reads
+    # it: 52 row closures in 10 array calls, one per level read, where each
+    # row took a call of its own
+    seen = {"curves": set(), "tracks": 0, "integrate": 0, "panels": 0, "closures": 0,
+            "closure_calls": 0}
     anchor, track = SheetTracker.anchor, SheetTracker.track_along
     integrate, nodes = QuadratureWorkspace.integrate, QuadratureWorkspace.nodes
     closure = hyperelliptic_module._closure
@@ -696,6 +799,7 @@ def test_moved_curves_are_never_tracked(monkeypatch):
 
     def counted_track(self, *args):
         seen["curves"].add(id(self.curve))
+        seen["tracks"] += 1
         return track(self, *args)
 
     def counted_integrate(self, *args, **kwargs):
@@ -713,21 +817,23 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(hyperelliptic_module, "_closure", counted_closure)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "integrate": 12, "panels": 288,
-                    "closures": 52, "closure_calls": 10}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "tracks": 4, "integrate": 12,
+                    "panels": 12 * 128, "closures": 52, "closure_calls": 10}
 
 
 def test_scalar_sqrt_evaluations_per_verify(monkeypatch):
     # sheets are continued in closed form, so the scalar evaluations of Q
     # left in a g2 verify are two per contour anchor, at its far point and at
-    # its target: 12 (the stepped walks made 326, one per step); the kernel
+    # its target: 8 for the four contours (the stepped walks made 326, one
+    # per step).  A reversed chain loop reads its forward loop's anchor, a
+    # moved curve's sheets derive theirs at the first node, and the kernel
     # normalization anchors no point of its own
     calls = []
     q_at = hyperelliptic_module.SWCurve.q_at
     monkeypatch.setattr(hyperelliptic_module.SWCurve, "q_at",
                         lambda self, z: calls.append(np.ndim(z) == 0) or q_at(self, z))
     assert verify_theorem(VerifyConfig(genus=2, u0=U0_G2)).passed
-    assert sum(calls) == 12
+    assert sum(calls) == 8
 
 
 def test_workspace_of_another_curve_rejected():
@@ -818,15 +924,15 @@ def test_row_workspace_fails_rows_alone():
     assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {1: solo(rows[1])}
     ws = cycles.workspace.moved_to(CurveRows(rows[::2]))
     with pytest.raises(_RowsFailed) as err:
-        ws.integrate(cont, _period_form(ws.curve), tol=1e-30, max_panels=32)
+        ws.integrate(cont, _period_form(ws.curve), tol=1e-30, max_panels=256)
     assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {
-        r: solo(c, tol=1e-30, max_panels=32) for r, c in enumerate(rows[::2])}
+        r: solo(c, tol=1e-30, max_panels=256) for r, c in enumerate(rows[::2])}
 
 
 def test_rows_fail_only_at_levels_they_need():
-    # row 0 is accepted at 16 panels and row 1 only at 128; a failure
-    # recorded for row 0 at 32 panels is not its error (alone it never
-    # reaches 32), while the same failure of row 1, still open there, is
+    # row 0 is accepted at 256 nodes and row 1 only at 1024; a failure
+    # recorded for row 0 at 512 nodes is not its error (alone it never
+    # reaches 512), while the same failure of row 1, still open there, is
     # raised as row 1's own
     curve, cycles, _ = setup_g1()
     rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)])
@@ -834,18 +940,24 @@ def test_rows_fail_only_at_levels_they_need():
 
     def form(z, y):
         f = 1.0 / y
-        f[1] *= 1.0 + 1e-3 * (len(z) <= 512) / len(z)   # row 1 changes up to 64 panels
+        f[1, 1::2] *= 1.0 + 1e-3 * (len(z) <= 512)    # row 1's odd nodes, up to 512 nodes
         return f
 
-    expect = cycles.workspace.moved_to(rows).integrate(cont, form)
+    seen = []
+    probe = cycles.workspace.moved_to(rows)
+    nodes = probe.nodes
+    probe.nodes = lambda c, n: seen.append(n) or nodes(c, n)
+    expect = probe.integrate(cont, form)
+    assert seen == [128, 256, 512, 1024]
+    assert expect[0] == cycles.workspace.moved_to(rows.rows[0]).integrate(cont, lambda z, y: 1 / y)
     ws = cycles.workspace.moved_to(rows)
-    errors = ws.nodes(cont, 32).errors
-    errors[0] = OutOfNeighbourhood("row 0 at 32 panels")
+    errors = ws.nodes(cont, 512).errors
+    errors[0] = OutOfNeighbourhood("row 0 at 512 nodes")
     assert ws.integrate(cont, form).tobytes() == expect.tobytes()
-    errors[1] = OutOfNeighbourhood("row 1 at 32 panels")
+    errors[1] = OutOfNeighbourhood("row 1 at 512 nodes")
     with pytest.raises(_RowsFailed) as err:
         ws.integrate(cont, form)
-    assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 32 panels"}
+    assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 512 nodes"}
 
 
 def _failing_row(close, row):
@@ -858,30 +970,37 @@ def _failing_row(close, row):
 
 
 def test_closure_walked_only_where_read():
-    # integrate reads a row's sheet closure from the second level on, and
-    # only while the row is open: a closure that would fail at the first
-    # level is never computed, and one that fails at a level the row needs
-    # is its error, on a CurveRows workspace and on a single moved curve alike
+    # integrate reads a row's sheet closure at each level only while the row
+    # is open: a closure that would fail at a level after the row was
+    # accepted is never computed, and one that fails at any level the row
+    # needs is its error, on a CurveRows workspace and on a single moved
+    # curve alike.  The last row needs 512 nodes; row 0 of two is accepted
+    # at 256
     curve, cycles, _ = setup_g1()
     moved = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)]
     cont = cycles.a_cycles[0][0][1]
 
     def form(z, y):
-        return 1.0 / y
+        f = 1.0 / y
+        np.atleast_2d(f)[-1, 1::2] *= 1.0 + 1e-3 * (len(z) <= 256)
+        return f
 
     for target in (CurveRows(moved), moved[1]):
         row = 1 if isinstance(target, CurveRows) else 0
         expect = cycles.workspace.moved_to(target).integrate(cont, form)
-        ws = cycles.workspace.moved_to(target)
-        ws.nodes(cont, 8)._close = _failing_row(ws.nodes(cont, 8)._close, row)
-        assert ws.integrate(cont, form).tobytes() == expect.tobytes()
-        assert ws.nodes(cont, 8)._closure == {} and row in ws.nodes(cont, 16)._closure
-        ws = cycles.workspace.moved_to(target)
-        ws.nodes(cont, 16)._close = _failing_row(ws.nodes(cont, 16)._close, row)
-        with pytest.raises(_RowsFailed if row else QuadratureNotConverged) as err:
-            ws.integrate(cont, form)
-        errors = err.value.errors if row else {0: err.value}
-        assert {r: str(e) for r, e in errors.items()} == {row: "closure failed"}
+        if row:
+            ws = cycles.workspace.moved_to(target)
+            ws.nodes(cont, 512)._close = _failing_row(ws.nodes(cont, 512)._close, 0)
+            assert ws.integrate(cont, form).tobytes() == expect.tobytes()
+            assert set(ws.nodes(cont, 256)._closure) == {0, 1}
+            assert set(ws.nodes(cont, 512)._closure) == {1}
+        for level in (128, 256, 512):
+            ws = cycles.workspace.moved_to(target)
+            ws.nodes(cont, level)._close = _failing_row(ws.nodes(cont, level)._close, row)
+            with pytest.raises(_RowsFailed if row else QuadratureNotConverged) as err:
+                ws.integrate(cont, form)
+            errors = err.value.errors if row else {0: err.value}
+            assert {r: str(e) for r, e in errors.items()} == {row: "closure failed"}
 
 
 # ---------------------------------------------------------------------------

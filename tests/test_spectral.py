@@ -144,6 +144,21 @@ def test_factor_tables_are_freed_when_the_run_returns():
     assert dev == eo_symmetry_deviation(OmegaGN(table, curve, kept))
 
 
+def test_reference_paths_free_their_factor_tables():
+    # the pivot sampler and the support check rebuild the factor tables they
+    # read and free them when they return, as eo_run does; each returns, to
+    # the bit, what it returns on an engine that kept the run's tables
+    curve = _split_test_curve(("0", "1"), None)
+    omega = eo_run(curve, 3)
+    for check in (eo_symmetry_deviation, support_bound_check):
+        kept = _EoEngine(curve, 3, max_index_bound(3))
+        table = kept.run()
+        assert kept._factor_cache
+        expect = check(OmegaGN(table, curve, kept))
+        assert check(omega) == expect
+        assert omega.engine._factor_cache == {} and kept._factor_cache == {}
+
+
 def test_nontrivial_denominator_still_symmetric():
     # odd one-form with a quartic correction: outputs stay symmetric
     rng = np.random.default_rng(5)
