@@ -4,8 +4,9 @@ The verifier runs: reference curve -> cycles -> periods -> normalized kernel
 -> standard charts -> local expansions -> local recursion -> B-period
 contraction, and compares the third (optionally fourth) derivatives of the
 prepotential against the contracted tensors, under one sign rule:
-d^n F = -(-2 pi i)^(1 - n) M_{0,n}.  The derivatives come from tau(a) and
-b(a) on a four-node circle in a-space around each modulus (trapezoidal rule).
+d^n F = -(-2 pi i)^(1 - n) M_{0,n}.  The derivatives come from tau, b and
+a at eight nodes on a line in u-space through each modulus, the line whose
+a-velocity is e_k (trapezoidal rule on the circle of the line parameter).
 
 Subcommands:
 
@@ -52,7 +53,7 @@ from .hyperelliptic import (
     SWCurve,
     bergman_kernel,
     build_cycles,
-    invert_a_map,
+    line_periods,
     new_curve,
     periods,
     quadrature_record,
@@ -61,9 +62,10 @@ from .laurent import LaurentSeries
 from .spectral import LocalSpectralCurve, OmegaGN, eo_run
 
 TWO_PI_I = 2j * np.pi
-DERIVATIVE_RADIUS = 1e-3        # circle radius in a-space, relative to max(1, max |a|)
-CIRCLE_NODES = (1, 1j, -1, -1j)
-DEFAULT_TOLERANCES = {"theorem_rel": 1e-3, "quadrature": 1e-11, "route_rel": 1e-5}
+DERIVATIVE_RADIUS = 2e-3        # circle radius of the line parameter, relative to max(1, max |a|)
+_H = np.sqrt(0.5)
+CIRCLE_NODES = (1, _H + _H * 1j, 1j, -_H + _H * 1j, -1, -_H - _H * 1j, -1j, _H - _H * 1j)
+DEFAULT_TOLERANCES = {"theorem_rel": 1e-3, "route_rel": 1e-5}
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +302,44 @@ def bperiod_contract(table, c_coeffs, genus):
 def circle_derivatives(values, r):
     """First and second derivatives at the centre of a circle of radius ``r``.
 
-    ``values`` holds X at the nodes c + r i^j, j = 0..3 (``CIRCLE_NODES``), as
-    arrays of one shape.  The trapezoidal rule on the circle gives
-    dX = 1/4 sum_j X_j / (r i^j), exact for polynomials of degree <= 4, and
-    d^2X = 1/2 sum_j X_j / (r i^j)^2, exact for degree <= 5.
+    ``values`` holds X at the nodes c + r w_j, w_j = exp(2 pi i j / N) the
+    N = 8 ``CIRCLE_NODES``, as arrays of one shape.  The trapezoidal rule on
+    the circle gives dX = 1/N sum_j X_j / (r w_j), exact for polynomials of
+    degree <= N, and d^2X = 2/N sum_j X_j / (r w_j)^2, exact for degree
+    <= N + 1: the first powers they misread are z^(N+1) and z^(N+2).
     """
     inv = 1.0 / (r * np.array(CIRCLE_NODES))
-    return (np.tensordot(inv, values, axes=1) / 4,
-            np.tensordot(inv ** 2, values, axes=1) / 2)
+    n = len(CIRCLE_NODES)
+    return (np.tensordot(inv, values, axes=1) / n,
+            2 * np.tensordot(inv ** 2, values, axes=1) / n)
+
+
+def prepotential_derivatives(curve, cycles, pd, r):
+    """d_k tau_ij [i, j, k], d_k^2 tau_ij [i, j, k] and d_k^2 b_i [i, k] at a0, and the node offset.
+
+    X = tau, b and a are taken at u0 + r w_j v_k (``line_periods``), on the
+    line through u0 whose a-velocity is e_k.  Along it the first circle
+    derivative is d_k X exactly; the line bends in a-space, so the second is
+    d_k^2 X + sum_m (dX/da_m) a_m'', and that term is taken off with the
+    circle's own a_m''.  The offset is the worst |a(node) - a0 - r w_j e_k| / r:
+    how far the nodes sit off the a-space circle.
+    """
+    g, n = curve.g, len(CIRCLE_NODES)
+    d_tau = np.zeros((g, g, g), dtype=complex)
+    d2_tau = np.zeros((g, g, g), dtype=complex)
+    d2_b = np.zeros((g, g), dtype=complex)
+    d2_a = np.zeros((g, g), dtype=complex)          # [m, k]: a_m'' along line k
+    on_lines = line_periods(curve, cycles, pd, r, CIRCLE_NODES)
+    for k in range(g):
+        nodes = on_lines[n * k:n * (k + 1)]
+        d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
+        d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
+        d2_a[:, k] = circle_derivatives([p.a for p in nodes], r)[1]
+    d2_tau -= np.einsum("ijm,mk->ijk", d_tau, d2_a)
+    d2_b -= pd.tau @ d2_a                           # db_i / da_m = tau_im
+    on_circle = [pd.a + r * w * e_k for e_k in np.eye(g) for w in CIRCLE_NODES]
+    off_circle = np.max(np.abs(np.array([p.a for p in on_lines]) - on_circle))
+    return d_tau, d2_tau, d2_b, float(off_circle) / r
 
 
 def reference_stages(cfg):
@@ -344,7 +376,6 @@ def verify_theorem(cfg):
         "chi_max": cfg.chi_max,
         "numpy_version": np.__version__,
     }
-    quad_tol = cfg.tolerances["quadrature"]
     g = cfg.genus
 
     art = reference_stages(cfg)
@@ -362,19 +393,12 @@ def verify_theorem(cfg):
     bp3 = contractions[(0, 3)]
     t3 = time.perf_counter()
 
-    # tau and b on the circle a + r i^j e_k around each modulus
     r = DERIVATIVE_RADIUS * max(1.0, float(np.max(np.abs(pd.a))))
+    d_tau, d2_tau, d2_b, a_offset = prepotential_derivatives(curve, cycles, pd, r)
     report.metadata["derivative_radius"] = r
-    d_tau = np.zeros((g, g, g), dtype=complex)      # [i, j, k]: d_k tau_ij
-    d2_tau = np.zeros((g, g, g), dtype=complex)     # [i, j, k]: d_k^2 tau_ij
-    d2_b = np.zeros((g, g), dtype=complex)          # [i, k]: d_k^2 b_i
-    targets = [pd.a + r * w * e_k for e_k in np.eye(g) for w in CIRCLE_NODES]
-    solved = [p for _, _, p in invert_a_map(curve, cycles, pd, targets, tol=quad_tol)]
-    for k in range(g):
-        nodes = solved[len(CIRCLE_NODES) * k:len(CIRCLE_NODES) * (k + 1)]
-        d_tau[:, :, k], d2_tau[:, :, k] = circle_derivatives([p.tau for p in nodes], r)
-        d2_b[:, k] = circle_derivatives([p.b for p in nodes], r)[1]
-    # read after the Newton and B passes, whose levels the reference keeps
+    report.metadata["derivative_nodes"] = len(CIRCLE_NODES)
+    report.metadata["derivative_a_offset"] = a_offset
+    # read after the line pass, whose levels the reference keeps
     report.metadata["quadrature"] = quadrature_record(cycles)
 
     # two routes to F_ikk: d_k tau_ik and d_k^2 b_i

@@ -15,7 +15,8 @@ roots.  A nearby curve reuses the reference nodes and takes at each the
 sign of sqrt(Q) nearer the reference sheet, under a checked margin.  Period
 integrals use the periodic trapezoidal rule on the ellipse parameter, which
 converges geometrically for these analytic periodic integrands and nests:
-one evaluation at N nodes gives I_N and, from its even nodes, I_{N/2}.
+the terms at N nodes give I_N and, from the even ones, I_{N/2}, so a
+doubled level evaluates the integrand at its new nodes only.
 
 The normalized symmetric two-form is built from the classical algebraic
 bidifferential
@@ -504,8 +505,11 @@ class QuadratureWorkspace:
 
         The integrand may return an array whose last axis runs over the
         nodes.  N doubles from ``start_panels`` while it is at most
-        ``max_panels``; the first level always runs.  One evaluation at N
-        nodes gives I_N and, twice the sum over its even nodes, I_{N/2}.
+        ``max_panels``; the first level always runs.  The terms at N nodes
+        give I_N and, twice the sum over the even nodes, I_{N/2}.  The even
+        nodes of a doubled level are the level below, so the integrand is
+        evaluated only at the N/2 new ones, interleaved with the kept terms
+        halved (exact: the weight halves).
         Each component is accepted at the first N where the sheets close and
         its own |I_N - I_{N/2}| passes the gate, and keeps I_N, so it equals
         the integral of that component alone.  On a CurveRows workspace the
@@ -515,12 +519,11 @@ class QuadratureWorkspace:
         computed, only for rows still open; one that fails is the row's
         error at the level that reads it.
         """
-        out, done = 0.0, False
+        out, done, terms = 0.0, False, None
         n = start_panels
         while True:
             data = self.nodes(contour, n)
-            terms = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
-            terms *= data.dzdt        # in place: no second (components, rows, nodes) array
+            terms = _level_terms(data, integrand, terms)
             val = np.sum(terms, axis=-1)
             delta = np.abs(val - 2.0 * np.sum(terms[..., ::2], axis=-1))
             gate = tol * np.maximum(1.0, np.abs(val))
@@ -558,6 +561,27 @@ def quadrature_record(cycles):
             "start_nodes": _START_NODES, "max_nodes": _MAX_NODES,
             "nodes": {name: max(n for k, n in cycles.workspace._cache if k is c)
                       for name, c in zip(names, conts)}}
+
+
+def _level_terms(data, integrand, below):
+    """w f(z, y) dz/dt at the nodes of level ``data``, given the terms ``below`` or None.
+
+    With the level below, the integrand is evaluated at the odd nodes only,
+    on contiguous copies (so each value rounds as in an evaluation at every
+    node), and the even nodes take the kept terms times 1/2: the weight 1/N
+    is half the weight below, and scaling by 2 is exact.
+    """
+    if below is None:
+        terms = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
+        terms *= data.dzdt        # in place: no second (components, rows, nodes) array
+        return terms
+    z, y = (np.ascontiguousarray(v[..., 1::2]) for v in (data.z, data.y))
+    fresh = np.multiply(data.w, integrand(z, y), dtype=complex)
+    fresh *= data.dzdt[1::2]
+    terms = np.empty(fresh.shape[:-1] + (len(data.z),), dtype=complex)
+    np.multiply(below, 0.5, out=terms[..., ::2])
+    terms[..., 1::2] = fresh
+    return terms
 
 
 def _closure(e, z_last, z_start, y_last, y0, rows):
@@ -823,24 +847,42 @@ def _period_form(curve):
 
 
 def _period_data(g, a_per, b_per):
-    """PeriodData from the A pass ``a_per`` and the B pass ``b_per`` of ``_period_form``."""
-    m_mat, a_vec = a_per[:, :g], a_per[:, g]
-    phib, b_vec = b_per[:, :g], b_per[:, g]
+    """One PeriodData per row of the A passes ``a_per`` and B passes ``b_per``, each (K, g, g + 1).
+
+    The rows are stacked through the inversion, tau and its gates.  A row
+    whose A-period matrix is singular, or whose tau is asymmetric or has an
+    imaginary part that is not positive definite, gets its SwtrError in
+    place of its PeriodData.
+    """
+    m_mat, a_vec = a_per[..., :g], a_per[..., g]
+    phib, b_vec = b_per[..., :g], b_per[..., g]
+    errors = {}
     try:
         x_mat = np.linalg.inv(m_mat)
-    except np.linalg.LinAlgError as exc:
-        raise NormalizationSolveFailed(f"A-period matrix singular: {exc}") from exc
-    tau = np.zeros((g, g), dtype=complex)
-    for i in range(g):
-        for j in range(g):
-            tau[i, j] = phib[j] @ x_mat[:, i]
-    asym = float(np.max(np.abs(tau - tau.T)))
-    if asym > 1e-6 * max(1.0, float(np.max(np.abs(tau)))):
-        raise CycleConstructionFailed(f"period matrix asymmetry {asym:.3e}")
-    eig = np.linalg.eigvalsh(0.5 * (tau.imag + tau.imag.T))
-    if np.min(eig) <= 0:
-        raise CycleConstructionFailed("period matrix has non-positive imaginary part")
-    return PeriodData(a=a_vec, b=b_vec, tau=tau, norm_matrix=x_mat, a_jacobian=m_mat)
+    except np.linalg.LinAlgError:
+        x_mat = np.zeros_like(m_mat)
+        for r, m in enumerate(m_mat):
+            try:
+                x_mat[r] = np.linalg.inv(m)
+            except np.linalg.LinAlgError as exc:
+                errors[r] = NormalizationSolveFailed(f"A-period matrix singular: {exc}")
+    # tau[r, i, j] = phib[r, j] @ x[r, :, i], bitwise; vecdot conjugates its first argument
+    tau = np.vecdot(np.conj(x_mat.swapaxes(1, 2))[:, :, None], phib[:, None])
+    asym = np.max(np.abs(tau - tau.swapaxes(1, 2)), axis=(1, 2))
+    gate = 1e-6 * np.maximum(1.0, np.max(np.abs(tau), axis=(1, 2)))
+    eig = np.linalg.eigvalsh(0.5 * (tau.imag + tau.imag.swapaxes(1, 2))).min(axis=1)
+    out = []
+    for r in range(len(tau)):
+        if r in errors:
+            out.append(errors[r])
+        elif asym[r] > gate[r]:
+            out.append(CycleConstructionFailed(f"period matrix asymmetry {asym[r]:.3e}"))
+        elif eig[r] <= 0:
+            out.append(CycleConstructionFailed("period matrix has non-positive imaginary part"))
+        else:
+            out.append(PeriodData(a=a_vec[r], b=b_vec[r], tau=tau[r], norm_matrix=x_mat[r],
+                                  a_jacobian=m_mat[r]))
+    return out
 
 
 def periods(curve, cycles):
@@ -851,8 +893,11 @@ def periods(curve, cycles):
     and sums B_i = C_i + ... + C_g from those integrals.
     """
     ws, form = _workspace_for(curve, cycles), _period_form(curve)
-    return _period_data(curve.g, _cycle_periods(ws, cycles.a_cycles, form, _PERIOD_TOL),
-                        _cycle_periods(ws, cycles.b_cycles, form, _PERIOD_TOL))
+    pd, = _period_data(curve.g, _cycle_periods(ws, cycles.a_cycles, form, _PERIOD_TOL)[None],
+                       _cycle_periods(ws, cycles.b_cycles, form, _PERIOD_TOL)[None])
+    if isinstance(pd, SwtrError):
+        raise pd
+    return pd
 
 
 def omega_value(pd, j, z, y):
@@ -1003,6 +1048,51 @@ def _row_periods(cycles0, curves, cycle_list, tol):
     return {}, errors
 
 
+def line_periods(curve0, cycles0, pd0, r, nodes):
+    """Periods at the moduli u0 + r w v_k for each modulus k and each w of ``nodes``, k outer.
+
+    v_k = J^-1 e_k with J = da/du = -``pd0.a_jacobian``, so the line
+    s -> u0 + s v_k leaves a0 with velocity e_k: d/ds at s = 0 is d/da_k.
+    These are the first Newton trials of ``invert_a_map`` towards
+    a0 + r w e_k; nothing is solved.  The g len(nodes) curves are built at
+    once and checked against the reference contours, then one stacked pass
+    integrates ``_period_form`` over the A and B cycles together at
+    ``_PERIOD_TOL``, on sheets derived from the reference nodes, and one
+    ``_period_data`` takes every row.  The first failing node's
+    SingularCurve, OutOfNeighbourhood, QuadratureNotConverged or
+    PeriodData error is raised, naming the node.  Returns one PeriodData per
+    node.
+    """
+    _workspace_for(curve0, cycles0)
+    g, n = curve0.g, len(nodes)
+    v = np.linalg.solve(-pd0.a_jacobian, np.eye(g))
+    us = [np.array(curve0.u) + r * w * v[:, k] for k in range(g) for w in nodes]
+
+    def failed(errors):
+        i = min(errors)
+        k, j = divmod(i, n)
+        where = ", ".join(f"{x:.6g}" for x in us[i])
+        return type(errors[i])(
+            f"line node {j} of modulus {k + 1} at u = ({where}): {errors[i]}")
+
+    built = _new_curves(g, us, curve0.Lambda)
+    errors = {i: c for i, c in enumerate(built) if not isinstance(c, SWCurve)}
+    curves = {i: c for i, c in enumerate(built) if i not in errors}
+    outside = _neighbourhood_violations(list(curves.values()), cycles0)
+    errors.update((i, OutOfNeighbourhood(why)) for i, why in zip(curves, outside) if why)
+    if errors:
+        raise failed(errors)
+    per, errors = _row_periods(cycles0, curves, cycles0.a_cycles + cycles0.b_cycles, _PERIOD_TOL)
+    if errors:
+        raise failed(errors)
+    per = np.array([per[i] for i in range(len(us))])
+    pds = _period_data(g, per[:, :g], per[:, g:])
+    errors = {i: pd for i, pd in enumerate(pds) if isinstance(pd, SwtrError)}
+    if errors:
+        raise failed(errors)
+    return pds
+
+
 class _NewtonRow:
     """One target's damped Newton state in ``invert_a_map``."""
 
@@ -1080,7 +1170,11 @@ def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
     Returns one ``(curve, cycles, pd)`` per row: the moved curve, the
     reference contours with ``cycles0.workspace.moved_to(curve)``, and the
     periods there, what ``periods(curve, cycles)`` gives; ``pd`` reuses the
-    accepted trial's A pass, integrated at ``tol``.
+    accepted trial's A pass, integrated at ``tol``, and one ``_period_data``
+    takes every moved row.
+
+    The verifier does not call it: its derivative nodes sit on lines in
+    u-space (``line_periods``), where no a-target needs solving.
     """
     _workspace_for(curve0, cycles0)
     g = curve0.g
@@ -1126,6 +1220,11 @@ def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
     moved = {i: row.curve for i, row in enumerate(rows[:first]) if row.a_per is not None}
     b_per, failed = _row_periods(cycles0, moved, cycles0.b_cycles, _PERIOD_TOL)
     errors.update(failed)
+    done = [i for i in moved if i in b_per]
+    stacks = (np.array(per).reshape(-1, g, g + 1)
+              for per in ([rows[i].a_per for i in done], [b_per[i] for i in done]))
+    pds = dict(zip(done, _period_data(g, *stacks)))
+    errors.update((i, pd) for i, pd in pds.items() if isinstance(pd, SwtrError))
     out = []
     for i, row in enumerate(rows):
         if i in errors:
@@ -1133,13 +1232,8 @@ def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
         if row.a_per is None:
             out.append((curve0, cycles0, pd0))
             continue
-        try:
-            pd = _period_data(g, row.a_per, b_per[i])
-        except SwtrError as exc:
-            errors[i] = exc
-            break
         out.append((row.curve, replace(cycles0, workspace=cycles0.workspace.moved_to(row.curve)),
-                    pd))
+                    pds[i]))
     if errors:
         raise errors[min(errors)]
     return out

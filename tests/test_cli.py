@@ -24,6 +24,7 @@ from swtr.cli import (
     verify_theorem,
 )
 from swtr.errors import BasisMismatch, TruncationInsufficient
+from swtr.hyperelliptic import build_cycles, invert_a_map, new_curve, periods
 from swtr.spectral import LocalSpectralCurve, eo_run
 
 
@@ -70,6 +71,7 @@ def test_bad_config_exits_two(tmp_path):
     ({"series_order": 44}, "['series_order']"),
     ({"delta_a": [1e-3, 5e-4]}, "['delta_a']"),
     ({"seed": 11}, "['seed']"),
+    ({"tolerances": {"quadrature": 1e-11}}, "['quadrature']"),
 ])
 def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
     # a key the config does not know (k_bound and series_order among them) is
@@ -226,21 +228,24 @@ def test_fourth_derivative_and_route_checks_at_higher_genus(genus, u0):
     assert routes[0].tol == DEFAULT_TOLERANCES["route_rel"]
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", range(1, 11))
 def test_circle_derivatives_are_exact_to_their_degree(degree):
-    # the first-derivative rule is exact to degree 4 and the second to degree 5;
-    # one degree higher the r^4 term of the rule shows
+    # on N = 8 nodes the first-derivative rule is exact to degree N and the
+    # second to degree N + 1; one degree higher the r^N term of the rule shows
+    n = len(cli.CIRCLE_NODES)
+    assert n == 8
+    assert np.allclose(cli.CIRCLE_NODES, np.exp(2j * np.pi * np.arange(n) / n), rtol=0, atol=1e-15)
     rng = np.random.default_rng(degree)
     coef = rng.standard_normal((degree + 1, 2, 3, 2)) @ np.array([1, 1j])
     centre, r = 0.4 - 0.2j, 0.5
 
     def poly(x, deriv=0):
-        return sum(math.perm(n, deriv) * coef[n] * x ** (n - deriv)
-                   for n in range(deriv, degree + 1))
+        return sum(math.perm(k, deriv) * coef[k] * x ** (k - deriv)
+                   for k in range(deriv, degree + 1))
 
     values = [poly(centre + r * w) for w in cli.CIRCLE_NODES]
     d1, d2 = cli.circle_derivatives(values, r)
-    for got, deriv, exact_to in ((d1, 1, 4), (d2, 2, 5)):
+    for got, deriv, exact_to in ((d1, 1, n), (d2, 2, n + 1)):
         err = np.max(np.abs(got - poly(centre, deriv))) / np.max(np.abs(coef))
         assert (err < 1e-13) == (degree <= exact_to), (deriv, err)
 
@@ -249,22 +254,79 @@ def test_circle_derivatives_are_exact_to_their_degree(degree):
                                                  (2, (0.3 + 0.1j, 0.2 - 0.15j), False),
                                                  (2, (0.3 + 0.1j, 0.2 - 0.15j), True)],
                          ids=["g1-n4", "g2", "g2-n4"])
-def test_derivatives_take_four_nodes_per_modulus(monkeypatch, genus, u0, check_n4):
-    # the nodes a + r i^j e_k serve the n = 3, n = 4 and route checks alike;
-    # they are solved together, in one call of 4g rows
-    calls = []
-    invert = cli.invert_a_map
-    monkeypatch.setattr(cli, "invert_a_map",
-                        lambda *args, **kw: calls.append(args[3]) or invert(*args, **kw))
+def test_derivatives_take_one_stacked_pass_on_u_lines(monkeypatch, genus, u0, check_n4):
+    # the nodes u0 + r w_j v_k, v_k = (da/du)^-1 e_k, serve the n = 3, n = 4
+    # and route checks alike: one stacked period pass of 8g curves, with no
+    # Newton solve
+    from swtr import hyperelliptic
+    from swtr.hyperelliptic import CurveRows, QuadratureWorkspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invert_a_map called")
+
+    assert not hasattr(cli, "invert_a_map")
+    monkeypatch.setattr(hyperelliptic, "invert_a_map", refuse)
+    stacks = []
+    moved_to = QuadratureWorkspace.moved_to
+    monkeypatch.setattr(QuadratureWorkspace, "moved_to", lambda self, c: stacks.append(
+        c.rows if isinstance(c, CurveRows) else [c]) or moved_to(self, c))
     rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, check_n4=check_n4))
-    a = rep.artifacts.pd.a
+    assert rep.passed
+    pd = rep.artifacts.pd
     r = rep.metadata["derivative_radius"]
-    assert r == cli.DERIVATIVE_RADIUS * max(1.0, np.max(np.abs(a)))
-    expected = [a + r * w * np.eye(genus)[k] for k in range(genus) for w in (1, 1j, -1, -1j)]
-    assert len(calls) == 1
-    targets = calls[0]
-    assert len(targets) == 4 * genus
-    assert all(np.array_equal(t, e) for t, e in zip(targets, expected))
+    assert r == cli.DERIVATIVE_RADIUS * max(1.0, np.max(np.abs(pd.a)))
+    assert rep.metadata["derivative_nodes"] == len(cli.CIRCLE_NODES) == 8
+    assert len(stacks) == 1 and len(stacks[0]) == 8 * genus
+    v = np.linalg.inv(-pd.a_jacobian)
+    expected = [np.array(u0) + r * w * v[:, k] for k in range(genus) for w in cli.CIRCLE_NODES]
+    got = np.array([c.u for c in stacks[0]])
+    assert np.max(np.abs(got - expected)) <= 1e-15 * max(1.0, np.max(np.abs(u0)))
+    # the nodes sit off the a-space circle by about r |a''| / 2
+    assert 0 < rep.metadata["derivative_a_offset"] < 1e-2
+
+
+def _a_circle_derivatives(curve, cycles, pd, r):
+    """d_k tau, d_k^2 tau and d_k^2 b from the a-space circle a0 + r w_j e_k, each node
+    solved by invert_a_map at the Newton tolerance the verifier once used: the oracle."""
+    g, n = curve.g, len(cli.CIRCLE_NODES)
+    targets = [pd.a + r * w * e for e in np.eye(g) for w in cli.CIRCLE_NODES]
+    solved = [p for _, _, p in invert_a_map(curve, cycles, pd, targets, tol=1e-11)]
+    d_tau, d2_tau = np.zeros((2, g, g, g), dtype=complex)
+    d2_b = np.zeros((g, g), dtype=complex)
+    for k in range(g):
+        nodes = solved[n * k:n * (k + 1)]
+        d_tau[:, :, k], d2_tau[:, :, k] = cli.circle_derivatives([p.tau for p in nodes], r)
+        d2_b[:, k] = cli.circle_derivatives([p.b for p in nodes], r)[1]
+    return d_tau, d2_tau, d2_b
+
+
+@pytest.mark.parametrize("genus, u0", [(1, (0.3 + 0.1j,)), (2, (0.3 + 0.1j, 0.2 - 0.15j)),
+                                       (3, (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j))],
+                         ids=["g1", "g2", "g3"])
+def test_line_derivatives_match_the_a_space_circle(genus, u0):
+    # the u-line nodes with the chain-rule term give the derivatives of the
+    # a-space circle.  Measured, relative to each oracle's largest entry:
+    # d_tau <= 1.3e-13 and d2_tau, d2_b <= 1.6e-10 at g1-g3 (the second
+    # derivatives carry rounding / r^2); the bounds leave a margin of 6-8x
+    curve = new_curve(genus, u0)
+    cycles = build_cycles(curve)
+    pd = periods(curve, cycles)
+    r = cli.DERIVATIVE_RADIUS * max(1.0, float(np.max(np.abs(pd.a))))
+    got = cli.prepotential_derivatives(curve, cycles, pd, r)
+    oracle = _a_circle_derivatives(curve, cycles, pd, r)
+    for name, x, y, bound in zip(("d_tau", "d2_tau", "d2_b"), got, oracle, (1e-12, 1e-9, 1e-9)):
+        assert np.max(np.abs(x - y)) <= bound * np.max(np.abs(y)), name
+    # the nodes sit off that circle by about r |a''| / 2 (in units of r):
+    # the lines bend in a-space, which the chain-rule term accounts for
+    assert 0 < got[3] < 1e-2
+
+
+def test_identity_error_at_a_genus_one_point_off_the_acceptance_point():
+    # at u0 = 1.5 + 0.2i the a-space nodes carried the Newton stop residual
+    # divided by r into d_tau (2.1e-11); the u-line nodes solve nothing
+    rep = verify_theorem(VerifyConfig(genus=1, u0=(1.5 + 0.2j,)))
+    assert rep.passed and rep.metadata["matched_convention"] == "minus"
+    assert rep.metadata["sign_convention_rel_errors"]["minus"] <= 1e-12
 
 
 def test_verify_with_nonunit_scale():

@@ -28,6 +28,7 @@ from swtr.hyperelliptic import (
     build_cycles,
     ds_sw,
     invert_a_map,
+    line_periods,
     new_curve,
     omega_value,
     periods,
@@ -625,6 +626,32 @@ def test_integrate_error_names_its_numbers():
     assert float(m.group(5)) < 1e-8
 
 
+def test_doubled_level_evaluates_only_its_new_nodes():
+    # the even nodes of a doubled level are the level below, so at each
+    # doubling the integrand sees the new nodes alone, and the integral is
+    # bitwise the sum over every node of the last level evaluated afresh.
+    # A pole near the contour makes the form double twice
+    curve, cycles = _curve_and_cycles(U0_G1)
+    ws = cycles.workspace
+    a0 = cycles.a_cycles[0][0][1]
+    pole_form = _pole_form(a0, 0.125)
+    seen = []
+
+    def form(z, y):
+        seen.append(z.copy())
+        return pole_form(z, y)
+
+    got = ws.integrate(a0, form)
+    levels = [ws.nodes(a0, n).z for n in (128, 256, 512)]
+    assert [len(z) for z in seen] == [128, 128, 256]
+    assert [z.tobytes() for z in seen] == [levels[0].tobytes()] + [z[1::2].tobytes()
+                                                                  for z in levels[1:]]
+    last = ws.nodes(a0, 512)
+    terms = np.multiply(last.w, pole_form(last.z, last.y), dtype=complex)
+    terms *= last.dzdt
+    assert got.tobytes() == np.sum(terms, axis=-1).tobytes()
+
+
 def test_anchor_error_names_its_numbers():
     curve, cycles = _curve_and_cycles(U0_G2)
     e = complex(curve.branch_points[1])
@@ -778,10 +805,12 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     # once per contour: build_cycles tracks the first level of the two A
     # contours and the two chain loops, and every integral reads that
     # tracking.  Its quadrature work is that of the per-layer benchmark
-    # counts: 12 integrate calls, each accepted at its first level of 128
-    # nodes.  A level's sheet closure is computed only where integrate reads
-    # it: 52 row closures in 10 array calls, one per level read, where each
-    # row took a call of its own
+    # counts: 10 integrate calls (periods 4, kernel moments 2, and one pass
+    # of the 16 line nodes over the 4 contours), each accepted at its first
+    # level of 128 nodes.  A level's sheet closure is computed only where
+    # integrate reads it: 68 row closures in 8 array calls, one per level
+    # read (the kernel reads the levels periods closed), where each row took
+    # a call of its own
     seen = {"curves": set(), "tracks": 0, "integrate": 0, "panels": 0, "closures": 0,
             "closure_calls": 0}
     anchor, track = SheetTracker.anchor, SheetTracker.track_along
@@ -817,8 +846,8 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(hyperelliptic_module, "_closure", counted_closure)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "tracks": 4, "integrate": 12,
-                    "panels": 12 * 128, "closures": 52, "closure_calls": 10}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "tracks": 4, "integrate": 10,
+                    "panels": 10 * 128, "closures": 68, "closure_calls": 8}
 
 
 def test_scalar_sqrt_evaluations_per_verify(monkeypatch):
@@ -857,6 +886,45 @@ def test_invert_a_map_refuses_target_outside_contours():
     for target in (pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)):
         with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
             invert_a_map(curve, cycles, pd, [target])
+
+
+def test_line_node_outside_the_contours_is_refused_by_name(monkeypatch):
+    # a line node whose branch point leaves the reference contours is
+    # refused before any integral, naming the node: its index on the
+    # circle, its modulus and its u, the first such node of all
+    curve, cycles, pd = setup_g1()
+    r = 0.05 * np.max(np.abs(pd.a))
+    nodes = (1, 1j, -1, -1j)
+    v = np.linalg.solve(-pd.a_jacobian, np.eye(1))
+    us = [np.array(curve.u) + r * w * v[:, 0] for w in nodes]
+    why = _neighbourhood_violations([new_curve(1, u) for u in us], cycles)
+    first = next(j for j, w in enumerate(why) if w is not None)
+    monkeypatch.setattr(QuadratureWorkspace, "integrate", None)     # no integral may run
+    with pytest.raises(OutOfNeighbourhood) as err:
+        line_periods(curve, cycles, pd, r, nodes)
+    m = re.fullmatch(r"line node (\d+) of modulus (\d+) at u = \((\S+)\): (.*)", str(err.value))
+    assert m, str(err.value)
+    assert (int(m.group(1)), int(m.group(2))) == (first, 1)
+    assert complex(m.group(3)) == pytest.approx(us[first][0], rel=1e-5)
+    assert m.group(4) == why[first] and "elliptic sigma" in why[first]
+
+
+def test_line_periods_are_the_periods_of_each_node():
+    # the stacked pass over the A and B cycles together gives, at every
+    # node, bitwise the periods of that node's curve alone
+    for u0 in (U0_G1, U0_G2):
+        curve, cycles = _curve_and_cycles(u0)
+        pd = periods(curve, cycles)
+        r = 2e-3 * max(1.0, float(np.max(np.abs(pd.a))))
+        nodes = (1, 1j, -1, -1j)
+        got = line_periods(curve, cycles, pd, r, nodes)
+        v = np.linalg.solve(-pd.a_jacobian, np.eye(curve.g))
+        assert len(got) == len(nodes) * curve.g
+        for i, p in enumerate(got):
+            k, j = divmod(i, len(nodes))
+            moved = new_curve(curve.g, np.array(curve.u) + r * nodes[j] * v[:, k])
+            alone = periods(moved, replace(cycles, workspace=cycles.workspace.moved_to(moved)))
+            assert _period_fields(p) == _period_fields(alone)
 
 
 def _invert_fields(out):
@@ -929,6 +997,21 @@ def test_row_workspace_fails_rows_alone():
         r: solo(c, tol=1e-30, max_panels=256) for r, c in enumerate(rows[::2])}
 
 
+def _pole_form(cont, depth):
+    """1 / y, plus 1 / (z - p) on the last row, for a pole p outside ``cont`` at elliptic
+    sigma ``depth`` beyond it.  That term integrates to 0, but the trapezoidal rule resolves
+    it only at about N depth > 25, so the last row needs more nodes the nearer p is.  The
+    form reads only the nodes, not their number or position, as integrate evaluates a
+    doubled level's new nodes alone."""
+    pole = EllipseContour(cont.f1, cont.f2, cont.sigma + depth).point(0.3)
+
+    def form(z, y):
+        f = 1.0 / y
+        np.atleast_2d(f)[-1] += 1.0 / (z - pole)
+        return f
+    return form
+
+
 def test_rows_fail_only_at_levels_they_need():
     # row 0 is accepted at 256 nodes and row 1 only at 1024; a failure
     # recorded for row 0 at 512 nodes is not its error (alone it never
@@ -937,11 +1020,7 @@ def test_rows_fail_only_at_levels_they_need():
     curve, cycles, _ = setup_g1()
     rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)])
     cont = cycles.a_cycles[0][0][1]
-
-    def form(z, y):
-        f = 1.0 / y
-        f[1, 1::2] *= 1.0 + 1e-3 * (len(z) <= 512)    # row 1's odd nodes, up to 512 nodes
-        return f
+    form = _pole_form(cont, 0.06)
 
     seen = []
     probe = cycles.workspace.moved_to(rows)
@@ -979,11 +1058,7 @@ def test_closure_walked_only_where_read():
     curve, cycles, _ = setup_g1()
     moved = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)]
     cont = cycles.a_cycles[0][0][1]
-
-    def form(z, y):
-        f = 1.0 / y
-        np.atleast_2d(f)[-1, 1::2] *= 1.0 + 1e-3 * (len(z) <= 256)
-        return f
+    form = _pole_form(cont, 0.125)
 
     for target in (CurveRows(moved), moved[1]):
         row = 1 if isinstance(target, CurveRows) else 0
