@@ -20,8 +20,9 @@ Both families are block-diagonal across labels.  The abstract recursion
 tensors S_{g,n}; gauge transformations mix the regular/principal splitting
 through a triple ``(c, d, s)``.  Its cell bookkeeping (cell order, leg
 splits, lower-cell lookups, pivot sampler) is ``_CellRecursion``, which the
-local recursion ``spectral._EoEngine`` shares; only that engine prunes to
-the degree-bounded support, while ``atr_run`` evaluates every tuple.
+local recursion ``spectral._EoEngine`` shares; only that engine prunes, to
+the tuples within the degree bound whose rest its lower cells reach, while
+``atr_run`` evaluates every tuple.
 """
 
 from __future__ import annotations
@@ -454,11 +455,12 @@ class _CellRecursion:
     """Bookkeeping shared by the abstract and the local recursion.
 
     Cells are filled in the order of ``recursion_cells``, each by
-    ``_cell(g, n)`` on the tuples of ``support(g, n)``.  A subclass supplies
-    ``compute_value(g, n, idx, pivot_pos)``, one entry with any leg as the
-    pivot, which ``pivot_deviation`` samples.  The ``_cell`` here calls it on
-    every tuple; the local recursion overrides ``_cell`` to fill a whole cell
-    at once and keeps ``compute_value`` as its per-entry reference.  Per
+    ``_cell(g, n)``.  A subclass supplies ``compute_value(g, n, idx,
+    pivot_pos)``, one entry with any leg as the pivot, which
+    ``pivot_deviation`` samples.  The ``_cell`` here calls it on every tuple
+    of ``support(g, n)``; the local recursion overrides ``_cell`` to fill a
+    whole cell at once, on the rests its lower cells reach, and keeps
+    ``compute_value`` as its per-entry reference.  Per
     entry, lower cells are read through ``_svec`` (one free index) and
     ``_pair_matrix`` (two free indices), which look up only the modes
     ``_fit`` offers: every mode here, the degree-bounded ones in the local
@@ -476,7 +478,7 @@ class _CellRecursion:
         self.kmax = kmax
         self.chi_max = chi_max
         self.step = step            # 2 when only odd modes enter the recursion
-        self.evaluated = 0          # support tuples evaluated by run()
+        self.evaluated = 0          # tuples run() evaluated: support here, reached ones locally
         self._vec_cache = {}
         self._cell_cache = {}
 

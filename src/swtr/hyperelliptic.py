@@ -327,17 +327,19 @@ class _ContourNodes:
     """One level of a contour: N nodes t = k / N, weight 1 / N, and the sheets there.
 
     A row's sheet closure, from the last node back to the first, is
-    computed when first read.
+    computed when first read.  On a derived level ``worst`` holds each row's
+    largest sheet-gate ratio over the level and the node it is at.
     """
 
-    __slots__ = ("z", "dzdt", "w", "y", "errors", "_close", "_closure")
+    __slots__ = ("z", "dzdt", "w", "y", "errors", "worst", "_close", "_closure")
 
-    def __init__(self, z, dzdt, y, e, errors=None):
+    def __init__(self, z, dzdt, y, e, errors=None, worst=None):
         self.z = z
         self.dzdt = dzdt
         self.w = 1.0 / len(z)
         self.y = y
         self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
+        self.worst = worst            # (ratio, node), one entry per row
         # rows -> ({row: closure}, {row: exception}), on the branch points e of each row
         rows_y = np.atleast_2d(y)
         self._close = functools.partial(_closure, e, z[-1], z[0], rows_y[:, -1], rows_y[:, 0])
@@ -397,25 +399,29 @@ class _RowsFailed(Exception):
 _SHEET_GATE = 0.25
 
 
-def _nearer_sheet(cand, y_ref, contour, z):
-    """+-cand, each entry on the sign nearer y_ref, and the rows where that is not clear.
+def _nearer_sheet(cand, y_ref, z):
+    """+-cand, each entry on the sign nearer y_ref, and each row's worst ratio and its node.
 
     ``cand`` holds one row per curve, shape (K, N), against y_ref and the
     nodes z of shape (N,); it is negated in place where -cand is nearer.
-    Returns it and {row: OutOfNeighbourhood}.
+    The ratio is the nearer distance over the farther one, nan where both
+    are 0; a row's worst is its largest, or its first nan.
     """
     same, flip = np.abs(cand - y_ref), np.abs(cand + y_ref)
     ratio = np.minimum(same, flip)
     ratio /= np.maximum(same, flip)
     worst = np.argmax(ratio, axis=-1)
-    errors = {}
-    for r in np.flatnonzero(~(ratio[np.arange(len(ratio)), worst] <= _SHEET_GATE)):
-        errors[int(r)] = OutOfNeighbourhood(
-            f"sheet of the moved curve is ambiguous at node {z[worst[r]]:.6g} of the "
-            f"contour with foci {contour.f1:.6g}, {contour.f2:.6g}: nearer/farther distance "
-            f"to the reference sheet {ratio[r, worst[r]]:.3g} against gate {_SHEET_GATE:g}")
     np.negative(cand, out=cand, where=~(same <= flip))
-    return cand, errors
+    return cand, ratio[np.arange(len(ratio)), worst], z[worst]
+
+
+def _sheet_errors(ratio, node, contour):
+    """{row: OutOfNeighbourhood} of the rows whose worst ratio misses the gate."""
+    return {int(r): OutOfNeighbourhood(
+        f"sheet of the moved curve is ambiguous at node {node[r]:.6g} of the "
+        f"contour with foci {contour.f1:.6g}, {contour.f2:.6g}: nearer/farther distance "
+        f"to the reference sheet {ratio[r]:.3g} against gate {_SHEET_GATE:g}")
+        for r in np.flatnonzero(~(ratio <= _SHEET_GATE))}
 
 
 class QuadratureWorkspace:
@@ -491,13 +497,33 @@ class QuadratureWorkspace:
         return _ContourNodes(z, contour.velocity(t), ys, self._rows.branch_points)
 
     def _derived_nodes(self, contour, n_panels):
+        """The moved sheets at the reference nodes of a level.
+
+        The even nodes of a doubled level are the level below: when it is
+        kept, only the new odd nodes are derived, on contiguous copies (so
+        each value rounds as in a derivation at every node), and a row's
+        worst ratio is the larger of the two halves'.  So a refusal names the
+        worst node of the whole level.
+        """
         ref = self._reference._nodes(contour, n_panels)
-        ys, errors = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, contour, ref.z)
+        below = self._cache.get((contour, n_panels // 2)) if n_panels % 2 == 0 else None
+        if below is None:
+            ys, ratio, node = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, ref.z)
+        else:
+            z, y_ref = (np.ascontiguousarray(v[..., 1::2]) for v in (ref.z, ref.y))
+            fresh, ratio, node = _nearer_sheet(np.sqrt(self._rows.q_at(z)), y_ref, z)
+            ys = np.empty(fresh.shape[:-1] + (n_panels,), dtype=complex)
+            ys[..., ::2], ys[..., 1::2] = below.y, fresh
+            kept_ratio, kept_node = below.worst
+            keep = (kept_ratio >= ratio) | np.isnan(kept_ratio)
+            ratio, node = np.where(keep, kept_ratio, ratio), np.where(keep, kept_node, node)
+        errors = _sheet_errors(ratio, node, contour)
         if self._stacked:
-            return _ContourNodes(ref.z, ref.dzdt, ys, self._rows.branch_points, errors)
+            return _ContourNodes(ref.z, ref.dzdt, ys, self._rows.branch_points, errors,
+                                 (ratio, node))
         if errors:
             raise errors[0]
-        return _ContourNodes(ref.z, ref.dzdt, ys[0], self._rows.branch_points)
+        return _ContourNodes(ref.z, ref.dzdt, ys[0], self._rows.branch_points, worst=(ratio, node))
 
     def integrate(self, contour, integrand, tol=1e-10, start_panels=_START_NODES,
                   max_panels=_MAX_NODES):

@@ -16,35 +16,42 @@ which reduces to dz1 / (4 z (z^2 - z1^2) dz) for the bare quadratic disc.
 Residue extraction happens on truncated Laurent windows; repeating it with a
 larger window is the "formal extraction order" refinement check.
 
-Each cell omega_{g,n} is evaluated only on its degree-bounded support: with
-d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every other
-entry vanishes exactly, because the pole orders of the lower cells leave the
-residue nothing to pick up.  A cell is filled whole, one point at a time.
-The entries whose pivot (first index) sits at the point are grouped by
-their other legs, the rest: the series xi the residue is taken of depends
-on the rest only, so one product of all the rests' xi with the residue
-vectors gives every pivot.  The splitting terms of xi come from pairs of
-nonzero lower-cell factors (a lower cell with one argument at +-z and the
-others on legs) whose merged legs are a rest of the cell.  Of each pair's
-product only the columns the residue vectors read are formed (one per pivot
-with the default D = 4 z^2), as stacked BLAS dots that are bitwise the
-columns ``np.convolve`` gives; ``products`` counts the pairs.  The genus
-term is contracted against the point's residue tensor C^p_{ab}, the residue
-of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).  ``compute_value``
-evaluates one entry with any pivot from the same factors and tensor, with
-the full convolution; it is the reference for the fill, the pivot-symmetry
-check and the support check.
+The nonzero entries of a cell omega_{g,n} lie on its degree-bounded support:
+with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every
+other entry vanishes exactly, because the pole orders of the lower cells
+leave the residue nothing to pick up.  ``support`` lists these tuples; the
+fill visits fewer.  A cell is filled whole, one point at a time.  The
+entries whose pivot (first index) sits at the point are grouped by their
+other legs, the rest: the series xi the residue is taken of depends on the
+rest only, so one product of all the rests' xi with the residue vectors
+gives every pivot.  The splitting terms of xi come from pairs of nonzero
+lower-cell factors (a lower cell with one argument at +-z and the others on
+legs); the genus term from the entries of omega_{g-1,n+1}, two of whose
+legs meet the residue.  So the rests are the ones these reach: the merged
+legs of a pair, the other legs of an entry.  An entry with any other rest
+has xi = 0 and genus term 0, and is exactly 0.  Each reached rest takes the
+pivots at the point that its degree budget allows and that sort first.
+Of each pair's product only the columns the residue vectors read are formed
+(one per pivot with the default D = 4 z^2), as stacked BLAS dots that are
+bitwise the columns ``np.convolve`` gives; ``products`` counts the pairs.
+The genus term is contracted against the point's residue tensor C^p_{ab},
+the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).
+``compute_value`` evaluates one entry with any pivot from the same factors
+and tensor, with the full convolution; it is the reference for the fill,
+the pivot-symmetry check and the support check.
 The cell order, the leg splits, the lower-cell lookups of ``compute_value``
 and the pivot sampler are ``airy._CellRecursion``, shared with
-``airy.atr_run``; the degree prune is this engine's alone.  ``atr_run``
-enumerates every tuple up to the index bound 6g + 2n - 4, so as the oracle
-it does not rest on the prune.  ``support_bound_check`` evaluates the tuples
-beyond the degree bound and reports the largest of them, which must be 0.
+``airy.atr_run``; the degree prune and the reach are this engine's alone.
+``atr_run`` enumerates every tuple up to the index bound 6g + 2n - 4, so as
+the oracle it rests on neither.  ``support_bound_check`` evaluates the
+tuples beyond the degree bound, and those within it that the fill does not
+reach, and reports the largest of each, which must be 0.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -309,49 +316,75 @@ class _EoEngine(_CellRecursion):
     # the whole-cell fill -----------------------------------------------------
 
     def _cell(self, g, n):
-        """Recursion values of a cell on its support.
+        """Recursion values of a cell on the rests its lower cells reach.
 
-        At each point, the entries whose pivot (first index) sits there are
+        At each point the entries whose pivot (first index) sits there are
         grouped by their other legs, the rest: one xi series per rest, whose
-        residues against every pivot come out of one product.
+        residues against every pivot come out of one product.  The keys come
+        out sorted, in the order of ``support``.
         """
-        support = self.support(g, n)
-        self.evaluated += len(support)
-        rows = {lab: {} for lab in self.ram}
-        for idx in support:
-            at = rows[self.modes[idx[0]][1]]
-            at.setdefault(idx[1:], len(at))
-        vals = {lab: self._rest_values(g, n, lab, at) for lab, at in rows.items() if at}
+        self.allowed(g, n)      # every mode within the degree bound is allowed
         cell = {}
-        for idx in support:
-            lab = self.modes[idx[0]][1]
-            val = vals[lab][rows[lab][idx[1:]], self.degree[idx[0]]]
-            if val != 0:
-                cell[idx] = val
-        return cell
+        for lab in self.ram:
+            rows, vals = self._rest_values(g, n, lab)
+            for idx, r, p in self._pivots(g, n, lab, rows):
+                self.evaluated += 1
+                if (val := vals[r, p]) != 0:
+                    cell[idx] = val
+        return dict(sorted(cell.items()))
 
-    def _rest_values(self, g, n, lab, rows):
-        """Entries (pivot, rest) at the point ``lab``: a row per rest, a column per pivot."""
+    def _pivots(self, g, n, lab, rows):
+        """(tuple, row, pivot p) of each entry at ``lab`` with its rest in ``rows``.
+
+        The pivot is the mode (2p + 1, lab) within the degree budget the rest
+        leaves, and no larger than the rest's first leg: the first index of
+        the sorted tuple.
+        """
+        first, room = self.index[(1, lab)], 3 * g - 3 + n
+        for rest, r in rows.items():
+            top = room - sum(map(self.degree.__getitem__, rest))
+            if rest:
+                top = min(top, rest[0] - first)
+            for p in range(top + 1):
+                yield (first + p,) + rest, r, p
+
+    def _reached(self, g, n):
+        """The tuples the fill of a cell reaches, from the same rows, with no products formed."""
+        out = set()
+        for lab in self.ram:
+            rows, _ = self._first_rows(g, n, lab)
+            collections.deque(self._split_pairs(g, n, lab, rows), maxlen=0)
+            out.update(idx for idx, _, _ in self._pivots(g, n, lab, rows))
+        return out
+
+    def _rest_values(self, g, n, lab):
+        """The rests reached at the point ``lab`` as {rest: row}, and the entries
+        (pivot, rest) there: a row per rest, a column per pivot.
+
+        A rest is reached by a splitting-term pair or a genus-term entry; the
+        entries of every other rest are exactly 0.
+        """
+        rows, genus = self._first_rows(g, n, lab)
         xi = self._split_terms(g, n, lab, rows)
         if (g, n) == (1, 1):
-            xi[rows[()], -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
+            xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
         vals = -(xi @ self.res_vec[lab].T)
-        if g >= 1 and (g, n) != (1, 1):
-            vals -= self._genus_terms(g, n, lab, rows)
-        return vals
+        if genus is not None:
+            vals -= self._genus_terms(lab, len(rows), *genus)
+        return rows, vals
 
     def _split_terms(self, g, n, lab, rows):
-        """xi series of every rest in ``rows`` from the splitting terms.
+        """xi series of every rest in ``rows``, with the rests the pairs reach added.
 
-        Each pair of nonzero lower-cell factors whose merged legs are a rest
-        (``_split_pairs``) adds its product once per leg-position subset that
-        gives the pair.  Only the columns that ``res_vec[lab]`` reads are
-        formed, each bitwise ``np.convolve``'s (``_product_columns``), for
-        up to ``_STACK`` pairs at a time; the other columns stay 0 and meet
-        an exact 0 in the residue.  The adds go one per subset in pair order,
-        as in ``compute_value``, so every read column of xi is the sum the
-        per-pair loop gives: a single add of the multiple would round
-        differently.
+        Each pair of nonzero lower-cell factors (``_split_pairs``) adds its
+        product to the rest their merged legs make, once per leg-position
+        subset that gives the pair.  Only the columns that ``res_vec[lab]``
+        reads are formed, each bitwise ``np.convolve``'s
+        (``_product_columns``), for up to ``_STACK`` pairs at a time; the
+        other columns stay 0 and meet an exact 0 in the residue.  The adds go
+        one per subset in pair order, as in ``compute_value``, so every read
+        column of xi is the sum the per-pair loop gives: a single add of the
+        multiple would round differently.
         """
         cols = self.res_cols[lab]
         part = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -361,17 +394,18 @@ class _EoEngine(_CellRecursion):
             firsts, seconds, at, ways = zip(*chunk)
             terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(), cols)
             each = np.repeat(np.arange(len(chunk)), ways)
+            part = _grown(part, len(rows))
             np.add.at(part, np.array(at)[each], terms[each])
         xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
-        xi[:, cols] = part
+        xi[:, cols] = part[:len(rows)]
         return xi
 
     def _split_pairs(self, g, n, lab, rows):
         """(first factor, second factor, row, subsets) of each splitting-term pair.
 
         The first factor is a lower cell at +z, the second at -z, and row is
-        the rest of ``rows`` their merged legs make; subsets counts the
-        leg-position subsets that give the pair (``_ways``).
+        that of the rest their merged legs make, added to ``rows`` if new;
+        subsets counts the leg-position subsets that give the pair (``_ways``).
         """
         first = self.index[(1, lab)]        # every rest here starts at lab or later
         room = 3 * g - 3 + n                # no rest has a larger degree sum
@@ -385,32 +419,65 @@ class _EoEngine(_CellRecursion):
                 if legs1 and legs1[0] < first:
                     continue
                 for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
-                    row = rows.get(tuple(sorted(legs1 + legs2)))
-                    if row is not None:
-                        yield f1, f2, row, _ways(legs1, legs2)
+                    row = rows.setdefault(tuple(sorted(legs1 + legs2)), len(rows))
+                    yield f1, f2, row, _ways(legs1, legs2)
 
-    def _genus_terms(self, g, n, lab, rows):
-        """Genus-reduction residues for every rest in ``rows`` and every pivot at ``lab``.
+    def _genus_triples(self, g, n):
+        """(rests, their first legs, a, b, values) over the entries of omega_{g-1,n+1}
+        and their leg pairs.
 
-        An entry of omega_{g-1,n+1} at (a, b, rest) adds its value times
-        C[p, a, b] + C[p, b, a] (once for a = b) to (rest, pivot p).
+        Each entry at (a, b, rest) is listed once per distinct pair (a, b) of
+        its legs, in the cell's key order; ``_cell_cache`` keeps the lists
+        for every point of the cell.
         """
-        at, pairs, vals = [], [], []
-        for key, val in self.table.entries[(g - 1, n + 1)].items():
-            for a, b in dict.fromkeys(itertools.combinations(key, 2)):
-                rest = list(key)
-                rest.remove(a)
-                rest.remove(b)
-                row = rows.get(tuple(rest))
-                if row is not None:
-                    at.append(row)
+        key = ("genus", g, n)
+        if key not in self._cell_cache:
+            rests, pairs, vals = [], [], []
+            for idx, val in self.table.entries[(g - 1, n + 1)].items():
+                for a, b in dict.fromkeys(itertools.combinations(idx, 2)):
+                    rest = list(idx)
+                    rest.remove(a)
+                    rest.remove(b)
+                    rests.append(tuple(rest))
                     pairs.append((a, b))
                     vals.append(val)
-        out = np.zeros((len(rows), self.res_vec[lab].shape[0]), dtype=complex)
+            a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+            # first leg of each rest; the empty rest is reached at every point
+            lead = [rest[0] if rest else self.dim for rest in rests]
+            self._cell_cache[key] = rests, lead, a, b, np.array(vals, dtype=complex)
+        return self._cell_cache[key]
+
+    def _first_rows(self, g, n, lab):
+        """The rows at ``lab`` before the pairs add theirs, and the genus-term entries.
+
+        (1, 1) has the empty rest, which B(z, -z) reaches.  Otherwise, for
+        g >= 1, the rows are the rests of the genus-term entries at ``lab``
+        (those whose rest starts at lab or later), and the entries come as
+        their rows and their (a, b, value); None for g = 0 and for (1, 1).
+        """
+        if (g, n) == (1, 1):
+            return {(): 0}, None
+        if g == 0:
+            return {}, None
+        rests, lead, a, b, vals = self._genus_triples(g, n)
+        first = self.index[(1, lab)]
+        reach = [i for i, leg in enumerate(lead) if leg >= first]
+        rows = {}
+        at = [rows.setdefault(rests[i], len(rows)) for i in reach]
+        if len(reach) < len(rests):     # at the first point every entry is reached
+            a, b, vals = a[reach], b[reach], vals[reach]
+        return rows, (at, a, b, vals)
+
+    def _genus_terms(self, lab, nrows, at, a, b, vals):
+        """Genus-reduction residues of ``nrows`` rests and every pivot at ``lab``.
+
+        An entry of omega_{g-1,n+1} at (a, b, rest) adds its value times
+        C[p, a, b] + C[p, b, a] (once for a = b) to (its row ``at``, pivot p).
+        """
+        out = np.zeros((nrows, self.res_vec[lab].shape[0]), dtype=complex)
         if at:
-            a, b = np.array(pairs).T
             c = self.res_tensor[lab]
-            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * np.array(vals)
+            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
             np.add.at(out, at, terms.T)
         return out
 
@@ -441,7 +508,8 @@ class _EoEngine(_CellRecursion):
 
         The degree of index k is d = (k - 1) / 2.  Tuples come in the order of
         ``combinations_with_replacement(allowed(g, n), n)``; every tuple
-        beyond the degree bound has a zero entry.
+        beyond the degree bound has a zero entry.  The fill visits only the
+        ones whose rest is reached; the support check reads them all.
         """
         self.allowed(g, n)      # every mode within the degree bound is allowed
         room = 3 * g - 3 + n
@@ -476,6 +544,14 @@ def _product_columns(f1, r2, cols):
         lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
         out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
     return out
+
+
+def _grown(arr, size):
+    """``arr`` if it has ``size`` rows, else with zero rows appended: at least as many as it has."""
+    if size <= len(arr):
+        return arr
+    more = np.zeros((max(size, 2 * len(arr)) - len(arr), arr.shape[1]), dtype=arr.dtype)
+    return np.concatenate((arr, more))
 
 
 def _ways(legs1, legs2):
@@ -549,13 +625,16 @@ def support_bound_check(omega, tol=1e-10):
 
     ``outside_support_residual`` is the largest |entry| the recursion gives
     for an index tuple within the per-index bound but outside the degree
-    bound that ``eo_run`` enumerates; it must be exactly 0.  The factor
-    tables the probes rebuild are freed when it returns, as by ``eo_run``.
+    bound; ``unreached_residual`` the largest over the tuples within the
+    degree bound whose rest no lower cell reaches, which ``eo_run`` does not
+    visit.  Both must be exactly 0.  The factor tables the probes rebuild are
+    freed when it returns, as by ``eo_run``.
     """
     try:
         return _support_report(omega, tol)
     finally:
         omega.engine._factor_cache.clear()
+        omega.engine._cell_cache.clear()
 
 
 def _support_report(omega, tol):
@@ -572,6 +651,9 @@ def _support_report(omega, tol):
         for idx in itertools.combinations_with_replacement(engine.allowed(g, n), n):
             if idx not in inside:
                 outside = max(outside, abs(engine.compute_value(g, n, idx)))
+        unreached = 0.0
+        for idx in inside - engine._reached(g, n):
+            unreached = max(unreached, abs(engine.compute_value(g, n, idx)))
         even_dev = 0.0
         # probe targets carrying one even-index leg (odd pivot): must vanish
         if n >= 2:
@@ -584,6 +666,7 @@ def _support_report(omega, tol):
             "within_bound": max_idx <= bound,
             "even_leg_residual": even_dev,
             "outside_support_residual": outside,
+            "unreached_residual": unreached,
         }
     return report
 

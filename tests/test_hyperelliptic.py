@@ -1039,6 +1039,52 @@ def test_rows_fail_only_at_levels_they_need():
     assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 512 nodes"}
 
 
+def test_doubled_level_derives_only_new_nodes(monkeypatch):
+    # a g1 chi=5 verify doubles both contours to 256 nodes; at 256 the line
+    # pass's 8 rows derive their sheets at the 128 new odd nodes only, the
+    # even ones being the 128 level's
+    derived, inside = [], []
+    nodes, q_at = QuadratureWorkspace._derived_nodes, CurveRows.q_at
+
+    def record(self, contour, n_panels):
+        derived.append([n_panels, len(self._rows.rows), 0])
+        inside.append(True)
+        try:
+            return nodes(self, contour, n_panels)
+        finally:
+            inside.pop()
+
+    def count(self, z):
+        if inside:
+            derived[-1][2] += np.size(z)
+        return q_at(self, z)
+
+    monkeypatch.setattr(QuadratureWorkspace, "_derived_nodes", record)
+    monkeypatch.setattr(CurveRows, "q_at", count)
+    report = verify_theorem(VerifyConfig(genus=1, u0=U0_G1, chi_max=5))
+    assert report.passed
+    assert report.metadata["quadrature"]["nodes"] == {"A_1": 256, "C_1": 256}
+    assert sorted(map(tuple, derived)) == [(128, 8, 128)] * 2 + [(256, 8, 128)] * 2
+
+
+def test_doubled_level_keeps_the_whole_levels_worst_node():
+    # a doubled level derived from the level below carries the sheets, each
+    # row's worst gate ratio and node, and the refusals of the same level
+    # derived at every node afresh; row 1 misses the gate
+    curve, cycles, _ = setup_g1()
+    rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.05, -2e-3j)])
+    refused = set()
+    for cont in cycles.chain_loops + [cycles.a_cycles[0][0][1]]:
+        doubled, fresh = (cycles.workspace.moved_to(rows) for _ in range(2))
+        doubled.nodes(cont, 128)
+        a, b = doubled.nodes(cont, 256), fresh.nodes(cont, 256)
+        assert a.y.tobytes() == b.y.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.worst, b.worst))
+        assert {r: str(e) for r, e in a.errors.items()} == {r: str(e) for r, e in b.errors.items()}
+        refused |= set(a.errors)
+    assert refused == {1}
+
+
 def _failing_row(close, row):
     """``close`` with the closure of ``row`` failing."""
     def failing(rows):

@@ -24,6 +24,7 @@ from swtr.laurent import LaurentSeries
 from swtr.spectral import (
     LocalSpectralCurve,
     OmegaGN,
+    _STACK,
     _EoEngine,
     _product_columns,
     _ways,
@@ -202,6 +203,7 @@ def test_support_bounds():
         assert info["within_bound"], (cell, info)
         assert info["even_leg_residual"] < 1e-10, (cell, info)
         assert info["outside_support_residual"] == 0.0, (cell, info)
+        assert info["unreached_residual"] == 0.0, (cell, info)
 
 
 def test_airy_support_is_minimal():
@@ -282,10 +284,28 @@ def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
             assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
 
 
-def _convolve_split_terms(self, g, n, lab, rows):
-    """The splitting terms by one full ``np.convolve`` per pair: the oracle of
-    ``_EoEngine._split_terms``, which forms only the columns the residue reads."""
-    xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+@pytest.mark.parametrize("ram, chi, denom", [
+    (("0", "1", "2", "3"), 4, QUARTIC),
+    (("p", "q"), 5, None),
+], ids=["4pt-chi4-quartic", "2pt-chi5"])
+def test_unreached_support_tuples_are_exactly_zero(ram, chi, denom):
+    # every support tuple whose rest no lower cell reaches, which the fill
+    # skips, comes out exactly 0 in the per-entry reference; the tuples the
+    # fill reaches are the ones it counts
+    omega = eo_run(_split_test_curve(ram, denom), chi)
+    engine = omega.engine
+    reached = {cell: engine._reached(*cell) for cell in omega.table.entries}
+    assert sum(map(len, reached.values())) == engine.evaluated
+    skipped = sum(len(set(engine.support(*cell)) - reached[cell]) for cell in reached)
+    assert skipped > 0
+    report = support_bound_check(omega)
+    for cell, info in report.items():
+        assert info["unreached_residual"] == 0.0, (cell, info)
+
+
+def _lower_pairs(self, g, n, lab):
+    """(first factor, second factor, merged legs, subsets) of each splitting-term
+    pair at ``lab``, in the recursion's pair order."""
     first = self.index[(1, lab)]
     room = 3 * g - 3 + n
     for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
@@ -298,13 +318,80 @@ def _convolve_split_terms(self, g, n, lab, rows):
             if legs1 and legs1[0] < first:
                 continue
             for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
-                row = rows.get(tuple(sorted(legs1 + legs2)))
-                if row is not None:
-                    self.products += 1
-                    term = np.convolve(f1, f2)
-                    for _ in range(_ways(legs1, legs2)):
-                        xi[row] += term
+                yield f1, f2, tuple(sorted(legs1 + legs2)), _ways(legs1, legs2)
+
+
+def _convolve_split_terms(self, g, n, lab, rows):
+    """The splitting terms by one full ``np.convolve`` per pair: the oracle of
+    ``_EoEngine._split_terms``, which forms only the columns the residue reads.
+    Like it, it adds the rests the pairs reach to ``rows``."""
+    adds = []
+    for f1, f2, legs, ways in _lower_pairs(self, g, n, lab):
+        self.products += 1
+        adds.append((rows.setdefault(legs, len(rows)), np.convolve(f1, f2), ways))
+    xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+    for row, term, ways in adds:
+        for _ in range(ways):
+            xi[row] += term
     return xi
+
+
+def _support_cell(self, g, n):
+    """The fill on the whole degree-bounded support: the oracle of ``_EoEngine._cell``.
+
+    Every support tuple is evaluated.  At each point its rests are the rows;
+    pairs and genus-term entries are looked up by rest, and those whose rest
+    is no row are skipped.  The pairs are stacked as the engine stacks them.
+    """
+    support = self.support(g, n)
+    self.evaluated += len(support)
+    rows = {lab: {} for lab in self.ram}
+    for idx in support:
+        at = rows[self.modes[idx[0]][1]]
+        at.setdefault(idx[1:], len(at))
+    vals = {}
+    for lab, at in rows.items():
+        cols = self.res_cols[lab]
+        part = np.zeros((len(at), len(cols)), dtype=complex)
+        pairs = [(f1, f2, at[legs], ways) for f1, f2, legs, ways in _lower_pairs(self, g, n, lab)
+                 if legs in at]
+        for i in range(0, len(pairs), _STACK):
+            chunk = pairs[i:i + _STACK]
+            self.products += len(chunk)
+            firsts, seconds, where, ways = zip(*chunk)
+            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(), cols)
+            each = np.repeat(np.arange(len(chunk)), ways)
+            np.add.at(part, np.array(where)[each], terms[each])
+        xi = np.zeros((len(at), 2 * self.nlen - 1), dtype=complex)
+        xi[:, cols] = part
+        if (g, n) == (1, 1):
+            xi[at[()], -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
+        vals[lab] = -(xi @ self.res_vec[lab].T)
+        if g >= 1 and (g, n) != (1, 1):
+            where, pairs, coef = [], [], []
+            for key, val in self.table.entries[(g - 1, n + 1)].items():
+                for a, b in dict.fromkeys(itertools.combinations(key, 2)):
+                    rest = list(key)
+                    rest.remove(a)
+                    rest.remove(b)
+                    if tuple(rest) in at:
+                        where.append(at[tuple(rest)])
+                        pairs.append((a, b))
+                        coef.append(val)
+            out = np.zeros_like(vals[lab])
+            if where:
+                a, b = np.array(pairs).T
+                c = self.res_tensor[lab]
+                terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * np.array(coef)
+                np.add.at(out, where, terms.T)
+            vals[lab] -= out
+    cell = {}
+    for idx in support:
+        lab = self.modes[idx[0]][1]
+        val = vals[lab][rows[lab][idx[1:]], self.degree[idx[0]]]
+        if val != 0:
+            cell[idx] = val
+    return cell
 
 
 def _table_bits(table):
@@ -313,26 +400,50 @@ def _table_bits(table):
             for cell, entries in table.entries.items()]
 
 
-@pytest.mark.parametrize("ram, chi, denom", [
+FILL_CASES = pytest.mark.parametrize("ram, chi, denom", [
     (("0", "1", "2", "3"), 4, QUARTIC),
     (("p", "q"), 5, None),
     (("0",), 6, None),
     (None, None, None),
 ], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6", "verify-g2"])
+
+
+def _fill_case(ram, chi, denom):
+    """The run of a FILL_CASES case: eo_run, or the genus-2 verify's recursion."""
+    if ram is None:
+        return verify_theorem(VerifyConfig(genus=2, u0=(0.3 + 0.1j, 0.2 - 0.15j))).omega
+    return eo_run(_split_test_curve(ram, denom), chi)
+
+
+@FILL_CASES
 def test_split_terms_match_convolve_loop_bitwise(monkeypatch, ram, chi, denom):
     # the read columns of the stacked products, added one per subset in pair
     # order, leave every stored value and the key order as the full-convolve loop
-    def run():
-        if ram is None:
-            return verify_theorem(VerifyConfig(genus=2, u0=(0.3 + 0.1j, 0.2 - 0.15j))).omega
-        return eo_run(_split_test_curve(ram, denom), chi)
-
-    omega = run()
+    omega = _fill_case(ram, chi, denom)
     with monkeypatch.context() as m:
         m.setattr(_EoEngine, "_split_terms", _convolve_split_terms)
-        ref = run()
+        ref = _fill_case(ram, chi, denom)
     assert omega.engine.products == ref.engine.products > 0
     assert _table_bits(omega.table) == _table_bits(ref.table)
+
+
+@FILL_CASES
+def test_reached_fill_matches_support_fill_bitwise(monkeypatch, ram, chi, denom):
+    # filling on the reached rests skips only exact zeros: the stored values,
+    # the key order and the products are the support-driven fill's; on one
+    # point every support tuple is reached, on more the fill visits fewer
+    omega = _fill_case(ram, chi, denom)
+    with monkeypatch.context() as m:
+        m.setattr(_EoEngine, "_cell", _support_cell)
+        ref = _fill_case(ram, chi, denom)
+    assert omega.engine.products == ref.engine.products > 0
+    assert _table_bits(omega.table) == _table_bits(ref.table)
+    support = sum(len(omega.engine.support(g, n)) for g, n in omega.table.entries)
+    assert ref.engine.evaluated == support
+    if len(omega.curve.ram) == 1:
+        assert omega.engine.evaluated == support
+    else:
+        assert omega.engine.evaluated < support
 
 
 def test_product_columns_are_convolve_columns_bitwise():
