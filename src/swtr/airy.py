@@ -458,14 +458,14 @@ class _CellRecursion:
     ``_cell(g, n)``.  A subclass supplies ``compute_value(g, n, idx,
     pivot_pos)``, one entry with any leg as the pivot, which
     ``pivot_deviation`` samples.  The ``_cell`` here calls it on every tuple
-    of ``support(g, n)``; the local recursion overrides ``_cell`` to fill a
-    whole cell at once, on the rests its lower cells reach, and keeps
-    ``compute_value`` as its per-entry reference.  Per
+    of ``support(g, n)``; the local recursion overrides ``run`` to fill a
+    whole level of cells at once, on the rests their lower cells reach, and
+    keeps ``compute_value`` as its per-entry reference.  Per
     entry, lower cells are read through ``_svec`` (one free index) and
     ``_pair_matrix`` (two free indices), which look up only the modes
     ``_fit`` offers: every mode here, the degree-bounded ones in the local
     recursion.
-    ``_cell_cache`` holds what only the cell being filled reads.
+    ``_cell_cache`` holds what only the cell (or level) being filled reads.
     """
 
     seeded = ()         # cells given as initial data, not by the recursion

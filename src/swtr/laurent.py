@@ -676,24 +676,60 @@ def _mul2_chunk(x, y, out):
         np.add.reduce(stack, axis=0, out=out[:, lo:])
 
 
+@functools.cache
+def _inverse2_plan(n, d):
+    """Gather plan of the terms of degree d in ``inverse2`` at size n, read-only.
+
+    Column c is the entry (c, d - c).  Row t holds its t-th term (i, j) in
+    row-major order over 1 <= i + j, i <= c, j <= d - c: the flat index of
+    u[i, j] and that of r[c - i, d - c - j] in an (n, n) array.  A column
+    with fewer terms is padded with n * n, a slot that holds a zero.
+    """
+    c, i, j = (a.ravel() for a in np.indices((d + 1,) * 3))
+    keep = (i <= c) & (j <= d - c) & (i + j > 0)
+    c, i, j = c[keep], i[keep], j[keep]
+    rank = i * (d - c + 1) + j - 1
+    u_at = np.full((int(rank.max()) + 1, d + 1), n * n)
+    r_at = u_at.copy()
+    u_at[rank, c] = i * n + j
+    r_at[rank, c] = (c - i) * n + d - c - j
+    u_at.flags.writeable = r_at.flags.writeable = False
+    return u_at, r_at
+
+
 def inverse2(x):
     """1/x for a two-variable series with x[0, 0] != 0, row by row over leading axes.
 
-    With x = x[0, 0] (1 + u), 1/(1 + u) by Horner's rule r <- 1 - u r: each
-    step fixes one more total degree and leaves the lower ones as they are, so
-    step m works at size m.
+    With x = x[0, 0] (1 + u), r = 1/(1 + u) has r[0, 0] = 1 and, one total
+    degree d = p + q at a time, r[p, q] = -sum u[i, j] r[p - i, q - j] over
+    the terms of degree 1 .. d, in row-major (i, j) order and summed from +0.
+    That is every bit of Horner's rule r <- 1 - u r, signed zeros included,
+    with each product formed once.  The terms of a degree are gathered by
+    ``_inverse2_plan`` in batches of about ``_MUL2_BATCH`` entries, each one
+    sequential reduction seeded with the running sum.
     """
+    shape, n = x.shape, x.shape[-1]
     scale = 1.0 / x[..., :1, :1]
     u = x * scale
     u[..., 0, 0] = 0.0
-    r = np.ones(x.shape[:-2] + (1, 1), dtype=complex)
-    for m in range(2, x.shape[-1] + 1):
-        prev = r
-        r = np.zeros(x.shape[:-2] + (m, m), dtype=complex)
-        r[..., :-1, :-1] = prev
-        r = -mul2(u[..., :m, :m], r)
-        r[..., 0, 0] += 1.0
-    return r * scale
+    flat_u = np.zeros((u.size // (n * n), n * n + 1), dtype=complex)
+    flat_u[:, :-1] = u.reshape(-1, n * n)
+    # entries beyond the last degree are -0, as Horner's negated product leaves them
+    r = np.full(flat_u.shape, complex(-0.0, -0.0))
+    r[:, 0], r[:, -1] = 1.0, 0.0
+    rows = len(r)
+    for d in range(1, n):
+        u_at, r_at = _inverse2_plan(n, d)
+        acc = np.zeros((rows, d + 1), dtype=complex)
+        step = max(1, _MUL2_BATCH // (rows * (d + 1)))
+        for start in range(0, len(u_at), step):
+            a, b = u_at[start:start + step], r_at[start:start + step]
+            stack = np.empty((rows, len(a) + 1, d + 1), dtype=complex)
+            stack[:, 0] = acc
+            np.multiply(flat_u[:, a], r[:, b], out=stack[:, 1:])
+            np.add.reduce(stack, axis=1, out=acc)
+        r[:, np.arange(d + 1) * (n - 1) + d] = -acc
+    return r[:, :-1].reshape(shape) * scale
 
 
 def divide_diagonal2(x, eps):

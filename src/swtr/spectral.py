@@ -20,22 +20,27 @@ The nonzero entries of a cell omega_{g,n} lie on its degree-bounded support:
 with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every
 other entry vanishes exactly, because the pole orders of the lower cells
 leave the residue nothing to pick up.  ``support`` lists these tuples; the
-fill visits fewer.  A cell is filled whole, one point at a time.  The
-entries whose pivot (first index) sits at the point are grouped by their
-other legs, the rest: the series xi the residue is taken of depends on the
-rest only, so one product of all the rests' xi with the residue vectors
-gives every pivot.  The splitting terms of xi come from pairs of nonzero
-lower-cell factors (a lower cell with one argument at +-z and the others on
-legs); the genus term from the entries of omega_{g-1,n+1}, two of whose
-legs meet the residue.  So the rests are the ones these reach: the merged
-legs of a pair, the other legs of an entry.  An entry with any other rest
-has xi = 0 and genus term 0, and is exactly 0.  Each reached rest takes the
-pivots at the point that its degree budget allows and that sort first.
-Of each pair's product only the columns the residue vectors read are formed
-(one per pivot with the default D = 4 z^2), as stacked BLAS dots that are
-bitwise the columns ``np.convolve`` gives; ``products`` counts the pairs.
-The genus term is contracted against the point's residue tensor C^p_{ab},
-the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).
+fill visits fewer.  The cells are filled one level chi = 2g - 2 + n at a
+time: a level reads only lower ones, so every cell and point of a level
+shares one product pass.  At a point, a cell's entries whose pivot (first
+index) sits there are grouped by their other legs, the rest: the series xi
+the residue is taken of depends on the rest only, so one product of all the
+rests' xi with the point's residue vectors gives every pivot.  The
+splitting terms of xi come from pairs of nonzero lower-cell factors (a
+lower cell with one argument at +-z and the others on legs); the genus
+term from the entries of omega_{g-1,n+1}, two of whose legs meet the
+residue.  So the rests are the ones these reach: the merged legs of a
+pair, the other legs of an entry.  An entry with any other rest has xi = 0
+and genus term 0, and is exactly 0.  Each reached rest takes the pivots at
+the point that its degree budget allows and that sort first.  The factor
+tables hold the lower cells at +z; the -z series is an exact sign per
+column, applied to the stacked second factors.  Of each pair's product only
+the columns the residue vectors read are formed (one per pivot with the
+default D = 4 z^2), as stacked BLAS dots that are bitwise the columns
+``np.convolve`` gives, so the pairs of the points that read the same
+columns share their stacks; ``products`` counts the pairs.  The genus term
+is contracted against the point's residue tensor C^p_{ab}, the residue of
+ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
 the pivot-symmetry check and the support check.
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import (_CellRecursion, _splits, atr_run, default_index_bound, gauge_transform,
-                   max_index_bound)
+                   max_index_bound, recursion_cells)
 from .errors import OutOfAnnulus, TruncationInsufficient
 from .laurent import LaurentSeries
 
@@ -173,7 +178,7 @@ class OmegaGN:
 # ---------------------------------------------------------------------------
 
 class _EoEngine(_CellRecursion):
-    """Local recursion: residues at each point, filled a whole cell at a time."""
+    """Local recursion: residues at each point, filled a whole level at a time."""
 
     def __init__(self, curve, chi_max, kmax, extra_order=0):
         # mode list restricted to odd indices (the output lives in the odd part)
@@ -189,14 +194,18 @@ class _EoEngine(_CellRecursion):
         self._setup()
 
     def _setup(self):
-        """Window series of the kernel data at each point, and its residue tensor.
+        """Window series of the kernel data at every point, and their residue tables.
 
-        Over the exponent window [lo, hi]: row j of ``loc_p[lab]`` is
-        ebar^{j}(z) / dz at the point ``lab``, row j of ``loc_m[lab]`` the
-        same form at -z, ``b_pm[lab]`` is B(z, -z) / dz^2.  Row p of
-        ``res_vec[lab]`` dotted with a product series (exponents from 2 lo)
-        is its residue against z^{2p+1} / D(z), and ``res_tensor[lab][p, a, b]``
-        is that residue of loc_p[lab][a] * loc_m[lab][b].
+        One stack over the points, axis 0 the position q of the point in
+        ``ram``.  Over the exponent window [lo, hi]: row j of ``loc_p[q]`` is
+        ebar^{j}(z) / dz at the point, row j of ``loc_m[q]`` the same form at
+        -z, ``b_pm[q]`` is B(z, -z) / dz^2.  Row p of ``res_vec[q]`` dotted
+        with a product series (exponents from 2 lo) is its residue against
+        z^{2p+1} / D(z), ``res_cols[q]`` lists the columns it reads, and
+        ``res_tensor[q][p, a, b]`` is that residue of loc_p[q][a] * loc_m[q][b].
+        1/D, ``res_vec``, ``res_cols`` and the Hankel gather of ``res_vec``
+        are formed once per distinct D and shared by the points that have it;
+        ``_col_groups`` lists (res_cols, points) per distinct column set.
         """
         cur = self.curve
         lo, hi, nlen = self.lo, self.hi, self.nlen
@@ -211,40 +220,50 @@ class _EoEngine(_CellRecursion):
         cut = min(top, big_k)
         s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
         s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
+        qs, p = np.arange(nr), np.arange(npiv)
+        self.loc_p = np.zeros((nr, self.dim, nlen), dtype=complex)
+        odd = s[:, 0:self.kmax:2].reshape(self.dim, nr, big_k)      # rows (a, k) at each point
+        self.loc_p[:, :, -lo:] = odd.swapaxes(0, 1) * ks
+        # principal parts: ebar^{k} at its own point has z^{-k-1}, k = 2p + 1
+        self.loc_p[qs[:, None], qs[:, None] * npiv + p, -2 * p - 2 - lo] = 1.0
+        self.loc_m = self.loc_p * self._flip
+        # two-form with both arguments local: B(z, -z) / dz^2, summed along
+        # the anti-diagonals k + k' - 2 = exponent
+        terms = s[qs, :, qs] * ks[:, None] * ks * (-1.0) ** ks
+        diag = np.zeros((nr, 2 * big_k - 1), dtype=complex)
+        np.add.at(diag, (qs[:, None], (ks[:, None] + ks - 2).ravel()), terms.reshape(nr, -1))
+        self.b_pm = np.zeros((nr, nlen), dtype=complex)
+        self.b_pm[:, -2 - lo] = -0.25
+        self.b_pm[:, -lo:] += diag[:, :big_k]
+        # residue of z^{2 lo + l} against z^{k1} / D(z): the coefficient of
+        # z^{-1 - k1 - 2 lo - l} of 1 / D
+        needed = -1 - 1 - 2 * lo
+        exps = needed - 2 * p[:, None] - np.arange(2 * nlen - 1)
+        low = int(exps.min())
         ii = np.arange(nlen)
-        self.loc_p, self.loc_m, self.b_pm, self.res_vec, self.res_tensor = {}, {}, {}, {}, {}
-        self.res_cols = {}
+        shared, groups = {}, {}
+        self.res_vec, self.res_cols, self.res_tensor = [], [], []
         for q, lab in enumerate(self.ram):
-            lp = np.zeros((self.dim, nlen), dtype=complex)
-            lp[:, -lo:] = s[:, 0:self.kmax:2, q].reshape(self.dim, big_k) * ks
-            # principal parts: ebar^{k} at its own point has z^{-k-1}, k = 2p + 1
-            lp[q * npiv + np.arange(npiv), -2 * np.arange(npiv) - 2 - lo] = 1.0
-            self.loc_p[lab] = lp
-            self.loc_m[lab] = lp * self._flip
-            # two-form with both arguments local: B(z, -z) / dz^2, summed along
-            # the anti-diagonals k + k' - 2 = exponent
-            terms = s[q, :, q] * ks[:, None] * ks * (-1.0) ** ks
-            diag = np.zeros(2 * big_k - 1, dtype=complex)
-            np.add.at(diag, (ks[:, None] + ks - 2).ravel(), terms.ravel())
-            bpm = np.zeros(nlen, dtype=complex)
-            bpm[-2 - lo] = -0.25
-            bpm[-lo:] += diag[:big_k]
-            self.b_pm[lab] = bpm
-            # residue of z^{2 lo + l} against z^{k1} / D(z): the coefficient of
-            # z^{-1 - k1 - 2 lo - l} of 1 / D
-            inv_d = cur.denom[lab].inverse()
-            needed = -1 - 1 - 2 * lo
-            if inv_d.trunc_order < needed:
-                raise TruncationInsufficient(
-                    f"denom at {lab!r} truncated below order {needed + 4}")
-            exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
-            low = int(exps.min())
-            coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
-            res = coef[exps - low]
-            self.res_vec[lab] = res
-            self.res_cols[lab] = np.flatnonzero(res.any(axis=0))     # the columns it reads
-            # C[p, a, b] = loc_p[a] . H_p . loc_m[b] with H_p[i, j] = res[p, i + j]
-            self.res_tensor[lab] = lp @ res[:, ii[:, None] + ii] @ self.loc_m[lab].T
+            d = cur.denom[lab]
+            d_terms = d.coeffs      # D's window, exponents and coefficient bits are the key
+            key = (d.min_exp, d.trunc_order, tuple(d_terms),
+                   np.array(list(d_terms.values())).tobytes())
+            if key not in shared:
+                inv_d = d.inverse()
+                if inv_d.trunc_order < needed:
+                    raise TruncationInsufficient(
+                        f"denom at {lab!r} truncated below order {needed + 4}")
+                coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
+                res = coef[exps - low]
+                # H_p[i, j] = res[p, i + j]
+                shared[key] = res, np.flatnonzero(res.any(axis=0)), res[:, ii[:, None] + ii]
+            res, cols, hankel = shared[key]
+            self.res_vec.append(res)
+            self.res_cols.append(cols)
+            # C[p, a, b] = loc_p[a] . H_p . loc_m[b]
+            self.res_tensor.append(self.loc_p[q] @ hankel @ self.loc_m[q].T)
+            groups.setdefault(cols.tobytes(), (cols, []))[1].append(q)
+        self._col_groups = list(groups.values())
 
     # building blocks ---------------------------------------------------------
 
@@ -253,8 +272,8 @@ class _EoEngine(_CellRecursion):
         budget = 3 * g - 3 + n - sum(self.degree[j] for j in rest)
         return [j for j in range(self.dim) if self.degree[j] <= budget]
 
-    def _f_leg(self, mode, lab, minus):
-        """Series of the two-form with one local argument against leg ``mode``.
+    def _f_leg(self, mode, lab):
+        """Series of the two-form with one local argument at +z against leg ``mode``.
 
         None when the leg sits at another point or beyond the window.
         """
@@ -262,31 +281,31 @@ class _EoEngine(_CellRecursion):
         if blab != lab or k - 1 > self.hi:
             return None
         arr = np.zeros(self.nlen, dtype=complex)
-        arr[k - 1 - self.lo] = k * ((-1.0) ** k if minus else 1.0)
+        arr[k - 1 - self.lo] = k
         return arr
 
-    def _factors(self, g, n, lab, minus):
-        """Nonzero series of omega_{g,n}(q(+-z), legs) over the window, by legs.
+    def _factors(self, g, n, q):
+        """Nonzero series of omega_{g,n}(q(+z), legs) at the point q over the window, by legs.
 
         The dict runs in increasing degree sum of the legs; the list holds
         those sums.  For (0, 2) the series are the two-form against one leg
-        (``_f_leg``).  A cell's tables are built for every point and sign at
-        once, the first time one is asked for.
+        (``_f_leg``).  The series at -z is the one at +z times ``_flip``, an
+        exact sign per column, and is formed only where it is read.  A cell's
+        tables are built for every point at once, the first time one is asked for.
         """
         tables = self._factor_cache.get((g, n))
         if tables is None:
             tables = self._factor_cache[(g, n)] = self._factor_tables(g, n)
-        return tables[lab, minus]
+        return tables[q]
 
     def _factor_tables(self, g, n):
-        """The ``_factors`` tables of one cell, keyed by (point, minus)."""
-        out = {}
+        """The ``_factors`` tables of one cell, one per point."""
         if (g, n) == (0, 2):
+            out = []
             for lab in self.ram:
                 legs = [(j,) for j, (_, b) in enumerate(self.modes) if b == lab]
-                for minus in (False, True):
-                    out[lab, minus] = ({leg: self._f_leg(self.modes[leg[0]], lab, minus)
-                                        for leg in legs}, [self.degree[j] for j, in legs])
+                out.append(({leg: self._f_leg(self.modes[leg[0]], lab) for leg in legs},
+                            [self.degree[j] for j, in legs]))
             return out
         # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
         rows, at, vals = {}, [], []
@@ -301,46 +320,106 @@ class _EoEngine(_CellRecursion):
         legs = list(rows)
         deg = [sum(self.degree[j] for j in leg) for leg in legs]
         order = sorted(range(len(legs)), key=deg.__getitem__)
-        for lab in self.ram:
-            plus = vec @ self.loc_p[lab]
+        out = []
+        for loc in self.loc_p:
+            plus = vec @ loc
             nonzero = plus.any(axis=1)
             keep = [r for r in order if nonzero[r]]
-            for minus, arr in ((False, plus), (True, plus * self._flip)):
-                out[lab, minus] = ({legs[r]: arr[r] for r in keep}, [deg[r] for r in keep])
+            out.append(({legs[r]: plus[r] for r in keep}, [deg[r] for r in keep]))
         return out
 
-    def _factor(self, g, n, legs, lab, minus):
+    def _factor(self, g, n, legs, q, minus):
         """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
-        return self._factors(g, n, lab, minus)[0].get(tuple(sorted(legs)))
+        f = self._factors(g, n, q)[0].get(tuple(sorted(legs)))
+        return f * self._flip if minus and f is not None else f
 
-    # the whole-cell fill -----------------------------------------------------
+    # the level fill ----------------------------------------------------------
 
-    def _cell(self, g, n):
-        """Recursion values of a cell on the rests its lower cells reach.
+    def run(self):
+        """Fill the cells one level chi = 2g - 2 + n at a time, by increasing chi.
 
-        At each point the entries whose pivot (first index) sits there are
-        grouped by their other legs, the rest: one xi series per rest, whose
-        residues against every pivot come out of one product.  The keys come
-        out sorted, in the order of ``support``.
+        A level's cells read only lower levels: every splitting factor and
+        the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
+        cells and points of a level share one product pass (``_level``).
         """
-        self.allowed(g, n)      # every mode within the degree bound is allowed
-        cell = {}
-        for lab in self.ram:
-            rows, vals = self._rest_values(g, n, lab)
-            for idx, r, p in self._pivots(g, n, lab, rows):
-                self.evaluated += 1
-                if (val := vals[r, p]) != 0:
-                    cell[idx] = val
-        return dict(sorted(cell.items()))
+        levels = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
+        for _, level in levels:
+            level = list(level)
+            for g, n in level:
+                self.allowed(g, n)      # every mode within the degree bound is allowed
+            self.table.entries.update(self._level(level))
+            for g, n in level:
+                self.table.bounds[(g, n)] = default_index_bound(g, n)
+            self._cell_cache.clear()
+        return self.table
 
-    def _pivots(self, g, n, lab, rows):
-        """(tuple, row, pivot p) of each entry at ``lab`` with its rest in ``rows``.
+    def _level(self, cells):
+        """Recursion values of the cells of one level on the rests their lower cells reach.
 
-        The pivot is the mode (2p + 1, lab) within the degree budget the rest
+        A job is one cell at one point q: its entries whose pivot sits at q,
+        grouped by their other legs, the rest.  A job's rows are its rests,
+        one xi series each, whose residues against every pivot come out of
+        one product with ``res_vec[q]``; the jobs whose points read the same
+        columns share their splitting terms (``_split_parts``).  A rest is
+        reached by a splitting-term pair or a genus-term entry; the entries
+        of every other rest are exactly 0.  Each cell's keys come out
+        sorted, in the order of ``support``.
+        """
+        out = {cell: {} for cell in cells}
+        for cols, points in self._col_groups:
+            jobs = [(g, n, q) for g, n in cells for q in points]
+            part, spans = self._split_parts(jobs, cols)
+            for (g, n, q), (rows, genus, base) in zip(jobs, spans):
+                xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+                xi[:, cols] = part[base:base + len(rows)]
+                if (g, n) == (1, 1):
+                    xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
+                # one matmul per job: a one-row matmul is not a row of a stacked one, bitwise
+                vals = -(xi @ self.res_vec[q].T)
+                if genus is not None:
+                    vals -= self._genus_terms(q, len(rows), *genus)
+                cell = out[g, n]
+                for idx, r, p in self._pivots(g, n, q, rows):
+                    self.evaluated += 1
+                    if (val := vals[r, p]) != 0:
+                        cell[idx] = val
+        return {cell: dict(sorted(entries.items())) for cell, entries in out.items()}
+
+    def _split_parts(self, jobs, cols):
+        """Columns ``cols`` of the splitting terms of every rest of ``jobs``.
+
+        Returns (part, spans), a job's rows starting at its span's base in
+        ``part`` (``_split_pairs``).  Each pair of nonzero lower-cell factors
+        adds its product to the rest their merged legs make, once per
+        leg-position subset that gives the pair.  Only the columns ``cols``
+        are formed, each bitwise ``np.convolve``'s (``_product_columns``),
+        for up to ``_STACK`` pairs at a time across the jobs, the second
+        factors flipped to -z as a stack.  The adds go one per subset in pair
+        order, as in ``compute_value``: a single add of the multiple would
+        round differently.
+        """
+        spans = []
+        stream, flip = self._split_pairs(jobs, spans), self._flip[::-1]
+        part = np.zeros((0, len(cols)), dtype=complex)
+        while chunk := list(itertools.islice(stream, _STACK)):
+            self.products += len(chunk)
+            firsts, seconds, at, ways = zip(*chunk)
+            at = np.array(at)
+            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1] * flip, cols)
+            each = np.repeat(np.arange(len(chunk)), ways)
+            part = _grown(part, at.max() + 1)
+            np.add.at(part, at[each], terms[each])
+        rows, _, base = spans[-1]
+        return _grown(part, base + len(rows)), spans
+
+    def _pivots(self, g, n, q, rows):
+        """(tuple, row, pivot p) of each entry at the point q with its rest in ``rows``.
+
+        The pivot is the mode (2p + 1) at q within the degree budget the rest
         leaves, and no larger than the rest's first leg: the first index of
         the sorted tuple.
         """
-        first, room = self.index[(1, lab)], 3 * g - 3 + n
+        first, room = self.index[(1, self.ram[q])], 3 * g - 3 + n
         for rest, r in rows.items():
             top = room - sum(map(self.degree.__getitem__, rest))
             if rest:
@@ -350,77 +429,43 @@ class _EoEngine(_CellRecursion):
 
     def _reached(self, g, n):
         """The tuples the fill of a cell reaches, from the same rows, with no products formed."""
-        out = set()
-        for lab in self.ram:
-            rows, _ = self._first_rows(g, n, lab)
-            collections.deque(self._split_pairs(g, n, lab, rows), maxlen=0)
-            out.update(idx for idx, _, _ in self._pivots(g, n, lab, rows))
-        return out
+        spans = []
+        collections.deque(self._split_pairs([(g, n, q) for q in range(len(self.ram))], spans),
+                          maxlen=0)
+        return {idx for q, (rows, _, _) in enumerate(spans)
+                for idx, _, _ in self._pivots(g, n, q, rows)}
 
-    def _rest_values(self, g, n, lab):
-        """The rests reached at the point ``lab`` as {rest: row}, and the entries
-        (pivot, rest) there: a row per rest, a column per pivot.
+    def _split_pairs(self, jobs, spans):
+        """(first factor, second factor, row, subsets) of each splitting-term pair of ``jobs``.
 
-        A rest is reached by a splitting-term pair or a genus-term entry; the
-        entries of every other rest are exactly 0.
+        The jobs, (g, n, q) each, run one after another.  Before its pairs a
+        job appends its span (rows, genus, base) to ``spans``: its rows and
+        genus-term entries (``_first_rows``), to which the pairs add the
+        rests they reach, and the number of rows of the jobs before it.  The
+        first factor is a lower cell at +z; the second is one at -z, given at
+        +z (``_factors``).  Row is base plus that of the rest their merged
+        legs make; subsets counts the leg-position subsets that give the
+        pair (``_ways``).
         """
-        rows, genus = self._first_rows(g, n, lab)
-        xi = self._split_terms(g, n, lab, rows)
-        if (g, n) == (1, 1):
-            xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
-        vals = -(xi @ self.res_vec[lab].T)
-        if genus is not None:
-            vals -= self._genus_terms(lab, len(rows), *genus)
-        return rows, vals
-
-    def _split_terms(self, g, n, lab, rows):
-        """xi series of every rest in ``rows``, with the rests the pairs reach added.
-
-        Each pair of nonzero lower-cell factors (``_split_pairs``) adds its
-        product to the rest their merged legs make, once per leg-position
-        subset that gives the pair.  Only the columns that ``res_vec[lab]``
-        reads are formed, each bitwise ``np.convolve``'s
-        (``_product_columns``), for up to ``_STACK`` pairs at a time; the
-        other columns stay 0 and meet an exact 0 in the residue.  The adds go
-        one per subset in pair order, as in ``compute_value``, so every read
-        column of xi is the sum the per-pair loop gives: a single add of the
-        multiple would round differently.
-        """
-        cols = self.res_cols[lab]
-        part = np.zeros((len(rows), len(cols)), dtype=complex)
-        pairs = self._split_pairs(g, n, lab, rows)
-        while chunk := list(itertools.islice(pairs, _STACK)):
-            self.products += len(chunk)
-            firsts, seconds, at, ways = zip(*chunk)
-            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(), cols)
-            each = np.repeat(np.arange(len(chunk)), ways)
-            part = _grown(part, len(rows))
-            np.add.at(part, np.array(at)[each], terms[each])
-        xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
-        xi[:, cols] = part[:len(rows)]
-        return xi
-
-    def _split_pairs(self, g, n, lab, rows):
-        """(first factor, second factor, row, subsets) of each splitting-term pair.
-
-        The first factor is a lower cell at +z, the second at -z, and row is
-        that of the rest their merged legs make, added to ``rows`` if new;
-        subsets counts the leg-position subsets that give the pair (``_ways``).
-        """
-        first = self.index[(1, lab)]        # every rest here starts at lab or later
-        room = 3 * g - 3 + n                # no rest has a larger degree sum
-        for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
-            ones, deg1 = self._factors(g1, n1, lab, False)
-            twos, deg2 = self._factors(g2, n2, lab, True)
-            twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
-                    if not legs or legs[0] >= first]
-            deg2 = [d for _, _, d in twos]
-            for (legs1, f1), d1 in zip(ones.items(), deg1):
-                if legs1 and legs1[0] < first:
-                    continue
-                for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
-                    row = rows.setdefault(tuple(sorted(legs1 + legs2)), len(rows))
-                    yield f1, f2, row, _ways(legs1, legs2)
+        base = 0
+        for g, n, q in jobs:
+            rows, genus = self._first_rows(g, n, q)
+            spans.append((rows, genus, base))
+            first = self.index[(1, self.ram[q])]    # every rest here starts at q's modes or later
+            room = 3 * g - 3 + n                    # no rest has a larger degree sum
+            for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
+                ones, deg1 = self._factors(g1, n1, q)
+                twos, deg2 = self._factors(g2, n2, q)
+                twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
+                        if not legs or legs[0] >= first]
+                deg2 = [d for _, _, d in twos]
+                for (legs1, f1), d1 in zip(ones.items(), deg1):
+                    if legs1 and legs1[0] < first:
+                        continue
+                    for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
+                        row = rows.setdefault(tuple(sorted(legs1 + legs2)), len(rows))
+                        yield f1, f2, base + row, _ways(legs1, legs2)
+            base += len(rows)
 
     def _genus_triples(self, g, n):
         """(rests, their first legs, a, b, values) over the entries of omega_{g-1,n+1}
@@ -428,7 +473,7 @@ class _EoEngine(_CellRecursion):
 
         Each entry at (a, b, rest) is listed once per distinct pair (a, b) of
         its legs, in the cell's key order; ``_cell_cache`` keeps the lists
-        for every point of the cell.
+        for every point of the cell while its level is filled.
         """
         key = ("genus", g, n)
         if key not in self._cell_cache:
@@ -447,12 +492,12 @@ class _EoEngine(_CellRecursion):
             self._cell_cache[key] = rests, lead, a, b, np.array(vals, dtype=complex)
         return self._cell_cache[key]
 
-    def _first_rows(self, g, n, lab):
-        """The rows at ``lab`` before the pairs add theirs, and the genus-term entries.
+    def _first_rows(self, g, n, q):
+        """The rows at the point q before the pairs add theirs, and the genus-term entries.
 
         (1, 1) has the empty rest, which B(z, -z) reaches.  Otherwise, for
-        g >= 1, the rows are the rests of the genus-term entries at ``lab``
-        (those whose rest starts at lab or later), and the entries come as
+        g >= 1, the rows are the rests of the genus-term entries at q (those
+        whose rest starts at q's modes or later), and the entries come as
         their rows and their (a, b, value); None for g = 0 and for (1, 1).
         """
         if (g, n) == (1, 1):
@@ -460,7 +505,7 @@ class _EoEngine(_CellRecursion):
         if g == 0:
             return {}, None
         rests, lead, a, b, vals = self._genus_triples(g, n)
-        first = self.index[(1, lab)]
+        first = self.index[(1, self.ram[q])]
         reach = [i for i, leg in enumerate(lead) if leg >= first]
         rows = {}
         at = [rows.setdefault(rests[i], len(rows)) for i in reach]
@@ -468,15 +513,15 @@ class _EoEngine(_CellRecursion):
             a, b, vals = a[reach], b[reach], vals[reach]
         return rows, (at, a, b, vals)
 
-    def _genus_terms(self, lab, nrows, at, a, b, vals):
-        """Genus-reduction residues of ``nrows`` rests and every pivot at ``lab``.
+    def _genus_terms(self, q, nrows, at, a, b, vals):
+        """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
 
         An entry of omega_{g-1,n+1} at (a, b, rest) adds its value times
         C[p, a, b] + C[p, b, a] (once for a = b) to (its row ``at``, pivot p).
         """
-        out = np.zeros((nrows, self.res_vec[lab].shape[0]), dtype=complex)
+        out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
         if at:
-            c = self.res_tensor[lab]
+            c = self.res_tensor[q]
             terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
             np.add.at(out, at, terms.T)
         return out
@@ -484,23 +529,23 @@ class _EoEngine(_CellRecursion):
     def compute_value(self, g, n, idx, pivot_pos=0):
         """One entry with the leg at ``pivot_pos`` as pivot: the per-entry reference."""
         k1, lab = self.modes[idx[pivot_pos]]
-        p = (k1 - 1) // 2
+        p, q = (k1 - 1) // 2, self.ram.index(lab)
         rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
         xi = np.zeros(2 * self.nlen - 1, dtype=complex)
         for g1, n1, pos1, g2, n2, pos2 in _splits(g, n):
-            f1 = self._factor(g1, n1, tuple(rest[q] for q in pos1), lab, minus=False)
+            f1 = self._factor(g1, n1, tuple(rest[i] for i in pos1), q, minus=False)
             if f1 is None:
                 continue
-            f2 = self._factor(g2, n2, tuple(rest[q] for q in pos2), lab, minus=True)
+            f2 = self._factor(g2, n2, tuple(rest[i] for i in pos2), q, minus=True)
             if f2 is not None:
                 xi += np.convolve(f1, f2)
         if (g, n) == (1, 1):
-            xi[-self.lo:-self.lo + self.nlen] += self.b_pm[lab]
-        val = -(xi @ self.res_vec[lab][p])
+            xi[-self.lo:-self.lo + self.nlen] += self.b_pm[q]
+        val = -(xi @ self.res_vec[q][p])
         if g >= 1 and (g, n) != (1, 1):
             m2 = self._pair_matrix(g - 1, n + 1, rest)
             if m2 is not None:
-                val -= np.sum(m2 * self.res_tensor[lab][p])
+                val -= np.sum(m2 * self.res_tensor[q][p])
         return val
 
     def support(self, g, n):
@@ -521,7 +566,7 @@ class _EoEngine(_CellRecursion):
         return [t for t, _ in grown]
 
 
-# pairs stacked per _product_columns call: a chi=7 call at 4 points has tens of
+# pairs stacked per _product_columns call: a chi=7 level at 4 points has tens of
 # thousands, whose whole stack would raise the run's peak memory by a third
 _STACK = 1024
 
@@ -657,9 +702,8 @@ def _support_report(omega, tol):
         even_dev = 0.0
         # probe targets carrying one even-index leg (odd pivot): must vanish
         if n >= 2:
-            lab = omega.curve.ram[0]
             for keven in range(2, min(bound, 6) + 1, 2):
-                even_dev = max(even_dev, abs(_even_leg_probe(engine, g, n, keven, lab)))
+                even_dev = max(even_dev, abs(_even_leg_probe(engine, g, n, keven, 0)))
         report[(g, n)] = {
             "max_index": max_idx,
             "bound": bound,
@@ -671,8 +715,8 @@ def _support_report(omega, tol):
     return report
 
 
-def _even_leg_probe(engine, g, n, k_even, lab):
-    """Recursion value for a target with one even-index leg at ``lab``.
+def _even_leg_probe(engine, g, n, k_even, q):
+    """Recursion value for a target with one even-index leg at the point q.
 
     With odd pivot, the only structurally nonzero contributions place the
     even leg on a two-form factor; tensor factors carrying it vanish by the
@@ -680,14 +724,15 @@ def _even_leg_probe(engine, g, n, k_even, lab):
     """
     if (g, n - 1) == (0, 1):
         return 0j
+    lab = engine.ram[q]
     legs = (engine.index[(1, lab)],) * (n - 2)
     xi = np.zeros(2 * engine.nlen - 1, dtype=complex)
     for even_on_minus in (False, True):
-        f_even = engine._f_leg((k_even, lab), lab, even_on_minus)
-        other = engine._factor(g, n - 1, legs, lab, not even_on_minus)
+        f_even = engine._f_leg((k_even, lab), lab)
+        other = engine._factor(g, n - 1, legs, q, not even_on_minus)
         if f_even is not None and other is not None:
-            xi += np.convolve(f_even, other)
-    return -(xi @ engine.res_vec[lab][0])
+            xi += np.convolve(f_even * engine._flip if even_on_minus else f_even, other)
+    return -(xi @ engine.res_vec[q][0])
 
 
 def atr_eo_crosscheck(tensors, gauge, chi_max, denom=None):

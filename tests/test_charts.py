@@ -419,9 +419,9 @@ def test_stacked_pairs_match_pairwise_loop_on_draws():
 
 
 def test_local_expansions_mul2_count(monkeypatch):
-    # all chart pairs are one stack: one product D^2, n - 1 in the Horner
-    # loop of inverse2 and one by the numerator, n = 2 k_bound + 2, whatever
-    # the number of pairs (10 at g2, 21 at g3)
+    # all chart pairs are one stack: one product D^2 and one by the
+    # numerator, whatever the number of pairs (10 at g2, 21 at g3);
+    # inverse2 takes its terms one degree at a time, with no mul2
     setups = {len(u): _Setup.get(u, len(u)) for u in (U0_G2, U0_G3)}
     calls = {}
 
@@ -434,7 +434,7 @@ def test_local_expansions_mul2_count(monkeypatch):
     for genus, (*_, bk, charts, _, _) in setups.items():
         calls[genus] = 0
         local_expansions(bk, charts, 7)
-    assert calls == {2: 17, 3: 17}
+    assert calls == {2: 2, 3: 2}
 
 
 def test_local_data_beyond_the_chart_order_raise():

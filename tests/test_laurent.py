@@ -29,7 +29,7 @@ from swtr.laurent import (
     sqrt_shift_flow,
     symplectic_pairing,
 )
-from swtr.laurent import _MUL2_BATCH, _below_degree
+from swtr.laurent import _MUL2_BATCH, _below_degree, _inverse2_plan
 
 L = LaurentSeries
 
@@ -946,6 +946,36 @@ def test_stacked_inverse2_rows_equal_solo_bitwise():
         got = inverse2(x)
         for r in range(k):
             assert got[r].view(float).tobytes() == inverse2(x[r]).view(float).tobytes(), (k, n, r)
+
+
+def _horner_inverse2(x):
+    """1/x by Horner's rule r <- 1 - u r, one mul2 per degree: step m works at size m."""
+    scale = 1.0 / x[..., :1, :1]
+    u = x * scale
+    u[..., 0, 0] = 0.0
+    r = np.ones(x.shape[:-2] + (1, 1), dtype=complex)
+    for m in range(2, x.shape[-1] + 1):
+        prev = r
+        r = np.zeros(x.shape[:-2] + (m, m), dtype=complex)
+        r[..., :-1, :-1] = prev
+        r = -mul2(u[..., :m, :m], r)
+        r[..., 0, 0] += 1.0
+    return r * scale
+
+
+def test_inverse2_matches_horner_bitwise():
+    # the anti-diagonal sums give every bit of Horner's rule, zeros and their
+    # signs included, on every size 1 - 44 (the g2 chi = 7 working size) and
+    # on stacks whose top degrees split into several batches of terms
+    rng = np.random.default_rng(61)
+    stacks = [(5 if n <= 32 else 2, n) for n in range(1, 45)] + [(40, 8), (6, 16), (10, 8), (21, 8)]
+    # at the top degree of the largest sizes the terms take several batches
+    assert any(len(_inverse2_plan(n, n - 1)[0]) > _MUL2_BATCH // (k * n) for k, n in stacks[1:])
+    for k, n in stacks:
+        x = _row_stack(rng, k, n, invertible=True)
+        assert inverse2(x).tobytes() == _horner_inverse2(x).tobytes(), (k, n)
+    x = _row_stack(rng, 1, 9, invertible=True)[0]
+    assert inverse2(x).tobytes() == _horner_inverse2(x).tobytes()
 
 
 def test_stacked_divide_diagonal2_rows_equal_solo_bitwise():

@@ -14,6 +14,7 @@ from swtr.airy import (
     _splits,
     atr_run,
     build_tr_variant_tensors,
+    default_index_bound,
     gauge_transform,
     max_index_bound,
     recursion_cells,
@@ -261,10 +262,15 @@ QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
 
 
 def _split_test_curve(ram, denom):
-    """Random kernel data to mode 13 (seed 31) at ``ram``, one-form ``denom`` or 4 z^2."""
+    """Random kernel data to mode 13 (seed 31) at ``ram``.
+
+    The one-form is ``denom`` at every point, or a {label: series} dict with
+    4 z^2 at the other points, or 4 z^2 everywhere when ``denom`` is None.
+    """
     rng = np.random.default_rng(31)
-    return LocalSpectralCurve(ram=ram, denom={lab: denom for lab in ram} if denom else {},
-                              bergman_reg=random_s(ram, 13, rng))
+    if isinstance(denom, LaurentSeries):
+        denom = dict.fromkeys(ram, denom)
+    return LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=random_s(ram, 13, rng))
 
 
 @pytest.mark.parametrize("ram, chi, denom", [
@@ -303,14 +309,14 @@ def test_unreached_support_tuples_are_exactly_zero(ram, chi, denom):
         assert info["unreached_residual"] == 0.0, (cell, info)
 
 
-def _lower_pairs(self, g, n, lab):
-    """(first factor, second factor, merged legs, subsets) of each splitting-term
-    pair at ``lab``, in the recursion's pair order."""
-    first = self.index[(1, lab)]
+def _lower_pairs(self, g, n, q):
+    """(first factor, second factor at -z, merged legs, subsets) of each
+    splitting-term pair at the point q, in the recursion's pair order."""
+    first = self.index[(1, self.ram[q])]
     room = 3 * g - 3 + n
     for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
-        ones, deg1 = self._factors(g1, n1, lab, False)
-        twos, deg2 = self._factors(g2, n2, lab, True)
+        ones, deg1 = self._factors(g1, n1, q)
+        twos, deg2 = self._factors(g2, n2, q)
         twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
                 if not legs or legs[0] >= first]
         deg2 = [d for _, _, d in twos]
@@ -318,42 +324,69 @@ def _lower_pairs(self, g, n, lab):
             if legs1 and legs1[0] < first:
                 continue
             for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
-                yield f1, f2, tuple(sorted(legs1 + legs2)), _ways(legs1, legs2)
+                yield f1, f2 * self._flip, tuple(sorted(legs1 + legs2)), _ways(legs1, legs2)
 
 
-def _convolve_split_terms(self, g, n, lab, rows):
-    """The splitting terms by one full ``np.convolve`` per pair: the oracle of
-    ``_EoEngine._split_terms``, which forms only the columns the residue reads.
-    Like it, it adds the rests the pairs reach to ``rows``."""
-    adds = []
-    for f1, f2, legs, ways in _lower_pairs(self, g, n, lab):
-        self.products += 1
-        adds.append((rows.setdefault(legs, len(rows)), np.convolve(f1, f2), ways))
-    xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
-    for row, term, ways in adds:
-        for _ in range(ways):
-            xi[row] += term
-    return xi
+def _cell_by_cell(fill):
+    """A ``run`` that fills the cells one at a time in the recursion's order, each by ``fill``."""
+    def run(self):
+        for g, n in recursion_cells(self.chi_max):
+            self.table.entries[(g, n)] = fill(self, g, n)
+            self.table.bounds[(g, n)] = default_index_bound(g, n)
+            self._cell_cache.clear()
+        return self.table
+    return run
+
+
+def _convolve_cell(self, g, n):
+    """One cell, one point at a time, by one full ``np.convolve`` per pair: the
+    oracle of ``_EoEngine.run``, which forms only the columns the residue reads,
+    for all the cells and points of a level in one stack.  Every sum is added
+    one per subset in pair order."""
+    self.allowed(g, n)
+    cell = {}
+    for q in range(len(self.ram)):
+        rows, genus = self._first_rows(g, n, q)
+        adds = []
+        for f1, f2, legs, ways in _lower_pairs(self, g, n, q):
+            self.products += 1
+            adds.append((rows.setdefault(legs, len(rows)), np.convolve(f1, f2), ways))
+        xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
+        for row, term, ways in adds:
+            for _ in range(ways):
+                xi[row] += term
+        if (g, n) == (1, 1):
+            xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
+        vals = -(xi @ self.res_vec[q].T)
+        if genus is not None:
+            vals -= self._genus_terms(q, len(rows), *genus)
+        for idx, r, p in self._pivots(g, n, q, rows):
+            self.evaluated += 1
+            if (val := vals[r, p]) != 0:
+                cell[idx] = val
+    return dict(sorted(cell.items()))
 
 
 def _support_cell(self, g, n):
-    """The fill on the whole degree-bounded support: the oracle of ``_EoEngine._cell``.
+    """One cell filled on its whole degree-bounded support: the oracle of the
+    reached-rest fill of ``_EoEngine.run``.
 
     Every support tuple is evaluated.  At each point its rests are the rows;
     pairs and genus-term entries are looked up by rest, and those whose rest
-    is no row are skipped.  The pairs are stacked as the engine stacks them.
+    is no row are skipped.  The pairs of a point are stacked as the engine
+    stacks a level's.
     """
     support = self.support(g, n)
     self.evaluated += len(support)
-    rows = {lab: {} for lab in self.ram}
+    rows = [{} for _ in self.ram]
     for idx in support:
-        at = rows[self.modes[idx[0]][1]]
+        at = rows[self.ram.index(self.modes[idx[0]][1])]
         at.setdefault(idx[1:], len(at))
-    vals = {}
-    for lab, at in rows.items():
-        cols = self.res_cols[lab]
+    vals = []
+    for q, at in enumerate(rows):
+        cols = self.res_cols[q]
         part = np.zeros((len(at), len(cols)), dtype=complex)
-        pairs = [(f1, f2, at[legs], ways) for f1, f2, legs, ways in _lower_pairs(self, g, n, lab)
+        pairs = [(f1, f2, at[legs], ways) for f1, f2, legs, ways in _lower_pairs(self, g, n, q)
                  if legs in at]
         for i in range(0, len(pairs), _STACK):
             chunk = pairs[i:i + _STACK]
@@ -365,8 +398,8 @@ def _support_cell(self, g, n):
         xi = np.zeros((len(at), 2 * self.nlen - 1), dtype=complex)
         xi[:, cols] = part
         if (g, n) == (1, 1):
-            xi[at[()], -self.lo:-self.lo + self.nlen] += self.b_pm[lab]
-        vals[lab] = -(xi @ self.res_vec[lab].T)
+            xi[at[()], -self.lo:-self.lo + self.nlen] += self.b_pm[q]
+        vals.append(-(xi @ self.res_vec[q].T))
         if g >= 1 and (g, n) != (1, 1):
             where, pairs, coef = [], [], []
             for key, val in self.table.entries[(g - 1, n + 1)].items():
@@ -378,17 +411,17 @@ def _support_cell(self, g, n):
                         where.append(at[tuple(rest)])
                         pairs.append((a, b))
                         coef.append(val)
-            out = np.zeros_like(vals[lab])
+            out = np.zeros_like(vals[q])
             if where:
                 a, b = np.array(pairs).T
-                c = self.res_tensor[lab]
+                c = self.res_tensor[q]
                 terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * np.array(coef)
                 np.add.at(out, where, terms.T)
-            vals[lab] -= out
+            vals[q] -= out
     cell = {}
     for idx in support:
-        lab = self.modes[idx[0]][1]
-        val = vals[lab][rows[lab][idx[1:]], self.degree[idx[0]]]
+        q = self.ram.index(self.modes[idx[0]][1])
+        val = vals[q][rows[q][idx[1:]], self.degree[idx[0]]]
         if val != 0:
             cell[idx] = val
     return cell
@@ -402,10 +435,11 @@ def _table_bits(table):
 
 FILL_CASES = pytest.mark.parametrize("ram, chi, denom", [
     (("0", "1", "2", "3"), 4, QUARTIC),
+    (("0", "1", "2", "3"), 4, {"1": QUARTIC, "3": QUARTIC}),
     (("p", "q"), 5, None),
     (("0",), 6, None),
     (None, None, None),
-], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6", "verify-g2"])
+], ids=["4pt-chi4-quartic", "4pt-chi4-mixed", "2pt-chi5", "1pt-chi6", "verify-g2"])
 
 
 def _fill_case(ram, chi, denom):
@@ -417,11 +451,13 @@ def _fill_case(ram, chi, denom):
 
 @FILL_CASES
 def test_split_terms_match_convolve_loop_bitwise(monkeypatch, ram, chi, denom):
-    # the read columns of the stacked products, added one per subset in pair
-    # order, leave every stored value and the key order as the full-convolve loop
+    # the read columns of a level's stacked products, added one per subset in
+    # pair order, leave every stored value and the key order as the
+    # full-convolve loop one cell and one point at a time; with mixed D the
+    # points that read other columns take their own stack
     omega = _fill_case(ram, chi, denom)
     with monkeypatch.context() as m:
-        m.setattr(_EoEngine, "_split_terms", _convolve_split_terms)
+        m.setattr(_EoEngine, "run", _cell_by_cell(_convolve_cell))
         ref = _fill_case(ram, chi, denom)
     assert omega.engine.products == ref.engine.products > 0
     assert _table_bits(omega.table) == _table_bits(ref.table)
@@ -434,7 +470,7 @@ def test_reached_fill_matches_support_fill_bitwise(monkeypatch, ram, chi, denom)
     # point every support tuple is reached, on more the fill visits fewer
     omega = _fill_case(ram, chi, denom)
     with monkeypatch.context() as m:
-        m.setattr(_EoEngine, "_cell", _support_cell)
+        m.setattr(_EoEngine, "run", _cell_by_cell(_support_cell))
         ref = _fill_case(ram, chi, denom)
     assert omega.engine.products == ref.engine.products > 0
     assert _table_bits(omega.table) == _table_bits(ref.table)
@@ -465,8 +501,8 @@ def test_product_columns_are_convolve_columns_bitwise():
             assert got.tobytes() == ref.tobytes(), (size, mag)
     engine = _EoEngine(LocalSpectralCurve(ram=("0",), denom={"0": QUARTIC}), 3, 10)
     default = _EoEngine(airy_point(), 3, 10)
-    assert len(default.res_cols["0"]) == len(default.res_vec["0"])    # one column per pivot
-    assert np.array_equal(engine.res_cols["0"], np.flatnonzero(engine.res_vec["0"].any(axis=0)))
+    assert len(default.res_cols[0]) == len(default.res_vec[0])    # one column per pivot
+    assert np.array_equal(engine.res_cols[0], np.flatnonzero(engine.res_vec[0].any(axis=0)))
 
 
 def _dilaton_residual(omega, g, n):
@@ -544,15 +580,70 @@ def test_setup_tables_match_loop_reference():
     engine = _EoEngine(curve, 3, 10, extra_order=3)
     refs = _loop_setup(engine, _symmetrized(s))
     for name, ref in zip(("loc_p", "loc_m", "b_pm", "res_vec"), refs):
-        for lab in ram:
-            got = getattr(engine, name)[lab]
+        for q, lab in enumerate(ram):
+            got = getattr(engine, name)[q]
             assert got.shape == ref[lab].shape, (name, lab)
             assert np.max(np.abs(got - ref[lab])) <= 1e-15 * np.max(np.abs(ref[lab])), (name, lab)
-    for lab in ram:
-        lp, lm, res = engine.loc_p[lab], engine.loc_m[lab], engine.res_vec[lab]
+    for q, lab in enumerate(ram):
+        lp, lm, res = engine.loc_p[q], engine.loc_m[q], engine.res_vec[q]
         conv = np.array([[np.convolve(a, b) for b in lm] for a in lp])
         ref = np.einsum("abl,pl->pab", conv, res)
-        assert np.max(np.abs(engine.res_tensor[lab] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
+        assert np.max(np.abs(engine.res_tensor[q] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
+
+
+def _per_point_setup(engine):
+    """loc_p, loc_m, b_pm, res_vec, res_cols and res_tensor, one point at a time."""
+    cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
+    npiv = (engine.kmax + 1) // 2
+    big_k = hi + 1
+    ks = np.arange(1, big_k + 1)
+    flip = np.where(np.arange(lo, hi + 1) % 2, 1.0, -1.0)
+    nr, top = len(engine.ram), len(cur.s) // len(engine.ram)
+    cut = min(top, big_k)
+    s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
+    s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
+    ii = np.arange(nlen)
+    out = []
+    for q, lab in enumerate(engine.ram):
+        lp = np.zeros((engine.dim, nlen), dtype=complex)
+        lp[:, -lo:] = s[:, 0:engine.kmax:2, q].reshape(engine.dim, big_k) * ks
+        lp[q * npiv + np.arange(npiv), -2 * np.arange(npiv) - 2 - lo] = 1.0
+        lm = lp * flip
+        terms = s[q, :, q] * ks[:, None] * ks * (-1.0) ** ks
+        diag = np.zeros(2 * big_k - 1, dtype=complex)
+        np.add.at(diag, (ks[:, None] + ks - 2).ravel(), terms.ravel())
+        bpm = np.zeros(nlen, dtype=complex)
+        bpm[-2 - lo] = -0.25
+        bpm[-lo:] += diag[:big_k]
+        inv_d = cur.denom[lab].inverse()
+        needed = -2 - 2 * lo
+        exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
+        low = int(exps.min())
+        res = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)[exps - low]
+        tensor = lp @ res[:, ii[:, None] + ii] @ lm.T
+        out.append((lp, lm, bpm, res, np.flatnonzero(res.any(axis=0)), tensor))
+    return out
+
+
+def test_stacked_setup_matches_per_point_copy_bitwise():
+    # the set-up stacked over the points gives, point by point, the bits of
+    # the per-point set-up; the residue tables of one D are formed once and
+    # shared, and the points are grouped by the columns they read
+    rng = np.random.default_rng(53)
+    ram = ("p", "q", "r", "t")
+    s = random_s(ram + ("x",), 11, rng)
+    s.update(random_s(("p",), 30, rng))
+    curve = LocalSpectralCurve(ram=ram, denom={"q": QUARTIC, "t": QUARTIC}, bergman_reg=s)
+    for chi, extra in ((3, 3), (5, 0)):
+        engine = _EoEngine(curve, chi, max_index_bound(chi), extra_order=extra)
+        names = ("loc_p", "loc_m", "b_pm", "res_vec", "res_cols", "res_tensor")
+        for q, ref in enumerate(_per_point_setup(engine)):
+            for name, want in zip(names, ref):
+                got = getattr(engine, name)[q]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name, q)
+        assert engine.res_vec[0] is engine.res_vec[2] and engine.res_vec[1] is engine.res_vec[3]
+        assert engine.res_vec[0] is not engine.res_vec[1]
+        assert [points for _, points in engine._col_groups] == [[0, 2], [1, 3]]
 
 
 def test_kernel_matrix_does_not_depend_on_pair_order():
@@ -604,8 +695,8 @@ def test_kernel_matrix_keeps_ram_labels_and_window_modes():
     short = {key: v for key, v in inside.items() if max(key[0][0], key[1][0]) <= window}
     ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 3, 9)
     for name in ("loc_p", "loc_m", "b_pm", "res_tensor"):
-        for lab in ram:
-            assert np.array_equal(getattr(engine, name)[lab], getattr(ref, name)[lab]), (name, lab)
+        for q, lab in enumerate(ram):
+            assert np.array_equal(getattr(engine, name)[q], getattr(ref, name)[q]), (name, lab)
 
 
 def test_evaluation_reads_the_input_pairs():
