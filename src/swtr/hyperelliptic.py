@@ -125,18 +125,19 @@ def _new_curves(g, us, Lambda):
     ia, ib = np.triu_indices(2 * g + 2, 1)
     collide = np.abs(branch[:, ia] - branch[:, ib]) < 1e-8 * scale[:, None]
     dp = p[:, 1:] * np.arange(1, g + 2)        # npoly.polyder, row by row
+    singular = collide.any(axis=1)
+    Lambda, shift = complex(Lambda), 4.0 * lam ** 2
     curves = []
-    for r, row in enumerate(p):
-        hit = np.flatnonzero(collide[r])
-        if hit.size:
-            a, b = branch[r, ia[hit[0]]], branch[r, ib[hit[0]]]
+    for r, (row, u) in enumerate(zip(p, us.tolist())):
+        if singular[r]:
+            hit = np.flatnonzero(collide[r])[0]
+            a, b = branch[r, ia[hit]], branch[r, ib[hit]]
             curves.append(SingularCurve(f"branch points {a:.6g} and {b:.6g} collide"))
             continue
         q = np.convolve(row, row)                 # npoly.polymul(row, row)
-        q[0] -= 4.0 * lam ** 2
-        curves.append(SWCurve(g=g, u=tuple(complex(v) for v in us[r]), Lambda=complex(Lambda),
-                              p_coeffs=row, q_coeffs=q, dp_coeffs=dp[r],
-                              branch_points=branch[r]))
+        q[0] -= shift
+        curves.append(SWCurve(g=g, u=tuple(u), Lambda=Lambda, p_coeffs=row, q_coeffs=q,
+                              dp_coeffs=dp[r], branch_points=branch[r]))
     return curves
 
 

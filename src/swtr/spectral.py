@@ -41,6 +41,24 @@ default D = 4 z^2), as stacked BLAS dots that are bitwise the columns
 columns share their stacks; ``products`` counts the pairs.  The genus term
 is contracted against the point's residue tensor C^p_{ab}, the residue of
 ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).
+
+What a level enumerates (its pairs of factors, the rests they reach, the
+genus-term entries and the pivots of each rest) depends on the curve's shape
+alone (the number of points, D at each, chi_max and the mode window) and on
+which lower entries and factor rows are nonzero; the kernel values enter
+only the numbers.  So a run on a shape that ran before in the process
+records each level's plan as integer index arrays, and the runs after it
+replay the plan: they form the factor tables and gather, multiply, add and
+contract as recorded, with no Python per pair or per entry.  A level is
+replayed only if the level below stored the keys it was recorded under and
+the factor tables have the recorded nonzero rows; else it and every later
+level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
+the tables of a fresh run.  A shape's first run keeps no plan, which a run
+made once per process would not pay back: it reads each entry out as it
+enumerates it.  All runs share one product pass, so their tables agree to
+the bit.  The plans, with D's residue tables, sit in an LRU of
+``_PLAN_SLOTS`` shapes; a 4-point chi = 8 plan takes about 24 MB.
+
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
 the pivot-symmetry check and the support check.
@@ -57,9 +75,11 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,6 +197,77 @@ class OmegaGN:
 # recursion engine
 # ---------------------------------------------------------------------------
 
+class _FactorRows(NamedTuple):
+    """The rows of a lower cell's factor table, as integers.
+
+    Row r is omega_{g,n}(+z, legs[r]) over the window.  Its coefficients
+    against the free index come from the cell's stored values: ``vec[at[0],
+    at[1]] = values[src]``.  ``nonzero[q, r]`` says whether the row's series
+    at the point q is nonzero.
+    """
+
+    legs: np.ndarray
+    at: np.ndarray
+    src: np.ndarray
+    nonzero: np.ndarray
+
+
+class _Level(NamedTuple):
+    """The integer plan of one level: what its lower cells' key pattern decides.
+
+    ``lower`` maps each cell of the level below to which of its planned keys
+    were stored (nonzero) when the level was recorded, ``factors`` to its
+    factor table's rows (their nonzero masks as recorded).  ``groups`` holds
+    (pairs, jobs) per column group.  ``pairs`` is (4, P): the first and the
+    second factor's row in the level's stack of factor tables, the row of
+    the group (jobs stacked in order) the product adds to, and the number of
+    times it adds.  A job is (g, n, q, rests, genus, entries): one cell at
+    the point q, its number of rests, None or the (row, a, b, src) arrays of
+    its genus-term entries (src indexing the stored values of
+    omega_{g-1,n+1}), and the gather row * npiv + p of each entry it
+    evaluates, in tuple order.  ``cells`` maps each cell of the level to its
+    evaluated keys, the jobs' in order of q: sorted.  A level a run keeps for
+    itself alone (a shape's first run) has ``lower``, ``factors`` and
+    ``cells`` None, and its jobs hold their rests, by row, as ``entries``.
+    """
+
+    lower: dict
+    factors: dict
+    groups: tuple
+    cells: dict
+
+
+class _Plan:
+    """What the recursions on one curve shape share: D's residue tables, each level's plan.
+
+    ``residues`` is (res_vec, res_cols, Hankel gather, column groups), formed
+    by the first engine of the shape; ``levels`` holds the ``_Level`` of each
+    chi as the last run recorded it, and ``runs`` counts the runs.  No value
+    of the kernel data s enters any of them.
+    """
+
+    def __init__(self):
+        self.residues = None
+        self.levels = []
+        self.runs = 0
+
+
+# recursion plans kept, least recently used first out: one per curve shape
+_PLAN_SLOTS = 4
+
+
+@functools.lru_cache(maxsize=_PLAN_SLOTS)
+def _plan(shape):
+    """The ``_Plan`` of a curve shape: (points, D key per point, chi_max, kmax, extra_order)."""
+    return _Plan()
+
+
+def _denom_key(d):
+    """A one-form series D by its window, exponents and coefficient bits."""
+    terms = d.coeffs
+    return d.min_exp, d.trunc_order, tuple(terms), np.array(list(terms.values())).tobytes()
+
+
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
@@ -190,10 +281,15 @@ class _EoEngine(_CellRecursion):
         self.nlen = self.hi - self.lo + 1
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
         self.products = 0               # split-term pairs whose product was formed
+        self.replayed = 0               # levels filled on a plan a run before this one recorded
         self._factor_cache = {}
-        self._setup()
+        self._values = {}               # stored values of each cell, in its key order
+        self._key_type = np.min_scalar_type(-self.dim)
+        dkeys = tuple(_denom_key(curve.denom[lab]) for lab in self.ram)
+        self._plan = _plan((len(self.ram), dkeys, chi_max, kmax, extra_order))
+        self._setup(dkeys)
 
-    def _setup(self):
+    def _setup(self, dkeys):
         """Window series of the kernel data at every point, and their residue tables.
 
         One stack over the points, axis 0 the position q of the point in
@@ -204,15 +300,15 @@ class _EoEngine(_CellRecursion):
         z^{2p+1} / D(z), ``res_cols[q]`` lists the columns it reads, and
         ``res_tensor[q][p, a, b]`` is that residue of loc_p[q][a] * loc_m[q][b].
         1/D, ``res_vec``, ``res_cols`` and the Hankel gather of ``res_vec``
-        are formed once per distinct D and shared by the points that have it;
-        ``_col_groups`` lists (res_cols, points) per distinct column set.
+        depend on D alone: the plan keeps them (``_residues``), one set per
+        distinct D shared by the points that have it.
         """
         cur = self.curve
-        lo, hi, nlen = self.lo, self.hi, self.nlen
+        lo, nlen = self.lo, self.nlen
         npiv = (self.kmax + 1) // 2
-        big_k = hi + 1                  # largest k with z^{k-1} in the window
+        big_k = self.hi + 1             # largest k with z^{k-1} in the window
         ks = np.arange(1, big_k + 1)
-        e = np.arange(lo, hi + 1)
+        e = np.arange(lo, self.hi + 1)
         # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
         self._flip = np.where(e % 2, 1.0, -1.0)
         # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
@@ -235,6 +331,20 @@ class _EoEngine(_CellRecursion):
         self.b_pm = np.zeros((nr, nlen), dtype=complex)
         self.b_pm[:, -2 - lo] = -0.25
         self.b_pm[:, -lo:] += diag[:, :big_k]
+        if self._plan.residues is None:
+            self._plan.residues = self._residues(dkeys)
+        self.res_vec, self.res_cols, hankel, self._col_groups = self._plan.residues
+        # C[p, a, b] = loc_p[a] . H_p . loc_m[b]
+        self.res_tensor = [self.loc_p[q] @ hankel[q] @ self.loc_m[q].T for q in range(nr)]
+
+    def _residues(self, dkeys):
+        """(res_vec, res_cols, Hankel gather) per point, and the column groups.
+
+        Each is formed once per distinct D; ``_col_groups`` lists (res_cols,
+        points) per distinct column set.
+        """
+        lo, nlen = self.lo, self.nlen
+        p = np.arange((self.kmax + 1) // 2)
         # residue of z^{2 lo + l} against z^{k1} / D(z): the coefficient of
         # z^{-1 - k1 - 2 lo - l} of 1 / D
         needed = -1 - 1 - 2 * lo
@@ -242,14 +352,9 @@ class _EoEngine(_CellRecursion):
         low = int(exps.min())
         ii = np.arange(nlen)
         shared, groups = {}, {}
-        self.res_vec, self.res_cols, self.res_tensor = [], [], []
-        for q, lab in enumerate(self.ram):
-            d = cur.denom[lab]
-            d_terms = d.coeffs      # D's window, exponents and coefficient bits are the key
-            key = (d.min_exp, d.trunc_order, tuple(d_terms),
-                   np.array(list(d_terms.values())).tobytes())
+        for q, (lab, key) in enumerate(zip(self.ram, dkeys)):
             if key not in shared:
-                inv_d = d.inverse()
+                inv_d = self.curve.denom[lab].inverse()
                 if inv_d.trunc_order < needed:
                     raise TruncationInsufficient(
                         f"denom at {lab!r} truncated below order {needed + 4}")
@@ -257,13 +362,9 @@ class _EoEngine(_CellRecursion):
                 res = coef[exps - low]
                 # H_p[i, j] = res[p, i + j]
                 shared[key] = res, np.flatnonzero(res.any(axis=0)), res[:, ii[:, None] + ii]
-            res, cols, hankel = shared[key]
-            self.res_vec.append(res)
-            self.res_cols.append(cols)
-            # C[p, a, b] = loc_p[a] . H_p . loc_m[b]
-            self.res_tensor.append(self.loc_p[q] @ hankel @ self.loc_m[q].T)
-            groups.setdefault(cols.tobytes(), (cols, []))[1].append(q)
-        self._col_groups = list(groups.values())
+            groups.setdefault(shared[key][1].tobytes(), (shared[key][1], []))[1].append(q)
+        per_point = [shared[key] for key in dkeys]
+        return (*map(list, zip(*per_point)), list(groups.values()))
 
     # building blocks ---------------------------------------------------------
 
@@ -284,54 +385,98 @@ class _EoEngine(_CellRecursion):
         arr[k - 1 - self.lo] = k
         return arr
 
-    def _factors(self, g, n, q):
-        """Nonzero series of omega_{g,n}(q(+z), legs) at the point q over the window, by legs.
+    def _cell_values(self, g, n):
+        """The stored values of omega_{g,n}, in its key order."""
+        vals = self._values.get((g, n))
+        if vals is None:
+            entries = self.table.entries[(g, n)]
+            vals = self._values[(g, n)] = np.fromiter(entries.values(), complex, len(entries))
+        return vals
 
-        The dict runs in increasing degree sum of the legs; the list holds
-        those sums.  For (0, 2) the series are the two-form against one leg
-        (``_f_leg``).  The series at -z is the one at +z times ``_flip``, an
-        exact sign per column, and is formed only where it is read.  A cell's
-        tables are built for every point at once, the first time one is asked for.
+    def _factor_table(self, g, n, rows=None):
+        """(rows, table): omega_{g,n}(+z, legs) at every point over the window.
+
+        ``table`` is flat, row q * R + r the series at the point q of row r
+        of ``rows`` (``_FactorRows``, R rows).  The legs and the scatter come
+        from ``rows`` (a plan's) or, when it is None, from the cell's keys;
+        the nonzero masks are the table's, and ``rows`` comes back unchanged
+        only if they are the ones it holds.  For (0, 2) row j is the two-form
+        against the leg j at the leg's point (``_f_leg``).  The series at -z
+        is the one at +z times ``_flip``, an exact sign per column, formed
+        only where it is read.  Built from the keys, it also indexes its rows
+        by legs for ``_factor_rows``.
         """
-        tables = self._factor_cache.get((g, n))
-        if tables is None:
-            tables = self._factor_cache[(g, n)] = self._factor_tables(g, n)
-        return tables[q]
-
-    def _factor_tables(self, g, n):
-        """The ``_factors`` tables of one cell, one per point."""
+        nr, dim = len(self.ram), self.dim
         if (g, n) == (0, 2):
-            out = []
-            for lab in self.ram:
-                legs = [(j,) for j, (_, b) in enumerate(self.modes) if b == lab]
-                out.append(({leg: self._f_leg(self.modes[leg[0]], lab) for leg in legs},
-                            [self.degree[j] for j, in legs]))
-            return out
-        # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
-        rows, at, vals = {}, [], []
-        for idx, val in self.table.entries[(g, n)].items():
-            for p in range(n):
-                if p == 0 or idx[p] != idx[p - 1]:
-                    at.append((rows.setdefault(idx[:p] + idx[p + 1:], len(rows)), idx[p]))
-                    vals.append(val)
-        vec = np.zeros((len(rows), self.dim), dtype=complex)
-        if at:
-            vec[tuple(np.array(at).T)] = vals
-        legs = list(rows)
-        deg = [sum(self.degree[j] for j in leg) for leg in legs]
+            ks = np.array([k for k, _ in self.modes])
+            qs = np.arange(dim) // (dim // nr)      # the point of each mode
+            table = np.zeros((nr, dim, self.nlen), dtype=complex)
+            table[qs, np.arange(dim), ks - 1 - self.lo] = ks
+            rows = _FactorRows(np.arange(dim)[:, None], None, None, None)
+            legs = [(j,) for j in range(dim)]
+        else:
+            legs = None
+            if rows is None:
+                # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
+                legs, at, src = {}, [], []
+                for e, idx in enumerate(self.table.entries[(g, n)]):
+                    for p in range(n):
+                        if p == 0 or idx[p] != idx[p - 1]:
+                            at += (legs.setdefault(idx[:p] + idx[p + 1:], len(legs)), idx[p])
+                            src.append(e)
+                legs = list(legs)
+                flat = np.fromiter(itertools.chain.from_iterable(legs), self._key_type,
+                                   len(legs) * (n - 1))
+                rows = _FactorRows(flat.reshape(len(legs), n - 1),
+                                   np.array(at, dtype=np.int32).reshape(-1, 2).T,
+                                   np.array(src, dtype=np.int32), None)
+            vec = np.zeros((len(rows.legs), dim), dtype=complex)
+            vec[rows.at[0], rows.at[1]] = self._cell_values(g, n)[rows.src]
+            table = vec @ self.loc_p
+        nonzero = table.any(axis=2)
+        if rows.nonzero is None or not np.array_equal(nonzero, rows.nonzero):
+            rows = rows._replace(nonzero=nonzero)
+        if legs is not None:
+            self._index_rows(g, n, legs, nonzero)
+        return rows, table.reshape(-1, self.nlen)
+
+    def _factors(self, g, n):
+        """The ``_factor_table`` of omega_{g,n}, formed from its keys the first time it is read."""
+        got = self._factor_cache.get((g, n))
+        if got is None:
+            got = self._factor_cache[(g, n)] = self._factor_table(g, n)
+        return got
+
+    def _factor_rows(self, g, n, q):
+        """Rows of omega_{g,n}'s factor table nonzero at the point q, by legs, in increasing degree.
+
+        The dict maps legs to the row in the flat table; the list holds the
+        rows' degree sums (``_index_rows``).
+        """
+        got = self._factor_cache.get((g, n, q))
+        if got is None:
+            rows, _ = self._factors(g, n)
+            if (g, n, q) not in self._factor_cache:     # the table's rows came from a plan
+                self._index_rows(g, n, list(map(tuple, rows.legs.tolist())), rows.nonzero)
+            got = self._factor_cache[g, n, q]
+        return got
+
+    def _index_rows(self, g, n, legs, nonzero):
+        """``_factor_rows`` of omega_{g,n} at every point, from its rows' legs and nonzero masks."""
+        deg = [sum(map(self.degree.__getitem__, leg)) for leg in legs]
         order = sorted(range(len(legs)), key=deg.__getitem__)
-        out = []
-        for loc in self.loc_p:
-            plus = vec @ loc
-            nonzero = plus.any(axis=1)
-            keep = [r for r in order if nonzero[r]]
-            out.append(({legs[r]: plus[r] for r in keep}, [deg[r] for r in keep]))
-        return out
+        for q, mask in enumerate(nonzero.tolist()):
+            kept = [r for r in order if mask[r]]
+            self._factor_cache[g, n, q] = ({legs[r]: q * len(legs) + r for r in kept},
+                                           [deg[r] for r in kept])
 
     def _factor(self, g, n, legs, q, minus):
         """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
-        f = self._factors(g, n, q)[0].get(tuple(sorted(legs)))
-        return f * self._flip if minus and f is not None else f
+        r = self._factor_rows(g, n, q)[0].get(tuple(sorted(legs)))
+        if r is None:
+            return None
+        f = self._factors(g, n)[1][r]
+        return f * self._flip if minus else f
 
     # the level fill ----------------------------------------------------------
 
@@ -340,156 +485,275 @@ class _EoEngine(_CellRecursion):
 
         A level's cells read only lower levels: every splitting factor and
         the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
-        cells and points of a level share one product pass (``_level``).
+        cells and points of a level share one product pass (``_fill``).  The
+        first run on a curve shape reads each entry out as it enumerates it
+        and keeps no plan.  A later run records each level's plan
+        (``_record``), and the runs after it replay a level's plan when the
+        level below stored the keys it was recorded under and its factor
+        tables have the recorded nonzero rows; else that level and every
+        later one are recorded afresh.
         """
-        levels = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
-        for _, level in levels:
-            level = list(level)
-            for g, n in level:
+        plan = self._plan
+        keep = plan.runs > 0        # the shape ran before: a plan pays off from the next run
+        plan.runs += 1
+        levels = plan.levels
+        stored = {}         # of each cell of the level below: which planned keys it stored
+        reads = [(0, 2)]    # the cells whose factor tables a level reads: every lower one
+        replay = keep
+        chis = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
+        for i, (_, cells) in enumerate(chis):
+            cells = list(cells)
+            for g, n in cells:
                 self.allowed(g, n)      # every mode within the degree bound is allowed
-            self.table.entries.update(self._level(level))
-            for g, n in level:
+            level = levels[i] if replay and i < len(levels) else None
+            replay = level is not None and all(
+                np.array_equal(level.lower[cell], mask) for cell, mask in stored.items())
+            # the level below is first read here, as factors
+            for cell in stored:
+                rows = level.factors[cell] if replay else None
+                self._factor_cache[cell] = self._factor_table(*cell, rows)
+                replay = replay and self._factor_cache[cell][0] is rows
+            if replay:
+                self.replayed += 1
+            else:
+                level = self._record(cells, stored, reads, keep)
+                if keep:
+                    del levels[i:]
+                    levels.append(level)
+            stored = self._fill(cells, level, reads)
+            reads = reads + cells
+            for g, n in cells:
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
             self._cell_cache.clear()
         return self.table
 
-    def _level(self, cells):
-        """Recursion values of the cells of one level on the rests their lower cells reach.
+    def _fill(self, cells, level, reads):
+        """Fill a level's cells on its plan; return, per cell, which planned keys it stored.
 
         A job is one cell at one point q: its entries whose pivot sits at q,
         grouped by their other legs, the rest.  A job's rows are its rests,
         one xi series each, whose residues against every pivot come out of
         one product with ``res_vec[q]``; the jobs whose points read the same
-        columns share their splitting terms (``_split_parts``).  A rest is
-        reached by a splitting-term pair or a genus-term entry; the entries
-        of every other rest are exactly 0.  Each cell's keys come out
-        sorted, in the order of ``support``.
+        columns share their splitting terms (``_split_part``), whose factors
+        come from one stack of the factor tables of the cells ``reads``.  A
+        job's entries come in tuple order, so a cell's come sorted, the order
+        of ``support``, over its jobs by q; the nonzero ones are stored.  A
+        plan gathers them; a level with no plan kept (``cells`` None) reads
+        them one by one from its jobs' rests, and stores no masks.
         """
-        out = {cell: {} for cell in cells}
-        for cols, points in self._col_groups:
-            jobs = [(g, n, q) for g, n in cells for q in points]
-            part, spans = self._split_parts(jobs, cols)
-            for (g, n, q), (rows, genus, base) in zip(jobs, spans):
-                xi = np.zeros((len(rows), 2 * self.nlen - 1), dtype=complex)
-                xi[:, cols] = part[base:base + len(rows)]
+        found = {cell: [None] * len(self.ram) for cell in cells}
+        stack = np.concatenate([self._factors(*cell)[1] for cell in reads])
+        parts = [self._split_part(pairs, jobs, cols, stack)
+                 for (cols, _), (pairs, jobs) in zip(self._col_groups, level.groups)]
+        del stack       # a copy of the factor tables: gone before the jobs form their xi
+        for (cols, _), (_, jobs), part in zip(self._col_groups, level.groups, parts):
+            base = 0
+            for g, n, q, rows, genus, entries in jobs:
+                xi = np.zeros((rows, 2 * self.nlen - 1), dtype=complex)
+                xi[:, cols] = part[base:base + rows]
+                base += rows
                 if (g, n) == (1, 1):
                     xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
                 # one matmul per job: a one-row matmul is not a row of a stacked one, bitwise
                 vals = -(xi @ self.res_vec[q].T)
                 if genus is not None:
-                    vals -= self._genus_terms(q, len(rows), *genus)
-                cell = out[g, n]
-                for idx, r, p in self._pivots(g, n, q, rows):
-                    self.evaluated += 1
+                    vals -= self._genus_terms(g, n, q, rows, *genus)
+                if level.cells is not None:
+                    found[g, n][q] = vals.ravel()[entries]
+                    continue
+                got = found[g, n][q] = {}
+                evaluated = 0
+                for idx, r, p in self._pivots(g, n, q, entries):
+                    evaluated += 1
                     if (val := vals[r, p]) != 0:
-                        cell[idx] = val
-        return {cell: dict(sorted(entries.items())) for cell, entries in out.items()}
+                        got[idx] = val
+                self.evaluated += evaluated
+        self.products += sum(pairs.shape[1] for pairs, _ in level.groups)
+        stored = dict.fromkeys(cells)
+        for cell in cells:
+            if level.cells is None:
+                entries = self.table.entries[cell] = {}
+                for got in found[cell]:
+                    entries.update(got)
+                continue
+            keys, vals = level.cells[cell], np.concatenate(found[cell])
+            self.evaluated += len(keys)
+            keep = stored[cell] = vals != 0
+            vals = self._values[cell] = vals[keep]
+            self.table.entries[cell] = dict(zip(map(tuple, keys[keep].tolist()), vals))
+        return stored
 
-    def _split_parts(self, jobs, cols):
-        """Columns ``cols`` of the splitting terms of every rest of ``jobs``.
+    def _split_part(self, pairs, jobs, cols, stack):
+        """Columns ``cols`` of the splitting terms of every row of a column group's ``jobs``.
 
-        Returns (part, spans), a job's rows starting at its span's base in
-        ``part`` (``_split_pairs``).  Each pair of nonzero lower-cell factors
-        adds its product to the rest their merged legs make, once per
-        leg-position subset that gives the pair.  Only the columns ``cols``
-        are formed, each bitwise ``np.convolve``'s (``_product_columns``),
-        for up to ``_STACK`` pairs at a time across the jobs, the second
-        factors flipped to -z as a stack.  The adds go one per subset in pair
-        order, as in ``compute_value``: a single add of the multiple would
-        round differently.
+        Each pair of nonzero lower-cell factors adds its product to the rest
+        their merged legs make, once per leg-position subset that gives the
+        pair.  Only the columns ``cols`` are formed, each bitwise
+        ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs at
+        a time across the jobs, the second factors flipped to -z as a stack.
+        The adds go one per subset in pair order, as in ``compute_value``: a
+        single add of the multiple would round differently.  They go to the
+        flat part, column by column of each subset: the order per entry of
+        a row-wise add, at a third of its cost.
         """
-        spans = []
-        stream, flip = self._split_pairs(jobs, spans), self._flip[::-1]
-        part = np.zeros((0, len(cols)), dtype=complex)
-        while chunk := list(itertools.islice(stream, _STACK)):
-            self.products += len(chunk)
-            firsts, seconds, at, ways = zip(*chunk)
-            at = np.array(at)
-            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1] * flip, cols)
-            each = np.repeat(np.arange(len(chunk)), ways)
-            part = _grown(part, at.max() + 1)
-            np.add.at(part, at[each], terms[each])
-        rows, _, base = spans[-1]
-        return _grown(part, base + len(rows)), spans
+        part = np.zeros((sum(job[3] for job in jobs), len(cols)), dtype=complex)
+        first, second, at, ways = pairs
+        flip = self._flip[::-1].copy()      # a reversed view would take a slow buffered loop
+        width = np.arange(len(cols))
+        for start in range(0, len(at), _STACK):
+            stop = min(start + _STACK, len(at))
+            flipped = stack[second[start:stop]][:, ::-1] * flip
+            terms = _product_columns(stack[first[start:stop]], flipped, cols)
+            each = np.repeat(np.arange(stop - start), ways[start:stop])
+            flat = at[start:stop][each, None] * len(cols) + width
+            np.add.at(part.reshape(-1), flat.ravel(), terms[each].ravel())
+        return part
 
-    def _pivots(self, g, n, q, rows):
-        """(tuple, row, pivot p) of each entry at the point q with its rest in ``rows``.
+    def _genus_terms(self, g, n, q, nrows, at, a, b, src):
+        """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
 
-        The pivot is the mode (2p + 1) at q within the degree budget the rest
-        leaves, and no larger than the rest's first leg: the first index of
-        the sorted tuple.
+        An entry of omega_{g-1,n+1} at (a, b, rest), the ``src``-th stored,
+        adds its value times C[p, a, b] + C[p, b, a] (once for a = b) to (its
+        row ``at``, pivot p).
         """
-        first, room = self.index[(1, self.ram[q])], 3 * g - 3 + n
-        for rest, r in rows.items():
-            top = room - sum(map(self.degree.__getitem__, rest))
-            if rest:
-                top = min(top, rest[0] - first)
-            for p in range(top + 1):
-                yield (first + p,) + rest, r, p
+        out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
+        if len(at):
+            c = self.res_tensor[q]
+            vals = self._cell_values(g - 1, n + 1)[src]
+            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
+            np.add.at(out, at, terms.T)
+        return out
 
-    def _reached(self, g, n):
-        """The tuples the fill of a cell reaches, from the same rows, with no products formed."""
-        spans = []
-        collections.deque(self._split_pairs([(g, n, q) for q in range(len(self.ram))], spans),
-                          maxlen=0)
-        return {idx for q, (rows, _, _) in enumerate(spans)
-                for idx, _, _ in self._pivots(g, n, q, rows)}
+    # the plan ------------------------------------------------------------------
 
-    def _split_pairs(self, jobs, spans):
-        """(first factor, second factor, row, subsets) of each splitting-term pair of ``jobs``.
+    def _record(self, cells, stored, reads, keep):
+        """The ``_Level`` of ``cells`` under the keys the level below ``stored``.
 
-        The jobs, (g, n, q) each, run one after another.  Before its pairs a
-        job appends its span (rows, genus, base) to ``spans``: its rows and
-        genus-term entries (``_first_rows``), to which the pairs add the
-        rests they reach, and the number of rows of the jobs before it.  The
-        first factor is a lower cell at +z; the second is one at -z, given at
-        +z (``_factors``).  Row is base plus that of the rest their merged
-        legs make; subsets counts the leg-position subsets that give the
-        pair (``_ways``).
+        ``reads`` lists the cells whose factor tables the level stacks, in
+        order.  Unless ``keep``, the level is for this run alone: its jobs
+        hold their rests for the fill to read the entries from, and it keeps
+        no keys or masks.
         """
+        sizes = [len(self._factors(*cell)[1]) for cell in reads]
+        offsets = dict(zip(reads, itertools.accumulate(sizes, initial=0)))
+        groups, keys = [], {cell: [None] * len(self.ram) for cell in cells}
+        for _, points in self._col_groups:
+            jobs = [(g, n, q) for g, n in cells for q in points]
+            pairs, planned, job_keys = self._record_jobs(jobs, offsets, keep)
+            groups.append((pairs, planned))
+            for (g, n, q), k in zip(jobs, job_keys):
+                keys[g, n][q] = k
+        if not keep:
+            return _Level(None, None, tuple(groups), None)
+        return _Level(stored, {cell: self._factor_cache[cell][0] for cell in stored},
+                      tuple(groups), {cell: np.concatenate(k) for cell, k in keys.items()})
+
+    def _record_jobs(self, jobs, offsets, keep=True):
+        """(pairs, jobs, keys): the plan of ``jobs``, (g, n, q) each, and the keys each evaluates.
+
+        A job's rows are the rests of its genus-term entries (``_first_rows``)
+        and then those its splitting-term pairs reach.  The first factor is a
+        lower cell at +z; the second is one at -z, given at +z
+        (``_factor_rows``), each a row of the stack of factor tables, in which
+        a cell's table starts at its ``offsets`` entry.  A pair adds to the
+        rest their merged legs make, once per leg-position subset that gives
+        the pair (``_ways``).  The entries are the pivots the rests take
+        (``_pivots``): with ``keep`` a job gathers them and its keys come
+        along; else the job holds its rests and the keys are None.
+        """
+        pairs, out, keys = [], [], []
+        found = []          # pairs not yet in ``pairs``, four numbers each
+        npiv = (self.kmax + 1) // 2
         base = 0
         for g, n, q in jobs:
             rows, genus = self._first_rows(g, n, q)
-            spans.append((rows, genus, base))
             first = self.index[(1, self.ram[q])]    # every rest here starts at q's modes or later
             room = 3 * g - 3 + n                    # no rest has a larger degree sum
             for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
-                ones, deg1 = self._factors(g1, n1, q)
-                twos, deg2 = self._factors(g2, n2, q)
-                twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
+                ones, deg1 = self._factor_rows(g1, n1, q)
+                twos, deg2 = self._factor_rows(g2, n2, q)
+                at1, at2 = offsets[g1, n1], offsets[g2, n2]
+                twos = [(legs, at2 + r, d) for (legs, r), d in zip(twos.items(), deg2)
                         if not legs or legs[0] >= first]
                 deg2 = [d for _, _, d in twos]
-                for (legs1, f1), d1 in zip(ones.items(), deg1):
+                for (legs1, r1), d1 in zip(ones.items(), deg1):
                     if legs1 and legs1[0] < first:
                         continue
-                    for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
+                    r1, apart = at1 + r1, set(legs1).isdisjoint
+                    for legs2, r2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
                         row = rows.setdefault(tuple(sorted(legs1 + legs2)), len(rows))
-                        yield f1, f2, base + row, _ways(legs1, legs2)
+                        ways = 1 if apart(legs2) else _ways(legs1, legs2)
+                        found += (r1, r2, base + row, ways)
+            if len(found) > _STACK * 64:     # a list holds each number as an object
+                pairs.append(np.array(found, dtype=np.int32))
+                found = []
+            if keep:
+                flat, idx = [], []
+                for key, r, p in self._pivots(g, n, q, rows):
+                    idx += key
+                    flat.append(r * npiv + p)
+                out.append((g, n, q, len(rows), genus, np.array(flat, dtype=np.int32)))
+                keys.append(np.array(idx, dtype=self._key_type).reshape(-1, n))
+            else:
+                out.append((g, n, q, len(rows), genus, rows))
+                keys.append(None)
             base += len(rows)
+        pairs.append(np.array(found, dtype=np.int32))
+        pairs = np.concatenate(pairs).reshape(-1, 4).T.copy()
+        return pairs, tuple(out), keys
+
+    def _pivots(self, g, n, q, rows):
+        """(tuple, row, pivot p) of each entry at the point q with its rest in ``rows``, sorted.
+
+        The pivot is the mode (2p + 1) at q within the degree budget the rest
+        leaves, and no larger than the rest's first leg: the first index of
+        the sorted tuple.  So the tuples sort by pivot, then by rest.
+        """
+        first, room = self.index[(1, self.ram[q])], 3 * g - 3 + n
+        by_pivot = []           # the rests that take each pivot, sorted
+        for rest in sorted(rows):
+            top = room - sum(map(self.degree.__getitem__, rest))
+            if rest:
+                top = min(top, rest[0] - first)
+            while len(by_pivot) <= top:
+                by_pivot.append([])
+            for p in range(top + 1):
+                by_pivot[p].append(rest)
+        for p, rests in enumerate(by_pivot):
+            for rest in rests:
+                yield (first + p,) + rest, rows[rest], p
+
+    def _reached(self, g, n):
+        """The tuples the fill of a cell reaches, enumerated afresh, with no products formed."""
+        # the factor rows' offsets in the stack do not matter: only the keys are read
+        _, _, keys = self._record_jobs([(g, n, q) for q in range(len(self.ram))],
+                                       collections.defaultdict(int))
+        return set(map(tuple, np.concatenate(keys).tolist()))
 
     def _genus_triples(self, g, n):
-        """(rests, their first legs, a, b, values) over the entries of omega_{g-1,n+1}
+        """(rests, their first legs, a, b, src) over the entries of omega_{g-1,n+1}
         and their leg pairs.
 
-        Each entry at (a, b, rest) is listed once per distinct pair (a, b) of
-        its legs, in the cell's key order; ``_cell_cache`` keeps the lists
-        for every point of the cell while its level is filled.
+        Each entry at (a, b, rest), the src-th stored, is listed once per
+        distinct pair (a, b) of its legs, in the cell's key order;
+        ``_cell_cache`` keeps the lists for every point of the cell while its
+        level is filled.
         """
         key = ("genus", g, n)
         if key not in self._cell_cache:
-            rests, pairs, vals = [], [], []
-            for idx, val in self.table.entries[(g - 1, n + 1)].items():
+            rests, pairs, src = [], [], []
+            for e, idx in enumerate(self.table.entries[(g - 1, n + 1)]):
                 for a, b in dict.fromkeys(itertools.combinations(idx, 2)):
                     rest = list(idx)
                     rest.remove(a)
                     rest.remove(b)
                     rests.append(tuple(rest))
-                    pairs.append((a, b))
-                    vals.append(val)
-            a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+                    pairs += (a, b)
+                    src.append(e)
+            a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
             # first leg of each rest; the empty rest is reached at every point
             lead = [rest[0] if rest else self.dim for rest in rests]
-            self._cell_cache[key] = rests, lead, a, b, np.array(vals, dtype=complex)
+            self._cell_cache[key] = rests, lead, a, b, np.array(src, dtype=np.int32)
         return self._cell_cache[key]
 
     def _first_rows(self, g, n, q):
@@ -498,33 +762,21 @@ class _EoEngine(_CellRecursion):
         (1, 1) has the empty rest, which B(z, -z) reaches.  Otherwise, for
         g >= 1, the rows are the rests of the genus-term entries at q (those
         whose rest starts at q's modes or later), and the entries come as
-        their rows and their (a, b, value); None for g = 0 and for (1, 1).
+        their rows and their (a, b, src) (``_genus_triples``); None for g = 0
+        and for (1, 1).
         """
         if (g, n) == (1, 1):
             return {(): 0}, None
         if g == 0:
             return {}, None
-        rests, lead, a, b, vals = self._genus_triples(g, n)
+        rests, lead, a, b, src = self._genus_triples(g, n)
         first = self.index[(1, self.ram[q])]
         reach = [i for i, leg in enumerate(lead) if leg >= first]
         rows = {}
-        at = [rows.setdefault(rests[i], len(rows)) for i in reach]
+        at = np.array([rows.setdefault(rests[i], len(rows)) for i in reach], dtype=np.int32)
         if len(reach) < len(rests):     # at the first point every entry is reached
-            a, b, vals = a[reach], b[reach], vals[reach]
-        return rows, (at, a, b, vals)
-
-    def _genus_terms(self, q, nrows, at, a, b, vals):
-        """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
-
-        An entry of omega_{g-1,n+1} at (a, b, rest) adds its value times
-        C[p, a, b] + C[p, b, a] (once for a = b) to (its row ``at``, pivot p).
-        """
-        out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
-        if at:
-            c = self.res_tensor[q]
-            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
-            np.add.at(out, at, terms.T)
-        return out
+            a, b, src = a[reach], b[reach], src[reach]
+        return rows, (at, a, b, src)
 
     def compute_value(self, g, n, idx, pivot_pos=0):
         """One entry with the leg at ``pivot_pos`` as pivot: the per-entry reference."""
@@ -589,14 +841,6 @@ def _product_columns(f1, r2, cols):
         lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
         out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
     return out
-
-
-def _grown(arr, size):
-    """``arr`` if it has ``size`` rows, else with zero rows appended: at least as many as it has."""
-    if size <= len(arr):
-        return arr
-    more = np.zeros((max(size, 2 * len(arr)) - len(arr), arr.shape[1]), dtype=arr.dtype)
-    return np.concatenate((arr, more))
 
 
 def _ways(legs1, legs2):

@@ -25,8 +25,10 @@ from swtr.laurent import LaurentSeries
 from swtr.spectral import (
     LocalSpectralCurve,
     OmegaGN,
+    _PLAN_SLOTS,
     _STACK,
     _EoEngine,
+    _plan,
     _product_columns,
     _ways,
     atr_eo_crosscheck,
@@ -261,13 +263,13 @@ def test_oracle_keeps_full_enumeration():
 QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
 
 
-def _split_test_curve(ram, denom):
-    """Random kernel data to mode 13 (seed 31) at ``ram``.
+def _split_test_curve(ram, denom, seed=31):
+    """Random kernel data to mode 13 at ``ram``.
 
     The one-form is ``denom`` at every point, or a {label: series} dict with
     4 z^2 at the other points, or 4 z^2 everywhere when ``denom`` is None.
     """
-    rng = np.random.default_rng(31)
+    rng = np.random.default_rng(seed)
     if isinstance(denom, LaurentSeries):
         denom = dict.fromkeys(ram, denom)
     return LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=random_s(ram, 13, rng))
@@ -315,16 +317,18 @@ def _lower_pairs(self, g, n, q):
     first = self.index[(1, self.ram[q])]
     room = 3 * g - 3 + n
     for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
-        ones, deg1 = self._factors(g1, n1, q)
-        twos, deg2 = self._factors(g2, n2, q)
-        twos = [(legs, f, d) for (legs, f), d in zip(twos.items(), deg2)
+        ones, deg1 = self._factor_rows(g1, n1, q)
+        twos, deg2 = self._factor_rows(g2, n2, q)
+        table1, table2 = self._factors(g1, n1)[1], self._factors(g2, n2)[1]
+        twos = [(legs, table2[r], d) for (legs, r), d in zip(twos.items(), deg2)
                 if not legs or legs[0] >= first]
         deg2 = [d for _, _, d in twos]
-        for (legs1, f1), d1 in zip(ones.items(), deg1):
+        for (legs1, r1), d1 in zip(ones.items(), deg1):
             if legs1 and legs1[0] < first:
                 continue
             for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
-                yield f1, f2 * self._flip, tuple(sorted(legs1 + legs2)), _ways(legs1, legs2)
+                yield (table1[r1], f2 * self._flip, tuple(sorted(legs1 + legs2)),
+                       _ways(legs1, legs2))
 
 
 def _cell_by_cell(fill):
@@ -359,7 +363,7 @@ def _convolve_cell(self, g, n):
             xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
         vals = -(xi @ self.res_vec[q].T)
         if genus is not None:
-            vals -= self._genus_terms(q, len(rows), *genus)
+            vals -= self._genus_terms(g, n, q, len(rows), *genus)
         for idx, r, p in self._pivots(g, n, q, rows):
             self.evaluated += 1
             if (val := vals[r, p]) != 0:
@@ -442,11 +446,15 @@ FILL_CASES = pytest.mark.parametrize("ram, chi, denom", [
 ], ids=["4pt-chi4-quartic", "4pt-chi4-mixed", "2pt-chi5", "1pt-chi6", "verify-g2"])
 
 
-def _fill_case(ram, chi, denom):
-    """The run of a FILL_CASES case: eo_run, or the genus-2 verify's recursion."""
+def _fill_case(ram, chi, denom, other=False):
+    """The run of a FILL_CASES case: eo_run, or the genus-2 verify's recursion.
+
+    ``other`` takes other kernel data on the same curve shape.
+    """
     if ram is None:
-        return verify_theorem(VerifyConfig(genus=2, u0=(0.3 + 0.1j, 0.2 - 0.15j))).omega
-    return eo_run(_split_test_curve(ram, denom), chi)
+        u0 = (0.31 + 0.1j, 0.2 - 0.16j) if other else (0.3 + 0.1j, 0.2 - 0.15j)
+        return verify_theorem(VerifyConfig(genus=2, u0=u0)).omega
+    return eo_run(_split_test_curve(ram, denom, seed=37 if other else 31), chi)
 
 
 @FILL_CASES
@@ -480,6 +488,124 @@ def test_reached_fill_matches_support_fill_bitwise(monkeypatch, ram, chi, denom)
         assert omega.engine.evaluated == support
     else:
         assert omega.engine.evaluated < support
+
+
+def _counts(omega):
+    return omega.engine.evaluated, omega.engine.products
+
+
+@FILL_CASES
+def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
+    # a shape's first run keeps no plan, its second records one, and a run on
+    # the plan that other kernel data recorded gives the values, key order
+    # and counts of a run with no plan; so does the recording run
+    _plan.cache_clear()
+    fresh = _fill_case(ram, chi, denom)
+    assert not fresh.engine._plan.levels
+    recorded = _fill_case(ram, chi, denom, other=True)
+    assert len(recorded.engine._plan.levels) == recorded.engine.chi_max
+    replayed = _fill_case(ram, chi, denom)
+    assert (fresh.engine.replayed, recorded.engine.replayed) == (0, 0)
+    assert replayed.engine.replayed == replayed.engine.chi_max
+    assert _counts(replayed) == _counts(fresh)
+    assert _table_bits(replayed.table) == _table_bits(fresh.table)
+    _plan.cache_clear()
+    other = _fill_case(ram, chi, denom, other=True)
+    assert _counts(recorded) == _counts(other)
+    assert _table_bits(recorded.table) == _table_bits(other.table)
+
+
+def _plan_arrays(node):
+    """Every array a plan's levels hold, through tuples, lists and dicts."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _plan_arrays(value)
+    elif isinstance(node, (tuple, list)):
+        for value in node:
+            yield from _plan_arrays(value)
+    else:
+        assert node is None or isinstance(node, int), type(node)
+
+
+@pytest.mark.parametrize("ram, chi, first, then", [
+    (("p", "q"), 5, dict(), dict(cross=False)),
+    (("a", "b", "c"), 4, dict(), dict(zero=True)),
+    (("0", "1", "2", "3"), 4, dict(), dict(denom={"1": QUARTIC, "3": QUARTIC})),
+], ids=["2pt-block-diagonal", "3pt-airy", "4pt-quartic-at-two"])
+def test_changed_pattern_forces_a_rebuild(ram, chi, first, then):
+    # a kernel with fewer nonzero lower entries or factor rows than the one a
+    # plan was recorded on (no cross-point coupling, the zero kernel), or
+    # another one-form, gets the tables, key order and counts of a fresh plan
+    def run(zero=False, cross=True, denom=None, seed=0):
+        s = {} if zero else random_s(ram, 9, np.random.default_rng(seed), cross=cross)
+        return eo_run(LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=s), chi)
+
+    _plan.cache_clear()
+    run(**first)
+    recorded = run(**first)     # the shape's second run records its plan
+    rebuilt = run(**then, seed=1)
+    assert rebuilt.engine.replayed < chi
+    # another one-form is another shape, whose first run keeps no plan; the
+    # same shape records afresh from the first level it cannot replay
+    assert len(recorded.engine._plan.levels) == chi
+    assert len(rebuilt.engine._plan.levels) == (0 if "denom" in then else chi)
+    # the plans hold no kernel value: only integer and bool arrays
+    for plan in (recorded.engine._plan, rebuilt.engine._plan):
+        for arr in _plan_arrays(plan.levels):
+            assert arr.dtype.kind in "biu", arr.dtype
+    _plan.cache_clear()
+    fresh = run(**then, seed=1)
+    assert _counts(rebuilt) == _counts(fresh)
+    assert _table_bits(rebuilt.table) == _table_bits(fresh.table)
+
+
+@pytest.mark.parametrize("field", ["lower", "factors"])
+def test_level_recorded_under_other_masks_is_enumerated_afresh(field):
+    # a level is replayed only if the level below stored the keys it was
+    # recorded under and the factor tables have its nonzero rows: with one
+    # mask of the fourth level's recording flipped, the run enumerates that
+    # level and the next afresh, to a fresh plan's bits
+    ram, chi = ("p", "q"), 5
+
+    def run(seed):
+        s = random_s(ram, 9, np.random.default_rng(seed))
+        return eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), chi)
+
+    _plan.cache_clear()
+    run(0)
+    plan = run(0).engine._plan      # the shape's second run records its plan
+    level = plan.levels[3]
+    masks = dict(getattr(level, field))
+    cell = next(iter(masks))
+    if field == "lower":
+        masks[cell] = masks[cell].copy()
+        masks[cell][0] = not masks[cell][0]
+    else:
+        nonzero = masks[cell].nonzero.copy()
+        nonzero[0, 0] = not nonzero[0, 0]
+        masks[cell] = masks[cell]._replace(nonzero=nonzero)
+    plan.levels[3] = level._replace(**{field: masks})
+    rebuilt = run(1)
+    assert rebuilt.engine.replayed == 3 and plan.levels[3] is not level
+    _plan.cache_clear()
+    fresh = run(1)
+    assert _counts(rebuilt) == _counts(fresh)
+    assert _table_bits(rebuilt.table) == _table_bits(fresh.table)
+
+
+def test_plan_cache_keeps_at_most_its_slots():
+    # one plan per curve shape, never more than the slots; a shape still
+    # held is a hit
+    _plan.cache_clear()
+    curve = airy_point()
+    for kmax in range(5, 5 + 2 * (_PLAN_SLOTS + 3), 2):
+        eo_run(curve, 1, kmax=kmax)
+        assert _plan.cache_info().currsize <= _PLAN_SLOTS
+    assert _plan.cache_info().currsize == _PLAN_SLOTS
+    eo_run(curve, 1, kmax=kmax)
+    assert _plan.cache_info().hits == 1
 
 
 def test_product_columns_are_convolve_columns_bitwise():
