@@ -16,7 +16,10 @@ sign of sqrt(Q) nearer the reference sheet, under a checked margin.  Period
 integrals use the periodic trapezoidal rule on the ellipse parameter, which
 converges geometrically for these analytic periodic integrands and nests:
 the terms at N nodes give I_N and, from the even ones, I_{N/2}, so a
-doubled level evaluates the integrand at its new nodes only.
+doubled level evaluates the integrand at its new nodes only.  The contours
+of a cycle basis start at one level and double together, so they are
+tracked, crossed and integrated in one stacked array pass per level, each
+contour's numbers bitwise those it gets alone.
 
 The normalized symmetric two-form is built from the classical algebraic
 bidifferential
@@ -176,56 +179,90 @@ class SheetTracker:
         The sign of sqrt(Q(z1)) nearer y0 times the factor of ``_continuation``;
         raises its QuadratureNotConverged where a branch point lies on the segment.
         """
-        factor, errors = _continuation(self.curve.branch_points, z0, z1)
+        y, errors = self._walk(z0, y0, z1)
         if errors:
             raise errors[0]
+        return y
+
+    def _walk(self, z0, y0, z1):
+        """``walk_segment`` elementwise on arrays of segments: y at each z1, and
+        {segment: QuadratureNotConverged} of the segments refused."""
+        factor, errors = _continuation(self.curve.branch_points, z0, z1)
         est = y0 * factor
         cand = np.sqrt(self.curve.q_at(z1))
-        return cand if abs(cand - est) <= abs(cand + est) else -cand
+        return np.where(np.abs(cand - est) <= np.abs(cand + est), cand, -cand)[()], errors
 
     def anchor(self, z_target):
         """y at z_target continued radially from the principal sheet far away.
 
-        One segment from radius ``r_far``, on the first turned ray that
-        passes every branch point at 1e-6 * scale or more.
+        The one-target case of ``anchors``; raises its error.
         """
-        d = z_target - self.centroid
-        if abs(d) < 1e-9:
-            d = 1.0
-        d = d / abs(d)
+        ys, errors = self.anchors([z_target])
+        if errors:
+            raise errors[0]
+        return ys[0]
+
+    def anchors(self, targets):
+        """y at each of ``targets`` continued radially from the principal sheet far away.
+
+        One segment from radius ``r_far`` per target, on the first turned ray
+        that passes every branch point at 1e-6 * scale or more; all targets'
+        rays, far sheets and walks are one array pass each.  Returns the
+        values and {target index: QuadratureNotConverged} of the targets that
+        no ray reaches or whose walk is refused.
+        """
+        targets = np.asarray(targets, dtype=complex)
+        e = self.curve.branch_points
+        d = targets - self.centroid
+        d = np.where(np.abs(d) < 1e-9, 1.0, d)
+        d = d / np.abs(d)
         gap = 1e-6 * self.curve.scale()
-        for rot in (0.0, 0.15, -0.15, 0.35, -0.35):
-            z_far = self.centroid + self.r_far * (d * np.exp(1j * rot))
-            if np.min(_segment_distance(z_far, z_target, self.curve.branch_points)) >= gap:
-                return self.walk_segment(z_far, self.principal_far(z_far), z_target)
-        dists = np.abs(self.curve.branch_points - z_target)
-        near = int(np.argmin(dists))
-        raise QuadratureNotConverged(
-            f"could not anchor sheet at {z_target:.6g}: every radial approach passes "
-            f"within {gap:.3e} of a branch point; nearest branch point "
-            f"{self.curve.branch_points[near]:.6g} at distance {dists[near]:.3e}")
+        rays = self.centroid + self.r_far * (d[:, None] * np.exp(1j * _ANCHOR_TURNS))
+        clear = np.min(_segment_distance(rays[..., None], targets[:, None, None], e),
+                       axis=-1) >= gap
+        z_far = rays[np.arange(len(targets)), np.argmax(clear, axis=1)]
+        ys, errors = self._walk(z_far, self.principal_far(z_far), targets)
+        for i in np.flatnonzero(~clear.any(axis=1)):
+            dists = np.abs(e - targets[i])
+            near = int(np.argmin(dists))
+            errors[int(i)] = QuadratureNotConverged(
+                f"could not anchor sheet at {targets[i]:.6g}: every radial approach passes "
+                f"within {gap:.3e} of a branch point; nearest branch point "
+                f"{e[near]:.6g} at distance {dists[near]:.3e}")
+        return ys, errors
 
     def track_along(self, zs, y_start):
-        """Sheet values along an ordered list of points (closed or open).
+        """Sheet values along ordered lists of points (closed or open), one per row of ``zs``.
 
-        Each node takes the sign of sqrt(Q) nearer its predecessor's value
-        carried to it: times the factor of ``_continuation`` on a far step,
-        longer than 0.15 times the distance from its start to the branch
-        points, as it is on a near step.  So the sheet is one running product
-        of flips, and a node's y is exactly +-``np.sqrt(q_at(zs))[i]``.
+        ``zs`` has the points on its last axis, and ``y_start`` one value
+        per list.  Each node takes the sign of sqrt(Q) nearer its
+        predecessor's value carried to it: times the factor of
+        ``_continuation`` on a far step, longer than 0.15 times the distance
+        from its start to the branch points, as it is on a near step.  So
+        each list's sheet is one running product of flips along the last
+        axis, and a node's y is exactly +-``np.sqrt(q_at(zs))``.  All lists
+        share one evaluation of Q and one continuation of their far steps; a
+        refused step raises the error of the first list in order.
         """
         zs = np.asarray(zs, dtype=complex)
+        e = self.curve.branch_points
         cand = np.sqrt(self.curve.q_at(zs))
-        dist = np.min(np.abs(zs[:-1] - self.curve.branch_points[:, None]), axis=0)
-        far = np.flatnonzero(np.abs(np.diff(zs)) > 0.15 * dist)
-        factor, errors = _continuation(self.curve.branch_points, zs[far], zs[far + 1])
+        dist = np.min(np.abs(zs[..., None, :-1] - e[:, None]), axis=-2)
+        far = np.nonzero(np.abs(np.diff(zs)) > 0.15 * dist)
+        factor, errors = _continuation(e, zs[..., :-1][far], zs[..., 1:][far])
         if errors:
             raise errors[min(errors)]
-        prev = cand[:-1].copy()
+        prev = cand[..., :-1].copy()
         prev[far] *= factor
-        flips = np.abs(cand[1:] - prev) > np.abs(cand[1:] + prev)
-        first = abs(cand[0] - y_start) > abs(cand[0] + y_start)
-        return np.where(np.logical_xor.accumulate(np.concatenate([[first], flips])), -cand, cand)
+        flips = np.abs(cand[..., 1:] - prev) > np.abs(cand[..., 1:] + prev)
+        first = np.abs(cand[..., :1] - np.asarray(y_start)[..., None]) > np.abs(
+            cand[..., :1] + np.asarray(y_start)[..., None])
+        signs = np.logical_xor.accumulate(np.concatenate([first, flips], axis=-1), axis=-1)
+        return np.where(signs, -cand, cand)
+
+
+# the turns of the ray from the centroid that ``SheetTracker.anchors`` tries, in order
+_ANCHOR_TURNS = np.array([0.0, 0.15, -0.15, 0.35, -0.35])
 
 
 # a segment is refused where pi - |arg r_e| is at most this for a branch point e
@@ -310,8 +347,12 @@ class EllipseContour:
 
     def elliptic_sigma(self, p):
         """Elliptic radial coordinate of p, a point or an array of points, in this focal frame."""
-        w = (p - self.center) / self.u
-        return np.abs(np.arccosh(np.asarray(w, dtype=complex)).real)
+        return _elliptic_sigma(p, self.center, self.u)
+
+
+def _elliptic_sigma(p, center, u):
+    """|Re arccosh((p - center) / u)|, elementwise over broadcast arrays."""
+    return np.abs(np.arccosh(np.asarray((p - center) / u, dtype=complex)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -322,42 +363,48 @@ class EllipseContour:
 # sixteen-node Gauss-Legendre panels it replaced
 _START_NODES = 128
 _MAX_NODES = 65536
+# ``integrate`` takes its contours in blocks of as many as keep one component's
+# values, rows times nodes at the first level, at most this many: a cycle
+# basis on one curve is one block, and the line pass's 8g rows take two
+# contours a block at genus 2 and one from genus 3.  The integrand's arrays
+# then stay cache-sized: measured on verifies, larger blocks of 16 or 24 rows
+# cost more per value than one contour alone
+_BLOCK_VALUES = 4096
 
 
 class _ContourNodes:
     """One level of a contour: N nodes t = k / N, weight 1 / N, and the sheets there.
 
-    A row's sheet closure, from the last node back to the first, is
-    computed when first read.  On a derived level ``worst`` holds each row's
-    largest sheet-gate ratio over the level and the node it is at.
+    ``e`` holds the branch points of each row.  A row's sheet closure, from
+    the last node back to the first, is computed when first read
+    (``_read_closures``).  ``errors`` holds the rows that failed at this
+    level, a derived sheet that misses its gate or a closure refused, for
+    ``integrate`` to raise where a row needs the level.  On a derived level
+    ``worst`` holds each row's largest sheet-gate ratio over the level and
+    the node it is at.
     """
 
-    __slots__ = ("z", "dzdt", "w", "y", "errors", "worst", "_close", "_closure")
+    __slots__ = ("z", "dzdt", "w", "y", "e", "errors", "worst", "_closure")
 
     def __init__(self, z, dzdt, y, e, errors=None, worst=None):
         self.z = z
         self.dzdt = dzdt
         self.w = 1.0 / len(z)
         self.y = y
-        self.errors = errors or {}    # rows of a CurveRows workspace: {row: exception}
+        self.e = e                    # (K, 2g+2): the branch points of each row
+        self.errors = errors or {}    # {row: exception}; a single curve is row 0
         self.worst = worst            # (ratio, node), one entry per row
-        # rows -> ({row: closure}, {row: exception}), on the branch points e of each row
-        rows_y = np.atleast_2d(y)
-        self._close = functools.partial(_closure, e, z[-1], z[0], rows_y[:, -1], rows_y[:, 0])
-        self._closure = {}
+        self._closure = np.full(len(e), np.nan)      # per row, nan until read
 
     def closures(self, rows):
         """The closure of each row, nan for rows not read, computing ``rows`` not yet computed.
 
-        A row whose closure fails becomes its entry in ``errors``.  On one
-        curve (y of shape (N,)) the closure is a float.
+        The one-level case of ``_read_closures``.  On one curve (y of shape
+        (N,)) the closure is a float.
         """
-        todo = [r for r in rows if r not in self._closure and r not in self.errors]
-        if todo:
-            closure, errors = self._close(todo)
-            self._closure.update(closure)
-            self.errors.update(errors)
-        out = np.array([self._closure.get(r, np.nan) for r in range(len(np.atleast_2d(self.y)))])
+        need = np.zeros((len(self.e), 1), dtype=bool)
+        need[list(rows)] = True
+        out = _read_closures([self], need)[0][:, 0]
         return out if self.y.ndim > 1 else out[0]
 
 
@@ -365,12 +412,13 @@ class CurveRows:
     """Nearby curves of one genus, evaluated together at the reference nodes.
 
     ``q_at(z)`` and ``dp_at(z)`` take nodes of shape (N,) and give one row per
-    curve, shape (K, N): the Horner arithmetic of each row's own curve, per
-    element.  Row r is bitwise ``rows[r].q_at(z)`` or ``rows[r].dp_at(z)`` on
-    the same node array.  It need not be the scalar call on one node: numpy's
-    vector complex multiply rounds differently from its scalar one at about
-    half of all points, and a one-row workspace on one node rounds like the
-    scalar call.
+    curve, shape (K, N); nodes of shape (C, 1, N) give (C, K, N).  Each entry
+    is the Horner arithmetic of its row's own curve, per element.  Row r is
+    bitwise ``rows[r].q_at(z)`` or ``rows[r].dp_at(z)`` on the same node
+    array.  It need not be the scalar call on one node: numpy's vector
+    complex multiply rounds differently from its scalar one at about half of
+    all points, and a one-row workspace on one node rounds like the scalar
+    call.
     """
 
     def __init__(self, curves):
@@ -381,10 +429,23 @@ class CurveRows:
                              for f in ("q_coeffs", "dp_coeffs"))
 
     def q_at(self, z):
-        return npoly.polyval(z, self._q, tensor=False)
+        return _horner(z, self._q)
 
     def dp_at(self, z):
-        return npoly.polyval(z, self._dp, tensor=False)
+        return _horner(z, self._dp)
+
+
+def _horner(z, c):
+    """``npoly.polyval(z, c, tensor=False)`` in one array, bitwise.
+
+    The same products and sums in the same order, each step written in
+    place instead of into two new arrays.
+    """
+    out = c[-1] + z * 0
+    for a in c[-2::-1]:
+        out *= z
+        out += a
+    return out
 
 
 class _RowsFailed(Exception):
@@ -403,17 +464,19 @@ _SHEET_GATE = 0.25
 def _nearer_sheet(cand, y_ref, z):
     """+-cand, each entry on the sign nearer y_ref, and each row's worst ratio and its node.
 
-    ``cand`` holds one row per curve, shape (K, N), against y_ref and the
-    nodes z of shape (N,); it is negated in place where -cand is nearer.
-    The ratio is the nearer distance over the farther one, nan where both
-    are 0; a row's worst is its largest, or its first nan.
+    ``cand`` holds one row per curve for each of C contours, shape (C, K, N),
+    against y_ref and the nodes z of shape (C, N); it is negated in place
+    where -cand is nearer.  The ratio is the nearer distance over the farther
+    one, nan where both are 0; a row's worst is its largest, or its first
+    nan.  The worst ratios and their nodes have shape (C, K).
     """
-    same, flip = np.abs(cand - y_ref), np.abs(cand + y_ref)
+    same, flip = np.abs(cand - y_ref[:, None]), np.abs(cand + y_ref[:, None])
     ratio = np.minimum(same, flip)
     ratio /= np.maximum(same, flip)
     worst = np.argmax(ratio, axis=-1)
     np.negative(cand, out=cand, where=~(same <= flip))
-    return cand, ratio[np.arange(len(ratio)), worst], z[worst]
+    contour, row = np.ogrid[:ratio.shape[0], :ratio.shape[1]]
+    return cand, ratio[contour, row, worst], z[contour, worst]
 
 
 def _sheet_errors(ratio, node, contour):
@@ -428,12 +491,20 @@ def _sheet_errors(ratio, node, contour):
 class QuadratureWorkspace:
     """Caches trapezoidal levels per (contour, node count), on the sheets of ``curve``.
 
+    The levels of a list of contours at one node count are made together,
+    in one array pass (``_fill``): a tracked workspace anchors and tracks
+    the nodes of every contour at once, a derived one derives them at once.
+    Each (contour, N) level is then kept on its own, where ``nodes``,
+    ``reversed``, ``integrate`` and ``quadrature_record`` read it.
+    ``integrate`` takes a list of contours and integrates them together.
+
     A workspace made by ``moved_to`` derives its sheets from the one it was
     moved from: it shares that workspace's nodes z and dz/dt, and at each
     node y is the sign of sqrt(Q) on the moved curve nearer the reference
     value.  The nearer sign must be at most ``_SHEET_GATE`` times the
-    distance to the other, or OutOfNeighbourhood is raised.  A level is
-    tracked once on the reference and kept there.
+    distance to the other, or the level records OutOfNeighbourhood for the
+    row, which ``integrate`` raises where the row needs that level.  A level
+    is tracked once on the reference and kept there.
 
     Moved to a ``CurveRows``, the workspace derives the sheets of K curves
     at once: y has shape (K, N), and the closure one entry per row, each
@@ -475,107 +546,173 @@ class QuadratureWorkspace:
 
     def nodes(self, contour, n_panels):
         """Nodes, weight, sheets and sheet closure of ``contour`` at ``n_panels`` one-node panels."""
-        return self._nodes(contour, n_panels)
+        self._fill([contour], n_panels)
+        return self._cache[contour, n_panels]
 
-    def _nodes(self, contour, n_panels):
-        # a derived workspace reads its reference here, not through ``nodes``,
-        # so each integration level is one ``nodes`` call, as for a tracked one
-        key = (contour, n_panels)
-        data = self._cache.get(key)
-        if data is None:
-            data = (self._tracked_nodes if self._reference is None else self._derived_nodes)(
-                contour, n_panels)
-            self._cache[key] = data
-        return data
+    def _fill(self, contours, n_panels):
+        """Make the levels at ``n_panels`` of ``contours`` not kept yet, in one pass."""
+        todo = [c for c in dict.fromkeys(contours) if (c, n_panels) not in self._cache]
+        if todo:
+            make = self._tracked_levels if self._reference is None else self._derived_levels
+            self._cache.update(((c, n_panels), d) for c, d in zip(todo, make(todo, n_panels)))
 
-    def _tracked_nodes(self, contour, n_panels):
+    def _tracked_levels(self, contours, n_panels):
+        """The levels of ``contours``, tracked together.
+
+        One ``SheetTracker.anchors`` pass over the start points not anchored
+        yet, then one ``track_along`` over the (C, N) nodes.  A failure
+        raises the error of the first contour in order, its anchor's before
+        its track's, as tracking the contours one by one would.
+        """
         t = np.arange(n_panels) / n_panels
-        z = contour.point(t)
-        z0 = complex(z[0])
-        if z0 not in self._anchors:
-            self._anchors[z0] = self.tracker.anchor(z0)
-        ys = self.tracker.track_along(z, self._anchors[z0])
-        return _ContourNodes(z, contour.velocity(t), ys, self._rows.branch_points)
+        z = np.array([c.point(t) for c in contours])
+        starts = [complex(s) for s in z[:, 0]]
+        new = [s for s in dict.fromkeys(starts) if s not in self._anchors]
+        anchored, errors = self.tracker.anchors(new) if new else ((), {})
+        self._anchors.update((s, y) for i, (s, y) in enumerate(zip(new, anchored))
+                             if i not in errors)
+        bad = next((i for i, s in enumerate(starts) if s not in self._anchors), len(starts))
+        if bad:
+            ys = self.tracker.track_along(z[:bad],
+                                          np.array([self._anchors[s] for s in starts[:bad]]))
+        if bad < len(starts):
+            raise errors[new.index(starts[bad])]
+        return [_ContourNodes(zc, c.velocity(t), yc, self._rows.branch_points)
+                for c, zc, yc in zip(contours, z, ys)]
 
-    def _derived_nodes(self, contour, n_panels):
-        """The moved sheets at the reference nodes of a level.
+    def _derived_levels(self, contours, n_panels):
+        """The moved sheets at the reference nodes of the levels of ``contours``.
 
-        The even nodes of a doubled level are the level below: when it is
-        kept, only the new odd nodes are derived, on contiguous copies (so
-        each value rounds as in a derivation at every node), and a row's
-        worst ratio is the larger of the two halves'.  So a refusal names the
-        worst node of the whole level.
+        The even nodes of a doubled level are the level below: where it is
+        kept, only the new odd nodes are derived, and a row's worst ratio is
+        the larger of the two halves'.  So a refusal names the worst node of
+        the whole level.  The contours whose level below is kept, and those
+        derived at every node, are one array pass each.
         """
-        ref = self._reference._nodes(contour, n_panels)
-        below = self._cache.get((contour, n_panels // 2)) if n_panels % 2 == 0 else None
-        if below is None:
-            ys, ratio, node = _nearer_sheet(np.sqrt(self._rows.q_at(ref.z)), ref.y, ref.z)
-        else:
-            z, y_ref = (np.ascontiguousarray(v[..., 1::2]) for v in (ref.z, ref.y))
-            fresh, ratio, node = _nearer_sheet(np.sqrt(self._rows.q_at(z)), y_ref, z)
-            ys = np.empty(fresh.shape[:-1] + (n_panels,), dtype=complex)
-            ys[..., ::2], ys[..., 1::2] = below.y, fresh
-            kept_ratio, kept_node = below.worst
-            keep = (kept_ratio >= ratio) | np.isnan(kept_ratio)
-            ratio, node = np.where(keep, kept_ratio, ratio), np.where(keep, kept_node, node)
-        errors = _sheet_errors(ratio, node, contour)
-        if self._stacked:
-            return _ContourNodes(ref.z, ref.dzdt, ys, self._rows.branch_points, errors,
-                                 (ratio, node))
-        if errors:
-            raise errors[0]
-        return _ContourNodes(ref.z, ref.dzdt, ys[0], self._rows.branch_points, worst=(ratio, node))
+        self._reference._fill(contours, n_panels)
+        refs = [self._reference._cache[c, n_panels] for c in contours]
+        below = [self._cache.get((c, n_panels // 2)) if n_panels % 2 == 0 else None
+                 for c in contours]
+        out = [None] * len(contours)
+        for doubled in (False, True):
+            idx = [i for i, b in enumerate(below) if (b is not None) == doubled]
+            if not idx:
+                continue
+            step = slice(1, None, 2) if doubled else slice(None)
+            z, y_ref = (np.stack([getattr(refs[i], f)[step] for i in idx]) for f in ("z", "y"))
+            ys, ratio, node = _nearer_sheet(np.sqrt(self._rows.q_at(z[:, None])), y_ref, z)
+            if doubled:
+                fresh = ys
+                ys = np.empty(fresh.shape[:-1] + (n_panels,), dtype=complex)
+                ys[..., ::2] = np.stack([np.atleast_2d(below[i].y) for i in idx])
+                ys[..., 1::2] = fresh
+                kept_ratio, kept_node = (np.stack([below[i].worst[k] for i in idx]) for k in (0, 1))
+                keep = (kept_ratio >= ratio) | np.isnan(kept_ratio)
+                ratio, node = np.where(keep, kept_ratio, ratio), np.where(keep, kept_node, node)
+            for j, i in enumerate(idx):
+                out[i] = _ContourNodes(
+                    refs[i].z, refs[i].dzdt, ys[j] if self._stacked else ys[j, 0],
+                    self._rows.branch_points, _sheet_errors(ratio[j], node[j], contours[i]),
+                    (ratio[j], node[j]))
+        return out
 
-    def integrate(self, contour, integrand, tol=1e-10, start_panels=_START_NODES,
+    def integrate(self, contours, integrand, tol=1e-10, start_panels=_START_NODES,
                   max_panels=_MAX_NODES):
-        """Integral of integrand(z, y) dz over a closed contour by the periodic trapezoidal rule.
+        """Integrals of integrand(z, y) dz over closed contours by the periodic trapezoidal rule.
 
-        The integrand may return an array whose last axis runs over the
-        nodes.  N doubles from ``start_panels`` while it is at most
-        ``max_panels``; the first level always runs.  The terms at N nodes
-        give I_N and, twice the sum over the even nodes, I_{N/2}.  The even
-        nodes of a doubled level are the level below, so the integrand is
-        evaluated only at the N/2 new ones, interleaved with the kept terms
-        halved (exact: the weight halves).
-        Each component is accepted at the first N where the sheets close and
-        its own |I_N - I_{N/2}| passes the gate, and keeps I_N, so it equals
-        the integral of that component alone.  On a CurveRows workspace the
-        last axis of the value runs over the rows, each gated on its own
-        closure; rows that fail at a level they still need raise
-        ``_RowsFailed`` naming each row's own error.  The closure is read, so
-        computed, only for rows still open; one that fails is the row's
-        error at the level that reads it.
+        Returns one integral per contour of ``contours``, on the leading
+        axis.  The contours share each pass: at each N the levels of the
+        contours still open are made together (``_fill``), and the integrand
+        is called once on all their nodes laid end to end, z of shape (C N,)
+        and y of shape (C N,), or (K, C N) on a CurveRows workspace.  It may
+        return an array whose last axis runs over those nodes.  The contours
+        are taken in blocks of consecutive contours that keep rows times
+        nodes at most ``_BLOCK_VALUES`` at the first level: one block for a
+        cycle basis on one curve.  N doubles from ``start_panels`` while it
+        is at most ``max_panels``; the first level always runs.  The terms at
+        N nodes give I_N and, twice the sum over the even nodes, I_{N/2}.
+        The even nodes of a doubled level are the level below, so the
+        integrand is evaluated only at the N/2 new ones, interleaved with the
+        kept terms halved (exact: the weight halves).
+
+        Each (component, row, contour) entry is accepted at the first N where
+        the row's sheets close on that contour and its own |I_N - I_{N/2}|
+        passes the gate, and keeps I_N, so it equals, bitwise, the integral
+        of that component alone over that contour alone.  A contour leaves
+        the pass once all its entries are accepted.  On a CurveRows workspace
+        the last axis of each contour's value runs over the rows.  The
+        closure is read, so computed, only for rows still open on a contour.
+        A row that fails at a level it still needs (its derived sheet, its
+        closure, or the cap) stops on that contour while the others go on;
+        its error is the one on the first contour in order it fails on, the
+        one integrating the contours one after another would raise.  On a
+        CurveRows workspace ``_RowsFailed`` names each failing row's error;
+        a single curve raises its own.
         """
-        out, done, terms = 0.0, False, None
+        values, errors = [], {}
+        size = max(1, _BLOCK_VALUES // (len(self._rows.rows) * start_panels))
+        for lo in range(0, len(contours), size):
+            vals, failed = self._pass(contours[lo:lo + size], integrand, tol, start_panels,
+                                      max_panels)
+            values += vals
+            errors.update(((lo + c, r), exc) for (c, r), exc in failed.items())
+        if errors:
+            first = {}
+            for c, r in sorted(errors):
+                first.setdefault(r, errors[c, r])
+            raise _RowsFailed(first) if self._stacked else first[0]
+        return np.array(values)
+
+    def _pass(self, contours, integrand, tol, start_panels, max_panels):
+        """``integrate`` over one block of contours, sharing each level.
+
+        Returns each contour's value and {(contour, row): error} of the rows
+        that failed on a contour.
+        """
+        n_rows, values, errors = len(self._rows.rows), [None] * len(contours), {}
+        live = list(range(len(contours)))      # the contours with an entry still open
+        out = done = terms = None              # [component, row, live contour]
         n = start_panels
         while True:
-            data = self.nodes(contour, n)
-            terms = _level_terms(data, integrand, terms)
-            val = np.sum(terms, axis=-1)
-            delta = np.abs(val - 2.0 * np.sum(terms[..., ::2], axis=-1))
+            self._fill([contours[c] for c in live], n)
+            levels = [self.nodes(contours[c], n) for c in live]
+            terms = _level_terms(levels, integrand, terms)
+            val = terms.sum(axis=-1)
+            shape = val.shape[:-1]
+            delta = np.abs(val - 2.0 * terms[..., ::2].sum(axis=-1))
             gate = tol * np.maximum(1.0, np.abs(val))
-            open_rows = np.flatnonzero(~_rows_done(done, val.shape)) if self._stacked else [0]
-            closure = data.closures(open_rows)
-            failed = {r: data.errors[r] for r in open_rows if r in data.errors}
-            if failed:
-                raise _RowsFailed(failed) if self._stacked else failed[0]
-            out = np.where(done, out, val)
-            done = done | ((delta <= gate) & (closure < 1e-8))
-            if np.all(done):
-                return out[()]
-            if 2 * n > max_panels:
+            val, delta, gate = (a.reshape(-1, n_rows, len(live)) for a in (val, delta, gate))
+            need = np.ones((n_rows, len(live)), dtype=bool) if done is None else ~done.all(axis=0)
+            closure, failed = _read_closures(levels, need)
+            accepted = (delta <= gate) & (closure < 1e-8)
+            if failed.any():
+                for r, i in zip(*np.nonzero(failed)):
+                    errors[live[i], int(r)] = levels[i].errors[r]
+                accepted |= failed
+            out = val if done is None else np.where(done, out, val)
+            done = accepted if done is None else done | accepted
+            finished = done.all(axis=(0, 1))
+            if finished.all():
                 break
+            if 2 * n > max_panels:
+                for r, i in zip(*np.nonzero(~done.all(axis=0))):
+                    errors[live[i], int(r)] = _not_converged(n, delta[:, r, i], gate[:, r, i],
+                                                             done[:, r, i], closure[r, i])
+                break
+            if finished.any():
+                for i in np.flatnonzero(finished):
+                    values[live[i]] = out[..., i].reshape(shape)
+                keep = ~finished
+                out, done, terms = out[..., keep], done[..., keep], terms[..., keep, :]
+                live = [c for c, f in zip(live, finished) if not f]
             n *= 2
-        if not self._stacked:
-            raise _not_converged(n, delta, gate, done, closure)
-        delta, gate, done = np.broadcast_arrays(delta, gate, done, val)[:3]
-        raise _RowsFailed({r: _not_converged(n, delta[..., r], gate[..., r], done[..., r],
-                                             closure[r])
-                           for r in np.flatnonzero(~_rows_done(done, val.shape))})
+        for i, c in enumerate(live):
+            values[c] = out[..., i].reshape(shape)
+        return values, errors
 
     def integrate_cycle(self, cycle, integrand, tol=1e-10):
-        """Integral over a composite cycle [(coef, contour), ...]."""
-        return sum(c * self.integrate(k, integrand, tol) for c, k in cycle)
+        """Integral over a composite cycle [(coef, contour), ...], its contours in one pass."""
+        return _cycle_periods(self, [cycle], integrand, tol)[0]
 
 
 def quadrature_record(cycles):
@@ -590,45 +727,80 @@ def quadrature_record(cycles):
                       for name, c in zip(names, conts)}}
 
 
-def _level_terms(data, integrand, below):
-    """w f(z, y) dz/dt at the nodes of level ``data``, given the terms ``below`` or None.
+def _level_terms(levels, integrand, below):
+    """w f(z, y) dz/dt at the nodes of ``levels``, one per contour at one N, given the terms
+    ``below`` or None.
 
-    With the level below, the integrand is evaluated at the odd nodes only,
-    on contiguous copies (so each value rounds as in an evaluation at every
-    node), and the even nodes take the kept terms times 1/2: the weight 1/N
-    is half the weight below, and scaling by 2 is exact.
+    The integrand is called once on the contours' nodes laid end to end, and
+    its values are split into a contour axis before the node axis: terms of
+    shape (..., C, N).  With the level below, the integrand is evaluated at
+    the odd nodes only, and the even nodes take the kept terms times 1/2:
+    the weight 1/N is half the weight below, and scaling by 2 is exact.
+    Each value rounds as in an evaluation of its contour alone at every
+    node: numpy's array arithmetic rounds an element alike whatever the
+    array's length or layout.
     """
+    step = slice(None) if below is None else slice(1, None, 2)
+    z, y, dzdt = (_joined([getattr(d, f)[..., step] for d in levels]) for f in ("z", "y", "dzdt"))
+    fresh = np.multiply(levels[0].w, integrand(z, y), dtype=complex)
+    fresh *= dzdt                 # in place: no second array of terms
+    fresh = fresh.reshape(fresh.shape[:-1] + (len(levels), -1))
     if below is None:
-        terms = np.multiply(data.w, integrand(data.z, data.y), dtype=complex)
-        terms *= data.dzdt        # in place: no second (components, rows, nodes) array
-        return terms
-    z, y = (np.ascontiguousarray(v[..., 1::2]) for v in (data.z, data.y))
-    fresh = np.multiply(data.w, integrand(z, y), dtype=complex)
-    fresh *= data.dzdt[1::2]
-    terms = np.empty(fresh.shape[:-1] + (len(data.z),), dtype=complex)
+        return fresh
+    terms = np.empty(fresh.shape[:-1] + (2 * fresh.shape[-1],), dtype=complex)
     np.multiply(below, 0.5, out=terms[..., ::2])
     terms[..., 1::2] = fresh
     return terms
 
 
-def _closure(e, z_last, z_start, y_last, y0, rows):
-    """Relative mismatch of y continued from the last node back to the contour's start.
+def _joined(arrays):
+    """The arrays laid end to end on their last axis, as one contiguous array."""
+    return np.ascontiguousarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
-    For ``rows`` of ``e`` (K, 2g+2 branch points), ``y_last`` and ``y0`` (K,
-    values at the last node and the first, the start): y carried by
-    ``_continuation`` lands on the sign of y0 nearer it, so a closure is 0 or 2.  Returns
-    ({row: closure}, {row: QuadratureNotConverged}).
+
+def _read_closures(levels, need):
+    """(closure, failed), each [row, level]: the sheet closures of the rows ``need`` marks.
+
+    ``need`` [row, level] marks the rows to read.  Those not computed yet,
+    nor failed, are computed in one ``_closure`` call over all the levels and
+    kept on their level; a row whose closure fails becomes its entry in the
+    level's ``errors``.  ``closure`` holds every row computed so far, nan
+    for the others; ``failed`` marks the rows of ``need`` that have an
+    error at their level.
     """
-    factor, errors = _continuation(e[rows], z_last, z_start)
-    est, y = y_last[rows] * factor, y0[rows]
-    closure = np.where(np.abs(y - est) <= np.abs(y + est), 0.0, 2.0)
-    return ({r: closure[i] for i, r in enumerate(rows) if i not in errors},
-            {rows[i]: exc for i, exc in errors.items()})
+    closure = np.array([d._closure for d in levels]).T
+    failed = np.zeros(need.shape, dtype=bool)
+    for i, d in enumerate(levels):
+        if d.errors:
+            failed[list(d.errors), i] = True
+    rows, at = np.nonzero(need & np.isnan(closure) & ~failed)
+    if len(rows):
+        ends = np.array([np.atleast_2d(d.y)[:, [-1, 0]] for d in levels])     # [level, row, end]
+        z = np.array([(d.z[-1], d.z[0]) for d in levels])
+        e = np.array([d.e for d in levels])
+        closure[rows, at], errors = _closure(e[at, rows], z[at, 0], z[at, 1], ends[at, rows, 0],
+                                             ends[at, rows, 1])
+        for k, exc in errors.items():
+            closure[rows[k], at[k]] = np.nan
+            levels[at[k]].errors[int(rows[k])] = exc
+            failed[rows[k], at[k]] = True
+        for i, d in enumerate(levels):
+            d._closure[:] = closure[:, i]
+    return closure, failed & need
 
 
-def _rows_done(done, shape):
-    """[row]: every component of the row is accepted; rows on the last axis of ``shape``."""
-    return np.broadcast_to(done, shape).reshape(-1, shape[-1]).all(axis=0)
+def _closure(e, z_last, z_start, y_last, y0):
+    """Relative mismatch of y continued from a contour's last node back to its start, per entry.
+
+    Entry i carries ``y_last[i]`` from ``z_last[i]`` to ``z_start[i]`` by
+    ``_continuation`` on the branch points ``e[i]``; it lands on the sign of
+    ``y0[i]``, the value at the start, nearer it, so a closure is 0 or 2.
+    Returns the closures and {entry: QuadratureNotConverged} of the
+    continuations refused.
+    """
+    factor, errors = _continuation(e, z_last, z_start)
+    est = y_last * factor
+    return np.where(np.abs(y0 - est) <= np.abs(y0 + est), 0.0, 2.0), errors
 
 
 def _not_converged(last, delta, gate, done, closure):
@@ -714,8 +886,10 @@ def build_cycles(curve):
     between cuts i and i+1; B_i = C_i + ... + C_g.  The intersection matrix
     is verified combinatorially with sheet-aware crossing counts: every A_i
     is crossed with every C_j as polygons of the nodes of their first
-    quadrature level, which the integrals then read.  A chain loop reversed
-    here reads its nodes backwards.
+    quadrature level, which the integrals then read.  That level is tracked
+    for all 2g contours in one pass, and the g x g crossing counts are one
+    array pass (``_intersection_matrix``).  A chain loop reversed here reads
+    its nodes backwards.
     """
     pts = np.array(curve.branch_points)
     centroid = complex(np.mean(pts))
@@ -770,46 +944,54 @@ def build_cycles(curve):
 def _intersection_matrix(ws, a_conts, c_conts):
     """[i, j] = sheet-aware signed crossing count of A contour i with chain loop j.
 
-    Each contour is the polygon of its first quadrature level's nodes.
+    Each contour is the polygon of its first quadrature level's nodes, all
+    tracked in one pass.  Every pair is counted in one array pass: the
+    segments of the A contours that meet the bounding box of a chain loop
+    are paired with those of the chain loops that meet the box of an A
+    contour where their own boxes meet; a proper crossing counts its
+    orientation for its pair (i, j) where the sheets interpolated to it agree.
     """
-    a_polys, c_polys = ([(d.z, d.y) for d in (ws._nodes(c, _START_NODES) for c in conts)]
-                        for conts in (a_conts, c_conts))
-    return np.array([[_intersection_number(*pa, *pc) for pc in c_polys] for pa in a_polys],
-                    dtype=float)
+    conts = a_conts + c_conts
+    ws._fill(conts, _START_NODES)
+    z, y = (np.array([getattr(ws._cache[c, _START_NODES], f) for c in conts]) for f in "zy")
+    n_a, n = len(a_conts), z.shape[-1]
+    box = _segment_boxes(z)                                    # (4, contour, segment)
+    hull = np.array([box[0].min(-1), box[1].max(-1), box[2].min(-1), box[3].max(-1)])
+    box = box.reshape(4, -1)                                   # segment c n + k
+    sa = np.flatnonzero(_boxes_meet(box[:, :n_a * n, None], hull[:, None, n_a:]).any(axis=1))
+    sb = n_a * n + np.flatnonzero(
+        _boxes_meet(box[:, n_a * n:, None], hull[:, None, :n_a]).any(axis=1))
+    ia, ib = np.nonzero(_boxes_meet(box[:, sa, None], box[:, None, sb]))
+    sa, sb = sa[ia], sb[ib]
+    z, y = z.reshape(-1), y.reshape(-1)
+    ea, eb = sa + 1 - n * ((sa + 1) % n == 0), sb + 1 - n * ((sb + 1) % n == 0)   # segment ends
+    cross = _segments_cross(z[sa], z[ea], z[sb], z[eb])
+    sa, sb, ea, eb = sa[cross], sb[cross], ea[cross], eb[cross]
+    a1, a2, b1, b2 = z[sa], z[ea], z[sb], z[eb]
+    da, db = a2 - a1, b2 - b1
+    denom = (np.conj(da) * db).imag
+    # crossing parameters
+    s = ((b1 - a1) * np.conj(db)).imag / (da * np.conj(db)).imag
+    ya_c = y[sa] * (1 - s) + y[ea] * s
+    tpar = ((a1 - b1) * np.conj(da)).imag / (db * np.conj(da)).imag
+    yb_c = y[sb] * (1 - tpar) + y[eb] * tpar
+    agree = np.abs(ya_c - yb_c) < np.abs(ya_c + yb_c)
+    n_c = len(c_conts)
+    pair = (sa // n) * n_c + (sb // n - n_a)
+    return np.bincount(pair[agree], weights=np.sign(denom[agree]),
+                       minlength=n_a * n_c).reshape(n_a, n_c)
 
 
 def _segment_boxes(z):
-    """[4, n]: min and max real part, then min and max imaginary part, of each z[i] -> z[i+1]."""
-    z2 = np.roll(z, -1)
+    """[4, ..., n]: min and max real part, then min and max imaginary part, of each
+    z[..., i] -> z[..., i+1], the last segment closing the polygon."""
+    z2 = np.roll(z, -1, axis=-1)
     return np.array([np.minimum(z.real, z2.real), np.maximum(z.real, z2.real),
                      np.minimum(z.imag, z2.imag), np.maximum(z.imag, z2.imag)])
 
 
 def _boxes_meet(p, q):
     return (p[0] <= q[1]) & (q[0] <= p[1]) & (p[2] <= q[3]) & (q[2] <= p[3])
-
-
-def _intersection_number(za, ya, zb, yb):
-    """Signed crossings of two closed polygons where their interpolated sheets agree."""
-    n = len(za)
-    box_a, box_b = _segment_boxes(za), _segment_boxes(zb)
-    # the segments that meet the other polygon's bounding box, then the pairs
-    # of them whose own boxes meet
-    hull_a, hull_b = ((b[0].min(), b[1].max(), b[2].min(), b[3].max()) for b in (box_a, box_b))
-    ia, ib = np.flatnonzero(_boxes_meet(box_a, hull_b)), np.flatnonzero(_boxes_meet(box_b, hull_a))
-    pi, pj = np.nonzero(_boxes_meet(box_a[:, ia, None], box_b[:, None, ib]))
-    i, j = ia[pi], ib[pj]
-    cross = _segments_cross(za[i], za[(i + 1) % n], zb[j], zb[(j + 1) % n])
-    i, j = i[cross], j[cross]
-    a1, a2, b1, b2 = za[i], za[(i + 1) % n], zb[j], zb[(j + 1) % n]
-    da, db = a2 - a1, b2 - b1
-    denom = (np.conj(da) * db).imag
-    # crossing parameters
-    s = ((b1 - a1) * np.conj(db)).imag / (da * np.conj(db)).imag
-    ya_c = ya[i] * (1 - s) + ya[(i + 1) % n] * s
-    tpar = ((a1 - b1) * np.conj(da)).imag / (db * np.conj(da)).imag
-    yb_c = yb[j] * (1 - tpar) + yb[(j + 1) % n] * tpar
-    return int(np.sum(np.sign(denom[np.abs(ya_c - yb_c) < np.abs(ya_c + yb_c)])))
 
 
 # ---------------------------------------------------------------------------
@@ -841,14 +1023,12 @@ def _workspace_for(curve, cycles):
 def _cycle_periods(ws, cycle_list, form, tol):
     """[i, ...] = period of the (array-valued) form over cycle_list[i].
 
-    Each contour is integrated once, however many cycles contain it; a
-    cycle's period sums its terms in order, as ``integrate_cycle`` does.
+    The distinct contours of the cycles are integrated together, in one
+    ``integrate`` call, each once however many cycles contain it; a cycle's
+    period sums its terms in order.
     """
-    vals = {}
-    for cycle in cycle_list:
-        for _, k in cycle:
-            if k not in vals:
-                vals[k] = ws.integrate(k, form, tol)
+    conts = list(dict.fromkeys(k for cycle in cycle_list for _, k in cycle))
+    vals = dict(zip(conts, ws.integrate(conts, form, tol)))
     return np.array([sum(c * vals[k] for c, k in cycle) for cycle in cycle_list])
 
 
@@ -915,13 +1095,13 @@ def _period_data(g, a_per, b_per):
 def periods(curve, cycles):
     """A/B-periods of dS, the normalization matrix and the period matrix.
 
-    One A pass integrates the g holomorphic forms and dS over each A contour
-    as one stacked integrand; the B pass integrates each chain loop C_k once
-    and sums B_i = C_i + ... + C_g from those integrals.
+    One pass integrates the g holomorphic forms and dS, as one stacked
+    integrand, over the A contours and the chain loops together, each chain
+    loop C_k once; B_i = C_i + ... + C_g is summed from those integrals.
     """
-    ws, form = _workspace_for(curve, cycles), _period_form(curve)
-    pd, = _period_data(curve.g, _cycle_periods(ws, cycles.a_cycles, form, _PERIOD_TOL)[None],
-                       _cycle_periods(ws, cycles.b_cycles, form, _PERIOD_TOL)[None])
+    ws, form, g = _workspace_for(curve, cycles), _period_form(curve), curve.g
+    per = _cycle_periods(ws, cycles.a_cycles + cycles.b_cycles, form, _PERIOD_TOL)
+    pd, = _period_data(g, per[None, :g], per[None, g:])
     if isinstance(pd, SwtrError):
         raise pd
     return pd
@@ -1031,33 +1211,38 @@ def bergman_kernel(curve, cycles, pd):
 def _neighbourhood_violations(curves, cycles):
     """For each curve, why a branch point is not inside the contours around its cut only, or None.
 
-    One array pass per contour over every curve's branch points; a curve's
-    message names its first offending point on its first offending contour.
+    One array pass over every contour and every curve's branch points; a
+    curve's message names its first offending point on its first offending
+    contour, A contours first, then the chain loops.
     """
     if not curves:
         return []
-    pts = np.array([c.branch_points for c in curves])
-    rows = np.arange(len(pts))
+    pts = np.array([c.branch_points for c in curves])                  # (R, P)
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    f1, f2, center, u, sigma = (np.array([getattr(c, f) for c in conts])[:, None, None]
+                                for f in ("f1", "f2", "center", "u", "sigma"))
+    # [contour, curve, branch point]
+    cont_i, row_i = np.ogrid[:len(conts), :len(pts)]
+    own = np.zeros((len(conts),) + pts.shape, dtype=bool)
+    for f in (f1, f2):
+        own[cont_i, row_i, np.argmin(np.abs(pts - f), axis=-1)] = True
+    sig = _elliptic_sigma(pts, center, u)
+    wrong = ((sig < sigma) != own).swapaxes(0, 1).reshape(len(pts), -1)   # contours, then points
+    first = np.argmax(wrong, axis=1)
     out = [None] * len(pts)
-    for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
-        own = np.zeros(pts.shape, dtype=bool)
-        for f in (cont.f1, cont.f2):
-            own[rows, np.argmin(np.abs(pts - f), axis=1)] = True
-        sig = cont.elliptic_sigma(pts)
-        wrong = (sig < cont.sigma) != own
-        for r in np.flatnonzero(wrong.any(axis=1)):
-            if out[r] is None:
-                i = np.flatnonzero(wrong[r])[0]
-                out[r] = (f"branch point {pts[r, i]:.6g} at elliptic sigma {sig[r, i]:.3g} is "
-                          f"{'outside' if own[r, i] else 'inside'} the reference contour of "
-                          f"sigma {cont.sigma:.3g} with foci {cont.f1:.6g}, {cont.f2:.6g}")
+    for r in np.flatnonzero(wrong.any(axis=1)):
+        c, i = divmod(int(first[r]), pts.shape[1])
+        out[r] = (f"branch point {pts[r, i]:.6g} at elliptic sigma {sig[c, r, i]:.3g} is "
+                  f"{'outside' if own[c, r, i] else 'inside'} the reference contour of "
+                  f"sigma {conts[c].sigma:.3g} with foci {conts[c].f1:.6g}, {conts[c].f2:.6g}")
     return out
 
 
 def _row_periods(cycles0, curves, cycle_list, tol):
     """Periods of ``_period_form`` over ``cycle_list`` on each of ``curves``, {key: curve}.
 
-    One stacked pass on ``cycles0.workspace.moved_to(CurveRows(...))``.
+    One ``_cycle_periods`` call on ``cycles0.workspace.moved_to(CurveRows(...))``:
+    one ``integrate`` of the K rows over the C distinct contours together.
     Returns ({key: [cycle, form]}, {key: exception}).  A row that fails
     leaves, and the pass runs again on the rest: no row's values depend on
     which other rows share the pass.

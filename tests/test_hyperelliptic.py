@@ -449,9 +449,8 @@ def test_walk_refuses_a_segment_through_a_branch_point():
     # alone, the nearby curve beside it closes
     rows = CurveRows([new_curve(2, np.array(U0_G2) + 1e-3), curve])
     y = np.sqrt(rows.q_at(np.array([z0, z1])))
-    closure, errors = hyperelliptic_module._closure(rows.branch_points, z0, z1, y[:, 0],
-                                                    y[:, 1], [0, 1])
-    assert list(closure) == [0] and list(errors) == [1]
+    closure, errors = hyperelliptic_module._closure(rows.branch_points, z0, z1, y[:, 0], y[:, 1])
+    assert closure[0] == 0.0 and list(errors) == [1]
     assert re.fullmatch(pattern, str(errors[1]))
 
 
@@ -497,23 +496,28 @@ def test_quadrature_refinement_stability():
     curve, cycles, pd = setup_g1()
     ws = cycles.workspace
     v1 = ws.integrate_cycle(cycles.b_cycles[0], ds_sw(curve), tol=1e-10)
-    v2 = sum(c * ws.integrate(k, ds_sw(curve), tol=1e-12, start_panels=32)
-             for c, k in cycles.b_cycles[0])
+    b1 = cycles.b_cycles[0]
+    vals = ws.integrate([k for _, k in b1], ds_sw(curve), tol=1e-12, start_panels=32)
+    v2 = sum(c * v for (c, _), v in zip(b1, vals))
     assert abs(v1 - v2) < 1e-8 * max(1.0, abs(v1))
 
 
-def _gauss_legendre_integrate(self, contour, integrand, tol=None):
+def _gauss_legendre_integrate(self, contours, integrand, tol=None):
     """Composite Gauss-Legendre, 32 panels of 16 nodes, with the sheets tracked on
-    each curve of the workspace: the quadrature oracle, with no levels and no gate."""
+    each curve of the workspace, one contour at a time: the quadrature oracle, with
+    no levels, no gate and no stacking."""
     x, w = np.polynomial.legendre.leggauss(16)
     t = (np.arange(32)[:, None] + 0.5 * (x + 1.0)).ravel() / 32
-    z0, z = complex(contour.point(0.0)), contour.point(t)
-    ys = []
-    for c in (self.curve.rows if isinstance(self.curve, CurveRows) else [self.curve]):
-        tracker = SheetTracker(c)
-        ys.append(tracker.track_along(np.append(z0, z), tracker.anchor(z0))[1:])
-    y = np.array(ys) if isinstance(self.curve, CurveRows) else ys[0]
-    return np.sum(np.tile(w / 64, 32) * integrand(z, y) * contour.velocity(t), axis=-1)[()]
+    out = []
+    for contour in contours:
+        z0, z = complex(contour.point(0.0)), contour.point(t)
+        ys = []
+        for c in (self.curve.rows if isinstance(self.curve, CurveRows) else [self.curve]):
+            tracker = SheetTracker(c)
+            ys.append(tracker.track_along(np.append(z0, z), tracker.anchor(z0))[1:])
+        y = np.array(ys) if isinstance(self.curve, CurveRows) else ys[0]
+        out.append(np.sum(np.tile(w / 64, 32) * integrand(z, y) * contour.velocity(t), axis=-1))
+    return np.array(out)
 
 
 def _quadrature_results(u0):
@@ -607,7 +611,7 @@ def test_integrate_error_names_its_numbers():
         return np.stack([ds_sw(curve)(z, y), 1.0 / ((z - pole) * y)])
 
     with pytest.raises(QuadratureNotConverged) as err:
-        ws.integrate(a0, form, max_panels=128)
+        ws.integrate([a0], form, max_panels=128)
     m = re.fullmatch(r"contour integral did not converge by (\d+) nodes: worst \|delta\| = "
                      r"(\S+) against gate (\S+) \(component (\d+)\), "
                      r"sheet closure (\S+) against 1e-08", str(err.value))
@@ -641,7 +645,7 @@ def test_doubled_level_evaluates_only_its_new_nodes():
         seen.append(z.copy())
         return pole_form(z, y)
 
-    got = ws.integrate(a0, form)
+    got = ws.integrate([a0], form)[0]
     levels = [ws.nodes(a0, n).z for n in (128, 256, 512)]
     assert [len(z) for z in seen] == [128, 128, 256]
     assert [z.tobytes() for z in seen] == [levels[0].tobytes()] + [z[1::2].tobytes()
@@ -712,19 +716,20 @@ def test_invert_a_map_returns_the_periods_of_its_curve(genus, u0):
 
 
 def test_b_periods_sum_each_chain_loop_once():
-    # B_i = C_i + ... + C_g: the chain loops are integrated once each and
-    # summed in cycle order, bitwise the per-cycle sum of integrate_cycle
+    # B_i = C_i + ... + C_g: the chain loops are integrated once each, in one
+    # pass with the A contours, and summed in cycle order, bitwise the
+    # per-cycle sum of integrate_cycle
     curve, cycles = _curve_and_cycles(U0_G3)
     ws = cycles.workspace
     calls = []
     integrate = ws.integrate
-    ws.integrate = lambda cont, *args: calls.append(cont) or integrate(cont, *args)
+    ws.integrate = lambda conts, *args: calls.append(list(conts)) or integrate(conts, *args)
     try:
         pd = periods(curve, cycles)
     finally:
         del ws.integrate
     conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
-    assert calls == conts
+    assert calls == [conts]
     form = _period_form(curve)
     expect = np.array([ws.integrate_cycle(b, form) for b in cycles.b_cycles])
     assert _cycle_periods(ws, cycles.b_cycles, form, 1e-10).tobytes() == expect.tobytes()
@@ -802,15 +807,16 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
 
 def test_moved_curves_are_never_tracked(monkeypatch):
     # one g2 verify anchors and tracks sheets on the reference curve only,
-    # once per contour: build_cycles tracks the first level of the two A
-    # contours and the two chain loops, and every integral reads that
+    # in one pass: build_cycles tracks the first level of the two A contours
+    # and the two chain loops together, and every integral reads that
     # tracking.  Its quadrature work is that of the per-layer benchmark
-    # counts: 10 integrate calls (periods 4, kernel moments 2, and one pass
-    # of the 16 line nodes over the 4 contours), each accepted at its first
-    # level of 128 nodes.  A level's sheet closure is computed only where
-    # integrate reads it: 68 row closures in 8 array calls, one per level
-    # read (the kernel reads the levels periods closed), where each row took
-    # a call of its own
+    # counts: 3 integrate calls (periods over the 4 contours, kernel moments
+    # over the 2 A contours, and the 16 line nodes over the 4 contours), 10
+    # contour levels of 128 nodes read, each accepted there.  A level's sheet
+    # closure is computed only where integrate reads it: 68 row closures in
+    # 3 array calls, one for the periods' block of 4 contours and one for each
+    # block of 2 contours the line pass's 16 rows take (the kernel reads the
+    # levels periods closed), where each row took a call of its own
     seen = {"curves": set(), "tracks": 0, "integrate": 0, "panels": 0, "closures": 0,
             "closure_calls": 0}
     anchor, track = SheetTracker.anchor, SheetTracker.track_along
@@ -846,23 +852,26 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     monkeypatch.setattr(hyperelliptic_module, "_closure", counted_closure)
     rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2))
     assert rep.passed
-    assert seen == {"curves": {id(rep.artifacts.curve)}, "tracks": 4, "integrate": 10,
-                    "panels": 10 * 128, "closures": 68, "closure_calls": 8}
+    assert seen == {"curves": {id(rep.artifacts.curve)}, "tracks": 1, "integrate": 3,
+                    "panels": 10 * 128, "closures": 68, "closure_calls": 3}
 
 
 def test_scalar_sqrt_evaluations_per_verify(monkeypatch):
-    # sheets are continued in closed form, so the scalar evaluations of Q
-    # left in a g2 verify are two per contour anchor, at its far point and at
-    # its target: 8 for the four contours (the stepped walks made 326, one
-    # per step).  A reversed chain loop reads its forward loop's anchor, a
-    # moved curve's sheets derive theirs at the first node, and the kernel
-    # normalization anchors no point of its own
+    # sheets are continued in closed form, and the contours are anchored and
+    # tracked together, so a g2 verify evaluates Q on the reference curve in
+    # three array calls and never on a scalar: two points per contour anchor,
+    # its far point and its target, for the four anchors at once (the
+    # stepped walks made 326 scalar calls, one per step; anchoring contour by
+    # contour made 8), and the first level of the four contours.  A reversed
+    # chain loop reads its forward loop's anchor, a moved curve's sheets
+    # derive theirs at the first node, and the kernel normalization anchors
+    # no point of its own
     calls = []
     q_at = hyperelliptic_module.SWCurve.q_at
     monkeypatch.setattr(hyperelliptic_module.SWCurve, "q_at",
-                        lambda self, z: calls.append(np.ndim(z) == 0) or q_at(self, z))
+                        lambda self, z: calls.append(np.shape(z)) or q_at(self, z))
     assert verify_theorem(VerifyConfig(genus=2, u0=U0_G2)).passed
-    assert sum(calls) == 8
+    assert calls == [(4,), (4,), (4, 128)]
 
 
 def test_workspace_of_another_curve_rejected():
@@ -984,15 +993,15 @@ def test_row_workspace_fails_rows_alone():
 
     def solo(c, **kw):
         with pytest.raises(Exception) as err:
-            cycles.workspace.moved_to(c).integrate(cont, _period_form(c), **kw)
+            cycles.workspace.moved_to(c).integrate([cont], _period_form(c), **kw)
         return type(err.value), str(err.value)
 
     with pytest.raises(_RowsFailed) as err:
-        ws.integrate(cont, _period_form(ws.curve))
+        ws.integrate([cont], _period_form(ws.curve))
     assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {1: solo(rows[1])}
     ws = cycles.workspace.moved_to(CurveRows(rows[::2]))
     with pytest.raises(_RowsFailed) as err:
-        ws.integrate(cont, _period_form(ws.curve), tol=1e-30, max_panels=256)
+        ws.integrate([cont], _period_form(ws.curve), tol=1e-30, max_panels=256)
     assert {r: (type(e), str(e)) for r, e in err.value.errors.items()} == {
         r: solo(c, tol=1e-30, max_panels=256) for r, c in enumerate(rows[::2])}
 
@@ -1026,45 +1035,47 @@ def test_rows_fail_only_at_levels_they_need():
     probe = cycles.workspace.moved_to(rows)
     nodes = probe.nodes
     probe.nodes = lambda c, n: seen.append(n) or nodes(c, n)
-    expect = probe.integrate(cont, form)
+    expect = probe.integrate([cont], form)[0]
     assert seen == [128, 256, 512, 1024]
-    assert expect[0] == cycles.workspace.moved_to(rows.rows[0]).integrate(cont, lambda z, y: 1 / y)
+    assert expect[0] == cycles.workspace.moved_to(rows.rows[0]).integrate(
+        [cont], lambda z, y: 1 / y)[0]
     ws = cycles.workspace.moved_to(rows)
     errors = ws.nodes(cont, 512).errors
     errors[0] = OutOfNeighbourhood("row 0 at 512 nodes")
-    assert ws.integrate(cont, form).tobytes() == expect.tobytes()
+    assert ws.integrate([cont], form)[0].tobytes() == expect.tobytes()
     errors[1] = OutOfNeighbourhood("row 1 at 512 nodes")
     with pytest.raises(_RowsFailed) as err:
-        ws.integrate(cont, form)
+        ws.integrate([cont], form)
     assert {r: str(e) for r, e in err.value.errors.items()} == {1: "row 1 at 512 nodes"}
 
 
 def test_doubled_level_derives_only_new_nodes(monkeypatch):
-    # a g1 chi=5 verify doubles both contours to 256 nodes; at 256 the line
-    # pass's 8 rows derive their sheets at the 128 new odd nodes only, the
-    # even ones being the 128 level's
+    # a g1 chi=5 verify doubles both contours to 256 nodes; the line pass
+    # derives the 8 rows' sheets on both contours in one pass per level, and
+    # at 256 at the 128 new odd nodes of each contour only, the even ones
+    # being the 128 level's
     derived, inside = [], []
-    nodes, q_at = QuadratureWorkspace._derived_nodes, CurveRows.q_at
+    levels, q_at = QuadratureWorkspace._derived_levels, CurveRows.q_at
 
-    def record(self, contour, n_panels):
-        derived.append([n_panels, len(self._rows.rows), 0])
+    def record(self, contours, n_panels):
+        derived.append([n_panels, len(self._rows.rows), len(contours), 0])
         inside.append(True)
         try:
-            return nodes(self, contour, n_panels)
+            return levels(self, contours, n_panels)
         finally:
             inside.pop()
 
     def count(self, z):
         if inside:
-            derived[-1][2] += np.size(z)
+            derived[-1][3] += np.size(z)
         return q_at(self, z)
 
-    monkeypatch.setattr(QuadratureWorkspace, "_derived_nodes", record)
+    monkeypatch.setattr(QuadratureWorkspace, "_derived_levels", record)
     monkeypatch.setattr(CurveRows, "q_at", count)
     report = verify_theorem(VerifyConfig(genus=1, u0=U0_G1, chi_max=5))
     assert report.passed
     assert report.metadata["quadrature"]["nodes"] == {"A_1": 256, "C_1": 256}
-    assert sorted(map(tuple, derived)) == [(128, 8, 128)] * 2 + [(256, 8, 128)] * 2
+    assert sorted(map(tuple, derived)) == [(128, 8, 2, 2 * 128), (256, 8, 2, 2 * 128)]
 
 
 def test_doubled_level_keeps_the_whole_levels_worst_node():
@@ -1085,16 +1096,20 @@ def test_doubled_level_keeps_the_whole_levels_worst_node():
     assert refused == {1}
 
 
-def _failing_row(close, row):
-    """``close`` with the closure of ``row`` failing."""
-    def failing(rows):
-        closure, errors = close(rows)
-        closure.pop(row, None)
-        return closure, {**errors, row: QuadratureNotConverged("closure failed")}
-    return failing
+def _failing_row(monkeypatch, level, row):
+    """``_closure`` with the closure of ``row`` on ``level`` failing: the entries that
+    start at the level's last node with the row's value there."""
+    closure = hyperelliptic_module._closure
+
+    def failing(e, z_last, z_start, y_last, y0):
+        out, errors = closure(e, z_last, z_start, y_last, y0)
+        hit = (z_last == level.z[-1]) & (y_last == np.atleast_2d(level.y)[row, -1])
+        return out, {**errors, **{int(i): QuadratureNotConverged("closure failed")
+                                  for i in np.flatnonzero(hit)}}
+    monkeypatch.setattr(hyperelliptic_module, "_closure", failing)
 
 
-def test_closure_walked_only_where_read():
+def test_closure_walked_only_where_read(monkeypatch):
     # integrate reads a row's sheet closure at each level only while the row
     # is open: a closure that would fail at a level after the row was
     # accepted is never computed, and one that fails at any level the row
@@ -1108,20 +1123,118 @@ def test_closure_walked_only_where_read():
 
     for target in (CurveRows(moved), moved[1]):
         row = 1 if isinstance(target, CurveRows) else 0
-        expect = cycles.workspace.moved_to(target).integrate(cont, form)
+        expect = cycles.workspace.moved_to(target).integrate([cont], form)[0]
         if row:
             ws = cycles.workspace.moved_to(target)
-            ws.nodes(cont, 512)._close = _failing_row(ws.nodes(cont, 512)._close, 0)
-            assert ws.integrate(cont, form).tobytes() == expect.tobytes()
-            assert set(ws.nodes(cont, 256)._closure) == {0, 1}
-            assert set(ws.nodes(cont, 512)._closure) == {1}
+            with monkeypatch.context() as m:
+                _failing_row(m, ws.nodes(cont, 512), 0)
+                assert ws.integrate([cont], form)[0].tobytes() == expect.tobytes()
+            read = {n: np.flatnonzero(~np.isnan(ws.nodes(cont, n)._closure)).tolist()
+                    for n in (256, 512)}
+            assert read == {256: [0, 1], 512: [1]}
         for level in (128, 256, 512):
             ws = cycles.workspace.moved_to(target)
-            ws.nodes(cont, level)._close = _failing_row(ws.nodes(cont, level)._close, row)
-            with pytest.raises(_RowsFailed if row else QuadratureNotConverged) as err:
-                ws.integrate(cont, form)
+            with monkeypatch.context() as m, pytest.raises(
+                    _RowsFailed if row else QuadratureNotConverged) as err:
+                _failing_row(m, ws.nodes(cont, level), row)
+                ws.integrate([cont], form)
             errors = err.value.errors if row else {0: err.value}
             assert {r: str(e) for r, e in errors.items()} == {row: "closure failed"}
+
+
+def _contour_by_contour(ws, cycle_list, form, tol):
+    """``_cycle_periods`` with each distinct contour integrated alone, one ``integrate``
+    call per contour: the reference for the stacked pass."""
+    vals = {}
+    for cycle in cycle_list:
+        for _, k in cycle:
+            if k not in vals:
+                vals[k] = ws.integrate([k], form, tol)[0]
+    return np.array([sum(c * vals[k] for c, k in cycle) for cycle in cycle_list])
+
+
+def _one_level_at_a_time(fill):
+    """``QuadratureWorkspace._fill`` making each contour's level in a pass of its own."""
+    def one_by_one(self, contours, n_panels):
+        for c in contours:
+            fill(self, [c], n_panels)
+    return one_by_one
+
+
+def _stacked_and_alone(monkeypatch, run):
+    """``run()`` as it is, then with every contour tracked, derived and integrated alone."""
+    stacked = run()
+    with monkeypatch.context() as m:
+        m.setattr(hyperelliptic_module, "_cycle_periods", _contour_by_contour)
+        m.setattr(QuadratureWorkspace, "_fill", _one_level_at_a_time(QuadratureWorkspace._fill))
+        alone = run()
+    return stacked, alone
+
+
+def _pipeline_bytes(u0):
+    """Every number the verifier takes from this module at ``u0``, as bytes: the tracked
+    sheets of every level kept, the periods, the kernel correction, the kernel moments
+    of ``_cycle_periods`` and the PeriodData of the verifier's line nodes."""
+    from swtr.cli import CIRCLE_NODES, DERIVATIVE_RADIUS
+    curve, cycles = _curve_and_cycles(u0)
+    pd = periods(curve, cycles)
+    bk = bergman_kernel(curve, cycles, pd)
+    moments = hyperelliptic_module._cycle_periods(
+        cycles.workspace, cycles.a_cycles + cycles.b_cycles,
+        lambda z, y: np.stack([z ** j / y for j in range(2 * curve.g + 3)]), 1e-10)
+    r = DERIVATIVE_RADIUS * max(1.0, float(np.max(np.abs(pd.a))))
+    on_lines = line_periods(curve, cycles, pd, r, CIRCLE_NODES)
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    levels = {(i, n): d.y.tobytes() for (c, n), d in cycles.workspace._cache.items()
+              for i, k in enumerate(conts) if k is c}
+    return {"levels": levels, "periods": _period_fields(pd), "kernel": bk.correction.tobytes(),
+            "moments": moments.tobytes(), "lines": [_period_fields(p) for p in on_lines]}
+
+
+@pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3] + _draws_g2(20, 23),
+                         ids=["g1", "g2", "g3"] + [f"draw{i}" for i in range(20)])
+def test_stacked_pass_keeps_every_bit(u0, monkeypatch):
+    # the contours of a cycle basis tracked, derived and integrated together
+    # give bitwise what each contour gives alone: the tracked sheets of every
+    # level, periods, the kernel, _cycle_periods and each line node's periods
+    stacked, alone = _stacked_and_alone(monkeypatch, lambda: _pipeline_bytes(u0))
+    assert stacked == alone
+    assert {i for i, _ in stacked["levels"]} == set(range(2 * len(u0)))
+    assert len(stacked["lines"]) == 8 * len(u0)
+
+
+def test_stacked_pass_keeps_every_bit_through_a_doubling(monkeypatch):
+    # at the g1 chi=5 CI point the line pass doubles both contours to 256
+    # nodes; every number the verifier reports is bitwise the one each
+    # contour integrated alone gives
+    def report():
+        rep = verify_theorem(VerifyConfig(genus=1, u0=U0_G1, chi_max=5))
+        checks = [(c.name, np.complex128(c.lhs).tobytes(), np.complex128(c.rhs).tobytes())
+                  for c in rep.checks]
+        return checks, repr({k: v for k, v in rep.metadata.items()})
+
+    stacked, alone = _stacked_and_alone(monkeypatch, report)
+    assert stacked == alone
+    assert "'nodes': {'A_1': 256, 'C_1': 256}" in stacked[1]
+
+
+def test_row_error_is_its_first_contours():
+    # a row that fails on two contours gets the error of the first of them in
+    # the order integrate is given, what integrating the contours one after
+    # another raises, and its neighbour is integrated as if alone; one moved
+    # curve raises the same error
+    curve, cycles = _curve_and_cycles(U0_G2)
+    moved = [new_curve(2, np.array(U0_G2) + du) for du in (1e-3, -1e-3j)]
+    conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
+    for order in (conts, conts[::-1]):
+        for target, row in ((CurveRows(moved), 1), (moved[1], 0)):
+            ws = cycles.workspace.moved_to(target)
+            for i in (1, 3):
+                ws.nodes(order[i], 128).errors[row] = OutOfNeighbourhood(f"row fails on {i}")
+            with pytest.raises(_RowsFailed if row else OutOfNeighbourhood) as err:
+                ws.integrate(order, _period_form(target))
+            errors = err.value.errors if row else {0: err.value}
+            assert {r: str(e) for r, e in errors.items()} == {row: "row fails on 1"}
 
 
 # ---------------------------------------------------------------------------
