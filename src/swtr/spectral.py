@@ -16,31 +16,36 @@ which reduces to dz1 / (4 z (z^2 - z1^2) dz) for the bare quadratic disc.
 Residue extraction happens on truncated Laurent windows; repeating it with a
 larger window is the "formal extraction order" refinement check.
 
-The nonzero entries of a cell omega_{g,n} lie on its degree-bounded support:
-with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.  Every
-other entry vanishes exactly, because the pole orders of the lower cells
-leave the residue nothing to pick up.  ``support`` lists these tuples; the
-fill visits fewer.  The cells are filled one level chi = 2g - 2 + n at a
-time: a level reads only lower ones, so every cell and point of a level
-shares one product pass.  At a point, a cell's entries whose pivot (first
-index) sits there are grouped by their other legs, the rest: the series xi
-the residue is taken of depends on the rest only, so one product of all the
-rests' xi with the point's residue vectors gives every pivot.  The
-splitting terms of xi come from pairs of nonzero lower-cell factors (a
-lower cell with one argument at +-z and the others on legs); the genus
-term from the entries of omega_{g-1,n+1}, two of whose legs meet the
-residue.  So the rests are the ones these reach: the merged legs of a
-pair, the other legs of an entry.  An entry with any other rest has xi = 0
-and genus term 0, and is exactly 0.  Each reached rest takes the pivots at
-the point that its degree budget allows and that sort first.  The factor
-tables hold the lower cells at +z; the -z series is an exact sign per
-column, applied to the stacked second factors.  Of each pair's product only
-the columns the residue vectors read are formed (one per pivot with the
-default D = 4 z^2), as stacked BLAS dots that are bitwise the columns
-``np.convolve`` gives, so the pairs of the points that read the same
-columns share their stacks; ``products`` counts the pairs.  The genus term
-is contracted against the point's residue tensor C^p_{ab}, the residue of
-ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z).
+The nonzero entries of a cell omega_{g,n} lie on its degree-bounded
+support: with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.
+Every other entry vanishes exactly, because the pole orders of the lower
+cells leave the residue nothing to pick up.  ``support`` lists these
+tuples; the fill visits fewer.  The cells are filled one level
+chi = 2g - 2 + n at a time: a level reads only lower ones, so every cell
+and point of a level shares one product pass.  At a point, a cell's entries
+whose pivot (first index) sits there are grouped by their other legs, the
+rest: the series xi the residue is taken of depends on the rest only, so a
+product of the rests' xi with the point's residue vectors gives every
+pivot.  The rests of a level's cells and points, a job each, go in blocks
+of whole jobs at points with one D, one residue pass a block: a matmul over
+its rows and a stacked one over the rows of its one-row jobs, so each row
+has the bits of its own job's matmul.  The splitting terms of xi come from
+pairs of nonzero lower-cell factors (a lower cell with one argument at +-z
+and the others on legs); the genus term from the entries of
+omega_{g-1,n+1}, two of whose legs meet the residue.  So the rests are the
+ones these reach: the merged legs of a pair, the other legs of an entry.
+An entry with any other rest has xi = 0 and genus term 0, and is exactly 0.
+Each reached rest takes the pivots at the point that its degree budget
+allows and that sort first.  The factor tables hold the lower cells at +z;
+the -z series is an exact sign per column, applied to the stacked second
+factors.  Of each pair's product only the columns the residue vectors read
+are formed (one per pivot with the default D = 4 z^2), as stacked BLAS dots
+that are bitwise the columns ``np.convolve`` gives, so the pairs of the
+points that read the same columns share their stacks; ``products`` counts
+the pairs.  The factor tables of a run lie end to end in one stack, so no
+level copies them.  The genus term is contracted against the residue tensor
+C^p_{ab} stacked over the points, the residue of ebar^a(z) ebar^b(-z)
+against z^{2p+1} / D(z): one gather and one add per block.
 
 What a level enumerates (its pairs of factors, the rests they reach, the
 genus-term entries and the pivots of each rest) depends on the curve's shape
@@ -49,15 +54,16 @@ which lower entries and factor rows are nonzero; the kernel values enter
 only the numbers.  So a run on a shape that ran before in the process
 records each level's plan as integer index arrays, and the runs after it
 replay the plan: they form the factor tables and gather, multiply, add and
-contract as recorded, with no Python per pair or per entry.  A level is
-replayed only if the level below stored the keys it was recorded under and
-the factor tables have the recorded nonzero rows; else it and every later
-level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
-the tables of a fresh run.  A shape's first run keeps no plan, which a run
-made once per process would not pay back: it reads each entry out as it
-enumerates it.  All runs share one product pass, so their tables agree to
-the bit.  The plans, with D's residue tables, sit in an LRU of
-``_PLAN_SLOTS`` shapes; a 4-point chi = 8 plan takes about 24 MB.
+contract as recorded, with no Python per pair, entry, job or point.  A
+level is replayed only if the level below stored the keys it was recorded
+under and the factor tables have the recorded nonzero rows; else it and
+every later level are recorded afresh, so a sparser kernel (block-diagonal,
+zero) gets the tables of a fresh run.  A shape's first run keeps no plan,
+which a run made once per process would not pay back: it reads each entry
+out as it enumerates it.  All runs share one product pass and one residue
+pass, so their tables agree to the bit.  The plans, with D's residue
+tables, sit in an LRU of ``_PLAN_SLOTS`` shapes; a 4-point chi = 8 plan
+takes about 36 MB.
 
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
@@ -212,23 +218,60 @@ class _FactorRows(NamedTuple):
     nonzero: np.ndarray
 
 
+class _Block(NamedTuple):
+    """One residue pass: the rows ``start:stop`` of a column group's part, whole jobs.
+
+    Its jobs sit at points with one D, that of the point ``q``.  In rows of
+    the block, ``ones`` is None or the rows of its one-row jobs, and ``b11``
+    None or the (rows, points) of its (1, 1) jobs, whose xi adds B(z, -z).
+    ``genus`` is None or the (row, q, a, b, src) arrays of the genus-term
+    entries, in job order and each job's entry order, src indexing the
+    stored values of the level below stacked in cell order.  ``out`` is the
+    flat gather row * npiv + p of each entry the jobs evaluate, in job and
+    tuple order; in a level a run keeps for itself alone, the jobs (g, n, q,
+    rests, first row) whose entries are read out one by one.
+    """
+
+    start: int
+    stop: int
+    q: int
+    ones: np.ndarray
+    b11: tuple
+    genus: tuple
+    out: object
+
+
+class _Keys(NamedTuple):
+    """A recorded cell's entries: where they sit, their keys, and the dict keys last stored.
+
+    ``gather`` indexes the level's evaluated entries (the blocks' ``out``
+    laid end to end), in the cell's key order; ``keys`` holds the tuples as
+    a (count, n) array, ``stored`` the mask of the nonzero ones when the
+    level was last filled and ``tuples`` those keys as tuples, the table's
+    dict keys.
+    """
+
+    gather: np.ndarray
+    keys: np.ndarray
+    stored: np.ndarray
+    tuples: list
+
+
 class _Level(NamedTuple):
     """The integer plan of one level: what its lower cells' key pattern decides.
 
     ``lower`` maps each cell of the level below to which of its planned keys
     were stored (nonzero) when the level was recorded, ``factors`` to its
     factor table's rows (their nonzero masks as recorded).  ``groups`` holds
-    (pairs, jobs) per column group.  ``pairs`` is (4, P): the first and the
-    second factor's row in the level's stack of factor tables, the row of
-    the group (jobs stacked in order) the product adds to, and the number of
-    times it adds.  A job is (g, n, q, rests, genus, entries): one cell at
-    the point q, its number of rests, None or the (row, a, b, src) arrays of
-    its genus-term entries (src indexing the stored values of
-    omega_{g-1,n+1}), and the gather row * npiv + p of each entry it
-    evaluates, in tuple order.  ``cells`` maps each cell of the level to its
-    evaluated keys, the jobs' in order of q: sorted.  A level a run keeps for
+    (pairs, rows, blocks) per column group.  ``pairs`` is (4, P): the first
+    and the second factor's row in the run's stack of factor tables, the row
+    of the group's part the product adds to, and the number of times it
+    adds; ``rows`` counts the part's rows, and the ``_Block`` list splits
+    them into residue passes of whole jobs.  A job is one cell at one point:
+    its rows are its rests.  ``cells`` maps each cell of the level to its
+    ``_Keys``, the jobs' in order of q: sorted.  A level a run keeps for
     itself alone (a shape's first run) has ``lower``, ``factors`` and
-    ``cells`` None, and its jobs hold their rests, by row, as ``entries``.
+    ``cells`` None, and its blocks hold their jobs.
     """
 
     lower: dict
@@ -240,8 +283,9 @@ class _Level(NamedTuple):
 class _Plan:
     """What the recursions on one curve shape share: D's residue tables, each level's plan.
 
-    ``residues`` is (res_vec, res_cols, Hankel gather, column groups), formed
-    by the first engine of the shape; ``levels`` holds the ``_Level`` of each
+    ``residues`` is (res_vec, res_cols, the Hankel gather stacked over the
+    points, column groups), formed by the first engine of the shape;
+    ``levels`` holds the ``_Level`` of each
     chi as the last run recorded it, and ``runs`` counts the runs.  No value
     of the kernel data s enters any of them.
     """
@@ -298,10 +342,11 @@ class _EoEngine(_CellRecursion):
         -z, ``b_pm[q]`` is B(z, -z) / dz^2.  Row p of ``res_vec[q]`` dotted
         with a product series (exponents from 2 lo) is its residue against
         z^{2p+1} / D(z), ``res_cols[q]`` lists the columns it reads, and
-        ``res_tensor[q][p, a, b]`` is that residue of loc_p[q][a] * loc_m[q][b].
+        ``res_tensor[q, p, a, b]`` is that residue of loc_p[q, a] * loc_m[q, b].
         1/D, ``res_vec``, ``res_cols`` and the Hankel gather of ``res_vec``
         depend on D alone: the plan keeps them (``_residues``), one set per
-        distinct D shared by the points that have it.
+        distinct D shared by the points that have it; ``_d_point[q]`` is the
+        first point with the D of q.
         """
         cur = self.curve
         lo, nlen = self.lo, self.nlen
@@ -334,11 +379,13 @@ class _EoEngine(_CellRecursion):
         if self._plan.residues is None:
             self._plan.residues = self._residues(dkeys)
         self.res_vec, self.res_cols, hankel, self._col_groups = self._plan.residues
-        # C[p, a, b] = loc_p[a] . H_p . loc_m[b]
-        self.res_tensor = [self.loc_p[q] @ hankel[q] @ self.loc_m[q].T for q in range(nr)]
+        self._d_point = [next(r for r in range(nr) if self.res_vec[r] is res)
+                         for res in self.res_vec]
+        # C[q, p, a, b] = loc_p[q, a] . H_p[q] . loc_m[q, b]
+        self.res_tensor = self.loc_p[:, None] @ hankel @ self.loc_m[:, None].swapaxes(-1, -2)
 
     def _residues(self, dkeys):
-        """(res_vec, res_cols, Hankel gather) per point, and the column groups.
+        """(res_vec, res_cols) per point, the Hankel gather stacked over them, the column groups.
 
         Each is formed once per distinct D; ``_col_groups`` lists (res_cols,
         points) per distinct column set.
@@ -363,8 +410,8 @@ class _EoEngine(_CellRecursion):
                 # H_p[i, j] = res[p, i + j]
                 shared[key] = res, np.flatnonzero(res.any(axis=0)), res[:, ii[:, None] + ii]
             groups.setdefault(shared[key][1].tobytes(), (shared[key][1], []))[1].append(q)
-        per_point = [shared[key] for key in dkeys]
-        return (*map(list, zip(*per_point)), list(groups.values()))
+        res_vec, res_cols, hankel = zip(*(shared[key] for key in dkeys))
+        return list(res_vec), list(res_cols), np.stack(hankel), list(groups.values())
 
     # building blocks ---------------------------------------------------------
 
@@ -393,25 +440,22 @@ class _EoEngine(_CellRecursion):
             vals = self._values[(g, n)] = np.fromiter(entries.values(), complex, len(entries))
         return vals
 
-    def _factor_table(self, g, n, rows=None):
+    def _factor_table(self, g, n, rows=None, place=False):
         """(rows, table): omega_{g,n}(+z, legs) at every point over the window.
 
-        ``table`` is flat, row q * R + r the series at the point q of row r
-        of ``rows`` (``_FactorRows``, R rows).  The legs and the scatter come
-        from ``rows`` (a plan's) or, when it is None, from the cell's keys;
-        the nonzero masks are the table's, and ``rows`` comes back unchanged
-        only if they are the ones it holds.  For (0, 2) row j is the two-form
-        against the leg j at the leg's point (``_f_leg``).  The series at -z
-        is the one at +z times ``_flip``, an exact sign per column, formed
-        only where it is read.  Built from the keys, it also indexes its rows
-        by legs for ``_factor_rows``.
+        ``table`` is flat, row q * R + r the series at the point q of row r of
+        ``rows`` (``_FactorRows``, R rows); with ``place`` it is formed in the
+        run's stack of factor tables (``_place``).  The legs and the scatter
+        come from ``rows`` (a plan's) or, when it is None, from the cell's
+        keys; the nonzero masks are the table's, and ``rows`` comes back
+        unchanged only if they are the ones it holds.  For (0, 2) row j is the
+        two-form against the leg j at the leg's point (``_f_leg``).  The series
+        at -z is the one at +z times ``_flip``, an exact sign per column,
+        formed only where it is read.  Built from the keys, it also indexes its
+        rows by legs for ``_factor_rows``.
         """
         nr, dim = len(self.ram), self.dim
         if (g, n) == (0, 2):
-            ks = np.array([k for k, _ in self.modes])
-            qs = np.arange(dim) // (dim // nr)      # the point of each mode
-            table = np.zeros((nr, dim, self.nlen), dtype=complex)
-            table[qs, np.arange(dim), ks - 1 - self.lo] = ks
             rows = _FactorRows(np.arange(dim)[:, None], None, None, None)
             legs = [(j,) for j in range(dim)]
         else:
@@ -430,15 +474,47 @@ class _EoEngine(_CellRecursion):
                 rows = _FactorRows(flat.reshape(len(legs), n - 1),
                                    np.array(at, dtype=np.int32).reshape(-1, 2).T,
                                    np.array(src, dtype=np.int32), None)
+        shape = (nr, len(rows.legs), self.nlen)
+        if place:
+            table = self._place((g, n), nr * shape[1]).reshape(shape)
+        else:
+            table = np.empty(shape, dtype=complex)
+        if (g, n) == (0, 2):
+            ks = np.array([k for k, _ in self.modes])
+            qs = np.arange(dim) // (dim // nr)      # the point of each mode
+            table[...] = 0
+            table[qs, np.arange(dim), ks - 1 - self.lo] = ks
+        else:
             vec = np.zeros((len(rows.legs), dim), dtype=complex)
             vec[rows.at[0], rows.at[1]] = self._cell_values(g, n)[rows.src]
-            table = vec @ self.loc_p
+            np.matmul(vec, self.loc_p, out=table)
         nonzero = table.any(axis=2)
-        if rows.nonzero is None or not np.array_equal(nonzero, rows.nonzero):
+        if not _same(nonzero, rows.nonzero):
             rows = rows._replace(nonzero=nonzero)
         if legs is not None:
             self._index_rows(g, n, legs, nonzero)
         return rows, table.reshape(-1, self.nlen)
+
+    def _place(self, cell, count):
+        """``count`` rows at the end of the run's stack of factor tables, for the table of ``cell``.
+
+        The tables of a run are laid end to end in the order they are formed,
+        so a cell's offset is the same at every level, and a level's products
+        index the stack with no copy of it.  A full stack moves to one twice
+        its size, and the cached tables with it; pages not yet written take
+        no memory.
+        """
+        used = self._used
+        if used + count > len(self._stack):
+            grown = np.empty((max(2 * len(self._stack), used + count), self.nlen), dtype=complex)
+            grown[:used] = self._stack[:used]
+            self._stack = grown
+            for done, start in self._offsets.items():
+                rows, table = self._factor_cache[done]
+                self._factor_cache[done] = rows, grown[start:start + len(table)]
+        self._offsets[cell] = used
+        self._used = used + count
+        return self._stack[used:used + count]
 
     def _factors(self, g, n):
         """The ``_factor_table`` of omega_{g,n}, formed from its keys the first time it is read."""
@@ -486,19 +562,22 @@ class _EoEngine(_CellRecursion):
         A level's cells read only lower levels: every splitting factor and
         the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
         cells and points of a level share one product pass (``_fill``).  The
-        first run on a curve shape reads each entry out as it enumerates it
-        and keeps no plan.  A later run records each level's plan
-        (``_record``), and the runs after it replay a level's plan when the
-        level below stored the keys it was recorded under and its factor
-        tables have the recorded nonzero rows; else that level and every
-        later one are recorded afresh.
+        factor tables of the run go into one stack as the cells are first
+        read (``_place``).  The first run on a curve shape reads each entry
+        out as it enumerates it and keeps no plan.  A later run records each
+        level's plan (``_record``), and the runs after it replay a level's
+        plan when the level below stored the keys it was recorded under and
+        its factor tables have the recorded nonzero rows; else that level and
+        every later one are recorded afresh.
         """
         plan = self._plan
         keep = plan.runs > 0        # the shape ran before: a plan pays off from the next run
         plan.runs += 1
         levels = plan.levels
         stored = {}         # of each cell of the level below: which planned keys it stored
-        reads = [(0, 2)]    # the cells whose factor tables a level reads: every lower one
+        start = max(1, _STACK_START_BYTES // (16 * self.nlen))
+        self._stack, self._used, self._offsets = np.empty((start, self.nlen), dtype=complex), 0, {}
+        self._factor_cache[(0, 2)] = self._factor_table(0, 2, place=True)
         replay = keep
         chis = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
         for i, (_, cells) in enumerate(chis):
@@ -507,84 +586,84 @@ class _EoEngine(_CellRecursion):
                 self.allowed(g, n)      # every mode within the degree bound is allowed
             level = levels[i] if replay and i < len(levels) else None
             replay = level is not None and all(
-                np.array_equal(level.lower[cell], mask) for cell, mask in stored.items())
+                _same(mask, level.lower[cell]) for cell, mask in stored.items())
             # the level below is first read here, as factors
             for cell in stored:
                 rows = level.factors[cell] if replay else None
-                self._factor_cache[cell] = self._factor_table(*cell, rows)
+                self._factor_cache[cell] = self._factor_table(*cell, rows, place=True)
                 replay = replay and self._factor_cache[cell][0] is rows
             if replay:
                 self.replayed += 1
             else:
-                level = self._record(cells, stored, reads, keep)
+                level = self._record(cells, stored, keep)
                 if keep:
                     del levels[i:]
                     levels.append(level)
-            stored = self._fill(cells, level, reads)
-            reads = reads + cells
+            stored = self._fill(cells, level, list(stored))
             for g, n in cells:
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
             self._cell_cache.clear()
+        self._stack = None          # the cached tables hold it until they are freed
         return self.table
 
-    def _fill(self, cells, level, reads):
+    def _fill(self, cells, level, below):
         """Fill a level's cells on its plan; return, per cell, which planned keys it stored.
 
         A job is one cell at one point q: its entries whose pivot sits at q,
         grouped by their other legs, the rest.  A job's rows are its rests,
-        one xi series each, whose residues against every pivot come out of
-        one product with ``res_vec[q]``; the jobs whose points read the same
-        columns share their splitting terms (``_split_part``), whose factors
-        come from one stack of the factor tables of the cells ``reads``.  A
-        job's entries come in tuple order, so a cell's come sorted, the order
-        of ``support``, over its jobs by q; the nonzero ones are stored.  A
-        plan gathers them; a level with no plan kept (``cells`` None) reads
-        them one by one from its jobs' rests, and stores no masks.
+        one xi series each.  The jobs whose points read the same columns
+        share their splitting terms (``_split_part``), whose factors are rows
+        of the run's stack of factor tables; each block of whole jobs then
+        takes one residue pass (``_block_values``), which gives every pivot
+        of every row.  A job's entries come in tuple order, so a cell's come
+        sorted, the order of ``support``, over its jobs by q; the nonzero ones
+        are stored.  A plan gathers them: each block's into the level's
+        evaluated entries, and each cell's from those in one gather.  A level
+        with no plan kept (``cells`` None) reads them one by one from its
+        jobs' rests, and stores no masks.  ``below`` lists the cells of the
+        level below, whose stored values the genus terms read.
         """
-        found = {cell: [None] * len(self.ram) for cell in cells}
-        stack = np.concatenate([self._factors(*cell)[1] for cell in reads])
-        parts = [self._split_part(pairs, jobs, cols, stack)
-                 for (cols, _), (pairs, jobs) in zip(self._col_groups, level.groups)]
-        del stack       # a copy of the factor tables: gone before the jobs form their xi
-        for (cols, _), (_, jobs), part in zip(self._col_groups, level.groups, parts):
-            base = 0
-            for g, n, q, rows, genus, entries in jobs:
-                xi = np.zeros((rows, 2 * self.nlen - 1), dtype=complex)
-                xi[:, cols] = part[base:base + rows]
-                base += rows
-                if (g, n) == (1, 1):
-                    xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
-                # one matmul per job: a one-row matmul is not a row of a stacked one, bitwise
-                vals = -(xi @ self.res_vec[q].T)
-                if genus is not None:
-                    vals -= self._genus_terms(g, n, q, rows, *genus)
+        stack = self._stack[:self._used]
+        lower = np.concatenate([self._cell_values(*cell) for cell in below]) if below else None
+        found = []          # the entries of each block, on a plan
+        got = {cell: [{} for _ in self.ram] for cell in cells} if level.cells is None else None
+        for (cols, _), (pairs, rows, blocks) in zip(self._col_groups, level.groups):
+            part = self._split_part(pairs, rows, cols, stack)
+            for block in blocks:
+                vals = self._block_values(block, part, cols, lower)
                 if level.cells is not None:
-                    found[g, n][q] = vals.ravel()[entries]
+                    found.append(vals.reshape(-1)[block.out])
                     continue
-                got = found[g, n][q] = {}
-                evaluated = 0
-                for idx, r, p in self._pivots(g, n, q, entries):
-                    evaluated += 1
-                    if (val := vals[r, p]) != 0:
-                        got[idx] = val
-                self.evaluated += evaluated
-        self.products += sum(pairs.shape[1] for pairs, _ in level.groups)
+                for g, n, q, rests, first in block.out:
+                    out, evaluated = got[g, n][q], 0
+                    for idx, r, p in self._pivots(g, n, q, rests):
+                        evaluated += 1
+                        if (val := vals[first + r, p]) != 0:
+                            out[idx] = val
+                    self.evaluated += evaluated
+        self.products += sum(pairs.shape[1] for pairs, _, _ in level.groups)
         stored = dict.fromkeys(cells)
-        for cell in cells:
-            if level.cells is None:
+        if level.cells is None:
+            for cell in cells:
                 entries = self.table.entries[cell] = {}
-                for got in found[cell]:
-                    entries.update(got)
-                continue
-            keys, vals = level.cells[cell], np.concatenate(found[cell])
-            self.evaluated += len(keys)
+                for out in got[cell]:
+                    entries.update(out)
+            return stored
+        found = np.concatenate(found) if found else np.empty(0, dtype=complex)
+        for cell in cells:
+            keys = level.cells[cell]
+            vals = found[keys.gather]
+            self.evaluated += len(vals)
             keep = stored[cell] = vals != 0
+            if not _same(keep, keys.stored):
+                keys = level.cells[cell] = keys._replace(
+                    stored=keep, tuples=list(map(tuple, keys.keys[keep].tolist())))
             vals = self._values[cell] = vals[keep]
-            self.table.entries[cell] = dict(zip(map(tuple, keys[keep].tolist()), vals))
+            self.table.entries[cell] = dict(zip(keys.tuples, vals))
         return stored
 
-    def _split_part(self, pairs, jobs, cols, stack):
-        """Columns ``cols`` of the splitting terms of every row of a column group's ``jobs``.
+    def _split_part(self, pairs, rows, cols, stack):
+        """Columns ``cols`` of the splitting terms of a column group's ``rows`` rows.
 
         Each pair of nonzero lower-cell factors adds its product to the rest
         their merged legs make, once per leg-position subset that gives the
@@ -596,7 +675,7 @@ class _EoEngine(_CellRecursion):
         flat part, column by column of each subset: the order per entry of
         a row-wise add, at a third of its cost.
         """
-        part = np.zeros((sum(job[3] for job in jobs), len(cols)), dtype=complex)
+        part = np.zeros((rows, len(cols)), dtype=complex)
         first, second, at, ways = pairs
         flip = self._flip[::-1].copy()      # a reversed view would take a slow buffered loop
         width = np.arange(len(cols))
@@ -609,44 +688,124 @@ class _EoEngine(_CellRecursion):
             np.add.at(part.reshape(-1), flat.ravel(), terms[each].ravel())
         return part
 
-    def _genus_terms(self, g, n, q, nrows, at, a, b, src):
-        """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
+    def _block_values(self, block, part, cols, lower):
+        """-(xi @ res_vec[q].T) less the genus terms, for every row of a ``_Block``.
 
-        An entry of omega_{g-1,n+1} at (a, b, rest), the ``src``-th stored,
-        adds its value times C[p, a, b] + C[p, b, a] (once for a = b) to (its
-        row ``at``, pivot p).
+        A row's xi holds its part's columns ``cols`` and, for (1, 1), B(z, -z)
+        too.  One matmul takes every row; a one-row job's matmul is not a row
+        of a larger one, bitwise, so one stacked (J, 1, W) matmul takes those
+        rows again, each with the bits of its job's own.  The genus terms of
+        all the jobs are one gather from ``res_tensor`` and one flat add: an
+        entry of omega_{g-1,n+1} at (a, b, rest), whose value is
+        ``lower[src]``, adds that value times C[q, p, a, b] + C[q, p, b, a]
+        (once for a = b) to its row at every pivot p.  Jobs have rows of their
+        own, so each row gets its adds in its job's entry order.
         """
-        out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
-        if len(at):
-            c = self.res_tensor[q]
-            vals = self._cell_values(g - 1, n + 1)[src]
-            terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
-            np.add.at(out, at, terms.T)
-        return out
+        start, stop, q, ones, b11, genus, _ = block
+        npiv = self.res_tensor.shape[1]
+        xi = np.zeros((stop - start, 2 * self.nlen - 1), dtype=complex)
+        xi[:, cols] = part[start:stop]
+        if b11 is not None:
+            rows, qs = b11
+            xi[rows, -self.lo:-self.lo + self.nlen] += self.b_pm[qs]
+        res = self.res_vec[q].T
+        vals = xi @ res
+        if ones is not None:
+            vals[ones] = (xi[ones, None] @ res)[:, 0]
+        np.negative(vals, out=vals)
+        if genus is not None:
+            at, qs, a, b, src = genus
+            c = self.res_tensor
+            pair = c[qs, :, a, b] + np.where((a != b)[:, None], c[qs, :, b, a], 0)
+            terms = pair * lower[src, None]
+            adds = np.zeros_like(vals)
+            flat = at[:, None] * npiv + np.arange(npiv)
+            np.add.at(adds.reshape(-1), flat.ravel(), terms.ravel())
+            vals -= adds
+        return vals
 
     # the plan ------------------------------------------------------------------
 
-    def _record(self, cells, stored, reads, keep):
+    def _record(self, cells, stored, keep):
         """The ``_Level`` of ``cells`` under the keys the level below ``stored``.
 
-        ``reads`` lists the cells whose factor tables the level stacks, in
-        order.  Unless ``keep``, the level is for this run alone: its jobs
-        hold their rests for the fill to read the entries from, and it keeps
-        no keys or masks.
+        Unless ``keep``, the level is for this run alone: its blocks hold
+        their jobs for the fill to read the entries from, and it keeps no
+        keys or masks.
         """
-        sizes = [len(self._factors(*cell)[1]) for cell in reads]
-        offsets = dict(zip(reads, itertools.accumulate(sizes, initial=0)))
-        groups, keys = [], {cell: [None] * len(self.ram) for cell in cells}
+        sizes = [len(self._cell_values(*cell)) for cell in stored]
+        lower = dict(zip(stored, itertools.accumulate(sizes, initial=0)))
+        groups, spans = [], {}
+        done = 0            # the entries the jobs before evaluate, in the fill's order
         for _, points in self._col_groups:
-            jobs = [(g, n, q) for g, n in cells for q in points]
-            pairs, planned, job_keys = self._record_jobs(jobs, offsets, keep)
-            groups.append((pairs, planned))
-            for (g, n, q), k in zip(jobs, job_keys):
-                keys[g, n][q] = k
+            # the jobs at the points of one D one after another: a block has one D
+            jobs = [(g, n, q) for d in dict.fromkeys(self._d_point[q] for q in points)
+                    for g, n in cells for q in points if self._d_point[q] == d]
+            pairs, planned, keys = self._record_jobs(jobs, self._offsets, keep)
+            groups.append((pairs, *self._blocks(planned, lower, keep)))
+            for job, k in zip(jobs, keys if keep else ()):
+                spans[job] = np.arange(done, done + len(k), dtype=np.int32), k
+                done += len(k)
         if not keep:
             return _Level(None, None, tuple(groups), None)
+        plans = {}
+        for g, n in cells:
+            gather, keys = zip(*(spans[g, n, q] for q in range(len(self.ram))))
+            plans[g, n] = _Keys(np.concatenate(gather), np.concatenate(keys), None, None)
         return _Level(stored, {cell: self._factor_cache[cell][0] for cell in stored},
-                      tuple(groups), {cell: np.concatenate(k) for cell, k in keys.items()})
+                      tuple(groups), plans)
+
+    def _blocks(self, jobs, lower, keep):
+        """(rows, blocks): a column group's rows and its residue passes, a ``_Block`` each.
+
+        ``jobs`` come as ``_record_jobs`` gives them, their rows one after
+        another.  A block takes whole jobs in order, at points with one D:
+        as many as keep its xi within ``_BLOCK_BYTES``, or one.  ``lower``
+        maps each cell of the level below to the offset of its stored values
+        in their stack.
+        """
+        npiv = (self.kmax + 1) // 2
+        most = max(1, _BLOCK_BYTES // (16 * (2 * self.nlen - 1)))     # rows of a block's xi
+        chunks, width, d = [], most, None
+        for job in jobs:
+            if not job[3]:
+                continue        # no rests: nothing to evaluate
+            if width + job[3] > most or self._d_point[job[2]] != d:
+                chunks.append([])
+                width, d = 0, self._d_point[job[2]]
+            chunks[-1].append(job)
+            width += job[3]
+        blocks, start = [], 0
+        for chunk in chunks:
+            firsts = list(itertools.accumulate((job[3] for job in chunk), initial=0))
+            ones = [first for job, first in zip(chunk, firsts) if job[3] == 1]
+            b11 = [(first, job[2]) for job, first in zip(chunk, firsts) if job[:2] == (1, 1)]
+            if keep:
+                out = np.concatenate([job[5] + first * npiv for job, first in zip(chunk, firsts)])
+            else:
+                out = [job[:3] + (job[5], first) for job, first in zip(chunk, firsts)]
+            blocks.append(_Block(start, start + firsts[-1], chunk[0][2],
+                                 np.array(ones) if ones else None,
+                                 tuple(map(np.array, zip(*b11))) if b11 else None,
+                                 self._block_genus(chunk, firsts, lower), out))
+            start += firsts[-1]
+        return start, blocks
+
+    def _block_genus(self, jobs, firsts, lower):
+        """The (row, q, a, b, src) arrays of the genus-term entries of a block's ``jobs``, or None.
+
+        ``firsts`` holds each job's first row in the block, ``lower`` the
+        offset of each lower cell's stored values in their stack.
+        """
+        have = [(job, first) for job, first in zip(jobs, firsts) if job[4] is not None]
+        counts = [len(job[4][0]) for job, _ in have]
+        if not sum(counts):
+            return None
+        shifts = np.array([(first, job[2], lower[job[0] - 1, job[1] + 1]) for job, first in have],
+                          dtype=np.int32)
+        first, q, offset = np.repeat(shifts.T, counts, axis=1)
+        at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
+        return at + first, q, a, b, src + offset
 
     def _record_jobs(self, jobs, offsets, keep=True):
         """(pairs, jobs, keys): the plan of ``jobs``, (g, n, q) each, and the keys each evaluates.
@@ -822,6 +981,12 @@ class _EoEngine(_CellRecursion):
 # thousands, whose whole stack would raise the run's peak memory by a third
 _STACK = 1024
 
+# bytes of xi a residue pass forms at most, unless one job alone needs more
+_BLOCK_BYTES = 1 << 21
+
+# bytes the run's stack of factor tables starts with; it doubles when full
+_STACK_START_BYTES = 1 << 20
+
 
 def _product_columns(f1, r2, cols):
     """Columns ``cols`` of ``np.convolve(f1[i], f2[i])`` for every row i, bitwise.
@@ -841,6 +1006,15 @@ def _product_columns(f1, r2, cols):
         lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
         out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
     return out
+
+
+def _same(mask, other):
+    """Whether the bool array ``mask`` equals ``other``, None or a bool array of its shape.
+
+    Equal bytes are equal masks; ``np.array_equal`` costs 20 times as much on
+    a mask of a few dozen entries, and a replay compares one per cell.
+    """
+    return other is not None and mask.tobytes() == other.tobytes()
 
 
 def _ways(legs1, legs2):

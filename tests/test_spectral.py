@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from swtr import spectral
 from swtr.airy import (
     GaugeData,
     _AtrEngine,
@@ -261,6 +262,8 @@ def test_oracle_keeps_full_enumeration():
 
 
 QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
+# D = 2 z^2: another D whose residue vectors read the columns of 4 z^2
+HALF = LaurentSeries({2: 2.0}, 2, 40)
 
 
 def _split_test_curve(ram, denom, seed=31):
@@ -342,6 +345,22 @@ def _cell_by_cell(fill):
     return run
 
 
+def _genus_terms(self, g, n, q, nrows, at, a, b, src):
+    """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
+
+    An entry of omega_{g-1,n+1} at (a, b, rest), the ``src``-th stored,
+    adds its value times C[p, a, b] + C[p, b, a] (once for a = b) to (its
+    row ``at``, pivot p).
+    """
+    out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
+    if len(at):
+        c = self.res_tensor[q]
+        vals = self._cell_values(g - 1, n + 1)[src]
+        terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
+        np.add.at(out, at, terms.T)
+    return out
+
+
 def _convolve_cell(self, g, n):
     """One cell, one point at a time, by one full ``np.convolve`` per pair: the
     oracle of ``_EoEngine.run``, which forms only the columns the residue reads,
@@ -363,7 +382,7 @@ def _convolve_cell(self, g, n):
             xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
         vals = -(xi @ self.res_vec[q].T)
         if genus is not None:
-            vals -= self._genus_terms(g, n, q, len(rows), *genus)
+            vals -= _genus_terms(self, g, n, q, len(rows), *genus)
         for idx, r, p in self._pivots(g, n, q, rows):
             self.evaluated += 1
             if (val := vals[r, p]) != 0:
@@ -440,10 +459,12 @@ def _table_bits(table):
 FILL_CASES = pytest.mark.parametrize("ram, chi, denom", [
     (("0", "1", "2", "3"), 4, QUARTIC),
     (("0", "1", "2", "3"), 4, {"1": QUARTIC, "3": QUARTIC}),
+    (("p", "q"), 4, {"q": HALF}),
     (("p", "q"), 5, None),
     (("0",), 6, None),
     (None, None, None),
-], ids=["4pt-chi4-quartic", "4pt-chi4-mixed", "2pt-chi5", "1pt-chi6", "verify-g2"])
+], ids=["4pt-chi4-quartic", "4pt-chi4-mixed", "2pt-chi4-two-d", "2pt-chi5", "1pt-chi6",
+        "verify-g2"])
 
 
 def _fill_case(ram, chi, denom, other=False):
@@ -513,6 +534,76 @@ def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
     other = _fill_case(ram, chi, denom, other=True)
     assert _counts(recorded) == _counts(other)
     assert _table_bits(recorded.table) == _table_bits(other.table)
+
+
+@FILL_CASES
+def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
+    # a level's residue passes taking one job each, or a whole column group
+    # each, give a shape's first, recording and replaying runs the values,
+    # key order and counts of the default blocks
+    def runs():
+        _plan.cache_clear()
+        return [_fill_case(ram, chi, denom) for _ in range(3)]
+
+    want = [(_counts(omega), _table_bits(omega.table)) for omega in runs()]
+    blocks = _EoEngine._blocks
+    for bound in (0, 1 << 40):
+        made = []       # (jobs with rows, their distinct D, blocks) per column group laid out
+
+        def counted(self, jobs, lower, keep):
+            rows, got = blocks(self, jobs, lower, keep)
+            busy = [job for job in jobs if job[3]]
+            made.append((len(busy), len({self._d_point[job[2]] for job in busy}), len(got)))
+            return rows, got
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_BLOCK_BYTES", bound)
+            m.setattr(_EoEngine, "_blocks", counted)
+            got = runs()
+        assert [(_counts(omega), _table_bits(omega.table)) for omega in got] == want, bound
+        assert [omega.engine.replayed for omega in got] == [0, 0, got[0].engine.chi_max]
+        assert made and all(n == (jobs if bound == 0 else ds) for jobs, ds, n in made), made
+        assert any(jobs > ds for jobs, ds, _ in made)
+    # the two D of 2pt-chi4-two-d read the same columns: one group, a block per D
+    if denom == {"q": HALF}:
+        assert [block.q for block in got[1].engine._plan.levels[-1].groups[0][2]] == [0, 1]
+
+
+def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
+    # on random xi rows, where sums of many terms round by their order, every
+    # job's rows come out of a block's residue pass with the bits of the
+    # job's own -(xi @ res_vec[q].T), one-row jobs and (1, 1)'s B(z, -z)
+    # included, at one job per block, the default bound and a block per D
+    rng = np.random.default_rng(67)
+    ram = ("p", "q", "r")
+    curve = LocalSpectralCurve(ram=ram, denom={"q": HALF, "r": QUARTIC},
+                               bergman_reg=random_s(ram, 9, rng))
+    engine = _EoEngine(curve, 4, max_index_bound(4))
+    width = 2 * engine.nlen - 1
+    cols = np.arange(width)         # xi dense, not just on the columns res_vec reads
+    for _, points in engine._col_groups:
+        # jobs of 0 to 3 rows, those at the points of one D one after another,
+        # as a level lays them out
+        jobs, parts, want = [], [], []
+        for q in sorted(points * 20, key=engine._d_point.__getitem__):
+            size = int(rng.integers(0, 4))
+            cell = (1, 1) if size == 1 and rng.random() < 0.3 else (0, 5)
+            jobs.append(cell + (q, size, None, None))
+            xi = rng.standard_normal((size, width)) + 1j * rng.standard_normal((size, width))
+            parts.append(xi.copy())
+            if cell == (1, 1):
+                xi[0, -engine.lo:-engine.lo + engine.nlen] += engine.b_pm[q]
+            want.append(-(xi @ engine.res_vec[q].T))
+        part, want = np.concatenate(parts), np.concatenate(want)
+        busy = sum(job[3] > 0 for job in jobs)
+        for bound, count in ((0, busy), (spectral._BLOCK_BYTES, None),
+                             (1 << 40, len({engine._d_point[q] for q in points}))):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
+            rows, blocks = engine._blocks(jobs, {}, False)
+            assert rows == len(part) and len(blocks) == (count or len(blocks))
+            got = np.concatenate([engine._block_values(block, part, cols, None)
+                                  for block in blocks])
+            assert got.tobytes() == want.tobytes(), bound
 
 
 def _plan_arrays(node):
@@ -770,6 +861,22 @@ def test_stacked_setup_matches_per_point_copy_bitwise():
         assert engine.res_vec[0] is engine.res_vec[2] and engine.res_vec[1] is engine.res_vec[3]
         assert engine.res_vec[0] is not engine.res_vec[1]
         assert [points for _, points in engine._col_groups] == [[0, 2], [1, 3]]
+
+
+def test_stacked_residue_tensor_is_the_per_point_product_bitwise():
+    # res_tensor, formed for all the points in one stacked product, holds at
+    # each point the bits of that point's loc_p[q] @ H[q] @ loc_m[q].T
+    rng = np.random.default_rng(61)
+    for ram, denom, chi in ((("0",), {}, 5), (("p", "q", "r", "t"), {"q": QUARTIC, "t": HALF}, 3),
+                            (("0", "1", "2", "3"), {}, 4)):
+        curve = LocalSpectralCurve(ram=ram, denom=denom, bergman_reg=random_s(ram, 13, rng))
+        engine = _EoEngine(curve, chi, max_index_bound(chi))
+        hankel = engine._plan.residues[2]
+        npiv = (engine.kmax + 1) // 2
+        assert engine.res_tensor.shape == (len(ram), npiv, engine.dim, engine.dim)
+        for q in range(len(ram)):
+            ref = engine.loc_p[q] @ hankel[q] @ engine.loc_m[q].T
+            assert engine.res_tensor[q].tobytes() == ref.tobytes(), (ram, q)
 
 
 def test_kernel_matrix_does_not_depend_on_pair_order():
