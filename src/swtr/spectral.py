@@ -51,19 +51,17 @@ What a level enumerates (its pairs of factors, the rests they reach, the
 genus-term entries and the pivots of each rest) depends on the curve's shape
 alone (the number of points, D at each, chi_max and the mode window) and on
 which lower entries and factor rows are nonzero; the kernel values enter
-only the numbers.  So a run on a shape that ran before in the process
-records each level's plan as integer index arrays, and the runs after it
-replay the plan: they form the factor tables and gather, multiply, add and
-contract as recorded, with no Python per pair, entry, job or point.  A
-level is replayed only if the level below stored the keys it was recorded
-under and the factor tables have the recorded nonzero rows; else it and
-every later level are recorded afresh, so a sparser kernel (block-diagonal,
-zero) gets the tables of a fresh run.  A shape's first run keeps no plan,
-which a run made once per process would not pay back: it reads each entry
-out as it enumerates it.  All runs share one product pass and one residue
-pass, so their tables agree to the bit.  The plans, with D's residue
-tables, sit in an LRU of ``_PLAN_SLOTS`` shapes; a 4-point chi = 8 plan
-takes about 36 MB.
+only the numbers.  So every run of a shape either records a level's plan
+as integer index arrays or replays the plan a run before it recorded, and
+a replay forms the factor tables and gathers, multiplies, adds and
+contracts as recorded, with no Python per pair, entry, job or point.  A level is
+replayed only if the level below stored the keys it was recorded under and
+the factor tables have the recorded nonzero rows; else it and every later
+level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
+the tables of a fresh run, and a shape's first run records them all.  Both
+fill on the same plan, so their tables agree to the bit.  The plans, with
+D's residue tables, sit in an LRU of ``_PLAN_SLOTS`` shapes; a 4-point
+chi = 8 plan takes about 36 MB.
 
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
@@ -79,6 +77,7 @@ reach, and reports the largest of each, which must be 0.
 
 from __future__ import annotations
 
+import array
 import bisect
 import collections
 import functools
@@ -103,10 +102,11 @@ class LocalSpectralCurve:
     one-form; it must have only even exponents, a double zero at the origin
     and a nonzero z^2 coefficient.  ``bergman_reg`` maps mode pairs to the
     regular-part coefficients s^{(k,a)(k',b)} of the two-form, each pair in
-    one or both orders, which must agree.  It enters the recursion once, as
-    the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the largest k at a
-    label of ``ram``: row (a, k) is ``ram.index(a) * K + k - 1``.  Pairs at
-    other labels are dropped; of a pair in both orders the later one counts.
+    one or both orders, which must agree, every k an integer k >= 1.  It
+    enters the recursion once, as the symmetric matrix ``s`` over ``ram`` x
+    k = 1..K, K the largest k at a label of ``ram``: row (a, k) is
+    ``ram.index(a) * K + k - 1``.  Pairs at other labels are dropped; of a
+    pair in both orders the later one counts.
     """
 
     ram: tuple
@@ -141,6 +141,11 @@ class LocalSpectralCurve:
         m1s, m2s = zip(*reg) if reg else ((), ())
         pos = {lab: q for q, lab in enumerate(self.ram)}
         modes = dict.fromkeys(m1s + m2s)
+        bad = [m for m in modes if not isinstance(m[0], (int, np.integer)) or m[0] < 1]
+        if bad:
+            m1, m2 = next(pair for pair in reg if pair[0] in bad or pair[1] in bad)
+            raise ValueError(f"bergman_reg pair ({m1}, {m2}) has mode k = "
+                             f"{(m1 if m1 in bad else m2)[0]!r}: a mode needs an integer k >= 1")
         top = max((k for k, lab in modes if lab in pos), default=0)
         dim = len(self.ram) * top
         other = itertools.count(dim)        # rows past s: the modes at other labels
@@ -228,8 +233,7 @@ class _Block(NamedTuple):
     entries, in job order and each job's entry order, src indexing the
     stored values of the level below stacked in cell order.  ``out`` is the
     flat gather row * npiv + p of each entry the jobs evaluate, in job and
-    tuple order; in a level a run keeps for itself alone, the jobs (g, n, q,
-    rests, first row) whose entries are read out one by one.
+    tuple order.
     """
 
     start: int
@@ -238,20 +242,21 @@ class _Block(NamedTuple):
     ones: np.ndarray
     b11: tuple
     genus: tuple
-    out: object
+    out: np.ndarray
 
 
 class _Keys(NamedTuple):
-    """A recorded cell's entries: where they sit, their keys, and the dict keys last stored.
+    """A recorded level's entries: where they sit, their keys, and the dict keys last stored.
 
-    ``gather`` indexes the level's evaluated entries (the blocks' ``out``
-    laid end to end), in the cell's key order; ``keys`` holds the tuples as
-    a (count, n) array, ``stored`` the mask of the nonzero ones when the
-    level was last filled and ``tuples`` those keys as tuples, the table's
-    dict keys.
+    ``gather`` indexes the level's evaluated entries (the blocks' ``out`` laid
+    end to end) in key order: cell after cell, each cell's tuples sorted.
+    ``counts`` holds each cell's entries, ``keys`` their tuples end to end in
+    one integer array, ``stored`` the mask of those stored (nonzero) when the
+    level was last filled, ``tuples`` their keys as tuples, a list per cell.
     """
 
     gather: np.ndarray
+    counts: list
     keys: np.ndarray
     stored: np.ndarray
     tuples: list
@@ -260,24 +265,22 @@ class _Keys(NamedTuple):
 class _Level(NamedTuple):
     """The integer plan of one level: what its lower cells' key pattern decides.
 
-    ``lower`` maps each cell of the level below to which of its planned keys
-    were stored (nonzero) when the level was recorded, ``factors`` to its
-    factor table's rows (their nonzero masks as recorded).  ``groups`` holds
-    (pairs, rows, blocks) per column group.  ``pairs`` is (4, P): the first
-    and the second factor's row in the run's stack of factor tables, the row
-    of the group's part the product adds to, and the number of times it
-    adds; ``rows`` counts the part's rows, and the ``_Block`` list splits
-    them into residue passes of whole jobs.  A job is one cell at one point:
-    its rows are its rests.  ``cells`` maps each cell of the level to its
-    ``_Keys``, the jobs' in order of q: sorted.  A level a run keeps for
-    itself alone (a shape's first run) has ``lower``, ``factors`` and
-    ``cells`` None, and its blocks hold their jobs.
+    ``lower`` is the mask of the planned entries of the level below that
+    were stored (nonzero) when the level was recorded, ``factors`` maps each
+    cell of the level below to its factor table's rows (their nonzero masks
+    as recorded).  ``groups`` holds (pairs, rows, blocks) per column group.
+    ``pairs`` is (4, P): the first and the second factor's row in the run's
+    stack of factor tables, the row of the group's part the product adds
+    to, and the number of times it adds; ``rows`` counts the part's rows,
+    and the ``_Block`` list splits them into residue passes of whole jobs.
+    A job is one cell at one point: its rows are its rests.  ``keys`` is the
+    level's ``_Keys``.
     """
 
-    lower: dict
+    lower: np.ndarray
     factors: dict
     groups: tuple
-    cells: dict
+    keys: _Keys
 
 
 class _Plan:
@@ -285,15 +288,13 @@ class _Plan:
 
     ``residues`` is (res_vec, res_cols, the Hankel gather stacked over the
     points, column groups), formed by the first engine of the shape;
-    ``levels`` holds the ``_Level`` of each
-    chi as the last run recorded it, and ``runs`` counts the runs.  No value
-    of the kernel data s enters any of them.
+    ``levels`` holds the ``_Level`` of each chi as the last run recorded or
+    filled it.  No value of the kernel data s enters any of them.
     """
 
     def __init__(self):
         self.residues = None
         self.levels = []
-        self.runs = 0
 
 
 # recursion plans kept, least recently used first out: one per curve shape
@@ -563,51 +564,49 @@ class _EoEngine(_CellRecursion):
         the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
         cells and points of a level share one product pass (``_fill``).  The
         factor tables of the run go into one stack as the cells are first
-        read (``_place``).  The first run on a curve shape reads each entry
-        out as it enumerates it and keeps no plan.  A later run records each
-        level's plan (``_record``), and the runs after it replay a level's
-        plan when the level below stored the keys it was recorded under and
-        its factor tables have the recorded nonzero rows; else that level and
-        every later one are recorded afresh.
+        read (``_place``).  A level is filled on the plan a run before this
+        one recorded for it when the level below stored the keys it was
+        recorded under and its factor tables have the recorded nonzero rows;
+        else this run records the plan of that level and of every later one
+        (``_record``) and fills on it.  So a shape's first run records them
+        all, and the runs after it replay them.
         """
-        plan = self._plan
-        keep = plan.runs > 0        # the shape ran before: a plan pays off from the next run
-        plan.runs += 1
-        levels = plan.levels
-        stored = {}         # of each cell of the level below: which planned keys it stored
+        levels = self._plan.levels
+        # the level below: its cells, which planned entries it stored, their values
+        below, stored, values = [], np.zeros(0, dtype=bool), None
         start = max(1, _STACK_START_BYTES // (16 * self.nlen))
         self._stack, self._used, self._offsets = np.empty((start, self.nlen), dtype=complex), 0, {}
         self._factor_cache[(0, 2)] = self._factor_table(0, 2, place=True)
-        replay = keep
+        replay = True
         chis = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
         for i, (_, cells) in enumerate(chis):
             cells = list(cells)
             for g, n in cells:
                 self.allowed(g, n)      # every mode within the degree bound is allowed
             level = levels[i] if replay and i < len(levels) else None
-            replay = level is not None and all(
-                _same(mask, level.lower[cell]) for cell, mask in stored.items())
+            replay = level is not None and _same(stored, level.lower)
             # the level below is first read here, as factors
-            for cell in stored:
+            for cell in below:
                 rows = level.factors[cell] if replay else None
                 self._factor_cache[cell] = self._factor_table(*cell, rows, place=True)
                 replay = replay and self._factor_cache[cell][0] is rows
             if replay:
                 self.replayed += 1
             else:
-                level = self._record(cells, stored, keep)
-                if keep:
-                    del levels[i:]
-                    levels.append(level)
-            stored = self._fill(cells, level, list(stored))
+                level = self._record(cells, below, stored)
+            stored, values, keys = self._fill(cells, level, values)
+            if keys is not level.keys:
+                levels[i:i + 1] = [level._replace(keys=keys)]
+            below = cells
             for g, n in cells:
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
             self._cell_cache.clear()
         self._stack = None          # the cached tables hold it until they are freed
         return self.table
 
-    def _fill(self, cells, level, below):
-        """Fill a level's cells on its plan; return, per cell, which planned keys it stored.
+    def _fill(self, cells, level, lower):
+        """Fill a level's cells on its plan; return which planned entries they stored, the
+        values stored and the level's ``_Keys`` as filled.
 
         A job is one cell at one point q: its entries whose pivot sits at q,
         grouped by their other legs, the rest.  A job's rows are its rests,
@@ -615,52 +614,32 @@ class _EoEngine(_CellRecursion):
         share their splitting terms (``_split_part``), whose factors are rows
         of the run's stack of factor tables; each block of whole jobs then
         takes one residue pass (``_block_values``), which gives every pivot
-        of every row.  A job's entries come in tuple order, so a cell's come
-        sorted, the order of ``support``, over its jobs by q; the nonzero ones
-        are stored.  A plan gathers them: each block's into the level's
-        evaluated entries, and each cell's from those in one gather.  A level
-        with no plan kept (``cells`` None) reads them one by one from its
-        jobs' rests, and stores no masks.  ``below`` lists the cells of the
-        level below, whose stored values the genus terms read.
+        of every row, and gathers its entries.  One gather puts the level's
+        entries in key order, cell after cell, each cell's sorted, the order
+        of ``support``; the nonzero ones are stored.  ``lower`` holds the
+        values the level below stored, cell after cell, which the genus
+        terms read.
         """
         stack = self._stack[:self._used]
-        lower = np.concatenate([self._cell_values(*cell) for cell in below]) if below else None
-        found = []          # the entries of each block, on a plan
-        got = {cell: [{} for _ in self.ram] for cell in cells} if level.cells is None else None
+        found = []          # the entries of each block
         for (cols, _), (pairs, rows, blocks) in zip(self._col_groups, level.groups):
             part = self._split_part(pairs, rows, cols, stack)
             for block in blocks:
-                vals = self._block_values(block, part, cols, lower)
-                if level.cells is not None:
-                    found.append(vals.reshape(-1)[block.out])
-                    continue
-                for g, n, q, rests, first in block.out:
-                    out, evaluated = got[g, n][q], 0
-                    for idx, r, p in self._pivots(g, n, q, rests):
-                        evaluated += 1
-                        if (val := vals[first + r, p]) != 0:
-                            out[idx] = val
-                    self.evaluated += evaluated
+                found.append(self._block_values(block, part, cols, lower).reshape(-1)[block.out])
         self.products += sum(pairs.shape[1] for pairs, _, _ in level.groups)
-        stored = dict.fromkeys(cells)
-        if level.cells is None:
-            for cell in cells:
-                entries = self.table.entries[cell] = {}
-                for out in got[cell]:
-                    entries.update(out)
-            return stored
-        found = np.concatenate(found) if found else np.empty(0, dtype=complex)
-        for cell in cells:
-            keys = level.cells[cell]
-            vals = found[keys.gather]
-            self.evaluated += len(vals)
-            keep = stored[cell] = vals != 0
-            if not _same(keep, keys.stored):
-                keys = level.cells[cell] = keys._replace(
-                    stored=keep, tuples=list(map(tuple, keys.keys[keep].tolist())))
-            vals = self._values[cell] = vals[keep]
-            self.table.entries[cell] = dict(zip(keys.tuples, vals))
-        return stored
+        plan = level.keys
+        vals = (np.concatenate(found) if found else np.empty(0, dtype=complex))[plan.gather]
+        self.evaluated += len(vals)
+        stored = vals != 0
+        if not _same(stored, plan.stored):
+            plan = plan._replace(stored=stored, tuples=_stored_tuples(cells, plan, stored))
+        vals = vals[stored]
+        start = 0
+        for cell, keys in zip(cells, plan.tuples):
+            cell_vals = self._values[cell] = vals[start:start + len(keys)]
+            self.table.entries[cell] = dict(zip(keys, cell_vals))
+            start += len(keys)
+        return stored, vals, plan
 
     def _split_part(self, pairs, rows, cols, stack):
         """Columns ``cols`` of the splitting terms of a column group's ``rows`` rows.
@@ -726,43 +705,37 @@ class _EoEngine(_CellRecursion):
 
     # the plan ------------------------------------------------------------------
 
-    def _record(self, cells, stored, keep):
-        """The ``_Level`` of ``cells`` under the keys the level below ``stored``.
-
-        Unless ``keep``, the level is for this run alone: its blocks hold
-        their jobs for the fill to read the entries from, and it keeps no
-        keys or masks.
-        """
-        sizes = [len(self._cell_values(*cell)) for cell in stored]
-        lower = dict(zip(stored, itertools.accumulate(sizes, initial=0)))
-        groups, spans = [], {}
+    def _record(self, cells, below, stored):
+        """The ``_Level`` of ``cells`` under the keys ``stored`` of the level ``below``."""
+        sizes = [len(self._cell_values(*cell)) for cell in below]
+        lower = dict(zip(below, itertools.accumulate(sizes, initial=0)))
+        groups, spans, keys = [], {}, {}
         done = 0            # the entries the jobs before evaluate, in the fill's order
         for _, points in self._col_groups:
             # the jobs at the points of one D one after another: a block has one D
             jobs = [(g, n, q) for d in dict.fromkeys(self._d_point[q] for q in points)
                     for g, n in cells for q in points if self._d_point[q] == d]
-            pairs, planned, keys = self._record_jobs(jobs, self._offsets, keep)
-            groups.append((pairs, *self._blocks(planned, lower, keep)))
-            for job, k in zip(jobs, keys if keep else ()):
-                spans[job] = np.arange(done, done + len(k), dtype=np.int32), k
-                done += len(k)
-        if not keep:
-            return _Level(None, None, tuple(groups), None)
-        plans = {}
-        for g, n in cells:
-            gather, keys = zip(*(spans[g, n, q] for q in range(len(self.ram))))
-            plans[g, n] = _Keys(np.concatenate(gather), np.concatenate(keys), None, None)
-        return _Level(stored, {cell: self._factor_cache[cell][0] for cell in stored},
-                      tuple(groups), plans)
+            pairs, planned, flat, got = self._record_jobs(jobs, self._offsets)
+            groups.append((pairs, *self._blocks(planned, flat, lower)))
+            for job, job_keys in zip(planned, got):
+                spans[job[:3]], keys[job[:3]] = range(done, done + job[5]), job_keys
+                done += job[5]
+        # in key order: cell after cell, and in a cell by point
+        jobs = [(g, n, q) for g, n in cells for q in range(len(self.ram))]
+        gather = np.fromiter(itertools.chain.from_iterable(map(spans.get, jobs)), np.int32, done)
+        counts = [sum(len(spans[g, n, q]) for q in range(len(self.ram))) for g, n in cells]
+        return _Level(stored, {cell: self._factor_cache[cell][0] for cell in below},
+                      tuple(groups),
+                      _Keys(gather, counts, np.concatenate(list(map(keys.get, jobs))), None, None))
 
-    def _blocks(self, jobs, lower, keep):
+    def _blocks(self, jobs, flat, lower):
         """(rows, blocks): a column group's rows and its residue passes, a ``_Block`` each.
 
-        ``jobs`` come as ``_record_jobs`` gives them, their rows one after
-        another.  A block takes whole jobs in order, at points with one D:
-        as many as keep its xi within ``_BLOCK_BYTES``, or one.  ``lower``
-        maps each cell of the level below to the offset of its stored values
-        in their stack.
+        ``jobs`` and ``flat`` come as ``_record_jobs`` gives them, the jobs'
+        rows one after another.  A block takes whole jobs in order, at points
+        with one D: as many as keep its xi within ``_BLOCK_BYTES``, or one.
+        ``lower`` maps each cell of the level below to the offset of its
+        stored values in their stack.
         """
         npiv = (self.kmax + 1) // 2
         most = max(1, _BLOCK_BYTES // (16 * (2 * self.nlen - 1)))     # rows of a block's xi
@@ -775,20 +748,19 @@ class _EoEngine(_CellRecursion):
                 width, d = 0, self._d_point[job[2]]
             chunks[-1].append(job)
             width += job[3]
-        blocks, start = [], 0
+        blocks, start, done = [], 0, 0
         for chunk in chunks:
             firsts = list(itertools.accumulate((job[3] for job in chunk), initial=0))
             ones = [first for job, first in zip(chunk, firsts) if job[3] == 1]
             b11 = [(first, job[2]) for job, first in zip(chunk, firsts) if job[:2] == (1, 1)]
-            if keep:
-                out = np.concatenate([job[5] + first * npiv for job, first in zip(chunk, firsts)])
-            else:
-                out = [job[:3] + (job[5], first) for job, first in zip(chunk, firsts)]
+            count = sum(job[5] for job in chunk)
             blocks.append(_Block(start, start + firsts[-1], chunk[0][2],
                                  np.array(ones) if ones else None,
                                  tuple(map(np.array, zip(*b11))) if b11 else None,
-                                 self._block_genus(chunk, firsts, lower), out))
+                                 self._block_genus(chunk, firsts, lower),
+                                 flat[done:done + count] - start * npiv))
             start += firsts[-1]
+            done += count
         return start, blocks
 
     def _block_genus(self, jobs, firsts, lower):
@@ -807,8 +779,8 @@ class _EoEngine(_CellRecursion):
         at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
         return at + first, q, a, b, src + offset
 
-    def _record_jobs(self, jobs, offsets, keep=True):
-        """(pairs, jobs, keys): the plan of ``jobs``, (g, n, q) each, and the keys each evaluates.
+    def _record_jobs(self, jobs, offsets):
+        """(pairs, jobs, flat, keys): the plan of ``jobs``, (g, n, q) each, and their entries.
 
         A job's rows are the rests of its genus-term entries (``_first_rows``)
         and then those its splitting-term pairs reach.  The first factor is a
@@ -816,19 +788,20 @@ class _EoEngine(_CellRecursion):
         (``_factor_rows``), each a row of the stack of factor tables, in which
         a cell's table starts at its ``offsets`` entry.  A pair adds to the
         rest their merged legs make, once per leg-position subset that gives
-        the pair (``_ways``).  The entries are the pivots the rests take
-        (``_pivots``): with ``keep`` a job gathers them and its keys come
-        along; else the job holds its rests and the keys are None.
+        the pair (``_ways``).  The jobs come back as (g, n, q, rows,
+        genus-term entries, entries), rows and entries counted.  The entries
+        are the pivots the rests take (``_pivots``): ``flat`` holds where each
+        sits in the part's rows of the jobs, job after job, and ``keys`` each
+        job's tuples end to end in an integer array.
         """
-        pairs, out, keys = [], [], []
+        pairs, out, flat, keys = [], [], array.array("i"), []
         found = []          # pairs not yet in ``pairs``, four numbers each
-        npiv = (self.kmax + 1) // 2
         base = 0
         for g, n, q in jobs:
             rows, genus = self._first_rows(g, n, q)
             first = self.index[(1, self.ram[q])]    # every rest here starts at q's modes or later
             room = 3 * g - 3 + n                    # no rest has a larger degree sum
-            for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
+            for g1, n1, g2, n2 in _factor_cells(g, n):
                 ones, deg1 = self._factor_rows(g1, n1, q)
                 twos, deg2 = self._factor_rows(g2, n2, q)
                 at1, at2 = offsets[g1, n1], offsets[g2, n2]
@@ -846,48 +819,52 @@ class _EoEngine(_CellRecursion):
             if len(found) > _STACK * 64:     # a list holds each number as an object
                 pairs.append(np.array(found, dtype=np.int32))
                 found = []
-            if keep:
-                flat, idx = [], []
-                for key, r, p in self._pivots(g, n, q, rows):
-                    idx += key
-                    flat.append(r * npiv + p)
-                out.append((g, n, q, len(rows), genus, np.array(flat, dtype=np.int32)))
-                keys.append(np.array(idx, dtype=self._key_type).reshape(-1, n))
-            else:
-                out.append((g, n, q, len(rows), genus, rows))
-                keys.append(None)
+            got = self._pivots(rows, first, room, base, flat)
+            keys.append(np.fromiter(itertools.chain.from_iterable(got), self._key_type,
+                                    len(got) * n))
+            out.append((g, n, q, len(rows), genus, len(got)))
             base += len(rows)
         pairs.append(np.array(found, dtype=np.int32))
         pairs = np.concatenate(pairs).reshape(-1, 4).T.copy()
-        return pairs, tuple(out), keys
+        return pairs, tuple(out), np.frombuffer(flat, dtype=np.intc), keys
 
-    def _pivots(self, g, n, q, rows):
-        """(tuple, row, pivot p) of each entry at the point q with its rest in ``rows``, sorted.
+    def _pivots(self, rows, first, room, base, flat):
+        """The tuples of the entries of a job with its rests in ``rows``, sorted.
 
-        The pivot is the mode (2p + 1) at q within the degree budget the rest
-        leaves, and no larger than the rest's first leg: the first index of
-        the sorted tuple.  So the tuples sort by pivot, then by rest.
+        The pivot is a mode (2p + 1) at the job's point, from its first mode
+        ``first``, within the budget ``room`` less the rest's degree, and no
+        larger than the rest's first leg.  So the tuples sort by pivot, then
+        by rest.  Each entry's (base + row) * npiv + p, row its rest's, goes
+        on ``flat``.
         """
-        first, room = self.index[(1, self.ram[q])], 3 * g - 3 + n
-        by_pivot = []           # the rests that take each pivot, sorted
-        for rest in sorted(rows):
-            top = room - sum(map(self.degree.__getitem__, rest))
-            if rest:
-                top = min(top, rest[0] - first)
-            while len(by_pivot) <= top:
-                by_pivot.append([])
-            for p in range(top + 1):
-                by_pivot[p].append(rest)
-        for p, rests in enumerate(by_pivot):
-            for rest in rests:
-                yield (first + p,) + rest, rows[rest], p
+        npiv = (self.kmax + 1) // 2
+        rests = sorted(rows)
+        # every rest takes p = 0: the pairs and entries that reach it fit its budget
+        keys = [(first,) + rest for rest in rests]
+        at = [(base + row) * npiv for row in map(rows.__getitem__, rests)]
+        flat.extend(at)
+        # the rests that take p = 1 and up, with the largest p each takes
+        if rests == [()]:       # a one-leg cell's job: the empty rest alone
+            more = [((), at[0], room)]
+        else:
+            degree = self.degree.__getitem__
+            more = [(rest, a, top) for rest, a in zip(rests, at) if rest[0] > first
+                    and (top := min(rest[0] - first, room - sum(map(degree, rest)))) > 0]
+        p = 1
+        while more:
+            head = (first + p,)
+            keys += [head + rest for rest, _, _ in more]
+            flat.extend([a + p for _, a, _ in more])
+            p += 1
+            more = [m for m in more if m[2] >= p]
+        return keys
 
     def _reached(self, g, n):
         """The tuples the fill of a cell reaches, enumerated afresh, with no products formed."""
         # the factor rows' offsets in the stack do not matter: only the keys are read
-        _, _, keys = self._record_jobs([(g, n, q) for q in range(len(self.ram))],
-                                       collections.defaultdict(int))
-        return set(map(tuple, np.concatenate(keys).tolist()))
+        _, _, _, keys = self._record_jobs([(g, n, q) for q in range(len(self.ram))],
+                                          collections.defaultdict(int))
+        return set(zip(*[iter(np.concatenate(keys).tolist())] * n))
 
     def _genus_triples(self, g, n):
         """(rests, their first legs, a, b, src) over the entries of omega_{g-1,n+1}
@@ -1008,11 +985,28 @@ def _product_columns(f1, r2, cols):
     return out
 
 
+def _stored_tuples(cells, keys, stored):
+    """Each cell's ``stored`` entries of a level's ``_Keys`` as tuples: the table's dict keys."""
+    numbers, kept = iter(keys.keys.tolist()), stored.tolist()
+    tuples, start = [], 0
+    for (_, n), count in zip(cells, keys.counts):
+        every = itertools.islice(zip(*[numbers] * n), count)
+        tuples.append(list(itertools.compress(every, kept[start:start + count])))
+        start += count
+    return tuples
+
+
+@functools.cache
+def _factor_cells(g, n):
+    """The (g1, n1, g2, n2) of the factors of ``_splits(g, n)``, each once, in their order."""
+    return tuple(dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)))
+
+
 def _same(mask, other):
     """Whether the bool array ``mask`` equals ``other``, None or a bool array of its shape.
 
     Equal bytes are equal masks; ``np.array_equal`` costs 20 times as much on
-    a mask of a few dozen entries, and a replay compares one per cell.
+    a mask of a few dozen entries, and a replay compares a few per level.
     """
     return other is not None and mask.tobytes() == other.tobytes()
 
@@ -1028,7 +1022,11 @@ def _ways(legs1, legs2):
 def eo_run(curve, chi_max, kmax=None, extra_order=0):
     """All omega_{g,n} with 2g - 2 + n <= chi_max as bergman-basis tensors."""
     if chi_max < 1:
-        raise ValueError("chi_max must be at least 1")
+        raise ValueError(f"chi_max must be at least 1, got {chi_max}")
+    if kmax is not None and kmax < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
+    if extra_order < 0:
+        raise ValueError(f"extra_order must be at least 0, got {extra_order}")
     if kmax is None:
         kmax = max_index_bound(chi_max)
     engine = _EoEngine(curve, chi_max, kmax, extra_order)

@@ -361,6 +361,28 @@ def _genus_terms(self, g, n, q, nrows, at, a, b, src):
     return out
 
 
+def _pivots(self, g, n, q, rows):
+    """(tuple, row, pivot p) of each entry at the point q with its rest in
+    ``rows``, sorted: the per-entry reference of ``_EoEngine._pivots``.
+
+    The pivot is the mode (2p + 1) at q within the degree budget the rest
+    leaves, and no larger than the rest's first leg.
+    """
+    first, room = self.index[(1, self.ram[q])], 3 * g - 3 + n
+    by_pivot = []           # the rests that take each pivot, sorted
+    for rest in sorted(rows):
+        top = room - sum(map(self.degree.__getitem__, rest))
+        if rest:
+            top = min(top, rest[0] - first)
+        while len(by_pivot) <= top:
+            by_pivot.append([])
+        for p in range(top + 1):
+            by_pivot[p].append(rest)
+    for p, rests in enumerate(by_pivot):
+        for rest in rests:
+            yield (first + p,) + rest, rows[rest], p
+
+
 def _convolve_cell(self, g, n):
     """One cell, one point at a time, by one full ``np.convolve`` per pair: the
     oracle of ``_EoEngine.run``, which forms only the columns the residue reads,
@@ -383,7 +405,7 @@ def _convolve_cell(self, g, n):
         vals = -(xi @ self.res_vec[q].T)
         if genus is not None:
             vals -= _genus_terms(self, g, n, q, len(rows), *genus)
-        for idx, r, p in self._pivots(g, n, q, rows):
+        for idx, r, p in _pivots(self, g, n, q, rows):
             self.evaluated += 1
             if (val := vals[r, p]) != 0:
                 cell[idx] = val
@@ -517,21 +539,21 @@ def _counts(omega):
 
 @FILL_CASES
 def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
-    # a shape's first run keeps no plan, its second records one, and a run on
-    # the plan that other kernel data recorded gives the values, key order
-    # and counts of a run with no plan; so does the recording run
+    # a shape's first run records every level's plan, and a run on the plan
+    # that other kernel data recorded gives the values, key order and counts
+    # of the run that records its own; each kernel's data both ways
     _plan.cache_clear()
-    fresh = _fill_case(ram, chi, denom)
-    assert not fresh.engine._plan.levels
     recorded = _fill_case(ram, chi, denom, other=True)
     assert len(recorded.engine._plan.levels) == recorded.engine.chi_max
     replayed = _fill_case(ram, chi, denom)
-    assert (fresh.engine.replayed, recorded.engine.replayed) == (0, 0)
-    assert replayed.engine.replayed == replayed.engine.chi_max
+    _plan.cache_clear()
+    fresh = _fill_case(ram, chi, denom)
+    assert len(fresh.engine._plan.levels) == fresh.engine.chi_max
+    other = _fill_case(ram, chi, denom, other=True)
+    runs, top = (recorded, replayed, fresh, other), fresh.engine.chi_max
+    assert [omega.engine.replayed for omega in runs] == [0, top, 0, top]
     assert _counts(replayed) == _counts(fresh)
     assert _table_bits(replayed.table) == _table_bits(fresh.table)
-    _plan.cache_clear()
-    other = _fill_case(ram, chi, denom, other=True)
     assert _counts(recorded) == _counts(other)
     assert _table_bits(recorded.table) == _table_bits(other.table)
 
@@ -539,8 +561,8 @@ def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
 @FILL_CASES
 def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
     # a level's residue passes taking one job each, or a whole column group
-    # each, give a shape's first, recording and replaying runs the values,
-    # key order and counts of the default blocks
+    # each, give a shape's recording run and the two runs that replay it the
+    # values, key order and counts of the default blocks
     def runs():
         _plan.cache_clear()
         return [_fill_case(ram, chi, denom) for _ in range(3)]
@@ -550,8 +572,8 @@ def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
     for bound in (0, 1 << 40):
         made = []       # (jobs with rows, their distinct D, blocks) per column group laid out
 
-        def counted(self, jobs, lower, keep):
-            rows, got = blocks(self, jobs, lower, keep)
+        def counted(self, jobs, flat, lower):
+            rows, got = blocks(self, jobs, flat, lower)
             busy = [job for job in jobs if job[3]]
             made.append((len(busy), len({self._d_point[job[2]] for job in busy}), len(got)))
             return rows, got
@@ -561,7 +583,8 @@ def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
             m.setattr(_EoEngine, "_blocks", counted)
             got = runs()
         assert [(_counts(omega), _table_bits(omega.table)) for omega in got] == want, bound
-        assert [omega.engine.replayed for omega in got] == [0, 0, got[0].engine.chi_max]
+        chi_max = got[0].engine.chi_max
+        assert [omega.engine.replayed for omega in got] == [0, chi_max, chi_max]
         assert made and all(n == (jobs if bound == 0 else ds) for jobs, ds, n in made), made
         assert any(jobs > ds for jobs, ds, _ in made)
     # the two D of 2pt-chi4-two-d read the same columns: one group, a block per D
@@ -573,13 +596,14 @@ def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
     # on random xi rows, where sums of many terms round by their order, every
     # job's rows come out of a block's residue pass with the bits of the
     # job's own -(xi @ res_vec[q].T), one-row jobs and (1, 1)'s B(z, -z)
-    # included, at one job per block, the default bound and a block per D
+    # included, at one job per block, the default bound and a block per D;
+    # the blocks' gathers of every pivot of every row give them in row order
     rng = np.random.default_rng(67)
     ram = ("p", "q", "r")
     curve = LocalSpectralCurve(ram=ram, denom={"q": HALF, "r": QUARTIC},
                                bergman_reg=random_s(ram, 9, rng))
     engine = _EoEngine(curve, 4, max_index_bound(4))
-    width = 2 * engine.nlen - 1
+    width, npiv = 2 * engine.nlen - 1, engine.res_tensor.shape[1]
     cols = np.arange(width)         # xi dense, not just on the columns res_vec reads
     for _, points in engine._col_groups:
         # jobs of 0 to 3 rows, those at the points of one D one after another,
@@ -588,7 +612,7 @@ def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
         for q in sorted(points * 20, key=engine._d_point.__getitem__):
             size = int(rng.integers(0, 4))
             cell = (1, 1) if size == 1 and rng.random() < 0.3 else (0, 5)
-            jobs.append(cell + (q, size, None, None))
+            jobs.append(cell + (q, size, None, size * npiv))
             xi = rng.standard_normal((size, width)) + 1j * rng.standard_normal((size, width))
             parts.append(xi.copy())
             if cell == (1, 1):
@@ -599,10 +623,11 @@ def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
         for bound, count in ((0, busy), (spectral._BLOCK_BYTES, None),
                              (1 << 40, len({engine._d_point[q] for q in points}))):
             monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
-            rows, blocks = engine._blocks(jobs, {}, False)
+            rows, blocks = engine._blocks(jobs, np.arange(len(part) * npiv, dtype=np.int32), {})
             assert rows == len(part) and len(blocks) == (count or len(blocks))
-            got = np.concatenate([engine._block_values(block, part, cols, None)
-                                  for block in blocks])
+            vals = [engine._block_values(block, part, cols, None) for block in blocks]
+            assert np.concatenate(vals).tobytes() == want.tobytes(), bound
+            got = np.concatenate([v.reshape(-1)[block.out] for v, block in zip(vals, blocks)])
             assert got.tobytes() == want.tobytes(), bound
 
 
@@ -634,14 +659,16 @@ def test_changed_pattern_forces_a_rebuild(ram, chi, first, then):
         return eo_run(LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=s), chi)
 
     _plan.cache_clear()
-    run(**first)
-    recorded = run(**first)     # the shape's second run records its plan
+    recorded = run(**first)     # the shape's first run records its plan
     rebuilt = run(**then, seed=1)
     assert rebuilt.engine.replayed < chi
-    # another one-form is another shape, whose first run keeps no plan; the
-    # same shape records afresh from the first level it cannot replay
-    assert len(recorded.engine._plan.levels) == chi
-    assert len(rebuilt.engine._plan.levels) == (0 if "denom" in then else chi)
+    # another one-form is another shape, whose first run records its own
+    # plan; the same shape records afresh from the first level it cannot
+    # replay
+    assert len(recorded.engine._plan.levels) == len(rebuilt.engine._plan.levels) == chi
+    assert (rebuilt.engine._plan is recorded.engine._plan) == ("denom" not in then)
+    if "denom" in then:
+        assert rebuilt.engine.replayed == 0
     # the plans hold no kernel value: only integer and bool arrays
     for plan in (recorded.engine._plan, rebuilt.engine._plan):
         for arr in _plan_arrays(plan.levels):
@@ -665,21 +692,20 @@ def test_level_recorded_under_other_masks_is_enumerated_afresh(field):
         return eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), chi)
 
     _plan.cache_clear()
-    run(0)
-    plan = run(0).engine._plan      # the shape's second run records its plan
+    plan = run(0).engine._plan      # the shape's first run records its plan
     level = plan.levels[3]
-    masks = dict(getattr(level, field))
-    cell = next(iter(masks))
     if field == "lower":
-        masks[cell] = masks[cell].copy()
-        masks[cell][0] = not masks[cell][0]
+        masks = level.lower.copy()
+        masks[0] = not masks[0]
     else:
+        masks = dict(level.factors)
+        cell = next(iter(masks))
         nonzero = masks[cell].nonzero.copy()
         nonzero[0, 0] = not nonzero[0, 0]
         masks[cell] = masks[cell]._replace(nonzero=nonzero)
     plan.levels[3] = level._replace(**{field: masks})
     rebuilt = run(1)
-    assert rebuilt.engine.replayed == 3 and plan.levels[3] is not level
+    assert rebuilt.engine.replayed == 3 and plan.levels[3].groups is not level.groups
     _plan.cache_clear()
     fresh = run(1)
     assert _counts(rebuilt) == _counts(fresh)
@@ -987,6 +1013,33 @@ def test_curve_errors_name_their_numbers():
     with pytest.raises(ValueError, match="ram is empty"):
         LocalSpectralCurve(ram=())
 
+
+
+def test_curve_refuses_modes_below_one():
+    # k = 0 would take row k - 1 = -1, the last mode's, and k = -1 a row past
+    # s; a k that is not an integer is no mode either.  The first pair with
+    # such a mode is named, at any label
+    for k, lab in ((0, "a"), (-1, "a"), (1.5, "a"), ("1", "a"), (0, "x")):
+        pairs = {((1, "a"), (1, "a")): 0.2, ((k, lab), (1, "a")): 0.1, ((1, "a"), (k, lab)): 0.1}
+        with pytest.raises(ValueError) as err:
+            LocalSpectralCurve(ram=("a",), bergman_reg=pairs)
+        assert str(err.value) == (f"bergman_reg pair (({k!r}, {lab!r}), (1, 'a')) has mode "
+                                  f"k = {k!r}: a mode needs an integer k >= 1")
+    curve = LocalSpectralCurve(ram=("a",), bergman_reg={((np.int64(1), "a"), (3, "a")): 0.1})
+    assert curve.s[0, 2] == curve.s[2, 0] == 0.1
+
+
+def test_eo_run_refuses_empty_windows():
+    # no mode, or a residue window cut below the recursion's own, is refused
+    # by name before any work
+    for kwargs, text in ((dict(chi_max=0), "chi_max must be at least 1, got 0"),
+                         (dict(kmax=0), "kmax must be at least 1, got 0"),
+                         (dict(kmax=-2), "kmax must be at least 1, got -2"),
+                         (dict(extra_order=-1), "extra_order must be at least 0, got -1"),
+                         (dict(extra_order=-8), "extra_order must be at least 0, got -8")):
+        with pytest.raises(ValueError) as err:
+            eo_run(airy_point(), **{"chi_max": 2, **kwargs})
+        assert str(err.value) == text
 
 
 def test_default_denominator_leaves_callers_dict_alone():
