@@ -897,6 +897,56 @@ def test_invert_a_map_refuses_target_outside_contours():
             invert_a_map(curve, cycles, pd, [target])
 
 
+def test_invert_a_map_refuses_when_damping_finds_no_decrease():
+    # with the Jacobian's sign flipped (the minus of the variational identity
+    # dropped) the step points away from the target: the full step and its
+    # four halvings all raise the residual, so no trial is accepted and the
+    # refusal names the starting residual and the last step tried
+    curve, cycles, pd = setup_g1()
+    target = pd.a * (1.0 + 1e-3)
+    with pytest.raises(QuadratureNotConverged) as err:
+        invert_a_map(curve, cycles, replace(pd, a_jacobian=-pd.a_jacobian), [target])
+    m = re.fullmatch(r"Newton damping failed for a -> u: max \|err\| (\S+) against tol\*scale "
+                     r"(\S+), no decrease down to step (\S+) x \|du\| (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert float(m.group(1)) == pytest.approx(abs(target[0] - pd.a[0]), rel=1e-3)
+    assert float(m.group(2)) == pytest.approx(1e-10 * max(1.0, abs(target[0])), rel=1e-3)
+    assert m.group(3) == "0.0625"
+    du = np.linalg.solve(pd.a_jacobian, target - pd.a)
+    assert float(m.group(4)) == pytest.approx(np.max(np.abs(du)), rel=1e-3)
+
+
+def test_invert_a_map_refuses_after_50_steps(monkeypatch):
+    # with the A-periods of the holomorphic forms read 100 times too large,
+    # the Jacobian and every trial's with them, each full Newton step goes 1%
+    # of the way: every step is accepted, the residual falls by about 1% a
+    # step, and the 50-step cap refuses the solve
+    curve, cycles, pd = setup_g1()
+    target = pd.a * (1.0 + 1e-3)
+    form = hyperelliptic_module._period_form
+
+    def steep(rows):
+        def scaled(z, y):
+            out = form(rows)(z, y)
+            out[:rows.g] *= 100.0
+            return out
+        return scaled
+
+    monkeypatch.setattr(hyperelliptic_module, "_period_form", steep)
+    with pytest.raises(QuadratureNotConverged) as err:
+        invert_a_map(curve, cycles, replace(pd, a_jacobian=100.0 * pd.a_jacobian), [target])
+    m = re.fullmatch(r"Newton iteration for a -> u did not converge in 50 steps: max \|err\| "
+                     r"(\S+) against tol\*scale (\S+), last step (\S+) x \|du\| (\S+)",
+                     str(err.value))
+    assert m, str(err.value)
+    err0 = abs(target[0] - pd.a[0])
+    assert float(m.group(1)) == pytest.approx(0.99 ** 50 * err0, rel=1e-2)
+    assert float(m.group(2)) == pytest.approx(1e-10 * max(1.0, abs(target[0])), rel=1e-3)
+    assert m.group(3) == "1"
+    du = 0.01 * 0.99 ** 49 * err0 / abs(pd.a_jacobian[0, 0])
+    assert float(m.group(4)) == pytest.approx(du, rel=1e-2)
+
+
 def test_line_node_outside_the_contours_is_refused_by_name(monkeypatch):
     # a line node whose branch point leaves the reference contours is
     # refused before any integral, naming the node: its index on the
