@@ -80,6 +80,19 @@ def _to_complex(v):
     return complex(v)
 
 
+def _integer(key, v):
+    """A JSON integer (an integral float too) as an int; a fraction, bool or string raises."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _boolean(key, v):
+    if not isinstance(v, bool):
+        raise ValueError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def _rel_err(lhs, rhs):
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
@@ -106,8 +119,9 @@ class VerifyConfig:
             raise ValueError(f"genus {self.genus} needs {self.genus} moduli u0, got {len(self.u0)}")
         if self.chi_max < 1:
             raise ValueError("chi_max must be >= 1")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        for name, t in self.tolerances.items():
+            if not (math.isfinite(t) and t > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {t}")
 
     @property
     def chi(self):
@@ -116,10 +130,19 @@ class VerifyConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        """Config from parsed JSON; absent keys keep defaults, unknown ones raise ValueError."""
+        """Config from a parsed JSON object; absent keys keep defaults.
+
+        A config that is not an object, an unknown key, a genus or chi_max
+        that is not an integer, or a check_n4 that is not a boolean raises
+        ValueError.
+        """
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         parse = {
-            "genus": int, "u0": lambda v: tuple(_to_complex(x) for x in v),
-            "Lambda": _to_complex, "chi_max": int, "check_n4": bool, "out_dir": str,
+            "genus": lambda v: _integer("genus", v),
+            "u0": lambda v: tuple(_to_complex(x) for x in v), "Lambda": _to_complex,
+            "chi_max": lambda v: _integer("chi_max", v),
+            "check_n4": lambda v: _boolean("check_n4", v), "out_dir": str,
         }
         raw_tols = dict(raw.get("tolerances", {}))
         for what, names, allowed in (("config keys", raw, {*parse, "tolerances"}),
@@ -571,12 +594,13 @@ def cli_main(argv=None):
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return 2
             try:
-                if args.chi_max is not None:
-                    raw["chi_max"] = args.chi_max
-                if args.tol is not None:
-                    raw.setdefault("tolerances", {})["theorem_rel"] = args.tol
-                if args.out is not None:
-                    raw["out_dir"] = args.out
+                if isinstance(raw, dict):       # from_dict refuses any other config
+                    if args.chi_max is not None:
+                        raw["chi_max"] = args.chi_max
+                    if args.tol is not None:
+                        raw.setdefault("tolerances", {})["theorem_rel"] = args.tol
+                    if args.out is not None:
+                        raw["out_dir"] = args.out
                 cfg = VerifyConfig.from_dict(raw)
             except (KeyError, ValueError, TypeError) as exc:
                 return _bad_config(exc)

@@ -57,7 +57,7 @@ class QuadratureNotConverged(SwtrError):
     closed-form sheet continuation (``SheetTracker.walk_segment``,
     ``SheetTracker.track_along`` and a contour's sheet closure) when a branch
     point lies on a segment within rounding; and by ``invert_a_map`` when a
-    row's Newton iteration reaches its 50-step cap or its damping finds no
+    target's Newton iteration reaches its 50-step cap or its damping finds no
     decrease.
     """
 

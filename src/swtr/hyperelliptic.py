@@ -1238,26 +1238,29 @@ def _neighbourhood_violations(curves, cycles):
     return out
 
 
-def _row_periods(cycles0, curves, cycle_list, tol):
-    """Periods of ``_period_form`` over ``cycle_list`` on each of ``curves``, {key: curve}.
+def _moved_periods(cycles0, curves, cycle_list, tol):
+    """Periods of ``_period_form`` over ``cycle_list`` on each of ``curves``, moved from cycles0.
 
-    One ``_cycle_periods`` call on ``cycles0.workspace.moved_to(CurveRows(...))``:
-    one ``integrate`` of the K rows over the C distinct contours together.
-    Returns ({key: [cycle, form]}, {key: exception}).  A row that fails
-    leaves, and the pass runs again on the rest: no row's values depend on
-    which other rows share the pass.
+    ``curves`` holds what ``_new_curves`` gives, a curve or its SingularCurve
+    per row.  The curves are checked against the reference contours, then
+    one ``_cycle_periods`` pass on ``cycles0.workspace.moved_to(CurveRows(...))``
+    integrates the K rows over the C distinct contours together.  Returns
+    (per, {row: exception}): per of shape (K, cycle, form) when no row
+    failed, else None.  No row's values or error depend on which other rows
+    share the pass.
     """
-    keys, errors = list(curves), {}
-    while keys:
-        ws = cycles0.workspace.moved_to(CurveRows([curves[k] for k in keys]))
-        try:
-            per = _cycle_periods(ws, cycle_list, _period_form(ws.curve), tol)
-        except _RowsFailed as exc:
-            errors.update((keys[r], e) for r, e in exc.errors.items())
-            keys = [k for r, k in enumerate(keys) if r not in exc.errors]
-        else:
-            return {k: np.ascontiguousarray(per[..., r]) for r, k in enumerate(keys)}, errors
-    return {}, errors
+    errors = {i: c for i, c in enumerate(curves) if not isinstance(c, SWCurve)}
+    built = [i for i in range(len(curves)) if i not in errors]
+    outside = _neighbourhood_violations([curves[i] for i in built], cycles0)
+    errors.update((i, OutOfNeighbourhood(why)) for i, why in zip(built, outside) if why)
+    if errors:
+        return None, errors
+    ws = cycles0.workspace.moved_to(CurveRows(curves))
+    try:
+        per = _cycle_periods(ws, cycle_list, _period_form(ws.curve), tol)
+    except _RowsFailed as exc:
+        return None, exc.errors
+    return np.ascontiguousarray(np.moveaxis(per, -1, 0)), {}
 
 
 def line_periods(curve0, cycles0, pd0, r, nodes):
@@ -1267,13 +1270,12 @@ def line_periods(curve0, cycles0, pd0, r, nodes):
     s -> u0 + s v_k leaves a0 with velocity e_k: d/ds at s = 0 is d/da_k.
     These are the first Newton trials of ``invert_a_map`` towards
     a0 + r w e_k; nothing is solved.  The g len(nodes) curves are built at
-    once and checked against the reference contours, then one stacked pass
-    integrates ``_period_form`` over the A and B cycles together at
-    ``_PERIOD_TOL``, on sheets derived from the reference nodes, and one
-    ``_period_data`` takes every row.  The first failing node's
-    SingularCurve, OutOfNeighbourhood, QuadratureNotConverged or
-    PeriodData error is raised, naming the node.  Returns one PeriodData per
-    node.
+    once, and one ``_moved_periods`` pass integrates ``_period_form`` over
+    the A and B cycles together at ``_PERIOD_TOL``, on sheets derived from
+    the reference nodes; one ``_period_data`` takes every row.  The first
+    failing node's SingularCurve, OutOfNeighbourhood, QuadratureNotConverged
+    or PeriodData error is raised, naming the node.  Returns one PeriodData
+    per node.
     """
     _workspace_for(curve0, cycles0)
     g, n = curve0.g, len(nodes)
@@ -1287,74 +1289,15 @@ def line_periods(curve0, cycles0, pd0, r, nodes):
         return type(errors[i])(
             f"line node {j} of modulus {k + 1} at u = ({where}): {errors[i]}")
 
-    built = _new_curves(g, us, curve0.Lambda)
-    errors = {i: c for i, c in enumerate(built) if not isinstance(c, SWCurve)}
-    curves = {i: c for i, c in enumerate(built) if i not in errors}
-    outside = _neighbourhood_violations(list(curves.values()), cycles0)
-    errors.update((i, OutOfNeighbourhood(why)) for i, why in zip(curves, outside) if why)
+    per, errors = _moved_periods(cycles0, _new_curves(g, us, curve0.Lambda),
+                                 cycles0.a_cycles + cycles0.b_cycles, _PERIOD_TOL)
     if errors:
         raise failed(errors)
-    per, errors = _row_periods(cycles0, curves, cycles0.a_cycles + cycles0.b_cycles, _PERIOD_TOL)
-    if errors:
-        raise failed(errors)
-    per = np.array([per[i] for i in range(len(us))])
     pds = _period_data(g, per[:, :g], per[:, g:])
     errors = {i: pd for i, pd in enumerate(pds) if isinstance(pd, SwtrError)}
     if errors:
         raise failed(errors)
     return pds
-
-
-class _NewtonRow:
-    """One target's damped Newton state in ``invert_a_map``."""
-
-    def __init__(self, curve0, pd0, target):
-        self.target = target
-        self.scale = max(1.0, float(np.max(np.abs(target))))
-        self.u = np.array(curve0.u, dtype=complex)
-        self.curve, self.a_per = curve0, None
-        self.err, self.m_mat = target - pd0.a, pd0.a_jacobian
-        self.steps, self.step, self.du = 0, 1.0, None
-        self.tries = 0
-
-    def next_step(self, tol):
-        """Start the next Newton step; False once converged."""
-        if self.steps == 50:
-            raise QuadratureNotConverged(
-                f"Newton iteration for a -> u did not converge in 50 steps: max |err| "
-                f"{np.max(np.abs(self.err)):.3e} against tol*scale {tol * self.scale:.3e}, "
-                f"last step {self.step:g} x |du| {np.max(np.abs(self.du)):.3e}")
-        if float(np.max(np.abs(self.err))) < tol * self.scale:
-            return False
-        self.du = np.linalg.solve(-self.m_mat, self.err)
-        self.step, self.tries = 1.0, 0
-        return True
-
-    def trial(self):
-        return self.u + self.step * self.du
-
-    def accept(self, curve, a_try):
-        """Take the trial if it lowers the residual."""
-        err_try = self.target - a_try[:, curve.g]
-        if not float(np.max(np.abs(err_try))) < float(np.max(np.abs(self.err))):
-            return False
-        self.u, self.curve, self.err = self.trial(), curve, err_try
-        self.a_per, self.m_mat = a_try, a_try[:, :curve.g]
-        self.steps += 1
-        return True
-
-    def damp(self, outside, tol):
-        """A failed trial halves the step; the fifth ends the solve."""
-        self.step *= 0.5
-        self.tries += 1
-        if self.tries < 5:
-            return True
-        if outside is not None:
-            raise OutOfNeighbourhood(outside)
-        raise QuadratureNotConverged(
-            f"Newton damping failed for a -> u: max |err| {np.max(np.abs(self.err)):.3e} "
-            f"against tol*scale {tol * self.scale:.3e}, no decrease down to step "
-            f"{2 * self.step:g} x |du| {np.max(np.abs(self.du)):.3e}")
 
 
 def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
@@ -1368,22 +1311,19 @@ def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
     reused, valid for targets in a small neighbourhood, and every trial
     curve's sheets are derived from the reference nodes.
 
-    The rows run in lockstep rounds, each with its own residual, Jacobian,
-    step, 5 damping halvings and 50-step cap.  A round builds all unfinished
-    rows' trial curves at once, checks them against the contours and
-    integrates the g holomorphic forms and dS over the A-cycles on the rest
-    in one stacked pass.  A trial outside the contours, or whose derived
-    sheet misses the margin gate, is a failed damping step of its own row,
-    and OutOfNeighbourhood is raised when the row's damping ends on one.
-    One stacked B pass over the accepted curves follows the last round.
-    Each row is bitwise the row solved alone; if rows fail, the lowest
-    failing row's error is raised once all rows have finished.
+    The targets are solved one after another, each in its own loop of at
+    most 50 Newton steps.  A step is accepted when its trial strictly
+    lowers max |t - a|, else it is halved, at most 5 times.  Each trial
+    curve is built and integrated by ``_moved_periods``: the g holomorphic
+    forms and dS over the A-cycles at ``tol``.  A trial outside the contours,
+    or whose derived sheet misses the margin gate, is a failed damping step,
+    and OutOfNeighbourhood is raised when the damping ends on one.  The
+    first failing target's error is raised.
 
     Returns one ``(curve, cycles, pd)`` per row: the moved curve, the
     reference contours with ``cycles0.workspace.moved_to(curve)``, and the
     periods there, what ``periods(curve, cycles)`` gives; ``pd`` reuses the
-    accepted trial's A pass, integrated at ``tol``, and one ``_period_data``
-    takes every moved row.
+    accepted trial's A pass, integrated at ``tol``, with one B pass.
 
     The verifier does not call it: its derivative nodes sit on lines in
     u-space (``line_periods``), where no a-target needs solving.
@@ -1393,59 +1333,45 @@ def invert_a_map(curve0, cycles0, pd0, a_targets, tol=1e-10):
     a_targets = np.asarray(a_targets, dtype=complex)
     if a_targets.ndim != 2 or a_targets.shape[1] != g:
         raise ValueError(f"a_targets must be a (K, {g}) array, got shape {a_targets.shape}")
-    rows = [_NewtonRow(curve0, pd0, t) for t in a_targets]
-    errors, active = {}, []
-
-    def run(i, step, *args):
-        """Advance row i by one state-machine step; it stays active while the step says so."""
-        try:
-            if step(*args):
-                active.append(i)
-        except (SwtrError, np.linalg.LinAlgError) as exc:   # the lowest row's is raised
-            errors[i] = exc
-
-    for i, row in enumerate(rows):
-        run(i, row.next_step, tol)
-    while active:
-        live = [i for i in active if i < min(errors, default=len(rows))]
-        if not live:
-            break
-        active = []
-        built = dict(zip(live, _new_curves(g, [rows[i].trial() for i in live], curve0.Lambda)))
-        trials = {i: c for i, c in built.items() if isinstance(c, SWCurve)}
-        errors.update((i, c) for i, c in built.items() if i not in trials)
-        outside = dict(zip(trials, _neighbourhood_violations(trials.values(), cycles0)))
-        a_try, failed = _row_periods(
-            cycles0, {i: c for i, c in trials.items() if outside[i] is None}, cycles0.a_cycles, tol)
-        for i, exc in failed.items():
-            if isinstance(exc, OutOfNeighbourhood):
-                outside[i] = str(exc)
-            else:
-                errors[i] = exc
-        for i in trials:
-            row = rows[i]
-            if i in a_try and row.accept(trials[i], a_try[i]):
-                run(i, row.next_step, tol)
-            elif i not in errors:
-                run(i, row.damp, outside[i], tol)
-    first = min(errors, default=len(rows))
-    moved = {i: row.curve for i, row in enumerate(rows[:first]) if row.a_per is not None}
-    b_per, failed = _row_periods(cycles0, moved, cycles0.b_cycles, _PERIOD_TOL)
-    errors.update(failed)
-    done = [i for i in moved if i in b_per]
-    stacks = (np.array(per).reshape(-1, g, g + 1)
-              for per in ([rows[i].a_per for i in done], [b_per[i] for i in done]))
-    pds = dict(zip(done, _period_data(g, *stacks)))
-    errors.update((i, pd) for i, pd in pds.items() if isinstance(pd, SwtrError))
     out = []
-    for i, row in enumerate(rows):
-        if i in errors:
-            break
-        if row.a_per is None:
+    for target in a_targets:
+        scale = max(1.0, float(np.max(np.abs(target))))
+        u, curve, a_per = np.array(curve0.u, dtype=complex), curve0, None
+        err, m_mat, step = target - pd0.a, pd0.a_jacobian, 1.0
+        for steps in itertools.count():
+            if steps == 50:
+                raise QuadratureNotConverged(
+                    f"Newton iteration for a -> u did not converge in 50 steps: max |err| "
+                    f"{np.max(np.abs(err)):.3e} against tol*scale {tol * scale:.3e}, "
+                    f"last step {step:g} x |du| {np.max(np.abs(du)):.3e}")
+            if float(np.max(np.abs(err))) < tol * scale:
+                break
+            du, step = np.linalg.solve(-m_mat, err), 1.0
+            for _ in range(5):
+                trial, = _new_curves(g, [u + step * du], curve0.Lambda)
+                per, errors = _moved_periods(cycles0, [trial], cycles0.a_cycles, tol)
+                if errors and not isinstance(errors[0], OutOfNeighbourhood):
+                    raise errors[0]
+                if not errors and np.max(np.abs(target - per[0, :, g])) < np.max(np.abs(err)):
+                    u, curve, a_per = u + step * du, trial, per[0]
+                    err, m_mat = target - a_per[:, g], a_per[:, :g]
+                    break
+                step *= 0.5
+            else:
+                if errors:
+                    raise errors[0]
+                raise QuadratureNotConverged(
+                    f"Newton damping failed for a -> u: max |err| {np.max(np.abs(err)):.3e} "
+                    f"against tol*scale {tol * scale:.3e}, no decrease down to step "
+                    f"{2 * step:g} x |du| {np.max(np.abs(du)):.3e}")
+        if a_per is None:
             out.append((curve0, cycles0, pd0))
             continue
-        out.append((row.curve, replace(cycles0, workspace=cycles0.workspace.moved_to(row.curve)),
-                    pds[i]))
-    if errors:
-        raise errors[min(errors)]
+        b_per, errors = _moved_periods(cycles0, [curve], cycles0.b_cycles, _PERIOD_TOL)
+        if errors:
+            raise errors[0]
+        pd, = _period_data(g, a_per[None], b_per)
+        if isinstance(pd, SwtrError):
+            raise pd
+        out.append((curve, replace(cycles0, workspace=cycles0.workspace.moved_to(curve)), pd))
     return out

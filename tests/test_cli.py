@@ -84,6 +84,52 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, raw, named):
     assert named in capsys.readouterr().err
 
 
+_G1 = {"genus": 1, "u0": [[0.3, 0.1]]}
+
+
+@pytest.mark.parametrize("raw, named", [
+    ([1, 2], "config must be a JSON object, got list"),
+    ({**_G1, "check_n4": "false"}, "check_n4 must be true or false, got 'false'"),
+    ({**_G1, "check_n4": 1}, "check_n4 must be true or false, got 1"),
+    ({"genus": 1.7, "u0": [[0.3, 0.1]]}, "genus must be an integer, got 1.7"),
+    ({"genus": True, "u0": [[0.3, 0.1]]}, "genus must be an integer, got True"),
+    ({**_G1, "chi_max": 2.5}, "chi_max must be an integer, got 2.5"),
+    ({**_G1, "tolerances": {"theorem_rel": float("inf")}},
+     "tolerance theorem_rel must be finite and positive, got inf"),
+    ({**_G1, "tolerances": {"route_rel": float("nan")}},
+     "tolerance route_rel must be finite and positive, got nan"),
+])
+def test_malformed_config_values_are_refused(tmp_path, capsys, raw, named):
+    # a config that is not an object, a value of the wrong kind and a
+    # tolerance that is not finite are refused by name with exit 2, not
+    # coerced (a string "false" is truthy, int(1.7) is 1) or run (an
+    # infinite tolerance passes every check, NaN fails every one)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        VerifyConfig.from_dict(raw)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    for extra in ([], ["--out", str(tmp_path / "o")]):
+        assert cli_main(["verify-theorem", "--config", str(p)] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"error: bad config: {named}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_floats_are_integers_and_tol_flag_is_checked(tmp_path, capsys):
+    # JSON has one number type, so 2.0 is the integer 2; --tol goes through
+    # the same tolerance check as the config's
+    cfg = VerifyConfig.from_dict({"genus": 2.0, "u0": ["0.3+0.1j", "0.2-0.15j"], "chi_max": 3.0})
+    assert (type(cfg.genus), type(cfg.chi_max), cfg.genus, cfg.chi_max) == (int, int, 2, 3)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_G1))
+    for tol, named in (("inf", "got inf"), ("nan", "got nan"), ("0", "got 0.0")):
+        assert cli_main(["verify-theorem", "--config", str(p), "--tol", tol,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"tolerance theorem_rel must be finite and positive, {named}" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["eo-run", "--chi-max", "0"], "--chi-max must be at least 1, got 0"),
     (["eo-run", "--points", "0"], "--points must be at least 1, got 0"),
