@@ -482,14 +482,18 @@ class _CellRecursion:
         self._vec_cache = {}
         self._cell_cache = {}
 
-    def allowed(self, g, n):
-        """Sorted mode indices up to the per-index bound 6g + 2n - 4 of a cell."""
+    def index_bound(self, g, n):
+        """The per-index bound 6g + 2n - 4 of a cell; TruncationInsufficient above kmax."""
         bound = default_index_bound(g, n)
         if bound > self.kmax:
             raise TruncationInsufficient(
                 f"cell ({g}, {n}) needs indices up to {bound} > kmax={self.kmax}")
+        return bound
+
+    def allowed(self, g, n):
+        """Sorted mode indices up to the per-index bound 6g + 2n - 4 of a cell."""
         return sorted(self.index[(k, lab)] for lab in self.ram
-                      for k in range(1, bound + 1, self.step))
+                      for k in range(1, self.index_bound(g, n) + 1, self.step))
 
     def support(self, g, n):
         """Index tuples the recursion evaluates for a cell: every sorted tuple here."""

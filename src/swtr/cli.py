@@ -59,7 +59,7 @@ from .hyperelliptic import (
     quadrature_record,
 )
 from .laurent import LaurentSeries
-from .spectral import LocalSpectralCurve, OmegaGN, eo_run
+from .spectral import LocalSpectralCurve, OmegaGN, eo_run, fill_bound
 
 TWO_PI_I = 2j * np.pi
 DERIVATIVE_RADIUS = 2e-3        # circle radius of the line parameter, relative to max(1, max |a|)
@@ -90,6 +90,19 @@ def _integer(key, v):
 def _boolean(key, v):
     if not isinstance(v, bool):
         raise ValueError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
+def _number(key, v):
+    """A JSON number as a float; a bool, string or null raises."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
+def _string(key, v):
+    if not isinstance(v, str):
+        raise ValueError(f"{key} must be a string, got {v!r}")
     return v
 
 
@@ -133,7 +146,8 @@ class VerifyConfig:
         """Config from a parsed JSON object; absent keys keep defaults.
 
         A config that is not an object, an unknown key, a genus or chi_max
-        that is not an integer, or a check_n4 that is not a boolean raises
+        that is not an integer, a check_n4 that is not a boolean, a tolerance
+        that is not a number or an out_dir that is not a string raises
         ValueError.
         """
         if not isinstance(raw, dict):
@@ -142,7 +156,8 @@ class VerifyConfig:
             "genus": lambda v: _integer("genus", v),
             "u0": lambda v: tuple(_to_complex(x) for x in v), "Lambda": _to_complex,
             "chi_max": lambda v: _integer("chi_max", v),
-            "check_n4": lambda v: _boolean("check_n4", v), "out_dir": str,
+            "check_n4": lambda v: _boolean("check_n4", v),
+            "out_dir": lambda v: _string("out_dir", v),
         }
         raw_tols = dict(raw.get("tolerances", {}))
         for what, names, allowed in (("config keys", raw, {*parse, "tolerances"}),
@@ -152,7 +167,7 @@ class VerifyConfig:
                 raise ValueError(f"unknown {what} {unknown}; known: {sorted(allowed)}")
         known = {k: conv(raw[k]) for k, conv in parse.items() if k in raw}
         tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update({k: float(v) for k, v in raw_tols.items()})
+        tolerances.update({k: _number(f"tolerance {k}", v) for k, v in raw_tols.items()})
         return cls(tolerances=tolerances, **known)
 
 
@@ -366,11 +381,12 @@ def prepotential_derivatives(curve, cycles, pd, r):
     return d_tau, d2_tau, d2_b, float(off_circle) / r
 
 
-def reference_stages(cfg):
+def reference_stages(cfg, k_bound=None):
     """curve -> cycles -> periods -> kernel -> charts -> local expansions of ``cfg``.
 
-    s and c reach k_bound = max_index_bound(cfg.chi) - 1, the largest table mode,
-    which the B-period contraction reads; the charts are built to 2 k_bound + 1,
+    s and c reach the mode ``k_bound``: the caller's largest table mode, which
+    the B-period contraction reads, or by default max_index_bound(cfg.chi) - 1,
+    that of every cell up to cfg.chi.  The charts are built to 2 k_bound + 1,
     the order the three exact divisions of the kernel's regular part need.
     """
     t0 = time.perf_counter()
@@ -379,7 +395,8 @@ def reference_stages(cfg):
     pd = periods(curve, cycles)
     t1 = time.perf_counter()
     bk = bergman_kernel(curve, cycles, pd)
-    k_bound = max_index_bound(cfg.chi) - 1
+    if k_bound is None:
+        k_bound = max_index_bound(cfg.chi) - 1
     charts = standard_charts(curve, 2 * k_bound + 1)
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound)
     seconds = {"periods_s": round(t1 - t0, 3),
@@ -401,8 +418,11 @@ def verify_theorem(cfg):
         "numpy_version": np.__version__,
     }
     g = cfg.genus
+    # the genus-zero cells up to (0, chi + 2) and no others: (0, n) reads only
+    # (0, m) with m < n, and the checks read (0, 3) and, for n = 4, (0, 4)
+    cells = [(0, n) for n in range(3, cfg.chi + 3)]
 
-    art = reference_stages(cfg)
+    art = reference_stages(cfg, fill_bound(cfg.chi, cells) - 1)
     curve, cycles, pd = art.curve, art.cycles, art.pd
     report.metadata["intersection_matrix"] = cycles.intersection_matrix.tolist()
     # the worst weighed residual of each chart identity, and the radius it is weighed on
@@ -412,7 +432,7 @@ def verify_theorem(cfg):
     t2 = time.perf_counter()
 
     local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=art.s_coeffs)
-    omega = eo_run(local_curve, cfg.chi)
+    omega = eo_run(local_curve, cfg.chi, cells=cells)
     # only the cells a check reads: (0, 3), and (0, 4) for the n = 4 checks
     contractions = bperiod_contract(omega.table, art.c_coeffs, g,
                                     [(0, 3), (0, 4)] if cfg.check_n4 else [(0, 3)])

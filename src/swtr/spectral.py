@@ -20,11 +20,13 @@ The nonzero entries of a cell omega_{g,n} lie on its degree-bounded
 support: with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.
 Every other entry vanishes exactly, because the pole orders of the lower
 cells leave the residue nothing to pick up.  ``support`` lists these
-tuples; the fill visits fewer.  The cells are filled one level
-chi = 2g - 2 + n at a time: a level reads only lower ones, so every cell
-and point of a level shares one product pass.  At a point, a cell's entries
-whose pivot (first index) sits there are grouped by their other legs, the
-rest: the series xi the residue is taken of depends on the rest only, so a
+tuples; the fill visits fewer.  A run fills every cell up to chi_max, or
+the cells it is asked for and the lower ones they read (``fill_cells``):
+a (0, n) cell reads only (0, m) cells with m < n.  The cells are filled one
+level chi = 2g - 2 + n at a time: a level reads only lower ones, so every
+cell and point of a level shares one product pass.  At a point, a cell's
+entries whose pivot (first index) sits there are grouped by their other
+legs, the rest: the series xi the residue is taken of depends on the rest only, so a
 product of the rests' xi with the point's residue vectors gives every
 pivot.  The rests of a level's cells and points, a job each, go in blocks
 of whole jobs at points with one D, one residue pass a block: a matmul over
@@ -49,11 +51,11 @@ against z^{2p+1} / D(z): one gather and one add per block.
 
 What a level enumerates (its pairs of factors, the rests they reach, the
 genus-term entries and the pivots of each rest) depends on the curve's shape
-alone (the number of points, D at each, chi_max and the mode window) and on
-which lower entries and factor rows are nonzero; the kernel values enter
-only the numbers.  So every run of a shape either records a level's plan
-as integer index arrays or replays the plan a run before it recorded, and
-a replay forms the factor tables and gathers, multiplies, adds and
+alone (the number of points, D at each, the cells filled and the mode
+window) and on which lower entries and factor rows are nonzero; the kernel
+values enter only the numbers.  So every run of a shape either records a
+level's plan as integer index arrays or replays the plan a run before it
+recorded, and a replay forms the factor tables and gathers, multiplies, adds and
 contracts as recorded, with no Python per pair, entry, job or point.  A level is
 replayed only if the level below stored the keys it was recorded under and
 the factor tables have the recorded nonzero rows; else it and every later
@@ -89,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airy import (_CellRecursion, _splits, atr_run, default_index_bound, gauge_transform,
-                   max_index_bound, recursion_cells)
+                   recursion_cells)
 from .errors import OutOfAnnulus, TruncationInsufficient
 from .laurent import LaurentSeries
 
@@ -303,8 +305,58 @@ _PLAN_SLOTS = 4
 
 @functools.lru_cache(maxsize=_PLAN_SLOTS)
 def _plan(shape):
-    """The ``_Plan`` of a curve shape: (points, D key per point, chi_max, kmax, extra_order)."""
+    """The ``_Plan`` of a curve shape: (points, D key per point, cells filled, kmax, extra_order)."""
     return _Plan()
+
+
+def _reads(g, n):
+    """The cells the fill of omega_{g,n} reads: its splitting factors and its genus-term cell.
+
+    (0, 2) is the kernel, no cell; so is the genus-term cell of (1, 1).
+    """
+    got = {cell for factors in _factor_cells(g, n) for cell in (factors[:2], factors[2:])}
+    if g >= 1 and (g, n) != (1, 1):
+        got.add((g - 1, n + 1))
+    got.discard((0, 2))
+    return got
+
+
+def fill_cells(chi_max, cells=None):
+    """The cells a run fills, in the order of ``recursion_cells``: ``cells`` and all they read.
+
+    Every cell with 2g - 2 + n <= chi_max when ``cells`` is None; else the
+    (g, n) of ``cells``, each with 1 <= 2g - 2 + n <= chi_max, and every
+    cell they read.
+    """
+    return _closure(chi_max, None if cells is None else tuple(map(tuple, cells)))
+
+
+@functools.cache
+def _closure(chi_max, cells):
+    """``fill_cells`` for a tuple ``cells``, once per key.
+
+    A cell reads only cells of smaller chi, so one pass down the recursion
+    order closes the set.
+    """
+    every = recursion_cells(chi_max)
+    if cells is None:
+        return tuple(every)
+    if not cells:
+        raise ValueError("cells is empty: name at least one cell (g, n)")
+    wanted = set(cells)
+    unknown = sorted(wanted.difference(every))
+    if unknown:
+        raise ValueError(f"cell {unknown[0]} is not a cell (g, n) with "
+                         f"1 <= 2g - 2 + n <= {chi_max}")
+    for cell in reversed(every):
+        if cell in wanted:
+            wanted |= _reads(*cell)
+    return tuple(cell for cell in every if cell in wanted)
+
+
+def fill_bound(chi_max, cells=None):
+    """The largest index bound 6g + 2n - 4 of the cells ``fill_cells`` gives: eo_run's kmax."""
+    return max(default_index_bound(g, n) for g, n in fill_cells(chi_max, cells))
 
 
 def _denom_key(d):
@@ -316,10 +368,13 @@ def _denom_key(d):
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
-    def __init__(self, curve, chi_max, kmax, extra_order=0):
+    def __init__(self, curve, chi_max, kmax, extra_order=0, cells=None):
         # mode list restricted to odd indices (the output lives in the odd part)
         modes = [(k, lab) for lab in curve.ram for k in range(1, kmax + 1, 2)]
         super().__init__(modes, curve.ram, kmax, chi_max, 2, "bergman")
+        self.cells = fill_cells(chi_max, cells)     # the cells run() fills, in its order
+        for g, n in self.cells:
+            self.index_bound(g, n)      # a kmax below a cell's bound is refused here, once
         self.curve = curve
         self.lo = -(kmax + 3)
         self.hi = kmax + 5 + extra_order
@@ -331,7 +386,7 @@ class _EoEngine(_CellRecursion):
         self._values = {}               # stored values of each cell, in its key order
         self._key_type = np.min_scalar_type(-self.dim)
         dkeys = tuple(_denom_key(curve.denom[lab]) for lab in self.ram)
-        self._plan = _plan((len(self.ram), dkeys, chi_max, kmax, extra_order))
+        self._plan = _plan((len(self.ram), dkeys, self.cells, kmax, extra_order))
         self._setup(dkeys)
 
     def _setup(self, dkeys):
@@ -578,11 +633,9 @@ class _EoEngine(_CellRecursion):
         self._stack, self._used, self._offsets = np.empty((start, self.nlen), dtype=complex), 0, {}
         self._factor_cache[(0, 2)] = self._factor_table(0, 2, place=True)
         replay = True
-        chis = itertools.groupby(recursion_cells(self.chi_max), lambda c: 2 * c[0] - 2 + c[1])
+        chis = itertools.groupby(self.cells, lambda c: 2 * c[0] - 2 + c[1])
         for i, (_, cells) in enumerate(chis):
             cells = list(cells)
-            for g, n in cells:
-                self.allowed(g, n)      # every mode within the degree bound is allowed
             level = levels[i] if replay and i < len(levels) else None
             replay = level is not None and _same(stored, level.lower)
             # the level below is first read here, as factors
@@ -1019,8 +1072,13 @@ def _ways(legs1, legs2):
     return ways
 
 
-def eo_run(curve, chi_max, kmax=None, extra_order=0):
-    """All omega_{g,n} with 2g - 2 + n <= chi_max as bergman-basis tensors."""
+def eo_run(curve, chi_max, kmax=None, extra_order=0, cells=None):
+    """omega_{g,n} as bergman-basis tensors: all with 2g - 2 + n <= chi_max, or ``cells``.
+
+    ``cells`` lists (g, n) up to chi_max; the run fills them and the cells
+    they read (``fill_cells``), with kmax by default the largest index bound
+    among those (``fill_bound``).
+    """
     if chi_max < 1:
         raise ValueError(f"chi_max must be at least 1, got {chi_max}")
     if kmax is not None and kmax < 1:
@@ -1028,8 +1086,8 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0):
     if extra_order < 0:
         raise ValueError(f"extra_order must be at least 0, got {extra_order}")
     if kmax is None:
-        kmax = max_index_bound(chi_max)
-    engine = _EoEngine(curve, chi_max, kmax, extra_order)
+        kmax = fill_bound(chi_max, cells)
+    engine = _EoEngine(curve, chi_max, kmax, extra_order, cells)
     table = engine.run()
     engine._factor_cache.clear()    # tens of MB at chi = 7; _factors rebuilds what is read
     return OmegaGN(table, curve, engine)

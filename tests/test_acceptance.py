@@ -21,7 +21,7 @@ from swtr.airy import (
     residue_constraint_entry,
 )
 from swtr.charts import ebar_periods, local_expansions, standard_charts
-from swtr.cli import VerifyConfig, verify_theorem
+from swtr.cli import VerifyConfig, reference_stages, verify_theorem
 from swtr.hyperelliptic import (
     bergman_kernel,
     build_cycles,
@@ -342,15 +342,27 @@ def test_main_identity_genus_three_at_default_config():
             elapsed, f"worst rel err {rel:.2e}, convention {rep.metadata['matched_convention']!r}")
 
 
-def test_main_identity_genus_two_at_chi_three():
-    # s and c reach the table's largest mode, 9 at chi_max = 3; FFT-extracted
-    # s failed its gate at mode 8 here
-    t0 = time.time()
-    rep = verify_theorem(VerifyConfig(genus=2, u0=U0_G2, chi_max=3))
+def _verify_reach(rep):
+    """The cells a verify filled, and the top mode of its s and of its c."""
     art = rep.artifacts
+    return (rep.omega.cells(), max(k for (k, _), _ in art.s_coeffs),
+            max(k for k, _ in art.c_coeffs))
+
+
+def test_main_identity_genus_two_at_chi_three():
+    # the verify fills (0, 3) .. (0, 5), with s and c to 2 chi - 1 = 5; the
+    # whole table's reach stays covered: s and c to its largest mode, 9,
+    # where FFT-extracted s failed its gate at mode 8, fill (1, 3) and (2, 1)
+    t0 = time.time()
+    cfg = VerifyConfig(genus=2, u0=U0_G2, chi_max=3)
+    art = reference_stages(cfg)
     assert max(k for k, _ in art.c_coeffs) == 9
     assert max(k for (k, _), _ in art.s_coeffs) == 9
-    assert {(0, 5), (1, 3), (2, 1)} <= set(rep.omega.cells())
+    full = eo_run(LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=art.s_coeffs), 3)
+    assert {(0, 5), (1, 3), (2, 1)} <= set(full.cells())
+    assert all(full.table.entries[cell] for cell in full.cells())
+    rep = verify_theorem(cfg)
+    assert _verify_reach(rep) == ([(0, 3), (0, 4), (0, 5)], 5, 5)
     rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
     elapsed = time.time() - t0
     _report("8 prepotential identity at genus 2, chi_max 3", rep.passed and rel < 1e-3
@@ -361,11 +373,15 @@ def test_main_identity_genus_two_at_chi_three():
 @pytest.mark.parametrize("genus, u0, chi_max, top", [(2, U0_G2, 4, 11), (3, U0_G3, 3, 9)],
                          ids=["g2-chi4", "g3-chi3"])
 def test_main_identity_beyond_the_fft_reach(genus, u0, chi_max, top):
-    # the FFT extraction raised ExtractionNotConverged at both points
+    # the FFT extraction raised ExtractionNotConverged at both points, on s
+    # and c to the top mode of the whole table; the verify reads 2 chi - 1
     t0 = time.time()
-    rep = verify_theorem(VerifyConfig(genus=genus, u0=u0, chi_max=chi_max))
-    art = rep.artifacts
+    cfg = VerifyConfig(genus=genus, u0=u0, chi_max=chi_max)
+    art = reference_stages(cfg)
     assert max(k for k, _ in art.c_coeffs) == max(k for (k, _), _ in art.s_coeffs) == top
+    rep = verify_theorem(cfg)
+    reach = 2 * chi_max - 1
+    assert _verify_reach(rep) == ([(0, n) for n in range(3, chi_max + 3)], reach, reach)
     rel = max(c.rel_err for c in rep.checks if c.name.startswith("prepotential_d3"))
     elapsed = time.time() - t0
     _report(f"8 prepotential identity at genus {genus}, chi_max {chi_max}",

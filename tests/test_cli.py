@@ -98,12 +98,19 @@ _G1 = {"genus": 1, "u0": [[0.3, 0.1]]}
      "tolerance theorem_rel must be finite and positive, got inf"),
     ({**_G1, "tolerances": {"route_rel": float("nan")}},
      "tolerance route_rel must be finite and positive, got nan"),
+    ({**_G1, "tolerances": {"theorem_rel": True}},
+     "tolerance theorem_rel must be a number, got True"),
+    ({**_G1, "tolerances": {"route_rel": "1e-5"}},
+     "tolerance route_rel must be a number, got '1e-5'"),
+    ({**_G1, "tolerances": {"theorem_rel": None}},
+     "tolerance theorem_rel must be a number, got None"),
 ])
 def test_malformed_config_values_are_refused(tmp_path, capsys, raw, named):
     # a config that is not an object, a value of the wrong kind and a
     # tolerance that is not finite are refused by name with exit 2, not
-    # coerced (a string "false" is truthy, int(1.7) is 1) or run (an
-    # infinite tolerance passes every check, NaN fails every one)
+    # coerced (a string "false" is truthy, int(1.7) is 1, float(true) a
+    # tolerance of 1.0, str(5) a directory "5") or run (an infinite
+    # tolerance passes every check, NaN fails every one)
     with pytest.raises(ValueError, match=re.escape(named)):
         VerifyConfig.from_dict(raw)
     p = tmp_path / "cfg.json"
@@ -113,6 +120,21 @@ def test_malformed_config_values_are_refused(tmp_path, capsys, raw, named):
         err = capsys.readouterr().err
         assert f"error: bad config: {named}" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_out_dir_that_is_not_a_string_is_refused(tmp_path, monkeypatch, capsys):
+    # str(5) would write the outputs to a directory named "5"; --out, a
+    # string, replaces the config's out_dir before it is read
+    raw = {**_G1, "out_dir": 5}
+    with pytest.raises(ValueError, match="out_dir must be a string, got 5"):
+        VerifyConfig.from_dict(raw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert cli_main(["verify-theorem", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert "error: bad config: out_dir must be a string, got 5" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    assert VerifyConfig.from_dict({**raw, "out_dir": "o"}).out_dir == "o"
 
 
 def test_integral_floats_are_integers_and_tol_flag_is_checked(tmp_path, capsys):
@@ -535,6 +557,54 @@ def test_identity_errors_do_not_depend_on_the_chart_order(genus, u0, chi_max, mo
         return [(c.name, c.rel_err.hex()) for c in rep.checks if c.name.startswith("prepotential")]
     assert identity_errors(derived) == identity_errors(wide)
     assert len(identity_errors(derived)) == genus * (genus + 1) * (genus + 2) // 6
+
+
+_CI_U0 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
+
+
+def _by_modes(table, cell):
+    """A cell's entries in stored order, keyed by mode tuples, values as float hex."""
+    return [(tuple(table.modes[i] for i in key), val.real.hex(), val.imag.hex())
+            for key, val in table.entries[cell].items()]
+
+
+def _bits(arrays):
+    return {key: np.asarray(val).tobytes() for key, val in arrays.items()}
+
+
+@pytest.mark.parametrize("check_n4", [False, True], ids=["n3", "n4"])
+@pytest.mark.parametrize("chi_max", [1, 2, 3])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_verify_fills_genus_zero_only_and_moves_no_bit(monkeypatch, genus, chi_max, check_n4):
+    # the verify fills (0, 3) .. (0, chi + 2), with s and c to 2 chi - 1;
+    # against a verify on the whole table to chi, with s and c to
+    # max_index_bound(chi) - 1, its checks, its cells by mode tuples (their
+    # index keys shift with the mode list), its contracted (0, 3) and (0, 4)
+    # and its s and c up to 2 chi - 1 are the same to the bit
+    cfg = VerifyConfig(genus=genus, u0=_CI_U0[:genus], chi_max=chi_max, check_n4=check_n4)
+    rep = verify_theorem(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "fill_bound", lambda chi, cells: max_index_bound(chi))
+        m.setattr(cli, "eo_run", lambda curve, chi, cells: eo_run(curve, chi))
+        full = verify_theorem(cfg)
+    reach = 2 * cfg.chi - 1
+    cells = [(0, n) for n in range(3, cfg.chi + 3)]
+    assert rep.omega.cells() == cells
+    assert {(0, 3), (1, 1)} <= set(full.omega.cells())
+
+    def checks(report):
+        return [(c.name, c.lhs, c.rhs, c.rel_err, c.passed) for c in report.checks]
+    assert checks(rep) == checks(full) and len(checks(rep)) > 1
+    for cell in cells:
+        assert _by_modes(rep.omega.table, cell) == _by_modes(full.omega.table, cell), cell
+    contracted = [(0, 3), (0, 4)] if check_n4 else [(0, 3)]
+    assert _bits(bperiod_contract(rep.omega.table, rep.artifacts.c_coeffs, genus, contracted)) == (
+        _bits(bperiod_contract(full.omega.table, full.artifacts.c_coeffs, genus, contracted)))
+    art, wide = rep.artifacts, full.artifacts
+    assert max(k for k, _ in art.c_coeffs) == reach < max(k for k, _ in wide.c_coeffs)
+    assert _bits(art.c_coeffs) == _bits({m: v for m, v in wide.c_coeffs.items() if m[0] <= reach})
+    assert _bits(art.s_coeffs) == _bits({pair: v for pair, v in wide.s_coeffs.items()
+                                         if max(pair[0][0], pair[1][0]) <= reach})
 
 
 def test_format_index_tuple():

@@ -994,7 +994,7 @@ def _invert_fields(out):
 @pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3] + _draws_g2(50, 19),
                          ids=["g1", "g2", "g3"] + [f"draw{i}" for i in range(50)])
 def test_batch_invert_equals_solo(u0):
-    # the 4g circle nodes solved in lockstep are, field for field, each node
+    # the 4g circle nodes solved in one call are, field for field, each node
     # solved alone; the cycles returned per node sit on their own curve
     curve, cycles = _curve_and_cycles(u0)
     pd = periods(curve, cycles)

@@ -223,6 +223,68 @@ def test_eo_truncation_guard():
         eo_run(airy_point(), chi_max=3, kmax=5)   # omega_{1,3} needs index 8
 
 
+@pytest.mark.parametrize("ram, chi, cells, filled", [
+    (("0", "1", "2", "3"), 4, [(0, 6)], [(0, 3), (0, 4), (0, 5), (0, 6)]),
+    (("p", "q"), 4, [(1, 2)], [(0, 3), (1, 1), (1, 2)]),
+    (("0",), 5, [(2, 1), (0, 4)], [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]),
+], ids=["4pt-genus-zero", "2pt-one-cell", "1pt-two-cells"])
+def test_cells_fill_their_downward_closure_bitwise(ram, chi, cells, filled):
+    # a run asked for some cells fills them and the cells they read, in the
+    # recursion's order, with kmax their largest index bound and a level a
+    # chi up to the top cell's; compared key by key in mode tuples (the index
+    # keys shift with the mode list), each genus-zero cell is the whole
+    # run's to the bit, and the others to rounding: their genus terms
+    # contract a residue tensor summed over a window that kmax sizes
+    curve = _split_test_curve(ram, None)
+    omega, whole = eo_run(curve, chi, cells=cells), eo_run(curve, chi)
+    assert omega.cells() == sorted(filled) and omega.engine.cells == tuple(filled)
+    assert omega.engine.kmax == max(default_index_bound(g, n) for g, n in filled)
+    assert omega.engine.kmax < whole.engine.kmax
+    assert len(omega.engine._plan.levels) == max(2 * g - 2 + n for g, n in filled)
+    assert omega.engine.evaluated < whole.engine.evaluated
+
+    def by_modes(table, cell):
+        return {tuple(table.modes[i] for i in key): val for key, val in table.entries[cell].items()}
+    for cell in filled:
+        got, want = by_modes(omega.table, cell), by_modes(whole.table, cell)
+        assert list(got) == list(want), cell
+        if cell[0] == 0:
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        else:
+            scale = max(map(abs, want.values()))
+            assert max(abs(got[key] - val) for key, val in want.items()) <= 1e-14 * scale, cell
+
+
+def test_cells_name_recursion_cells():
+    # cells outside 1 <= 2g - 2 + n <= chi_max, or none, are refused by name
+    for cells, text in (([], "cells is empty"),
+                        ([(0, 3), (0, 5)],
+                         "cell (0, 5) is not a cell (g, n) with 1 <= 2g - 2 + n <= 2"),
+                        ([(0, 2)], "cell (0, 2) is not a cell")):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            eo_run(airy_point(), 2, cells=cells)
+
+
+def test_engine_checks_kmax_once_at_construction(monkeypatch):
+    # the bound is checked over the cells to fill when the engine is built,
+    # naming the first cell beyond kmax; the run checks none again
+    from swtr.errors import TruncationInsufficient
+    with pytest.raises(TruncationInsufficient, match=re.escape("cell (2, 1) needs indices up to "
+                                                               "10 > kmax=9")):
+        _EoEngine(airy_point(), 3, 9)
+    with pytest.raises(TruncationInsufficient, match=re.escape("cell (0, 5) needs indices up to "
+                                                               "6 > kmax=5")):
+        eo_run(airy_point(), 3, kmax=5, cells=[(0, 5)])
+    checked = []
+    bound = _EoEngine.index_bound
+    monkeypatch.setattr(_EoEngine, "index_bound",
+                        lambda self, g, n: checked.append((g, n)) or bound(self, g, n))
+    engine = _EoEngine(airy_point(), 3, 6, cells=[(0, 5)])
+    assert checked == [(0, 3), (0, 4), (0, 5)]
+    engine.run()
+    assert checked == [(0, 3), (0, 4), (0, 5)]
+
+
 def _recorded(engine):
     """Run the engine; per cell, the tuples its run passed to compute_value."""
     seen = {}
@@ -335,9 +397,10 @@ def _lower_pairs(self, g, n, q):
 
 
 def _cell_by_cell(fill):
-    """A ``run`` that fills the cells one at a time in the recursion's order, each by ``fill``."""
+    """A ``run`` that fills the engine's cells one at a time in the recursion's order, each by
+    ``fill``."""
     def run(self):
-        for g, n in recursion_cells(self.chi_max):
+        for g, n in self.cells:
             self.table.entries[(g, n)] = fill(self, g, n)
             self.table.bounds[(g, n)] = default_index_bound(g, n)
             self._cell_cache.clear()
@@ -948,11 +1011,11 @@ def test_kernel_matrix_keeps_ram_labels_and_window_modes():
     # a dropped pair still passes the symmetry gate
     with pytest.raises(ValueError, match=r"not symmetric at \(\(1, 'x'\), \(3, 'x'\)\)"):
         LocalSpectralCurve(ram=ram, bergman_reg={**s, ((3, "x"), (1, "x")): 9.0})
-    engine = _EoEngine(curve, 3, 9)
+    engine = _EoEngine(curve, 2, 9)
     window = engine.hi + 1
     assert window < 40
     short = {key: v for key, v in inside.items() if max(key[0][0], key[1][0]) <= window}
-    ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 3, 9)
+    ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 2, 9)
     for name in ("loc_p", "loc_m", "b_pm", "res_tensor"):
         for q, lab in enumerate(ram):
             assert np.array_equal(getattr(engine, name)[q], getattr(ref, name)[q]), (name, lab)
