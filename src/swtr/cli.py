@@ -72,12 +72,28 @@ DEFAULT_TOLERANCES = {"theorem_rel": 1e-3, "route_rel": 1e-5}
 # config and report
 # ---------------------------------------------------------------------------
 
-def _to_complex(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
+def _complex(key, v):
+    """A number, complex string or [re, im] pair as a complex; a bool or anything else raises."""
+    def real(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if real(v):
+        return complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(real, v)):
+        return complex(*v)
     if isinstance(v, str):
-        return complex(v.replace(" ", ""))
-    return complex(v)
+        try:
+            return complex(v.replace(" ", ""))
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a number, complex string or [re, im] pair, got {v!r}")
+
+
+def _moduli(v):
+    """The list u0 as a tuple of complex moduli, each read by ``_complex``."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"u0 must be a list of moduli, got {v!r}")
+    return tuple(_complex(f"u0[{i}]", x) for i, x in enumerate(v))
 
 
 def _integer(key, v):
@@ -146,20 +162,24 @@ class VerifyConfig:
         """Config from a parsed JSON object; absent keys keep defaults.
 
         A config that is not an object, an unknown key, a genus or chi_max
-        that is not an integer, a check_n4 that is not a boolean, a tolerance
-        that is not a number or an out_dir that is not a string raises
-        ValueError.
+        that is not an integer, a u0 that is not a list, a modulus or Lambda
+        that is not a number, complex string or [re, im] pair (a boolean is
+        none of these), a check_n4 that is not a boolean, tolerances that are
+        not an object, a tolerance that is not a number or an out_dir that is
+        not a string raises ValueError.
         """
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         parse = {
             "genus": lambda v: _integer("genus", v),
-            "u0": lambda v: tuple(_to_complex(x) for x in v), "Lambda": _to_complex,
+            "u0": _moduli, "Lambda": lambda v: _complex("Lambda", v),
             "chi_max": lambda v: _integer("chi_max", v),
             "check_n4": lambda v: _boolean("check_n4", v),
             "out_dir": lambda v: _string("out_dir", v),
         }
-        raw_tols = dict(raw.get("tolerances", {}))
+        raw_tols = raw.get("tolerances", {})
+        if not isinstance(raw_tols, dict):
+            raise ValueError(f"tolerances must be a JSON object, got {type(raw_tols).__name__}")
         for what, names, allowed in (("config keys", raw, {*parse, "tolerances"}),
                                      ("tolerance names", raw_tols, DEFAULT_TOLERANCES)):
             unknown = sorted(set(names) - set(allowed))
@@ -596,8 +616,8 @@ def cli_main(argv=None):
 
         if args.command == "sw-periods":
             try:
-                cfg = VerifyConfig(genus=args.genus, u0=tuple(_to_complex(v) for v in args.u0),
-                                   Lambda=_to_complex(args.Lambda))
+                cfg = VerifyConfig(genus=args.genus, u0=_moduli(args.u0),
+                                   Lambda=_complex("--Lambda", args.Lambda))
             except ValueError as exc:
                 return _bad_config(exc)
             payload = periods_json_payload(reference_stages(cfg))

@@ -40,14 +40,19 @@ An entry with any other rest has xi = 0 and genus term 0, and is exactly 0.
 Each reached rest takes the pivots at the point that its degree budget
 allows and that sort first.  The factor tables hold the lower cells at +z;
 the -z series is an exact sign per column, applied to the stacked second
-factors.  Of each pair's product only the columns the residue vectors read
-are formed (one per pivot with the default D = 4 z^2), as stacked BLAS dots
-that are bitwise the columns ``np.convolve`` gives, so the pairs of the
-points that read the same columns share their stacks; ``products`` counts
-the pairs.  The factor tables of a run lie end to end in one stack, so no
-level copies them.  The genus term is contracted against the residue tensor
-C^p_{ab} stacked over the points, the residue of ebar^a(z) ebar^b(-z)
-against z^{2p+1} / D(z): one gather and one add per block.
+factors.  Of each pair's product only the columns its rest's own pivots
+read are formed: with the default D = 4 z^2 the pivot p reads one column,
+so a rest that takes the pivots 0..top reads top + 1 columns.  They are
+stacked BLAS dots, bitwise the columns ``np.convolve`` gives, and the
+points whose residue vectors first read each column at the same pivot
+share their stacks.  A column a rest does not read meets only exact zeros
+of ``res_vec`` at its pivots, and each column it reads gets every add of
+its pairs in their order, so the values keep their bits.  ``products``
+counts the pairs, ``formed`` the (pair, column) products.  The factor
+tables of a run lie end to end in one stack, so no level copies them.  The
+genus term is contracted against the residue tensor C^p_{ab} stacked over
+the points, the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z):
+one gather and one add per block, at the pivots each rest takes.
 
 What a level enumerates (its pairs of factors, the rests they reach, the
 genus-term entries and the pivots of each rest) depends on the curve's shape
@@ -63,7 +68,7 @@ level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
 the tables of a fresh run, and a shape's first run records them all.  Both
 fill on the same plan, so their tables agree to the bit.  The plans, with
 D's residue tables, sit in an LRU of ``_PLAN_SLOTS`` shapes; a 4-point
-chi = 8 plan takes about 36 MB.
+chi = 8 plan takes about 64 MB.
 
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
@@ -140,19 +145,24 @@ class LocalSpectralCurve:
     def _kernel_matrix(self):
         """``s`` from ``bergman_reg``, after the symmetry gate on every pair."""
         reg = self.bergman_reg
-        m1s, m2s = zip(*reg) if reg else ((), ())
         pos = {lab: q for q, lab in enumerate(self.ram)}
-        modes = dict.fromkeys(m1s + m2s)
-        bad = [m for m in modes if not isinstance(m[0], (int, np.integer)) or m[0] < 1]
-        if bad:
-            m1, m2 = next(pair for pair in reg if pair[0] in bad or pair[1] in bad)
+        ids = _Numbering()      # each distinct mode by the order it is first met
+        legs = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(reg)), np.intp,
+                           2 * len(reg)).reshape(-1, 2)
+        modes = list(ids)
+        bad = np.array([not isinstance(k, (int, np.integer)) or k < 1 for k, _ in modes], bool)
+        if bad.any():
+            first = bad[legs].any(axis=1).argmax()
+            m1, m2 = modes[legs[first, 0]], modes[legs[first, 1]]
             raise ValueError(f"bergman_reg pair ({m1}, {m2}) has mode k = "
-                             f"{(m1 if m1 in bad else m2)[0]!r}: a mode needs an integer k >= 1")
+                             f"{(m2 if bad[legs[first]].argmax() else m1)[0]!r}: "
+                             "a mode needs an integer k >= 1")
         top = max((k for k, lab in modes if lab in pos), default=0)
         dim = len(self.ram) * top
         other = itertools.count(dim)        # rows past s: the modes at other labels
-        row = {m: pos[m[1]] * top + m[0] - 1 if m[1] in pos else next(other) for m in modes}
-        a, b = (np.fromiter(map(row.get, ms), int, len(reg)) for ms in (m1s, m2s))
+        row = np.array([pos[lab] * top + k - 1 if lab in pos else next(other)
+                        for k, lab in modes], dtype=np.intp)
+        a, b = row[legs].T if len(reg) else (np.empty(0, np.intp),) * 2
         given = np.zeros((next(other),) * 2, dtype=complex)
         rank = np.full(given.shape, -1)     # dict position of each given pair
         given[a, b], rank[a, b] = np.fromiter(reg.values(), complex, len(reg)), np.arange(len(reg))
@@ -172,6 +182,14 @@ class LocalSpectralCurve:
         k = len(self.s) // len(self.ram)
         qa, qb = self.ram.index(a), self.ram.index(b)
         return self.s[qa * k:(qa + 1) * k, qb * k:(qb + 1) * k]
+
+
+class _Numbering(dict):
+    """A dict that numbers each key by the order it is first looked up."""
+
+    def __missing__(self, key):
+        self[key] = len(self)
+        return self[key]
 
 
 class OmegaGN:
@@ -231,11 +249,14 @@ class _Block(NamedTuple):
     Its jobs sit at points with one D, that of the point ``q``.  In rows of
     the block, ``ones`` is None or the rows of its one-row jobs, and ``b11``
     None or the (rows, points) of its (1, 1) jobs, whose xi adds B(z, -z).
-    ``genus`` is None or the (row, q, a, b, src) arrays of the genus-term
-    entries, in job order and each job's entry order, src indexing the
-    stored values of the level below stacked in cell order.  ``out`` is the
-    flat gather row * npiv + p of each entry the jobs evaluate, in job and
-    tuple order.
+    ``genus`` is None or the (add, take, q, a, b, src, cross) arrays of the
+    genus-term entries, in job order and each job's entry order: ``add``
+    holds row * npiv + p of each entry at each pivot p its row takes, and
+    ``take`` where that term sits among the entries' terms at every pivot,
+    entry * npiv + p; src indexes the stored values of the level below
+    stacked in cell order, and ``cross`` lists the entries with a != b.
+    ``out`` is the flat gather row * npiv + p of each entry the jobs
+    evaluate, in job and tuple order.
     """
 
     start: int
@@ -264,19 +285,39 @@ class _Keys(NamedTuple):
     tuples: list
 
 
+class _Group(NamedTuple):
+    """A column group's share of a level: its pairs, the products they form, its residue passes.
+
+    ``pairs`` is (2, P): the first and the second factor's row in the run's
+    stack of factor tables.  Each pair adds its product to a row of the
+    group's part, a number of times; the pairs go by the largest pivot of
+    that row, largest first, and keep their order otherwise, so each row
+    gets its pairs in the order they were found.  ``forms`` holds, for each
+    ``_STACK`` pairs in turn, (counts, rep, add): ``counts[c]`` of its
+    leading pairs have a row that reads the column c of the group's columns
+    (``_forms``), ``rep`` is None or how many times each formed product
+    adds, and ``add`` the flat index row * columns + c of each add, column
+    after column, in pair order.  ``formed`` counts the products formed,
+    ``rows`` the part's rows, and the ``_Block`` list splits them into
+    residue passes of whole jobs.  A job is one cell at one point: its rows
+    are its rests.
+    """
+
+    pairs: np.ndarray
+    forms: tuple
+    formed: int
+    rows: int
+    blocks: list
+
+
 class _Level(NamedTuple):
     """The integer plan of one level: what its lower cells' key pattern decides.
 
     ``lower`` is the mask of the planned entries of the level below that
     were stored (nonzero) when the level was recorded, ``factors`` maps each
     cell of the level below to its factor table's rows (their nonzero masks
-    as recorded).  ``groups`` holds (pairs, rows, blocks) per column group.
-    ``pairs`` is (4, P): the first and the second factor's row in the run's
-    stack of factor tables, the row of the group's part the product adds
-    to, and the number of times it adds; ``rows`` counts the part's rows,
-    and the ``_Block`` list splits them into residue passes of whole jobs.
-    A job is one cell at one point: its rows are its rests.  ``keys`` is the
-    level's ``_Keys``.
+    as recorded).  ``groups`` holds a ``_Group`` per column group.  ``keys``
+    is the level's ``_Keys``.
     """
 
     lower: np.ndarray
@@ -381,6 +422,7 @@ class _EoEngine(_CellRecursion):
         self.nlen = self.hi - self.lo + 1
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
         self.products = 0               # split-term pairs whose product was formed
+        self.formed = 0                 # (pair, column) products formed: the columns rows read
         self.replayed = 0               # levels filled on a plan a run before this one recorded
         self._factor_cache = {}
         self._values = {}               # stored values of each cell, in its key order
@@ -444,7 +486,9 @@ class _EoEngine(_CellRecursion):
         """(res_vec, res_cols) per point, the Hankel gather stacked over them, the column groups.
 
         Each is formed once per distinct D; ``_col_groups`` lists (res_cols,
-        points) per distinct column set.
+        points, reads) per distinct first pivot reading each column of the
+        window (``_first_pivots``), which fixes the columns too: ``reads``
+        holds it at the columns res_cols.
         """
         lo, nlen = self.lo, self.nlen
         p = np.arange((self.kmax + 1) // 2)
@@ -463,10 +507,13 @@ class _EoEngine(_CellRecursion):
                         f"denom at {lab!r} truncated below order {needed + 4}")
                 coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
                 res = coef[exps - low]
+                first = _first_pivots(res)
+                cols = np.flatnonzero(first < len(res))
                 # H_p[i, j] = res[p, i + j]
-                shared[key] = res, np.flatnonzero(res.any(axis=0)), res[:, ii[:, None] + ii]
-            groups.setdefault(shared[key][1].tobytes(), (shared[key][1], []))[1].append(q)
-        res_vec, res_cols, hankel = zip(*(shared[key] for key in dkeys))
+                shared[key] = res, cols, res[:, ii[:, None] + ii], first
+            res, cols, _, first = shared[key]
+            groups.setdefault(first.tobytes(), (cols, [], first[cols]))[1].append(q)
+        res_vec, res_cols, hankel, _ = zip(*(shared[key] for key in dkeys))
         return list(res_vec), list(res_cols), np.stack(hankel), list(groups.values())
 
     # building blocks ---------------------------------------------------------
@@ -675,11 +722,12 @@ class _EoEngine(_CellRecursion):
         """
         stack = self._stack[:self._used]
         found = []          # the entries of each block
-        for (cols, _), (pairs, rows, blocks) in zip(self._col_groups, level.groups):
-            part = self._split_part(pairs, rows, cols, stack)
-            for block in blocks:
+        for (cols, _, _), group in zip(self._col_groups, level.groups):
+            part = self._split_part(group, cols, stack)
+            for block in group.blocks:
                 found.append(self._block_values(block, part, cols, lower).reshape(-1)[block.out])
-        self.products += sum(pairs.shape[1] for pairs, _, _ in level.groups)
+            self.products += group.pairs.shape[1]
+            self.formed += group.formed
         plan = level.keys
         vals = (np.concatenate(found) if found else np.empty(0, dtype=complex))[plan.gather]
         self.evaluated += len(vals)
@@ -694,30 +742,30 @@ class _EoEngine(_CellRecursion):
             start += len(keys)
         return stored, vals, plan
 
-    def _split_part(self, pairs, rows, cols, stack):
-        """Columns ``cols`` of the splitting terms of a column group's ``rows`` rows.
+    def _split_part(self, group, cols, stack):
+        """Columns ``cols`` of the splitting terms of a column group's rows, a ``_Group``.
 
         Each pair of nonzero lower-cell factors adds its product to the rest
         their merged legs make, once per leg-position subset that gives the
-        pair.  Only the columns ``cols`` are formed, each bitwise
-        ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs at
-        a time across the jobs, the second factors flipped to -z as a stack.
-        The adds go one per subset in pair order, as in ``compute_value``: a
-        single add of the multiple would round differently.  They go to the
-        flat part, column by column of each subset: the order per entry of
-        a row-wise add, at a third of its cost.
+        pair.  Of the columns ``cols`` a pair forms only those its row reads:
+        the columns that some pivot its rest takes reads.  Each is bitwise
+        ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs
+        at a time across the jobs, the second factors flipped to -z as a
+        stack.  The adds go one per subset in pair order, as in
+        ``compute_value``: a single add of the multiple would round
+        differently.  They go to the flat part at the plan's indices, column
+        after column: each read entry gets every add of its row's pairs, in
+        their order.  An unread entry stays 0, and it meets only exact zeros
+        of ``res_vec`` at the pivots its row takes, so every value the level
+        keeps has the bits of a part with every column formed.
         """
-        part = np.zeros((rows, len(cols)), dtype=complex)
-        first, second, at, ways = pairs
+        part = np.zeros((group.rows, len(cols)), dtype=complex)
+        first, second = group.pairs[:2]
         flip = self._flip[::-1].copy()      # a reversed view would take a slow buffered loop
-        width = np.arange(len(cols))
-        for start in range(0, len(at), _STACK):
-            stop = min(start + _STACK, len(at))
-            flipped = stack[second[start:stop]][:, ::-1] * flip
-            terms = _product_columns(stack[first[start:stop]], flipped, cols)
-            each = np.repeat(np.arange(stop - start), ways[start:stop])
-            flat = at[start:stop][each, None] * len(cols) + width
-            np.add.at(part.reshape(-1), flat.ravel(), terms[each].ravel())
+        for start, (counts, rep, add) in zip(itertools.count(0, _STACK), group.forms):
+            flipped = stack[second[start:start + _STACK]][:, ::-1] * flip
+            terms = _product_columns(stack[first[start:start + _STACK]], flipped, cols, counts)
+            np.add.at(part.reshape(-1), add, terms if rep is None else terms.repeat(rep))
         return part
 
     def _block_values(self, block, part, cols, lower):
@@ -726,33 +774,42 @@ class _EoEngine(_CellRecursion):
         A row's xi holds its part's columns ``cols`` and, for (1, 1), B(z, -z)
         too.  One matmul takes every row; a one-row job's matmul is not a row
         of a larger one, bitwise, so one stacked (J, 1, W) matmul takes those
-        rows again, each with the bits of its job's own.  The genus terms of
-        all the jobs are one gather from ``res_tensor`` and one flat add: an
-        entry of omega_{g-1,n+1} at (a, b, rest), whose value is
+        rows again, each with the bits of its job's own.  A block of one job
+        with more rows than ``_BLOCK_BYTES`` of xi takes its matmul in slices
+        of rows, none of one row, so its xi is never formed whole.  The genus
+        terms of all the jobs are one gather from ``res_tensor`` and one flat
+        add: an entry of omega_{g-1,n+1} at (a, b, rest), whose value is
         ``lower[src]``, adds that value times C[q, p, a, b] + C[q, p, b, a]
-        (once for a = b) to its row at every pivot p.  Jobs have rows of their
-        own, so each row gets its adds in its job's entry order.
+        (once for a = b) to its row at every pivot p the row takes; the
+        others are not gathered.  Jobs have rows of their own, so each row
+        gets its adds in its job's entry order.
         """
         start, stop, q, ones, b11, genus, _ = block
-        npiv = self.res_tensor.shape[1]
-        xi = np.zeros((stop - start, 2 * self.nlen - 1), dtype=complex)
-        xi[:, cols] = part[start:stop]
-        if b11 is not None:
-            rows, qs = b11
-            xi[rows, -self.lo:-self.lo + self.nlen] += self.b_pm[qs]
         res = self.res_vec[q].T
-        vals = xi @ res
-        if ones is not None:
-            vals[ones] = (xi[ones, None] @ res)[:, 0]
+        width = 2 * self.nlen - 1
+        vals = np.empty((stop - start, res.shape[1]), dtype=complex)
+        # a block larger than a pass is one job, whose rows go in slices of two or more
+        cuts = list(range(0, stop - start, max(2, _block_rows(width)))) + [stop - start]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            del cuts[-2]
+        for lo, hi in itertools.pairwise(cuts):
+            xi = np.zeros((hi - lo, width), dtype=complex)
+            xi[:, cols] = part[start + lo:start + hi]
+            if b11 is not None:
+                rows, qs = b11
+                xi[rows, -self.lo:-self.lo + self.nlen] += self.b_pm[qs]
+            np.matmul(xi, res, out=vals[lo:hi])
+            if ones is not None:
+                vals[ones] = (xi[ones, None] @ res)[:, 0]
         np.negative(vals, out=vals)
         if genus is not None:
-            at, qs, a, b, src = genus
+            add, take, qs, a, b, src, cross = genus
             c = self.res_tensor
-            pair = c[qs, :, a, b] + np.where((a != b)[:, None], c[qs, :, b, a], 0)
-            terms = pair * lower[src, None]
+            terms = c[qs, :, a, b]
+            terms[cross] += c[qs[cross], :, b[cross], a[cross]]
+            terms *= lower[src, None]
             adds = np.zeros_like(vals)
-            flat = at[:, None] * npiv + np.arange(npiv)
-            np.add.at(adds.reshape(-1), flat.ravel(), terms.ravel())
+            np.add.at(adds.reshape(-1), add, terms.reshape(-1)[take])
             vals -= adds
         return vals
 
@@ -764,12 +821,13 @@ class _EoEngine(_CellRecursion):
         lower = dict(zip(below, itertools.accumulate(sizes, initial=0)))
         groups, spans, keys = [], {}, {}
         done = 0            # the entries the jobs before evaluate, in the fill's order
-        for _, points in self._col_groups:
+        for _, points, reads in self._col_groups:
             # the jobs at the points of one D one after another: a block has one D
             jobs = [(g, n, q) for d in dict.fromkeys(self._d_point[q] for q in points)
                     for g, n in cells for q in points if self._d_point[q] == d]
-            pairs, planned, flat, got = self._record_jobs(jobs, self._offsets)
-            groups.append((pairs, *self._blocks(planned, flat, lower)))
+            pairs, planned, flat, got, tops = self._record_jobs(jobs, self._offsets)
+            groups.append(_Group(*self._forms(pairs, tops, reads),
+                                 *self._blocks(planned, flat, tops, lower)))
             for job, job_keys in zip(planned, got):
                 spans[job[:3]], keys[job[:3]] = range(done, done + job[5]), job_keys
                 done += job[5]
@@ -781,17 +839,44 @@ class _EoEngine(_CellRecursion):
                       tuple(groups),
                       _Keys(gather, counts, np.concatenate(list(map(keys.get, jobs))), None, None))
 
-    def _blocks(self, jobs, flat, lower):
+    @staticmethod
+    def _forms(pairs, tops, reads):
+        """(pairs, forms, formed) of a ``_Group`` from ``_record_jobs``'s (4, P) pairs.
+
+        ``tops`` holds the largest pivot of each row of the group's part,
+        ``reads[c]`` the smallest pivot that reads the group's column c: a row
+        reads the columns whose ``reads`` is at most its top.  With the pairs
+        of the rows that read the most first, the pairs that form a column are
+        the leading ones of each ``_STACK``.  A row's pairs share its top, so
+        a stable sort keeps them in the order they were found.
+        """
+        pairs = pairs[:, np.argsort(-tops[pairs[2]], kind="stable")]
+        _, _, at, ways = pairs
+        top, most = tops[at], ways.max(initial=1)
+        width = np.arange(len(reads), dtype=np.int32)[:, None]
+        forms, formed = [], 0
+        for start in range(0, len(top), _STACK):
+            read = top[start:start + _STACK] >= reads[:, None]     # column by pair
+            add = (at[start:start + _STACK] * len(reads) + width)[read]
+            rep = None
+            if most > 1:
+                rep = (ways[start:start + _STACK] * read)[read].astype(np.min_scalar_type(most))
+                add = add.repeat(rep)
+            forms.append((read.sum(axis=1), rep, add))
+            formed += int(read.sum())
+        return pairs[:2].copy(), tuple(forms), formed
+
+    def _blocks(self, jobs, flat, tops, lower):
         """(rows, blocks): a column group's rows and its residue passes, a ``_Block`` each.
 
-        ``jobs`` and ``flat`` come as ``_record_jobs`` gives them, the jobs'
-        rows one after another.  A block takes whole jobs in order, at points
+        ``jobs``, ``flat`` and ``tops`` come as ``_record_jobs`` gives them,
+        the jobs' rows one after another.  A block takes whole jobs in order, at points
         with one D: as many as keep its xi within ``_BLOCK_BYTES``, or one.
         ``lower`` maps each cell of the level below to the offset of its
         stored values in their stack.
         """
         npiv = (self.kmax + 1) // 2
-        most = max(1, _BLOCK_BYTES // (16 * (2 * self.nlen - 1)))     # rows of a block's xi
+        most = _block_rows(2 * self.nlen - 1)
         chunks, width, d = [], most, None
         for job in jobs:
             if not job[3]:
@@ -810,17 +895,23 @@ class _EoEngine(_CellRecursion):
             blocks.append(_Block(start, start + firsts[-1], chunk[0][2],
                                  np.array(ones) if ones else None,
                                  tuple(map(np.array, zip(*b11))) if b11 else None,
-                                 self._block_genus(chunk, firsts, lower),
+                                 self._block_genus(chunk, firsts, lower,
+                                                   tops[start:start + firsts[-1]]),
                                  flat[done:done + count] - start * npiv))
             start += firsts[-1]
             done += count
         return start, blocks
 
-    def _block_genus(self, jobs, firsts, lower):
-        """The (row, q, a, b, src) arrays of the genus-term entries of a block's ``jobs``, or None.
+    def _block_genus(self, jobs, firsts, lower, tops):
+        """The (add, take, q, a, b, src, cross) arrays of the genus-term entries of a block's
+        ``jobs``, or None.
 
         ``firsts`` holds each job's first row in the block, ``lower`` the
-        offset of each lower cell's stored values in their stack.
+        offset of each lower cell's stored values in their stack, ``tops``
+        the largest pivot of each row of the block.  An entry adds to its row
+        at the pivots 0..top the row takes, the ones the block gathers:
+        ``take`` indexes them in the flat (entries, npiv) terms, ``add`` in
+        the block's flat values.
         """
         have = [(job, first) for job, first in zip(jobs, firsts) if job[4] is not None]
         counts = [len(job[4][0]) for job, _ in have]
@@ -830,10 +921,14 @@ class _EoEngine(_CellRecursion):
                           dtype=np.int32)
         first, q, offset = np.repeat(shifts.T, counts, axis=1)
         at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
-        return at + first, q, a, b, src + offset
+        at += first
+        pivots = np.arange(self.res_tensor.shape[1], dtype=np.int32)
+        keep = pivots <= tops[at, None]     # the pivots each entry's row takes
+        return ((at[:, None] * len(pivots) + pivots)[keep], np.flatnonzero(keep).astype(np.int32),
+                q, a, b, src + offset, np.flatnonzero(a != b).astype(np.int32))
 
     def _record_jobs(self, jobs, offsets):
-        """(pairs, jobs, flat, keys): the plan of ``jobs``, (g, n, q) each, and their entries.
+        """(pairs, jobs, flat, keys, tops): the plan of ``jobs``, (g, n, q) each, and their entries.
 
         A job's rows are the rests of its genus-term entries (``_first_rows``)
         and then those its splitting-term pairs reach.  The first factor is a
@@ -844,10 +939,11 @@ class _EoEngine(_CellRecursion):
         the pair (``_ways``).  The jobs come back as (g, n, q, rows,
         genus-term entries, entries), rows and entries counted.  The entries
         are the pivots the rests take (``_pivots``): ``flat`` holds where each
-        sits in the part's rows of the jobs, job after job, and ``keys`` each
-        job's tuples end to end in an integer array.
+        sits in the part's rows of the jobs, job after job, ``keys`` each
+        job's tuples end to end in an integer array, and ``tops`` the largest
+        pivot of each row.
         """
-        pairs, out, flat, keys = [], [], array.array("i"), []
+        pairs, out, flat, keys, tops = [], [], array.array("i"), [], array.array("i")
         found = []          # pairs not yet in ``pairs``, four numbers each
         base = 0
         for g, n, q in jobs:
@@ -872,23 +968,24 @@ class _EoEngine(_CellRecursion):
             if len(found) > _STACK * 64:     # a list holds each number as an object
                 pairs.append(np.array(found, dtype=np.int32))
                 found = []
-            got = self._pivots(rows, first, room, base, flat)
+            got = self._pivots(rows, first, room, base, flat, tops)
             keys.append(np.fromiter(itertools.chain.from_iterable(got), self._key_type,
                                     len(got) * n))
             out.append((g, n, q, len(rows), genus, len(got)))
             base += len(rows)
         pairs.append(np.array(found, dtype=np.int32))
         pairs = np.concatenate(pairs).reshape(-1, 4).T.copy()
-        return pairs, tuple(out), np.frombuffer(flat, dtype=np.intc), keys
+        return (pairs, tuple(out), np.frombuffer(flat, dtype=np.intc), keys,
+                np.frombuffer(tops, dtype=np.intc))
 
-    def _pivots(self, rows, first, room, base, flat):
+    def _pivots(self, rows, first, room, base, flat, tops):
         """The tuples of the entries of a job with its rests in ``rows``, sorted.
 
         The pivot is a mode (2p + 1) at the job's point, from its first mode
         ``first``, within the budget ``room`` less the rest's degree, and no
         larger than the rest's first leg.  So the tuples sort by pivot, then
         by rest.  Each entry's (base + row) * npiv + p, row its rest's, goes
-        on ``flat``.
+        on ``flat``, and each row's largest p on ``tops``, in row order.
         """
         npiv = (self.kmax + 1) // 2
         rests = sorted(rows)
@@ -903,6 +1000,10 @@ class _EoEngine(_CellRecursion):
             degree = self.degree.__getitem__
             more = [(rest, a, top) for rest, a in zip(rests, at) if rest[0] > first
                     and (top := min(rest[0] - first, room - sum(map(degree, rest)))) > 0]
+        top = [0] * len(rows)
+        for rest, _, most in more:
+            top[rows[rest]] = most
+        tops.extend(top)
         p = 1
         while more:
             head = (first + p,)
@@ -915,8 +1016,8 @@ class _EoEngine(_CellRecursion):
     def _reached(self, g, n):
         """The tuples the fill of a cell reaches, enumerated afresh, with no products formed."""
         # the factor rows' offsets in the stack do not matter: only the keys are read
-        _, _, _, keys = self._record_jobs([(g, n, q) for q in range(len(self.ram))],
-                                          collections.defaultdict(int))
+        keys = self._record_jobs([(g, n, q) for q in range(len(self.ram))],
+                                          collections.defaultdict(int))[3]
         return set(zip(*[iter(np.concatenate(keys).tolist())] * n))
 
     def _genus_triples(self, g, n):
@@ -1011,31 +1112,47 @@ class _EoEngine(_CellRecursion):
 # thousands, whose whole stack would raise the run's peak memory by a third
 _STACK = 1024
 
-# bytes of xi a residue pass forms at most, unless one job alone needs more
+# bytes of xi a residue pass forms at most; a job that needs more takes
+# passes of part of its rows, two rows at least
 _BLOCK_BYTES = 1 << 21
 
 # bytes the run's stack of factor tables starts with; it doubles when full
 _STACK_START_BYTES = 1 << 20
 
 
-def _product_columns(f1, r2, cols):
-    """Columns ``cols`` of ``np.convolve(f1[i], f2[i])`` for every row i, bitwise.
+def _product_columns(f1, r2, cols, counts):
+    """Column ``cols[c]`` of ``np.convolve(f1[i], f2[i])`` for the rows i < ``counts[c]``, bitwise.
 
     ``f1`` and ``r2`` are (P, L) stacks, ``r2`` holding the rows of f2
-    reversed and C-contiguous.  For two series of length L, ``np.convolve``
-    takes output k as one dtype ``dot``: of f1[:k+1] with r2[L-1-k:] for
-    k < L, else of f1[k-L+1:] with r2[:2L-1-k].  A stacked (P, 1, m) @
-    (P, m, 1) matmul takes that same BLAS dot on each row's segments, so
-    every column is convolve's to the bit.  A reversed view, with its
-    negative stride, would take numpy's own loop and round differently.
+    reversed and C-contiguous.  The columns come one after another in one
+    flat array, each its ``counts[c]`` rows.  For two series of length L,
+    ``np.convolve`` takes output k as one dtype ``dot``: of f1[:k+1] with
+    r2[L-1-k:] for k < L, else of f1[k-L+1:] with r2[:2L-1-k].  A stacked
+    (m, 1, w) @ (m, w, 1) matmul takes that same BLAS dot on each row's
+    segments, one row at a time, so every column is convolve's to the bit
+    however many rows it takes.  A reversed view, with its negative stride,
+    would take numpy's own loop and round differently.
     """
     size = f1.shape[1]
-    out = np.empty((len(f1), len(cols)), dtype=complex)
-    for c, k in enumerate(cols):
+    out = np.empty(int(counts.sum()), dtype=complex)
+    at = 0
+    for k, m in zip(cols.tolist(), counts.tolist()):
         lo1, hi1 = max(0, k - size + 1), min(size, k + 1)
         lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
-        out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
+        np.matmul(f1[:m, None, lo1:hi1], r2[:m, lo2:hi2, None], out=out[at:at + m, None, None])
+        at += m
     return out
+
+
+def _block_rows(width):
+    """Rows of xi, ``width`` columns wide, that a residue pass forms at most: one at least."""
+    return max(1, _BLOCK_BYTES // (16 * width))
+
+
+def _first_pivots(res):
+    """The smallest pivot whose row of the ``res_vec`` ``res`` reads each column, else len(res)."""
+    read = res != 0
+    return np.where(read.any(axis=0), read.argmax(axis=0), len(res))
 
 
 def _stored_tuples(cells, keys, stored):

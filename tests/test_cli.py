@@ -104,13 +104,22 @@ _G1 = {"genus": 1, "u0": [[0.3, 0.1]]}
      "tolerance route_rel must be a number, got '1e-5'"),
     ({**_G1, "tolerances": {"theorem_rel": None}},
      "tolerance theorem_rel must be a number, got None"),
+    ({**_G1, "tolerances": [1, 2]}, "tolerances must be a JSON object, got list"),
+    ({**_G1, "Lambda": True}, "Lambda must be a number, complex string or [re, im] pair, got True"),
+    ({**_G1, "Lambda": "1+"}, "Lambda must be a number, complex string or [re, im] pair, got '1+'"),
+    ({"genus": 1, "u0": [True]},
+     "u0[0] must be a number, complex string or [re, im] pair, got True"),
+    ({"genus": 1, "u0": [[0.3, 0.1, 0.2]]},
+     "u0[0] must be a number, complex string or [re, im] pair, got [0.3, 0.1, 0.2]"),
+    ({"genus": 1, "u0": 5}, "u0 must be a list of moduli, got 5"),
 ])
 def test_malformed_config_values_are_refused(tmp_path, capsys, raw, named):
     # a config that is not an object, a value of the wrong kind and a
     # tolerance that is not finite are refused by name with exit 2, not
     # coerced (a string "false" is truthy, int(1.7) is 1, float(true) a
-    # tolerance of 1.0, str(5) a directory "5") or run (an infinite
-    # tolerance passes every check, NaN fails every one)
+    # tolerance of 1.0 and complex(true) a Lambda of 1, str(5) a directory
+    # "5") or run (an infinite tolerance passes every check, NaN fails
+    # every one)
     with pytest.raises(ValueError, match=re.escape(named)):
         VerifyConfig.from_dict(raw)
     p = tmp_path / "cfg.json"

@@ -29,6 +29,7 @@ from swtr.spectral import (
     _PLAN_SLOTS,
     _STACK,
     _EoEngine,
+    _first_pivots,
     _plan,
     _product_columns,
     _ways,
@@ -448,8 +449,8 @@ def _pivots(self, g, n, q, rows):
 
 def _convolve_cell(self, g, n):
     """One cell, one point at a time, by one full ``np.convolve`` per pair: the
-    oracle of ``_EoEngine.run``, which forms only the columns the residue reads,
-    for all the cells and points of a level in one stack.  Every sum is added
+    oracle of ``_EoEngine.run``, which forms only the columns each rest's pivots
+    read, for all the cells and points of a level in one stack.  Every sum is added
     one per subset in pair order."""
     self.allowed(g, n)
     cell = {}
@@ -500,7 +501,8 @@ def _support_cell(self, g, n):
             chunk = pairs[i:i + _STACK]
             self.products += len(chunk)
             firsts, seconds, where, ways = zip(*chunk)
-            terms = _product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(), cols)
+            terms = _all_product_columns(np.array(firsts), np.array(seconds)[:, ::-1].copy(),
+                                         cols)
             each = np.repeat(np.arange(len(chunk)), ways)
             np.add.at(part, np.array(where)[each], terms[each])
         xi = np.zeros((len(at), 2 * self.nlen - 1), dtype=complex)
@@ -533,6 +535,56 @@ def _support_cell(self, g, n):
         if val != 0:
             cell[idx] = val
     return cell
+
+
+def _all_product_columns(f1, r2, cols):
+    """Columns ``cols`` of ``np.convolve(f1[i], f2[i])`` for every row i, ``r2`` the rows of f2
+    reversed: the all-column reference of ``_product_columns``, which forms a column only for
+    the leading rows that read it.
+
+    Output k of convolve is one dtype ``dot`` of f1[:k+1] with r2[L-1-k:]
+    for k < L, else of f1[k-L+1:] with r2[:2L-1-k], L the series length;
+    a stacked (P, 1, m) @ (P, m, 1) matmul takes that dot on every row.
+    """
+    size = f1.shape[1]
+    out = np.empty((len(f1), len(cols)), dtype=complex)
+    for c, k in enumerate(cols):
+        lo1, hi1 = max(0, k - size + 1), min(size, k + 1)
+        lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
+        out[:, c] = (f1[:, None, lo1:hi1] @ r2[:, lo2:hi2, None])[:, 0, 0]
+    return out
+
+
+def _all_column_forms(pairs, tops, reads):
+    """``_EoEngine._forms`` of the all-column reference: every pair forms every column.
+
+    The pairs stay in the order they were found, with the rows they add to
+    and how many times.
+    """
+    return pairs, (), pairs.shape[1] * len(reads)
+
+
+def _all_column_split_part(self, group, cols, stack):
+    """``_EoEngine._split_part`` forming every column of every pair and adding it: the
+    reference of the read-column products, on ``_all_column_forms``'s plan."""
+    part = np.zeros((group.rows, len(cols)), dtype=complex)
+    first, second, at, ways = group.pairs
+    flip = self._flip[::-1].copy()
+    width = np.arange(len(cols))
+    for start in range(0, len(at), _STACK):
+        stop = min(start + _STACK, len(at))
+        flipped = stack[second[start:stop]][:, ::-1] * flip
+        terms = _all_product_columns(stack[first[start:stop]], flipped, cols)
+        each = np.repeat(np.arange(stop - start), ways[start:stop])
+        flat = at[start:stop][each, None] * len(cols) + width
+        np.add.at(part.reshape(-1), flat.ravel(), terms[each].ravel())
+    return part
+
+
+def _all_columns(monkeypatch):
+    """Make the recursion form and add every column of every pair, as the reference does."""
+    monkeypatch.setattr(_EoEngine, "_forms", staticmethod(_all_column_forms))
+    monkeypatch.setattr(_EoEngine, "_split_part", _all_column_split_part)
 
 
 def _table_bits(table):
@@ -622,6 +674,82 @@ def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
 
 
 @FILL_CASES
+def test_read_columns_give_the_all_column_tables_bitwise(monkeypatch, ram, chi, denom):
+    # a pair forms and adds only the columns its row reads and leaves the
+    # values, key order and counts of forming and adding every column: on a
+    # shape's first run, which records its plan, and on the run that
+    # replays it; they are fewer than all where a column is first read by
+    # a pivot above 0, as with D = 4 z^2 (every pivot of a D with more
+    # terms reads every column)
+    def runs():
+        _plan.cache_clear()
+        return [_fill_case(ram, chi, denom), _fill_case(ram, chi, denom, other=True)]
+
+    got = runs()
+    with monkeypatch.context() as m:
+        _all_columns(m)
+        want = runs()
+    engine = got[0].engine
+    assert [omega.engine.replayed for omega in got + want] == [0, engine.chi_max] * 2
+    fewer = any(_first_pivots(res)[cols].any()
+                for res, cols in zip(engine.res_vec, engine.res_cols))
+    for omega, ref in zip(got, want):
+        assert _counts(omega) == _counts(ref)
+        assert _table_bits(omega.table) == _table_bits(ref.table)
+        assert 0 < omega.engine.formed <= ref.engine.formed
+        assert (omega.engine.formed < ref.engine.formed) == fewer
+
+
+@pytest.mark.parametrize("ram, chi, sparse", [
+    (("p", "q"), 5, dict(cross=False)),
+    (("a", "b", "c"), 4, dict(zero=True)),
+], ids=["2pt-block-diagonal", "3pt-airy"])
+def test_read_columns_on_sparse_kernels_bitwise(monkeypatch, ram, chi, sparse):
+    # a dense kernel records a shape's plan, a sparser one records afresh
+    # from the first level it cannot replay and a second sparse one replays
+    # that: each run's values, key order and counts are those of forming
+    # and adding every column
+    def run(zero=False, cross=True, seed=0):
+        s = {} if zero else random_s(ram, 9, np.random.default_rng(seed), cross=cross)
+        return eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), chi)
+
+    def runs():
+        _plan.cache_clear()
+        return [run(), run(**sparse, seed=1), run(**sparse, seed=2)]
+
+    got = runs()
+    with monkeypatch.context() as m:
+        _all_columns(m)
+        want = runs()
+    replayed = [omega.engine.replayed for omega in got]
+    assert replayed == [omega.engine.replayed for omega in want]
+    assert replayed[0] == 0 and replayed[1] < chi and replayed[2] == chi
+    for omega, ref in zip(got, want):
+        assert _counts(omega) == _counts(ref)
+        assert _table_bits(omega.table) == _table_bits(ref.table)
+        assert omega.engine.formed < ref.engine.formed
+
+
+@pytest.mark.parametrize("points, chi, formed, every", [(4, 3, 682, 2610), (1, 5, 447, 2976)],
+                         ids=["4pt-chi3", "1pt-chi5"])
+def test_formed_products_are_the_read_columns(monkeypatch, points, chi, formed, every):
+    # the (pair, column) products a run forms, on a kernel with no zero: the
+    # columns the rows read, against one per pivot for every pair; the
+    # first run and the one that replays its plan form the same
+    ram = tuple(str(q) for q in range(points))
+
+    def runs():
+        _plan.cache_clear()
+        return [eo_run(LocalSpectralCurve(ram=ram, bergman_reg=random_s(
+            ram, 7, np.random.default_rng(seed))), chi).engine for seed in (0, 1)]
+
+    assert [(engine.formed, engine.replayed) for engine in runs()] == [(formed, 0), (formed, chi)]
+    with monkeypatch.context() as m:
+        _all_columns(m)
+        assert [engine.formed for engine in runs()] == [every] * 2
+
+
+@FILL_CASES
 def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
     # a level's residue passes taking one job each, or a whole column group
     # each, give a shape's recording run and the two runs that replay it the
@@ -635,8 +763,8 @@ def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
     for bound in (0, 1 << 40):
         made = []       # (jobs with rows, their distinct D, blocks) per column group laid out
 
-        def counted(self, jobs, flat, lower):
-            rows, got = blocks(self, jobs, flat, lower)
+        def counted(self, jobs, flat, tops, lower):
+            rows, got = blocks(self, jobs, flat, tops, lower)
             busy = [job for job in jobs if job[3]]
             made.append((len(busy), len({self._d_point[job[2]] for job in busy}), len(got)))
             return rows, got
@@ -652,7 +780,7 @@ def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
         assert any(jobs > ds for jobs, ds, _ in made)
     # the two D of 2pt-chi4-two-d read the same columns: one group, a block per D
     if denom == {"q": HALF}:
-        assert [block.q for block in got[1].engine._plan.levels[-1].groups[0][2]] == [0, 1]
+        assert [block.q for block in got[1].engine._plan.levels[-1].groups[0].blocks] == [0, 1]
 
 
 def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
@@ -668,7 +796,7 @@ def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
     engine = _EoEngine(curve, 4, max_index_bound(4))
     width, npiv = 2 * engine.nlen - 1, engine.res_tensor.shape[1]
     cols = np.arange(width)         # xi dense, not just on the columns res_vec reads
-    for _, points in engine._col_groups:
+    for _, points, _ in engine._col_groups:
         # jobs of 0 to 3 rows, those at the points of one D one after another,
         # as a level lays them out
         jobs, parts, want = [], [], []
@@ -686,12 +814,33 @@ def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
         for bound, count in ((0, busy), (spectral._BLOCK_BYTES, None),
                              (1 << 40, len({engine._d_point[q] for q in points}))):
             monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
-            rows, blocks = engine._blocks(jobs, np.arange(len(part) * npiv, dtype=np.int32), {})
+            rows, blocks = engine._blocks(jobs, np.arange(len(part) * npiv, dtype=np.int32),
+                                          np.zeros(len(part), dtype=np.int32), {})
             assert rows == len(part) and len(blocks) == (count or len(blocks))
             vals = [engine._block_values(block, part, cols, None) for block in blocks]
             assert np.concatenate(vals).tobytes() == want.tobytes(), bound
             got = np.concatenate([v.reshape(-1)[block.out] for v, block in zip(vals, blocks)])
             assert got.tobytes() == want.tobytes(), bound
+
+
+def test_large_job_takes_its_residue_pass_in_slices_bitwise(monkeypatch):
+    # a job of more rows than a residue pass holds takes it in slices of at
+    # least two rows, and each row keeps the bits of the job's own
+    # -(xi @ res_vec[q].T): at one row a pass, two, three and no bound
+    rng = np.random.default_rng(71)
+    engine = _EoEngine(airy_point(), 4, max_index_bound(4))
+    width, npiv = 2 * engine.nlen - 1, engine.res_tensor.shape[1]
+    cols = np.arange(width)
+    for rows in (2, 3, 7, 8, 40):
+        part = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        want = -(part @ engine.res_vec[0].T)
+        _, (block,) = engine._blocks([(0, 5, 0, rows, None, rows * npiv)],
+                                     np.arange(rows * npiv, dtype=np.int32),
+                                     np.zeros(rows, dtype=np.int32), {})
+        for bound in (0, 32 * width, 48 * width, 1 << 40):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
+            got = engine._block_values(block, part, cols, None)
+            assert got.tobytes() == want.tobytes(), (rows, bound)
 
 
 def _plan_arrays(node):
@@ -791,7 +940,9 @@ def test_plan_cache_keeps_at_most_its_slots():
 def test_product_columns_are_convolve_columns_bitwise():
     # every column of the stacked dots is np.convolve's to the bit, at the
     # window length of each chi's engine (and a wider window), for factors
-    # that start with zeros as the lower cells' series do
+    # that start with zeros as the lower cells' series do; a column formed
+    # for its leading rows only has their bits, as does the all-column
+    # reference
     rng = np.random.default_rng(59)
     sizes = {_EoEngine(airy_point(), chi, max_index_bound(chi), extra).nlen
              for chi in range(1, 8) for extra in (0, 8)}
@@ -802,9 +953,14 @@ def test_product_columns_are_convolve_columns_bitwise():
             f1[:, :3] = 0
             f2[:4, :size // 2] = 0
             cols = np.arange(2 * size - 1)
-            got = _product_columns(f1, f2[:, ::-1].copy(), cols)
             ref = np.array([np.convolve(a, b) for a, b in zip(f1, f2)])
+            got = _all_product_columns(f1, f2[:, ::-1].copy(), cols)
             assert got.tobytes() == ref.tobytes(), (size, mag)
+            counts = rng.integers(0, len(f1) + 1, len(cols))
+            counts[:2] = len(f1), 0
+            got = _product_columns(f1, f2[:, ::-1].copy(), cols, counts)
+            want = np.concatenate([ref[:m, k] for k, m in zip(cols, counts)])
+            assert got.tobytes() == want.tobytes(), (size, mag)
     engine = _EoEngine(LocalSpectralCurve(ram=("0",), denom={"0": QUARTIC}), 3, 10)
     default = _EoEngine(airy_point(), 3, 10)
     assert len(default.res_cols[0]) == len(default.res_vec[0])    # one column per pivot
@@ -949,7 +1105,7 @@ def test_stacked_setup_matches_per_point_copy_bitwise():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name, q)
         assert engine.res_vec[0] is engine.res_vec[2] and engine.res_vec[1] is engine.res_vec[3]
         assert engine.res_vec[0] is not engine.res_vec[1]
-        assert [points for _, points in engine._col_groups] == [[0, 2], [1, 3]]
+        assert [points for _, points, _ in engine._col_groups] == [[0, 2], [1, 3]]
 
 
 def test_stacked_residue_tensor_is_the_per_point_product_bitwise():
