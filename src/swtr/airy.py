@@ -196,6 +196,14 @@ def build_tr_variant_tensors(kmax, ram=("0",), validate=True):
 # gauge transformations
 # ---------------------------------------------------------------------------
 
+def _identity_plus(entries, modes, index):
+    """The identity over ``modes`` with the sparse {(row mode, column mode): value} written over it."""
+    mat = np.eye(len(modes), dtype=complex)
+    for (row, col), v in entries.items():
+        mat[index[row], index[col]] = v
+    return mat
+
+
 @dataclass
 class GaugeData:
     """Change of canonical basis: new-basis indices are identified with modes.
@@ -212,16 +220,10 @@ class GaugeData:
     i_cutoff: int = 0
 
     def c_matrix(self, modes, index):
-        mat = np.eye(len(modes), dtype=complex)
-        for (up, lo), v in self.c.items():
-            mat[index[up], index[lo]] = v
-        return mat
+        return _identity_plus(self.c, modes, index)
 
     def d_matrix(self, modes, index):
-        mat = np.eye(len(modes), dtype=complex)
-        for (new, old), v in self.d.items():
-            mat[index[new], index[old]] = v
-        return mat
+        return _identity_plus(self.d, modes, index)
 
     def s_matrix(self, modes, index):
         mat = np.zeros((len(modes), len(modes)), dtype=complex)

@@ -313,24 +313,18 @@ def _chart_rows(charts, n, f_size):
     """Coefficients of etabar^0..etabar^(n-1) of dz/detabar, z and z^i dz/detabar / y, i < f_size.
 
     Returns arrays (dz, z, forms) of shapes (charts, n), (charts, n) and
-    (charts, f_size, n) over the sorted labels.  The upper charts' series are
-    read with ``LaurentSeries.taylor``, so a series too short raises, and
-    their forms are stacked products; each (i, -1) row is its partner's at
-    -etabar, with dz/detabar changing sign and y too, so the forms do not.
+    (charts, f_size, n) over the sorted labels.  Every chart's own series are
+    read with ``LaurentSeries.taylor``, so a series too short raises, and the
+    forms of all charts are stacked products.
     """
     labels = sorted(charts)
-    upper = sorted({i for i, _ in labels})
-    dz, z, y = (np.array([getattr(charts[(i, 1)], name).taylor(n) for i in upper])
+    dz, z, y = (np.array([getattr(charts[lab], name).taylor(n) for lab in labels])
                 for name in ("dz_detabar", "z_of_etabar", "y_curve"))
-    with _named([(i, 1) for i in upper]):
+    with _named(labels):
         forms = [mul1(dz, power1(y, -1))]
     for _ in range(1, f_size):
         forms.append(mul1(forms[-1], z))
-    forms = np.stack(forms, axis=1)
-    rows = [upper.index(i) for i, _ in labels]
-    sheet = np.array([s for _, s in labels], dtype=float)[:, None]
-    flip = np.where(sheet == -1, (-1.0) ** np.arange(n), 1.0)
-    return dz[rows] * flip * sheet, z[rows] * flip, forms[rows] * flip[:, None]
+    return dz, z, np.stack(forms, axis=1)
 
 
 def _outer_sum(weights, rows_a, rows_b):

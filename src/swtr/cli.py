@@ -578,6 +578,12 @@ def _bad_config(why):
     return 2
 
 
+def _cannot_write(path, exc):
+    """Report an output that could not be written, at the path that failed, as exit code 2."""
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def cli_main(argv=None):
     try:
         args = _parser().parse_args(argv)
@@ -607,7 +613,10 @@ def cli_main(argv=None):
             t0 = time.perf_counter()
             omega = eo_run(curve, args.chi_max)
             wall = time.perf_counter() - t0
-            write_sgn_csv(args.out, omega.table)
+            try:
+                write_sgn_csv(args.out, omega.table)
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
             stored = sum(len(c) for c in omega.table.entries.values())
             print(f"wrote {args.out} with {stored} entries")
             print(f"recursion: {omega.engine.evaluated} tuples evaluated, "
@@ -621,8 +630,11 @@ def cli_main(argv=None):
             except ValueError as exc:
                 return _bad_config(exc)
             payload = periods_json_payload(reference_stages(cfg))
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+            try:
+                with open(args.out, "w") as fh:
+                    json.dump(payload, fh, indent=2, sort_keys=True)
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
             print(f"wrote {args.out}")
             return 0
 
@@ -645,11 +657,14 @@ def cli_main(argv=None):
             except (KeyError, ValueError, TypeError) as exc:
                 return _bad_config(exc)
             report = verify_theorem(cfg)
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            report.to_json(os.path.join(cfg.out_dir, "report.json"))
-            write_sgn_csv(os.path.join(cfg.out_dir, "sgn_table.csv"), report.omega.table)
-            with open(os.path.join(cfg.out_dir, "periods.json"), "w") as fh:
-                json.dump(periods_json_payload(report.artifacts), fh, indent=2, sort_keys=True)
+            try:
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                report.to_json(os.path.join(cfg.out_dir, "report.json"))
+                write_sgn_csv(os.path.join(cfg.out_dir, "sgn_table.csv"), report.omega.table)
+                with open(os.path.join(cfg.out_dir, "periods.json"), "w") as fh:
+                    json.dump(periods_json_payload(report.artifacts), fh, indent=2, sort_keys=True)
+            except OSError as exc:
+                return _cannot_write(cfg.out_dir, exc)
             for c in report.checks:
                 print(f"{'PASS' if c.passed else 'FAIL'}  {c.name} (rel {c.rel_err:.2e})")
             print("matched convention:", report.metadata.get("matched_convention"))

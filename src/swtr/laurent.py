@@ -43,19 +43,6 @@ def _clamp(order):
     return EXACT if order >= EXACT else order
 
 
-def _quotient(ar, ai, br, bi):
-    """CPython's Smith quotient (ar + i ai) / (br + i bi), elementwise in float64."""
-    if not np.all(np.maximum(np.abs(br), np.abs(bi))):
-        raise ZeroDivisionError("complex division by zero")
-    by_real = np.abs(br) >= np.abs(bi)
-    num, den = np.where(by_real, bi, br), np.where(by_real, br, bi)
-    ratio = num / den
-    denom = den + num * ratio
-    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return real, imag
-
-
 def _horner(poly, x):
     """sum poly[i] x**i for i >= 0 by Horner's rule from the top term; absent keys are zero."""
     top = max(poly)
@@ -239,16 +226,16 @@ class LaurentSeries:
     def _unit_power(self, alpha, lead_power, exp):
         """lead_power z^exp (1 + N)**alpha for self = lead z^m (1 + N), N of positive order.
 
-        The caller passes lead**alpha on its branch and exp = m alpha.  The binomial
-        series ends only for a nonnegative integer alpha: for others an exact N
-        raises.  A term that is not finite (the lead is too small) raises.
+        The caller passes lead**alpha on its branch and exp = m alpha.  N is the
+        tail divided by the lead with CPython's complex ``/``, one term at a
+        time.  The binomial series ends only for a nonnegative integer alpha:
+        for others an exact N raises.  A term that is not finite (the lead is
+        too small) raises.
         """
         c, lead = self._c, self._c.item(0)
         n_trunc = _clamp(self.trunc_order - self._lo)
         out = self._wrap(np.ones(1, dtype=complex), 0, 0, n_trunc)
-        tail = np.empty(len(c) - 1, dtype=complex)
-        if len(tail):
-            tail.real, tail.imag = _quotient(c.real[1:], c.imag[1:], lead.real, lead.imag)
+        tail = np.array([x / lead for x in c[1:].tolist()], dtype=complex)
         n_ser = self._wrap(tail, 1, 1, n_trunc)
         if not n_ser.is_zero():
             n_ser = n_ser._window(n_ser.order(), n_trunc)
@@ -359,50 +346,23 @@ class LaurentSeries:
         return self._wrap(out, self._lo, self.min_exp, self.trunc_order)
 
     def evaluate(self, z):
-        """The truncated sum at ``z``: a complex for a scalar, an array for an array.
+        """The truncated sum at ``z``: a complex for a scalar, an array of its shape for an array.
 
-        Every point gets, bit for bit, CPython's ``sum(c * z**e)`` over the
-        terms from the highest exponent down, smallest first inside the
-        convergence radius (for |e| <= 100, where CPython takes integer
-        powers by repeated squaring).  NumPy's complex ``*`` and ``**`` can
-        round differently, so the arithmetic is CPython's, written in float64:
-        products are (ar br - ai bi, ar bi + ai br); z**e multiplies the powers
-        z**(2**k) over the set bits of e in ascending order (``c_powu``), so
-        z**e = z**(e - 2**k) * z**(2**k) for the top bit k of e; z**-e is
-        Smith's quotient 1 / z**e (``_Py_c_quot``); the terms are summed one
-        at a time from +0.
+        Each point gets CPython's own ``sum(c * z**e)`` over the terms from
+        the highest exponent down, added one at a time from 0j; ``0 ** -k``
+        raises ZeroDivisionError.  For |e| <= 100 CPython's ``**`` is repeated
+        squaring, so the value is the same on every host; beyond, it calls the
+        C library's ``pow``.
         """
         zs = np.asarray(z, dtype=complex)
-        nz = np.flatnonzero(self._c)[::-1]
-        exps = nz + self._lo
-        mags = np.abs(exps)
-        top = int(mags.max(initial=0))
-        # re[n] + i im[n] = z**n, filled one block [n, 2n) per power n = 2**k
-        # from sq_re + i sq_im = z**n
-        re = np.empty((top + 1,) + zs.shape)
-        im = np.empty_like(re)
-        re[0], im[0] = 1.0, 0.0
-        sq_re, sq_im = zs.real, zs.imag
-        n = 1
-        while n <= top:
-            m = min(n, top + 1 - n)
-            re[n:n + m] = re[:m] * sq_re - im[:m] * sq_im
-            im[n:n + m] = re[:m] * sq_im + im[:m] * sq_re
-            sq_re, sq_im = sq_re * sq_re - sq_im * sq_im, sq_re * sq_im + sq_im * sq_re
-            n *= 2
-        wr, wi = re[mags], im[mags]
-        neg = exps < 0
-        if neg.any():
-            wr[neg], wi[neg] = _quotient(1.0, 0.0, wr[neg], wi[neg])
-        coeffs = self._c[nz].reshape((-1,) + (1,) * zs.ndim)
-        cr, ci = coeffs.real, coeffs.imag
-        terms = np.empty((len(exps),) + zs.shape, dtype=complex)
-        terms.real = cr * wr - ci * wi
-        terms.imag = cr * wi + ci * wr
-        total = np.zeros(zs.shape, dtype=complex)
-        for term in terms:
-            total += term
-        return complex(total) if zs.ndim == 0 else total
+        terms = list(reversed(self.coeffs.items()))
+        sums = []
+        for x in zs.ravel().tolist():
+            acc = 0j
+            for e, c in terms:
+                acc = acc + c * x ** e
+            sums.append(acc)
+        return sums[0] if zs.ndim == 0 else np.array(sums, dtype=complex).reshape(zs.shape)
 
 
 class SeriesDifferential:

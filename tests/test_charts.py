@@ -332,6 +332,21 @@ def test_sigma_rules(u):
         assert np.max(np.abs(vec - image)) <= 1e-10 * max(1.0, float(np.max(np.abs(vec)))), m
 
 
+def test_local_expansions_read_every_chart():
+    # each chart's c data are read from its own series: a (0, -1) chart with
+    # dz/detabar doubled gives every c^{k,(0,-)} exactly doubled and leaves
+    # the c data of every other chart as they were, bit for bit
+    *_, bk, charts, _, _ = _Setup.get(U0_G2, 2)
+    chart = charts[(0, -1)]
+    doubled = {**charts, (0, -1): replace(chart, dz_detabar=chart.dz_detabar.scale(2.0))}
+    _, c_coeffs = local_expansions(bk, charts, 5)
+    _, c_doubled = local_expansions(bk, doubled, 5)
+    assert list(c_doubled) == list(c_coeffs)
+    for (k, lab), vec in c_coeffs.items():
+        expect = 2.0 * vec if lab == (0, -1) else vec
+        assert c_doubled[(k, lab)].tobytes() == expect.tobytes(), (k, lab)
+
+
 @pytest.mark.parametrize("u", [U0, U0_G2, U0_G3], ids=["g1", "g2", "g3"])
 def test_local_data_do_not_depend_on_the_working_order(u):
     # s to mode k_bound needs the charts to total degree 2 k_bound + 1; the

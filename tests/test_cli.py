@@ -177,6 +177,20 @@ def test_bad_arguments_exit_two_before_any_work(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["eo-run"], ["sw-periods"], ["verify-theorem", "--config", "cfg.json"]],
+                         ids=["eo-run", "sw-periods", "verify-theorem"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+    # a path under a regular file cannot be made, as root too: every writing
+    # command names it and exits 2, the configuration-error code
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    (tmp_path / "cfg.json").write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]]}))
+    argv = [str(tmp_path / a) if a == "cfg.json" else a for a in argv]
+    out = plain / "out"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+
 def test_sw_periods_has_no_k_bound_flag(tmp_path):
     assert cli_main(["sw-periods", "--k-bound", "7", "--out", str(tmp_path / "p.json")]) == 2
 

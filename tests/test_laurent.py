@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swtr.errors import (
@@ -631,6 +631,9 @@ def term_dicts(draw):
 @given(term_dicts(), st.lists(st.complex_numbers(min_magnitude=0.05, max_magnitude=3,
                                                  allow_nan=False, allow_infinity=False),
                               min_size=1, max_size=8))
+# beyond |e| = 100 CPython's ** leaves repeated squaring for its polar c_pow
+@example({101: 0.5 - 1j, 120: 2.0, 150: -1j, -130: 1.5, 0: 1.0},
+         [1.24 + 0.38j, 0.59 + 1.16j, -0.54 + 1.18j, -1.04 - 0.78j])
 def test_evaluate_matches_scalar_sum_bitwise(coeffs, zs):
     f = L(coeffs, min_exp=min(coeffs, default=0))
     oracle = float_hex([scalar_evaluate(f, complex(z)) for z in zs])
