@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import math
@@ -584,6 +585,22 @@ def _cannot_write(path, exc):
     return 2
 
 
+def _unwritable(path, directory):
+    """Make ``directory``, which ``path`` is or is written in, before any work is done.
+
+    Returns 0, or ``_cannot_write``'s 2 if the directory cannot be made; a
+    file where it goes is reported as writing ``path`` would meet it, ENOTDIR.
+    """
+    try:
+        os.makedirs(directory or ".", exist_ok=True)
+    except FileExistsError:
+        return _cannot_write(path, NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                                      path))
+    except OSError as exc:
+        return _cannot_write(path, exc)
+    return 0
+
+
 def cli_main(argv=None):
     try:
         args = _parser().parse_args(argv)
@@ -610,6 +627,8 @@ def cli_main(argv=None):
                 s = {pair: 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
                      for pair in itertools.combinations_with_replacement(modes, 2)}
             curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
+            if _unwritable(args.out, os.path.dirname(args.out)):
+                return 2
             t0 = time.perf_counter()
             omega = eo_run(curve, args.chi_max)
             wall = time.perf_counter() - t0
@@ -629,6 +648,8 @@ def cli_main(argv=None):
                                    Lambda=_complex("--Lambda", args.Lambda))
             except ValueError as exc:
                 return _bad_config(exc)
+            if _unwritable(args.out, os.path.dirname(args.out)):
+                return 2
             payload = periods_json_payload(reference_stages(cfg))
             try:
                 with open(args.out, "w") as fh:
@@ -656,9 +677,10 @@ def cli_main(argv=None):
                 cfg = VerifyConfig.from_dict(raw)
             except (KeyError, ValueError, TypeError) as exc:
                 return _bad_config(exc)
+            if _unwritable(cfg.out_dir, cfg.out_dir):
+                return 2
             report = verify_theorem(cfg)
             try:
-                os.makedirs(cfg.out_dir, exist_ok=True)
                 report.to_json(os.path.join(cfg.out_dir, "report.json"))
                 write_sgn_csv(os.path.join(cfg.out_dir, "sgn_table.csv"), report.omega.table)
                 with open(os.path.join(cfg.out_dir, "periods.json"), "w") as fh:

@@ -66,9 +66,15 @@ replayed only if the level below stored the keys it was recorded under and
 the factor tables have the recorded nonzero rows; else it and every later
 level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
 the tables of a fresh run, and a shape's first run records them all.  Both
-fill on the same plan, so their tables agree to the bit.  The plans, with
-D's residue tables, sit in an LRU of ``_PLAN_SLOTS`` shapes; a 4-point
-chi = 8 plan takes about 64 MB.
+fill on the same plan, so their tables agree to the bit.  The plans sit in
+an LRU of ``_PLAN_SLOTS`` shapes, each with all that its shape alone gives:
+D's residue tables, the index arrays the window series are formed with,
+omega_{0,2}'s factor table, which a run copies to the start of its stack,
+and the rows of that stack the last run used, where the next one starts.
+So a run forms only what the kernel data changes: the window series,
+B(z, -z), the lower cells' factor tables and, when first read, the residue
+tensor, which a genus-zero fill never reads.  A 4-point chi = 8 plan takes
+about 64 MB.
 
 ``compute_value`` evaluates one entry with any pivot from the same factors
 and tensor, with the full convolution; it is the reference for the fill,
@@ -101,6 +107,10 @@ from .errors import OutOfAnnulus, TruncationInsufficient
 from .laurent import LaurentSeries
 
 
+# the odd one-form D = 4 z^2 of every label a curve gives no D: one series for all
+_DEFAULT_DENOM = LaurentSeries.monomial(4.0, 2)
+
+
 @dataclass
 class LocalSpectralCurve:
     """Ramification labels plus local one-form and kernel data.
@@ -129,7 +139,7 @@ class LocalSpectralCurve:
         for lab in self.ram:
             d = self.denom.get(lab)
             if d is None:
-                self.denom[lab] = LaurentSeries.monomial(4.0, 2)
+                self.denom[lab] = _DEFAULT_DENOM
                 continue
             odd = d.parity_split()[0]
             if not odd.is_zero():
@@ -326,18 +336,46 @@ class _Level(NamedTuple):
     keys: _Keys
 
 
+class _Window(NamedTuple):
+    """What a run's window series and factor tables take from the curve's shape alone.
+
+    ``ks`` holds k = 1..K, K the largest k with z^{k-1} in the window, and
+    ``sign`` (-1)^k over them.  ``flip`` takes a form at +z to the same form
+    at -z, an exact sign per exponent.  ``poles`` is the flat index in
+    ``loc_p`` of every point's principal parts, ``anti`` the flat index of
+    each term of B(z, -z) among the (points, 2K - 1) anti-diagonal sums.
+    ``d_point[q]`` is the first point with the D of q.  ``kernel`` is
+    omega_{0,2}'s factor table: its rows, the table, read-only, and its
+    ``_factor_rows`` at every point, keyed (0, 2, q).
+    """
+
+    ks: np.ndarray
+    sign: np.ndarray
+    flip: np.ndarray
+    poles: np.ndarray
+    anti: np.ndarray
+    d_point: list
+    kernel: tuple
+
+
 class _Plan:
-    """What the recursions on one curve shape share: D's residue tables, each level's plan.
+    """What the recursions on one curve shape share: all the shape alone gives, each level's plan.
 
     ``residues`` is (res_vec, res_cols, the Hankel gather stacked over the
-    points, column groups), formed by the first engine of the shape;
-    ``levels`` holds the ``_Level`` of each chi as the last run recorded or
-    filled it.  No value of the kernel data s enters any of them.
+    points, column groups) and ``window`` the shape's ``_Window``, both
+    formed by the first engine of the shape; ``levels`` holds the ``_Level``
+    of each chi as the last run recorded or filled it, and ``rows`` the rows
+    of the stack of factor tables that run used, the size the next run's
+    stack starts at.  No value of the kernel data s enters any of them, so a
+    run forms only what s changes: the window series, B(z, -z), the residue
+    tensor when it is read, and the lower cells' factor tables.
     """
 
     def __init__(self):
         self.residues = None
+        self.window = None
         self.levels = []
+        self.rows = None
 
 
 # recursion plans kept, least recently used first out: one per curve shape
@@ -406,6 +444,9 @@ def _denom_key(d):
     return d.min_exp, d.trunc_order, tuple(terms), np.array(list(terms.values())).tobytes()
 
 
+_DEFAULT_KEY = _denom_key(_DEFAULT_DENOM)
+
+
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
@@ -427,7 +468,8 @@ class _EoEngine(_CellRecursion):
         self._factor_cache = {}
         self._values = {}               # stored values of each cell, in its key order
         self._key_type = np.min_scalar_type(-self.dim)
-        dkeys = tuple(_denom_key(curve.denom[lab]) for lab in self.ram)
+        dkeys = tuple(_DEFAULT_KEY if d is _DEFAULT_DENOM else _denom_key(d)
+                      for d in map(curve.denom.__getitem__, self.ram))
         self._plan = _plan((len(self.ram), dkeys, self.cells, kmax, extra_order))
         self._setup(dkeys)
 
@@ -441,46 +483,65 @@ class _EoEngine(_CellRecursion):
         with a product series (exponents from 2 lo) is its residue against
         z^{2p+1} / D(z), ``res_cols[q]`` lists the columns it reads, and
         ``res_tensor[q, p, a, b]`` is that residue of loc_p[q, a] * loc_m[q, b].
-        1/D, ``res_vec``, ``res_cols`` and the Hankel gather of ``res_vec``
-        depend on D alone: the plan keeps them (``_residues``), one set per
-        distinct D shared by the points that have it; ``_d_point[q]`` is the
-        first point with the D of q.
+        The plan keeps what the shape alone gives, formed by its first
+        engine: 1/D, ``res_vec``, ``res_cols`` and the Hankel gather of
+        ``res_vec``, one set per distinct D shared by the points that have it
+        (``_residues``), and the ``_Window``: the index arrays the series are
+        formed with, ``_d_point`` and omega_{0,2}'s factor table.  So each
+        engine forms loc_p, loc_m and b_pm, and ``res_tensor`` when it is
+        first read.
         """
-        cur = self.curve
-        lo, nlen = self.lo, self.nlen
-        npiv = (self.kmax + 1) // 2
-        big_k = self.hi + 1             # largest k with z^{k-1} in the window
-        ks = np.arange(1, big_k + 1)
-        e = np.arange(lo, self.hi + 1)
-        # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
-        self._flip = np.where(e % 2, 1.0, -1.0)
+        plan = self._plan
+        if plan.window is None:
+            plan.residues = self._residues(dkeys)
+            plan.window = self._window(plan.residues[0])
+        self.res_vec, self.res_cols, _, self._col_groups = plan.residues
+        ks, sign, self._flip, poles, anti, self._d_point, _ = plan.window
+        lo, nr, big_k = self.lo, len(self.ram), len(ks)
         # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
-        nr, top = len(self.ram), len(cur.s) // len(self.ram)
+        top = len(self.curve.s) // nr
         cut = min(top, big_k)
         s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
-        s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
-        qs, p = np.arange(nr), np.arange(npiv)
-        self.loc_p = np.zeros((nr, self.dim, nlen), dtype=complex)
+        s[:, :cut, :, :cut] = self.curve.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
+        self.loc_p = np.zeros((nr, self.dim, self.nlen), dtype=complex)
         odd = s[:, 0:self.kmax:2].reshape(self.dim, nr, big_k)      # rows (a, k) at each point
         self.loc_p[:, :, -lo:] = odd.swapaxes(0, 1) * ks
-        # principal parts: ebar^{k} at its own point has z^{-k-1}, k = 2p + 1
-        self.loc_p[qs[:, None], qs[:, None] * npiv + p, -2 * p - 2 - lo] = 1.0
+        self.loc_p.reshape(-1)[poles] = 1.0
         self.loc_m = self.loc_p * self._flip
         # two-form with both arguments local: B(z, -z) / dz^2, summed along
         # the anti-diagonals k + k' - 2 = exponent
-        terms = s[qs, :, qs] * ks[:, None] * ks * (-1.0) ** ks
+        qs = np.arange(nr)
+        terms = s[qs, :, qs] * ks[:, None] * ks * sign
         diag = np.zeros((nr, 2 * big_k - 1), dtype=complex)
-        np.add.at(diag, (qs[:, None], (ks[:, None] + ks - 2).ravel()), terms.reshape(nr, -1))
-        self.b_pm = np.zeros((nr, nlen), dtype=complex)
+        np.add.at(diag.reshape(-1), anti, terms.reshape(-1))
+        self.b_pm = np.zeros((nr, self.nlen), dtype=complex)
         self.b_pm[:, -2 - lo] = -0.25
         self.b_pm[:, -lo:] += diag[:, :big_k]
-        if self._plan.residues is None:
-            self._plan.residues = self._residues(dkeys)
-        self.res_vec, self.res_cols, hankel, self._col_groups = self._plan.residues
-        self._d_point = [next(r for r in range(nr) if self.res_vec[r] is res)
-                         for res in self.res_vec]
-        # C[q, p, a, b] = loc_p[q, a] . H_p[q] . loc_m[q, b]
-        self.res_tensor = self.loc_p[:, None] @ hankel @ self.loc_m[:, None].swapaxes(-1, -2)
+
+    @functools.cached_property
+    def res_tensor(self):
+        """C[q, p, a, b] = loc_p[q, a] . H_p[q] . loc_m[q, b], formed when first read.
+
+        The genus terms, ``compute_value`` and the checks read it; a run
+        whose levels take no genus term, a genus-zero fill, never forms it.
+        """
+        return self.loc_p[:, None] @ self._plan.residues[2] @ self.loc_m[:, None].swapaxes(-1, -2)
+
+    def _window(self, res_vec):
+        """The ``_Window`` of the engine's shape, from its ``res_vec``."""
+        lo, nlen, nr, dim = self.lo, self.nlen, len(self.ram), self.dim
+        npiv = (self.kmax + 1) // 2
+        ks = np.arange(1, self.hi + 2)
+        e = np.arange(lo, self.hi + 1)
+        # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
+        flip = np.where(e % 2, 1.0, -1.0)
+        # principal parts: ebar^{k} at its own point q has z^{-k-1}, k = 2p + 1
+        qs, p = np.arange(nr)[:, None], np.arange(npiv)
+        poles = ((qs * dim + qs * npiv + p) * nlen - 2 * p - 2 - lo).ravel()
+        # the term (q, k, k') of B(z, -z) adds to the exponent k + k' - 2 at q
+        anti = (qs * (2 * len(ks) - 1) + (ks[:, None] + ks - 2).ravel()).ravel()
+        d_point = [next(r for r in range(nr) if res_vec[r] is res) for res in res_vec]
+        return _Window(ks, (-1.0) ** ks, flip, poles, anti, d_point, self._kernel_factors())
 
     def _residues(self, dkeys):
         """(res_vec, res_cols) per point, the Hankel gather stacked over them, the column groups.
@@ -515,6 +576,25 @@ class _EoEngine(_CellRecursion):
             groups.setdefault(first.tobytes(), (cols, [], first[cols]))[1].append(q)
         res_vec, res_cols, hankel, _ = zip(*(shared[key] for key in dkeys))
         return list(res_vec), list(res_cols), np.stack(hankel), list(groups.values())
+
+    def _kernel_factors(self):
+        """(rows, table, index): omega_{0,2}'s ``_factor_table`` and its ``_factor_rows``.
+
+        Row j is the two-form against the leg j at the leg's point
+        (``_f_leg``).  ``index`` holds the ``_factor_rows`` at every point,
+        keyed (0, 2, q).  The table is read-only: every engine of the shape
+        reads it, and a run copies it to the start of its stack.
+        """
+        nr, dim = len(self.ram), self.dim
+        ks = np.array([k for k, _ in self.modes])
+        qs = np.arange(dim) // (dim // nr)      # the point of each mode
+        table = np.zeros((nr, dim, self.nlen), dtype=complex)
+        table[qs, np.arange(dim), ks - 1 - self.lo] = ks
+        nonzero = table.any(axis=2)
+        table = table.reshape(-1, self.nlen)
+        table.flags.writeable = False
+        rows = _FactorRows(np.arange(dim)[:, None], None, None, nonzero)
+        return rows, table, self._index_rows(0, 2, [(j,) for j in range(dim)], nonzero)
 
     # building blocks ---------------------------------------------------------
 
@@ -551,51 +631,40 @@ class _EoEngine(_CellRecursion):
         run's stack of factor tables (``_place``).  The legs and the scatter
         come from ``rows`` (a plan's) or, when it is None, from the cell's
         keys; the nonzero masks are the table's, and ``rows`` comes back
-        unchanged only if they are the ones it holds.  For (0, 2) row j is the
-        two-form against the leg j at the leg's point (``_f_leg``).  The series
-        at -z is the one at +z times ``_flip``, an exact sign per column,
-        formed only where it is read.  Built from the keys, it also indexes its
-        rows by legs for ``_factor_rows``.
+        unchanged only if they are the ones it holds.  The series at -z is
+        the one at +z times ``_flip``, an exact sign per column, formed only
+        where it is read.  Built from the keys, it also indexes its rows by
+        legs for ``_factor_rows``.  omega_{0,2}'s is the plan's
+        (``_kernel_factors``).
         """
-        nr, dim = len(self.ram), self.dim
-        if (g, n) == (0, 2):
-            rows = _FactorRows(np.arange(dim)[:, None], None, None, None)
-            legs = [(j,) for j in range(dim)]
-        else:
-            legs = None
-            if rows is None:
-                # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
-                legs, at, src = {}, [], []
-                for e, idx in enumerate(self.table.entries[(g, n)]):
-                    for p in range(n):
-                        if p == 0 or idx[p] != idx[p - 1]:
-                            at += (legs.setdefault(idx[:p] + idx[p + 1:], len(legs)), idx[p])
-                            src.append(e)
-                legs = list(legs)
-                flat = np.fromiter(itertools.chain.from_iterable(legs), self._key_type,
-                                   len(legs) * (n - 1))
-                rows = _FactorRows(flat.reshape(len(legs), n - 1),
-                                   np.array(at, dtype=np.int32).reshape(-1, 2).T,
-                                   np.array(src, dtype=np.int32), None)
-        shape = (nr, len(rows.legs), self.nlen)
+        legs = None
+        if rows is None:
+            # row r: the entries of omega_{g,n} at (j, legs[r]) over the free index j
+            legs, at, src = {}, [], []
+            for e, idx in enumerate(self.table.entries[(g, n)]):
+                for p in range(n):
+                    if p == 0 or idx[p] != idx[p - 1]:
+                        at += (legs.setdefault(idx[:p] + idx[p + 1:], len(legs)), idx[p])
+                        src.append(e)
+            legs = list(legs)
+            flat = np.fromiter(itertools.chain.from_iterable(legs), self._key_type,
+                               len(legs) * (n - 1))
+            rows = _FactorRows(flat.reshape(len(legs), n - 1),
+                               np.array(at, dtype=np.int32).reshape(-1, 2).T,
+                               np.array(src, dtype=np.int32), None)
+        shape = (len(self.ram), len(rows.legs), self.nlen)
         if place:
-            table = self._place((g, n), nr * shape[1]).reshape(shape)
+            table = self._place((g, n), shape[0] * shape[1]).reshape(shape)
         else:
             table = np.empty(shape, dtype=complex)
-        if (g, n) == (0, 2):
-            ks = np.array([k for k, _ in self.modes])
-            qs = np.arange(dim) // (dim // nr)      # the point of each mode
-            table[...] = 0
-            table[qs, np.arange(dim), ks - 1 - self.lo] = ks
-        else:
-            vec = np.zeros((len(rows.legs), dim), dtype=complex)
-            vec[rows.at[0], rows.at[1]] = self._cell_values(g, n)[rows.src]
-            np.matmul(vec, self.loc_p, out=table)
+        vec = np.zeros((len(rows.legs), self.dim), dtype=complex)
+        vec[rows.at[0], rows.at[1]] = self._cell_values(g, n)[rows.src]
+        np.matmul(vec, self.loc_p, out=table)
         nonzero = table.any(axis=2)
         if not _same(nonzero, rows.nonzero):
             rows = rows._replace(nonzero=nonzero)
         if legs is not None:
-            self._index_rows(g, n, legs, nonzero)
+            self._factor_cache.update(self._index_rows(g, n, legs, nonzero))
         return rows, table.reshape(-1, self.nlen)
 
     def _place(self, cell, count):
@@ -620,10 +689,19 @@ class _EoEngine(_CellRecursion):
         return self._stack[used:used + count]
 
     def _factors(self, g, n):
-        """The ``_factor_table`` of omega_{g,n}, formed from its keys the first time it is read."""
+        """The ``_factor_table`` of omega_{g,n}, formed from its keys the first time it is read.
+
+        omega_{0,2}'s is the plan's, with its ``_factor_rows``.
+        """
         got = self._factor_cache.get((g, n))
         if got is None:
-            got = self._factor_cache[(g, n)] = self._factor_table(g, n)
+            if (g, n) == (0, 2):
+                rows, table, index = self._plan.window.kernel
+                self._factor_cache.update(index)
+                got = rows, table
+            else:
+                got = self._factor_table(g, n)
+            self._factor_cache[(g, n)] = got
         return got
 
     def _factor_rows(self, g, n, q):
@@ -636,18 +714,21 @@ class _EoEngine(_CellRecursion):
         if got is None:
             rows, _ = self._factors(g, n)
             if (g, n, q) not in self._factor_cache:     # the table's rows came from a plan
-                self._index_rows(g, n, list(map(tuple, rows.legs.tolist())), rows.nonzero)
+                self._factor_cache.update(
+                    self._index_rows(g, n, list(map(tuple, rows.legs.tolist())), rows.nonzero))
             got = self._factor_cache[g, n, q]
         return got
 
     def _index_rows(self, g, n, legs, nonzero):
-        """``_factor_rows`` of omega_{g,n} at every point, from its rows' legs and nonzero masks."""
+        """``_factor_rows`` of omega_{g,n} at every point, keyed (g, n, q), from its rows' legs
+        and nonzero masks."""
         deg = [sum(map(self.degree.__getitem__, leg)) for leg in legs]
         order = sorted(range(len(legs)), key=deg.__getitem__)
+        index = {}
         for q, mask in enumerate(nonzero.tolist()):
             kept = [r for r in order if mask[r]]
-            self._factor_cache[g, n, q] = ({legs[r]: q * len(legs) + r for r in kept},
-                                           [deg[r] for r in kept])
+            index[g, n, q] = ({legs[r]: q * len(legs) + r for r in kept}, [deg[r] for r in kept])
+        return index
 
     def _factor(self, g, n, legs, q, minus):
         """Series of omega_{g,n}(q(+-z), legs) over the window, or None if it is 0."""
@@ -666,7 +747,8 @@ class _EoEngine(_CellRecursion):
         the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
         cells and points of a level share one product pass (``_fill``).  The
         factor tables of the run go into one stack as the cells are first
-        read (``_place``).  A level is filled on the plan a run before this
+        read (``_place``), which starts at the rows the shape's last run
+        used.  A level is filled on the plan a run before this
         one recorded for it when the level below stored the keys it was
         recorded under and its factor tables have the recorded nonzero rows;
         else this run records the plan of that level and of every later one
@@ -676,9 +758,12 @@ class _EoEngine(_CellRecursion):
         levels = self._plan.levels
         # the level below: its cells, which planned entries it stored, their values
         below, stored, values = [], np.zeros(0, dtype=bool), None
-        start = max(1, _STACK_START_BYTES // (16 * self.nlen))
+        start = self._plan.rows or max(1, _STACK_START_BYTES // (16 * self.nlen))
         self._stack, self._used, self._offsets = np.empty((start, self.nlen), dtype=complex), 0, {}
-        self._factor_cache[(0, 2)] = self._factor_table(0, 2, place=True)
+        rows, kernel = self._factors(0, 2)      # the plan's, copied to the start of the stack
+        placed = self._place((0, 2), len(kernel))
+        placed[...] = kernel
+        self._factor_cache[(0, 2)] = rows, placed
         replay = True
         chis = itertools.groupby(self.cells, lambda c: 2 * c[0] - 2 + c[1])
         for i, (_, cells) in enumerate(chis):
@@ -701,6 +786,7 @@ class _EoEngine(_CellRecursion):
             for g, n in cells:
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
             self._cell_cache.clear()
+        self._plan.rows = self._used
         self._stack = None          # the cached tables hold it until they are freed
         return self.table
 
@@ -716,7 +802,8 @@ class _EoEngine(_CellRecursion):
         takes one residue pass (``_block_values``), which gives every pivot
         of every row, and gathers its entries.  One gather puts the level's
         entries in key order, cell after cell, each cell's sorted, the order
-        of ``support``; the nonzero ones are stored.  ``lower`` holds the
+        of ``support``; the nonzero ones are stored, each cell's dict with
+        Python complex values of the same bits.  ``lower`` holds the
         values the level below stored, cell after cell, which the genus
         terms read.
         """
@@ -735,10 +822,10 @@ class _EoEngine(_CellRecursion):
         if not _same(stored, plan.stored):
             plan = plan._replace(stored=stored, tuples=_stored_tuples(cells, plan, stored))
         vals = vals[stored]
-        start = 0
+        start, numbers = 0, iter(vals.tolist())
         for cell, keys in zip(cells, plan.tuples):
-            cell_vals = self._values[cell] = vals[start:start + len(keys)]
-            self.table.entries[cell] = dict(zip(keys, cell_vals))
+            self._values[cell] = vals[start:start + len(keys)]
+            self.table.entries[cell] = dict(zip(keys, numbers))
             start += len(keys)
         return stored, vals, plan
 
@@ -922,7 +1009,7 @@ class _EoEngine(_CellRecursion):
         first, q, offset = np.repeat(shifts.T, counts, axis=1)
         at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
         at += first
-        pivots = np.arange(self.res_tensor.shape[1], dtype=np.int32)
+        pivots = np.arange((self.kmax + 1) // 2, dtype=np.int32)
         keep = pivots <= tops[at, None]     # the pivots each entry's row takes
         return ((at[:, None] * len(pivots) + pivots)[keep], np.flatnonzero(keep).astype(np.int32),
                 q, a, b, src + offset, np.flatnonzero(a != b).astype(np.int32))
@@ -1116,7 +1203,8 @@ _STACK = 1024
 # passes of part of its rows, two rows at least
 _BLOCK_BYTES = 1 << 21
 
-# bytes the run's stack of factor tables starts with; it doubles when full
+# bytes the stack of factor tables of a shape's first run starts with; it
+# doubles when full, and the runs after it start at the rows the last one used
 _STACK_START_BYTES = 1 << 20
 
 

@@ -179,9 +179,15 @@ def test_bad_arguments_exit_two_before_any_work(tmp_path, capsys, argv, named):
 
 @pytest.mark.parametrize("argv", [["eo-run"], ["sw-periods"], ["verify-theorem", "--config", "cfg.json"]],
                          ids=["eo-run", "sw-periods", "verify-theorem"])
-def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+def test_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch, argv):
     # a path under a regular file cannot be made, as root too: every writing
-    # command names it and exits 2, the configuration-error code
+    # command names it and exits 2, the configuration-error code, before it
+    # computes what the path would hold
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(cli, "reference_stages", computed)
+    monkeypatch.setattr(cli, "eo_run", computed)
     plain = tmp_path / "plain"
     plain.write_text("")
     (tmp_path / "cfg.json").write_text(json.dumps({"genus": 1, "u0": [[0.3, 0.1]]}))

@@ -36,6 +36,7 @@ from swtr.spectral import (
     atr_eo_crosscheck,
     eo_run,
     eo_symmetry_deviation,
+    fill_cells,
     omega_eval,
     support_bound_check,
 )
@@ -935,6 +936,111 @@ def test_plan_cache_keeps_at_most_its_slots():
     assert _plan.cache_info().currsize == _PLAN_SLOTS
     eo_run(curve, 1, kmax=kmax)
     assert _plan.cache_info().hits == 1
+
+
+def test_engines_of_one_shape_share_the_plans_kernel_table():
+    # omega_{0,2}'s factor table, its row index and the window's index arrays
+    # are formed once per shape: two engines on other kernel data read the
+    # plan's, by identity, and each run copies the table to its stack's start
+    _plan.cache_clear()
+    ram = ("p", "q", "r")
+    one, two = (_EoEngine(_split_test_curve(ram, {"q": QUARTIC}, seed), 3, max_index_bound(3))
+                for seed in (31, 37))
+    plan = one._plan
+    assert two._plan is plan and plan.window is not None
+    assert one._flip is two._flip is plan.window.flip
+    assert one._d_point is two._d_point is plan.window.d_point
+    rows, kernel, index = plan.window.kernel
+    assert not kernel.flags.writeable
+    for engine in (one, two):
+        got_rows, got = engine._factors(0, 2)
+        assert got_rows is rows and got is kernel
+        for q in range(len(ram)):
+            assert engine._factor_rows(0, 2, q) is index[0, 2, q]
+    # row q * dim + j is the two-form against the leg j at the point q
+    for q, lab in enumerate(ram):
+        for j, mode in enumerate(one.modes):
+            want = one._f_leg(mode, lab)
+            want = np.zeros(one.nlen, dtype=complex) if want is None else want
+            assert kernel[q * one.dim + j].tobytes() == want.tobytes(), (lab, mode)
+    for engine in (one, two):
+        engine.run()
+        placed = engine._factor_cache[(0, 2)][1]
+        assert placed is not kernel and placed.tobytes() == kernel.tobytes()
+        assert engine._offsets[(0, 2)] == 0
+
+
+def test_replayed_run_forms_no_kernel_table(monkeypatch):
+    # a run reads omega_{0,2}'s table from its plan: neither the shape's first
+    # run nor the replays form it, while every lower cell's is formed per run
+    _plan.cache_clear()
+    formed = []
+    table = _EoEngine._factor_table
+
+    def counted(self, g, n, *args, **kwargs):
+        formed.append((g, n))
+        return table(self, g, n, *args, **kwargs)
+
+    monkeypatch.setattr(_EoEngine, "_factor_table", counted)
+    runs = [_fill_case(("0", "1", "2", "3"), 4, None, other) for other in (False, True, False)]
+    assert [omega.engine.replayed for omega in runs] == [0, 4, 4]
+    assert (0, 2) not in formed
+    assert formed == [cell for _ in runs for cell in fill_cells(3)]
+
+
+def test_replayed_run_starts_its_stack_at_the_rows_the_last_run_used(monkeypatch):
+    # the plan keeps the rows of the stack of factor tables its last run
+    # used; a replay starts there and never grows its stack
+    _plan.cache_clear()
+    first = _fill_case(("0", "1", "2", "3"), 4, None)
+    rows = first.engine._plan.rows
+    assert rows == first.engine._used > 0
+    full = []
+    place = _EoEngine._place
+
+    def counted(self, cell, count):
+        full.append(self._used + count > len(self._stack))
+        return place(self, cell, count)
+
+    monkeypatch.setattr(_EoEngine, "_place", counted)
+    again = _fill_case(("0", "1", "2", "3"), 4, None, other=True)
+    assert again.engine.replayed == 4 and full and not any(full)
+    assert again.engine._used == again.engine._plan.rows == rows
+
+
+def test_default_denominator_is_one_series_and_others_key_by_value():
+    # every label a curve gives no D gets the module's 4 z^2, one series with
+    # its key formed once; an equal series given, and a QUARTIC D, are keyed
+    # by value, so equal D give one plan and another D its own
+    curve = LocalSpectralCurve(ram=("0", "1", "2"))
+    assert all(curve.denom[lab] is spectral._DEFAULT_DENOM for lab in curve.ram)
+    assert dict(spectral._DEFAULT_DENOM.coeffs) == {2: 4.0}
+    assert spectral._DEFAULT_KEY == spectral._denom_key(LaurentSeries.monomial(4.0, 2))
+
+    def plan(denom):
+        return _EoEngine(LocalSpectralCurve(ram=("0", "1", "2"), denom=denom), 2, 9)._plan
+
+    _plan.cache_clear()
+    assert plan({}) is plan({"1": LaurentSeries.monomial(4.0, 2)})
+    quartic = plan({"1": QUARTIC})
+    assert quartic is not plan({})
+    assert quartic is plan({"1": LaurentSeries(dict(QUARTIC.coeffs), 2, 40)})
+
+
+def test_genus_zero_run_forms_no_residue_tensor():
+    # the residue tensor is formed on its first read: a run whose levels take
+    # no genus term never forms it, and a read after the run gives its bits
+    curve = _split_test_curve(("p", "q"), None)
+    engine = _EoEngine(curve, 3, max_index_bound(3), cells=[(0, 5)])
+    engine.run()
+    assert "res_tensor" not in vars(engine)
+    hankel = engine._plan.residues[2]
+    for q in range(2):
+        ref = engine.loc_p[q] @ hankel[q] @ engine.loc_m[q].T
+        assert engine.res_tensor[q].tobytes() == ref.tobytes()
+    full = _EoEngine(curve, 3, max_index_bound(3))
+    full.run()
+    assert "res_tensor" in vars(full)
 
 
 def test_product_columns_are_convolve_columns_bitwise():
