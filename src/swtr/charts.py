@@ -417,12 +417,13 @@ def local_expansions(bk, charts, k_bound):
 # ---------------------------------------------------------------------------
 
 def _transported_difference(ch, p_u, z_of_h, y_of_h):
-    """dS(ref) - transported dS(curve) against detabar at the upper-sheet chart ch.
+    """dS(ref) - transported dS(curve) against detabar at the chart ch.
 
     With Z_u(h) = z_of_h the curve's own eta-chart at its critical point z_u,
-    y_of_h its y_plus and delta = P(z_u) - P0 = p_u - P0, the leaf point over
-    eta is Z_u(sqrt(eta^2 - delta)), so the transported form is
-    2 Z_u(h) h dh / y_plus(h) flowed by -delta.  Its first term below the
+    y_of_h its y on the chart's sheet (y_plus, or -y_plus on the lower one)
+    and delta = P(z_u) - P0 = p_u - P0, the leaf point over eta is
+    Z_u(sqrt(eta^2 - delta)), so the transported form is 2 Z_u(h) h dh /
+    y_of_h(h) flowed by -delta.  Its first term below the
     floor -order // 2 (negative exponents are even), pulled back, is weighed
     as ``_validate_charts`` weighs residuals; the rest is smaller by powers of
     |delta / eta^2|, which the guard bounds.
@@ -446,11 +447,13 @@ def sw_embed_global(curve, ref, charts):
     """Laurent data of [dS(ref) - transported dS(curve)] at every chart, by series algebra.
 
     Residue-free by construction, on the window [-order // 2, top] of the
-    charts' order ([-22, 22] at 44); each (i, -1) series is its (i, +1)
-    partner's at -etabar.  The curve's eta-charts at the critical points
-    matched to the upper charts are one stack.  Raises OutOfNeighbourhood
-    when the deformed curve leaves the chart guard, and TruncationInsufficient
-    when the tail the window drops weighs above the chart gate.
+    charts' order ([-22, 22] at 44).  Every chart is embedded from its own
+    series, the curve's y taken on the chart's sheet.  The curve's
+    eta-charts at the critical points matched to the upper charts are one
+    stack, which the (i, -1) chart shares with its (i, +1) partner.  Raises
+    OutOfNeighbourhood when the deformed curve leaves the chart guard, and
+    TruncationInsufficient when the tail the window drops weighs above the
+    chart gate.
     """
     matching = _match_ram_roots(curve, ref)
     for ch in charts.values():
@@ -460,12 +463,13 @@ def sw_embed_global(curve, ref, charts):
     with _named(labels):
         shifted, z_of_h, y_of_h = _eta_chart(
             curve, np.array([complex(curve.ram_roots[matching[i]]) for i, _ in labels]), t)
-    upper = {i: _transported_difference(charts[(i, 1)], shifted[row, 0],
-                                        _series(z_of_h[row], 0, t + 1),
-                                        _series(y_of_h[row], 0, t + 2))
-             for row, (i, _) in enumerate(labels)}
-    return WElement({(i, sheet): SeriesDifferential(
-        upper[i] if sheet == 1 else upper[i].parity_flip()) for i, sheet in sorted(charts)})
+    row = {i: r for r, (i, _) in enumerate(labels)}
+    # the upper charts' tails are weighed first
+    series = {(i, sheet): _transported_difference(
+        charts[(i, sheet)], shifted[row[i], 0], _series(z_of_h[row[i]], 0, t + 1),
+        _series(sheet * y_of_h[row[i]], 0, t + 2))
+        for i, sheet in sorted(charts, key=lambda lab: (-lab[1], lab[0]))}
+    return WElement({lab: SeriesDifferential(series[lab]) for lab in sorted(charts)})
 
 
 def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):

@@ -1,20 +1,23 @@
 """Local topological recursion on a collection of ramification points.
 
 The spectral data is local: at each ramification point the involution is
-``z -> -z``, the odd part of the one-form is ``D(z) dz`` (default ``4 z^2 dz``)
-and the two-form is the normalized kernel whose regular part has coefficients
-``s^{(k,a)(k',b)}`` in the standard coordinates.  The recursion produces the
-coefficient tensors of the multi-differentials in the basis of normalized
-principal-part differentials ("bergman" basis); evaluation anywhere on the
-annuli is done on demand from those tensors.
+``z -> -z``, the odd part of the one-form is ``4 z^2 dz`` (the standard
+charts' Airy normal form x = etabar^2, y = etabar) and the two-form is the
+normalized kernel whose regular part has coefficients ``s^{(k,a)(k',b)}`` in
+the standard coordinates.  The recursion produces the coefficient tensors of
+the multi-differentials in the basis of normalized principal-part
+differentials ("bergman" basis); evaluation anywhere on the annuli is done
+on demand from those tensors.
 
-The recursion kernel at a point with odd combination D(z) dz is
+The recursion kernel at a point is
 
-    K(p1, z) = - sum_{k odd} z^k  ebar^{k}(p1) / (D(z) dz),
+    K(p1, z) = - sum_{k odd} z^k  ebar^{k}(p1) / (4 z^2 dz),
 
 which reduces to dz1 / (4 z (z^2 - z1^2) dz) for the bare quadratic disc.
-Residue extraction happens on truncated Laurent windows; repeating it with a
-larger window is the "formal extraction order" refinement check.
+So the residue of a series xi against z^{2p+1} / (4 z^2) is the
+coefficient of z^{-2p-2} of xi over 4.  Residue extraction happens on
+truncated Laurent windows; repeating it with a larger window is the "formal
+extraction order" refinement check.
 
 The nonzero entries of a cell omega_{g,n} lie on its degree-bounded
 support: with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.
@@ -24,61 +27,58 @@ tuples; the fill visits fewer.  A run fills every cell up to chi_max, or
 the cells it is asked for and the lower ones they read (``fill_cells``):
 a (0, n) cell reads only (0, m) cells with m < n.  The cells are filled one
 level chi = 2g - 2 + n at a time: a level reads only lower ones, so every
-cell and point of a level shares one product pass.  At a point, a cell's
-entries whose pivot (first index) sits there are grouped by their other
-legs, the rest: the series xi the residue is taken of depends on the rest only, so a
-product of the rests' xi with the point's residue vectors gives every
-pivot.  The rests of a level's cells and points, a job each, go in blocks
-of whole jobs at points with one D, one residue pass a block: a matmul over
-its rows and a stacked one over the rows of its one-row jobs, so each row
-has the bits of its own job's matmul.  The splitting terms of xi come from
-pairs of nonzero lower-cell factors (a lower cell with one argument at +-z
-and the others on legs); the genus term from the entries of
-omega_{g-1,n+1}, two of whose legs meet the residue.  So the rests are the
-ones these reach: the merged legs of a pair, the other legs of an entry.
-An entry with any other rest has xi = 0 and genus term 0, and is exactly 0.
-Each reached rest takes the pivots at the point that its degree budget
-allows and that sort first.  The factor tables hold the lower cells at +z;
-the -z series is an exact sign per column, applied to the stacked second
-factors.  Of each pair's product only the columns its rest's own pivots
-read are formed: with the default D = 4 z^2 the pivot p reads one column,
-so a rest that takes the pivots 0..top reads top + 1 columns.  They are
-stacked BLAS dots, bitwise the columns ``np.convolve`` gives, and the
-points whose residue vectors first read each column at the same pivot
-share their stacks.  A column a rest does not read meets only exact zeros
-of ``res_vec`` at its pivots, and each column it reads gets every add of
-its pairs in their order, so the values keep their bits.  ``products``
-counts the pairs, ``formed`` the (pair, column) products.  The factor
-tables of a run lie end to end in one stack, so no level copies them.  The
-genus term is contracted against the residue tensor C^p_{ab} stacked over
-the points, the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / D(z):
-one gather and one add per block, at the pivots each rest takes.
+cell and point of a level shares one product pass and one residue pass.
+At a point, a cell's entries whose pivot (first index) sits there are
+grouped by their other legs, the rest: the series xi the residue is taken
+of depends on the rest only, and the pivot 2p + 1 reads one coefficient of
+it, the product column ``res_cols[p]``.  So a level's part has a row per
+rest and a column per pivot, and no xi is formed.  A job is one cell at one
+point, its rows its rests, and the level's jobs go in key order.  The
+splitting terms of xi come from pairs of nonzero lower-cell factors (a
+lower cell with one argument at +-z and the others on legs); the genus term
+from the entries of omega_{g-1,n+1}, two of whose legs meet the residue.
+So the rests are the ones these reach: the merged legs of a pair, the other
+legs of an entry.  An entry with any other rest has xi = 0 and genus term
+0, and is exactly 0.  Each reached rest takes the pivots at the point that
+its degree budget allows and that sort first, 0..top.  The factor tables
+hold the lower cells at +z; the -z series is an exact sign per column,
+applied to the stacked second factors.  Of each pair's product only the
+columns its rest's pivots read are formed, top + 1 of them.  They are
+stacked BLAS dots, bitwise the columns ``np.convolve`` gives, and each gets
+every add of its pairs in their order.  The residue pass adds B(z, -z) to
+the (1, 1) rows and scales the part by -1/4 in place: the bits of
+-(xi @ res_vec.T), whose other terms are exact zeros.  ``products`` counts
+the pairs, ``formed`` the (pair, column) products.  The factor tables of a
+run lie end to end in one stack, so no level copies them.  The genus term
+is contracted against the residue tensor C^p_{ab} stacked over the points,
+the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / (4 z^2): one gather
+and one add per level, at the (entry, pivot) pairs its rows take.
 
 What a level enumerates (its pairs of factors, the rests they reach, the
 genus-term entries and the pivots of each rest) depends on the curve's shape
-alone (the number of points, D at each, the cells filled and the mode
-window) and on which lower entries and factor rows are nonzero; the kernel
-values enter only the numbers.  So every run of a shape either records a
-level's plan as integer index arrays or replays the plan a run before it
-recorded, and a replay forms the factor tables and gathers, multiplies, adds and
-contracts as recorded, with no Python per pair, entry, job or point.  A level is
+alone (the number of points, the cells filled and the mode window) and on
+which lower entries and factor rows are nonzero; the kernel values enter
+only the numbers.  So every run of a shape either records a level's plan as
+integer index arrays or replays the plan a run before it recorded, and a
+replay forms the factor tables and gathers, multiplies, adds and contracts
+as recorded, with no Python per pair, entry, job or point.  A level is
 replayed only if the level below stored the keys it was recorded under and
 the factor tables have the recorded nonzero rows; else it and every later
 level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
 the tables of a fresh run, and a shape's first run records them all.  Both
-fill on the same plan, so their tables agree to the bit.  The plans sit in
-an LRU of ``_PLAN_SLOTS`` shapes, each with all that its shape alone gives:
-D's residue tables, the index arrays the window series are formed with,
-omega_{0,2}'s factor table, which a run copies to the start of its stack,
-and the rows of that stack the last run used, where the next one starts.
-So a run forms only what the kernel data changes: the window series,
-B(z, -z), the lower cells' factor tables and, when first read, the residue
-tensor, which a genus-zero fill never reads.  A 4-point chi = 8 plan takes
-about 64 MB.
+fill on the same plan, so their tables agree to the bit.  The plan of the
+last shape run is kept (``_PLAN_SLOTS``), with all that its shape alone
+gives: ``res_vec`` and its Hankel gather, the index arrays the window
+series are formed with, omega_{0,2}'s factor table, which a run copies to
+the start of its stack, and the rows of that stack the last run used, where
+the next one starts.  So a run forms only what the kernel data changes: the
+window series, B(z, -z), the lower cells' factor tables and, when first
+read, the residue tensor, which a genus-zero fill never reads.  A 4-point
+chi = 8 plan takes about 64 MB.
 
 ``compute_value`` evaluates one entry with any pivot from the same factors
-and tensor, with the full convolution; it is the reference for the fill,
-the pivot-symmetry check and the support check.
+and tensor, with the full convolution and ``res_vec``; it is the reference
+for the fill, the pivot-symmetry check and the support check.
 The cell order, the leg splits, the lower-cell lookups of ``compute_value``
 and the pivot sampler are ``airy._CellRecursion``, shared with
 ``airy.atr_run``; the degree prune and the reach are this engine's alone.
@@ -103,31 +103,23 @@ import numpy as np
 
 from .airy import (_CellRecursion, _splits, atr_run, default_index_bound, gauge_transform,
                    recursion_cells)
-from .errors import OutOfAnnulus, TruncationInsufficient
-from .laurent import LaurentSeries
-
-
-# the odd one-form D = 4 z^2 of every label a curve gives no D: one series for all
-_DEFAULT_DENOM = LaurentSeries.monomial(4.0, 2)
+from .errors import OutOfAnnulus
 
 
 @dataclass
 class LocalSpectralCurve:
-    """Ramification labels plus local one-form and kernel data.
+    """Ramification labels plus the two-form's kernel data.
 
-    ``denom[label]`` is the series D with D(z) dz the odd combination of the
-    one-form; it must have only even exponents, a double zero at the origin
-    and a nonzero z^2 coefficient.  ``bergman_reg`` maps mode pairs to the
-    regular-part coefficients s^{(k,a)(k',b)} of the two-form, each pair in
-    one or both orders, which must agree, every k an integer k >= 1.  It
-    enters the recursion once, as the symmetric matrix ``s`` over ``ram`` x
-    k = 1..K, K the largest k at a label of ``ram``: row (a, k) is
-    ``ram.index(a) * K + k - 1``.  Pairs at other labels are dropped; of a
-    pair in both orders the later one counts.
+    The odd part of the one-form is 4 z^2 dz at every label.
+    ``bergman_reg`` maps mode pairs to the regular-part coefficients
+    s^{(k,a)(k',b)} of the two-form, each pair in one or both orders, which
+    must agree, every k an integer k >= 1.  It enters the recursion once, as
+    the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the largest k at a
+    label of ``ram``: row (a, k) is ``ram.index(a) * K + k - 1``.  Pairs at
+    other labels are dropped; of a pair in both orders the later one counts.
     """
 
     ram: tuple
-    denom: dict = field(default_factory=dict)
     bergman_reg: dict = field(default_factory=dict)
     s: np.ndarray = field(init=False, repr=False)
 
@@ -135,21 +127,6 @@ class LocalSpectralCurve:
         self.ram = tuple(self.ram)
         if not self.ram:
             raise ValueError("ram is empty: a local curve needs at least one ramification point")
-        self.denom = dict(self.denom)
-        for lab in self.ram:
-            d = self.denom.get(lab)
-            if d is None:
-                self.denom[lab] = _DEFAULT_DENOM
-                continue
-            odd = d.parity_split()[0]
-            if not odd.is_zero():
-                raise ValueError(
-                    f"denom at {lab!r} is not even: odd part from z^{odd.order()}, "
-                    f"max |coefficient| {odd.max_abs():.3e}")
-            if d.order() != 2:
-                raise ValueError(
-                    f"denom at {lab!r} needs a double zero with nonzero z^2 coefficient: "
-                    f"lowest exponent {d.order()}, z^2 coefficient {d.get(2)}")
         self.s = self._kernel_matrix()
 
     def _kernel_matrix(self):
@@ -253,36 +230,11 @@ class _FactorRows(NamedTuple):
     nonzero: np.ndarray
 
 
-class _Block(NamedTuple):
-    """One residue pass: the rows ``start:stop`` of a column group's part, whole jobs.
-
-    Its jobs sit at points with one D, that of the point ``q``.  In rows of
-    the block, ``ones`` is None or the rows of its one-row jobs, and ``b11``
-    None or the (rows, points) of its (1, 1) jobs, whose xi adds B(z, -z).
-    ``genus`` is None or the (add, take, q, a, b, src, cross) arrays of the
-    genus-term entries, in job order and each job's entry order: ``add``
-    holds row * npiv + p of each entry at each pivot p its row takes, and
-    ``take`` where that term sits among the entries' terms at every pivot,
-    entry * npiv + p; src indexes the stored values of the level below
-    stacked in cell order, and ``cross`` lists the entries with a != b.
-    ``out`` is the flat gather row * npiv + p of each entry the jobs
-    evaluate, in job and tuple order.
-    """
-
-    start: int
-    stop: int
-    q: int
-    ones: np.ndarray
-    b11: tuple
-    genus: tuple
-    out: np.ndarray
-
-
 class _Keys(NamedTuple):
     """A recorded level's entries: where they sit, their keys, and the dict keys last stored.
 
-    ``gather`` indexes the level's evaluated entries (the blocks' ``out`` laid
-    end to end) in key order: cell after cell, each cell's tuples sorted.
+    ``gather`` holds the flat index row * npiv + p in the level's part of
+    each entry, in key order: cell after cell, each cell's tuples sorted.
     ``counts`` holds each cell's entries, ``keys`` their tuples end to end in
     one integer array, ``stored`` the mask of those stored (nonzero) when the
     level was last filled, ``tuples`` their keys as tuples, a list per cell.
@@ -295,44 +247,36 @@ class _Keys(NamedTuple):
     tuples: list
 
 
-class _Group(NamedTuple):
-    """A column group's share of a level: its pairs, the products they form, its residue passes.
-
-    ``pairs`` is (2, P): the first and the second factor's row in the run's
-    stack of factor tables.  Each pair adds its product to a row of the
-    group's part, a number of times; the pairs go by the largest pivot of
-    that row, largest first, and keep their order otherwise, so each row
-    gets its pairs in the order they were found.  ``forms`` holds, for each
-    ``_STACK`` pairs in turn, (counts, rep, add): ``counts[c]`` of its
-    leading pairs have a row that reads the column c of the group's columns
-    (``_forms``), ``rep`` is None or how many times each formed product
-    adds, and ``add`` the flat index row * columns + c of each add, column
-    after column, in pair order.  ``formed`` counts the products formed,
-    ``rows`` the part's rows, and the ``_Block`` list splits them into
-    residue passes of whole jobs.  A job is one cell at one point: its rows
-    are its rests.
-    """
-
-    pairs: np.ndarray
-    forms: tuple
-    formed: int
-    rows: int
-    blocks: list
-
-
 class _Level(NamedTuple):
     """The integer plan of one level: what its lower cells' key pattern decides.
 
     ``lower`` is the mask of the planned entries of the level below that
     were stored (nonzero) when the level was recorded, ``factors`` maps each
     cell of the level below to its factor table's rows (their nonzero masks
-    as recorded).  ``groups`` holds a ``_Group`` per column group.  ``keys``
-    is the level's ``_Keys``.
+    as recorded).  The level's part has ``rows`` rows, the rests of its
+    jobs, job after job in key order, and a column per pivot.  ``pairs`` is
+    (2, P): the first and the second factor's row in the run's stack of
+    factor tables.  Each pair adds its product to a row of the part, a
+    number of times; the pairs go by the largest pivot of that row, largest
+    first, and keep their order otherwise, so each row gets its pairs in
+    the order they were found.  ``forms`` holds, for each ``_STACK`` pairs
+    in turn, (counts, rep, add): ``counts[p]`` of its leading pairs have a
+    row that takes the pivot p (``_forms``), ``rep`` is None or how many
+    times each formed product adds, and ``add`` the flat index row * npiv +
+    p of each add, pivot after pivot, in pair order.  ``formed`` counts the
+    products formed.  ``b11`` is None or the (rows, points) of the (1, 1)
+    jobs, whose xi adds B(z, -z), and ``genus`` None or the arrays of the
+    genus terms (``_genus``).  ``keys`` is the level's ``_Keys``.
     """
 
     lower: np.ndarray
     factors: dict
-    groups: tuple
+    pairs: np.ndarray
+    forms: tuple
+    formed: int
+    rows: int
+    b11: tuple
+    genus: tuple
     keys: _Keys
 
 
@@ -344,9 +288,11 @@ class _Window(NamedTuple):
     at -z, an exact sign per exponent.  ``poles`` is the flat index in
     ``loc_p`` of every point's principal parts, ``anti`` the flat index of
     each term of B(z, -z) among the (points, 2K - 1) anti-diagonal sums.
-    ``d_point[q]`` is the first point with the D of q.  ``kernel`` is
-    omega_{0,2}'s factor table: its rows, the table, read-only, and its
-    ``_factor_rows`` at every point, keyed (0, 2, q).
+    Row p of ``res_vec`` dotted with a product series (exponents from 2 lo)
+    is its residue against z^{2p+1} / (4 z^2): 1/4 at the one column
+    ``res_cols[p]`` = -2 lo - 2p.  ``hankel[p, i, j]`` is ``res_vec[p, i +
+    j]``.  ``kernel`` is omega_{0,2}'s factor table: its rows, the table,
+    read-only, and its ``_factor_rows`` at every point, keyed (0, 2, q).
     """
 
     ks: np.ndarray
@@ -354,37 +300,39 @@ class _Window(NamedTuple):
     flip: np.ndarray
     poles: np.ndarray
     anti: np.ndarray
-    d_point: list
+    res_vec: np.ndarray
+    res_cols: np.ndarray
+    hankel: np.ndarray
     kernel: tuple
 
 
 class _Plan:
     """What the recursions on one curve shape share: all the shape alone gives, each level's plan.
 
-    ``residues`` is (res_vec, res_cols, the Hankel gather stacked over the
-    points, column groups) and ``window`` the shape's ``_Window``, both
-    formed by the first engine of the shape; ``levels`` holds the ``_Level``
-    of each chi as the last run recorded or filled it, and ``rows`` the rows
-    of the stack of factor tables that run used, the size the next run's
-    stack starts at.  No value of the kernel data s enters any of them, so a
-    run forms only what s changes: the window series, B(z, -z), the residue
-    tensor when it is read, and the lower cells' factor tables.
+    ``window`` is the shape's ``_Window``, formed by the first engine of the
+    shape; ``levels`` holds the ``_Level`` of each chi as the last run
+    recorded or filled it, and ``rows`` the rows of the stack of factor
+    tables that run used, the size the next run's stack starts at.  No value
+    of the kernel data s enters any of them, so a run forms only what s
+    changes: the window series, B(z, -z), the residue tensor when it is
+    read, and the lower cells' factor tables.
     """
 
     def __init__(self):
-        self.residues = None
         self.window = None
         self.levels = []
         self.rows = None
 
 
-# recursion plans kept, least recently used first out: one per curve shape
-_PLAN_SLOTS = 4
+# recursion plans kept, least recently used first out: no command or
+# benchmark workload reruns an earlier shape, and a 4-point chi = 8 plan
+# takes tens of MB
+_PLAN_SLOTS = 1
 
 
 @functools.lru_cache(maxsize=_PLAN_SLOTS)
 def _plan(shape):
-    """The ``_Plan`` of a curve shape: (points, D key per point, cells filled, kmax, extra_order)."""
+    """The ``_Plan`` of a curve shape: (points, cells filled, kmax, extra_order)."""
     return _Plan()
 
 
@@ -438,15 +386,6 @@ def fill_bound(chi_max, cells=None):
     return max(default_index_bound(g, n) for g, n in fill_cells(chi_max, cells))
 
 
-def _denom_key(d):
-    """A one-form series D by its window, exponents and coefficient bits."""
-    terms = d.coeffs
-    return d.min_exp, d.trunc_order, tuple(terms), np.array(list(terms.values())).tobytes()
-
-
-_DEFAULT_KEY = _denom_key(_DEFAULT_DENOM)
-
-
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
@@ -461,6 +400,7 @@ class _EoEngine(_CellRecursion):
         self.lo = -(kmax + 3)
         self.hi = kmax + 5 + extra_order
         self.nlen = self.hi - self.lo + 1
+        self.npiv = (kmax + 1) // 2     # the pivots 2p + 1 at a point
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
         self.products = 0               # split-term pairs whose product was formed
         self.formed = 0                 # (pair, column) products formed: the columns rows read
@@ -468,35 +408,27 @@ class _EoEngine(_CellRecursion):
         self._factor_cache = {}
         self._values = {}               # stored values of each cell, in its key order
         self._key_type = np.min_scalar_type(-self.dim)
-        dkeys = tuple(_DEFAULT_KEY if d is _DEFAULT_DENOM else _denom_key(d)
-                      for d in map(curve.denom.__getitem__, self.ram))
-        self._plan = _plan((len(self.ram), dkeys, self.cells, kmax, extra_order))
-        self._setup(dkeys)
+        self._plan = _plan((len(self.ram), self.cells, kmax, extra_order))
+        self._setup()
 
-    def _setup(self, dkeys):
-        """Window series of the kernel data at every point, and their residue tables.
+    def _setup(self):
+        """Window series of the kernel data at every point.
 
         One stack over the points, axis 0 the position q of the point in
         ``ram``.  Over the exponent window [lo, hi]: row j of ``loc_p[q]`` is
         ebar^{j}(z) / dz at the point, row j of ``loc_m[q]`` the same form at
-        -z, ``b_pm[q]`` is B(z, -z) / dz^2.  Row p of ``res_vec[q]`` dotted
-        with a product series (exponents from 2 lo) is its residue against
-        z^{2p+1} / D(z), ``res_cols[q]`` lists the columns it reads, and
-        ``res_tensor[q, p, a, b]`` is that residue of loc_p[q, a] * loc_m[q, b].
-        The plan keeps what the shape alone gives, formed by its first
-        engine: 1/D, ``res_vec``, ``res_cols`` and the Hankel gather of
-        ``res_vec``, one set per distinct D shared by the points that have it
-        (``_residues``), and the ``_Window``: the index arrays the series are
-        formed with, ``_d_point`` and omega_{0,2}'s factor table.  So each
-        engine forms loc_p, loc_m and b_pm, and ``res_tensor`` when it is
-        first read.
+        -z, ``b_pm[q]`` is B(z, -z) / dz^2, and ``res_tensor[q, p, a, b]`` the
+        residue of loc_p[q, a] * loc_m[q, b] against z^{2p+1} / (4 z^2).  The
+        plan keeps what the shape alone gives, formed by its first engine:
+        the ``_Window``, with ``res_vec``, ``res_cols`` and the Hankel gather
+        of ``res_vec``, the index arrays the series are formed with and
+        omega_{0,2}'s factor table.  So each engine forms loc_p, loc_m and
+        b_pm, and ``res_tensor`` when it is first read.
         """
         plan = self._plan
         if plan.window is None:
-            plan.residues = self._residues(dkeys)
-            plan.window = self._window(plan.residues[0])
-        self.res_vec, self.res_cols, _, self._col_groups = plan.residues
-        ks, sign, self._flip, poles, anti, self._d_point, _ = plan.window
+            plan.window = self._window()
+        ks, sign, self._flip, poles, anti, self.res_vec, self.res_cols, _, _ = plan.window
         lo, nr, big_k = self.lo, len(self.ram), len(ks)
         # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
         top = len(self.curve.s) // nr
@@ -520,17 +452,16 @@ class _EoEngine(_CellRecursion):
 
     @functools.cached_property
     def res_tensor(self):
-        """C[q, p, a, b] = loc_p[q, a] . H_p[q] . loc_m[q, b], formed when first read.
+        """C[q, p, a, b] = loc_p[q, a] . H_p . loc_m[q, b], formed when first read.
 
         The genus terms, ``compute_value`` and the checks read it; a run
         whose levels take no genus term, a genus-zero fill, never forms it.
         """
-        return self.loc_p[:, None] @ self._plan.residues[2] @ self.loc_m[:, None].swapaxes(-1, -2)
+        return self.loc_p[:, None] @ self._plan.window.hankel @ self.loc_m[:, None].swapaxes(-1, -2)
 
-    def _window(self, res_vec):
-        """The ``_Window`` of the engine's shape, from its ``res_vec``."""
-        lo, nlen, nr, dim = self.lo, self.nlen, len(self.ram), self.dim
-        npiv = (self.kmax + 1) // 2
+    def _window(self):
+        """The ``_Window`` of the engine's shape."""
+        lo, nlen, nr, dim, npiv = self.lo, self.nlen, len(self.ram), self.dim, self.npiv
         ks = np.arange(1, self.hi + 2)
         e = np.arange(lo, self.hi + 1)
         # form at -z against dz: (-z)^e d(-z) = -(-1)^e z^e dz
@@ -540,42 +471,14 @@ class _EoEngine(_CellRecursion):
         poles = ((qs * dim + qs * npiv + p) * nlen - 2 * p - 2 - lo).ravel()
         # the term (q, k, k') of B(z, -z) adds to the exponent k + k' - 2 at q
         anti = (qs * (2 * len(ks) - 1) + (ks[:, None] + ks - 2).ravel()).ravel()
-        d_point = [next(r for r in range(nr) if res_vec[r] is res) for res in res_vec]
-        return _Window(ks, (-1.0) ** ks, flip, poles, anti, d_point, self._kernel_factors())
-
-    def _residues(self, dkeys):
-        """(res_vec, res_cols) per point, the Hankel gather stacked over them, the column groups.
-
-        Each is formed once per distinct D; ``_col_groups`` lists (res_cols,
-        points, reads) per distinct first pivot reading each column of the
-        window (``_first_pivots``), which fixes the columns too: ``reads``
-        holds it at the columns res_cols.
-        """
-        lo, nlen = self.lo, self.nlen
-        p = np.arange((self.kmax + 1) // 2)
-        # residue of z^{2 lo + l} against z^{k1} / D(z): the coefficient of
-        # z^{-1 - k1 - 2 lo - l} of 1 / D
-        needed = -1 - 1 - 2 * lo
-        exps = needed - 2 * p[:, None] - np.arange(2 * nlen - 1)
-        low = int(exps.min())
+        # residue of z^{2 lo + l} against z^{2p+1} / (4 z^2): the coefficient
+        # of z^{-2p-2-2 lo-l} of z^{-2} / 4, nonzero at l = -2 lo - 2p
+        cols = -2 * lo - 2 * p
+        res_vec = np.zeros((npiv, 2 * nlen - 1), dtype=complex)
+        res_vec[p, cols] = 0.25
         ii = np.arange(nlen)
-        shared, groups = {}, {}
-        for q, (lab, key) in enumerate(zip(self.ram, dkeys)):
-            if key not in shared:
-                inv_d = self.curve.denom[lab].inverse()
-                if inv_d.trunc_order < needed:
-                    raise TruncationInsufficient(
-                        f"denom at {lab!r} truncated below order {needed + 4}")
-                coef = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)
-                res = coef[exps - low]
-                first = _first_pivots(res)
-                cols = np.flatnonzero(first < len(res))
-                # H_p[i, j] = res[p, i + j]
-                shared[key] = res, cols, res[:, ii[:, None] + ii], first
-            res, cols, _, first = shared[key]
-            groups.setdefault(first.tobytes(), (cols, [], first[cols]))[1].append(q)
-        res_vec, res_cols, hankel, _ = zip(*(shared[key] for key in dkeys))
-        return list(res_vec), list(res_cols), np.stack(hankel), list(groups.values())
+        return _Window(ks, (-1.0) ** ks, flip, poles, anti, res_vec, cols,
+                       res_vec[:, ii[:, None] + ii], self._kernel_factors())
 
     def _kernel_factors(self):
         """(rows, table, index): omega_{0,2}'s ``_factor_table`` and its ``_factor_rows``.
@@ -794,29 +697,21 @@ class _EoEngine(_CellRecursion):
         """Fill a level's cells on its plan; return which planned entries they stored, the
         values stored and the level's ``_Keys`` as filled.
 
-        A job is one cell at one point q: its entries whose pivot sits at q,
-        grouped by their other legs, the rest.  A job's rows are its rests,
-        one xi series each.  The jobs whose points read the same columns
-        share their splitting terms (``_split_part``), whose factors are rows
-        of the run's stack of factor tables; each block of whole jobs then
-        takes one residue pass (``_block_values``), which gives every pivot
-        of every row, and gathers its entries.  One gather puts the level's
-        entries in key order, cell after cell, each cell's sorted, the order
-        of ``support``; the nonzero ones are stored, each cell's dict with
-        Python complex values of the same bits.  ``lower`` holds the
-        values the level below stored, cell after cell, which the genus
-        terms read.
+        The level's splitting terms (``_split_part``), whose factors are rows
+        of the run's stack of factor tables, and one residue pass
+        (``_residue_pass``) give every pivot of every row; one gather puts
+        the level's entries in key order, cell after cell, each cell's
+        sorted, the order of ``support``.  The nonzero ones are stored, each
+        cell's dict with Python complex values of the same bits.  ``lower``
+        holds the values the level below stored, cell after cell, which the
+        genus terms read.
         """
-        stack = self._stack[:self._used]
-        found = []          # the entries of each block
-        for (cols, _, _), group in zip(self._col_groups, level.groups):
-            part = self._split_part(group, cols, stack)
-            for block in group.blocks:
-                found.append(self._block_values(block, part, cols, lower).reshape(-1)[block.out])
-            self.products += group.pairs.shape[1]
-            self.formed += group.formed
+        part = self._split_part(level, self._stack[:self._used])
+        self._residue_pass(part, level.b11, level.genus, lower)
+        self.products += level.pairs.shape[1]
+        self.formed += level.formed
         plan = level.keys
-        vals = (np.concatenate(found) if found else np.empty(0, dtype=complex))[plan.gather]
+        vals = part.reshape(-1)[plan.gather]
         self.evaluated += len(vals)
         stored = vals != 0
         if not _same(stored, plan.stored):
@@ -829,122 +724,99 @@ class _EoEngine(_CellRecursion):
             start += len(keys)
         return stored, vals, plan
 
-    def _split_part(self, group, cols, stack):
-        """Columns ``cols`` of the splitting terms of a column group's rows, a ``_Group``.
+    def _split_part(self, level, stack):
+        """The splitting terms of a level's rows, a column per pivot (a ``_Level``'s part).
 
         Each pair of nonzero lower-cell factors adds its product to the rest
         their merged legs make, once per leg-position subset that gives the
-        pair.  Of the columns ``cols`` a pair forms only those its row reads:
-        the columns that some pivot its rest takes reads.  Each is bitwise
+        pair.  Of the columns ``res_cols`` a pair forms only those its row
+        reads: one per pivot its rest takes.  Each is bitwise
         ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs
         at a time across the jobs, the second factors flipped to -z as a
         stack.  The adds go one per subset in pair order, as in
         ``compute_value``: a single add of the multiple would round
-        differently.  They go to the flat part at the plan's indices, column
-        after column: each read entry gets every add of its row's pairs, in
-        their order.  An unread entry stays 0, and it meets only exact zeros
-        of ``res_vec`` at the pivots its row takes, so every value the level
-        keeps has the bits of a part with every column formed.
+        differently.  They go to the flat part at the plan's indices, pivot
+        after pivot: each read entry gets every add of its row's pairs, in
+        their order.  An unread entry stays 0, at a pivot its row does not
+        take.
         """
-        part = np.zeros((group.rows, len(cols)), dtype=complex)
-        first, second = group.pairs[:2]
+        part = np.zeros((level.rows, self.npiv), dtype=complex)
+        first, second = level.pairs
         flip = self._flip[::-1].copy()      # a reversed view would take a slow buffered loop
-        for start, (counts, rep, add) in zip(itertools.count(0, _STACK), group.forms):
+        for start, (counts, rep, add) in zip(itertools.count(0, _STACK), level.forms):
             flipped = stack[second[start:start + _STACK]][:, ::-1] * flip
-            terms = _product_columns(stack[first[start:start + _STACK]], flipped, cols, counts)
+            terms = _product_columns(stack[first[start:start + _STACK]], flipped, self.res_cols,
+                                     counts)
             np.add.at(part.reshape(-1), add, terms if rep is None else terms.repeat(rep))
         return part
 
-    def _block_values(self, block, part, cols, lower):
-        """-(xi @ res_vec[q].T) less the genus terms, for every row of a ``_Block``.
+    def _residue_pass(self, part, b11, genus, lower):
+        """Turn a level's part into -(xi @ res_vec.T) less the genus terms, in place.
 
-        A row's xi holds its part's columns ``cols`` and, for (1, 1), B(z, -z)
-        too.  One matmul takes every row; a one-row job's matmul is not a row
-        of a larger one, bitwise, so one stacked (J, 1, W) matmul takes those
-        rows again, each with the bits of its job's own.  A block of one job
-        with more rows than ``_BLOCK_BYTES`` of xi takes its matmul in slices
-        of rows, none of one row, so its xi is never formed whole.  The genus
-        terms of all the jobs are one gather from ``res_tensor`` and one flat
-        add: an entry of omega_{g-1,n+1} at (a, b, rest), whose value is
-        ``lower[src]``, adds that value times C[q, p, a, b] + C[q, p, b, a]
-        (once for a = b) to its row at every pivot p the row takes; the
-        others are not gathered.  Jobs have rows of their own, so each row
-        gets its adds in its job's entry order.
+        Column p of a row's part is the one column ``res_cols[p]`` of its xi
+        that row p of ``res_vec`` reads, at 1/4; so with B(z, -z) added to
+        the (1, 1) rows ``b11`` (rows, points) and the part scaled by -1/4,
+        each value has the bits of -(xi @ res_vec.T), whose other terms are
+        exact zeros.  The genus terms are one gather from ``res_tensor`` and
+        one flat add: an entry of omega_{g-1,n+1} at (a, b, rest), whose
+        value is ``lower[src]``, adds that value times C[q, p, a, b] +
+        C[q, p, b, a] (once for a = b) at every pivot p its row takes
+        (``_genus``), each row its adds in its entries' order, and their sum
+        is subtracted.
         """
-        start, stop, q, ones, b11, genus, _ = block
-        res = self.res_vec[q].T
-        width = 2 * self.nlen - 1
-        vals = np.empty((stop - start, res.shape[1]), dtype=complex)
-        # a block larger than a pass is one job, whose rows go in slices of two or more
-        cuts = list(range(0, stop - start, max(2, _block_rows(width)))) + [stop - start]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-            del cuts[-2]
-        for lo, hi in itertools.pairwise(cuts):
-            xi = np.zeros((hi - lo, width), dtype=complex)
-            xi[:, cols] = part[start + lo:start + hi]
-            if b11 is not None:
-                rows, qs = b11
-                xi[rows, -self.lo:-self.lo + self.nlen] += self.b_pm[qs]
-            np.matmul(xi, res, out=vals[lo:hi])
-            if ones is not None:
-                vals[ones] = (xi[ones, None] @ res)[:, 0]
-        np.negative(vals, out=vals)
+        if b11 is not None:
+            rows, qs = b11
+            part[rows] += self.b_pm[qs[:, None], self.res_cols + self.lo]
+        part *= -0.25
         if genus is not None:
-            add, take, qs, a, b, src, cross = genus
+            add, q, p, a, b, src, cross = genus
             c = self.res_tensor
-            terms = c[qs, :, a, b]
-            terms[cross] += c[qs[cross], :, b[cross], a[cross]]
-            terms *= lower[src, None]
-            adds = np.zeros_like(vals)
-            np.add.at(adds.reshape(-1), add, terms.reshape(-1)[take])
-            vals -= adds
-        return vals
+            terms = c[q, p, a, b]
+            terms[cross] += c[q[cross], p[cross], b[cross], a[cross]]
+            terms *= lower[src]
+            adds = np.zeros_like(part)
+            np.add.at(adds.reshape(-1), add, terms)
+            part -= adds
 
     # the plan ------------------------------------------------------------------
 
     def _record(self, cells, below, stored):
-        """The ``_Level`` of ``cells`` under the keys ``stored`` of the level ``below``."""
+        """The ``_Level`` of ``cells`` under the keys ``stored`` of the level ``below``.
+
+        Its jobs go in key order: cell after cell, and in a cell by point.
+        """
         sizes = [len(self._cell_values(*cell)) for cell in below]
         lower = dict(zip(below, itertools.accumulate(sizes, initial=0)))
-        groups, spans, keys = [], {}, {}
-        done = 0            # the entries the jobs before evaluate, in the fill's order
-        for _, points, reads in self._col_groups:
-            # the jobs at the points of one D one after another: a block has one D
-            jobs = [(g, n, q) for d in dict.fromkeys(self._d_point[q] for q in points)
-                    for g, n in cells for q in points if self._d_point[q] == d]
-            pairs, planned, flat, got, tops = self._record_jobs(jobs, self._offsets)
-            groups.append(_Group(*self._forms(pairs, tops, reads),
-                                 *self._blocks(planned, flat, tops, lower)))
-            for job, job_keys in zip(planned, got):
-                spans[job[:3]], keys[job[:3]] = range(done, done + job[5]), job_keys
-                done += job[5]
-        # in key order: cell after cell, and in a cell by point
-        jobs = [(g, n, q) for g, n in cells for q in range(len(self.ram))]
-        gather = np.fromiter(itertools.chain.from_iterable(map(spans.get, jobs)), np.int32, done)
-        counts = [sum(len(spans[g, n, q]) for q in range(len(self.ram))) for g, n in cells]
+        nr = len(self.ram)
+        jobs = [(g, n, q) for g, n in cells for q in range(nr)]
+        pairs, planned, flat, keys, tops = self._record_jobs(jobs, self._offsets)
+        firsts = list(itertools.accumulate((job[3] for job in planned), initial=0))
+        b11 = [(first, job[2]) for job, first in zip(planned, firsts) if job[:2] == (1, 1)]
+        counts = [sum(job[5] for job in planned[i:i + nr]) for i in range(0, len(planned), nr)]
         return _Level(stored, {cell: self._factor_cache[cell][0] for cell in below},
-                      tuple(groups),
-                      _Keys(gather, counts, np.concatenate(list(map(keys.get, jobs))), None, None))
+                      *self._forms(pairs, tops, self.npiv), firsts[-1],
+                      tuple(map(np.array, zip(*b11))) if b11 else None,
+                      self._genus(planned, firsts, lower, tops),
+                      _Keys(flat, counts, np.concatenate(keys), None, None))
 
     @staticmethod
-    def _forms(pairs, tops, reads):
-        """(pairs, forms, formed) of a ``_Group`` from ``_record_jobs``'s (4, P) pairs.
+    def _forms(pairs, tops, npiv):
+        """(pairs, forms, formed) of a ``_Level`` from ``_record_jobs``'s (4, P) pairs.
 
-        ``tops`` holds the largest pivot of each row of the group's part,
-        ``reads[c]`` the smallest pivot that reads the group's column c: a row
-        reads the columns whose ``reads`` is at most its top.  With the pairs
-        of the rows that read the most first, the pairs that form a column are
-        the leading ones of each ``_STACK``.  A row's pairs share its top, so
-        a stable sort keeps them in the order they were found.
+        ``tops`` holds the largest pivot of each row of the level's part: a
+        row reads the columns of the pivots 0..top.  With the pairs of the
+        rows that read the most first, the pairs that form a column are the
+        leading ones of each ``_STACK``.  A row's pairs share its top, so a
+        stable sort keeps them in the order they were found.
         """
         pairs = pairs[:, np.argsort(-tops[pairs[2]], kind="stable")]
         _, _, at, ways = pairs
         top, most = tops[at], ways.max(initial=1)
-        width = np.arange(len(reads), dtype=np.int32)[:, None]
+        pivots = np.arange(npiv, dtype=np.int32)[:, None]
         forms, formed = [], 0
         for start in range(0, len(top), _STACK):
-            read = top[start:start + _STACK] >= reads[:, None]     # column by pair
-            add = (at[start:start + _STACK] * len(reads) + width)[read]
+            read = top[start:start + _STACK] >= pivots     # pivot by pair
+            add = (at[start:start + _STACK] * npiv + pivots)[read]
             rep = None
             if most > 1:
                 rep = (ways[start:start + _STACK] * read)[read].astype(np.min_scalar_type(most))
@@ -953,52 +825,17 @@ class _EoEngine(_CellRecursion):
             formed += int(read.sum())
         return pairs[:2].copy(), tuple(forms), formed
 
-    def _blocks(self, jobs, flat, tops, lower):
-        """(rows, blocks): a column group's rows and its residue passes, a ``_Block`` each.
+    def _genus(self, jobs, firsts, lower, tops):
+        """The (add, q, p, a, b, src, cross) arrays of a level's genus terms, or None.
 
-        ``jobs``, ``flat`` and ``tops`` come as ``_record_jobs`` gives them,
-        the jobs' rows one after another.  A block takes whole jobs in order, at points
-        with one D: as many as keep its xi within ``_BLOCK_BYTES``, or one.
-        ``lower`` maps each cell of the level below to the offset of its
-        stored values in their stack.
-        """
-        npiv = (self.kmax + 1) // 2
-        most = _block_rows(2 * self.nlen - 1)
-        chunks, width, d = [], most, None
-        for job in jobs:
-            if not job[3]:
-                continue        # no rests: nothing to evaluate
-            if width + job[3] > most or self._d_point[job[2]] != d:
-                chunks.append([])
-                width, d = 0, self._d_point[job[2]]
-            chunks[-1].append(job)
-            width += job[3]
-        blocks, start, done = [], 0, 0
-        for chunk in chunks:
-            firsts = list(itertools.accumulate((job[3] for job in chunk), initial=0))
-            ones = [first for job, first in zip(chunk, firsts) if job[3] == 1]
-            b11 = [(first, job[2]) for job, first in zip(chunk, firsts) if job[:2] == (1, 1)]
-            count = sum(job[5] for job in chunk)
-            blocks.append(_Block(start, start + firsts[-1], chunk[0][2],
-                                 np.array(ones) if ones else None,
-                                 tuple(map(np.array, zip(*b11))) if b11 else None,
-                                 self._block_genus(chunk, firsts, lower,
-                                                   tops[start:start + firsts[-1]]),
-                                 flat[done:done + count] - start * npiv))
-            start += firsts[-1]
-            done += count
-        return start, blocks
-
-    def _block_genus(self, jobs, firsts, lower, tops):
-        """The (add, take, q, a, b, src, cross) arrays of the genus-term entries of a block's
-        ``jobs``, or None.
-
-        ``firsts`` holds each job's first row in the block, ``lower`` the
-        offset of each lower cell's stored values in their stack, ``tops``
-        the largest pivot of each row of the block.  An entry adds to its row
-        at the pivots 0..top the row takes, the ones the block gathers:
-        ``take`` indexes them in the flat (entries, npiv) terms, ``add`` in
-        the block's flat values.
+        ``jobs`` and ``tops`` come as ``_record_jobs`` gives them, ``firsts``
+        holds each job's first row in the part and ``lower`` the offset of
+        each lower cell's stored values in their stack.  An entry takes a
+        term at each pivot 0..top its row takes, entry after entry: ``add``
+        is its flat row * npiv + p in the part, (q, p, a, b) its place in
+        ``res_tensor``, ``src`` its value's in the stack, and ``cross``
+        lists the terms with a != b.  The points and pivots are held as the
+        narrowest integers that fit, the modes as the keys are.
         """
         have = [(job, first) for job, first in zip(jobs, firsts) if job[4] is not None]
         counts = [len(job[4][0]) for job, _ in have]
@@ -1009,10 +846,12 @@ class _EoEngine(_CellRecursion):
         first, q, offset = np.repeat(shifts.T, counts, axis=1)
         at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
         at += first
-        pivots = np.arange((self.kmax + 1) // 2, dtype=np.int32)
-        keep = pivots <= tops[at, None]     # the pivots each entry's row takes
-        return ((at[:, None] * len(pivots) + pivots)[keep], np.flatnonzero(keep).astype(np.int32),
-                q, a, b, src + offset, np.flatnonzero(a != b).astype(np.int32))
+        entry, p = np.nonzero(np.arange(self.npiv) <= tops[at, None])
+        a, b = a[entry], b[entry]
+        narrow = np.min_scalar_type(-max(len(self.ram), self.npiv))     # int8 to 128
+        return ((at[entry] * self.npiv + p).astype(np.int32), q[entry].astype(narrow),
+                p.astype(narrow), a, b, src[entry] + offset[entry],
+                np.flatnonzero(a != b).astype(np.int32))
 
     def _record_jobs(self, jobs, offsets):
         """(pairs, jobs, flat, keys, tops): the plan of ``jobs``, (g, n, q) each, and their entries.
@@ -1074,7 +913,7 @@ class _EoEngine(_CellRecursion):
         by rest.  Each entry's (base + row) * npiv + p, row its rest's, goes
         on ``flat``, and each row's largest p on ``tops``, in row order.
         """
-        npiv = (self.kmax + 1) // 2
+        npiv = self.npiv
         rests = sorted(rows)
         # every rest takes p = 0: the pairs and entries that reach it fit its budget
         keys = [(first,) + rest for rest in rests]
@@ -1127,7 +966,7 @@ class _EoEngine(_CellRecursion):
                     rests.append(tuple(rest))
                     pairs += (a, b)
                     src.append(e)
-            a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+            a, b = np.array(pairs, dtype=self._key_type).reshape(-1, 2).T
             # first leg of each rest; the empty rest is reached at every point
             lead = [rest[0] if rest else self.dim for rest in rests]
             self._cell_cache[key] = rests, lead, a, b, np.array(src, dtype=np.int32)
@@ -1170,7 +1009,7 @@ class _EoEngine(_CellRecursion):
                 xi += np.convolve(f1, f2)
         if (g, n) == (1, 1):
             xi[-self.lo:-self.lo + self.nlen] += self.b_pm[q]
-        val = -(xi @ self.res_vec[q][p])
+        val = -(xi @ self.res_vec[p])
         if g >= 1 and (g, n) != (1, 1):
             m2 = self._pair_matrix(g - 1, n + 1, rest)
             if m2 is not None:
@@ -1199,10 +1038,6 @@ class _EoEngine(_CellRecursion):
 # thousands, whose whole stack would raise the run's peak memory by a third
 _STACK = 1024
 
-# bytes of xi a residue pass forms at most; a job that needs more takes
-# passes of part of its rows, two rows at least
-_BLOCK_BYTES = 1 << 21
-
 # bytes the stack of factor tables of a shape's first run starts with; it
 # doubles when full, and the runs after it start at the rows the last one used
 _STACK_START_BYTES = 1 << 20
@@ -1230,17 +1065,6 @@ def _product_columns(f1, r2, cols, counts):
         np.matmul(f1[:m, None, lo1:hi1], r2[:m, lo2:hi2, None], out=out[at:at + m, None, None])
         at += m
     return out
-
-
-def _block_rows(width):
-    """Rows of xi, ``width`` columns wide, that a residue pass forms at most: one at least."""
-    return max(1, _BLOCK_BYTES // (16 * width))
-
-
-def _first_pivots(res):
-    """The smallest pivot whose row of the ``res_vec`` ``res`` reads each column, else len(res)."""
-    read = res != 0
-    return np.where(read.any(axis=0), read.argmax(axis=0), len(res))
 
 
 def _stored_tuples(cells, keys, stored):
@@ -1411,19 +1235,19 @@ def _even_leg_probe(engine, g, n, k_even, q):
         other = engine._factor(g, n - 1, legs, q, not even_on_minus)
         if f_even is not None and other is not None:
             xi += np.convolve(f_even * engine._flip if even_on_minus else f_even, other)
-    return -(xi @ engine.res_vec[q][0])
+    return -(xi @ engine.res_vec[0])
 
 
-def atr_eo_crosscheck(tensors, gauge, chi_max, denom=None):
+def atr_eo_crosscheck(tensors, gauge, chi_max):
     """Componentwise max |S_atr - S_eo| between the two pipelines.
 
     ``tensors`` is a local-recursion tensor family; ``gauge`` carries the
     regular-part coefficients (c = d = identity for the bergman basis).  The
-    local recursion uses the same regular part and the default odd one-form.
+    local recursion uses the same regular part and its one-form 4 z^2 dz.
     """
     bar = gauge_transform(tensors, gauge)
     s_atr = atr_run(bar, chi_max)
-    curve = LocalSpectralCurve(ram=tensors.ram, denom=denom or {}, bergman_reg=gauge.s)
+    curve = LocalSpectralCurve(ram=tensors.ram, bergman_reg=gauge.s)
     omega = eo_run(curve, chi_max)
     dev = 0.0
     for (g, n) in s_atr.cells():

@@ -1005,6 +1005,22 @@ def test_decompose_refuses_modes_beyond_the_embedding_window():
         decompose_in_g(w, pd, s_coeffs, c_coeffs, k_bound=7)
 
 
+def test_embed_reads_every_chart_it_is_given():
+    # each chart is embedded from its own series: doubling ds_detabar of the
+    # (0, -1) chart changes that chart's embedded series alone
+    curve, _, _, _, charts, _, _ = _Setup.get()
+    near = new_curve(1, (U0[0] + 0.002,))
+    base = sw_embed_global(near, curve, charts)
+    lower = charts[(0, -1)]
+    moved = {**charts, (0, -1): replace(lower, ds_detabar=lower.ds_detabar * 2.0)}
+    got = sw_embed_global(near, curve, moved)
+    for lab, xi in got.series.items():
+        same = xi.base.items() == base.series[lab].base.items()
+        assert same == (lab != (0, -1)), lab
+    diff = got.series[(0, -1)].base - base.series[(0, -1)].base
+    assert diff.max_abs() == lower.ds_detabar.max_abs()
+
+
 def test_embed_reference_is_zero():
     curve, cycles, pd, bk, charts, *_ = _Setup.get()
     w = sw_embed_global(curve, curve, charts)

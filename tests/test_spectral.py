@@ -2,13 +2,15 @@
 
 import ast
 import bisect
+import functools
 import itertools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from swtr import spectral
 from swtr.airy import (
     GaugeData,
     _AtrEngine,
@@ -29,7 +31,6 @@ from swtr.spectral import (
     _PLAN_SLOTS,
     _STACK,
     _EoEngine,
-    _first_pivots,
     _plan,
     _product_columns,
     _ways,
@@ -89,6 +90,70 @@ def test_two_points_no_cross_coupling():
                 assert abs(val) < 1e-12
 
 
+def _double_factorial(k):
+    """k!! for odd k >= -1, with (-1)!! = 1."""
+    return math.prod(range(k, 0, -2))
+
+
+@functools.cache
+def _intersection(g, ds):
+    """<tau_{d_1} ... tau_{d_n}>_g over the moduli of curves, ``ds`` sorted, as a Fraction.
+
+    The DVV recursion (the Virasoro constraints) on the largest d, with
+    <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; 0 off the dimension 3g - 3 + n.
+    """
+    if g < 0 or sum(ds) != 3 * g - 3 + len(ds) or min(ds, default=0) < 0:
+        return Fraction(0)
+    if (g, ds) in ((0, (0, 0, 0)), (1, (1,))):
+        return Fraction(1) if g == 0 else Fraction(1, 24)
+    k, rest = ds[-1] - 1, ds[:-1]           # tau_{k+1} tau_rest
+    if k < 0:
+        return Fraction(0)
+
+    def key(*d):
+        return tuple(sorted(d))
+
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        others = rest[:j] + rest[j + 1:]
+        total += Fraction(_double_factorial(2 * k + 2 * d + 1), _double_factorial(2 * d - 1)) * \
+            _intersection(g, key(*others, d + k))
+    for r in range(k):
+        s = k - 1 - r
+        weight = Fraction(_double_factorial(2 * r + 1) * _double_factorial(2 * s + 1), 2)
+        total += weight * _intersection(g - 1, key(r, s, *rest))
+        for size in range(len(rest) + 1):
+            for part in set(itertools.combinations(range(len(rest)), size)):
+                one = tuple(rest[i] for i in part)
+                two = tuple(rest[i] for i in range(len(rest)) if i not in part)
+                for g1 in range(g + 1):
+                    total += weight * _intersection(g1, key(r, *one)) * \
+                        _intersection(g - g1, key(s, *two))
+    return total / _double_factorial(2 * k + 3)
+
+
+@pytest.mark.parametrize("points", [1, 3], ids=["1pt", "3pt"])
+def test_zero_kernel_gives_witten_kontsevich_numbers(points):
+    # with s = 0 each point is the Airy curve alone: an entry with every leg
+    # at one point is 2^{2-2g-n} prod k_i!! <tau_{(k_1-1)/2} ... tau_{(k_n-1)/2}>_g
+    # (Witten-Kontsevich), an entry across points is 0, so never stored
+    ram = tuple(str(q) for q in range(points))
+    omega = eo_run(LocalSpectralCurve(ram=ram), 6)
+    for (g, n), cell in omega.table.entries.items():
+        want = {}
+        for idx in omega.engine.support(g, n):
+            ks, labels = zip(*(omega.table.modes[i] for i in idx))
+            num = _intersection(g, tuple(sorted((k - 1) // 2 for k in ks)))
+            if num and len(set(labels)) == 1:
+                want[idx] = num * Fraction(2) ** (2 - 2 * g - n) * math.prod(
+                    map(_double_factorial, ks))
+        assert set(cell) == set(want), (g, n)
+        for idx, val in cell.items():
+            assert abs(val - float(want[idx])) <= 1e-14 * float(want[idx]), (g, n, idx)
+    # (2, 1) at mode 9: 2^{-3} 9!! <tau_4>_2 = 945 / (8 * 1152)
+    assert omega.value(2, 1, ((9, ram[0]),)) == 945 / (8 * 1152)
+
+
 # ---------------------------------------------------------------------------
 # equivalence of the two recursions
 # ---------------------------------------------------------------------------
@@ -140,7 +205,7 @@ def test_factor_tables_are_freed_when_the_run_returns():
     # the recursion's factor tables (51.8 MB at chi = 7 on 4 points) are not
     # kept past eo_run; the pivot sampler rebuilds the ones it reads, to the
     # same bits as with the tables kept
-    curve = _split_test_curve(("0", "1", "2", "3"), None)
+    curve = _split_test_curve(("0", "1", "2", "3"))
     omega = eo_run(curve, 4)
     assert omega.engine._factor_cache == {}
     kept = _EoEngine(curve, 4, max_index_bound(4))
@@ -155,7 +220,7 @@ def test_reference_paths_free_their_factor_tables():
     # the pivot sampler and the support check rebuild the factor tables they
     # read and free them when they return, as eo_run does; each returns, to
     # the bit, what it returns on an engine that kept the run's tables
-    curve = _split_test_curve(("0", "1"), None)
+    curve = _split_test_curve(("0", "1"))
     omega = eo_run(curve, 3)
     for check in (eo_symmetry_deviation, support_bound_check):
         kept = _EoEngine(curve, 3, max_index_bound(3))
@@ -166,25 +231,11 @@ def test_reference_paths_free_their_factor_tables():
         assert omega.engine._factor_cache == {} and kept._factor_cache == {}
 
 
-def test_nontrivial_denominator_still_symmetric():
-    # odd one-form with a quartic correction: outputs stay symmetric
-    rng = np.random.default_rng(5)
-    denom = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
-    s = random_s(("0",), 7, rng)
-    curve = LocalSpectralCurve(ram=("0",), denom={"0": denom}, bergman_reg=s)
-    omega = eo_run(curve, chi_max=3)
-    assert eo_symmetry_deviation(omega, rng) < 1e-10
-    o2 = eo_run(curve, chi_max=3, extra_order=6)
-    for key, val in omega.table.entries[(1, 2)].items():
-        assert abs(val - o2.table.entries[(1, 2)].get(key, 0j)) < 1e-11 * max(1.0, abs(val))
-
-
-def test_chi4_four_points_with_quartic_denominator():
+def test_chi4_four_points_fill_every_cell():
     # breadth at chi = 4: every cell is filled and stays pivot-symmetric
     rng = np.random.default_rng(23)
     ram = ("0", "1", "2", "3")
-    denom = {lab: LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40) for lab in ram}
-    curve = LocalSpectralCurve(ram=ram, denom=denom, bergman_reg=random_s(ram, 13, rng))
+    curve = LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 13, rng))
     omega = eo_run(curve, chi_max=4)
     for chi in range(1, 5):
         for g in range(0, (chi + 1) // 2 + 1):
@@ -237,7 +288,7 @@ def test_cells_fill_their_downward_closure_bitwise(ram, chi, cells, filled):
     # keys shift with the mode list), each genus-zero cell is the whole
     # run's to the bit, and the others to rounding: their genus terms
     # contract a residue tensor summed over a window that kmax sizes
-    curve = _split_test_curve(ram, None)
+    curve = _split_test_curve(ram)
     omega, whole = eo_run(curve, chi, cells=cells), eo_run(curve, chi)
     assert omega.cells() == sorted(filled) and omega.engine.cells == tuple(filled)
     assert omega.engine.kmax == max(default_index_bound(g, n) for g, n in filled)
@@ -325,31 +376,20 @@ def test_oracle_keeps_full_enumeration():
     assert eo.evaluated == sum(len(eo.support(g, n)) for g, n in recursion_cells(4))
 
 
-QUARTIC = LaurentSeries({2: 4.0, 4: 0.8 - 0.3j}, 2, 40)
-# D = 2 z^2: another D whose residue vectors read the columns of 4 z^2
-HALF = LaurentSeries({2: 2.0}, 2, 40)
-
-
-def _split_test_curve(ram, denom, seed=31):
-    """Random kernel data to mode 13 at ``ram``.
-
-    The one-form is ``denom`` at every point, or a {label: series} dict with
-    4 z^2 at the other points, or 4 z^2 everywhere when ``denom`` is None.
-    """
+def _split_test_curve(ram, seed=31):
+    """Random kernel data to mode 13 at ``ram``."""
     rng = np.random.default_rng(seed)
-    if isinstance(denom, LaurentSeries):
-        denom = dict.fromkeys(ram, denom)
-    return LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=random_s(ram, 13, rng))
+    return LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 13, rng))
 
 
-@pytest.mark.parametrize("ram, chi, denom", [
-    (("0", "1", "2", "3"), 4, QUARTIC),
-    (("p", "q"), 5, None),
-    (("0",), 6, None),
-], ids=["4pt-chi4-quartic", "2pt-chi5", "1pt-chi6"])
-def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
+@pytest.mark.parametrize("ram, chi", [
+    (("0", "1", "2", "3"), 4),
+    (("p", "q"), 5),
+    (("0",), 6),
+], ids=["4pt-chi4", "2pt-chi5", "1pt-chi6"])
+def test_whole_cell_fill_matches_per_entry_reference(ram, chi):
     # the whole-cell fill against compute_value, entry by entry on the support
-    omega = eo_run(_split_test_curve(ram, denom), chi)
+    omega = eo_run(_split_test_curve(ram), chi)
     engine = omega.engine
     for g, n in recursion_cells(chi):
         cell = omega.table.entries[(g, n)]
@@ -359,15 +399,15 @@ def test_whole_cell_fill_matches_per_entry_reference(ram, chi, denom):
             assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
 
 
-@pytest.mark.parametrize("ram, chi, denom", [
-    (("0", "1", "2", "3"), 4, QUARTIC),
-    (("p", "q"), 5, None),
-], ids=["4pt-chi4-quartic", "2pt-chi5"])
-def test_unreached_support_tuples_are_exactly_zero(ram, chi, denom):
+@pytest.mark.parametrize("ram, chi", [
+    (("0", "1", "2", "3"), 4),
+    (("p", "q"), 5),
+], ids=["4pt-chi4", "2pt-chi5"])
+def test_unreached_support_tuples_are_exactly_zero(ram, chi):
     # every support tuple whose rest no lower cell reaches, which the fill
     # skips, comes out exactly 0 in the per-entry reference; the tuples the
     # fill reaches are the ones it counts
-    omega = eo_run(_split_test_curve(ram, denom), chi)
+    omega = eo_run(_split_test_curve(ram), chi)
     engine = omega.engine
     reached = {cell: engine._reached(*cell) for cell in omega.table.entries}
     assert sum(map(len, reached.values())) == engine.evaluated
@@ -417,7 +457,7 @@ def _genus_terms(self, g, n, q, nrows, at, a, b, src):
     adds its value times C[p, a, b] + C[p, b, a] (once for a = b) to (its
     row ``at``, pivot p).
     """
-    out = np.zeros((nrows, self.res_vec[q].shape[0]), dtype=complex)
+    out = np.zeros((nrows, self.npiv), dtype=complex)
     if len(at):
         c = self.res_tensor[q]
         vals = self._cell_values(g - 1, n + 1)[src]
@@ -467,7 +507,7 @@ def _convolve_cell(self, g, n):
                 xi[row] += term
         if (g, n) == (1, 1):
             xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
-        vals = -(xi @ self.res_vec[q].T)
+        vals = -(xi @ self.res_vec.T)
         if genus is not None:
             vals -= _genus_terms(self, g, n, q, len(rows), *genus)
         for idx, r, p in _pivots(self, g, n, q, rows):
@@ -494,7 +534,7 @@ def _support_cell(self, g, n):
         at.setdefault(idx[1:], len(at))
     vals = []
     for q, at in enumerate(rows):
-        cols = self.res_cols[q]
+        cols = self.res_cols
         part = np.zeros((len(at), len(cols)), dtype=complex)
         pairs = [(f1, f2, at[legs], ways) for f1, f2, legs, ways in _lower_pairs(self, g, n, q)
                  if legs in at]
@@ -510,7 +550,7 @@ def _support_cell(self, g, n):
         xi[:, cols] = part
         if (g, n) == (1, 1):
             xi[at[()], -self.lo:-self.lo + self.nlen] += self.b_pm[q]
-        vals.append(-(xi @ self.res_vec[q].T))
+        vals.append(-(xi @ self.res_vec.T))
         if g >= 1 and (g, n) != (1, 1):
             where, pairs, coef = [], [], []
             for key, val in self.table.entries[(g - 1, n + 1)].items():
@@ -556,20 +596,21 @@ def _all_product_columns(f1, r2, cols):
     return out
 
 
-def _all_column_forms(pairs, tops, reads):
-    """``_EoEngine._forms`` of the all-column reference: every pair forms every column.
+def _all_column_forms(pairs, tops, npiv):
+    """``_EoEngine._forms`` of the all-column reference: every pair forms every pivot's column.
 
     The pairs stay in the order they were found, with the rows they add to
     and how many times.
     """
-    return pairs, (), pairs.shape[1] * len(reads)
+    return pairs, (), pairs.shape[1] * npiv
 
 
-def _all_column_split_part(self, group, cols, stack):
+def _all_column_split_part(self, level, stack):
     """``_EoEngine._split_part`` forming every column of every pair and adding it: the
     reference of the read-column products, on ``_all_column_forms``'s plan."""
-    part = np.zeros((group.rows, len(cols)), dtype=complex)
-    first, second, at, ways = group.pairs
+    cols = self.res_cols
+    part = np.zeros((level.rows, len(cols)), dtype=complex)
+    first, second, at, ways = level.pairs
     flip = self._flip[::-1].copy()
     width = np.arange(len(cols))
     for start in range(0, len(at), _STACK):
@@ -594,18 +635,16 @@ def _table_bits(table):
             for cell, entries in table.entries.items()]
 
 
-FILL_CASES = pytest.mark.parametrize("ram, chi, denom", [
-    (("0", "1", "2", "3"), 4, QUARTIC),
-    (("0", "1", "2", "3"), 4, {"1": QUARTIC, "3": QUARTIC}),
-    (("p", "q"), 4, {"q": HALF}),
-    (("p", "q"), 5, None),
-    (("0",), 6, None),
-    (None, None, None),
-], ids=["4pt-chi4-quartic", "4pt-chi4-mixed", "2pt-chi4-two-d", "2pt-chi5", "1pt-chi6",
-        "verify-g2"])
+FILL_CASES = pytest.mark.parametrize("ram, chi", [
+    (("0", "1", "2", "3"), 4),
+    (("p", "q"), 4),
+    (("p", "q"), 5),
+    (("0",), 6),
+    (None, None),
+], ids=["4pt-chi4", "2pt-chi4", "2pt-chi5", "1pt-chi6", "verify-g2"])
 
 
-def _fill_case(ram, chi, denom, other=False):
+def _fill_case(ram, chi, other=False):
     """The run of a FILL_CASES case: eo_run, or the genus-2 verify's recursion.
 
     ``other`` takes other kernel data on the same curve shape.
@@ -613,32 +652,31 @@ def _fill_case(ram, chi, denom, other=False):
     if ram is None:
         u0 = (0.31 + 0.1j, 0.2 - 0.16j) if other else (0.3 + 0.1j, 0.2 - 0.15j)
         return verify_theorem(VerifyConfig(genus=2, u0=u0)).omega
-    return eo_run(_split_test_curve(ram, denom, seed=37 if other else 31), chi)
+    return eo_run(_split_test_curve(ram, seed=37 if other else 31), chi)
 
 
 @FILL_CASES
-def test_split_terms_match_convolve_loop_bitwise(monkeypatch, ram, chi, denom):
+def test_split_terms_match_convolve_loop_bitwise(monkeypatch, ram, chi):
     # the read columns of a level's stacked products, added one per subset in
     # pair order, leave every stored value and the key order as the
-    # full-convolve loop one cell and one point at a time; with mixed D the
-    # points that read other columns take their own stack
-    omega = _fill_case(ram, chi, denom)
+    # full-convolve loop one cell and one point at a time
+    omega = _fill_case(ram, chi)
     with monkeypatch.context() as m:
         m.setattr(_EoEngine, "run", _cell_by_cell(_convolve_cell))
-        ref = _fill_case(ram, chi, denom)
+        ref = _fill_case(ram, chi)
     assert omega.engine.products == ref.engine.products > 0
     assert _table_bits(omega.table) == _table_bits(ref.table)
 
 
 @FILL_CASES
-def test_reached_fill_matches_support_fill_bitwise(monkeypatch, ram, chi, denom):
+def test_reached_fill_matches_support_fill_bitwise(monkeypatch, ram, chi):
     # filling on the reached rests skips only exact zeros: the stored values,
     # the key order and the products are the support-driven fill's; on one
     # point every support tuple is reached, on more the fill visits fewer
-    omega = _fill_case(ram, chi, denom)
+    omega = _fill_case(ram, chi)
     with monkeypatch.context() as m:
         m.setattr(_EoEngine, "run", _cell_by_cell(_support_cell))
-        ref = _fill_case(ram, chi, denom)
+        ref = _fill_case(ram, chi)
     assert omega.engine.products == ref.engine.products > 0
     assert _table_bits(omega.table) == _table_bits(ref.table)
     support = sum(len(omega.engine.support(g, n)) for g, n in omega.table.entries)
@@ -654,18 +692,18 @@ def _counts(omega):
 
 
 @FILL_CASES
-def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
+def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi):
     # a shape's first run records every level's plan, and a run on the plan
     # that other kernel data recorded gives the values, key order and counts
     # of the run that records its own; each kernel's data both ways
     _plan.cache_clear()
-    recorded = _fill_case(ram, chi, denom, other=True)
+    recorded = _fill_case(ram, chi, other=True)
     assert len(recorded.engine._plan.levels) == recorded.engine.chi_max
-    replayed = _fill_case(ram, chi, denom)
+    replayed = _fill_case(ram, chi)
     _plan.cache_clear()
-    fresh = _fill_case(ram, chi, denom)
+    fresh = _fill_case(ram, chi)
     assert len(fresh.engine._plan.levels) == fresh.engine.chi_max
-    other = _fill_case(ram, chi, denom, other=True)
+    other = _fill_case(ram, chi, other=True)
     runs, top = (recorded, replayed, fresh, other), fresh.engine.chi_max
     assert [omega.engine.replayed for omega in runs] == [0, top, 0, top]
     assert _counts(replayed) == _counts(fresh)
@@ -675,16 +713,15 @@ def test_replayed_plan_matches_a_fresh_plan_bitwise(ram, chi, denom):
 
 
 @FILL_CASES
-def test_read_columns_give_the_all_column_tables_bitwise(monkeypatch, ram, chi, denom):
+def test_read_columns_give_the_all_column_tables_bitwise(monkeypatch, ram, chi):
     # a pair forms and adds only the columns its row reads and leaves the
     # values, key order and counts of forming and adding every column: on a
     # shape's first run, which records its plan, and on the run that
-    # replays it; they are fewer than all where a column is first read by
-    # a pivot above 0, as with D = 4 z^2 (every pivot of a D with more
-    # terms reads every column)
+    # replays it; they are fewer than all where a point has more than one
+    # pivot, as a row reads only the columns of the pivots it takes
     def runs():
         _plan.cache_clear()
-        return [_fill_case(ram, chi, denom), _fill_case(ram, chi, denom, other=True)]
+        return [_fill_case(ram, chi), _fill_case(ram, chi, other=True)]
 
     got = runs()
     with monkeypatch.context() as m:
@@ -692,13 +729,11 @@ def test_read_columns_give_the_all_column_tables_bitwise(monkeypatch, ram, chi, 
         want = runs()
     engine = got[0].engine
     assert [omega.engine.replayed for omega in got + want] == [0, engine.chi_max] * 2
-    fewer = any(_first_pivots(res)[cols].any()
-                for res, cols in zip(engine.res_vec, engine.res_cols))
     for omega, ref in zip(got, want):
         assert _counts(omega) == _counts(ref)
         assert _table_bits(omega.table) == _table_bits(ref.table)
         assert 0 < omega.engine.formed <= ref.engine.formed
-        assert (omega.engine.formed < ref.engine.formed) == fewer
+        assert (omega.engine.formed < ref.engine.formed) == (engine.npiv > 1)
 
 
 @pytest.mark.parametrize("ram, chi, sparse", [
@@ -750,98 +785,30 @@ def test_formed_products_are_the_read_columns(monkeypatch, points, chi, formed, 
         assert [engine.formed for engine in runs()] == [every] * 2
 
 
-@FILL_CASES
-def test_block_bound_leaves_the_tables_bitwise(monkeypatch, ram, chi, denom):
-    # a level's residue passes taking one job each, or a whole column group
-    # each, give a shape's recording run and the two runs that replay it the
-    # values, key order and counts of the default blocks
-    def runs():
-        _plan.cache_clear()
-        return [_fill_case(ram, chi, denom) for _ in range(3)]
-
-    want = [(_counts(omega), _table_bits(omega.table)) for omega in runs()]
-    blocks = _EoEngine._blocks
-    for bound in (0, 1 << 40):
-        made = []       # (jobs with rows, their distinct D, blocks) per column group laid out
-
-        def counted(self, jobs, flat, tops, lower):
-            rows, got = blocks(self, jobs, flat, tops, lower)
-            busy = [job for job in jobs if job[3]]
-            made.append((len(busy), len({self._d_point[job[2]] for job in busy}), len(got)))
-            return rows, got
-
-        with monkeypatch.context() as m:
-            m.setattr(spectral, "_BLOCK_BYTES", bound)
-            m.setattr(_EoEngine, "_blocks", counted)
-            got = runs()
-        assert [(_counts(omega), _table_bits(omega.table)) for omega in got] == want, bound
-        chi_max = got[0].engine.chi_max
-        assert [omega.engine.replayed for omega in got] == [0, chi_max, chi_max]
-        assert made and all(n == (jobs if bound == 0 else ds) for jobs, ds, n in made), made
-        assert any(jobs > ds for jobs, ds, _ in made)
-    # the two D of 2pt-chi4-two-d read the same columns: one group, a block per D
-    if denom == {"q": HALF}:
-        assert [block.q for block in got[1].engine._plan.levels[-1].groups[0].blocks] == [0, 1]
-
-
-def test_block_rows_keep_the_bits_of_their_jobs_matmuls(monkeypatch):
-    # on random xi rows, where sums of many terms round by their order, every
-    # job's rows come out of a block's residue pass with the bits of the
-    # job's own -(xi @ res_vec[q].T), one-row jobs and (1, 1)'s B(z, -z)
-    # included, at one job per block, the default bound and a block per D;
-    # the blocks' gathers of every pivot of every row give them in row order
+def test_residue_pass_keeps_the_bits_of_the_xi_matmul():
+    # on random dense xi rows, where a sum of many terms would round by its
+    # order, the residue pass on their columns res_cols, with (1, 1)'s
+    # B(z, -z) added, gives the bits of -(xi @ res_vec.T) and of each row's
+    # own -(xi[r] @ res_vec.T): every other term of those products is an
+    # exact zero.  Parts of one row and of many, with and without (1, 1) rows
     rng = np.random.default_rng(67)
     ram = ("p", "q", "r")
-    curve = LocalSpectralCurve(ram=ram, denom={"q": HALF, "r": QUARTIC},
-                               bergman_reg=random_s(ram, 9, rng))
+    curve = LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 9, rng))
     engine = _EoEngine(curve, 4, max_index_bound(4))
-    width, npiv = 2 * engine.nlen - 1, engine.res_tensor.shape[1]
-    cols = np.arange(width)         # xi dense, not just on the columns res_vec reads
-    for _, points, _ in engine._col_groups:
-        # jobs of 0 to 3 rows, those at the points of one D one after another,
-        # as a level lays them out
-        jobs, parts, want = [], [], []
-        for q in sorted(points * 20, key=engine._d_point.__getitem__):
-            size = int(rng.integers(0, 4))
-            cell = (1, 1) if size == 1 and rng.random() < 0.3 else (0, 5)
-            jobs.append(cell + (q, size, None, size * npiv))
-            xi = rng.standard_normal((size, width)) + 1j * rng.standard_normal((size, width))
-            parts.append(xi.copy())
-            if cell == (1, 1):
-                xi[0, -engine.lo:-engine.lo + engine.nlen] += engine.b_pm[q]
-            want.append(-(xi @ engine.res_vec[q].T))
-        part, want = np.concatenate(parts), np.concatenate(want)
-        busy = sum(job[3] > 0 for job in jobs)
-        for bound, count in ((0, busy), (spectral._BLOCK_BYTES, None),
-                             (1 << 40, len({engine._d_point[q] for q in points}))):
-            monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
-            rows, blocks = engine._blocks(jobs, np.arange(len(part) * npiv, dtype=np.int32),
-                                          np.zeros(len(part), dtype=np.int32), {})
-            assert rows == len(part) and len(blocks) == (count or len(blocks))
-            vals = [engine._block_values(block, part, cols, None) for block in blocks]
-            assert np.concatenate(vals).tobytes() == want.tobytes(), bound
-            got = np.concatenate([v.reshape(-1)[block.out] for v, block in zip(vals, blocks)])
-            assert got.tobytes() == want.tobytes(), bound
-
-
-def test_large_job_takes_its_residue_pass_in_slices_bitwise(monkeypatch):
-    # a job of more rows than a residue pass holds takes it in slices of at
-    # least two rows, and each row keeps the bits of the job's own
-    # -(xi @ res_vec[q].T): at one row a pass, two, three and no bound
-    rng = np.random.default_rng(71)
-    engine = _EoEngine(airy_point(), 4, max_index_bound(4))
-    width, npiv = 2 * engine.nlen - 1, engine.res_tensor.shape[1]
-    cols = np.arange(width)
-    for rows in (2, 3, 7, 8, 40):
-        part = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
-        want = -(part @ engine.res_vec[0].T)
-        _, (block,) = engine._blocks([(0, 5, 0, rows, None, rows * npiv)],
-                                     np.arange(rows * npiv, dtype=np.int32),
-                                     np.zeros(rows, dtype=np.int32), {})
-        for bound in (0, 32 * width, 48 * width, 1 << 40):
-            monkeypatch.setattr(spectral, "_BLOCK_BYTES", bound)
-            got = engine._block_values(block, part, cols, None)
-            assert got.tobytes() == want.tobytes(), (rows, bound)
+    width = 2 * engine.nlen - 1
+    for rows, b11 in ((1, False), (1, True), (2, True), (7, False), (40, True)):
+        xi = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        part = xi[:, engine.res_cols].copy()
+        ones = np.flatnonzero(rng.random(rows) < 0.3) if b11 else np.zeros(0, dtype=int)
+        if b11 and not len(ones):
+            ones = np.array([rows - 1])
+        qs = rng.integers(0, len(ram), len(ones))
+        xi[ones, -engine.lo:-engine.lo + engine.nlen] += engine.b_pm[qs]
+        want = -(xi @ engine.res_vec.T)
+        engine._residue_pass(part, (ones, qs) if b11 else None, None, None)
+        assert part.tobytes() == want.tobytes(), (rows, b11)
+        for row, got in zip(xi, part):
+            assert got.tobytes() == (-(row @ engine.res_vec.T)).tobytes(), (rows, b11)
 
 
 def _plan_arrays(node):
@@ -858,30 +825,25 @@ def _plan_arrays(node):
         assert node is None or isinstance(node, int), type(node)
 
 
-@pytest.mark.parametrize("ram, chi, first, then", [
-    (("p", "q"), 5, dict(), dict(cross=False)),
-    (("a", "b", "c"), 4, dict(), dict(zero=True)),
-    (("0", "1", "2", "3"), 4, dict(), dict(denom={"1": QUARTIC, "3": QUARTIC})),
-], ids=["2pt-block-diagonal", "3pt-airy", "4pt-quartic-at-two"])
-def test_changed_pattern_forces_a_rebuild(ram, chi, first, then):
+@pytest.mark.parametrize("ram, chi, then", [
+    (("p", "q"), 5, dict(cross=False)),
+    (("a", "b", "c"), 4, dict(zero=True)),
+], ids=["2pt-block-diagonal", "3pt-airy"])
+def test_changed_pattern_forces_a_rebuild(ram, chi, then):
     # a kernel with fewer nonzero lower entries or factor rows than the one a
-    # plan was recorded on (no cross-point coupling, the zero kernel), or
-    # another one-form, gets the tables, key order and counts of a fresh plan
-    def run(zero=False, cross=True, denom=None, seed=0):
+    # plan was recorded on (no cross-point coupling, the zero kernel) gets
+    # the tables, key order and counts of a fresh plan
+    def run(zero=False, cross=True, seed=0):
         s = {} if zero else random_s(ram, 9, np.random.default_rng(seed), cross=cross)
-        return eo_run(LocalSpectralCurve(ram=ram, denom=denom or {}, bergman_reg=s), chi)
+        return eo_run(LocalSpectralCurve(ram=ram, bergman_reg=s), chi)
 
     _plan.cache_clear()
-    recorded = run(**first)     # the shape's first run records its plan
+    recorded = run()     # the shape's first run records its plan
     rebuilt = run(**then, seed=1)
     assert rebuilt.engine.replayed < chi
-    # another one-form is another shape, whose first run records its own
-    # plan; the same shape records afresh from the first level it cannot
-    # replay
-    assert len(recorded.engine._plan.levels) == len(rebuilt.engine._plan.levels) == chi
-    assert (rebuilt.engine._plan is recorded.engine._plan) == ("denom" not in then)
-    if "denom" in then:
-        assert rebuilt.engine.replayed == 0
+    # the same shape records afresh from the first level it cannot replay
+    assert rebuilt.engine._plan is recorded.engine._plan
+    assert len(recorded.engine._plan.levels) == chi
     # the plans hold no kernel value: only integer and bool arrays
     for plan in (recorded.engine._plan, rebuilt.engine._plan):
         for arr in _plan_arrays(plan.levels):
@@ -918,7 +880,7 @@ def test_level_recorded_under_other_masks_is_enumerated_afresh(field):
         masks[cell] = masks[cell]._replace(nonzero=nonzero)
     plan.levels[3] = level._replace(**{field: masks})
     rebuilt = run(1)
-    assert rebuilt.engine.replayed == 3 and plan.levels[3].groups is not level.groups
+    assert rebuilt.engine.replayed == 3 and plan.levels[3].pairs is not level.pairs
     _plan.cache_clear()
     fresh = run(1)
     assert _counts(rebuilt) == _counts(fresh)
@@ -944,12 +906,12 @@ def test_engines_of_one_shape_share_the_plans_kernel_table():
     # plan's, by identity, and each run copies the table to its stack's start
     _plan.cache_clear()
     ram = ("p", "q", "r")
-    one, two = (_EoEngine(_split_test_curve(ram, {"q": QUARTIC}, seed), 3, max_index_bound(3))
+    one, two = (_EoEngine(_split_test_curve(ram, seed), 3, max_index_bound(3))
                 for seed in (31, 37))
     plan = one._plan
     assert two._plan is plan and plan.window is not None
     assert one._flip is two._flip is plan.window.flip
-    assert one._d_point is two._d_point is plan.window.d_point
+    assert one.res_vec is two.res_vec is plan.window.res_vec
     rows, kernel, index = plan.window.kernel
     assert not kernel.flags.writeable
     for engine in (one, two):
@@ -982,7 +944,7 @@ def test_replayed_run_forms_no_kernel_table(monkeypatch):
         return table(self, g, n, *args, **kwargs)
 
     monkeypatch.setattr(_EoEngine, "_factor_table", counted)
-    runs = [_fill_case(("0", "1", "2", "3"), 4, None, other) for other in (False, True, False)]
+    runs = [_fill_case(("0", "1", "2", "3"), 4, other) for other in (False, True, False)]
     assert [omega.engine.replayed for omega in runs] == [0, 4, 4]
     assert (0, 2) not in formed
     assert formed == [cell for _ in runs for cell in fill_cells(3)]
@@ -992,7 +954,7 @@ def test_replayed_run_starts_its_stack_at_the_rows_the_last_run_used(monkeypatch
     # the plan keeps the rows of the stack of factor tables its last run
     # used; a replay starts there and never grows its stack
     _plan.cache_clear()
-    first = _fill_case(("0", "1", "2", "3"), 4, None)
+    first = _fill_case(("0", "1", "2", "3"), 4)
     rows = first.engine._plan.rows
     assert rows == first.engine._used > 0
     full = []
@@ -1003,28 +965,9 @@ def test_replayed_run_starts_its_stack_at_the_rows_the_last_run_used(monkeypatch
         return place(self, cell, count)
 
     monkeypatch.setattr(_EoEngine, "_place", counted)
-    again = _fill_case(("0", "1", "2", "3"), 4, None, other=True)
+    again = _fill_case(("0", "1", "2", "3"), 4, other=True)
     assert again.engine.replayed == 4 and full and not any(full)
     assert again.engine._used == again.engine._plan.rows == rows
-
-
-def test_default_denominator_is_one_series_and_others_key_by_value():
-    # every label a curve gives no D gets the module's 4 z^2, one series with
-    # its key formed once; an equal series given, and a QUARTIC D, are keyed
-    # by value, so equal D give one plan and another D its own
-    curve = LocalSpectralCurve(ram=("0", "1", "2"))
-    assert all(curve.denom[lab] is spectral._DEFAULT_DENOM for lab in curve.ram)
-    assert dict(spectral._DEFAULT_DENOM.coeffs) == {2: 4.0}
-    assert spectral._DEFAULT_KEY == spectral._denom_key(LaurentSeries.monomial(4.0, 2))
-
-    def plan(denom):
-        return _EoEngine(LocalSpectralCurve(ram=("0", "1", "2"), denom=denom), 2, 9)._plan
-
-    _plan.cache_clear()
-    assert plan({}) is plan({"1": LaurentSeries.monomial(4.0, 2)})
-    quartic = plan({"1": QUARTIC})
-    assert quartic is not plan({})
-    assert quartic is plan({"1": LaurentSeries(dict(QUARTIC.coeffs), 2, 40)})
 
 
 def test_genus_zero_run_forms_no_residue_tensor():
@@ -1034,9 +977,9 @@ def test_genus_zero_run_forms_no_residue_tensor():
     engine = _EoEngine(curve, 3, max_index_bound(3), cells=[(0, 5)])
     engine.run()
     assert "res_tensor" not in vars(engine)
-    hankel = engine._plan.residues[2]
+    hankel = engine._plan.window.hankel
     for q in range(2):
-        ref = engine.loc_p[q] @ hankel[q] @ engine.loc_m[q].T
+        ref = engine.loc_p[q] @ hankel @ engine.loc_m[q].T
         assert engine.res_tensor[q].tobytes() == ref.tobytes()
     full = _EoEngine(curve, 3, max_index_bound(3))
     full.run()
@@ -1067,10 +1010,9 @@ def test_product_columns_are_convolve_columns_bitwise():
             got = _product_columns(f1, f2[:, ::-1].copy(), cols, counts)
             want = np.concatenate([ref[:m, k] for k, m in zip(cols, counts)])
             assert got.tobytes() == want.tobytes(), (size, mag)
-    engine = _EoEngine(LocalSpectralCurve(ram=("0",), denom={"0": QUARTIC}), 3, 10)
-    default = _EoEngine(airy_point(), 3, 10)
-    assert len(default.res_cols[0]) == len(default.res_vec[0])    # one column per pivot
-    assert np.array_equal(engine.res_cols[0], np.flatnonzero(engine.res_vec[0].any(axis=0)))
+    # each pivot's residue reads one column of the product, res_cols[p]
+    engine = _EoEngine(airy_point(), 3, 10)
+    assert [np.flatnonzero(row).tolist() for row in engine.res_vec] == [[c] for c in engine.res_cols]
 
 
 def _dilaton_residual(omega, g, n):
@@ -1111,9 +1053,9 @@ def _symmetrized(s):
 
 
 def _loop_setup(engine, sym):
-    """loc_p, loc_m, b_pm and res_vec entry by entry from the pair dict ``sym``."""
+    """loc_p, loc_m and b_pm per label, and res_vec, entry by entry from the pair dict ``sym``."""
     cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
-    loc_p, loc_m, b_pm, res_vec = {}, {}, {}, {}
+    loc_p, loc_m, b_pm = {}, {}, {}
     for lab in cur.ram:
         lp = np.zeros((engine.dim, nlen), dtype=complex)
         lm = np.zeros((engine.dim, nlen), dtype=complex)
@@ -1132,9 +1074,10 @@ def _loop_setup(engine, sym):
             if m1[1] == lab and m2[1] == lab and m1[0] + m2[0] - 2 <= hi:
                 bpm[m1[0] + m2[0] - 2 - lo] += s * m1[0] * m2[0] * (-1.0) ** m2[0]
         b_pm[lab] = bpm
-        inv_d = cur.denom[lab].inverse()
-        res_vec[lab] = np.array([[inv_d.get(-1 - k1 - 2 * lo - j) for j in range(2 * nlen - 1)]
-                                 for k1 in range(1, engine.kmax + 1, 2)])
+    # residue against z^{k1} / D(z): the coefficient of z^{-1-k1} of 1 / D, D = 4 z^2
+    inv_d = LaurentSeries.monomial(4.0, 2).inverse()
+    res_vec = np.array([[inv_d.get(-1 - k1 - 2 * lo - j) for j in range(2 * nlen - 1)]
+                        for k1 in range(1, engine.kmax + 1, 2)])
     return loc_p, loc_m, b_pm, res_vec
 
 
@@ -1144,23 +1087,24 @@ def test_setup_tables_match_loop_reference():
     ram = ("p", "q", "r")
     s = random_s(ram + ("x",), 11, rng)     # label x is not a ramification point here
     s.update(random_s(("p",), 30, rng))     # modes beyond the window are left out
-    curve = LocalSpectralCurve(ram=ram, denom={"q": QUARTIC}, bergman_reg=s)
+    curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
     engine = _EoEngine(curve, 3, 10, extra_order=3)
-    refs = _loop_setup(engine, _symmetrized(s))
-    for name, ref in zip(("loc_p", "loc_m", "b_pm", "res_vec"), refs):
+    *refs, res = _loop_setup(engine, _symmetrized(s))
+    for name, ref in zip(("loc_p", "loc_m", "b_pm"), refs):
         for q, lab in enumerate(ram):
             got = getattr(engine, name)[q]
             assert got.shape == ref[lab].shape, (name, lab)
             assert np.max(np.abs(got - ref[lab])) <= 1e-15 * np.max(np.abs(ref[lab])), (name, lab)
+    assert engine.res_vec.shape == res.shape and np.array_equal(engine.res_vec, res)
     for q, lab in enumerate(ram):
-        lp, lm, res = engine.loc_p[q], engine.loc_m[q], engine.res_vec[q]
+        lp, lm = engine.loc_p[q], engine.loc_m[q]
         conv = np.array([[np.convolve(a, b) for b in lm] for a in lp])
         ref = np.einsum("abl,pl->pab", conv, res)
         assert np.max(np.abs(engine.res_tensor[q] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
 
 
 def _per_point_setup(engine):
-    """loc_p, loc_m, b_pm, res_vec, res_cols and res_tensor, one point at a time."""
+    """(res_vec, res_cols) and loc_p, loc_m, b_pm and res_tensor, one point at a time."""
     cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
     npiv = (engine.kmax + 1) // 2
     big_k = hi + 1
@@ -1171,8 +1115,13 @@ def _per_point_setup(engine):
     s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
     s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
     ii = np.arange(nlen)
+    inv_d = LaurentSeries.monomial(4.0, 2).inverse()
+    needed = -2 - 2 * lo
+    exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
+    low = int(exps.min())
+    res = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)[exps - low]
     out = []
-    for q, lab in enumerate(engine.ram):
+    for q in range(nr):
         lp = np.zeros((engine.dim, nlen), dtype=complex)
         lp[:, -lo:] = s[:, 0:engine.kmax:2, q].reshape(engine.dim, big_k) * ks
         lp[q * npiv + np.arange(npiv), -2 * np.arange(npiv) - 2 - lo] = 1.0
@@ -1183,50 +1132,42 @@ def _per_point_setup(engine):
         bpm = np.zeros(nlen, dtype=complex)
         bpm[-2 - lo] = -0.25
         bpm[-lo:] += diag[:big_k]
-        inv_d = cur.denom[lab].inverse()
-        needed = -2 - 2 * lo
-        exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
-        low = int(exps.min())
-        res = np.array([inv_d.get(x) for x in range(low, needed + 1)], dtype=complex)[exps - low]
-        tensor = lp @ res[:, ii[:, None] + ii] @ lm.T
-        out.append((lp, lm, bpm, res, np.flatnonzero(res.any(axis=0)), tensor))
-    return out
+        out.append((lp, lm, bpm, lp @ res[:, ii[:, None] + ii] @ lm.T))
+    return (res, np.array([np.flatnonzero(row)[0] for row in res])), out
 
 
 def test_stacked_setup_matches_per_point_copy_bitwise():
     # the set-up stacked over the points gives, point by point, the bits of
-    # the per-point set-up; the residue tables of one D are formed once and
-    # shared, and the points are grouped by the columns they read
+    # the per-point set-up, and its residue tables those of 1 / (4 z^2)
     rng = np.random.default_rng(53)
     ram = ("p", "q", "r", "t")
     s = random_s(ram + ("x",), 11, rng)
     s.update(random_s(("p",), 30, rng))
-    curve = LocalSpectralCurve(ram=ram, denom={"q": QUARTIC, "t": QUARTIC}, bergman_reg=s)
+    curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
     for chi, extra in ((3, 3), (5, 0)):
         engine = _EoEngine(curve, chi, max_index_bound(chi), extra_order=extra)
-        names = ("loc_p", "loc_m", "b_pm", "res_vec", "res_cols", "res_tensor")
-        for q, ref in enumerate(_per_point_setup(engine)):
-            for name, want in zip(names, ref):
+        residues, points = _per_point_setup(engine)
+        for name, want in zip(("res_vec", "res_cols"), residues):
+            got = getattr(engine, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name)
+        for q, ref in enumerate(points):
+            for name, want in zip(("loc_p", "loc_m", "b_pm", "res_tensor"), ref):
                 got = getattr(engine, name)[q]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name, q)
-        assert engine.res_vec[0] is engine.res_vec[2] and engine.res_vec[1] is engine.res_vec[3]
-        assert engine.res_vec[0] is not engine.res_vec[1]
-        assert [points for _, points, _ in engine._col_groups] == [[0, 2], [1, 3]]
 
 
 def test_stacked_residue_tensor_is_the_per_point_product_bitwise():
     # res_tensor, formed for all the points in one stacked product, holds at
-    # each point the bits of that point's loc_p[q] @ H[q] @ loc_m[q].T
+    # each point the bits of that point's loc_p[q] @ H @ loc_m[q].T
     rng = np.random.default_rng(61)
-    for ram, denom, chi in ((("0",), {}, 5), (("p", "q", "r", "t"), {"q": QUARTIC, "t": HALF}, 3),
-                            (("0", "1", "2", "3"), {}, 4)):
-        curve = LocalSpectralCurve(ram=ram, denom=denom, bergman_reg=random_s(ram, 13, rng))
+    for ram, chi in ((("0",), 5), (("p", "q", "r", "t"), 3), (("0", "1", "2", "3"), 4)):
+        curve = LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 13, rng))
         engine = _EoEngine(curve, chi, max_index_bound(chi))
-        hankel = engine._plan.residues[2]
+        hankel = engine._plan.window.hankel
         npiv = (engine.kmax + 1) // 2
         assert engine.res_tensor.shape == (len(ram), npiv, engine.dim, engine.dim)
         for q in range(len(ram)):
-            ref = engine.loc_p[q] @ hankel[q] @ engine.loc_m[q].T
+            ref = engine.loc_p[q] @ hankel @ engine.loc_m[q].T
             assert engine.res_tensor[q].tobytes() == ref.tobytes(), (ram, q)
 
 
@@ -1321,20 +1262,6 @@ def test_curve_errors_name_their_numbers():
     assert float(m.group(4)) == pytest.approx(1e-9, rel=1e-3)
     assert float(m.group(5)) == 1e-12
 
-    with pytest.raises(ValueError) as err:
-        LocalSpectralCurve(ram=("0",), denom={"0": LaurentSeries({2: 4.0, 5: -0.3j}, 2, 40)})
-    m = re.fullmatch(r"denom at '0' is not even: odd part from z\^(\S+), "
-                     r"max \|coefficient\| (\S+)", str(err.value))
-    assert m, str(err.value)
-    assert (int(m.group(1)), float(m.group(2))) == (5, 0.3)
-
-    with pytest.raises(ValueError) as err:
-        LocalSpectralCurve(ram=("0",), denom={"0": LaurentSeries({0: 1.0, 2: 4.0}, 0, 40)})
-    m = re.fullmatch(r"denom at '0' needs a double zero with nonzero z\^2 coefficient: "
-                     r"lowest exponent (\S+), z\^2 coefficient (\S+)", str(err.value))
-    assert m, str(err.value)
-    assert (int(m.group(1)), complex(m.group(2))) == (0, 4.0)
-
     with pytest.raises(ValueError, match="ram is empty"):
         LocalSpectralCurve(ram=())
 
@@ -1365,14 +1292,6 @@ def test_eo_run_refuses_empty_windows():
         with pytest.raises(ValueError) as err:
             eo_run(airy_point(), **{"chi_max": 2, **kwargs})
         assert str(err.value) == text
-
-
-def test_default_denominator_leaves_callers_dict_alone():
-    # the default 4 z^2 series goes into the curve's own copy of denom
-    d = {}
-    curve = LocalSpectralCurve(ram=("0", "1"), denom=d)
-    assert d == {}
-    assert sorted(curve.denom) == ["0", "1"]
 
 
 # ---------------------------------------------------------------------------
