@@ -462,12 +462,8 @@ class _CellRecursion:
     ``pivot_deviation`` samples.  The ``_cell`` here calls it on every tuple
     of ``support(g, n)``; the local recursion overrides ``run`` to fill a
     whole level of cells at once, on the rests their lower cells reach, and
-    keeps ``compute_value`` as its per-entry reference.  Per
-    entry, lower cells are read through ``_svec`` (one free index) and
-    ``_pair_matrix`` (two free indices), which look up only the modes
-    ``_fit`` offers: every mode here, the degree-bounded ones in the local
-    recursion.
-    ``_cell_cache`` holds what only the cell (or level) being filled reads.
+    keeps ``compute_value`` as its per-entry reference.
+    ``_cell_cache`` holds what only the cell being filled reads.
     """
 
     seeded = ()         # cells given as initial data, not by the recursion
@@ -481,7 +477,6 @@ class _CellRecursion:
         self.chi_max = chi_max
         self.step = step            # 2 when only odd modes enter the recursion
         self.evaluated = 0          # tuples run() evaluated: support here, reached ones locally
-        self._vec_cache = {}
         self._cell_cache = {}
 
     def index_bound(self, g, n):
@@ -500,39 +495,6 @@ class _CellRecursion:
     def support(self, g, n):
         """Index tuples the recursion evaluates for a cell: every sorted tuple here."""
         return itertools.combinations_with_replacement(self.allowed(g, n), n)
-
-    def _fit(self, g, n, rest):
-        """Modes j for which the (g, n) entry at (j, rest) is looked up."""
-        return range(self.dim)
-
-    def _svec(self, g, n, rest):
-        key = (g, n, rest)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            table = self.table.entries.get((g, n), {})
-            vec = np.zeros(self.dim, dtype=complex)
-            for j in self._fit(g, n, rest):
-                val = table.get(tuple(sorted((j,) + rest)))
-                if val is not None:
-                    vec[j] = val
-            self._vec_cache[key] = vec
-        return vec
-
-    def _pair_matrix(self, g, n, rest):
-        """Entries (j1, j2, rest) of a cell over all mode pairs, or None if all are 0."""
-        key = ("pair", g, n, rest)
-        if key not in self._cell_cache:
-            table = self.table.entries.get((g, n), {})
-            m2 = np.zeros((self.dim, self.dim), dtype=complex)
-            for j1 in self._fit(g, n, rest):
-                for j2 in self._fit(g, n, rest + (j1,)):
-                    if j2 < j1:
-                        continue
-                    val = table.get(tuple(sorted((j1, j2) + rest)))
-                    if val is not None:
-                        m2[j1, j2] = m2[j2, j1] = val
-            self._cell_cache[key] = m2 if np.any(m2) else None
-        return self._cell_cache[key]
 
     def _cell(self, g, n):
         """Nonzero recursion values of a cell on its support."""
@@ -583,7 +545,11 @@ def _tensors_preserve_odd(t):
 
 
 class _AtrEngine(_CellRecursion):
-    """Abstract recursion: tensor contractions on every tuple up to the index bound."""
+    """Abstract recursion: tensor contractions on every tuple up to the index bound.
+
+    Per entry, lower cells are read through ``_svec`` (one free index) and
+    ``_pair_matrix`` (two free indices), over every mode.
+    """
 
     seeded = ((0, 3), (1, 1))
 
@@ -591,6 +557,7 @@ class _AtrEngine(_CellRecursion):
         step = 2 if _tensors_preserve_odd(t) else 1
         super().__init__(t.modes, t.ram, t.kmax, chi_max, step, "canonical")
         self.t = t
+        self._vec_cache = {}
 
     def _cell(self, g, n):
         t = self.t
@@ -599,6 +566,34 @@ class _AtrEngine(_CellRecursion):
         if (g, n) == (1, 1):        # S_{1,1} = eps
             return {(i,): t.eps[i] for i in self.allowed(1, 1) if t.eps[i] != 0}
         return super()._cell(g, n)
+
+    def _svec(self, g, n, rest):
+        """Entries (j, rest) of a cell over every mode j."""
+        key = (g, n, rest)
+        vec = self._vec_cache.get(key)
+        if vec is None:
+            table = self.table.entries.get((g, n), {})
+            vec = np.zeros(self.dim, dtype=complex)
+            for j in range(self.dim):
+                val = table.get(tuple(sorted((j,) + rest)))
+                if val is not None:
+                    vec[j] = val
+            self._vec_cache[key] = vec
+        return vec
+
+    def _pair_matrix(self, g, n, rest):
+        """Entries (j1, j2, rest) of a cell over all mode pairs, or None if all are 0."""
+        key = ("pair", g, n, rest)
+        if key not in self._cell_cache:
+            table = self.table.entries.get((g, n), {})
+            m2 = np.zeros((self.dim, self.dim), dtype=complex)
+            for j1 in range(self.dim):
+                for j2 in range(j1, self.dim):
+                    val = table.get(tuple(sorted((j1, j2) + rest)))
+                    if val is not None:
+                        m2[j1, j2] = m2[j2, j1] = val
+            self._cell_cache[key] = m2 if np.any(m2) else None
+        return self._cell_cache[key]
 
     def compute_value(self, g, n, idx, pivot_pos=0):
         """Recursion value for S_{g,n} at the (sorted) flat-index tuple."""

@@ -33,55 +33,58 @@ grouped by their other legs, the rest: the series xi the residue is taken
 of depends on the rest only, and the pivot 2p + 1 reads one coefficient of
 it, the product column ``res_cols[p]``.  So a level's part has a row per
 rest and a column per pivot, and no xi is formed.  A job is one cell at one
-point, its rows its rests, and the level's jobs go in key order.  The
-splitting terms of xi come from pairs of nonzero lower-cell factors (a
-lower cell with one argument at +-z and the others on legs); the genus term
-from the entries of omega_{g-1,n+1}, two of whose legs meet the residue.
-So the rests are the ones these reach: the merged legs of a pair, the other
-legs of an entry.  An entry with any other rest has xi = 0 and genus term
-0, and is exactly 0.  Each reached rest takes the pivots at the point that
-its degree budget allows and that sort first, 0..top.  The factor tables
-hold the lower cells at +z; the -z series is an exact sign per column,
-applied to the stacked second factors.  Of each pair's product only the
-columns its rest's pivots read are formed, top + 1 of them.  They are
-stacked BLAS dots, bitwise the columns ``np.convolve`` gives, and each gets
-every add of its pairs in their order.  The residue pass adds B(z, -z) to
-the (1, 1) rows and scales the part by -1/4 in place: the bits of
+point, its rows its rests, and the level's jobs go in key order.
+
+Every term of xi is the product of a pair of factors, series over the
+window.  A splitting term pairs two nonzero lower-cell factors (a lower
+cell with one argument at +-z and the others on legs) and adds to the rest
+their merged legs make.  The genus term is
+omega_{g-1,n+1}(z, -z, R) = sum_a ebar^a(z) F_{a R}(-z), F_L the row L of
+omega_{g-1,n+1}'s factor table: it pairs the window series ``loc_p[q, a]``
+with the row L and adds once to the rest R = L less a, for each distinct
+leg a of each nonzero row L.  So the rests are the ones these pairs reach;
+an entry with any other rest has xi = 0 and is exactly 0.  Each reached
+rest takes the pivots at the point that its degree budget allows and that
+sort first, 0..top.  The window series and the factor tables hold the forms
+at +z; the -z series is an exact sign per column, applied to the stacked
+second factors.  Of each pair's product only the columns its rest's pivots
+read are formed, top + 1 of them.  They are stacked BLAS dots, bitwise the
+columns ``np.convolve`` gives, and each gets every add of its pairs in
+their order, the genus pairs last.  The residue pass adds B(z, -z) to the
+(1, 1) rows and scales the part by -1/4 in place: the bits of
 -(xi @ res_vec.T), whose other terms are exact zeros.  ``products`` counts
-the pairs, ``formed`` the (pair, column) products.  The factor tables of a
-run lie end to end in one stack, so no level copies them.  The genus term
-is contracted against the residue tensor C^p_{ab} stacked over the points,
-the residue of ebar^a(z) ebar^b(-z) against z^{2p+1} / (4 z^2): one gather
-and one add per level, at the (entry, pivot) pairs its rows take.
+the pairs, ``formed`` the (pair, column) products.  The window series and
+the factor tables of a run lie end to end in one stack, so no level copies
+them.
 
-What a level enumerates (its pairs of factors, the rests they reach, the
-genus-term entries and the pivots of each rest) depends on the curve's shape
-alone (the number of points, the cells filled and the mode window) and on
-which lower entries and factor rows are nonzero; the kernel values enter
-only the numbers.  So every run of a shape either records a level's plan as
-integer index arrays or replays the plan a run before it recorded, and a
-replay forms the factor tables and gathers, multiplies, adds and contracts
-as recorded, with no Python per pair, entry, job or point.  A level is
-replayed only if the level below stored the keys it was recorded under and
-the factor tables have the recorded nonzero rows; else it and every later
-level are recorded afresh, so a sparser kernel (block-diagonal, zero) gets
-the tables of a fresh run, and a shape's first run records them all.  Both
-fill on the same plan, so their tables agree to the bit.  The plan of the
-last shape run is kept (``_PLAN_SLOTS``), with all that its shape alone
-gives: ``res_vec`` and its Hankel gather, the index arrays the window
-series are formed with, omega_{0,2}'s factor table, which a run copies to
-the start of its stack, and the rows of that stack the last run used, where
-the next one starts.  So a run forms only what the kernel data changes: the
-window series, B(z, -z), the lower cells' factor tables and, when first
-read, the residue tensor, which a genus-zero fill never reads.  A 4-point
-chi = 8 plan takes about 64 MB.
+What a level enumerates (its pairs of factors, the rests they reach and the
+pivots of each rest) depends on the curve's shape alone (the number of
+points, the cells filled and the mode window) and on which window series,
+lower entries and factor rows are nonzero; the kernel values enter only the
+numbers.  So every run of a shape either records a level's plan as integer
+index arrays or replays the plan a run before it recorded, and a replay
+forms the factor tables and gathers, multiplies and adds as recorded, with
+no Python per pair, entry, job or point.  A level is replayed only if the
+level below stored the keys it was recorded under and the factor tables
+have the recorded nonzero rows, and the first level only if the window
+series have them; else it and every later level are recorded afresh, so a
+sparser kernel (block-diagonal, zero) gets the tables of a fresh run, and a
+shape's first run records them all.  Both fill on the same plan, so their
+tables agree to the bit.  The plan of the last shape run is kept
+(``_PLAN_SLOTS``), with all that its shape alone gives: ``res_vec``, the
+index arrays the window series are formed with, omega_{0,2}'s factor
+table, which a run copies to the start of its stack, and the rows of that
+stack the last run used, where the next one starts.  So a run forms only
+what the kernel data changes: the window series, B(z, -z) and the lower
+cells' factor tables.  A 4-point chi = 8 plan takes about 46 MB.
 
-``compute_value`` evaluates one entry with any pivot from the same factors
-and tensor, with the full convolution and ``res_vec``; it is the reference
-for the fill, the pivot-symmetry check and the support check.
-The cell order, the leg splits, the lower-cell lookups of ``compute_value``
-and the pivot sampler are ``airy._CellRecursion``, shared with
-``airy.atr_run``; the degree prune and the reach are this engine's alone.
+``compute_value`` evaluates one entry with any pivot as the formula
+reads: one xi from the same window series and factors, with the full
+convolution of each pair, and its residue against ``res_vec``; it is the
+reference for the fill, the pivot-symmetry check and the support check.
+The cell order, the leg splits and the pivot sampler are
+``airy._CellRecursion``, shared with ``airy.atr_run``; the degree prune and
+the reach are this engine's alone.
 ``atr_run`` enumerates every tuple up to the index bound 6g + 2n - 4, so as
 the oracle it rests on neither.  ``support_bound_check`` evaluates the
 tuples beyond the degree bound, and those within it that the fill does not
@@ -113,7 +116,8 @@ class LocalSpectralCurve:
     The odd part of the one-form is 4 z^2 dz at every label.
     ``bergman_reg`` maps mode pairs to the regular-part coefficients
     s^{(k,a)(k',b)} of the two-form, each pair in one or both orders, which
-    must agree, every k an integer k >= 1.  It enters the recursion once, as
+    must agree, every k an integer k >= 1 and every value finite.  The labels
+    of ``ram`` are distinct.  It enters the recursion once, as
     the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the largest k at a
     label of ``ram``: row (a, k) is ``ram.index(a) * K + k - 1``.  Pairs at
     other labels are dropped; of a pair in both orders the later one counts.
@@ -127,10 +131,14 @@ class LocalSpectralCurve:
         self.ram = tuple(self.ram)
         if not self.ram:
             raise ValueError("ram is empty: a local curve needs at least one ramification point")
+        if len(set(self.ram)) < len(self.ram):
+            lab = next(lab for i, lab in enumerate(self.ram) if lab in self.ram[:i])
+            raise ValueError(f"ram repeats the label {lab!r}: each ramification point needs "
+                             "its own label")
         self.s = self._kernel_matrix()
 
     def _kernel_matrix(self):
-        """``s`` from ``bergman_reg``, after the symmetry gate on every pair."""
+        """``s`` from ``bergman_reg``, after the mode, finite and symmetry gates on every pair."""
         reg = self.bergman_reg
         pos = {lab: q for q, lab in enumerate(self.ram)}
         ids = _Numbering()      # each distinct mode by the order it is first met
@@ -144,6 +152,12 @@ class LocalSpectralCurve:
             raise ValueError(f"bergman_reg pair ({m1}, {m2}) has mode k = "
                              f"{(m2 if bad[legs[first]].argmax() else m1)[0]!r}: "
                              "a mode needs an integer k >= 1")
+        values = np.fromiter(reg.values(), complex, len(reg))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            (m1, m2), v = list(reg.items())[bad.argmax()]
+            raise ValueError(f"bergman_reg pair ({m1}, {m2}) has value {v!r}: "
+                             "a coefficient needs to be finite")
         top = max((k for k, lab in modes if lab in pos), default=0)
         dim = len(self.ram) * top
         other = itertools.count(dim)        # rows past s: the modes at other labels
@@ -152,7 +166,7 @@ class LocalSpectralCurve:
         a, b = row[legs].T if len(reg) else (np.empty(0, np.intp),) * 2
         given = np.zeros((next(other),) * 2, dtype=complex)
         rank = np.full(given.shape, -1)     # dict position of each given pair
-        given[a, b], rank[a, b] = np.fromiter(reg.values(), complex, len(reg)), np.arange(len(reg))
+        given[a, b], rank[a, b] = values, np.arange(len(reg))
         both = (rank >= 0) & (rank.T >= 0)
         bad = both & (abs(given.T - given) > 1e-12 * np.maximum(1.0, abs(given)))
         if bad.any():
@@ -251,12 +265,16 @@ class _Level(NamedTuple):
     """The integer plan of one level: what its lower cells' key pattern decides.
 
     ``lower`` is the mask of the planned entries of the level below that
-    were stored (nonzero) when the level was recorded, ``factors`` maps each
-    cell of the level below to its factor table's rows (their nonzero masks
-    as recorded).  The level's part has ``rows`` rows, the rests of its
-    jobs, job after job in key order, and a column per pivot.  ``pairs`` is
-    (2, P): the first and the second factor's row in the run's stack of
-    factor tables.  Each pair adds its product to a row of the part, a
+    were stored (nonzero) when the level was recorded; the first level's is
+    the mask of the nonzero window series ``loc_p``, (points, modes), which
+    the genus pairs of every level read.  A plan's later levels are recorded
+    in runs that replayed its first one, so all under that mask.
+    ``factors`` maps each cell of the level below to its factor table's rows
+    (their nonzero masks as recorded).  The level's part has ``rows`` rows,
+    the rests of its jobs, job after job in key order, and a column per
+    pivot.  ``pairs`` is (2, P): the first and the second factor's row in
+    the run's stack of window series and factor tables, genus pairs and
+    splitting pairs alike.  Each pair adds its product to a row of the part, a
     number of times; the pairs go by the largest pivot of that row, largest
     first, and keep their order otherwise, so each row gets its pairs in
     the order they were found.  ``forms`` holds, for each ``_STACK`` pairs
@@ -265,8 +283,7 @@ class _Level(NamedTuple):
     times each formed product adds, and ``add`` the flat index row * npiv +
     p of each add, pivot after pivot, in pair order.  ``formed`` counts the
     products formed.  ``b11`` is None or the (rows, points) of the (1, 1)
-    jobs, whose xi adds B(z, -z), and ``genus`` None or the arrays of the
-    genus terms (``_genus``).  ``keys`` is the level's ``_Keys``.
+    jobs, whose xi adds B(z, -z).  ``keys`` is the level's ``_Keys``.
     """
 
     lower: np.ndarray
@@ -276,7 +293,6 @@ class _Level(NamedTuple):
     formed: int
     rows: int
     b11: tuple
-    genus: tuple
     keys: _Keys
 
 
@@ -290,9 +306,9 @@ class _Window(NamedTuple):
     each term of B(z, -z) among the (points, 2K - 1) anti-diagonal sums.
     Row p of ``res_vec`` dotted with a product series (exponents from 2 lo)
     is its residue against z^{2p+1} / (4 z^2): 1/4 at the one column
-    ``res_cols[p]`` = -2 lo - 2p.  ``hankel[p, i, j]`` is ``res_vec[p, i +
-    j]``.  ``kernel`` is omega_{0,2}'s factor table: its rows, the table,
-    read-only, and its ``_factor_rows`` at every point, keyed (0, 2, q).
+    ``res_cols[p]`` = -2 lo - 2p.  ``kernel`` is omega_{0,2}'s factor
+    table: its rows, the table, read-only, and its ``_factor_rows`` at every
+    point, keyed (0, 2, q).
     """
 
     ks: np.ndarray
@@ -302,7 +318,6 @@ class _Window(NamedTuple):
     anti: np.ndarray
     res_vec: np.ndarray
     res_cols: np.ndarray
-    hankel: np.ndarray
     kernel: tuple
 
 
@@ -314,8 +329,7 @@ class _Plan:
     recorded or filled it, and ``rows`` the rows of the stack of factor
     tables that run used, the size the next run's stack starts at.  No value
     of the kernel data s enters any of them, so a run forms only what s
-    changes: the window series, B(z, -z), the residue tensor when it is
-    read, and the lower cells' factor tables.
+    changes: the window series, B(z, -z) and the lower cells' factor tables.
     """
 
     def __init__(self):
@@ -402,7 +416,7 @@ class _EoEngine(_CellRecursion):
         self.nlen = self.hi - self.lo + 1
         self.npiv = (kmax + 1) // 2     # the pivots 2p + 1 at a point
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
-        self.products = 0               # split-term pairs whose product was formed
+        self.products = 0               # pairs whose product was formed
         self.formed = 0                 # (pair, column) products formed: the columns rows read
         self.replayed = 0               # levels filled on a plan a run before this one recorded
         self._factor_cache = {}
@@ -416,19 +430,17 @@ class _EoEngine(_CellRecursion):
 
         One stack over the points, axis 0 the position q of the point in
         ``ram``.  Over the exponent window [lo, hi]: row j of ``loc_p[q]`` is
-        ebar^{j}(z) / dz at the point, row j of ``loc_m[q]`` the same form at
-        -z, ``b_pm[q]`` is B(z, -z) / dz^2, and ``res_tensor[q, p, a, b]`` the
-        residue of loc_p[q, a] * loc_m[q, b] against z^{2p+1} / (4 z^2).  The
-        plan keeps what the shape alone gives, formed by its first engine:
-        the ``_Window``, with ``res_vec``, ``res_cols`` and the Hankel gather
-        of ``res_vec``, the index arrays the series are formed with and
-        omega_{0,2}'s factor table.  So each engine forms loc_p, loc_m and
-        b_pm, and ``res_tensor`` when it is first read.
+        ebar^{j}(z) / dz at the point, the first factor of the genus pairs,
+        ``_live[q, j]`` whether it is nonzero, and ``b_pm[q]`` is
+        B(z, -z) / dz^2.  The plan keeps what the shape alone gives, formed
+        by its first engine: the ``_Window``, with ``res_vec``, ``res_cols``,
+        the index arrays the series are formed with and omega_{0,2}'s factor
+        table.  So each engine forms loc_p and b_pm.
         """
         plan = self._plan
         if plan.window is None:
             plan.window = self._window()
-        ks, sign, self._flip, poles, anti, self.res_vec, self.res_cols, _, _ = plan.window
+        ks, sign, self._flip, poles, anti, self.res_vec, self.res_cols, _ = plan.window
         lo, nr, big_k = self.lo, len(self.ram), len(ks)
         # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
         top = len(self.curve.s) // nr
@@ -439,7 +451,7 @@ class _EoEngine(_CellRecursion):
         odd = s[:, 0:self.kmax:2].reshape(self.dim, nr, big_k)      # rows (a, k) at each point
         self.loc_p[:, :, -lo:] = odd.swapaxes(0, 1) * ks
         self.loc_p.reshape(-1)[poles] = 1.0
-        self.loc_m = self.loc_p * self._flip
+        self._live = self.loc_p.any(axis=2)
         # two-form with both arguments local: B(z, -z) / dz^2, summed along
         # the anti-diagonals k + k' - 2 = exponent
         qs = np.arange(nr)
@@ -449,15 +461,6 @@ class _EoEngine(_CellRecursion):
         self.b_pm = np.zeros((nr, self.nlen), dtype=complex)
         self.b_pm[:, -2 - lo] = -0.25
         self.b_pm[:, -lo:] += diag[:, :big_k]
-
-    @functools.cached_property
-    def res_tensor(self):
-        """C[q, p, a, b] = loc_p[q, a] . H_p . loc_m[q, b], formed when first read.
-
-        The genus terms, ``compute_value`` and the checks read it; a run
-        whose levels take no genus term, a genus-zero fill, never forms it.
-        """
-        return self.loc_p[:, None] @ self._plan.window.hankel @ self.loc_m[:, None].swapaxes(-1, -2)
 
     def _window(self):
         """The ``_Window`` of the engine's shape."""
@@ -476,9 +479,7 @@ class _EoEngine(_CellRecursion):
         cols = -2 * lo - 2 * p
         res_vec = np.zeros((npiv, 2 * nlen - 1), dtype=complex)
         res_vec[p, cols] = 0.25
-        ii = np.arange(nlen)
-        return _Window(ks, (-1.0) ** ks, flip, poles, anti, res_vec, cols,
-                       res_vec[:, ii[:, None] + ii], self._kernel_factors())
+        return _Window(ks, (-1.0) ** ks, flip, poles, anti, res_vec, cols, self._kernel_factors())
 
     def _kernel_factors(self):
         """(rows, table, index): omega_{0,2}'s ``_factor_table`` and its ``_factor_rows``.
@@ -500,11 +501,6 @@ class _EoEngine(_CellRecursion):
         return rows, table, self._index_rows(0, 2, [(j,) for j in range(dim)], nonzero)
 
     # building blocks ---------------------------------------------------------
-
-    def _fit(self, g, n, rest):
-        """Modes within the degree budget 3g - 3 + n that ``rest`` leaves in omega_{g,n}."""
-        budget = 3 * g - 3 + n - sum(self.degree[j] for j in rest)
-        return [j for j in range(self.dim) if self.degree[j] <= budget]
 
     def _f_leg(self, mode, lab):
         """Series of the two-form with one local argument at +z against leg ``mode``.
@@ -573,7 +569,8 @@ class _EoEngine(_CellRecursion):
     def _place(self, cell, count):
         """``count`` rows at the end of the run's stack of factor tables, for the table of ``cell``.
 
-        The tables of a run are laid end to end in the order they are formed,
+        The tables of a run are laid end to end after the window series, in
+        the order they are formed,
         so a cell's offset is the same at every level, and a level's products
         index the stack with no copy of it.  A full stack moves to one twice
         its size, and the cached tables with it; pages not yet written take
@@ -649,21 +646,26 @@ class _EoEngine(_CellRecursion):
         A level's cells read only lower levels: every splitting factor and
         the genus-term cell (g - 1, n + 1) have a smaller chi.  So all the
         cells and points of a level share one product pass (``_fill``).  The
-        factor tables of the run go into one stack as the cells are first
-        read (``_place``), which starts at the rows the shape's last run
-        used.  A level is filled on the plan a run before this
-        one recorded for it when the level below stored the keys it was
-        recorded under and its factor tables have the recorded nonzero rows;
-        else this run records the plan of that level and of every later one
-        (``_record``) and fills on it.  So a shape's first run records them
-        all, and the runs after it replay them.
+        run's stack holds the window series first, row q * dim + a the
+        series ``loc_p[q, a]``, then omega_{0,2}'s table and the factor
+        tables as the cells are first read (``_place``); it starts at the
+        rows the shape's last run used.  A level is filled on the plan a run
+        before this one recorded for it when the level below stored the keys
+        it was recorded under (for the first level: the window series are
+        nonzero where they were) and its factor tables have the recorded
+        nonzero rows; else this run records the plan of that level and of
+        every later one (``_record``) and fills on it.  So a shape's first
+        run records them all, and the runs after it replay them.
         """
         levels = self._plan.levels
-        # the level below: its cells, which planned entries it stored, their values
-        below, stored, values = [], np.zeros(0, dtype=bool), None
-        start = self._plan.rows or max(1, _STACK_START_BYTES // (16 * self.nlen))
-        self._stack, self._used, self._offsets = np.empty((start, self.nlen), dtype=complex), 0, {}
-        rows, kernel = self._factors(0, 2)      # the plan's, copied to the start of the stack
+        # the level below: its cells and which planned entries it stored
+        below, stored = [], self._live.reshape(-1)
+        ebar = self.loc_p.reshape(-1, self.nlen)
+        start = self._plan.rows or max(len(ebar), _STACK_START_BYTES // (16 * self.nlen))
+        self._stack = np.empty((start, self.nlen), dtype=complex)
+        self._stack[:len(ebar)] = ebar
+        self._used, self._offsets = len(ebar), {}
+        rows, kernel = self._factors(0, 2)      # the plan's, copied to the stack
         placed = self._place((0, 2), len(kernel))
         placed[...] = kernel
         self._factor_cache[(0, 2)] = rows, placed
@@ -682,32 +684,29 @@ class _EoEngine(_CellRecursion):
                 self.replayed += 1
             else:
                 level = self._record(cells, below, stored)
-            stored, values, keys = self._fill(cells, level, values)
+            stored, keys = self._fill(cells, level)
             if keys is not level.keys:
                 levels[i:i + 1] = [level._replace(keys=keys)]
             below = cells
             for g, n in cells:
                 self.table.bounds[(g, n)] = default_index_bound(g, n)
-            self._cell_cache.clear()
         self._plan.rows = self._used
         self._stack = None          # the cached tables hold it until they are freed
         return self.table
 
-    def _fill(self, cells, level, lower):
-        """Fill a level's cells on its plan; return which planned entries they stored, the
-        values stored and the level's ``_Keys`` as filled.
+    def _fill(self, cells, level):
+        """Fill a level's cells on its plan; return which planned entries they stored and the
+        level's ``_Keys`` as filled.
 
-        The level's splitting terms (``_split_part``), whose factors are rows
-        of the run's stack of factor tables, and one residue pass
-        (``_residue_pass``) give every pivot of every row; one gather puts
-        the level's entries in key order, cell after cell, each cell's
-        sorted, the order of ``support``.  The nonzero ones are stored, each
-        cell's dict with Python complex values of the same bits.  ``lower``
-        holds the values the level below stored, cell after cell, which the
-        genus terms read.
+        The level's pairs (``_product_pass``), whose factors are rows of the
+        run's stack, and one residue pass (``_residue_pass``) give every
+        pivot of every row; one gather puts the level's entries in key
+        order, cell after cell, each cell's sorted, the order of
+        ``support``.  The nonzero ones are stored, each cell's dict with
+        Python complex values of the same bits.
         """
-        part = self._split_part(level, self._stack[:self._used])
-        self._residue_pass(part, level.b11, level.genus, lower)
+        part = self._product_pass(level, self._stack[:self._used])
+        self._residue_pass(part, level.b11)
         self.products += level.pairs.shape[1]
         self.formed += level.formed
         plan = level.keys
@@ -722,15 +721,15 @@ class _EoEngine(_CellRecursion):
             self._values[cell] = vals[start:start + len(keys)]
             self.table.entries[cell] = dict(zip(keys, numbers))
             start += len(keys)
-        return stored, vals, plan
+        return stored, plan
 
-    def _split_part(self, level, stack):
-        """The splitting terms of a level's rows, a column per pivot (a ``_Level``'s part).
+    def _product_pass(self, level, stack):
+        """The terms of xi at a level's rows, a column per pivot (a ``_Level``'s part).
 
-        Each pair of nonzero lower-cell factors adds its product to the rest
-        their merged legs make, once per leg-position subset that gives the
-        pair.  Of the columns ``res_cols`` a pair forms only those its row
-        reads: one per pivot its rest takes.  Each is bitwise
+        Each pair adds the product of its factors, the first at +z and the
+        second at -z, to its row, once per leg-position subset that gives a
+        splitting pair.  Of the columns ``res_cols`` a pair forms only those
+        its row reads: one per pivot its rest takes.  Each is bitwise
         ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs
         at a time across the jobs, the second factors flipped to -z as a
         stack.  The adds go one per subset in pair order, as in
@@ -750,33 +749,19 @@ class _EoEngine(_CellRecursion):
             np.add.at(part.reshape(-1), add, terms if rep is None else terms.repeat(rep))
         return part
 
-    def _residue_pass(self, part, b11, genus, lower):
-        """Turn a level's part into -(xi @ res_vec.T) less the genus terms, in place.
+    def _residue_pass(self, part, b11):
+        """Turn a level's part into -(xi @ res_vec.T), in place.
 
         Column p of a row's part is the one column ``res_cols[p]`` of its xi
         that row p of ``res_vec`` reads, at 1/4; so with B(z, -z) added to
         the (1, 1) rows ``b11`` (rows, points) and the part scaled by -1/4,
         each value has the bits of -(xi @ res_vec.T), whose other terms are
-        exact zeros.  The genus terms are one gather from ``res_tensor`` and
-        one flat add: an entry of omega_{g-1,n+1} at (a, b, rest), whose
-        value is ``lower[src]``, adds that value times C[q, p, a, b] +
-        C[q, p, b, a] (once for a = b) at every pivot p its row takes
-        (``_genus``), each row its adds in its entries' order, and their sum
-        is subtracted.
+        exact zeros.
         """
         if b11 is not None:
             rows, qs = b11
             part[rows] += self.b_pm[qs[:, None], self.res_cols + self.lo]
         part *= -0.25
-        if genus is not None:
-            add, q, p, a, b, src, cross = genus
-            c = self.res_tensor
-            terms = c[q, p, a, b]
-            terms[cross] += c[q[cross], p[cross], b[cross], a[cross]]
-            terms *= lower[src]
-            adds = np.zeros_like(part)
-            np.add.at(adds.reshape(-1), add, terms)
-            part -= adds
 
     # the plan ------------------------------------------------------------------
 
@@ -785,18 +770,15 @@ class _EoEngine(_CellRecursion):
 
         Its jobs go in key order: cell after cell, and in a cell by point.
         """
-        sizes = [len(self._cell_values(*cell)) for cell in below]
-        lower = dict(zip(below, itertools.accumulate(sizes, initial=0)))
         nr = len(self.ram)
         jobs = [(g, n, q) for g, n in cells for q in range(nr)]
         pairs, planned, flat, keys, tops = self._record_jobs(jobs, self._offsets)
         firsts = list(itertools.accumulate((job[3] for job in planned), initial=0))
         b11 = [(first, job[2]) for job, first in zip(planned, firsts) if job[:2] == (1, 1)]
-        counts = [sum(job[5] for job in planned[i:i + nr]) for i in range(0, len(planned), nr)]
+        counts = [sum(job[4] for job in planned[i:i + nr]) for i in range(0, len(planned), nr)]
         return _Level(stored, {cell: self._factor_cache[cell][0] for cell in below},
                       *self._forms(pairs, tops, self.npiv), firsts[-1],
                       tuple(map(np.array, zip(*b11))) if b11 else None,
-                      self._genus(planned, firsts, lower, tops),
                       _Keys(flat, counts, np.concatenate(keys), None, None))
 
     @staticmethod
@@ -825,55 +807,31 @@ class _EoEngine(_CellRecursion):
             formed += int(read.sum())
         return pairs[:2].copy(), tuple(forms), formed
 
-    def _genus(self, jobs, firsts, lower, tops):
-        """The (add, q, p, a, b, src, cross) arrays of a level's genus terms, or None.
-
-        ``jobs`` and ``tops`` come as ``_record_jobs`` gives them, ``firsts``
-        holds each job's first row in the part and ``lower`` the offset of
-        each lower cell's stored values in their stack.  An entry takes a
-        term at each pivot 0..top its row takes, entry after entry: ``add``
-        is its flat row * npiv + p in the part, (q, p, a, b) its place in
-        ``res_tensor``, ``src`` its value's in the stack, and ``cross``
-        lists the terms with a != b.  The points and pivots are held as the
-        narrowest integers that fit, the modes as the keys are.
-        """
-        have = [(job, first) for job, first in zip(jobs, firsts) if job[4] is not None]
-        counts = [len(job[4][0]) for job, _ in have]
-        if not sum(counts):
-            return None
-        shifts = np.array([(first, job[2], lower[job[0] - 1, job[1] + 1]) for job, first in have],
-                          dtype=np.int32)
-        first, q, offset = np.repeat(shifts.T, counts, axis=1)
-        at, a, b, src = (np.concatenate(arrays) for arrays in zip(*(job[4] for job, _ in have)))
-        at += first
-        entry, p = np.nonzero(np.arange(self.npiv) <= tops[at, None])
-        a, b = a[entry], b[entry]
-        narrow = np.min_scalar_type(-max(len(self.ram), self.npiv))     # int8 to 128
-        return ((at[entry] * self.npiv + p).astype(np.int32), q[entry].astype(narrow),
-                p.astype(narrow), a, b, src[entry] + offset[entry],
-                np.flatnonzero(a != b).astype(np.int32))
-
     def _record_jobs(self, jobs, offsets):
         """(pairs, jobs, flat, keys, tops): the plan of ``jobs``, (g, n, q) each, and their entries.
 
-        A job's rows are the rests of its genus-term entries (``_first_rows``)
-        and then those its splitting-term pairs reach.  The first factor is a
-        lower cell at +z; the second is one at -z, given at +z
-        (``_factor_rows``), each a row of the stack of factor tables, in which
-        a cell's table starts at its ``offsets`` entry.  A pair adds to the
-        rest their merged legs make, once per leg-position subset that gives
-        the pair (``_ways``).  The jobs come back as (g, n, q, rows,
-        genus-term entries, entries), rows and entries counted.  The entries
-        are the pivots the rests take (``_pivots``): ``flat`` holds where each
-        sits in the part's rows of the jobs, job after job, ``keys`` each
-        job's tuples end to end in an integer array, and ``tops`` the largest
-        pivot of each row.
+        A job's rows are the rests its pairs reach, its splitting pairs and
+        then its genus pairs: (1, 1) has the empty rest, which B(z, -z)
+        reaches, and no pair.  A splitting pair's first factor is a lower
+        cell at +z, its second one at -z, given at +z; it adds to the rest
+        their merged legs make, once per leg-position subset that gives the
+        pair (``_ways``).  A genus pair of (g, n) at q is the window series
+        ``loc_p[q, a]``, row q * dim + a of the stack, with a nonzero row L
+        of omega_{g-1,n+1}'s factor table at q; it adds once to the rest L
+        less a, for each distinct leg a of L with a nonzero series.  Factor
+        rows are ``_factor_rows``'s, a cell's table starting at its
+        ``offsets`` entry in the stack.  Each rest starts at q's modes or
+        later.  The jobs come back as (g, n, q, rows, entries), rows and
+        entries counted.  The entries are the pivots the rests take
+        (``_pivots``): ``flat`` holds where each sits in the part's rows of
+        the jobs, job after job, ``keys`` each job's tuples end to end in an
+        integer array, and ``tops`` the largest pivot of each row.
         """
         pairs, out, flat, keys, tops = [], [], array.array("i"), [], array.array("i")
         found = []          # pairs not yet in ``pairs``, four numbers each
         base = 0
         for g, n, q in jobs:
-            rows, genus = self._first_rows(g, n, q)
+            rows = {(): 0} if (g, n) == (1, 1) else {}
             first = self.index[(1, self.ram[q])]    # every rest here starts at q's modes or later
             room = 3 * g - 3 + n                    # no rest has a larger degree sum
             for g1, n1, g2, n2 in _factor_cells(g, n):
@@ -891,13 +849,22 @@ class _EoEngine(_CellRecursion):
                         row = rows.setdefault(tuple(sorted(legs1 + legs2)), len(rows))
                         ways = 1 if apart(legs2) else _ways(legs1, legs2)
                         found += (r1, r2, base + row, ways)
+            if g and (g, n) != (1, 1):
+                ebar, live = q * self.dim, self._live[q].tolist()
+                at = offsets[g - 1, n + 1]
+                for legs, r in self._factor_rows(g - 1, n + 1, q)[0].items():
+                    for i, a in enumerate(legs):
+                        rest = legs[:i] + legs[i + 1:]
+                        if (live[a] and (not i or a != legs[i - 1])
+                                and (not rest or rest[0] >= first)):
+                            found += (ebar + a, at + r, base + rows.setdefault(rest, len(rows)), 1)
             if len(found) > _STACK * 64:     # a list holds each number as an object
                 pairs.append(np.array(found, dtype=np.int32))
                 found = []
             got = self._pivots(rows, first, room, base, flat, tops)
             keys.append(np.fromiter(itertools.chain.from_iterable(got), self._key_type,
                                     len(got) * n))
-            out.append((g, n, q, len(rows), genus, len(got)))
+            out.append((g, n, q, len(rows), len(got)))
             base += len(rows)
         pairs.append(np.array(found, dtype=np.int32))
         pairs = np.concatenate(pairs).reshape(-1, 4).T.copy()
@@ -946,56 +913,13 @@ class _EoEngine(_CellRecursion):
                                           collections.defaultdict(int))[3]
         return set(zip(*[iter(np.concatenate(keys).tolist())] * n))
 
-    def _genus_triples(self, g, n):
-        """(rests, their first legs, a, b, src) over the entries of omega_{g-1,n+1}
-        and their leg pairs.
-
-        Each entry at (a, b, rest), the src-th stored, is listed once per
-        distinct pair (a, b) of its legs, in the cell's key order;
-        ``_cell_cache`` keeps the lists for every point of the cell while its
-        level is filled.
-        """
-        key = ("genus", g, n)
-        if key not in self._cell_cache:
-            rests, pairs, src = [], [], []
-            for e, idx in enumerate(self.table.entries[(g - 1, n + 1)]):
-                for a, b in dict.fromkeys(itertools.combinations(idx, 2)):
-                    rest = list(idx)
-                    rest.remove(a)
-                    rest.remove(b)
-                    rests.append(tuple(rest))
-                    pairs += (a, b)
-                    src.append(e)
-            a, b = np.array(pairs, dtype=self._key_type).reshape(-1, 2).T
-            # first leg of each rest; the empty rest is reached at every point
-            lead = [rest[0] if rest else self.dim for rest in rests]
-            self._cell_cache[key] = rests, lead, a, b, np.array(src, dtype=np.int32)
-        return self._cell_cache[key]
-
-    def _first_rows(self, g, n, q):
-        """The rows at the point q before the pairs add theirs, and the genus-term entries.
-
-        (1, 1) has the empty rest, which B(z, -z) reaches.  Otherwise, for
-        g >= 1, the rows are the rests of the genus-term entries at q (those
-        whose rest starts at q's modes or later), and the entries come as
-        their rows and their (a, b, src) (``_genus_triples``); None for g = 0
-        and for (1, 1).
-        """
-        if (g, n) == (1, 1):
-            return {(): 0}, None
-        if g == 0:
-            return {}, None
-        rests, lead, a, b, src = self._genus_triples(g, n)
-        first = self.index[(1, self.ram[q])]
-        reach = [i for i, leg in enumerate(lead) if leg >= first]
-        rows = {}
-        at = np.array([rows.setdefault(rests[i], len(rows)) for i in reach], dtype=np.int32)
-        if len(reach) < len(rests):     # at the first point every entry is reached
-            a, b, src = a[reach], b[reach], src[reach]
-        return rows, (at, a, b, src)
-
     def compute_value(self, g, n, idx, pivot_pos=0):
-        """One entry with the leg at ``pivot_pos`` as pivot: the per-entry reference."""
+        """One entry with the leg at ``pivot_pos`` as pivot: the per-entry reference.
+
+        xi is the splitting terms, then omega_{g-1,n+1}(z, -z, rest) as
+        sum_a loc_p[q, a] times the factor row a + rest at -z, all by full
+        convolution, in the fill's order; (1, 1)'s genus term is B(z, -z).
+        """
         k1, lab = self.modes[idx[pivot_pos]]
         p, q = (k1 - 1) // 2, self.ram.index(lab)
         rest = idx[:pivot_pos] + idx[pivot_pos + 1:]
@@ -1009,12 +933,12 @@ class _EoEngine(_CellRecursion):
                 xi += np.convolve(f1, f2)
         if (g, n) == (1, 1):
             xi[-self.lo:-self.lo + self.nlen] += self.b_pm[q]
-        val = -(xi @ self.res_vec[p])
-        if g >= 1 and (g, n) != (1, 1):
-            m2 = self._pair_matrix(g - 1, n + 1, rest)
-            if m2 is not None:
-                val -= np.sum(m2 * self.res_tensor[q][p])
-        return val
+        elif g:
+            for a in range(self.dim):
+                f2 = self._factor(g - 1, n + 1, (a,) + rest, q, minus=True)
+                if f2 is not None:
+                    xi += np.convolve(self.loc_p[q, a], f2)
+        return -(xi @ self.res_vec[p])
 
     def support(self, g, n):
         """Index tuples of omega_{g,n} with degrees summing to at most 3g - 3 + n.
@@ -1182,7 +1106,6 @@ def support_bound_check(omega, tol=1e-10):
         return _support_report(omega, tol)
     finally:
         omega.engine._factor_cache.clear()
-        omega.engine._cell_cache.clear()
 
 
 def _support_report(omega, tol):

@@ -399,15 +399,23 @@ def test_whole_cell_fill_matches_per_entry_reference(ram, chi):
             assert abs(val - ref[idx]) <= 1e-14 * abs(ref[idx]), (g, n, idx)
 
 
-@pytest.mark.parametrize("ram, chi", [
-    (("0", "1", "2", "3"), 4),
-    (("p", "q"), 5),
-], ids=["4pt-chi4", "2pt-chi5"])
-def test_unreached_support_tuples_are_exactly_zero(ram, chi):
+@pytest.mark.parametrize("ram, chi, kernel", [
+    (("0", "1", "2", "3"), 4, "random"),
+    (("p", "q"), 5, "random"),
+    (("a", "b", "c"), 4, "zero"),
+    (("p", "q"), 5, "block-diagonal"),
+], ids=["4pt-chi4", "2pt-chi5", "3pt-zero-chi4", "2pt-block-diagonal-chi5"])
+def test_unreached_support_tuples_are_exactly_zero(ram, chi, kernel):
     # every support tuple whose rest no lower cell reaches, which the fill
     # skips, comes out exactly 0 in the per-entry reference; the tuples the
-    # fill reaches are the ones it counts
-    omega = eo_run(_split_test_curve(ram), chi)
+    # fill reaches are the ones it counts.  On the zero and the block-diagonal
+    # kernel the genus pairs skip the zero factor rows, as the splitting pairs do
+    if kernel == "random":
+        curve = _split_test_curve(ram)
+    else:
+        s = {} if kernel == "zero" else random_s(ram, 13, np.random.default_rng(31), cross=False)
+        curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
+    omega = eo_run(curve, chi)
     engine = omega.engine
     reached = {cell: engine._reached(*cell) for cell in omega.table.entries}
     assert sum(map(len, reached.values())) == engine.evaluated
@@ -419,8 +427,13 @@ def test_unreached_support_tuples_are_exactly_zero(ram, chi):
 
 
 def _lower_pairs(self, g, n, q):
-    """(first factor, second factor at -z, merged legs, subsets) of each
-    splitting-term pair at the point q, in the recursion's pair order."""
+    """(first factor, second factor at -z, rest, subsets) of each pair at the point q, in the
+    engine's add order: the splitting pairs in the recursion's order, then the genus pairs.
+
+    A genus pair is the window series of a leg a with the row L of
+    omega_{g-1,n+1}'s factor table: omega_{g-1,n+1}(z, -z, R) is the sum over
+    a of ebar^a(z) F_{a R}(-z), so it adds to the rest R = L less a, once.
+    """
     first = self.index[(1, self.ram[q])]
     room = 3 * g - 3 + n
     for g1, n1, g2, n2 in dict.fromkeys((s[0], s[1], s[3], s[4]) for s in _splits(g, n)):
@@ -436,6 +449,15 @@ def _lower_pairs(self, g, n, q):
             for legs2, f2, _ in twos[:bisect.bisect_right(deg2, room - d1)]:
                 yield (table1[r1], f2 * self._flip, tuple(sorted(legs1 + legs2)),
                        _ways(legs1, legs2))
+    if g and (g, n) != (1, 1):
+        rows, _ = self._factor_rows(g - 1, n + 1, q)
+        table = self._factors(g - 1, n + 1)[1]
+        for legs, r in rows.items():
+            for a in dict.fromkeys(legs):
+                rest = list(legs)
+                rest.remove(a)
+                if self.loc_p[q, a].any() and (not rest or rest[0] >= first):
+                    yield self.loc_p[q, a], table[r] * self._flip, tuple(rest), 1
 
 
 def _cell_by_cell(fill):
@@ -445,25 +467,8 @@ def _cell_by_cell(fill):
         for g, n in self.cells:
             self.table.entries[(g, n)] = fill(self, g, n)
             self.table.bounds[(g, n)] = default_index_bound(g, n)
-            self._cell_cache.clear()
         return self.table
     return run
-
-
-def _genus_terms(self, g, n, q, nrows, at, a, b, src):
-    """Genus-reduction residues of ``nrows`` rests and every pivot at the point q.
-
-    An entry of omega_{g-1,n+1} at (a, b, rest), the ``src``-th stored,
-    adds its value times C[p, a, b] + C[p, b, a] (once for a = b) to (its
-    row ``at``, pivot p).
-    """
-    out = np.zeros((nrows, self.npiv), dtype=complex)
-    if len(at):
-        c = self.res_tensor[q]
-        vals = self._cell_values(g - 1, n + 1)[src]
-        terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * vals
-        np.add.at(out, at, terms.T)
-    return out
 
 
 def _pivots(self, g, n, q, rows):
@@ -496,7 +501,7 @@ def _convolve_cell(self, g, n):
     self.allowed(g, n)
     cell = {}
     for q in range(len(self.ram)):
-        rows, genus = self._first_rows(g, n, q)
+        rows = {(): 0} if (g, n) == (1, 1) else {}
         adds = []
         for f1, f2, legs, ways in _lower_pairs(self, g, n, q):
             self.products += 1
@@ -508,8 +513,6 @@ def _convolve_cell(self, g, n):
         if (g, n) == (1, 1):
             xi[0, -self.lo:-self.lo + self.nlen] += self.b_pm[q]
         vals = -(xi @ self.res_vec.T)
-        if genus is not None:
-            vals -= _genus_terms(self, g, n, q, len(rows), *genus)
         for idx, r, p in _pivots(self, g, n, q, rows):
             self.evaluated += 1
             if (val := vals[r, p]) != 0:
@@ -522,9 +525,8 @@ def _support_cell(self, g, n):
     reached-rest fill of ``_EoEngine.run``.
 
     Every support tuple is evaluated.  At each point its rests are the rows;
-    pairs and genus-term entries are looked up by rest, and those whose rest
-    is no row are skipped.  The pairs of a point are stacked as the engine
-    stacks a level's.
+    pairs are looked up by rest, and those whose rest is no row are skipped.
+    The pairs of a point are stacked as the engine stacks a level's.
     """
     support = self.support(g, n)
     self.evaluated += len(support)
@@ -551,24 +553,6 @@ def _support_cell(self, g, n):
         if (g, n) == (1, 1):
             xi[at[()], -self.lo:-self.lo + self.nlen] += self.b_pm[q]
         vals.append(-(xi @ self.res_vec.T))
-        if g >= 1 and (g, n) != (1, 1):
-            where, pairs, coef = [], [], []
-            for key, val in self.table.entries[(g - 1, n + 1)].items():
-                for a, b in dict.fromkeys(itertools.combinations(key, 2)):
-                    rest = list(key)
-                    rest.remove(a)
-                    rest.remove(b)
-                    if tuple(rest) in at:
-                        where.append(at[tuple(rest)])
-                        pairs.append((a, b))
-                        coef.append(val)
-            out = np.zeros_like(vals[q])
-            if where:
-                a, b = np.array(pairs).T
-                c = self.res_tensor[q]
-                terms = (c[:, a, b] + np.where(a != b, c[:, b, a], 0)) * np.array(coef)
-                np.add.at(out, where, terms.T)
-            vals[q] -= out
     cell = {}
     for idx in support:
         q = self.ram.index(self.modes[idx[0]][1])
@@ -605,8 +589,8 @@ def _all_column_forms(pairs, tops, npiv):
     return pairs, (), pairs.shape[1] * npiv
 
 
-def _all_column_split_part(self, level, stack):
-    """``_EoEngine._split_part`` forming every column of every pair and adding it: the
+def _all_column_product_pass(self, level, stack):
+    """``_EoEngine._product_pass`` forming every column of every pair and adding it: the
     reference of the read-column products, on ``_all_column_forms``'s plan."""
     cols = self.res_cols
     part = np.zeros((level.rows, len(cols)), dtype=complex)
@@ -626,7 +610,7 @@ def _all_column_split_part(self, level, stack):
 def _all_columns(monkeypatch):
     """Make the recursion form and add every column of every pair, as the reference does."""
     monkeypatch.setattr(_EoEngine, "_forms", staticmethod(_all_column_forms))
-    monkeypatch.setattr(_EoEngine, "_split_part", _all_column_split_part)
+    monkeypatch.setattr(_EoEngine, "_product_pass", _all_column_product_pass)
 
 
 def _table_bits(table):
@@ -766,7 +750,7 @@ def test_read_columns_on_sparse_kernels_bitwise(monkeypatch, ram, chi, sparse):
         assert omega.engine.formed < ref.engine.formed
 
 
-@pytest.mark.parametrize("points, chi, formed, every", [(4, 3, 682, 2610), (1, 5, 447, 2976)],
+@pytest.mark.parametrize("points, chi, formed, every", [(4, 3, 1150, 3300), (1, 5, 584, 3504)],
                          ids=["4pt-chi3", "1pt-chi5"])
 def test_formed_products_are_the_read_columns(monkeypatch, points, chi, formed, every):
     # the (pair, column) products a run forms, on a kernel with no zero: the
@@ -805,7 +789,7 @@ def test_residue_pass_keeps_the_bits_of_the_xi_matmul():
         qs = rng.integers(0, len(ram), len(ones))
         xi[ones, -engine.lo:-engine.lo + engine.nlen] += engine.b_pm[qs]
         want = -(xi @ engine.res_vec.T)
-        engine._residue_pass(part, (ones, qs) if b11 else None, None, None)
+        engine._residue_pass(part, (ones, qs) if b11 else None)
         assert part.tobytes() == want.tobytes(), (rows, b11)
         for row, got in zip(xi, part):
             assert got.tobytes() == (-(row @ engine.res_vec.T)).tobytes(), (rows, b11)
@@ -854,13 +838,16 @@ def test_changed_pattern_forces_a_rebuild(ram, chi, then):
     assert _table_bits(rebuilt.table) == _table_bits(fresh.table)
 
 
-@pytest.mark.parametrize("field", ["lower", "factors"])
+@pytest.mark.parametrize("field", ["lower", "factors", "window"])
 def test_level_recorded_under_other_masks_is_enumerated_afresh(field):
     # a level is replayed only if the level below stored the keys it was
     # recorded under and the factor tables have its nonzero rows: with one
     # mask of the fourth level's recording flipped, the run enumerates that
-    # level and the next afresh, to a fresh plan's bits
+    # level and the next afresh, to a fresh plan's bits.  The first level's
+    # ``lower`` is the mask of the nonzero window series, which the genus
+    # pairs read: flipped, the run replays no level
     ram, chi = ("p", "q"), 5
+    at = 0 if field == "window" else 3
 
     def run(seed):
         s = random_s(ram, 9, np.random.default_rng(seed))
@@ -868,19 +855,21 @@ def test_level_recorded_under_other_masks_is_enumerated_afresh(field):
 
     _plan.cache_clear()
     plan = run(0).engine._plan      # the shape's first run records its plan
-    level = plan.levels[3]
-    if field == "lower":
-        masks = level.lower.copy()
-        masks[0] = not masks[0]
-    else:
+    level = plan.levels[at]
+    if field == "factors":
         masks = dict(level.factors)
         cell = next(iter(masks))
         nonzero = masks[cell].nonzero.copy()
         nonzero[0, 0] = not nonzero[0, 0]
         masks[cell] = masks[cell]._replace(nonzero=nonzero)
-    plan.levels[3] = level._replace(**{field: masks})
+        level_masks = dict(factors=masks)
+    else:
+        masks = level.lower.copy()
+        masks[0] = not masks[0]
+        level_masks = dict(lower=masks)
+    plan.levels[at] = level._replace(**level_masks)
     rebuilt = run(1)
-    assert rebuilt.engine.replayed == 3 and plan.levels[3].pairs is not level.pairs
+    assert rebuilt.engine.replayed == at and plan.levels[at].pairs is not level.pairs
     _plan.cache_clear()
     fresh = run(1)
     assert _counts(rebuilt) == _counts(fresh)
@@ -929,7 +918,7 @@ def test_engines_of_one_shape_share_the_plans_kernel_table():
         engine.run()
         placed = engine._factor_cache[(0, 2)][1]
         assert placed is not kernel and placed.tobytes() == kernel.tobytes()
-        assert engine._offsets[(0, 2)] == 0
+        assert engine._offsets[(0, 2)] == len(ram) * engine.dim     # after the window series
 
 
 def test_replayed_run_forms_no_kernel_table(monkeypatch):
@@ -968,22 +957,6 @@ def test_replayed_run_starts_its_stack_at_the_rows_the_last_run_used(monkeypatch
     again = _fill_case(("0", "1", "2", "3"), 4, other=True)
     assert again.engine.replayed == 4 and full and not any(full)
     assert again.engine._used == again.engine._plan.rows == rows
-
-
-def test_genus_zero_run_forms_no_residue_tensor():
-    # the residue tensor is formed on its first read: a run whose levels take
-    # no genus term never forms it, and a read after the run gives its bits
-    curve = _split_test_curve(("p", "q"), None)
-    engine = _EoEngine(curve, 3, max_index_bound(3), cells=[(0, 5)])
-    engine.run()
-    assert "res_tensor" not in vars(engine)
-    hankel = engine._plan.window.hankel
-    for q in range(2):
-        ref = engine.loc_p[q] @ hankel @ engine.loc_m[q].T
-        assert engine.res_tensor[q].tobytes() == ref.tobytes()
-    full = _EoEngine(curve, 3, max_index_bound(3))
-    full.run()
-    assert "res_tensor" in vars(full)
 
 
 def test_product_columns_are_convolve_columns_bitwise():
@@ -1090,31 +1063,26 @@ def test_setup_tables_match_loop_reference():
     curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
     engine = _EoEngine(curve, 3, 10, extra_order=3)
     *refs, res = _loop_setup(engine, _symmetrized(s))
-    for name, ref in zip(("loc_p", "loc_m", "b_pm"), refs):
+    # the -z series the products read is loc_p times the exact sign flip
+    tables = engine.loc_p, engine.loc_p * engine._flip, engine.b_pm
+    for name, table, ref in zip(("loc_p", "loc_m", "b_pm"), tables, refs):
         for q, lab in enumerate(ram):
-            got = getattr(engine, name)[q]
+            got = table[q]
             assert got.shape == ref[lab].shape, (name, lab)
             assert np.max(np.abs(got - ref[lab])) <= 1e-15 * np.max(np.abs(ref[lab])), (name, lab)
     assert engine.res_vec.shape == res.shape and np.array_equal(engine.res_vec, res)
-    for q, lab in enumerate(ram):
-        lp, lm = engine.loc_p[q], engine.loc_m[q]
-        conv = np.array([[np.convolve(a, b) for b in lm] for a in lp])
-        ref = np.einsum("abl,pl->pab", conv, res)
-        assert np.max(np.abs(engine.res_tensor[q] - ref)) <= 1e-14 * np.max(np.abs(ref)), lab
 
 
 def _per_point_setup(engine):
-    """(res_vec, res_cols) and loc_p, loc_m, b_pm and res_tensor, one point at a time."""
+    """(res_vec, res_cols) and loc_p, its nonzero rows and b_pm, one point at a time."""
     cur, lo, hi, nlen = engine.curve, engine.lo, engine.hi, engine.nlen
     npiv = (engine.kmax + 1) // 2
     big_k = hi + 1
     ks = np.arange(1, big_k + 1)
-    flip = np.where(np.arange(lo, hi + 1) % 2, 1.0, -1.0)
     nr, top = len(engine.ram), len(cur.s) // len(engine.ram)
     cut = min(top, big_k)
     s = np.zeros((nr, big_k, nr, big_k), dtype=complex)
     s[:, :cut, :, :cut] = cur.s.reshape(nr, top, nr, top)[:, :cut, :, :cut]
-    ii = np.arange(nlen)
     inv_d = LaurentSeries.monomial(4.0, 2).inverse()
     needed = -2 - 2 * lo
     exps = needed - 2 * np.arange(npiv)[:, None] - np.arange(2 * nlen - 1)
@@ -1125,14 +1093,13 @@ def _per_point_setup(engine):
         lp = np.zeros((engine.dim, nlen), dtype=complex)
         lp[:, -lo:] = s[:, 0:engine.kmax:2, q].reshape(engine.dim, big_k) * ks
         lp[q * npiv + np.arange(npiv), -2 * np.arange(npiv) - 2 - lo] = 1.0
-        lm = lp * flip
         terms = s[q, :, q] * ks[:, None] * ks * (-1.0) ** ks
         diag = np.zeros(2 * big_k - 1, dtype=complex)
         np.add.at(diag, (ks[:, None] + ks - 2).ravel(), terms.ravel())
         bpm = np.zeros(nlen, dtype=complex)
         bpm[-2 - lo] = -0.25
         bpm[-lo:] += diag[:big_k]
-        out.append((lp, lm, bpm, lp @ res[:, ii[:, None] + ii] @ lm.T))
+        out.append((lp, lp.any(axis=1), bpm))
     return (res, np.array([np.flatnonzero(row)[0] for row in res])), out
 
 
@@ -1151,24 +1118,9 @@ def test_stacked_setup_matches_per_point_copy_bitwise():
             got = getattr(engine, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name)
         for q, ref in enumerate(points):
-            for name, want in zip(("loc_p", "loc_m", "b_pm", "res_tensor"), ref):
+            for name, want in zip(("loc_p", "_live", "b_pm"), ref):
                 got = getattr(engine, name)[q]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chi, name, q)
-
-
-def test_stacked_residue_tensor_is_the_per_point_product_bitwise():
-    # res_tensor, formed for all the points in one stacked product, holds at
-    # each point the bits of that point's loc_p[q] @ H @ loc_m[q].T
-    rng = np.random.default_rng(61)
-    for ram, chi in ((("0",), 5), (("p", "q", "r", "t"), 3), (("0", "1", "2", "3"), 4)):
-        curve = LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 13, rng))
-        engine = _EoEngine(curve, chi, max_index_bound(chi))
-        hankel = engine._plan.window.hankel
-        npiv = (engine.kmax + 1) // 2
-        assert engine.res_tensor.shape == (len(ram), npiv, engine.dim, engine.dim)
-        for q in range(len(ram)):
-            ref = engine.loc_p[q] @ hankel @ engine.loc_m[q].T
-            assert engine.res_tensor[q].tobytes() == ref.tobytes(), (ram, q)
 
 
 def test_kernel_matrix_does_not_depend_on_pair_order():
@@ -1219,7 +1171,7 @@ def test_kernel_matrix_keeps_ram_labels_and_window_modes():
     assert window < 40
     short = {key: v for key, v in inside.items() if max(key[0][0], key[1][0]) <= window}
     ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 2, 9)
-    for name in ("loc_p", "loc_m", "b_pm", "res_tensor"):
+    for name in ("loc_p", "b_pm"):
         for q, lab in enumerate(ram):
             assert np.array_equal(getattr(engine, name)[q], getattr(ref, name)[q]), (name, lab)
 
@@ -1264,6 +1216,21 @@ def test_curve_errors_name_their_numbers():
 
     with pytest.raises(ValueError, match="ram is empty"):
         LocalSpectralCurve(ram=())
+    with pytest.raises(ValueError, match=r"^ram repeats the label '1': each ramification point "):
+        LocalSpectralCurve(ram=("0", "1", "2", "1", "0"))
+
+    # a non-finite value is refused, the first in dict order, whether or not
+    # its pair is given the other way too
+    for reg, pair, value in (
+            ({(m1, m1): 0.25, (m1, m2): np.nan}, (m1, m2), "nan"),
+            ({(m1, m2): 1.0, (m2, m1): complex(np.nan, 0)}, (m2, m1), "(nan+0j)"),
+            ({(m1, m2): np.inf, (m2, m2): np.nan}, (m1, m2), "inf")):
+        with pytest.raises(ValueError) as err:
+            LocalSpectralCurve(ram=("0",), bergman_reg=reg)
+        m = re.fullmatch(r"bergman_reg pair (.*) has value (\S+): a coefficient needs to be "
+                         r"finite", str(err.value))
+        assert m, str(err.value)
+        assert ast.literal_eval(m.group(1)) == pair and m.group(2) == value
 
 
 
