@@ -18,11 +18,12 @@ Two tensor families are built here:
 Both families are block-diagonal across labels.  The abstract recursion
 ``atr_run`` consumes a tensor family and produces the symmetric coefficient
 tensors S_{g,n}; gauge transformations mix the regular/principal splitting
-through a triple ``(c, d, s)``.  Its cell bookkeeping (cell order, leg
-splits, lower-cell lookups, pivot sampler) is ``_CellRecursion``, which the
-local recursion ``spectral._EoEngine`` shares; only that engine prunes, to
-the tuples within the degree bound whose rest its lower cells reach, while
-``atr_run`` evaluates every tuple.
+through a triple ``(c, d, s)``.  Its cell bookkeeping (mode numbering,
+index bound, allowed modes and support, pivot sampler) is
+``_CellRecursion``, which the local recursion ``spectral._EoEngine``
+shares, with the leg splits ``_splits``; each engine has its own ``run``.
+Only the local one prunes, to the tuples within the degree bound whose
+rest its lower cells reach, while ``atr_run`` evaluates every tuple.
 """
 
 from __future__ import annotations
@@ -456,14 +457,14 @@ def _splits(g, n):
 class _CellRecursion:
     """Bookkeeping shared by the abstract and the local recursion.
 
-    Cells are filled in the order of ``recursion_cells``, each by
-    ``_cell(g, n)``.  A subclass supplies ``compute_value(g, n, idx,
-    pivot_pos)``, one entry with any leg as the pivot, which
-    ``pivot_deviation`` samples.  The ``_cell`` here calls it on every tuple
-    of ``support(g, n)``; the local recursion overrides ``run`` to fill a
-    whole level of cells at once, on the rests their lower cells reach, and
-    keeps ``compute_value`` as its per-entry reference.
-    ``_cell_cache`` holds what only the cell being filled reads.
+    The mode numbering, the per-index bound, the allowed modes and the
+    support of a cell, and the pivot sampler.  A subclass supplies ``run``,
+    which fills the cells in the order of ``recursion_cells``, and
+    ``compute_value(g, n, idx, pivot_pos)``, one entry with any leg as the
+    pivot, which ``pivot_deviation`` samples: the abstract recursion fills
+    each cell by it, tuple by tuple, and the local recursion fills a whole
+    level of cells at once, on the rests their lower cells reach, keeping
+    ``compute_value`` as its per-entry reference.
     """
 
     seeded = ()         # cells given as initial data, not by the recursion
@@ -476,8 +477,7 @@ class _CellRecursion:
         self.kmax = kmax
         self.chi_max = chi_max
         self.step = step            # 2 when only odd modes enter the recursion
-        self.evaluated = 0          # tuples run() evaluated: support here, reached ones locally
-        self._cell_cache = {}
+        self.evaluated = 0          # tuples run() evaluated: the support, or the reached ones
 
     def index_bound(self, g, n):
         """The per-index bound 6g + 2n - 4 of a cell; TruncationInsufficient above kmax."""
@@ -495,23 +495,6 @@ class _CellRecursion:
     def support(self, g, n):
         """Index tuples the recursion evaluates for a cell: every sorted tuple here."""
         return itertools.combinations_with_replacement(self.allowed(g, n), n)
-
-    def _cell(self, g, n):
-        """Nonzero recursion values of a cell on its support."""
-        cell = {}
-        for idx in self.support(g, n):
-            self.evaluated += 1
-            val = self.compute_value(g, n, idx)
-            if val != 0:
-                cell[idx] = val
-        return cell
-
-    def run(self):
-        for g, n in recursion_cells(self.chi_max):
-            self.table.entries[(g, n)] = self._cell(g, n)
-            self.table.bounds[(g, n)] = default_index_bound(g, n)
-            self._cell_cache.clear()
-        return self.table
 
     def pivot_deviation(self, rng, samples):
         """Max |entry - its value with another pivot| over sampled entries.
@@ -547,8 +530,10 @@ def _tensors_preserve_odd(t):
 class _AtrEngine(_CellRecursion):
     """Abstract recursion: tensor contractions on every tuple up to the index bound.
 
-    Per entry, lower cells are read through ``_svec`` (one free index) and
-    ``_pair_matrix`` (two free indices), over every mode.
+    ``run`` fills the cells in the order of ``recursion_cells``, each by
+    ``_cell``.  Per entry, lower cells are read through ``_svec`` (one free
+    index) and ``_pair_matrix`` (two free indices), over every mode.
+    ``_cell_cache`` holds what only the cell being filled reads.
     """
 
     seeded = ((0, 3), (1, 1))
@@ -558,14 +543,29 @@ class _AtrEngine(_CellRecursion):
         super().__init__(t.modes, t.ram, t.kmax, chi_max, step, "canonical")
         self.t = t
         self._vec_cache = {}
+        self._cell_cache = {}
+
+    def run(self):
+        for g, n in recursion_cells(self.chi_max):
+            self.table.entries[(g, n)] = self._cell(g, n)
+            self.table.bounds[(g, n)] = default_index_bound(g, n)
+            self._cell_cache.clear()
+        return self.table
 
     def _cell(self, g, n):
+        """Nonzero values of a cell: seeded for (0, 3) and (1, 1), else on its support."""
         t = self.t
         if (g, n) == (0, 3):        # S_{0,3} = 2a
             return {idx: val for idx in self.support(0, 3) if (val := 2.0 * t.a[idx]) != 0}
         if (g, n) == (1, 1):        # S_{1,1} = eps
             return {(i,): t.eps[i] for i in self.allowed(1, 1) if t.eps[i] != 0}
-        return super()._cell(g, n)
+        cell = {}
+        for idx in self.support(g, n):
+            self.evaluated += 1
+            val = self.compute_value(g, n, idx)
+            if val != 0:
+                cell[idx] = val
+        return cell
 
     def _svec(self, g, n, rest):
         """Entries (j, rest) of a cell over every mode j."""

@@ -49,13 +49,14 @@ sort first, 0..top.  The window series and the factor tables hold the forms
 at +z; the -z series is an exact sign per column, applied to the stacked
 second factors.  Of each pair's product only the columns its rest's pivots
 read are formed, top + 1 of them.  They are stacked BLAS dots, bitwise the
-columns ``np.convolve`` gives, and each gets every add of its pairs in
-their order, the genus pairs last.  The residue pass adds B(z, -z) to the
-(1, 1) rows and scales the part by -1/4 in place: the bits of
--(xi @ res_vec.T), whose other terms are exact zeros.  ``products`` counts
-the pairs, ``formed`` the (pair, column) products.  The window series and
-the factor tables of a run lie end to end in one stack, so no level copies
-them.
+columns ``np.convolve`` gives, one matmul per column over the pairs that
+read it; a column no pair reads makes no call.  Each gets every add of its
+pairs in their order, the genus pairs last.  The residue pass adds
+B(z, -z) to the (1, 1) rows and scales the part by -1/4 in place: the bits
+of -(xi @ res_vec.T), whose other terms are exact zeros.  ``products``
+counts the pairs, ``formed`` the (pair, column) products.  The window
+series and the factor tables of a run lie end to end in one stack, so no
+level copies them.
 
 What a level enumerates (its pairs of factors, the rests they reach and the
 pivots of each rest) depends on the curve's shape alone (the number of
@@ -72,19 +73,24 @@ sparser kernel (block-diagonal, zero) gets the tables of a fresh run, and a
 shape's first run records them all.  Both fill on the same plan, so their
 tables agree to the bit.  The plan of the last shape run is kept
 (``_PLAN_SLOTS``), with all that its shape alone gives: ``res_vec``, the
-index arrays the window series are formed with, omega_{0,2}'s factor
-table, which a run copies to the start of its stack, and the rows of that
-stack the last run used, where the next one starts.  So a run forms only
-what the kernel data changes: the window series, B(z, -z) and the lower
-cells' factor tables.  A 4-point chi = 8 plan takes about 46 MB.
+index arrays the window series are formed with, the two factor segments
+of each product column's dots and the reversed flip the product pass
+applies, omega_{0,2}'s factor table, which a run copies to the start of
+its stack, and the rows of that stack the last run used, where the next
+one starts.  So a run forms only what the kernel data changes: the window
+series, B(z, -z) and the lower cells' factor tables.  A 4-point chi = 8
+plan takes about 46 MB.
 
 ``compute_value`` evaluates one entry with any pivot as the formula
 reads: one xi from the same window series and factors, with the full
 convolution of each pair, and its residue against ``res_vec``; it is the
 reference for the fill, the pivot-symmetry check and the support check.
-The cell order, the leg splits and the pivot sampler are
-``airy._CellRecursion``, shared with ``airy.atr_run``; the degree prune and
-the reach are this engine's alone.
+The mode numbering, the index bound and the pivot sampler are
+``airy._CellRecursion``, and the leg splits ``airy._splits``, shared with
+``airy.atr_run``; the degree prune and the reach are this engine's alone.
+``eo_symmetry_deviation`` and ``eo_dilaton_deviation`` check a run's table,
+the first against ``compute_value`` at other pivots, the second against
+the dilaton equation from the stored entries alone.
 ``atr_run`` enumerates every tuple up to the index bound 6g + 2n - 4, so as
 the oracle it rests on neither.  ``support_bound_check`` evaluates the
 tuples beyond the degree bound, and those within it that the fill does not
@@ -279,9 +285,9 @@ class _Level(NamedTuple):
     first, and keep their order otherwise, so each row gets its pairs in
     the order they were found.  ``forms`` holds, for each ``_STACK`` pairs
     in turn, (counts, rep, add): ``counts[p]`` of its leading pairs have a
-    row that takes the pivot p (``_forms``), ``rep`` is None or how many
-    times each formed product adds, and ``add`` the flat index row * npiv +
-    p of each add, pivot after pivot, in pair order.  ``formed`` counts the
+    row that takes the pivot p (``_forms``; a list), ``rep`` is None or how
+    many times each formed product adds, and ``add`` the flat index
+    row * npiv + p of each add, pivot after pivot, in pair order.  ``formed`` counts the
     products formed.  ``b11`` is None or the (rows, points) of the (1, 1)
     jobs, whose xi adds B(z, -z).  ``keys`` is the level's ``_Keys``.
     """
@@ -301,23 +307,29 @@ class _Window(NamedTuple):
 
     ``ks`` holds k = 1..K, K the largest k with z^{k-1} in the window, and
     ``sign`` (-1)^k over them.  ``flip`` takes a form at +z to the same form
-    at -z, an exact sign per exponent.  ``poles`` is the flat index in
-    ``loc_p`` of every point's principal parts, ``anti`` the flat index of
-    each term of B(z, -z) among the (points, 2K - 1) anti-diagonal sums.
-    Row p of ``res_vec`` dotted with a product series (exponents from 2 lo)
-    is its residue against z^{2p+1} / (4 z^2): 1/4 at the one column
-    ``res_cols[p]`` = -2 lo - 2p.  ``kernel`` is omega_{0,2}'s factor
-    table: its rows, the table, read-only, and its ``_factor_rows`` at every
-    point, keyed (0, 2, q).
+    at -z, an exact sign per exponent, and ``rflip`` is it reversed, as the
+    product pass applies it to the reversed second factors.  ``poles`` is
+    the flat index in ``loc_p`` of every point's principal parts, ``anti``
+    the flat index of each term of B(z, -z) among the (points, 2K - 1)
+    anti-diagonal sums.  Row p of ``res_vec`` dotted with a product series
+    (exponents from 2 lo) is its residue against z^{2p+1} / (4 z^2): 1/4 at
+    the one column ``res_cols[p]`` = -2 lo - 2p, which is the exponent
+    ``res_cols[p] + lo`` of B(z, -z), ``b_cols[p]``.  ``segments`` holds the
+    two factor segments each column's dots take (``_segments``).
+    ``kernel`` is omega_{0,2}'s factor table: its rows, the table,
+    read-only, and its ``_factor_rows`` at every point, keyed (0, 2, q).
     """
 
     ks: np.ndarray
     sign: np.ndarray
     flip: np.ndarray
+    rflip: np.ndarray
     poles: np.ndarray
     anti: np.ndarray
     res_vec: np.ndarray
     res_cols: np.ndarray
+    b_cols: np.ndarray
+    segments: tuple
     kernel: tuple
 
 
@@ -396,8 +408,17 @@ def _closure(chi_max, cells):
 
 
 def fill_bound(chi_max, cells=None):
-    """The largest index bound 6g + 2n - 4 of the cells ``fill_cells`` gives: eo_run's kmax."""
-    return max(default_index_bound(g, n) for g, n in fill_cells(chi_max, cells))
+    """The largest index bound 6g + 2n - 4 of the cells ``fill_cells`` gives: eo_run's kmax.
+
+    Memoized per (chi_max, cells), as ``fill_cells`` is.
+    """
+    return _bound(chi_max, None if cells is None else tuple(map(tuple, cells)))
+
+
+@functools.cache
+def _bound(chi_max, cells):
+    """``fill_bound`` for a tuple ``cells``, once per key."""
+    return max(default_index_bound(g, n) for g, n in _closure(chi_max, cells))
 
 
 class _EoEngine(_CellRecursion):
@@ -434,13 +455,16 @@ class _EoEngine(_CellRecursion):
         ``_live[q, j]`` whether it is nonzero, and ``b_pm[q]`` is
         B(z, -z) / dz^2.  The plan keeps what the shape alone gives, formed
         by its first engine: the ``_Window``, with ``res_vec``, ``res_cols``,
-        the index arrays the series are formed with and omega_{0,2}'s factor
-        table.  So each engine forms loc_p and b_pm.
+        the index arrays the series are formed with, the product columns'
+        segments and omega_{0,2}'s factor table.  So each engine forms loc_p
+        and b_pm.
         """
         plan = self._plan
         if plan.window is None:
             plan.window = self._window()
-        ks, sign, self._flip, poles, anti, self.res_vec, self.res_cols, _ = plan.window
+        window = plan.window
+        ks, sign, self._flip, self.res_vec, self.res_cols = (
+            window.ks, window.sign, window.flip, window.res_vec, window.res_cols)
         lo, nr, big_k = self.lo, len(self.ram), len(ks)
         # s[a, k - 1, b, k' - 1] over the window's modes, cut or zero-padded
         top = len(self.curve.s) // nr
@@ -450,14 +474,14 @@ class _EoEngine(_CellRecursion):
         self.loc_p = np.zeros((nr, self.dim, self.nlen), dtype=complex)
         odd = s[:, 0:self.kmax:2].reshape(self.dim, nr, big_k)      # rows (a, k) at each point
         self.loc_p[:, :, -lo:] = odd.swapaxes(0, 1) * ks
-        self.loc_p.reshape(-1)[poles] = 1.0
-        self._live = self.loc_p.any(axis=2)
+        self.loc_p.reshape(-1)[window.poles] = 1.0
+        self._live = _nonzero_rows(self.loc_p)
         # two-form with both arguments local: B(z, -z) / dz^2, summed along
         # the anti-diagonals k + k' - 2 = exponent
         qs = np.arange(nr)
         terms = s[qs, :, qs] * ks[:, None] * ks * sign
         diag = np.zeros((nr, 2 * big_k - 1), dtype=complex)
-        np.add.at(diag.reshape(-1), anti, terms.reshape(-1))
+        np.add.at(diag.reshape(-1), window.anti, terms.reshape(-1))
         self.b_pm = np.zeros((nr, self.nlen), dtype=complex)
         self.b_pm[:, -2 - lo] = -0.25
         self.b_pm[:, -lo:] += diag[:, :big_k]
@@ -479,7 +503,8 @@ class _EoEngine(_CellRecursion):
         cols = -2 * lo - 2 * p
         res_vec = np.zeros((npiv, 2 * nlen - 1), dtype=complex)
         res_vec[p, cols] = 0.25
-        return _Window(ks, (-1.0) ** ks, flip, poles, anti, res_vec, cols, self._kernel_factors())
+        return _Window(ks, (-1.0) ** ks, flip, flip[::-1].copy(), poles, anti, res_vec, cols,
+                       cols + lo, _segments(nlen, cols), self._kernel_factors())
 
     def _kernel_factors(self):
         """(rows, table, index): omega_{0,2}'s ``_factor_table`` and its ``_factor_rows``.
@@ -559,7 +584,7 @@ class _EoEngine(_CellRecursion):
         vec = np.zeros((len(rows.legs), self.dim), dtype=complex)
         vec[rows.at[0], rows.at[1]] = self._cell_values(g, n)[rows.src]
         np.matmul(vec, self.loc_p, out=table)
-        nonzero = table.any(axis=2)
+        nonzero = _nonzero_rows(table)
         if not _same(nonzero, rows.nonzero):
             rows = rows._replace(nonzero=nonzero)
         if legs is not None:
@@ -730,21 +755,23 @@ class _EoEngine(_CellRecursion):
         second at -z, to its row, once per leg-position subset that gives a
         splitting pair.  Of the columns ``res_cols`` a pair forms only those
         its row reads: one per pivot its rest takes.  Each is bitwise
-        ``np.convolve``'s (``_product_columns``), for up to ``_STACK`` pairs
-        at a time across the jobs, the second factors flipped to -z as a
-        stack.  The adds go one per subset in pair order, as in
-        ``compute_value``: a single add of the multiple would round
-        differently.  They go to the flat part at the plan's indices, pivot
-        after pivot: each read entry gets every add of its row's pairs, in
-        their order.  An unread entry stays 0, at a pivot its row does not
-        take.
+        ``np.convolve``'s (``_product_columns``, on the plan's segments), for
+        up to ``_STACK`` pairs at a time across the jobs, the second factors
+        flipped to -z as a stack by the plan's reversed flip; a column no
+        pair of the stack reads makes no call.  The adds go one per subset
+        in pair order, as in ``compute_value``: a single add of the multiple
+        would round differently.  They go to the flat part at the plan's
+        indices, pivot after pivot: each read entry gets every add of its
+        row's pairs, in their order.  An unread entry stays 0, at a pivot its
+        row does not take.
         """
         part = np.zeros((level.rows, self.npiv), dtype=complex)
         first, second = level.pairs
-        flip = self._flip[::-1].copy()      # a reversed view would take a slow buffered loop
+        # the flip reversed, contiguous: a reversed view would take a slow buffered loop
+        flip, segments = self._plan.window.rflip, self._plan.window.segments
         for start, (counts, rep, add) in zip(itertools.count(0, _STACK), level.forms):
             flipped = stack[second[start:start + _STACK]][:, ::-1] * flip
-            terms = _product_columns(stack[first[start:start + _STACK]], flipped, self.res_cols,
+            terms = _product_columns(stack[first[start:start + _STACK]], flipped, segments,
                                      counts)
             np.add.at(part.reshape(-1), add, terms if rep is None else terms.repeat(rep))
         return part
@@ -760,7 +787,7 @@ class _EoEngine(_CellRecursion):
         """
         if b11 is not None:
             rows, qs = b11
-            part[rows] += self.b_pm[qs[:, None], self.res_cols + self.lo]
+            part[rows] += self.b_pm[qs[:, None], self._plan.window.b_cols]
         part *= -0.25
 
     # the plan ------------------------------------------------------------------
@@ -803,7 +830,7 @@ class _EoEngine(_CellRecursion):
             if most > 1:
                 rep = (ways[start:start + _STACK] * read)[read].astype(np.min_scalar_type(most))
                 add = add.repeat(rep)
-            forms.append((read.sum(axis=1), rep, add))
+            forms.append((read.sum(axis=1).tolist(), rep, add))
             formed += int(read.sum())
         return pairs[:2].copy(), tuple(forms), formed
 
@@ -967,28 +994,50 @@ _STACK = 1024
 _STACK_START_BYTES = 1 << 20
 
 
-def _product_columns(f1, r2, cols, counts):
-    """Column ``cols[c]`` of ``np.convolve(f1[i], f2[i])`` for the rows i < ``counts[c]``, bitwise.
+def _segments(size, cols):
+    """For each k of ``cols``, the (f1, r2) slices of the dot that gives convolve's output k.
+
+    For two series of length ``size``, L, ``np.convolve`` takes output k as
+    one dtype ``dot``: of f1[:k+1] with r2[L-1-k:] for k < L, else of
+    f1[k-L+1:] with r2[:2L-1-k], r2 the second series reversed.  They
+    depend on the window alone, so a plan holds them (``_Window``).
+    """
+    return tuple((slice(max(0, k - size + 1), min(size, k + 1)),
+                  slice(max(0, size - 1 - k), min(size, 2 * size - 1 - k)))
+                 for k in cols.tolist())
+
+
+def _product_columns(f1, r2, segments, counts):
+    """Column c of ``np.convolve(f1[i], f2[i])`` for the rows i < ``counts[c]``, bitwise.
 
     ``f1`` and ``r2`` are (P, L) stacks, ``r2`` holding the rows of f2
-    reversed and C-contiguous.  The columns come one after another in one
-    flat array, each its ``counts[c]`` rows.  For two series of length L,
-    ``np.convolve`` takes output k as one dtype ``dot``: of f1[:k+1] with
-    r2[L-1-k:] for k < L, else of f1[k-L+1:] with r2[:2L-1-k].  A stacked
-    (m, 1, w) @ (m, w, 1) matmul takes that same BLAS dot on each row's
-    segments, one row at a time, so every column is convolve's to the bit
-    however many rows it takes.  A reversed view, with its negative stride,
-    would take numpy's own loop and round differently.
+    reversed and C-contiguous; ``segments[c]`` is the pair of slices of
+    column c's dot (``_segments``).  The columns come one after another in
+    one flat array, each its ``counts[c]`` rows.  A stacked (m, 1, w) @
+    (m, w, 1) matmul takes convolve's BLAS dot on each row's segments, one
+    row at a time, so every column is convolve's to the bit however many
+    rows it takes.  A column no row reads makes no call.  A reversed view,
+    with its negative stride, would take numpy's own loop and round
+    differently.
     """
-    size = f1.shape[1]
-    out = np.empty(int(counts.sum()), dtype=complex)
+    out = np.empty((sum(counts), 1, 1), dtype=complex)
+    f1, r2 = f1[:, None], r2[:, :, None]
     at = 0
-    for k, m in zip(cols.tolist(), counts.tolist()):
-        lo1, hi1 = max(0, k - size + 1), min(size, k + 1)
-        lo2, hi2 = max(0, size - 1 - k), min(size, 2 * size - 1 - k)
-        np.matmul(f1[:m, None, lo1:hi1], r2[:m, lo2:hi2, None], out=out[at:at + m, None, None])
+    for (s1, s2), m in zip(segments, counts):
+        if not m:
+            continue
+        np.matmul(f1[:m, :, s1], r2[:m, s2], out=out[at:at + m])
         at += m
-    return out
+    return out.reshape(-1)
+
+
+def _nonzero_rows(table):
+    """Whether each row (last axis) of a 3-d ``table`` has a nonzero entry.
+
+    ``ndarray.any``'s Python wrapper costs more than the reduction at the
+    sizes a level's factor tables have.
+    """
+    return np.logical_or.reduce(table, axis=2)
 
 
 def _stored_tuples(cells, keys, stored):
@@ -1055,6 +1104,35 @@ def eo_symmetry_deviation(omega, rng=None):
         return omega.engine.pivot_deviation(rng or np.random.default_rng(0), 120)
     finally:
         omega.engine._factor_cache.clear()
+
+
+def eo_dilaton_deviation(omega):
+    """Worst dilaton residual over the cells (g, n) of a run whose (g, n + 1) it holds.
+
+    With the odd one-form 4 z^2 dz only the mode-3 leg survives the
+    dilaton residue, so sum_a S_{g,n+1}[J, (3, a)] = (3/2)(2g - 2 + n)
+    S_{g,n}[J] (Eynard-Orantin 2007).  A cell's residual is the largest
+    |lhs - rhs| over J in its degree-bounded support, over its largest
+    |rhs|; where S_{g,n} is all zero, the largest |lhs|.  It reads the
+    stored table only; 0.0 when no cell has its (g, n + 1).
+    """
+    entries = omega.table.entries
+    return max((_dilaton_residual(omega, g, n) for g, n in entries if (g, n + 1) in entries),
+               default=0.0)
+
+
+def _dilaton_residual(omega, g, n):
+    """The dilaton residual of the cell (g, n), as ``eo_dilaton_deviation`` takes it."""
+    engine, entries = omega.engine, omega.table.entries
+    lower, upper = entries[(g, n)], entries[(g, n + 1)]
+    threes = [engine.index[(3, lab)] for lab in omega.curve.ram]
+    factor = 1.5 * (2 * g - 2 + n)
+    worst = 0.0
+    for idx in engine.support(g, n):
+        lhs = sum(upper.get(tuple(sorted(idx + (j,))), 0j) for j in threes)
+        worst = max(worst, abs(lhs - factor * lower.get(idx, 0j)))
+    scale = factor * max(map(abs, lower.values()), default=0.0)
+    return worst / scale if scale else worst
 
 
 def omega_eval(omega, g, n, points):

@@ -33,8 +33,10 @@ from swtr.spectral import (
     _EoEngine,
     _plan,
     _product_columns,
+    _segments,
     _ways,
     atr_eo_crosscheck,
+    eo_dilaton_deviation,
     eo_run,
     eo_symmetry_deviation,
     fill_cells,
@@ -980,7 +982,7 @@ def test_product_columns_are_convolve_columns_bitwise():
             assert got.tobytes() == ref.tobytes(), (size, mag)
             counts = rng.integers(0, len(f1) + 1, len(cols))
             counts[:2] = len(f1), 0
-            got = _product_columns(f1, f2[:, ::-1].copy(), cols, counts)
+            got = _product_columns(f1, f2[:, ::-1].copy(), _segments(size, cols), counts)
             want = np.concatenate([ref[:m, k] for k, m in zip(cols, counts)])
             assert got.tobytes() == want.tobytes(), (size, mag)
     # each pivot's residue reads one column of the product, res_cols[p]
@@ -988,20 +990,33 @@ def test_product_columns_are_convolve_columns_bitwise():
     assert [np.flatnonzero(row).tolist() for row in engine.res_vec] == [[c] for c in engine.res_cols]
 
 
-def _dilaton_residual(omega, g, n):
-    """max over J of |sum_a S_{g,n+1}[J, (3,a)] - (3/2)(2g-2+n) S_{g,n}[J]|, relative.
+def test_zero_count_columns_make_no_matmul(monkeypatch):
+    # counts with zeros between nonzero ones, as a level's columns have
+    # when its rests take few pivots: the columns read are convolve's to the
+    # bit, and a column no row reads makes no np.matmul call
+    rng = np.random.default_rng(61)
+    size = 23
+    f1, f2 = (rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
+              for _ in range(2))
+    cols = np.arange(2, 2 * size - 1, 5)
+    ref = np.array([np.convolve(a, b) for a, b in zip(f1, f2)])
+    calls = []
+    matmul = np.matmul
 
-    J runs over the support of omega_{g,n}, the scale is the largest |rhs|.
-    """
-    engine, entries = omega.engine, omega.table.entries
-    lower, upper = entries[(g, n)], entries[(g, n + 1)]
-    threes = [engine.index[(3, lab)] for lab in omega.curve.ram]
-    factor = 1.5 * (2 * g - 2 + n)
-    worst = 0.0
-    for idx in engine.support(g, n):
-        lhs = sum(upper.get(tuple(sorted(idx + (j,))), 0j) for j in threes)
-        worst = max(worst, abs(lhs - factor * lower.get(idx, 0j)))
-    return worst / (factor * max(abs(v) for v in lower.values()))
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    for counts in ([9, 0, 3, 0, 0, 5, 0, 1, 0], [0, 0, 2, 0, 0, 0, 0, 0, 7],
+                   [0] * len(cols), [4, 0, 0, 0, 0, 0, 0, 0, 0]):
+        counts = np.array(counts)
+        assert len(counts) == len(cols)
+        calls.clear()
+        got = _product_columns(f1, f2[:, ::-1].copy(), _segments(size, cols), counts)
+        want = np.concatenate([ref[:m, k] for k, m in zip(cols, counts)])
+        assert got.tobytes() == want.tobytes(), counts
+        assert calls == [m for m in counts.tolist() if m], counts
 
 
 @pytest.mark.parametrize("ram, chi", [
@@ -1016,8 +1031,29 @@ def test_dilaton_equation_in_every_cell(ram, chi):
     omega = eo_run(_split_test_curve(ram, None), chi)
     cells = [(g, n) for g, n in recursion_cells(chi) if (g, n + 1) in omega.table.entries]
     assert len(cells) == len(recursion_cells(chi - 1))
-    for g, n in cells:
-        assert _dilaton_residual(omega, g, n) < 1e-13, (g, n)
+    assert eo_dilaton_deviation(omega) < 1e-13
+    # a relative change of 1e-9 to the largest entry of one of those cells,
+    # or to the largest with a mode-3 leg of a cell above one, shows
+    threes = {omega.table.index[(3, lab)] for lab in ram}
+    for cell, legs in ((cells[0], None), (cells[-1], None),
+                       ((cells[-1][0], cells[-1][1] + 1), threes)):
+        values = omega.table.entries[cell]
+        key = max((k for k in values if legs is None or legs.intersection(k)),
+                  key=lambda k: abs(values[k]))
+        kept = values[key]
+        values[key] = kept * (1 + 1e-9)
+        assert eo_dilaton_deviation(omega) > 1e-11, cell
+        values[key] = kept
+    assert eo_dilaton_deviation(omega) < 1e-13
+
+
+def test_dilaton_deviation_reads_the_held_cells_only():
+    # a run of chosen cells holds no (g, n + 1) above its top cells, and no
+    # (1, 1) or (1, 2) here; one whose cells have none gives 0.0
+    omega = eo_run(_split_test_curve(("p", "q")), 3, cells=[(0, 5)])
+    assert sorted(omega.table.entries) == [(0, 3), (0, 4), (0, 5)]
+    assert eo_dilaton_deviation(omega) < 1e-13
+    assert eo_dilaton_deviation(eo_run(airy_point(), 1, cells=[(1, 1)])) == 0.0
 
 
 def _symmetrized(s):
