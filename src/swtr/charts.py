@@ -35,7 +35,7 @@ from numpy.polynomial import polynomial as npoly
 from .airy import WElement
 from .errors import (DivisionByZeroSeries, ExtractionNotConverged, OutOfNeighbourhood,
                      TruncationInsufficient)
-from .hyperelliptic import _cycle_periods, critical_value_gap
+from .hyperelliptic import _cycle_periods
 from .laurent import (LaurentSeries, SeriesDifferential, compose1, divide_diagonal2, inverse2,
                       mul1, mul2, power1, revert1, sqrt_shift_flow)
 
@@ -117,6 +117,13 @@ def _named(labels):
         if err.row is None:
             raise
         raise DivisionByZeroSeries(f"chart {labels[err.row]}: {err}") from None
+
+
+def critical_value_gap(curve, i):
+    """Distance from P(z_i) to the other critical values of P and to +-2 L^{g+1}."""
+    p0 = curve.p_at(curve.ram_roots[i])
+    cands = [abs(curve.p_at(zj) - p0) for j, zj in enumerate(curve.ram_roots) if j != i]
+    return min(cands + [abs(2.0 * curve.lam_pow - p0), abs(-2.0 * curve.lam_pow - p0)])
 
 
 def _eta_chart(curve, z_roots, order):
@@ -524,7 +531,8 @@ def decompose_in_g(w_elem, pd, s_coeffs, c_coeffs, k_bound):
 # ---------------------------------------------------------------------------
 
 def _ebar_form(bk, chart, k_bound):
-    """The form (z, y) -> ebar^{k,chart} against dz, k = 1..k_bound, on chart nodes built once."""
+    """(form, z, y): the form (z, y) -> ebar^{k,chart} against dz, k = 1..k_bound, and the z and y
+    of the extraction circle's nodes it is built on once."""
     nfft = 128
     r = chart.extraction_radius
     # each sampled series' top known coefficient, weighed relative to its largest term
@@ -546,15 +554,43 @@ def _ebar_form(bk, chart, k_bound):
         for k in range(1, k_bound + 1):
             out[k - 1] = raw[:, k - 1] / r ** (k - 1) / k
         return out
-    return form
+    return form, z2, y2
+
+
+#: how far past its extraction circle a chart refuses a point, as a scale about its root
+_CIRCLE_MARGIN = 1.15
 
 
 def ebar_at_points(bk, chart, z_pts, y_pts, k_bound):
-    """ebar^{k,chart}(p) against dz_p at global points, for k = 1..k_bound."""
-    return _ebar_form(bk, chart, k_bound)(z_pts, y_pts)
+    """ebar^{k,chart}(p) against dz_p at global points, for k = 1..k_bound.
+
+    The kernel's pole at p spoils the extraction on the circle nodes when p
+    nears them on the chart's sheet: such a p inside the node polygon scaled
+    by ``_CIRCLE_MARGIN`` about the root (winding number not zero) raises
+    OutOfNeighbourhood.  Against an extraction at half the radius r the
+    values are off by about 3e-7 relative at |etabar| = 1.15 r, 1e-9 at 1.2 r.
+    """
+    form, z_circle, y_circle = _ebar_form(bk, chart, k_bound)
+    z_pts, y_pts = np.asarray(z_pts), np.asarray(y_pts)
+    rel = chart.z_root + _CIRCLE_MARGIN * (z_circle - chart.z_root) - z_pts[:, None]
+    winds = np.abs(np.angle(np.roll(rel, -1, axis=1) / rel).sum(axis=1)) > np.pi
+    near = y_circle[np.argmin(np.abs(z_circle - z_pts[:, None]), axis=1)]
+    inside = np.flatnonzero(winds & (np.abs(y_pts - near) < np.abs(y_pts + near)))
+    if inside.size:
+        z = z_pts[inside[0]]
+        dist, reach = abs(z - chart.z_root), _CIRCLE_MARGIN * np.max(np.abs(z_circle - chart.z_root))
+        raise OutOfNeighbourhood(
+            f"ebar at chart {chart.label}: point z = {z:.6g} on its sheet is {dist:.3g} from the root,"
+            f" inside the extraction circle |etabar| = {chart.extraction_radius:.6g}"
+            f" scaled by {_CIRCLE_MARGIN:g}, which reaches {reach:.3g} from it")
+    return form(z_pts, y_pts)
 
 
 def ebar_periods(bk, cycle_list, chart, k_bound):
-    """[i, k-1] = period of ebar^{k,chart} over cycle_list[i], for k = 1..k_bound."""
+    """[i, k-1] = period of ebar^{k,chart} over cycle_list[i], for k = 1..k_bound.
+
+    Contours may cross the chart's circle: the form is a sum of normalized kernels
+    at its nodes, whose double poles carry no residue, so the periods do not move.
+    """
     return _cycle_periods(bk.cycles.workspace, cycle_list,
-                          _ebar_form(bk, chart, k_bound), 1e-9)
+                          _ebar_form(bk, chart, k_bound)[0], 1e-9)

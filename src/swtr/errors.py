@@ -67,7 +67,8 @@ class NormalizationSolveFailed(SwtrError):
 
 
 class OutOfNeighbourhood(SwtrError):
-    """Deformed curve outside the chart neighbourhood of the reference curve."""
+    """Deformed curve outside the chart neighbourhood or contours of the reference curve,
+    or a point read inside a chart's extraction circle (``charts.ebar_at_points``)."""
 
 
 class ExtractionNotConverged(SwtrError):

@@ -833,51 +833,6 @@ def _segments_cross(a1, a2, b1, b2):
             & (orient(b1, b2, a1) * orient(b1, b2, a2) < 0))
 
 
-def critical_value_gap(curve, i):
-    """Distance from P(z_i) to the other critical values of P and to +-2 L^{g+1}."""
-    p0 = curve.p_at(curve.ram_roots[i])
-    cands = [abs(curve.p_at(zj) - p0) for j, zj in enumerate(curve.ram_roots) if j != i]
-    return min(cands + [abs(2.0 * curve.lam_pow - p0), abs(-2.0 * curve.lam_pow - p0)])
-
-
-def ram_guards(curve):
-    """Exclusion discs (center, radius) around the ramification z-roots.
-
-    The radius is the z-plane image of 0.55 times the chart annulus
-    scale, estimated from the leading chart coefficients; contours used for
-    period quadrature must stay outside so that local coefficient extraction
-    never collides with them.
-    """
-    guards = []
-    for i, zi in enumerate(curve.ram_roots):
-        p0 = npoly.polyval(zi, curve.p_coeffs)
-        y0 = abs(np.sqrt(p0 ** 2 - 4.0 * curve.lam_pow ** 2))
-        ddp = npoly.polyval(zi, npoly.polyder(curve.p_coeffs, 2))
-        root_scale = abs(np.sqrt(2.0 / ddp))
-        lead = (root_scale / y0) ** (1.0 / 3.0)
-        d_min = lead * critical_value_gap(curve, i) ** 0.5
-        dz_detabar = root_scale / lead
-        guards.append((complex(zi), 0.55 * d_min * dz_detabar))
-    return guards
-
-
-def _make_ellipse(f1, f2, others, centroid, guards):
-    probe = EllipseContour(f1, f2, 1.0)
-    # 0.55 of the way to the nearest foreign branch point, and at most 1.2
-    sigma = min(0.55 * min(probe.elliptic_sigma(e) for e in others), 1.2)
-    ths = np.linspace(0.0, 1.0, 160, endpoint=False)
-    while sigma >= 0.06:
-        cont = EllipseContour(f1, f2, sigma, start_outward_from=centroid)
-        pts = cont.point(ths)
-        if all(float(np.min(np.abs(pts - c))) > r for c, r in guards):
-            if np.any(cont.elliptic_sigma(np.array(others)) < cont.sigma):
-                raise CycleConstructionFailed("ellipse swallowed a foreign branch point")
-            return cont
-        sigma *= 0.8
-    raise CycleConstructionFailed(
-        f"cut ({f1:.3g}, {f2:.3g}) cannot clear the ramification discs")
-
-
 def build_cycles(curve):
     """Symplectic homology basis from the branch-cut chain.
 
@@ -910,14 +865,16 @@ def build_cycles(curve):
     if cuts is None:
         raise CycleConstructionFailed("no non-crossing adjacent pairing of branch cuts")
     g = curve.g
-    guards = ram_guards(curve)
 
-    def foreign(f1, f2):
-        return [e for e in pts if abs(e - f1) > 1e-12 and abs(e - f2) > 1e-12]
+    def ellipse(f1, f2):
+        # 0.55 of the way to the nearest foreign branch point in elliptic sigma, at most 1.2;
+        # start_outward_from's turn of the frame keeps every sigma, so all stay outside
+        others = pts[(np.abs(pts - f1) > 1e-12) & (np.abs(pts - f2) > 1e-12)]
+        sigma = min(0.55 * np.min(_elliptic_sigma(others, 0.5 * (f1 + f2), 0.5 * (f2 - f1))), 1.2)
+        return EllipseContour(f1, f2, sigma, start_outward_from=centroid)
 
-    a_conts = [_make_ellipse(*cut, foreign(*cut), centroid, guards) for cut in cuts[:g]]
-    bridges = [(cuts[i][1], cuts[i + 1][0]) for i in range(g)]
-    c_conts = [_make_ellipse(*bridge, foreign(*bridge), centroid, guards) for bridge in bridges]
+    a_conts = [ellipse(*cut) for cut in cuts[:g]]
+    c_conts = [ellipse(cuts[i][1], cuts[i + 1][0]) for i in range(g)]
 
     ws = QuadratureWorkspace(curve)
     x_mat = _intersection_matrix(ws, a_conts, c_conts)

@@ -16,8 +16,7 @@ The recursion kernel at a point is
 which reduces to dz1 / (4 z (z^2 - z1^2) dz) for the bare quadratic disc.
 So the residue of a series xi against z^{2p+1} / (4 z^2) is the
 coefficient of z^{-2p-2} of xi over 4.  Residue extraction happens on
-truncated Laurent windows; repeating it with a larger window is the "formal
-extraction order" refinement check.
+truncated Laurent windows.
 
 The nonzero entries of a cell omega_{g,n} lie on its degree-bounded
 support: with d_i = (k_i - 1) / 2, the tuples with sum d_i <= 3g - 3 + n.
@@ -358,7 +357,7 @@ _PLAN_SLOTS = 1
 
 @functools.lru_cache(maxsize=_PLAN_SLOTS)
 def _plan(shape):
-    """The ``_Plan`` of a curve shape: (points, cells filled, kmax, extra_order)."""
+    """The ``_Plan`` of a curve shape: (points, cells filled, kmax)."""
     return _Plan()
 
 
@@ -424,7 +423,7 @@ def _bound(chi_max, cells):
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
-    def __init__(self, curve, chi_max, kmax, extra_order=0, cells=None):
+    def __init__(self, curve, chi_max, kmax, cells=None):
         # mode list restricted to odd indices (the output lives in the odd part)
         modes = [(k, lab) for lab in curve.ram for k in range(1, kmax + 1, 2)]
         super().__init__(modes, curve.ram, kmax, chi_max, 2, "bergman")
@@ -433,7 +432,7 @@ class _EoEngine(_CellRecursion):
             self.index_bound(g, n)      # a kmax below a cell's bound is refused here, once
         self.curve = curve
         self.lo = -(kmax + 3)
-        self.hi = kmax + 5 + extra_order
+        self.hi = kmax + 5
         self.nlen = self.hi - self.lo + 1
         self.npiv = (kmax + 1) // 2     # the pivots 2p + 1 at a point
         self.degree = [(k - 1) // 2 for k, _ in self.modes]
@@ -443,7 +442,7 @@ class _EoEngine(_CellRecursion):
         self._factor_cache = {}
         self._values = {}               # stored values of each cell, in its key order
         self._key_type = np.min_scalar_type(-self.dim)
-        self._plan = _plan((len(self.ram), self.cells, kmax, extra_order))
+        self._plan = _plan((len(self.ram), self.cells, kmax))
         self._setup()
 
     def _setup(self):
@@ -1074,7 +1073,7 @@ def _ways(legs1, legs2):
     return ways
 
 
-def eo_run(curve, chi_max, kmax=None, extra_order=0, cells=None):
+def eo_run(curve, chi_max, kmax=None, cells=None):
     """omega_{g,n} as bergman-basis tensors: all with 2g - 2 + n <= chi_max, or ``cells``.
 
     ``cells`` lists (g, n) up to chi_max; the run fills them and the cells
@@ -1085,11 +1084,9 @@ def eo_run(curve, chi_max, kmax=None, extra_order=0, cells=None):
         raise ValueError(f"chi_max must be at least 1, got {chi_max}")
     if kmax is not None and kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    if extra_order < 0:
-        raise ValueError(f"extra_order must be at least 0, got {extra_order}")
     if kmax is None:
         kmax = fill_bound(chi_max, cells)
-    engine = _EoEngine(curve, chi_max, kmax, extra_order, cells)
+    engine = _EoEngine(curve, chi_max, kmax, cells)
     table = engine.run()
     engine._factor_cache.clear()    # tens of MB at chi = 7; _factors rebuilds what is read
     return OmegaGN(table, curve, engine)

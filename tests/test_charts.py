@@ -867,6 +867,34 @@ def test_ebar_truncation_gate_names_its_numbers():
     assert np.all(np.isfinite(ebar_at_points(bk, charts[(0, 1)], z, y, k_bound=3)))
 
 
+def test_ebar_at_points_refuses_a_point_inside_its_circle():
+    # ebar read at a point is a coefficient extraction of B(p, .) on the
+    # chart's circle, spoiled by the kernel's pole at p inside it: a point
+    # inside the (0, 1) circle on its sheet is refused, naming the point, the
+    # chart, its distance from the root and the radius.  The same z on the
+    # other sheet is not refused, and just outside, at 1.2 times the radius,
+    # the values are those of an extraction at half the radius
+    curve, _, _, bk, charts, _, _ = _Setup.get()
+    ch = charts[(0, 1)]
+    r = ch.extraction_radius
+    unit = np.exp(2j * np.pi * np.arange(8) / 8)
+    z, y = ch.z_of_etabar.evaluate(0.5 * r * unit), ch.y_curve.evaluate(0.5 * r * unit)
+    with pytest.raises(OutOfNeighbourhood) as err:
+        ebar_at_points(bk, ch, z, y, k_bound=3)
+    m = re.fullmatch(r"ebar at chart \(0, 1\): point z = (\S+) on its sheet is (\S+) from the root,"
+                     r" inside the extraction circle \|etabar\| = (\S+) scaled by 1.15,"
+                     r" which reaches (\S+) from it", str(err.value))
+    assert m, str(err.value)
+    assert complex(m[1]) == pytest.approx(z[0], rel=1e-5)
+    assert float(m[2]) == pytest.approx(abs(z[0] - ch.z_root), rel=1e-2) and float(m[2]) < float(m[4])
+    assert float(m[3]) == pytest.approx(r, rel=1e-5)
+    assert np.all(np.isfinite(ebar_at_points(bk, ch, z, -y, k_bound=3)))
+    z, y = ch.z_of_etabar.evaluate(1.2 * r * unit), ch.y_curve.evaluate(1.2 * r * unit)
+    got = ebar_at_points(bk, ch, z, y, k_bound=7)
+    half = ebar_at_points(bk, replace(ch, extraction_radius=0.5 * r), z, y, k_bound=7)
+    assert np.max(np.abs(got - half)) < 1e-8 * np.max(np.abs(half))
+
+
 def test_a_periods_of_ebars_vanish():
     curve, cycles, pd, bk, charts, *_ = _Setup.get()
     ch = charts[(0, 1)]

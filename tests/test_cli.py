@@ -1,5 +1,6 @@
 """Tests for the command-line interface and report plumbing."""
 
+import copy
 import csv
 import itertools
 import json
@@ -23,7 +24,7 @@ from swtr.cli import (
     reference_stages,
     verify_theorem,
 )
-from swtr.errors import BasisMismatch, TruncationInsufficient
+from swtr.errors import BasisMismatch, SwtrError, TruncationInsufficient
 from swtr.hyperelliptic import build_cycles, invert_a_map, new_curve, periods
 from swtr.spectral import LocalSpectralCurve, eo_run
 
@@ -279,7 +280,7 @@ def test_report_records_the_quadrature(monkeypatch, tmp_path):
 
     monkeypatch.setattr(QuadratureWorkspace, "nodes", counted)
     levels = {}
-    for u0 in ((0.3 + 0.1j,), (0.3 + 0.1j, 0.2 - 0.15j)):
+    for u0 in ((-1.9 - 0.34j,), (0.3 + 0.1j, 0.2 - 0.15j)):
         used.clear()
         rep = verify_theorem(VerifyConfig(genus=len(u0), u0=u0, out_dir=str(tmp_path)))
         cycles = rep.artifacts.cycles
@@ -291,8 +292,28 @@ def test_report_records_the_quadrature(monkeypatch, tmp_path):
         assert max(quad["nodes"].values()) < quad["max_nodes"] == 65536
         assert quad["rule"].startswith("periodic trapezoidal")
         levels[len(u0)] = quad["nodes"]
-    # genus 1 doubles once on both contours; genus 2 stays at the first level
-    assert levels == {1: {"A_1": 256, "C_1": 256}, 2: dict.fromkeys(names, 128)}
+    # the genus 1 point doubles its chain loop once; genus 2 stays at the first level
+    assert levels == {1: {"A_1": 128, "C_1": 256}, 2: dict.fromkeys(names, 128)}
+
+
+def test_generic_moduli_sweep():
+    # standard-normal complex moduli from one generator: 60 draws at genus 1,
+    # 150 at genus 2 and 100 at genus 3, each verified with check_n4.  The
+    # cycles are built from the branch points alone, so at least 97% of each
+    # genus pass, and every other draw is refused by a typed error, none by
+    # a failed check
+    rng = np.random.default_rng(0)
+    sizes = {1: 60, 2: 150, 3: 100}
+    passed, refused = dict.fromkeys(sizes, 0), dict.fromkeys(sizes, 0)
+    for g, n in sizes.items():
+        for _ in range(n):
+            u0 = tuple(rng.standard_normal(g) + 1j * rng.standard_normal(g))
+            try:
+                passed[g] += verify_theorem(VerifyConfig(genus=g, u0=u0, check_n4=True)).passed
+            except SwtrError:
+                refused[g] += 1
+    assert passed == {1: 59, 2: 149, 3: 97}
+    assert all(passed[g] >= 0.97 * n and passed[g] + refused[g] == n for g, n in sizes.items())
 
 
 def test_fourth_derivative_term():
@@ -659,11 +680,16 @@ def test_bperiod_contract_against_nested_quadrature():
     contracted = bperiod_contract(omega.table, c_coeffs, 1, [(0, 3)])[(0, 3)][0, 0, 0]
 
     # direct route: cache ebar values on fixed quadrature nodes of B_1 and
-    # evaluate the multi-differential as a triple sum
+    # evaluate the multi-differential as a triple sum.  B_1's chain loop
+    # crosses the chart circles, where ebar_at_points refuses its nodes; a
+    # copy of it at elliptic sigma 0.3 encloses the same two branch points,
+    # so it is in the same class, and clears them
     ws = cycles.workspace
     nodes = []
     for coef, cont in cycles.b_cycles[0]:
-        data = ws.nodes(cont, 24)
+        cont = copy.copy(cont)
+        cont.sigma = 0.3
+        data = ws.nodes(cont, 48)
         evals = {}
         for lab, ch in charts.items():
             eb = ebar_at_points(bk, ch, data.z, data.y, k_bound=3)

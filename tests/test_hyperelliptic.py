@@ -49,6 +49,8 @@ from swtr.hyperelliptic import (
 U0_G1 = (0.3 + 0.1j,)
 U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
 U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
+#: a g1 point whose chi=5 verify doubles its chain loop to 256 nodes, and its A contour not
+U0_DOUBLING = (-1.9 - 0.34j,)
 
 
 def setup_g1(u=U0_G1):
@@ -284,7 +286,7 @@ def test_neighbourhood_violation_matches_scalar_loop(u0):
     curve, cycles = _curve_and_cycles(u0)
     rng = np.random.default_rng(5)
     moved = []
-    for size in (0.0, 0.003, 0.01, 0.03, 0.1, 0.3):
+    for size in (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
         for _ in range(8):
             du = size * (rng.standard_normal(len(u0)) + 1j * rng.standard_normal(len(u0)))
             moved.append(new_curve(len(u0), np.array(u0) + du))
@@ -772,11 +774,11 @@ def _derivation_refusal(curve, cycles, err):
 
 
 def test_derived_sheet_refuses_ambiguous_sign():
-    # moving u by 0.05 keeps every branch point inside its reference contours,
+    # moving u by 0.6i keeps every branch point inside its reference contours,
     # but one comes so near the chain loop that sqrt(Q) at a node is no
     # longer clearly nearer one sign of the reference sheet than the other
     curve, cycles, _ = setup_g1()
-    moved = new_curve(1, (U0_G1[0] + 0.05,))
+    moved = new_curve(1, (U0_G1[0] + 0.6j,))
     assert _neighbourhood_violations([moved], cycles) == [None]
     derived = replace(cycles, workspace=cycles.workspace.moved_to(moved))
     with pytest.raises(OutOfNeighbourhood) as err:
@@ -800,7 +802,7 @@ def test_invert_a_map_refuses_ambiguous_sheet(monkeypatch):
     good_trials = len({id(c) for c in trials})
     trials.clear()
     with pytest.raises(OutOfNeighbourhood) as err:
-        invert_a_map(curve, cycles, pd, [good, pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi))])
+        invert_a_map(curve, cycles, pd, [good, pd.a * (1.0 + 0.4 * np.exp(0.75j * np.pi))])
     _derivation_refusal(curve, cycles, err.value)
     assert len({id(c) for c in trials}) - good_trials >= 5
 
@@ -886,13 +888,13 @@ def test_workspace_of_another_curve_rejected():
 
 
 def test_invert_a_map_refuses_target_outside_contours():
-    # a 5% move of the A-period carries a branch point out of the thin
-    # reference ellipse around its cut; the reused contours no longer
-    # compute A-periods there.  For the complex 10% move a Newton trial
-    # crosses a contour before any converged curve exists: the trial is a
-    # failed damping step, not a quadrature run into the panel cap
+    # a 50% move of the A-period, real or turned by pi / 8, carries a branch
+    # point out of the reference chain loop; the reused contours no longer
+    # compute A-periods there.  Each solve ends on a damping sequence whose
+    # trials all cross a contour: every trial is a failed damping step, not
+    # a quadrature run into the panel cap
     curve, cycles, pd = setup_g1()
-    for target in (pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)):
+    for target in (pd.a * 1.5, pd.a * (1.0 + 0.5 * np.exp(0.125j * np.pi))):
         with pytest.raises(OutOfNeighbourhood, match="elliptic sigma"):
             invert_a_map(curve, cycles, pd, [target])
 
@@ -952,7 +954,7 @@ def test_line_node_outside_the_contours_is_refused_by_name(monkeypatch):
     # refused before any integral, naming the node: its index on the
     # circle, its modulus and its u, the first such node of all
     curve, cycles, pd = setup_g1()
-    r = 0.05 * np.max(np.abs(pd.a))
+    r = 0.5 * np.max(np.abs(pd.a))
     nodes = (1, 1j, -1, -1j)
     v = np.linalg.solve(-pd.a_jacobian, np.eye(1))
     us = [np.array(curve.u) + r * w * v[:, 0] for w in nodes]
@@ -1017,8 +1019,8 @@ def test_batch_invert_raises_the_lowest_failing_row():
     # lowest failing row's, word for word its solo message
     curve, cycles, pd = setup_g1()
     good = [pd.a * (1.0 + s) for s in (1e-3, -1e-3j, 2e-3)]
-    out_a, out_b = pd.a + 0.05 * np.abs(pd.a), pd.a * (1.0 + 0.1j)
-    sheet = pd.a * (1.0 + 0.05 * np.exp(0.75j * np.pi))
+    out_a, out_b = pd.a * 1.5, pd.a * (1.0 + 0.5 * np.exp(0.125j * np.pi))
+    sheet = pd.a * (1.0 + 0.4 * np.exp(0.75j * np.pi))
     solo = {id(t): _solo_error(curve, cycles, pd, t) for t in (out_a, out_b, sheet)}
     assert len(set(solo.values())) == 3
     for batch, first in (([good[0], out_a, good[1]], out_a),
@@ -1037,7 +1039,7 @@ def test_row_workspace_fails_rows_alone():
     # the row's single moved workspace raises: a sheet refusal, and the
     # panel cap with each row's own worst component and closure
     curve, cycles, _ = setup_g1()
-    rows = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.05, -2e-3j)]
+    rows = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.6j, -2e-3j)]
     cont = cycles.chain_loops[0]
     ws = cycles.workspace.moved_to(CurveRows(rows))
 
@@ -1100,10 +1102,10 @@ def test_rows_fail_only_at_levels_they_need():
 
 
 def test_doubled_level_derives_only_new_nodes(monkeypatch):
-    # a g1 chi=5 verify doubles both contours to 256 nodes; the line pass
-    # derives the 8 rows' sheets on both contours in one pass per level, and
-    # at 256 at the 128 new odd nodes of each contour only, the even ones
-    # being the 128 level's
+    # a g1 chi=5 verify at U0_DOUBLING doubles its chain loop to 256 nodes;
+    # the line pass derives the 8 rows' sheets on both contours in one pass
+    # at 128, and at 256 on the chain loop only, at its 128 new odd nodes,
+    # the even ones being the 128 level's
     derived, inside = [], []
     levels, q_at = QuadratureWorkspace._derived_levels, CurveRows.q_at
 
@@ -1122,10 +1124,10 @@ def test_doubled_level_derives_only_new_nodes(monkeypatch):
 
     monkeypatch.setattr(QuadratureWorkspace, "_derived_levels", record)
     monkeypatch.setattr(CurveRows, "q_at", count)
-    report = verify_theorem(VerifyConfig(genus=1, u0=U0_G1, chi_max=5))
+    report = verify_theorem(VerifyConfig(genus=1, u0=U0_DOUBLING, chi_max=5))
     assert report.passed
-    assert report.metadata["quadrature"]["nodes"] == {"A_1": 256, "C_1": 256}
-    assert sorted(map(tuple, derived)) == [(128, 8, 2, 2 * 128), (256, 8, 2, 2 * 128)]
+    assert report.metadata["quadrature"]["nodes"] == {"A_1": 128, "C_1": 256}
+    assert sorted(map(tuple, derived)) == [(128, 8, 2, 2 * 128), (256, 8, 1, 128)]
 
 
 def test_doubled_level_keeps_the_whole_levels_worst_node():
@@ -1133,7 +1135,7 @@ def test_doubled_level_keeps_the_whole_levels_worst_node():
     # row's worst gate ratio and node, and the refusals of the same level
     # derived at every node afresh; row 1 misses the gate
     curve, cycles, _ = setup_g1()
-    rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.05, -2e-3j)])
+    rows = CurveRows([new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, 0.6j, -2e-3j)])
     refused = set()
     for cont in cycles.chain_loops + [cycles.a_cycles[0][0][1]]:
         doubled, fresh = (cycles.workspace.moved_to(rows) for _ in range(2))
@@ -1164,11 +1166,12 @@ def test_closure_walked_only_where_read(monkeypatch):
     # is open: a closure that would fail at a level after the row was
     # accepted is never computed, and one that fails at any level the row
     # needs is its error, on a CurveRows workspace and on a single moved
-    # curve alike.  The last row needs 512 nodes; row 0 of two is accepted
-    # at 256
+    # curve alike.  On a thin ellipse around the A cut the last row needs
+    # 512 nodes; row 0 of two is accepted at 256
     curve, cycles, _ = setup_g1()
     moved = [new_curve(1, (U0_G1[0] + du,)) for du in (1e-3, -2e-3j)]
-    cont = cycles.a_cycles[0][0][1]
+    a_cont = cycles.a_cycles[0][0][1]
+    cont = EllipseContour(a_cont.f1, a_cont.f2, 0.27)
     form = _pole_form(cont, 0.125)
 
     for target in (CurveRows(moved), moved[1]):
@@ -1254,18 +1257,18 @@ def test_stacked_pass_keeps_every_bit(u0, monkeypatch):
 
 
 def test_stacked_pass_keeps_every_bit_through_a_doubling(monkeypatch):
-    # at the g1 chi=5 CI point the line pass doubles both contours to 256
+    # at U0_DOUBLING the g1 chi=5 verify doubles its chain loop to 256
     # nodes; every number the verifier reports is bitwise the one each
     # contour integrated alone gives
     def report():
-        rep = verify_theorem(VerifyConfig(genus=1, u0=U0_G1, chi_max=5))
+        rep = verify_theorem(VerifyConfig(genus=1, u0=U0_DOUBLING, chi_max=5))
         checks = [(c.name, np.complex128(c.lhs).tobytes(), np.complex128(c.rhs).tobytes())
                   for c in rep.checks]
         return checks, repr({k: v for k, v in rep.metadata.items()})
 
     stacked, alone = _stacked_and_alone(monkeypatch, report)
     assert stacked == alone
-    assert "'nodes': {'A_1': 256, 'C_1': 256}" in stacked[1]
+    assert "'nodes': {'A_1': 128, 'C_1': 256}" in stacked[1]
 
 
 def test_row_error_is_its_first_contours():

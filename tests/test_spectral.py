@@ -182,20 +182,6 @@ def test_atr_eo_two_points_chi3():
     assert dev < 1e-9
 
 
-def test_extraction_order_independence():
-    rng = np.random.default_rng(3)
-    s = random_s(("0",), 9, rng)
-    curve = LocalSpectralCurve(ram=("0",), bergman_reg=s)
-    o1 = eo_run(curve, chi_max=3)
-    o2 = eo_run(curve, chi_max=3, extra_order=8)
-    for (g, n) in o1.cells():
-        keys = set(o1.table.entries[(g, n)]) | set(o2.table.entries[(g, n)])
-        for key in keys:
-            v1 = o1.table.entries[(g, n)].get(key, 0j)
-            v2 = o2.table.entries[(g, n)].get(key, 0j)
-            assert abs(v1 - v2) < 1e-11 * max(1.0, abs(v1))
-
-
 def test_output_symmetry():
     rng = np.random.default_rng(11)
     s = random_s(("0",), 9, rng)
@@ -968,7 +954,7 @@ def test_product_columns_are_convolve_columns_bitwise():
     # for its leading rows only has their bits, as does the all-column
     # reference
     rng = np.random.default_rng(59)
-    sizes = {_EoEngine(airy_point(), chi, max_index_bound(chi), extra).nlen
+    sizes = {_EoEngine(airy_point(), chi, max_index_bound(chi)).nlen + extra
              for chi in range(1, 8) for extra in (0, 8)}
     for size in sorted(sizes):
         for mag in (1e-8, 1.0, 1e8):
@@ -1097,7 +1083,7 @@ def test_setup_tables_match_loop_reference():
     s = random_s(ram + ("x",), 11, rng)     # label x is not a ramification point here
     s.update(random_s(("p",), 30, rng))     # modes beyond the window are left out
     curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
-    engine = _EoEngine(curve, 3, 10, extra_order=3)
+    engine = _EoEngine(curve, 3, 10)
     *refs, res = _loop_setup(engine, _symmetrized(s))
     # the -z series the products read is loc_p times the exact sign flip
     tables = engine.loc_p, engine.loc_p * engine._flip, engine.b_pm
@@ -1147,8 +1133,8 @@ def test_stacked_setup_matches_per_point_copy_bitwise():
     s = random_s(ram + ("x",), 11, rng)
     s.update(random_s(("p",), 30, rng))
     curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
-    for chi, extra in ((3, 3), (5, 0)):
-        engine = _EoEngine(curve, chi, max_index_bound(chi), extra_order=extra)
+    for chi in (3, 5):
+        engine = _EoEngine(curve, chi, max_index_bound(chi))
         residues, points = _per_point_setup(engine)
         for name, want in zip(("res_vec", "res_cols"), residues):
             got = getattr(engine, name)
@@ -1289,9 +1275,7 @@ def test_eo_run_refuses_empty_windows():
     # by name before any work
     for kwargs, text in ((dict(chi_max=0), "chi_max must be at least 1, got 0"),
                          (dict(kmax=0), "kmax must be at least 1, got 0"),
-                         (dict(kmax=-2), "kmax must be at least 1, got -2"),
-                         (dict(extra_order=-1), "extra_order must be at least 0, got -1"),
-                         (dict(extra_order=-8), "extra_order must be at least 0, got -8")):
+                         (dict(kmax=-2), "kmax must be at least 1, got -2")):
         with pytest.raises(ValueError) as err:
             eo_run(airy_point(), **{"chi_max": 2, **kwargs})
         assert str(err.value) == text
