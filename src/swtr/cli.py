@@ -318,10 +318,11 @@ def periods_json_payload(art):
 # B-period contraction
 # ---------------------------------------------------------------------------
 
-def bperiod_contract(table, c_coeffs, genus, cells):
+def bperiod_contract(table, c_coeffs, cells):
     """Iterated B-periods of the tensor cells ``cells``, a list of (g, n) keys of the table.
 
-    Returns {(g, n): array of shape (genus,)*n}, one entry per cell named, with
+    Returns {(g, n): array of shape (genus,)*n}, one entry per cell named,
+    genus the length of each c vector, with
 
         M_{j1..jn} = (2 pi i)^n sum_T S_{g,n;(k,a)...} prod c^{k_t,a_t}_{j_t},
 
@@ -455,7 +456,7 @@ def verify_theorem(cfg):
     local_curve = LocalSpectralCurve(ram=tuple(sorted(art.charts)), bergman_reg=art.s_coeffs)
     omega = eo_run(local_curve, cfg.chi, cells=cells)
     # only the cells a check reads: (0, 3), and (0, 4) for the n = 4 checks
-    contractions = bperiod_contract(omega.table, art.c_coeffs, g,
+    contractions = bperiod_contract(omega.table, art.c_coeffs,
                                     [(0, 3), (0, 4)] if cfg.check_n4 else [(0, 3)])
     bp3 = contractions[(0, 3)]
     t3 = time.perf_counter()

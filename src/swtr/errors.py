@@ -52,9 +52,9 @@ class QuadratureNotConverged(SwtrError):
     """A numerical stage of the period layer missed its cap or gate.
 
     Raised by ``QuadratureWorkspace.integrate`` when adaptive contour
-    quadrature exceeds its refinement cap; by ``SheetTracker.anchor`` when
+    quadrature exceeds its refinement cap; by ``SheetTracker.anchors`` when
     every radial approach to a point passes too near a branch point; by the
-    closed-form sheet continuation (``SheetTracker.walk_segment``,
+    closed-form sheet continuation (``SheetTracker._walk``,
     ``SheetTracker.track_along`` and a contour's sheet closure) when a branch
     point lies on a segment within rounding; and by ``invert_a_map`` when a
     target's Newton iteration reaches its 50-step cap or its damping finds no

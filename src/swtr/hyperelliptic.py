@@ -6,13 +6,14 @@ residueless one-form dS = z P'(z) dz / y with double poles over z = infinity.
 Holomorphic one-forms are spanned by z^{m-1} dz / y.
 
 Cycles are realized as ellipses in the z-plane with branch points as foci:
-A_i encircles the i-th branch cut, the chain loops C_i bridge consecutive
-cuts, and B_i = C_i + C_{i+1} + ... + C_g.  Sheets are continued along each
-contour from the principal sheet (y ~ +z^{g+1} at large |z|) in closed
-form: Q is monic, so along a straight segment that misses every branch
-point e, y(z1) = y(z0) prod_e sqrt((z1 - e) / (z0 - e)) with principal
-roots.  A nearby curve reuses the reference nodes and takes at each the
-sign of sqrt(Q) nearer the reference sheet, under a checked margin.  Period
+A_i encircles the i-th branch cut, the clockwise chain loops C_i bridge
+consecutive cuts, and B_i = s_i C_i + ... + s_g C_g with signs s_k = +-1.
+Sheets are continued along each contour from the principal sheet
+(y ~ +z^{g+1} at large |z|) in closed form: Q is monic, so along a straight
+segment that misses every branch point e,
+y(z1) = y(z0) prod_e sqrt((z1 - e) / (z0 - e)) with principal roots.  A
+nearby curve reuses the reference nodes and takes at each the sign of
+sqrt(Q) nearer the reference sheet, under a checked margin.  Period
 integrals use the periodic trapezoidal rule on the ellipse parameter, which
 converges geometrically for these analytic periodic integrands and nests:
 the terms at N nodes give I_N and, from the even ones, I_{N/2}, so a
@@ -33,7 +34,6 @@ A-periods, exact in the A-period moments of z^j dz / y, j = 0..2g+2.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, replace
@@ -173,41 +173,20 @@ class SheetTracker:
         ratio = self.curve.q_at(z) / z ** (2 * gg + 2)
         return z ** (gg + 1) * np.sqrt(ratio)
 
-    def walk_segment(self, z0, y0, z1):
-        """Continue y from (z0, y0) to z1 along the straight segment.
-
-        The sign of sqrt(Q(z1)) nearer y0 times the factor of ``_continuation``;
-        raises its QuadratureNotConverged where a branch point lies on the segment.
-        """
-        y, errors = self._walk(z0, y0, z1)
-        if errors:
-            raise errors[0]
-        return y
-
     def _walk(self, z0, y0, z1):
-        """``walk_segment`` elementwise on arrays of segments: y at each z1, and
-        {segment: QuadratureNotConverged} of the segments refused."""
+        """y at each z1, the sign of sqrt(Q(z1)) nearer y0 times ``_continuation``'s factor
+        along z0 -> z1, elementwise, and {segment: QuadratureNotConverged} of those refused."""
         factor, errors = _continuation(self.curve.branch_points, z0, z1)
         est = y0 * factor
         cand = np.sqrt(self.curve.q_at(z1))
         return np.where(np.abs(cand - est) <= np.abs(cand + est), cand, -cand)[()], errors
 
-    def anchor(self, z_target):
-        """y at z_target continued radially from the principal sheet far away.
-
-        The one-target case of ``anchors``; raises its error.
-        """
-        ys, errors = self.anchors([z_target])
-        if errors:
-            raise errors[0]
-        return ys[0]
-
     def anchors(self, targets):
         """y at each of ``targets`` continued radially from the principal sheet far away.
 
         One segment from radius ``r_far`` per target, on the first turned ray
-        that passes every branch point at 1e-6 * scale or more; all targets'
-        rays, far sheets and walks are one array pass each.  Returns the
+        that passes every branch point at ``_ANCHOR_GAP`` * scale or more; all
+        targets' rays, far sheets and walks are one array pass each.  Returns the
         values and {target index: QuadratureNotConverged} of the targets that
         no ray reaches or whose walk is refused.
         """
@@ -216,7 +195,7 @@ class SheetTracker:
         d = targets - self.centroid
         d = np.where(np.abs(d) < 1e-9, 1.0, d)
         d = d / np.abs(d)
-        gap = 1e-6 * self.curve.scale()
+        gap = _ANCHOR_GAP * self.curve.scale()
         rays = self.centroid + self.r_far * (d[:, None] * np.exp(1j * _ANCHOR_TURNS))
         clear = np.min(_segment_distance(rays[..., None], targets[:, None, None], e),
                        axis=-1) >= gap
@@ -263,6 +242,8 @@ class SheetTracker:
 
 # the turns of the ray from the centroid that ``SheetTracker.anchors`` tries, in order
 _ANCHOR_TURNS = np.array([0.0, 0.15, -0.15, 0.35, -0.35])
+# an anchor's ray passes every branch point at this times the curve's scale or more
+_ANCHOR_GAP = 1e-6
 
 
 # a segment is refused where pi - |arg r_e| is at most this for a branch point e
@@ -309,28 +290,24 @@ def _segment_distance(a, b, p):
 # ---------------------------------------------------------------------------
 
 class EllipseContour:
-    """Ellipse with the two given points as foci, counterclockwise unless reversed."""
+    """Ellipse with the two given points as foci: counterclockwise for ``orientation``
+    +1, clockwise for -1, from the same start point."""
 
-    def __init__(self, f1, f2, sigma, start_outward_from=None):
+    def __init__(self, f1, f2, sigma, orientation=1, start_outward_from=None):
         self.f1 = complex(f1)
         self.f2 = complex(f2)
         self.center = 0.5 * (f1 + f2)
         self.u = 0.5 * (f2 - f1)
         self.sigma = float(sigma)
-        self.orientation = 1
+        self.orientation = orientation
         if start_outward_from is not None:
             d0 = abs(self.center + self.u * np.cosh(sigma) - start_outward_from)
             d1 = abs(self.center - self.u * np.cosh(sigma) - start_outward_from)
             if d0 < d1:
                 self.u = -self.u
 
-    def reversed(self):
-        """Copy traversed the other way: evaluated at 1 - t mod 1, velocity negated."""
-        out = copy.copy(self)
-        out.orientation = -self.orientation
-        return out
-
     def _theta(self, t):
+        # clockwise, t and 1 - t mod 1 share a node grid t = k / N, N a power of two
         t = np.asarray(t)
         return 2.0 * np.pi * (t if self.orientation > 0 else (1.0 - t) % 1.0)
 
@@ -344,10 +321,6 @@ class EllipseContour:
         v = 2.0 * np.pi * self.u * (-np.sin(th) * np.cosh(self.sigma)
                                     + 1j * np.cos(th) * np.sinh(self.sigma))
         return v if self.orientation > 0 else -v
-
-    def elliptic_sigma(self, p):
-        """Elliptic radial coordinate of p, a point or an array of points, in this focal frame."""
-        return _elliptic_sigma(p, self.center, self.u)
 
 
 def _elliptic_sigma(p, center, u):
@@ -395,17 +368,6 @@ class _ContourNodes:
         self.errors = errors or {}    # {row: exception}; a single curve is row 0
         self.worst = worst            # (ratio, node), one entry per row
         self._closure = np.full(len(e), np.nan)      # per row, nan until read
-
-    def closures(self, rows):
-        """The closure of each row, nan for rows not read, computing ``rows`` not yet computed.
-
-        The one-level case of ``_read_closures``.  On one curve (y of shape
-        (N,)) the closure is a float.
-        """
-        need = np.zeros((len(self.e), 1), dtype=bool)
-        need[list(rows)] = True
-        out = _read_closures([self], need)[0][:, 0]
-        return out if self.y.ndim > 1 else out[0]
 
 
 class CurveRows:
@@ -495,8 +457,8 @@ class QuadratureWorkspace:
     in one array pass (``_fill``): a tracked workspace anchors and tracks
     the nodes of every contour at once, a derived one derives them at once.
     Each (contour, N) level is then kept on its own, where ``nodes``,
-    ``reversed``, ``integrate`` and ``quadrature_record`` read it.
-    ``integrate`` takes a list of contours and integrates them together.
+    ``integrate`` and ``quadrature_record`` read it.  ``integrate`` takes a
+    list of contours and integrates them together.
 
     A workspace made by ``moved_to`` derives its sheets from the one it was
     moved from: it shares that workspace's nodes z and dz/dt, and at each
@@ -527,22 +489,6 @@ class QuadratureWorkspace:
         moved = QuadratureWorkspace(curve)
         moved._reference = self
         return moved
-
-    def reversed(self, contour):
-        """``contour.reversed()``, with the levels kept here for ``contour`` read backwards.
-
-        For N a power of two the grid t = k / N maps onto itself under
-        t -> 1 - t mod 1, so node k of the reversed contour is node -k mod N
-        of ``contour``: bitwise the point and the sheet a fresh tracking
-        gives, and the velocity negated.
-        """
-        rev = contour.reversed()
-        for (c, n), d in list(self._cache.items()):
-            if c is contour:
-                k = -np.arange(n) % n
-                self._cache[rev, n] = _ContourNodes(d.z[k], -d.dzdt[k], d.y[..., k],
-                                                    self._rows.branch_points)
-        return rev
 
     def nodes(self, contour, n_panels):
         """Nodes, weight, sheets and sheet closure of ``contour`` at ``n_panels`` one-node panels."""
@@ -710,10 +656,6 @@ class QuadratureWorkspace:
             values[c] = out[..., i].reshape(shape)
         return values, errors
 
-    def integrate_cycle(self, cycle, integrand, tol=1e-10):
-        """Integral over a composite cycle [(coef, contour), ...], its contours in one pass."""
-        return _cycle_periods(self, [cycle], integrand, tol)[0]
-
 
 def quadrature_record(cycles):
     """The rule, its first level and cap, and per contour (A_i, then the chain
@@ -817,9 +759,11 @@ def _not_converged(last, delta, gate, done, closure):
 
 @dataclass
 class CycleBasis:
+    """A/B cycles as [(coef, contour)] composites, oriented by their coefficients."""
+
     a_cycles: list                # list of [(coef, contour)] composites
     b_cycles: list
-    chain_loops: list             # the C_i building blocks of the B's
+    chain_loops: list             # the C_i building blocks of the B's, clockwise
     cuts: list                    # list of (e1, e2) branch-point pairs
     intersection_matrix: np.ndarray = None
     workspace: QuadratureWorkspace = None
@@ -837,14 +781,17 @@ def build_cycles(curve):
     """Symplectic homology basis from the branch-cut chain.
 
     Pairing is nearest-neighbour on the argument-sorted branch points with a
-    crossing check.  A_i rings cut i; the chain loop C_i rings the bridge
-    between cuts i and i+1; B_i = C_i + ... + C_g.  The intersection matrix
-    is verified combinatorially with sheet-aware crossing counts: every A_i
-    is crossed with every C_j as polygons of the nodes of their first
-    quadrature level, which the integrals then read.  That level is tracked
-    for all 2g contours in one pass, and the g x g crossing counts are one
-    array pass (``_intersection_matrix``).  A chain loop reversed here reads
-    its nodes backwards.
+    crossing check.  A_i rings cut i counterclockwise; the chain loop C_i
+    rings the bridge between cuts i and i+1 clockwise, and B_i = s_i C_i +
+    ... + s_g C_g, the sign s_k = +-1 the crossing count of A_k with C_k:
+    orientation lives in these coefficients only.  A contour whose start
+    lies within the anchor gap of a branch point is refused before any
+    tracking.  The intersection matrix is verified combinatorially with
+    sheet-aware crossing counts: every A_i is crossed with every C_j as
+    polygons of the nodes of their first quadrature level, which the
+    integrals then read.  That level is tracked for all 2g contours in one
+    pass, and the g x g crossing counts are one array pass
+    (``_intersection_matrix``).
     """
     pts = np.array(curve.branch_points)
     centroid = complex(np.mean(pts))
@@ -865,35 +812,40 @@ def build_cycles(curve):
     if cuts is None:
         raise CycleConstructionFailed("no non-crossing adjacent pairing of branch cuts")
     g = curve.g
+    gap = _ANCHOR_GAP * curve.scale()
 
-    def ellipse(f1, f2):
+    def ellipse(f1, f2, orientation):
         # 0.55 of the way to the nearest foreign branch point in elliptic sigma, at most 1.2;
         # start_outward_from's turn of the frame keeps every sigma, so all stay outside
         others = pts[(np.abs(pts - f1) > 1e-12) & (np.abs(pts - f2) > 1e-12)]
-        sigma = min(0.55 * np.min(_elliptic_sigma(others, 0.5 * (f1 + f2), 0.5 * (f2 - f1))), 1.2)
-        return EllipseContour(f1, f2, sigma, start_outward_from=centroid)
+        sig = _elliptic_sigma(others, 0.5 * (f1 + f2), 0.5 * (f2 - f1))
+        k = np.argmin(sig)
+        cont = EllipseContour(f1, f2, min(0.55 * sig[k], 1.2), orientation,
+                              start_outward_from=centroid)
+        dist = np.min(np.abs(pts - cont.point(0.0)))
+        if dist < gap:
+            raise CycleConstructionFailed(
+                f"contour with foci {f1:.6g}, {f2:.6g} is too thin to anchor: sigma {cont.sigma:.3g}, "
+                f"nearest foreign branch point {others[k]:.6g} at elliptic sigma {sig[k]:.3g}; its "
+                f"start lies {dist:.3e} from a branch point, inside the anchor gap {gap:.3e}")
+        return cont
 
-    a_conts = [ellipse(*cut) for cut in cuts[:g]]
-    c_conts = [ellipse(cuts[i][1], cuts[i + 1][0]) for i in range(g)]
+    a_conts = [ellipse(*cut, 1) for cut in cuts[:g]]
+    c_conts = [ellipse(cuts[i][1], cuts[i + 1][0], -1) for i in range(g)]
 
     ws = QuadratureWorkspace(curve)
     x_mat = _intersection_matrix(ws, a_conts, c_conts)
-    for j in range(g):
-        if x_mat[j, j] == -1:
-            c_conts[j] = ws.reversed(c_conts[j])
-            x_mat[:, j] *= -1
-        elif x_mat[j, j] != 1:
-            raise CycleConstructionFailed(
-                f"A_{j} and C_{j} do not intersect once (got {x_mat[j, j]})")
-    m_int = np.zeros((g, g))
-    for i in range(g):
-        for j in range(g):
-            m_int[i, j] = sum(x_mat[i, k] for k in range(j, g))
+    sign = np.diag(x_mat).tolist()
+    for j, s in enumerate(sign):
+        if abs(s) != 1:
+            raise CycleConstructionFailed(f"A_{j} and C_{j} do not intersect once (got {s})")
+    x_mat *= sign                   # [i, j] = A_i . s_j C_j
+    m_int = np.array([[sum(x_mat[i, j:]) for j in range(g)] for i in range(g)])
     if not np.allclose(m_int, np.eye(g)):
         raise CycleConstructionFailed(f"intersection matrix {m_int} is not the identity")
 
     a_cycles = [[(1.0, c)] for c in a_conts]
-    b_cycles = [[(1.0, c_conts[k]) for k in range(i, g)] for i in range(g)]
+    b_cycles = [[(sign[k], c_conts[k]) for k in range(i, g)] for i in range(g)]
     return CycleBasis(a_cycles=a_cycles, b_cycles=b_cycles, chain_loops=c_conts,
                       cuts=cuts, intersection_matrix=m_int, workspace=ws)
 

@@ -357,7 +357,7 @@ _PLAN_SLOTS = 1
 
 @functools.lru_cache(maxsize=_PLAN_SLOTS)
 def _plan(shape):
-    """The ``_Plan`` of a curve shape: (points, cells filled, kmax)."""
+    """The ``_Plan`` of a curve shape: (points, cells filled)."""
     return _Plan()
 
 
@@ -407,7 +407,7 @@ def _closure(chi_max, cells):
 
 
 def fill_bound(chi_max, cells=None):
-    """The largest index bound 6g + 2n - 4 of the cells ``fill_cells`` gives: eo_run's kmax.
+    """The largest index bound 6g + 2n - 4 of the cells ``fill_cells`` gives: the engine's kmax.
 
     Memoized per (chi_max, cells), as ``fill_cells`` is.
     """
@@ -423,13 +423,12 @@ def _bound(chi_max, cells):
 class _EoEngine(_CellRecursion):
     """Local recursion: residues at each point, filled a whole level at a time."""
 
-    def __init__(self, curve, chi_max, kmax, cells=None):
+    def __init__(self, curve, chi_max, cells=None):
+        self.cells = fill_cells(chi_max, cells)     # the cells run() fills, in its order
+        kmax = fill_bound(chi_max, cells)           # their largest index bound
         # mode list restricted to odd indices (the output lives in the odd part)
         modes = [(k, lab) for lab in curve.ram for k in range(1, kmax + 1, 2)]
         super().__init__(modes, curve.ram, kmax, chi_max, 2, "bergman")
-        self.cells = fill_cells(chi_max, cells)     # the cells run() fills, in its order
-        for g, n in self.cells:
-            self.index_bound(g, n)      # a kmax below a cell's bound is refused here, once
         self.curve = curve
         self.lo = -(kmax + 3)
         self.hi = kmax + 5
@@ -442,7 +441,7 @@ class _EoEngine(_CellRecursion):
         self._factor_cache = {}
         self._values = {}               # stored values of each cell, in its key order
         self._key_type = np.min_scalar_type(-self.dim)
-        self._plan = _plan((len(self.ram), self.cells, kmax))
+        self._plan = _plan((len(self.ram), self.cells))
         self._setup()
 
     def _setup(self):
@@ -1073,20 +1072,16 @@ def _ways(legs1, legs2):
     return ways
 
 
-def eo_run(curve, chi_max, kmax=None, cells=None):
+def eo_run(curve, chi_max, cells=None):
     """omega_{g,n} as bergman-basis tensors: all with 2g - 2 + n <= chi_max, or ``cells``.
 
     ``cells`` lists (g, n) up to chi_max; the run fills them and the cells
-    they read (``fill_cells``), with kmax by default the largest index bound
+    they read (``fill_cells``), with modes up to the largest index bound
     among those (``fill_bound``).
     """
     if chi_max < 1:
         raise ValueError(f"chi_max must be at least 1, got {chi_max}")
-    if kmax is not None and kmax < 1:
-        raise ValueError(f"kmax must be at least 1, got {kmax}")
-    if kmax is None:
-        kmax = fill_bound(chi_max, cells)
-    engine = _EoEngine(curve, chi_max, kmax, cells)
+    engine = _EoEngine(curve, chi_max, cells)
     table = engine.run()
     engine._factor_cache.clear()    # tens of MB at chi = 7; _factors rebuilds what is read
     return OmegaGN(table, curve, engine)

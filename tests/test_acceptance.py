@@ -31,6 +31,7 @@ from swtr.hyperelliptic import (
     omega_value,
     periods,
 )
+from swtr.hyperelliptic import _cycle_periods
 from swtr.laurent import LaurentSeries, SeriesDifferential, symplectic_pairing
 from swtr.spectral import (
     LocalSpectralCurve,
@@ -180,7 +181,7 @@ def test_criterion_6_hyperelliptic_numerics_g1():
     for m in (1, -1, 2, -2):
         (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [pd.a + m * (h / 2)], tol=1e-11)
         ws_m = moved_cycles.workspace
-        b_vals[m] = ws_m.integrate_cycle(moved_cycles.b_cycles[0], ds_sw(moved), tol=1e-11)
+        b_vals[m] = _cycle_periods(ws_m, [moved_cycles.b_cycles[0]], ds_sw(moved), 1e-11)[0]
     fd_h = (b_vals[2] - b_vals[-2]) / (2 * h)
     fd_h2 = (b_vals[1] - b_vals[-1]) / h
     fd = (4 * fd_h2 - fd_h) / 3.0
@@ -192,20 +193,20 @@ def test_criterion_6_hyperelliptic_numerics_g1():
     bper_dev = 0.0
     for _ in range(6):
         zq = c0 + 2.1 * curve.scale() * np.exp(2j * np.pi * rng.random())
-        yq = ws.tracker.anchor(zq)
+        yq = ws.tracker.anchors([zq])[0][0]
         zp = c0 + 1.8 * curve.scale() * np.exp(2j * np.pi * rng.random())
-        yp = ws.tracker.anchor(zp)
+        yp = ws.tracker.anchors([zp])[0][0]
         sym_dev = max(sym_dev, abs(bk.value(zp, yp, zq, yq) - bk.value(zq, yq, zp, yp)))
-        bint = ws.integrate_cycle(cycles.b_cycles[0],
-                                  lambda z, y: bk.value(z, y, zq, yq))
+        bint = _cycle_periods(ws, [cycles.b_cycles[0]],
+                              lambda z, y: bk.value(z, y, zq, yq), 1e-10)[0]
         expect = 2j * np.pi * omega_value(pd, 0, zq, yq)
         bper_dev = max(bper_dev, abs(bint - expect) / abs(expect))
     a_dev = 0.0
     for _ in range(3):
         zq = c0 + 2.0 * curve.scale() * np.exp(2j * np.pi * rng.random())
-        yq = ws.tracker.anchor(zq)
-        a_dev = max(a_dev, abs(ws.integrate_cycle(
-            cycles.a_cycles[0], lambda z, y: bk.value(z, y, zq, yq))))
+        yq = ws.tracker.anchors([zq])[0][0]
+        a_dev = max(a_dev, abs(_cycle_periods(
+            ws, [cycles.a_cycles[0]], lambda z, y: bk.value(z, y, zq, yq), 1e-10)[0]))
     oracle_dev = _elliptic_oracle_deviation(curve, cycles, pd, bk)
     elapsed = time.time() - t0
     ok = (tau_dev < 1e-5 and sym_dev < 1e-9 and a_dev < 1e-8
@@ -234,13 +235,13 @@ def _elliptic_oracle_deviation(curve, cycles, pd, bk, n_pairs=20):
         zs = c0 + radius * np.exp(1j * th)
         ys = ws.tracker.track_along(zs, y_start)
         vals = omega_value(pd, 0, zs, ys) * (1j * radius * np.exp(1j * th))
-        y_end = ws.tracker.walk_segment(
-            complex(zs[-1]), ys[-1], complex(c0 + radius * np.exp(1j * th1)))
+        y_end = ws.tracker._walk(
+            complex(zs[-1]), ys[-1], complex(c0 + radius * np.exp(1j * th1)))[0]
         return np.sum(vals * wall), y_end
 
     pts = []
     v_acc, th_prev = 0.0, 0.0
-    y_prev = ws.tracker.anchor(c0 + radius)
+    y_prev = ws.tracker.anchors([c0 + radius])[0][0]
     for th in angles:
         dv, y_prev = arc(th_prev, th, y_prev)
         v_acc += dv

@@ -477,15 +477,15 @@ def test_bperiod_contract_zero_and_mismatch():
     table = SgnTable([(1, "0"), (3, "0")], basis_tag="bergman")
     table.entries[(0, 3)] = {}
     zero_c = {m: np.zeros(1, dtype=complex) for m in table.modes}
-    out = bperiod_contract(table, zero_c, 1, [(0, 3)])
+    out = bperiod_contract(table, zero_c, [(0, 3)])
     assert np.max(np.abs(out[(0, 3)])) == 0
     # all-zero c
     table.entries[(0, 3)] = {(0, 0, 0): 0.5}
-    out = bperiod_contract(table, zero_c, 1, [(0, 3)])
+    out = bperiod_contract(table, zero_c, [(0, 3)])
     assert np.max(np.abs(out[(0, 3)])) == 0
     table.basis_tag = "canonical"
     with pytest.raises(BasisMismatch):
-        bperiod_contract(table, {}, 1, [(0, 3)])
+        bperiod_contract(table, {}, [(0, 3)])
 
 
 def test_bperiod_contract_refuses_missing_c_mode():
@@ -494,7 +494,7 @@ def test_bperiod_contract_refuses_missing_c_mode():
     table.entries[(0, 3)] = {(0, 0, 2): 0.5}
     c = {(1, "0"): np.ones(1, dtype=complex), (3, "0"): np.ones(1, dtype=complex)}
     with pytest.raises(TruncationInsufficient, match=re.escape("table mode (5, '0')")):
-        bperiod_contract(table, c, 1, [(0, 3)])
+        bperiod_contract(table, c, [(0, 3)])
 
 
 def _dense_contract(table, c_coeffs, genus):
@@ -523,7 +523,7 @@ def test_bperiod_contract_matches_dense_expansion(n):
     table.entries[(1, 1)] = {(2,): 0.3 - 0.1j}
     c_coeffs = {m: rng.standard_normal(3) + 1j * rng.standard_normal(3) for m in modes[:-1]}
     c_coeffs[modes[-1]] = np.zeros(3, dtype=complex)
-    got = bperiod_contract(table, c_coeffs, 3, list(table.entries))
+    got = bperiod_contract(table, c_coeffs, list(table.entries))
     ref = _dense_contract(table, c_coeffs, 3)
     for cell in ref:
         scale = float(np.max(np.abs(ref[cell])))
@@ -542,7 +542,7 @@ def test_bperiod_contract_memory_genus_two_chi_three():
     c_coeffs = {m: rng.standard_normal(2) + 1j * rng.standard_normal(2) for m in table.modes}
     tracemalloc.start()
     try:
-        out = bperiod_contract(table, c_coeffs, 2, list(table.entries))
+        out = bperiod_contract(table, c_coeffs, list(table.entries))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,7 +566,7 @@ def test_chi_three_contraction_needs_no_wider_data():
     def contract(s_coeffs, c_coeffs):
         curve = LocalSpectralCurve(ram=tuple(sorted(charts)), bergman_reg=dict(s_coeffs))
         table = eo_run(curve, 3).table
-        return bperiod_contract(table, c_coeffs, 1, list(table.entries))
+        return bperiod_contract(table, c_coeffs, list(table.entries))
 
     got, wide = contract(narrow_s, narrow_c), contract(wide_s, wide_c)
     assert sorted(got) == sorted(wide) and len(got) == 7
@@ -648,8 +648,8 @@ def test_verify_fills_genus_zero_only_and_moves_no_bit(monkeypatch, genus, chi_m
     for cell in cells:
         assert _by_modes(rep.omega.table, cell) == _by_modes(full.omega.table, cell), cell
     contracted = [(0, 3), (0, 4)] if check_n4 else [(0, 3)]
-    assert _bits(bperiod_contract(rep.omega.table, rep.artifacts.c_coeffs, genus, contracted)) == (
-        _bits(bperiod_contract(full.omega.table, full.artifacts.c_coeffs, genus, contracted)))
+    assert _bits(bperiod_contract(rep.omega.table, rep.artifacts.c_coeffs, contracted)) == (
+        _bits(bperiod_contract(full.omega.table, full.artifacts.c_coeffs, contracted)))
     art, wide = rep.artifacts, full.artifacts
     assert max(k for k, _ in art.c_coeffs) == reach < max(k for k, _ in wide.c_coeffs)
     assert _bits(art.c_coeffs) == _bits({m: v for m, v in wide.c_coeffs.items() if m[0] <= reach})
@@ -677,7 +677,7 @@ def test_bperiod_contract_against_nested_quadrature():
     s_coeffs, c_coeffs = local_expansions(bk, charts, k_bound=7)
     omega = eo_run(LocalSpectralCurve(ram=tuple(sorted(charts)),
                                       bergman_reg=dict(s_coeffs)), chi_max=1)
-    contracted = bperiod_contract(omega.table, c_coeffs, 1, [(0, 3)])[(0, 3)][0, 0, 0]
+    contracted = bperiod_contract(omega.table, c_coeffs, [(0, 3)])[(0, 3)][0, 0, 0]
 
     # direct route: cache ebar values on fixed quadrature nodes of B_1 and
     # evaluate the multi-differential as a triple sum.  B_1's chain loop

@@ -13,6 +13,7 @@ from numpy.polynomial import polynomial as npoly
 import swtr.hyperelliptic as hyperelliptic_module
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import (
+    CycleConstructionFailed,
     NormalizationSolveFailed,
     OutOfNeighbourhood,
     QuadratureNotConverged,
@@ -37,11 +38,13 @@ from swtr.hyperelliptic import (
 from swtr.hyperelliptic import (
     _RowsFailed,
     _cycle_periods,
+    _elliptic_sigma,
     _f_polynomial,
     _intersection_matrix,
     _neighbourhood_violations,
     _period_form,
     _new_curves,
+    _read_closures,
     _segments_cross,
     _shift_const,
 )
@@ -51,6 +54,10 @@ U0_G2 = (0.3 + 0.1j, 0.2 - 0.15j)
 U0_G3 = (0.3 + 0.1j, 0.2 - 0.15j, 0.1 + 0.05j)
 #: a g1 point whose chi=5 verify doubles its chain loop to 256 nodes, and its A contour not
 U0_DOUBLING = (-1.9 - 0.34j,)
+#: a g2 point whose clockwise chain loop C_2 crosses A_2 negatively
+U0_NEGATIVE = (-1.6462 + 0.6654j, -1.4367 - 0.7584j)
+#: a g1 point whose chain loop is so thin that its start lies within the anchor gap
+U0_THIN = (-2.82816 - 0.00441j,)
 
 
 def setup_g1(u=U0_G1):
@@ -182,7 +189,7 @@ def _tracked_polygon(curve, cont, n=600):
     principal sheet: the crossing oracle's polygon."""
     tracker = SheetTracker(curve)
     z = cont.point(np.linspace(0.0, 1.0, n, endpoint=False))
-    return z, tracker.track_along(z, tracker.anchor(complex(z[0])))
+    return z, tracker.track_along(z, tracker.anchors([complex(z[0])])[0][0])
 
 
 def _pairwise_intersection_number(curve, cont_a, cont_b):
@@ -226,43 +233,108 @@ def _draws_g2(n, seed):
 def test_intersection_numbers_match_pairwise_loop():
     # the crossings counted on the first quadrature level's nodes are those
     # of 600-point tracked polygons counted pair by pair, at the CI points,
-    # 100 verify-g2 draws and seeded curves at each genus: the raw numbers on
-    # the chain loops as built, so the same orientations, and the numbers on
-    # the loops as returned, whose reversed nodes the workspace reads
-    reversals = 0
-    for u0 in ([U0_G1, U0_G2, U0_G3] + _draws_g2(100, 18)
+    # 100 verify-g2 draws, seeded curves at each genus and a point whose
+    # clockwise C_2 crosses A_2 negatively; each chain loop's coefficient in
+    # the B-cycles is its crossing count with its own A contour, and with
+    # those signs the intersection matrix is the identity
+    signs = set()
+    for u0 in ([U0_G1, U0_G2, U0_G3, U0_NEGATIVE] + _draws_g2(100, 18)
                + [u for c in (U0_G1, U0_G2, U0_G3) for u in _draws(c, 8, 40 + len(c), 0.15)]):
         curve, cycles = _curve_and_cycles(u0)
-        g, ws = curve.g, cycles.workspace
+        g, ws, loops = curve.g, cycles.workspace, cycles.chain_loops
         a_conts = [c for cycle in cycles.a_cycles for _, c in cycle]
-        built = [c if c.orientation > 0 else c.reversed() for c in cycles.chain_loops]
-        flip = np.array([c.orientation for c in cycles.chain_loops])
-        reversals += int(np.sum(flip < 0))
-        for c_conts, sign in ((built, flip), (cycles.chain_loops, 1)):
-            expect = np.array([[_pairwise_intersection_number(curve, a, c) for c in c_conts]
-                               for a in a_conts], dtype=float)
-            assert np.array_equal(_intersection_matrix(ws, a_conts, c_conts), expect), u0
-            # build_cycles reverses exactly the loops C_j that cross A_j negatively
-            assert np.array_equal(np.diag(expect) * sign, np.ones(g)), u0
-        m_int = np.array([[expect[i, j:].sum() for j in range(g)] for i in range(g)])
+        assert [c.orientation for c in a_conts + loops] == [1] * g + [-1] * g
+        expect = np.array([[_pairwise_intersection_number(curve, a, c) for c in loops]
+                           for a in a_conts], dtype=float)
+        assert np.array_equal(_intersection_matrix(ws, a_conts, loops), expect), u0
+        sign = [coef for coef, _ in cycles.b_cycles[0]]
+        assert cycles.b_cycles == [list(zip(sign[i:], loops[i:])) for i in range(g)], u0
+        assert np.array_equal(np.diag(expect), sign), u0
+        m_int = np.array([[expect[i, j:] @ sign[j:] for j in range(g)] for i in range(g)])
         assert np.array_equal(cycles.intersection_matrix, m_int), u0
-    assert reversals > 0
+        assert np.array_equal(m_int, np.eye(g)), u0
+        signs.update(sign)
+    assert signs == {1.0, -1.0}
+
+
+def _counterclockwise(curve, cont):
+    """``cont`` built counterclockwise, with the frame ``build_cycles`` gives it."""
+    ccw = EllipseContour(cont.f1, cont.f2, cont.sigma,
+                         start_outward_from=complex(np.mean(curve.branch_points)))
+    assert (ccw.orientation, ccw.center, ccw.u) == (1, cont.center, cont.u)
+    return ccw
 
 
 @pytest.mark.parametrize("u0", [U0_G1, U0_G2, U0_G3])
-def test_reversed_chain_loop_reads_its_forward_nodes(u0):
-    # a chain loop that build_cycles reverses is not tracked again: its first
-    # level is the forward loop's read backwards, bitwise the level a fresh
-    # workspace tracks on the reversed loop
+def test_clockwise_chain_loop_reads_the_counterclockwise_level_backwards(u0):
+    # a clockwise chain loop tracked fresh at 128 and 256 nodes has at node k
+    # the counterclockwise loop's node -k mod N: z and y bitwise, dz/dt
+    # negated bitwise, and both sheets close; so its periods are those of the
+    # counterclockwise loop read backwards.  The 128-node level build_cycles
+    # tracked with the A contours is the fresh one
     curve, cycles = _curve_and_cycles(u0)
-    fresh = QuadratureWorkspace(curve)
-    reversed_loops = [c for c in cycles.chain_loops if c.orientation < 0]
-    assert reversed_loops or u0 != U0_G2
-    for cont in reversed_loops:
-        kept, new = cycles.workspace._cache[cont, 128], fresh.nodes(cont, 128)
+    for cont in cycles.chain_loops:
+        ccw = _counterclockwise(curve, cont)
+        for n in (128, 256):
+            cw_level = QuadratureWorkspace(curve).nodes(cont, n)
+            ccw_level = QuadratureWorkspace(curve).nodes(ccw, n)
+            k = -np.arange(n) % n
+            assert cw_level.z.tobytes() == ccw_level.z[k].tobytes()
+            assert cw_level.y.tobytes() == ccw_level.y[k].tobytes()
+            assert cw_level.dzdt.tobytes() == (-ccw_level.dzdt[k]).tobytes()
+            closure, _ = _read_closures([cw_level, ccw_level], np.ones((1, 2), dtype=bool))
+            assert closure.tolist() == [[0.0, 0.0]]
+        kept = cycles.workspace.nodes(cont, 128)
+        fresh = QuadratureWorkspace(curve).nodes(cont, 128)
         for f in ("z", "dzdt", "y"):
-            assert getattr(kept, f).tobytes() == getattr(new, f).tobytes(), f
-        assert kept.closures([0]) == new.closures([0]) == 0.0
+            assert getattr(kept, f).tobytes() == getattr(fresh, f).tobytes(), f
+
+
+def test_negative_chain_loop_carries_its_sign():
+    # the clockwise C_2 crosses A_2 negatively, so it enters the B-cycles with
+    # coefficient -1: B_1 = C_1 - C_2 and B_2 = -C_2.  The B-periods agree with
+    # the same cycles on a counterclockwise copy of C_2 to 1e-14, and the
+    # identity holds there to the fourth derivative
+    curve, cycles = _curve_and_cycles(U0_NEGATIVE)
+    c1, c2 = cycles.chain_loops
+    assert cycles.b_cycles == [[(1.0, c1), (-1.0, c2)], [(-1.0, c2)]]
+    assert np.array_equal(cycles.intersection_matrix, np.eye(2))
+    form = _period_form(curve)
+    got = _cycle_periods(cycles.workspace, cycles.b_cycles, form, 1e-10)
+    ccw = _counterclockwise(curve, c2)
+    ref = _cycle_periods(QuadratureWorkspace(curve), [[(1.0, c1), (1.0, ccw)], [(1.0, ccw)]],
+                         form, 1e-10)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert verify_theorem(VerifyConfig(genus=2, u0=U0_NEGATIVE, check_n4=True)).passed
+
+
+def test_thin_contour_is_refused_before_tracking(monkeypatch):
+    # at this g1 point the bridge's foreign branch point sits at elliptic
+    # sigma 0.00185, so the chain loop's sigma 0.00102 starts it 8.1e-7 from
+    # its own focus, inside the anchor's gap of 1e-6 times the scale: no ray
+    # could anchor it, and build_cycles refuses it by name before it anchors
+    # anything
+    curve = new_curve(1, U0_THIN)
+    anchored = []
+    anchors = SheetTracker.anchors
+    monkeypatch.setattr(SheetTracker, "anchors",
+                        lambda self, targets: anchored.append(targets) or anchors(self, targets))
+    with pytest.raises(CycleConstructionFailed) as err:
+        build_cycles(curve)
+    assert anchored == []
+    m = re.fullmatch(r"contour with foci (\S+), (\S+) is too thin to anchor: sigma (\S+), nearest "
+                     r"foreign branch point (\S+) at elliptic sigma (\S+); its start lies (\S+) "
+                     r"from a branch point, inside the anchor gap (\S+)", str(err.value))
+    assert m, str(err.value)
+    pts = curve.branch_points
+    f1, f2, foreign = (complex(m.group(i)) for i in (1, 2, 4))
+    for z in (f1, f2, foreign):
+        assert np.min(np.abs(pts - z)) < 1e-5
+    assert min(abs(foreign - f1), abs(foreign - f2)) > 1e-3
+    assert float(m.group(3)) == pytest.approx(0.55 * float(m.group(5)), rel=6e-3)   # 3 digits each
+    assert float(m.group(3)) == pytest.approx(0.00102, rel=1e-2)
+    assert float(m.group(6)) == pytest.approx(8.08e-7, rel=1e-2)
+    assert float(m.group(7)) == pytest.approx(1e-6 * curve.scale(), rel=1e-3)
 
 
 def _scalar_neighbourhood_violation(curve, cycles):
@@ -300,14 +372,14 @@ def test_sheet_closure_on_cycles():
     ws = cycles.workspace
     for comp in cycles.a_cycles + cycles.b_cycles:
         for _, cont in comp:
-            data = ws.nodes(cont, 16)
-            assert data.closures([0]) < 1e-8
+            closure, failed = _read_closures([ws.nodes(cont, 16)], np.ones((1, 1), dtype=bool))
+            assert closure[0, 0] < 1e-8 and not failed.any()
 
 
 def _stepped_walk(curve, z0, y0, z1):
     """Continuation of y from (z0, y0) to z1 in steps of 0.2 times the distance
     to the branch points, one scalar sqrt(Q) per step: the oracle for the
-    closed-form ``SheetTracker.walk_segment``.  Returns y and the step count."""
+    closed-form ``SheetTracker._walk``.  Returns y and the step count."""
     z, y = z0, y0
     total = abs(z1 - z0)
     pos, steps = 0.0, 0
@@ -361,7 +433,7 @@ def test_track_along_matches_scalar_continuation(u0):
     far_steps = dict.fromkeys(node_sets, 0)
     for kind, sets in node_sets.items():
         for zs in sets:
-            y_start = tracker.anchor(complex(zs[0]))
+            y_start = tracker.anchors([complex(zs[0])])[0][0]
             expect, far = _scalar_track(curve, zs, y_start)
             far_steps[kind] += far
             got = tracker.track_along(zs, y_start)
@@ -381,11 +453,11 @@ def test_tracked_sheets_take_each_nodes_own_sqrt(u0):
     for cont in [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops:
         z0 = complex(cont.point(0.0))
         z1 = complex(cont.point(0.37))
-        y1 = tracker.walk_segment(z0, tracker.anchor(z0), z1)
+        y1 = tracker._walk(z0, tracker.anchors([z0])[0][0], z1)[0]
         assert y1 in (np.sqrt(curve.q_at(z1)), -np.sqrt(curve.q_at(z1)))
         for n_panels in (8, 64):
             zs = cont.point((np.arange(n_panels)[:, None] + xs).ravel() / n_panels)
-            ys = tracker.track_along(zs, tracker.anchor(complex(zs[0])))
+            ys = tracker.track_along(zs, tracker.anchors([complex(zs[0])])[0][0])
             assert np.abs(ys).tobytes() == np.abs(np.sqrt(curve.q_at(zs))).tobytes()
 
 
@@ -419,7 +491,7 @@ def test_closed_form_walk_equals_stepped_oracle(u0):
         expect, n = _stepped_walk(curve, z0, y0, z1)
         steps.append(n)
         crossings += any(_segments_cross(z0, z1, a, b) for a, b in cycles.cuts)
-        assert tracker.walk_segment(z0, y0, z1).tobytes() == expect.tobytes()
+        assert tracker._walk(z0, y0, z1)[0].tobytes() == expect.tobytes()
     assert max(steps) > 150 and crossings >= 10
 
 
@@ -434,19 +506,21 @@ def test_walk_refuses_a_segment_through_a_branch_point():
     z0, z1 = e - (0.3 + 0.1j), e + (0.3 + 0.1j)
     pattern = (r"sheet continuation from (\S+) to (\S+) meets branch point (\S+): "
                r"pi - \|arg\(\(z1 - e\)/\(z0 - e\)\)\| = (\S+) against gate (\S+)")
-    for call in (lambda: tracker.walk_segment(z0, 1.0, z1),
-                 lambda: tracker.track_along(np.array([z0, z1]), 1.0)):
-        with pytest.raises(QuadratureNotConverged) as err:
-            call()
-        m = re.fullmatch(pattern, str(err.value))
-        assert m, str(err.value)
+    _, errors = tracker._walk(z0, 1.0, z1)
+    assert list(errors) == [0]
+    with pytest.raises(QuadratureNotConverged) as err:
+        tracker.track_along(np.array([z0, z1]), 1.0)
+    for exc in (errors[0], err.value):
+        assert isinstance(exc, QuadratureNotConverged)
+        m = re.fullmatch(pattern, str(exc))
+        assert m, str(exc)
         assert complex(m.group(1)) == pytest.approx(z0, rel=1e-5)
         assert complex(m.group(2)) == pytest.approx(z1, rel=1e-5)
         assert complex(m.group(3)) == pytest.approx(e, rel=1e-5)
         assert 0.0 <= float(m.group(4)) <= float(m.group(5)) == 1e-12
     # the same segment nudged off the branch point by 1e-9 is continued
-    assert tracker.walk_segment(z0 + 1e-9j, 1.0, z1 + 1e-9j) ** 2 == pytest.approx(
-        curve.q_at(z1 + 1e-9j), rel=1e-12)
+    y, errors = tracker._walk(z0 + 1e-9j, 1.0, z1 + 1e-9j)
+    assert not errors and y ** 2 == pytest.approx(curve.q_at(z1 + 1e-9j), rel=1e-12)
     # rows of a workspace: the row whose branch point is on the segment fails
     # alone, the nearby curve beside it closes
     rows = CurveRows([new_curve(2, np.array(U0_G2) + 1e-3), curve])
@@ -471,7 +545,7 @@ def test_tau_symmetric_and_positive_g2():
 def test_normalized_a_periods():
     curve, cycles, pd = setup_g1()
     ws = cycles.workspace
-    val = ws.integrate_cycle(cycles.a_cycles[0], lambda z, y: omega_value(pd, 0, z, y))
+    val = _cycle_periods(ws, [cycles.a_cycles[0]], lambda z, y: omega_value(pd, 0, z, y), 1e-10)[0]
     assert abs(val - 1.0) < 1e-9
 
 
@@ -489,7 +563,7 @@ def test_a_derivative_identity():
     for du in (h, -h):
         moved = new_curve(1, (U0_G1[0] + du,))
         ws = QuadratureWorkspace(moved)
-        vals.append(ws.integrate_cycle(cycles.a_cycles[0], ds_sw(moved)))
+        vals.append(_cycle_periods(ws, [cycles.a_cycles[0]], ds_sw(moved), 1e-10)[0])
     fd = (vals[0] - vals[1]) / (2 * h)
     assert abs(fd + pd.a_jacobian[0, 0]) < 1e-6 * max(1.0, abs(fd))
 
@@ -497,7 +571,7 @@ def test_a_derivative_identity():
 def test_quadrature_refinement_stability():
     curve, cycles, pd = setup_g1()
     ws = cycles.workspace
-    v1 = ws.integrate_cycle(cycles.b_cycles[0], ds_sw(curve), tol=1e-10)
+    v1 = _cycle_periods(ws, [cycles.b_cycles[0]], ds_sw(curve), 1e-10)[0]
     b1 = cycles.b_cycles[0]
     vals = ws.integrate([k for _, k in b1], ds_sw(curve), tol=1e-12, start_panels=32)
     v2 = sum(c * v for (c, _), v in zip(b1, vals))
@@ -516,7 +590,7 @@ def _gauss_legendre_integrate(self, contours, integrand, tol=None):
         ys = []
         for c in (self.curve.rows if isinstance(self.curve, CurveRows) else [self.curve]):
             tracker = SheetTracker(c)
-            ys.append(tracker.track_along(np.append(z0, z), tracker.anchor(z0))[1:])
+            ys.append(tracker.track_along(np.append(z0, z), tracker.anchors([z0])[0][0])[1:])
         y = np.array(ys) if isinstance(self.curve, CurveRows) else ys[0]
         out.append(np.sum(np.tile(w / 64, 32) * integrand(z, y) * contour.velocity(t), axis=-1))
     return np.array(out)
@@ -557,7 +631,7 @@ def test_thin_contour_converges_below_the_cap():
     curve, cycles = _curve_and_cycles(U0_G2)
     pd = periods(curve, cycles)
     a0 = cycles.a_cycles[0][0][1]
-    foreign = min(a0.elliptic_sigma(e) for e in curve.branch_points
+    foreign = min(_elliptic_sigma(e, a0.center, a0.u) for e in curve.branch_points
                   if min(abs(e - a0.f1), abs(e - a0.f2)) > 1e-12)
     expect = np.append(pd.a_jacobian[0], pd.a[0])
     levels = []
@@ -570,12 +644,13 @@ def test_thin_contour_converges_below_the_cap():
 
 
 def _scalar_integral(curve, cycle, f):
-    """integrate_cycle of one scalar form on a fresh workspace, and its deepest panel count."""
+    """The period of one scalar form over ``cycle`` on a fresh workspace, and its deepest
+    panel count."""
     ws = QuadratureWorkspace(curve)
     seen = []
     nodes = ws.nodes
     ws.nodes = lambda cont, n: seen.append(n) or nodes(cont, n)
-    return ws.integrate_cycle(cycle, f), max(seen)
+    return _cycle_periods(ws, [cycle], f, 1e-10)[0], max(seen)
 
 
 @pytest.mark.parametrize("genus, u0", [(1, U0_G1), (2, U0_G2)])
@@ -591,7 +666,8 @@ def test_array_integrand_matches_scalar_calls(genus, u0):
     comps += [lambda z, y, m=m: z ** m / y for m in range(genus)]
     levels = set()
     for cycle in cycles.a_cycles + cycles.b_cycles:
-        got = cycles.workspace.integrate_cycle(cycle, lambda z, y: np.stack([f(z, y) for f in comps]))
+        got = _cycle_periods(cycles.workspace, [cycle],
+                             lambda z, y: np.stack([f(z, y) for f in comps]), 1e-10)[0]
         assert got.shape == (len(comps),)
         for f, val in zip(comps, got):
             alone, level = _scalar_integral(curve, cycle, f)
@@ -661,12 +737,12 @@ def test_doubled_level_evaluates_only_its_new_nodes():
 def test_anchor_error_names_its_numbers():
     curve, cycles = _curve_and_cycles(U0_G2)
     e = complex(curve.branch_points[1])
-    with pytest.raises(QuadratureNotConverged) as err:
-        cycles.workspace.tracker.anchor(e)
+    _, errors = cycles.workspace.tracker.anchors([0.5, e])
+    assert list(errors) == [1] and isinstance(errors[1], QuadratureNotConverged)
     m = re.fullmatch(r"could not anchor sheet at (\S+): every radial approach passes within "
                      r"(\S+) of a branch point; nearest branch point (\S+) at distance (\S+)",
-                     str(err.value))
-    assert m, str(err.value)
+                     str(errors[1]))
+    assert m, str(errors[1])
     assert complex(m.group(1)) == complex(m.group(3)) == pytest.approx(e, rel=1e-5)
     assert float(m.group(2)) == pytest.approx(1e-6 * curve.scale(), rel=1e-3)
     assert float(m.group(4)) == 0.0
@@ -677,7 +753,7 @@ def test_invert_a_map_roundtrip():
     target = pd.a * (1.0 + 1e-3)
     (moved, moved_cycles, _), = invert_a_map(curve, cycles, pd, [target])
     ws = moved_cycles.workspace
-    a_new = ws.integrate_cycle(moved_cycles.a_cycles[0], ds_sw(moved))
+    a_new = _cycle_periods(ws, [moved_cycles.a_cycles[0]], ds_sw(moved), 1e-10)[0]
     assert abs(a_new - target[0]) < 1e-9 * max(1.0, abs(target[0]))
 
 
@@ -718,9 +794,9 @@ def test_invert_a_map_returns_the_periods_of_its_curve(genus, u0):
 
 
 def test_b_periods_sum_each_chain_loop_once():
-    # B_i = C_i + ... + C_g: the chain loops are integrated once each, in one
-    # pass with the A contours, and summed in cycle order, bitwise the
-    # per-cycle sum of integrate_cycle
+    # B_i = s_i C_i + ... + s_g C_g: the chain loops are integrated once each,
+    # in one pass with the A contours, and summed in cycle order, bitwise the
+    # sum over each cycle alone
     curve, cycles = _curve_and_cycles(U0_G3)
     ws = cycles.workspace
     calls = []
@@ -733,7 +809,7 @@ def test_b_periods_sum_each_chain_loop_once():
     conts = [c for cycle in cycles.a_cycles for _, c in cycle] + cycles.chain_loops
     assert calls == [conts]
     form = _period_form(curve)
-    expect = np.array([ws.integrate_cycle(b, form) for b in cycles.b_cycles])
+    expect = np.array([_cycle_periods(ws, [b], form, 1e-10)[0] for b in cycles.b_cycles])
     assert _cycle_periods(ws, cycles.b_cycles, form, 1e-10).tobytes() == expect.tobytes()
     assert pd.b.tobytes() == expect[:, -1].tobytes()
 
@@ -755,7 +831,8 @@ def test_derived_sheets_match_fresh_tracking():
         assert data.z is ref.z and data.dzdt is ref.dzdt and data.w == ref.w
         assert data.z.tobytes() == new.z.tobytes()
         assert data.y.tobytes() == new.y.tobytes()
-        assert data.closures([0]) == new.closures([0])
+        closures, _ = _read_closures([data, new], np.ones((1, 2), dtype=bool))
+        assert closures[0, 0] == closures[0, 1]
 
 
 def _derivation_refusal(curve, cycles, err):
@@ -821,7 +898,7 @@ def test_moved_curves_are_never_tracked(monkeypatch):
     # levels periods closed), where each row took a call of its own
     seen = {"curves": set(), "tracks": 0, "integrate": 0, "panels": 0, "closures": 0,
             "closure_calls": 0}
-    anchor, track = SheetTracker.anchor, SheetTracker.track_along
+    anchors, track = SheetTracker.anchors, SheetTracker.track_along
     integrate, nodes = QuadratureWorkspace.integrate, QuadratureWorkspace.nodes
     closure = hyperelliptic_module._closure
 
@@ -830,9 +907,9 @@ def test_moved_curves_are_never_tracked(monkeypatch):
         seen["closure_calls"] += 1
         return closure(*args)
 
-    def counted_anchor(self, *args):
+    def counted_anchors(self, *args):
         seen["curves"].add(id(self.curve))
-        return anchor(self, *args)
+        return anchors(self, *args)
 
     def counted_track(self, *args):
         seen["curves"].add(id(self.curve))
@@ -847,7 +924,7 @@ def test_moved_curves_are_never_tracked(monkeypatch):
         seen["panels"] += n_panels
         return nodes(self, contour, n_panels)
 
-    monkeypatch.setattr(SheetTracker, "anchor", counted_anchor)
+    monkeypatch.setattr(SheetTracker, "anchors", counted_anchors)
     monkeypatch.setattr(SheetTracker, "track_along", counted_track)
     monkeypatch.setattr(QuadratureWorkspace, "integrate", counted_integrate)
     monkeypatch.setattr(QuadratureWorkspace, "nodes", counted_nodes)
@@ -1300,7 +1377,7 @@ def _sample_pair(ws, curve, rng, radius=2.3):
     pts = []
     for t in th:
         z = c0 + radius * curve.scale() / 1.5 * np.exp(1j * t)
-        pts.append((z, ws.tracker.anchor(z)))
+        pts.append((z, ws.tracker.anchors([z])[0][0]))
     return pts
 
 
@@ -1322,8 +1399,8 @@ def test_kernel_a_period_vanishes():
     rng = np.random.default_rng(5)
     for _ in range(3):
         [(zq, yq)] = [_sample_pair(ws, curve, rng)[0]]
-        val = ws.integrate_cycle(cycles.a_cycles[0],
-                                 lambda z, y: bk.value(z, y, zq, yq))
+        val = _cycle_periods(ws, [cycles.a_cycles[0]],
+                             lambda z, y: bk.value(z, y, zq, yq), 1e-10)[0]
         assert abs(val) < 1e-8
 
 
@@ -1334,8 +1411,8 @@ def test_kernel_b_period_gives_omega():
     rng = np.random.default_rng(7)
     for _ in range(3):
         [(zq, yq)] = [_sample_pair(ws, curve, rng)[0]]
-        val = ws.integrate_cycle(cycles.b_cycles[0],
-                                 lambda z, y: bk.value(z, y, zq, yq))
+        val = _cycle_periods(ws, [cycles.b_cycles[0]],
+                             lambda z, y: bk.value(z, y, zq, yq), 1e-10)[0]
         expect = 2j * np.pi * omega_value(pd, 0, zq, yq)
         assert abs(val - expect) < 1e-6 * max(1.0, abs(expect))
 
@@ -1349,7 +1426,7 @@ def _sampled_correction(curve, cycles, pd, seed=11):
                        f_coeffs=_f_polynomial(curve.q_coeffs, g), correction=np.zeros((g, g)))
     rng = np.random.default_rng(seed)
     ang = 2 * np.pi * (np.arange(2 * g + 2) + 0.3 * rng.random(2 * g + 2)) / (2 * g + 2)
-    qs = [(zq, ws.tracker.anchor(zq)) for zq in
+    qs = [(zq, ws.tracker.anchors([zq])[0][0]) for zq in
           complex(np.mean(curve.branch_points)) + 1.9 * curve.scale() * np.exp(1j * ang)]
     rho = _cycle_periods(ws, cycles.a_cycles,
                          lambda z, y: np.stack([base.value(z, y, *q) for q in qs]), 1e-10)
@@ -1441,7 +1518,7 @@ def test_kernel_matches_elliptic_oracle():
     rng = np.random.default_rng(13)
     angles = np.sort(rng.random(10) * 2 * np.pi)
     base = c0 + radius
-    y_base = ws.tracker.anchor(base)
+    y_base = ws.tracker.anchors([base])[0][0]
 
     def arc_integral(th0, th1, y_start, panels=8):
         xs, wts = np.polynomial.legendre.leggauss(16)
@@ -1453,8 +1530,8 @@ def test_kernel_matches_elliptic_oracle():
         zs = c0 + radius * np.exp(1j * th)
         ys = ws.tracker.track_along(zs, y_start)
         vals = omega_value(pd, 0, zs, ys) * (1j * radius * np.exp(1j * th))
-        y_end = ws.tracker.walk_segment(complex(zs[-1]), ys[-1],
-                                        complex(c0 + radius * np.exp(1j * th1)))
+        y_end = ws.tracker._walk(complex(zs[-1]), ys[-1],
+                                 complex(c0 + radius * np.exp(1j * th1)))[0]
         return np.sum(vals * w_all), y_end
 
     points = []

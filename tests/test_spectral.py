@@ -19,7 +19,6 @@ from swtr.airy import (
     build_tr_variant_tensors,
     default_index_bound,
     gauge_transform,
-    max_index_bound,
     recursion_cells,
 )
 from swtr.cli import VerifyConfig, verify_theorem
@@ -196,7 +195,7 @@ def test_factor_tables_are_freed_when_the_run_returns():
     curve = _split_test_curve(("0", "1", "2", "3"))
     omega = eo_run(curve, 4)
     assert omega.engine._factor_cache == {}
-    kept = _EoEngine(curve, 4, max_index_bound(4))
+    kept = _EoEngine(curve, 4)
     table = kept.run()
     assert kept._factor_cache
     dev = eo_symmetry_deviation(omega)
@@ -211,7 +210,7 @@ def test_reference_paths_free_their_factor_tables():
     curve = _split_test_curve(("0", "1"))
     omega = eo_run(curve, 3)
     for check in (eo_symmetry_deviation, support_bound_check):
-        kept = _EoEngine(curve, 3, max_index_bound(3))
+        kept = _EoEngine(curve, 3)
         table = kept.run()
         assert kept._factor_cache
         expect = check(OmegaGN(table, curve, kept))
@@ -258,12 +257,6 @@ def test_airy_support_is_minimal():
     assert report[(1, 1)]["max_index"] == 3
 
 
-def test_eo_truncation_guard():
-    from swtr.errors import TruncationInsufficient
-    with pytest.raises(TruncationInsufficient):
-        eo_run(airy_point(), chi_max=3, kmax=5)   # omega_{1,3} needs index 8
-
-
 @pytest.mark.parametrize("ram, chi, cells, filled", [
     (("0", "1", "2", "3"), 4, [(0, 6)], [(0, 3), (0, 4), (0, 5), (0, 6)]),
     (("p", "q"), 4, [(1, 2)], [(0, 3), (1, 1), (1, 2)]),
@@ -306,26 +299,6 @@ def test_cells_name_recursion_cells():
             eo_run(airy_point(), 2, cells=cells)
 
 
-def test_engine_checks_kmax_once_at_construction(monkeypatch):
-    # the bound is checked over the cells to fill when the engine is built,
-    # naming the first cell beyond kmax; the run checks none again
-    from swtr.errors import TruncationInsufficient
-    with pytest.raises(TruncationInsufficient, match=re.escape("cell (2, 1) needs indices up to "
-                                                               "10 > kmax=9")):
-        _EoEngine(airy_point(), 3, 9)
-    with pytest.raises(TruncationInsufficient, match=re.escape("cell (0, 5) needs indices up to "
-                                                               "6 > kmax=5")):
-        eo_run(airy_point(), 3, kmax=5, cells=[(0, 5)])
-    checked = []
-    bound = _EoEngine.index_bound
-    monkeypatch.setattr(_EoEngine, "index_bound",
-                        lambda self, g, n: checked.append((g, n)) or bound(self, g, n))
-    engine = _EoEngine(airy_point(), 3, 6, cells=[(0, 5)])
-    assert checked == [(0, 3), (0, 4), (0, 5)]
-    engine.run()
-    assert checked == [(0, 3), (0, 4), (0, 5)]
-
-
 def _recorded(engine):
     """Run the engine; per cell, the tuples its run passed to compute_value."""
     seen = {}
@@ -347,7 +320,7 @@ def test_oracle_keeps_full_enumeration():
     s = {key: v for key, v in random_s(("0",), 13, rng).items()
          if key[0][0] % 2 and key[1][0] % 2}
     atr = _AtrEngine(gauge_transform(build_tr_variant_tensors(13, ("0",)), GaugeData(s=s)), 4)
-    eo = _EoEngine(LocalSpectralCurve(ram=("0",), bergman_reg=s), 4, 12)
+    eo = _EoEngine(LocalSpectralCurve(ram=("0",), bergman_reg=s), 4)
     atr_seen = _recorded(atr)
     eo.run()        # fills whole cells: no per-tuple compute_value calls to record
     assert atr.step == eo.step == 2
@@ -766,7 +739,7 @@ def test_residue_pass_keeps_the_bits_of_the_xi_matmul():
     rng = np.random.default_rng(67)
     ram = ("p", "q", "r")
     curve = LocalSpectralCurve(ram=ram, bergman_reg=random_s(ram, 9, rng))
-    engine = _EoEngine(curve, 4, max_index_bound(4))
+    engine = _EoEngine(curve, 4)
     width = 2 * engine.nlen - 1
     for rows, b11 in ((1, False), (1, True), (2, True), (7, False), (40, True)):
         xi = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
@@ -869,11 +842,11 @@ def test_plan_cache_keeps_at_most_its_slots():
     # held is a hit
     _plan.cache_clear()
     curve = airy_point()
-    for kmax in range(5, 5 + 2 * (_PLAN_SLOTS + 3), 2):
-        eo_run(curve, 1, kmax=kmax)
+    for chi in range(1, _PLAN_SLOTS + 4):
+        eo_run(curve, chi)
         assert _plan.cache_info().currsize <= _PLAN_SLOTS
     assert _plan.cache_info().currsize == _PLAN_SLOTS
-    eo_run(curve, 1, kmax=kmax)
+    eo_run(curve, chi)
     assert _plan.cache_info().hits == 1
 
 
@@ -883,8 +856,7 @@ def test_engines_of_one_shape_share_the_plans_kernel_table():
     # plan's, by identity, and each run copies the table to its stack's start
     _plan.cache_clear()
     ram = ("p", "q", "r")
-    one, two = (_EoEngine(_split_test_curve(ram, seed), 3, max_index_bound(3))
-                for seed in (31, 37))
+    one, two = (_EoEngine(_split_test_curve(ram, seed), 3) for seed in (31, 37))
     plan = one._plan
     assert two._plan is plan and plan.window is not None
     assert one._flip is two._flip is plan.window.flip
@@ -954,7 +926,7 @@ def test_product_columns_are_convolve_columns_bitwise():
     # for its leading rows only has their bits, as does the all-column
     # reference
     rng = np.random.default_rng(59)
-    sizes = {_EoEngine(airy_point(), chi, max_index_bound(chi)).nlen + extra
+    sizes = {_EoEngine(airy_point(), chi).nlen + extra
              for chi in range(1, 8) for extra in (0, 8)}
     for size in sorted(sizes):
         for mag in (1e-8, 1.0, 1e8):
@@ -972,7 +944,7 @@ def test_product_columns_are_convolve_columns_bitwise():
             want = np.concatenate([ref[:m, k] for k, m in zip(cols, counts)])
             assert got.tobytes() == want.tobytes(), (size, mag)
     # each pivot's residue reads one column of the product, res_cols[p]
-    engine = _EoEngine(airy_point(), 3, 10)
+    engine = _EoEngine(airy_point(), 3)
     assert [np.flatnonzero(row).tolist() for row in engine.res_vec] == [[c] for c in engine.res_cols]
 
 
@@ -1083,7 +1055,7 @@ def test_setup_tables_match_loop_reference():
     s = random_s(ram + ("x",), 11, rng)     # label x is not a ramification point here
     s.update(random_s(("p",), 30, rng))     # modes beyond the window are left out
     curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
-    engine = _EoEngine(curve, 3, 10)
+    engine = _EoEngine(curve, 3)
     *refs, res = _loop_setup(engine, _symmetrized(s))
     # the -z series the products read is loc_p times the exact sign flip
     tables = engine.loc_p, engine.loc_p * engine._flip, engine.b_pm
@@ -1134,7 +1106,7 @@ def test_stacked_setup_matches_per_point_copy_bitwise():
     s.update(random_s(("p",), 30, rng))
     curve = LocalSpectralCurve(ram=ram, bergman_reg=s)
     for chi in (3, 5):
-        engine = _EoEngine(curve, chi, max_index_bound(chi))
+        engine = _EoEngine(curve, chi)
         residues, points = _per_point_setup(engine)
         for name, want in zip(("res_vec", "res_cols"), residues):
             got = getattr(engine, name)
@@ -1188,11 +1160,11 @@ def test_kernel_matrix_keeps_ram_labels_and_window_modes():
     # a dropped pair still passes the symmetry gate
     with pytest.raises(ValueError, match=r"not symmetric at \(\(1, 'x'\), \(3, 'x'\)\)"):
         LocalSpectralCurve(ram=ram, bergman_reg={**s, ((3, "x"), (1, "x")): 9.0})
-    engine = _EoEngine(curve, 2, 9)
+    engine = _EoEngine(curve, 2)
     window = engine.hi + 1
     assert window < 40
     short = {key: v for key, v in inside.items() if max(key[0][0], key[1][0]) <= window}
-    ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 2, 9)
+    ref = _EoEngine(LocalSpectralCurve(ram=ram, bergman_reg=short), 2)
     for name in ("loc_p", "b_pm"):
         for q, lab in enumerate(ram):
             assert np.array_equal(getattr(engine, name)[q], getattr(ref, name)[q]), (name, lab)
@@ -1273,12 +1245,9 @@ def test_curve_refuses_modes_below_one():
 def test_eo_run_refuses_empty_windows():
     # no mode, or a residue window cut below the recursion's own, is refused
     # by name before any work
-    for kwargs, text in ((dict(chi_max=0), "chi_max must be at least 1, got 0"),
-                         (dict(kmax=0), "kmax must be at least 1, got 0"),
-                         (dict(kmax=-2), "kmax must be at least 1, got -2")):
-        with pytest.raises(ValueError) as err:
-            eo_run(airy_point(), **{"chi_max": 2, **kwargs})
-        assert str(err.value) == text
+    with pytest.raises(ValueError) as err:
+        eo_run(airy_point(), chi_max=0)
+    assert str(err.value) == "chi_max must be at least 1, got 0"
 
 
 # ---------------------------------------------------------------------------
