@@ -78,7 +78,13 @@ applies, omega_{0,2}'s factor table, which a run copies to the start of
 its stack, and the rows of that stack the last run used, where the next
 one starts.  So a run forms only what the kernel data changes: the window
 series, B(z, -z) and the lower cells' factor tables.  A 4-point chi = 8
-plan takes about 46 MB.
+plan takes about 46 MB.  The kernel data of a shape's runs changes its
+values, not its pair keys, so ``LocalSpectralCurve`` keeps in one slot the
+layout of the last pair keys it read (``_layout``): the mode numbering, the
+rows of ``s`` and the pairs given in both orders.  It holds ``ram`` and one
+list of the keys, and a dict whose keys equal that list in order at an equal
+``ram`` reuses it; every gate still reads the dict's own modes and values,
+so a reuse gives the bits of ``s`` and the errors a fresh parse gives.
 
 ``compute_value`` evaluates one entry with any pivot as the formula
 reads: one xi from the same window series and factors, with the full
@@ -121,11 +127,15 @@ class LocalSpectralCurve:
     The odd part of the one-form is 4 z^2 dz at every label.
     ``bergman_reg`` maps mode pairs to the regular-part coefficients
     s^{(k,a)(k',b)} of the two-form, each pair in one or both orders, which
-    must agree, every k an integer k >= 1 and every value finite.  The labels
-    of ``ram`` are distinct.  It enters the recursion once, as
-    the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the largest k at a
-    label of ``ram``: row (a, k) is ``ram.index(a) * K + k - 1``.  Pairs at
-    other labels are dropped; of a pair in both orders the later one counts.
+    must agree, every k an integer k >= 1 (not a ``bool``) and every value
+    finite.  The labels of ``ram`` are distinct.  It enters the recursion
+    once, as the symmetric matrix ``s`` over ``ram`` x k = 1..K, K the
+    largest k at a label of ``ram``: row (a, k) is
+    ``ram.index(a) * K + k - 1``.  Pairs at other labels are dropped; of a
+    pair in both orders the later one counts.  What the keys alone give is
+    kept for the next curve whose ``ram`` is equal and whose keys are equal
+    in order (``_layout``, one slot holding one key list); its ``s`` and its
+    errors are a fresh parse's.
     """
 
     ram: tuple
@@ -145,43 +155,28 @@ class LocalSpectralCurve:
     def _kernel_matrix(self):
         """``s`` from ``bergman_reg``, after the mode, finite and symmetry gates on every pair."""
         reg = self.bergman_reg
-        pos = {lab: q for q, lab in enumerate(self.ram)}
-        ids = _Numbering()      # each distinct mode by the order it is first met
-        legs = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(reg)), np.intp,
-                           2 * len(reg)).reshape(-1, 2)
-        modes = list(ids)
-        bad = np.array([not isinstance(k, (int, np.integer)) or k < 1 for k, _ in modes], bool)
-        if bad.any():
-            first = bad[legs].any(axis=1).argmax()
-            m1, m2 = modes[legs[first, 0]], modes[legs[first, 1]]
-            raise ValueError(f"bergman_reg pair ({m1}, {m2}) has mode k = "
-                             f"{(m2 if bad[legs[first]].argmax() else m1)[0]!r}: "
-                             "a mode needs an integer k >= 1")
+        keys = list(reg)
+        layout = _layout(self.ram, keys)
+        # a layout equal by == can still hold a bad k here: (1.0, "0") == (1, "0")
+        _modes(keys, layout.legs, layout.first)
         values = np.fromiter(reg.values(), complex, len(reg))
         bad = ~np.isfinite(values)
         if bad.any():
             (m1, m2), v = list(reg.items())[bad.argmax()]
             raise ValueError(f"bergman_reg pair ({m1}, {m2}) has value {v!r}: "
                              "a coefficient needs to be finite")
-        top = max((k for k, lab in modes if lab in pos), default=0)
-        dim = len(self.ram) * top
-        other = itertools.count(dim)        # rows past s: the modes at other labels
-        row = np.array([pos[lab] * top + k - 1 if lab in pos else next(other)
-                        for k, lab in modes], dtype=np.intp)
-        a, b = row[legs].T if len(reg) else (np.empty(0, np.intp),) * 2
-        given = np.zeros((next(other),) * 2, dtype=complex)
-        rank = np.full(given.shape, -1)     # dict position of each given pair
-        given[a, b], rank[a, b] = values, np.arange(len(reg))
-        both = (rank >= 0) & (rank.T >= 0)
-        bad = both & (abs(given.T - given) > 1e-12 * np.maximum(1.0, abs(given)))
+        given, back = values[layout.both], values[layout.partner]
+        bad = abs(back - given) > 1e-12 * np.maximum(1.0, abs(given))
         if bad.any():
-            m1, m2 = list(reg)[rank[bad].min()]
+            m1, m2 = keys[layout.both[bad.argmax()]]
             v, back = reg[(m1, m2)], reg[(m2, m1)]
             raise ValueError(
                 f"bergman_reg is not symmetric at ({m1}, {m2}): {v} against {back}, "
                 f"|delta| = {abs(back - v):.3e}, gate {1e-12 * max(1.0, abs(v)):.3e}")
-        # of a pair in both orders the later one counts
-        return np.where(rank >= rank.T, given, given.T)[:dim, :dim]
+        s = np.zeros((layout.dim,) * 2, dtype=complex)
+        flat, kept = s.reshape(-1), values[layout.kept]
+        flat[layout.at], flat[layout.at_t] = kept, kept
+        return s
 
     def block(self, a, b):
         """The K x K block of ``s`` with rows at the point ``a`` and columns at ``b``."""
@@ -196,6 +191,76 @@ class _Numbering(dict):
     def __missing__(self, key):
         self[key] = len(self)
         return self[key]
+
+
+class _KeyLayout(NamedTuple):
+    """What the pair keys of a ``bergman_reg`` alone give, pairs by dict position.
+
+    Modes are numbered in the order they are first met, legs in key order.
+    A pair counts unless its reverse comes later in the dict; the counted
+    pairs at labels of ``ram`` are ``kept``, each entered at two flat
+    indices of ``s``, (a, b) and (b, a).
+    """
+
+    legs: np.ndarray        # (pairs, 2) mode number of each leg
+    first: list             # flat leg index 2 * pair + side where each mode is first met
+    dim: int                # side of s: len(ram) * K
+    both: np.ndarray        # pairs given in both orders (not a diagonal pair), ascending
+    partner: np.ndarray     # the position of each one's reverse
+    kept: np.ndarray
+    at: np.ndarray          # flat index in s of each kept pair (a, b)
+    at_t: np.ndarray        # and of (b, a)
+
+
+_layout_slot = None         # (ram, key list, _KeyLayout) of the last pair dict parsed
+
+
+def _layout(ram, keys):
+    """The ``_KeyLayout`` of ``keys`` at ``ram``, kept for the next equal key list."""
+    global _layout_slot
+    slot = _layout_slot
+    if slot is not None and slot[0] == ram and slot[1] == keys:
+        return slot[2]
+    layout = _key_layout(ram, keys)
+    _layout_slot = ram, keys, layout
+    return layout
+
+
+def _key_layout(ram, keys):
+    """``keys``' ``_KeyLayout`` at ``ram``, after the mode gate."""
+    ids = _Numbering()
+    legs = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(keys)), np.intp,
+                       2 * len(keys)).reshape(-1, 2)
+    first = np.unique(legs, return_index=True)[1].tolist()
+    modes = _modes(keys, legs, first)        # the rows below need every k valid
+    pos = {lab: q for q, lab in enumerate(ram)}
+    top = max((k for k, lab in modes if lab in pos), default=0)
+    dim = len(ram) * top
+    row = np.array([pos[lab] * top + k - 1 if lab in pos else -1 for k, lab in modes],
+                   dtype=np.intp)
+    pair = np.arange(len(keys))
+    rank = np.full((len(modes),) * 2, -1)    # dict position of each given pair
+    rank[legs[:, 0], legs[:, 1]] = pair
+    partner = rank[legs[:, 1], legs[:, 0]]
+    both = np.flatnonzero((partner >= 0) & (partner != pair))
+    a, b = row[legs].T
+    kept = np.flatnonzero((partner <= pair) & (a >= 0) & (b >= 0))
+    a, b = a[kept], b[kept]
+    return _KeyLayout(legs, first, dim, both, partner[both], kept, a * dim + b, b * dim + a)
+
+
+def _modes(keys, legs, first):
+    """The modes of ``keys`` as first met, after refusing a k that is no integer >= 1."""
+    modes = [keys[p >> 1][p & 1] for p in first]
+    bad = [isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 for k, _ in modes]
+    if any(bad):
+        bad = np.array(bad)
+        i = bad[legs].any(axis=1).argmax()
+        m1, m2 = modes[legs[i, 0]], modes[legs[i, 1]]
+        raise ValueError(f"bergman_reg pair ({m1}, {m2}) has mode k = "
+                         f"{(m2 if bad[legs[i]].argmax() else m1)[0]!r}: "
+                         "a mode needs an integer k >= 1")
+    return modes
 
 
 class OmegaGN:

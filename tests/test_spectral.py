@@ -24,6 +24,7 @@ from swtr.airy import (
 from swtr.cli import VerifyConfig, verify_theorem
 from swtr.errors import OutOfAnnulus
 from swtr.laurent import LaurentSeries
+from swtr import spectral
 from swtr.spectral import (
     LocalSpectralCurve,
     OmegaGN,
@@ -1232,14 +1233,89 @@ def test_curve_refuses_modes_below_one():
     # k = 0 would take row k - 1 = -1, the last mode's, and k = -1 a row past
     # s; a k that is not an integer is no mode either.  The first pair with
     # such a mode is named, at any label
-    for k, lab in ((0, "a"), (-1, "a"), (1.5, "a"), ("1", "a"), (0, "x")):
+    for k, lab in ((0, "a"), (-1, "a"), (1.5, "a"), ("1", "a"), (0, "x"), (False, "a")):
         pairs = {((1, "a"), (1, "a")): 0.2, ((k, lab), (1, "a")): 0.1, ((1, "a"), (k, lab)): 0.1}
         with pytest.raises(ValueError) as err:
             LocalSpectralCurve(ram=("a",), bergman_reg=pairs)
         assert str(err.value) == (f"bergman_reg pair (({k!r}, {lab!r}), (1, 'a')) has mode "
                                   f"k = {k!r}: a mode needs an integer k >= 1")
+    # a bool is no mode either, though True == 1; np.True_ is no integer
+    for k in (True, np.True_):
+        with pytest.raises(ValueError) as err:
+            LocalSpectralCurve(ram=("a",), bergman_reg={((k, "a"), (2, "a")): 0.5})
+        assert str(err.value) == (f"bergman_reg pair (({k!r}, 'a'), (2, 'a')) has mode "
+                                  f"k = {k!r}: a mode needs an integer k >= 1")
     curve = LocalSpectralCurve(ram=("a",), bergman_reg={((np.int64(1), "a"), (3, "a")): 0.1})
     assert curve.s[0, 2] == curve.s[2, 0] == 0.1
+
+
+def _parse(ram, reg):
+    """The ``s`` of a curve on ``reg``, or the text of the ValueError it raises."""
+    try:
+        return LocalSpectralCurve(ram=ram, bergman_reg=reg).s
+    except ValueError as err:
+        return str(err)
+
+
+def _same_parse(got, want):
+    if isinstance(want, str):
+        return got == want
+    return not isinstance(got, str) and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_key_layout_reuse_matches_a_fresh_parse(monkeypatch):
+    # a curve whose ram and pair keys, in order, equal the last parsed reuses
+    # that layout: its s is bitwise, and its refusal word for word, what a
+    # parse from an empty slot gives
+    def fresh(ram, reg):
+        monkeypatch.setattr(spectral, "_layout_slot", None)
+        return _parse(ram, reg)
+
+    def revalued(reg, value):
+        """``reg`` with ``value(key, v)`` in new key tuples, equal by == and not identical."""
+        return {((k1, a), (k2, b)): value(((k1, a), (k2, b)), v)
+                for ((k1, a), (k2, b)), v in reg.items()}
+
+    rng = np.random.default_rng(41)
+    ram = ("0", "1", "2", "3")
+    upper = random_s(ram, 13, rng)
+    full = _symmetrized(upper)
+    reverse = dict(reversed(list(full.items())))
+    other = random_s(ram[:2] + ("x",), 5, rng)
+    other.update(random_s(("1",), 9, rng))
+    for reg in (upper, full, reverse, other):
+        moved = revalued(reg, lambda key, v: v * (0.5 - 0.25j) + 1.0)
+        want = fresh(ram, moved)
+        assert _same_parse(fresh(ram, reg), _parse(ram, reg))
+        layout = spectral._layout_slot[2]
+        got = _parse(ram, moved)
+        assert spectral._layout_slot[2] is layout and _same_parse(got, want)
+        # another ram, or the same keys in another order, is parsed afresh
+        for ram2, reg2 in ((ram[::-1], moved), (ram, dict(reversed(list(moved.items()))))):
+            want = fresh(ram2, reg2)
+            fresh(ram, reg)
+            layout = spectral._layout_slot[2]
+            got = _parse(ram2, reg2)
+            assert spectral._layout_slot[2] is not layout and _same_parse(got, want), ram2
+    # the finite and symmetry gates refuse on a reused layout as on a fresh one
+    m1, m2 = (1, "0"), (3, "2")
+    for bad in (revalued(full, lambda key, v: np.nan if key == (m1, m2) else v),
+                revalued(full, lambda key, v: v + 1e-9 if key == (m2, m1) else v)):
+        want = fresh(ram, bad)
+        assert want.startswith("bergman_reg "), want
+        _parse(ram, full)
+        layout = spectral._layout_slot[2]
+        assert _parse(ram, bad) == want and spectral._layout_slot[2] is layout
+    # a k equal by == to the cached layout's int k is still refused by name
+    good = {((1, "0"), (2, "0")): 0.5, ((2, "0"), (1, "0")): 0.5, ((2, "0"), (2, "0")): 0.1}
+    for k in (1.0, True, 0):
+        bad = {((k, "0"), (2, "0")): 0.5, ((2, "0"), (1, "0")): 0.5, ((2, "0"), (2, "0")): 0.1}
+        want = fresh(("0",), bad)
+        assert want.endswith(f"has mode k = {k!r}: a mode needs an integer k >= 1"), want
+        _parse(("0",), good)
+        layout = spectral._layout_slot[2]
+        assert _parse(("0",), bad) == want
+        assert spectral._layout_slot[2] is layout and (bad == good) == (k != 0)
 
 
 def test_eo_run_refuses_empty_windows():
